@@ -51,7 +51,7 @@ DEFAULT_CONFIG = {
     "grid": {"nx": 65, "nt": 257},
     "kernel": {"type": "separable", "profile": "constant", "amplitude": 0.4, "n1": None},
     "problem": {"u_amplitude": 0.3, "coupling_gain": 1.0},
-    "solver": {"damping": 0.5, "tol": 1e-9, "max_iter": 80, "method": "implicit"},
+    "solver": {"damping": 0.5, "tol": 1e-9, "max_iter": 80},
     "stability": {
         "rho": "1/2",
         "epsilon": "1/5",
@@ -320,7 +320,6 @@ def cmd_sweep(args) -> int:
     grid, kernel, k1, _, f, spec = _manufactured_problem(cfg)
     delta_k = stab["perturbation_scale"] * _perturbation(grid)
     sol = cfg["solver"]
-    workers = _thread_cap()
     try:
         report = holder_sweep(
             spec,
@@ -333,7 +332,6 @@ def cmd_sweep(args) -> int:
             damping=sol["damping"],
             max_iter=sol["max_iter"],
             tol=sol["tol"],
-            workers=workers,
         )
     except PicardNonConvergence as e:
         print(f"base forward solve did not converge: {e}", file=sys.stderr)
@@ -348,14 +346,6 @@ def cmd_sweep(args) -> int:
     if report.excluded:
         print(f"{len(report.excluded)} scales excluded for non-convergence")
     return EXIT_OK
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("MFGLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------

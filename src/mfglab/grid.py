@@ -50,13 +50,13 @@ __all__ = [
     "divergence",
     "dt",
     "dtt",
-    "integrate",
     "integrate_spatial",
-    "integrate_trace",
     "time_integral_from_t0",
     "trace",
     "snapshot",
     "snap_epsilon",
+    "boundary_mask",
+    "interior_mask",
 ]
 
 
@@ -297,6 +297,30 @@ def snap_epsilon(grid: Grid, eps: float) -> tuple[int, float]:
     j = int(round(eps / grid.tau))
     j = min(max(j, 1), grid.index_t0 - 1)
     return j, j * grid.tau
+
+
+def boundary_mask(grid: Grid) -> np.ndarray:
+    """Spatial mask of the nodes on the lateral boundary."""
+    mask = np.zeros(grid.shape_space, dtype=bool)
+    for axis in range(grid.dim):
+        sl = [slice(None)] * grid.dim
+        sl[axis] = 0
+        mask[tuple(sl)] = True
+        sl[axis] = -1
+        mask[tuple(sl)] = True
+    return mask
+
+
+def interior_mask(grid: Grid, time_ring: int, eps: float | None = None) -> np.ndarray:
+    """Space-time mask without the lateral boundary and without ``time_ring``
+    levels at each end of the time axis; ``eps`` widens the ring to cover
+    the levels outside ``[eps, T - eps]``."""
+    mask = np.repeat(~boundary_mask(grid)[..., None], grid.nt, axis=-1)
+    if eps is not None:
+        time_ring = max(time_ring, int(math.ceil(eps / grid.tau - 1e-12)))
+    mask[..., :time_ring] = False
+    mask[..., grid.nt - time_ring :] = False
+    return mask
 
 
 class Field:
@@ -545,61 +569,6 @@ def integrate_spatial(grid: Grid, spatial_values: np.ndarray) -> float:
     return _contract(spatial_values, weights)
 
 
-def integrate_trace(btrace: BoundaryTrace) -> float:
-    """Integral of a trace over its face cross time, ``face x (0, T)``.
-
-    For ``n = 1`` the face is a point of measure one, so only the time
-    integral remains.
-    """
-    g = btrace.grid
-    weights = [g.trapezoid_weights(i) for i in btrace.tangential_axes]
-    weights.append(g.time_weights())
-    return _contract(btrace.values, weights)
-
-
-def integrate(
-    field: Field,
-    region: str = "QT",
-    *,
-    t: float | None = None,
-    face: Face | None = None,
-    eps: float | None = None,
-) -> float:
-    """Integrate a field over one of the named regions.
-
-    Regions:
-        ``"QT"``: the full cylinder.
-        ``"QepsT"``: the time-truncated cylinder; requires ``eps``, which is
-            snapped to the nearest time level.
-        ``"omega"``: a fixed-time spatial slice; requires ``t`` on-grid.
-        ``"face"``: one lateral face cross time; requires ``face``.
-        ``"ST"``: the whole lateral boundary cross time.
-    """
-    g = field.grid
-    if region == "QT" or region == "QepsT":
-        weights = [g.trapezoid_weights(i) for i in range(g.dim)]
-        if region == "QepsT":
-            if eps is None:
-                raise ValueError("QepsT integration requires eps")
-            j, _ = snap_epsilon(g, eps)
-            weights.append(g.time_weights(j, g.nt - 1 - j))
-        else:
-            weights.append(g.time_weights())
-        return _contract(field.values, weights)
-    if region == "omega":
-        if t is None:
-            raise ValueError("omega integration requires t")
-        j = g.index_of_time(t)
-        return integrate_spatial(g, field.values[..., j])
-    if region == "face":
-        if face is None:
-            raise ValueError("face integration requires a face")
-        return integrate_trace(trace(field, "dirichlet", face))
-    if region == "ST":
-        return sum(integrate_trace(trace(field, "dirichlet", f)) for f in g.faces())
-    raise ValueError(f"unknown region {region!r}")
-
-
 def time_integral_from_t0(field: Field) -> Field:
     """Cumulative trapezoidal integral from the central time:
     ``(x, t) -> integral_{t0}^{t} field(x, tau) dtau`` (negative for t < t0).
@@ -614,11 +583,6 @@ def time_integral_from_t0(field: Field) -> Field:
 # traces and snapshots
 
 
-def _boundary_planes(values: np.ndarray, axis: int):
-    v = np.moveaxis(values, axis, 0)
-    return v
-
-
 def trace(field: Field, kind: str, face: Face) -> BoundaryTrace:
     """Restrict a field (``"dirichlet"``) or its outward normal derivative
     (``"neumann"``) to one lateral face.
@@ -630,7 +594,7 @@ def trace(field: Field, kind: str, face: Face) -> BoundaryTrace:
     g = field.grid
     if face.axis >= g.dim:
         raise ValueError(f"face {face.label} does not exist on a {g.dim}-d grid")
-    v = _boundary_planes(field.values, face.axis)
+    v = np.moveaxis(field.values, face.axis, 0)
     if kind == "dirichlet":
         plane = v[-1] if face.side > 0 else v[0]
     elif kind == "neumann":

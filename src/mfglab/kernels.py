@@ -32,7 +32,6 @@ from typing import Callable, Union
 import numpy as np
 
 from .grid import Field, Grid
-from .norms import weighted_sum
 
 __all__ = [
     "GaussianProduct",
@@ -46,9 +45,7 @@ __all__ = [
     "apply_kernel",
     "apply_kernel_spatial",
     "apply_G",
-    "apply_G_spatial",
     "kernel_bound",
-    "weighted_G_bound",
 ]
 
 Profile = Union[str, Callable]
@@ -297,12 +294,6 @@ def apply_G(kernel: Kernel, q: Field) -> Field:
     return Field(g, _apply_matrix(kernel, g, np.abs(q.values), M), _copy=False)
 
 
-def apply_G_spatial(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    M = _g_matrix(kernel, grid)
-    return _apply_matrix(kernel, grid, np.abs(values), M)
-
-
 def kernel_bound(kernel: Kernel, grid: Grid) -> float:
     """Sampled sup-norm of the kernel on the grid.
 
@@ -327,20 +318,3 @@ def kernel_bound(kernel: Kernel, grid: Grid) -> float:
             )
         return float(kernel.n1)
     return sampled
-
-
-def weighted_G_bound(kernel: Kernel, q: Field, phi) -> tuple[float, float]:
-    """Weighted energy of ``G q`` and its ratio against the energy of ``q``.
-
-    ``phi`` is the (positive) weight, as a Field or a bare array.  Both
-    integrals use the same weight, so the ratio is invariant under the
-    common overflow-guard rescaling.  A vanishing denominator is reported
-    as ratio zero.
-    """
-    g = q.grid
-    weight_values = phi.values if isinstance(phi, Field) else np.asarray(phi, dtype=float)
-    gq = apply_G(kernel, q).values
-    lhs = weighted_sum(g, gq * gq * weight_values)
-    den = weighted_sum(g, q.values * q.values * weight_values)
-    ratio = lhs / den if den > 0.0 else 0.0
-    return lhs, ratio

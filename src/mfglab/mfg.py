@@ -11,9 +11,11 @@ material; the lab adopts the simplest scheme whose failure modes are
 observable: backward-Euler marching in the stable direction for each
 equation, the quadratic gradient term lagged one level to linearize the
 value equation, and a damped alternating fixed point for the coupling.
-Implicit stepping is the default because the downstream analysis
-differentiates solutions twice in time, which amplifies any conditional
-instability; an explicit path exists for cross-checks only.
+Stepping is implicit because the downstream analysis differentiates
+solutions twice in time, which amplifies any conditional instability.  The
+marching matrix is laid out once per grid: the value equation's matrix does
+not change in time and is factored once per solve, and each density step
+rewrites only its drift entries.
 
 The Fokker-Planck divergence uses conservative face-centered fluxes
 (arithmetic means of k, m and the first difference of u on the face), and
@@ -44,13 +46,13 @@ from .grid import (
     Face,
     Field,
     Grid,
+    boundary_mask,
     dt as field_dt,
     dtt as field_dtt,
     first_derivative,
-    grad_component,
     gradient,
+    interior_mask,
     laplacian,
-    sample_spatial,
     trace,
 )
 from .kernels import Kernel, apply_kernel
@@ -75,7 +77,6 @@ __all__ = [
     "manufacture_triple",
     "spec_for_triple",
     "residual",
-    "explicit_time_step_bound",
     "M_FLOOR",
     "BLOWUP_THRESHOLD",
 ]
@@ -322,7 +323,7 @@ def steady_density(grid: Grid, k: np.ndarray | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# spatial operators in flattened sparse form
+# the marching system
 
 
 def _strides(nx: tuple[int, ...]) -> tuple[int, ...]:
@@ -334,57 +335,57 @@ def _strides(nx: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _boundary_mask_flat(grid: Grid) -> np.ndarray:
-    mask = np.zeros(grid.shape_space, dtype=bool)
-    for axis in range(grid.dim):
-        sl = [slice(None)] * grid.dim
-        sl[axis] = 0
-        mask[tuple(sl)] = True
-        sl[axis] = -1
-        mask[tuple(sl)] = True
-    return mask.ravel()
-
-
-def _laplacian_entries(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """COO entries of the interior Laplacian stencil (boundary rows empty)."""
-    nx = grid.nx
-    ns = int(np.prod(nx))
-    strides = _strides(nx)
-    interior = ~_boundary_mask_flat(grid)
-    rows, cols, vals = [], [], []
-    idx = np.arange(ns)[interior]
-    multi = np.unravel_index(idx, nx)
-    for axis in range(grid.dim):
-        inv_h2 = 1.0 / grid.h[axis] ** 2
-        rows.extend([idx, idx, idx])
-        cols.extend([idx, idx - strides[axis], idx + strides[axis]])
-        vals.extend(
-            [
-                np.full(idx.size, -2.0 * inv_h2),
-                np.full(idx.size, inv_h2),
-                np.full(idx.size, inv_h2),
-            ]
-        )
-    del multi
-    return (
-        np.concatenate(rows),
-        np.concatenate(cols),
-        np.concatenate(vals),
-    )
-
-
 class _SpatialOperator:
-    """Precomputed pieces of the per-step linear systems on one grid."""
+    """The marching system I - tau (L + D) of one grid, laid out once.
+
+    L is the interior Laplacian stencil and D the conservative drift
+    operator m -> div(a m) with face-centered fluxes; boundary rows are
+    identity rows that carry the Dirichlet data.  The matrix lives in one
+    flat array with a fixed layout: the three bands of a tridiagonal matrix
+    in 1-D, the ``data`` array of a CSC matrix with fixed sparsity in n-D.
+    The slot arrays map each stencil entry of an interior row (diagonal,
+    and per axis the lower and upper neighbour) to its position there, so a
+    new drift rewrites values only.
+    """
 
     _cache: dict[Grid, "_SpatialOperator"] = {}
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.ns = int(np.prod(grid.nx))
-        self.strides = _strides(grid.nx)
-        self.boundary = _boundary_mask_flat(grid)
-        self.interior = ~self.boundary
-        self.lap_coo = _laplacian_entries(grid)
+        ns = self.ns = int(np.prod(grid.nx))
+        on_boundary = boundary_mask(grid).ravel()
+        self.boundary = np.flatnonzero(on_boundary)
+        self.interior = np.flatnonzero(~on_boundary)
+        if grid.dim == 1:
+            # band rows: [0, j] = A[j-1, j], [1, j] = A[j, j], [2, j] = A[j+1, j]
+            i = self.interior
+            self.diag_slots = ns + i
+            self.lower_slots = [2 * ns + i - 1]
+            self.upper_slots = [i + 1]
+            self._identity = np.zeros(3 * ns)
+            self._identity[ns + self.boundary] = 1.0
+            return
+        # entries in the order diagonal, then (lower, upper) per axis
+        ni = self.interior.size
+        neighbours = [
+            self.interior + sign * stride
+            for stride in _strides(grid.nx)
+            for sign in (-1, 1)
+        ]
+        rows = np.concatenate([np.arange(ns)] + [self.interior] * len(neighbours))
+        cols = np.concatenate([np.arange(ns)] + neighbours)
+        order = np.lexsort((rows, cols))
+        self.indices = rows[order].astype(np.intc)
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=ns))))
+        self.indptr = self.indptr.astype(np.intc)
+        slots = np.empty_like(order)
+        slots[order] = np.arange(order.size)
+        self.diag_slots = slots[self.interior]
+        off = slots[ns:].reshape(grid.dim, 2, ni)
+        self.lower_slots = list(off[:, 0])
+        self.upper_slots = list(off[:, 1])
+        self._identity = np.zeros(order.size)
+        self._identity[slots[self.boundary]] = 1.0
 
     @classmethod
     def get(cls, grid: Grid) -> "_SpatialOperator":
@@ -395,6 +396,88 @@ class _SpatialOperator:
                 cls._cache.clear()
             cls._cache[grid] = op
         return op
+
+    def couplings(
+        self, tau: float, a_faces: Sequence[np.ndarray] | None = None
+    ) -> tuple[np.ndarray | float, list, list]:
+        """Diagonal and per-axis lower and upper entries of I - tau (L + D)
+        on the interior rows, in flat node order; ``a_faces=None`` drops D.
+
+        Every entry sums its Laplacian terms first, then its drift terms,
+        axis by axis.  In one and two dimensions that is the order in which
+        assembling the stencils as duplicate sparse entries summed them, so
+        solutions match that assembly bit for bit; keep the order.
+        """
+        g = self.grid
+        diag: np.ndarray | float = 1.0
+        lower, upper = [], []
+        for h in g.h:
+            inv_h2 = 1.0 / h**2
+            diag = diag - (-2.0 * inv_h2) * tau
+            lower.append(-(inv_h2 * tau))
+            upper.append(-(inv_h2 * tau))
+        if a_faces is None:
+            return diag, lower, upper
+        inner = [slice(1, -1)] * g.dim
+        for axis, (h, a) in enumerate(zip(g.h, a_faces)):
+            # a on the faces i + 1/2 (plus) and i - 1/2 (minus) of interior nodes
+            inner[axis] = slice(1, None)
+            plus = a[tuple(inner)].ravel()
+            inner[axis] = slice(0, -1)
+            minus = a[tuple(inner)].ravel()
+            inner[axis] = slice(1, -1)
+            diag = diag - (plus - minus) / (2.0 * h) * tau
+            upper[axis] = upper[axis] - plus / (2.0 * h) * tau
+            lower[axis] = lower[axis] + minus / (2.0 * h) * tau
+        return diag, lower, upper
+
+    def system(
+        self,
+        tau: float,
+        a_faces: Sequence[np.ndarray] | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Flat storage of I - tau (L + D), written into ``out`` if given."""
+        if out is None:
+            out = self._identity.copy()
+        diag, lower, upper = self.couplings(tau, a_faces)
+        out[self.diag_slots] = diag
+        for slots, vals in zip(self.lower_slots + self.upper_slots, lower + upper):
+            out[slots] = vals
+        return out
+
+    def factor(self, storage: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Solver for the system held in ``storage``: tridiagonal LAPACK in
+        1-D, sparse LU in higher dimensions."""
+        if self.grid.dim == 1:
+            ab = storage.reshape(3, self.ns)
+            return lambda b: solve_banded((1, 1), ab, b)
+        A = sp.csc_matrix((storage, self.indices, self.indptr), shape=(self.ns, self.ns))
+        return splu(A).solve
+
+    def dirichlet_values(self, data: Mapping[Face, BoundaryTrace]) -> np.ndarray:
+        """Dirichlet values of every time level, shape (nt, boundary nodes)."""
+        g = self.grid
+        full = np.zeros(g.shape)
+        # faces in deterministic order; later faces win on shared edges,
+        # where consistent data agree
+        for f in g.faces():
+            sl = [slice(None)] * (g.dim + 1)
+            sl[f.axis] = 0 if f.side < 0 else -1
+            full[tuple(sl)] = data[f].values
+        return full.reshape(self.ns, g.nt)[self.boundary].T
+
+    def step(
+        self, solve: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, bvals: np.ndarray
+    ) -> np.ndarray:
+        """One marching step: solve with the Dirichlet rows set to ``bvals``."""
+        b = rhs.flatten()
+        b[self.boundary] = bvals
+        x = solve(b)
+        # reimpose Dirichlet data bit-exactly; LU roundoff on the identity rows
+        # otherwise leaks into trace differences of solves sharing data
+        x[self.boundary] = bvals
+        return x.reshape(self.grid.shape_space)
 
 
 def _face_drift_coefficients(
@@ -428,109 +511,11 @@ def _divergence_flux(
         flux = a_faces[axis] * m_face
         inner = [slice(None)] * grid.dim
         inner[axis] = slice(1, -1)
-        f_hi = [slice(None)] * grid.dim
-        f_hi[axis] = slice(1, None)
-        f_lo = [slice(None)] * grid.dim
-        f_lo[axis] = slice(0, -1)
-        div = (flux[tuple(f_hi)] - flux[tuple(f_lo)]) / grid.h[axis]
+        div = (flux[tuple(hi)] - flux[tuple(lo)]) / grid.h[axis]
         out[tuple(inner)] += div
     # zero rows on every face: boundary values come from data, not the PDE
-    mask = _boundary_mask_flat(grid).reshape(grid.shape_space)
-    out[mask] = 0.0
+    out[boundary_mask(grid)] = 0.0
     return out
-
-
-def _drift_entries(
-    op: _SpatialOperator, a_faces: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """COO entries of m -> div(a m) with face-centered fluxes, interior rows."""
-    grid = op.grid
-    nx = grid.nx
-    rows, cols, vals = [], [], []
-    idx_all = np.arange(op.ns)
-    interior = op.interior
-    for axis in range(grid.dim):
-        h = grid.h[axis]
-        stride = op.strides[axis]
-        a = np.zeros(nx)
-        # a_plus[i] = coefficient on face i+1/2; last slice along axis unused
-        sl = [slice(None)] * grid.dim
-        sl[axis] = slice(0, -1)
-        a[tuple(sl)] = a_faces[axis]
-        a_plus = a.ravel()
-        a_minus = np.zeros(nx)
-        sl[axis] = slice(1, None)
-        a_minus[tuple(sl)] = a_faces[axis]
-        a_minus = a_minus.ravel()
-        idx = idx_all[interior]
-        # (a_plus (m_i + m_i+1)/2 - a_minus (m_i-1 + m_i)/2) / h
-        rows.extend([idx, idx, idx])
-        cols.extend([idx, idx + stride, idx - stride])
-        vals.extend(
-            [
-                (a_plus[idx] - a_minus[idx]) / (2.0 * h),
-                a_plus[idx] / (2.0 * h),
-                -a_minus[idx] / (2.0 * h),
-            ]
-        )
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-def _boundary_values_at(
-    grid: Grid, data: Mapping[Face, BoundaryTrace], j: int
-) -> np.ndarray:
-    """Spatial array holding the Dirichlet values at time level j (interior 0)."""
-    out = np.zeros(grid.shape_space)
-    # minus faces written after plus faces would differ only on edges, where
-    # consistent data agree; written in deterministic face order
-    for f in grid.faces():
-        sl = [slice(None)] * grid.dim
-        sl[f.axis] = 0 if f.side < 0 else -1
-        out[tuple(sl)] = data[f].values[..., j]
-    return out
-
-
-def _solve_step(
-    op: _SpatialOperator,
-    tau_scaled: tuple[np.ndarray, np.ndarray, np.ndarray] | None,
-    rhs: np.ndarray,
-    bvals: np.ndarray,
-) -> np.ndarray:
-    """Solve (I - tau L - tau D) x = rhs with Dirichlet rows replaced.
-
-    ``tau_scaled`` holds COO entries of tau*(L + D) on interior rows.
-    1-D systems go through the banded solver; higher dimensions through
-    sparse LU.
-    """
-    grid = op.grid
-    ns = op.ns
-    b = rhs.ravel().copy()
-    b[op.boundary] = bvals.ravel()[op.boundary]
-    rows, cols, vals = tau_scaled
-    if grid.dim == 1:
-        ab = np.zeros((3, ns))
-        ab[1, :] = 1.0
-        # superdiagonal ab[0, j] holds A[j-1, j]
-        off = cols - rows
-        for r, c, v in ((rows[off == 0], cols[off == 0], vals[off == 0]),):
-            np.subtract.at(ab[1], r, v)
-        up = off == 1
-        np.subtract.at(ab[0], cols[up], vals[up])
-        dn = off == -1
-        np.subtract.at(ab[2], cols[dn], vals[dn])
-        x = solve_banded((1, 1), ab, b)
-    else:
-        diag = np.ones(ns)
-        A = sp.coo_matrix(
-            (np.concatenate([diag, -vals]), (np.concatenate([np.arange(ns), rows]),
-                                             np.concatenate([np.arange(ns), cols]))),
-            shape=(ns, ns),
-        ).tocsc()
-        x = splu(A).solve(b)
-    # reimpose Dirichlet data bit-exactly; LU roundoff on the identity rows
-    # otherwise leaks into trace differences of solves sharing data
-    x[op.boundary] = bvals.ravel()[op.boundary]
-    return x.reshape(grid.shape_space)
 
 
 def _check_blowup(equation: str, j: int, level: np.ndarray) -> None:
@@ -539,74 +524,33 @@ def _check_blowup(equation: str, j: int, level: np.ndarray) -> None:
         raise BlowupError(equation, j, worst)
 
 
-def explicit_time_step_bound(spec: ProblemSpec, k: np.ndarray, u: Field) -> float:
-    """Largest stable tau for the explicit density step on this problem."""
-    g = spec.grid
-    h_min = min(g.h)
-    drift = 0.0
-    for j in range(g.nt):
-        a_faces = _face_drift_coefficients(g, k, u.values[..., j])
-        for a in a_faces:
-            if a.size:
-                drift = max(drift, float(np.max(np.abs(a))))
-    return h_min**2 / (2.0 * g.dim * (1.0 + drift * h_min))
+def _checked_coefficient(grid: Grid, k: np.ndarray) -> np.ndarray:
+    k = np.asarray(k, dtype=float)
+    if k.shape != grid.shape_space:
+        raise ValueError(f"k must have spatial shape {grid.shape_space}")
+    return k
 
 
-def solve_fokker_planck(
-    spec: ProblemSpec,
-    k: np.ndarray,
-    u: Field,
-    *,
-    method: str = "implicit",
-) -> Field:
+def solve_fokker_planck(spec: ProblemSpec, k: np.ndarray, u: Field) -> Field:
     """March the density equation forward from the initial level.
 
-    Implicit (default): backward Euler with the full spatial operator at the
-    new level, unconditionally stable.  Explicit: forward Euler for
-    cross-checks, guarded by the usual parabolic step restriction.
+    Backward Euler with the full spatial operator at the new level,
+    unconditionally stable.  Each step writes the new drift into the
+    operator's fixed layout and factors it.
     """
     g = spec.grid
-    k = np.asarray(k, dtype=float)
-    if k.shape != g.shape_space:
-        raise ValueError(f"k must have spatial shape {g.shape_space}")
+    k = _checked_coefficient(g, k)
     op = _SpatialOperator.get(g)
-    tau = g.tau
-    if method == "explicit":
-        bound = explicit_time_step_bound(spec, k, u)
-        if tau > bound:
-            raise ValueError(
-                f"explicit step tau = {tau:.3e} exceeds the stability bound "
-                f"{bound:.3e}; refine time or use method='implicit'"
-            )
-    elif method != "implicit":
-        raise ValueError(f"unknown method {method!r}")
-
+    bvals = op.dirichlet_values(spec.m_boundary)
     values = np.empty(g.shape)
     level = np.array(spec.m_initial)
-    bvals0 = _boundary_values_at(g, spec.m_boundary, 0)
-    level_b = level.copy()
-    level_b[op.boundary.reshape(g.shape_space)] = bvals0[
-        op.boundary.reshape(g.shape_space)
-    ]
-    values[..., 0] = level_b
-    lap_rows, lap_cols, lap_vals = op.lap_coo
+    level.flat[op.boundary] = bvals[0]
+    values[..., 0] = level
+    storage = None
     for j in range(1, g.nt):
-        bvals = _boundary_values_at(g, spec.m_boundary, j)
-        if method == "implicit":
-            a_faces = _face_drift_coefficients(g, k, u.values[..., j])
-            d_rows, d_cols, d_vals = _drift_entries(op, a_faces)
-            rows = np.concatenate([lap_rows, d_rows])
-            cols = np.concatenate([lap_cols, d_cols])
-            vals = np.concatenate([lap_vals, d_vals]) * tau
-            level = _solve_step(op, (rows, cols, vals), values[..., j - 1], bvals)
-        else:
-            prev = values[..., j - 1]
-            lap = _apply_coo(op, op.lap_coo, prev)
-            div = _divergence_flux(g, k, prev, u.values[..., j - 1])
-            level = prev + tau * (lap + div)
-            level[op.boundary.reshape(g.shape_space)] = bvals[
-                op.boundary.reshape(g.shape_space)
-            ]
+        a_faces = _face_drift_coefficients(g, k, u.values[..., j])
+        storage = op.system(g.tau, a_faces, out=storage)
+        level = op.step(op.factor(storage), values[..., j - 1], bvals[j])
         _check_blowup("fokker-planck", j, level)
         values[..., j] = level
     worst_min = float(np.min(values))
@@ -615,40 +559,25 @@ def solve_fokker_planck(
     return Field(g, values, _copy=False)
 
 
-def _apply_coo(
-    op: _SpatialOperator, coo: tuple[np.ndarray, np.ndarray, np.ndarray], arr: np.ndarray
-) -> np.ndarray:
-    rows, cols, vals = coo
-    flat = arr.ravel()
-    out = np.zeros(op.ns)
-    np.add.at(out, rows, vals * flat[cols])
-    return out.reshape(op.grid.shape_space)
-
-
 def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: Field) -> Field:
     """March the value equation backward from the terminal level.
 
     The kernel and local-interaction terms use the frozen density; the
     quadratic gradient term is evaluated at the already-computed level
-    (lagged), so every step is linear.
+    (lagged), so every step is linear with the same matrix, factored once.
     """
     g = spec.grid
-    k = np.asarray(k, dtype=float)
-    if k.shape != g.shape_space:
-        raise ValueError(f"k must have spatial shape {g.shape_space}")
+    k = _checked_coefficient(g, k)
     op = _SpatialOperator.get(g)
     tau = g.tau
     km = apply_kernel(spec.kernel, m).values
     fm = spec.f.values * m.values
-
+    solve = op.factor(op.system(tau))
+    bvals = op.dirichlet_values(spec.u_boundary)
     values = np.empty(g.shape)
-    bvalsT = _boundary_values_at(g, spec.u_boundary, g.nt - 1)
     level = np.array(spec.u_terminal)
-    mask = op.boundary.reshape(g.shape_space)
-    level[mask] = bvalsT[mask]
-    values[..., g.nt - 1] = level
-    lap_rows, lap_cols, lap_vals = op.lap_coo
-    scaled = (lap_rows, lap_cols, lap_vals * tau)
+    level.flat[op.boundary] = bvals[-1]
+    values[..., -1] = level
     for j in range(g.nt - 2, -1, -1):
         prev = values[..., j + 1]
         grad_sq = np.zeros(g.shape_space)
@@ -656,8 +585,7 @@ def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: Field) -> Field:
             d = first_derivative(prev, axis, g.h[axis])
             grad_sq += d * d
         rhs = prev - tau * (0.5 * k * grad_sq - km[..., j] - fm[..., j])
-        bvals = _boundary_values_at(g, spec.u_boundary, j)
-        level = _solve_step(op, scaled, rhs, bvals)
+        level = op.step(solve, rhs, bvals[j])
         _check_blowup("hjb", j, level)
         values[..., j] = level
     return Field(g, values, _copy=False)
@@ -811,19 +739,6 @@ def spec_for_triple(triple: MFGTriple, kernel: Kernel, f: Field) -> ProblemSpec:
 # residuals
 
 
-def _interior_mask(grid: Grid) -> np.ndarray:
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        sl = [slice(None)] * (grid.dim + 1)
-        sl[axis] = 0
-        mask[tuple(sl)] = False
-        sl[axis] = -1
-        mask[tuple(sl)] = False
-    mask[..., 0] = False
-    mask[..., -1] = False
-    return mask
-
-
 def residual(
     triple: MFGTriple, spec: ProblemSpec, which: str
 ) -> tuple[Field, float, float]:
@@ -855,7 +770,7 @@ def residual(
         res = field_dt(m).values - laplacian(m).values - div
     else:
         raise ValueError(f"unknown equation {which!r}; expected 'hjb' or 'fp'")
-    mask = _interior_mask(g)
+    mask = interior_mask(g, time_ring=1)
     masked = np.where(mask, res, 0.0)
     res_field = Field(g, masked, _copy=False)
     l2 = norm(res_field, "L2")

@@ -9,18 +9,12 @@ All norms are trapezoidal discretizations of the continuous definitions:
 * ``L2 / H^{1,0} / H^{2,1}`` on a lateral face cross time, and their sums
   over the whole lateral boundary.
 
-Face norms come in two readings.  The default (``convention="per_face"``)
-evaluates every derivative tangentially on the face in question, so it is
-well defined for pure boundary data; this is the reading used for the data
-norms of the inverse problem.  The alternative literal reading
-(``convention="literal"``) takes each spatial derivative on the face that
-shares its axis, which requires volume data; it is kept behind the keyword
-for comparison experiments only.
+Face norms evaluate every derivative tangentially on the face in question,
+so they are well defined for pure boundary data; this is the reading used
+for the data norms of the inverse problem.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -205,61 +199,15 @@ def trace_norm(btrace: BoundaryTrace, kind: str = "L2") -> float:
     return float(np.sqrt(total))
 
 
-def lateral_norm(
-    field: Field,
-    kind: str = "H21",
-    *,
-    face: Face | None = None,
-    convention: str = "per_face",
-) -> float:
+def lateral_norm(field: Field, kind: str = "H21", *, face: Face | None = None) -> float:
     """Face norm of a volume field; ``face=None`` sums over all faces.
 
-    With the default per-face convention this agrees exactly with
-    :func:`trace_norm` applied to the field's Dirichlet trace.
+    Agrees exactly with :func:`trace_norm` applied to the field's Dirichlet
+    trace on each face.
     """
     g = field.grid
     faces = [face] if face is not None else list(g.faces())
     total = 0.0
     for f in faces:
-        if convention == "per_face":
-            total += trace_norm(trace(field, "dirichlet", f), kind) ** 2
-        elif convention == "literal":
-            total += _literal_face_sq(field, f, kind)
-        else:
-            raise ValueError(f"unknown convention {convention!r}")
+        total += trace_norm(trace(field, "dirichlet", f), kind) ** 2
     return float(np.sqrt(total))
-
-
-def _literal_face_sq(field: Field, target: Face, kind: str) -> float:
-    """Literal reading: each spatial derivative is evaluated on the face
-    sharing its axis (same side as the target face); value and time terms
-    stay on the target face.  Needs volume data; experimental.
-    """
-    g = field.grid
-    v = field.values
-
-    def face_sq(values: np.ndarray, f: Face) -> float:
-        bt = trace(Field(g, values, _copy=False), "dirichlet", f)
-        return _trace_sq(bt, bt.values * bt.values)
-
-    total = face_sq(v, target)
-    firsts = [first_derivative(v, i, g.h[i]) for i in range(g.dim)]
-    for j in range(g.dim):
-        if j == target.axis:
-            continue
-        total += face_sq(firsts[j], Face(j, target.side))
-    if kind == "H10":
-        return total
-    if kind != "H21":
-        raise ValueError(f"unknown face norm kind {kind!r}")
-    total += face_sq(first_derivative(v, g.dim, g.tau), target)
-    for j in range(g.dim):
-        for s in range(g.dim):
-            if j == target.axis and s == target.axis:
-                continue
-            if j == s:
-                d2 = second_derivative(v, j, g.h[j])
-            else:
-                d2 = first_derivative(firsts[j], s, g.h[s])
-            total += face_sq(d2, Face(j, target.side))
-    return total

@@ -25,10 +25,9 @@ the form whose residual genuinely vanishes on solution pairs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .grid import (
     dtt as field_dtt,
     first_derivative,
     gradient,
+    interior_mask,
     laplacian,
     integrate_spatial,
     time_integral_from_t0,
@@ -289,25 +289,10 @@ def _nodal_div(grid: Grid, comps: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _interior_mask(grid: Grid, time_ring: int = 2, eps: float | None = None) -> np.ndarray:
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        sl = [slice(None)] * (grid.dim + 1)
-        sl[axis] = 0
-        mask[tuple(sl)] = False
-        sl[axis] = -1
-        mask[tuple(sl)] = False
-    if eps is not None:
-        time_ring = max(time_ring, int(math.ceil(eps / grid.tau - 1e-12)))
-    mask[..., :time_ring] = False
-    mask[..., grid.nt - time_ring :] = False
-    return mask
-
-
 def _masked_norms(
     grid: Grid, res: np.ndarray, time_ring: int = 2, eps: float | None = None
 ) -> tuple[float, float]:
-    mask = _interior_mask(grid, time_ring, eps)
+    mask = interior_mask(grid, time_ring, eps)
     masked = np.where(mask, res, 0.0)
     l2 = math.sqrt(weighted_sum(grid, masked * masked))
     return l2, float(np.max(np.abs(masked)))
@@ -608,7 +593,7 @@ def check_inequality(
             + _abs_time_integral(gw + np.abs(w.values), g)
         )
 
-    mask = _interior_mask(g, time_ring=2, eps=eps)
+    mask = interior_mask(g, time_ring=2, eps=eps)
     scale = float(np.max(bracket)) if bracket.size else 0.0
     threshold = 1e-10 * max(scale, 1.0)
     measure_total = weighted_sum(g, np.ones(g.shape))
@@ -761,7 +746,6 @@ def holder_sweep(
     damping: float = 0.5,
     max_iter: int = 60,
     tol: float = 1e-9,
-    workers: int = 1,
 ) -> SweepReport:
     """Measured data-to-solution exponent over a coefficient family.
 
@@ -788,22 +772,11 @@ def holder_sweep(
 
     rows: list[dict] = []
     excluded: list[dict] = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(s, pool.submit(run_scale, s)) for s in scales]
-            results = []
-            for s, fut in futures:
-                try:
-                    results.append(fut.result())
-                except PicardNonConvergence as e:
-                    excluded.append({"scale": s, "reason": str(e)})
-            rows = sorted(results, key=lambda r: r["scale"])
-    else:
-        for s in scales:
-            try:
-                rows.append(run_scale(s))
-            except PicardNonConvergence as e:
-                excluded.append({"scale": s, "reason": str(e)})
+    for s in scales:
+        try:
+            rows.append(run_scale(s))
+        except PicardNonConvergence as e:
+            excluded.append({"scale": s, "reason": str(e)})
 
     err_keys = [k for k in rows[0] if k.startswith("err_")] if rows else []
     pts = [

@@ -18,10 +18,12 @@ import pytest
 
 import mfglab
 from mfglab import __version__
+from mfglab.cli import DEFAULT_CONFIG
 
 # directory holding the imported mfglab package, so that a child started in
 # another working directory still imports the code under test
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(mfglab.__file__)))
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 FAST_CONFIG = {
     "grid": {"nx": 33, "nt": 65},
@@ -251,22 +253,6 @@ class TestSweep:
         assert fit["delta_decades"] > 1.5
         assert fit["excluded"] == []
 
-    def test_thread_cap_does_not_change_results(self, tmp_path):
-        cfg = write_config(tmp_path, self.SWEEP_CONFIG)
-        for sub, threads in (("serial", "1"), ("pooled", "3")):
-            os.makedirs(tmp_path / sub)
-            res = run_cli(
-                "sweep", "--config", cfg, "--out", "sw",
-                cwd=str(tmp_path / sub),
-                env_extra={"MFGLAB_THREADS": threads},
-            )
-            assert res.returncode == 0
-        for name in ("sweep.csv", "fit.json", "params.json"):
-            assert (
-                open(tmp_path / "serial" / "sw" / name, "rb").read()
-                == open(tmp_path / "pooled" / "sw" / name, "rb").read()
-            ), name
-
     def test_bad_scales_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -275,6 +261,20 @@ class TestSweep:
         res = run_cli("sweep", "--config", cfg, cwd=str(tmp_path))
         assert res.returncode == 1
         assert "stability.scales must be [lo, hi, count]" in res.stderr
+
+
+class TestReadme:
+    def test_example_config_holds_defaults_and_runs(self, tmp_path):
+        with open(README) as fh:
+            block = fh.read().split("```json\n", 1)[1].split("```", 1)[0]
+        example = json.loads(block)
+        for section, values in example.items():
+            for key, value in values.items():
+                assert DEFAULT_CONFIG[section][key] == value, f"{section}.{key}"
+        path = tmp_path / "readme.json"
+        path.write_text(block)
+        res = run_cli("manufacture", "--config", str(path), "--out", "out", cwd=str(tmp_path))
+        assert res.returncode == 0, res.stderr
 
 
 class TestConfigErrors:

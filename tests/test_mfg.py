@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from mfglab.grid import BoundaryTrace, Face, Field, Prism, make_grid, sample_field
+from mfglab.grid import (
+    BoundaryTrace,
+    Face,
+    Field,
+    Prism,
+    boundary_mask,
+    make_grid,
+    sample_field,
+    second_derivative,
+)
 from mfglab.kernels import SeparableDelta
 from mfglab.mfg import (
     BlowupError,
@@ -14,7 +24,6 @@ from mfglab.mfg import (
     bump_form,
     constant_boundary,
     dirichlet_data,
-    explicit_time_step_bound,
     manufacture_triple,
     quadratic_form,
     residual,
@@ -24,6 +33,7 @@ from mfglab.mfg import (
     spec_for_triple,
     steady_density,
 )
+from mfglab.mfg import _SpatialOperator, _divergence_flux, _face_drift_coefficients
 
 PRISM = Prism(1.0, 2.0, (), 1.0)
 
@@ -128,22 +138,38 @@ class TestFokkerPlanck:
             errs.append(np.max(np.abs(m.values - exact)))
         assert 0.2 < errs[1] / errs[0] < 0.4
 
-    def test_explicit_matches_exact_under_cfl(self):
-        _, spec, u_const, exact = heat_problem(33, 4097)
-        m = solve_fokker_planck(spec, np.ones(33), u_const, method="explicit")
-        assert np.max(np.abs(m.values - exact)) < 2e-4
-
-    def test_explicit_step_guard(self):
-        _, spec, u_const, _ = heat_problem(33, 65)
-        bound = explicit_time_step_bound(spec, np.ones(33), u_const)
-        assert bound < spec.grid.tau
-        with pytest.raises(ValueError, match="stability bound"):
-            solve_fokker_planck(spec, np.ones(33), u_const, method="explicit")
-
     def test_k_shape_guard(self):
         _, spec, u_const, _ = heat_problem(33, 65)
         with pytest.raises(ValueError, match="spatial shape"):
             solve_fokker_planck(spec, np.ones(7), u_const)
+
+
+class TestMarchingSystem:
+    """The density step's matrix applies the residual's own flux."""
+
+    @staticmethod
+    def dense(op, storage):
+        if op.grid.dim == 1:
+            ab = storage.reshape(3, op.ns)
+            return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+        return sp.csc_matrix((storage, op.indices, op.indptr), shape=(op.ns, op.ns)).toarray()
+
+    @pytest.mark.parametrize("half_widths, nx", [((), (17,)), ((0.5,), (9, 7))])
+    def test_fp_system_matches_residual_flux(self, half_widths, nx):
+        g = make_grid(Prism(1.0, 2.0, half_widths, 1.0), nx, 9)
+        rng = np.random.default_rng(11)
+        k = rng.uniform(0.5, 1.5, nx)
+        u = rng.normal(size=nx)
+        x = rng.uniform(0.5, 1.5, nx)
+        op = _SpatialOperator.get(g)
+        storage = op.system(g.tau, _face_drift_coefficients(g, k, u))
+        got = (self.dense(op, storage) @ x.ravel()).reshape(nx)
+        lap = sum(second_derivative(x, axis, g.h[axis]) for axis in range(g.dim))
+        expected = x - g.tau * (lap + _divergence_flux(g, k, x, u))
+        inner = ~boundary_mask(g)
+        scale = np.max(np.abs(expected[inner]))
+        assert np.max(np.abs(got - expected)[inner]) <= 1e-12 * scale
+        np.testing.assert_array_equal(got[~inner], x[~inner])
 
 
 class TestHJB:

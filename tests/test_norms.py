@@ -88,8 +88,3 @@ class TestTraceNorms:
         u = sample_field(grid, lambda x, t: x + 0 * t)
         got = lateral_norm(u, "L2", face=Face(0, 1))
         assert got == pytest.approx(2.0, rel=1e-12)
-
-    def test_lateral_norm_unknown_convention(self, grid):
-        u = sample_field(grid, lambda x, t: x + 0 * t)
-        with pytest.raises(ValueError, match="unknown convention"):
-            lateral_norm(u, "L2", convention="mystery")
