@@ -20,7 +20,6 @@ from .carleman import (
     CarlemanParams,
     CarlemanReport,
     LemmaReport,
-    carleman_functional,
     carleman_sweep,
     estimate_c0,
     random_family,
@@ -59,8 +58,8 @@ __all__ = [
     "BoundaryTrace", "Face", "Field", "Grid", "Prism", "make_grid", "snap_epsilon",
     "norm", "norm_spatial", "trace_norm",
     "GaussianProduct", "HeavisideCausal", "SeparableDelta",
-    "CarlemanParams", "CarlemanReport", "LemmaReport", "carleman_functional",
-    "carleman_sweep", "estimate_c0", "random_family", "verify_lemma", "weight_extrema",
+    "CarlemanParams", "CarlemanReport", "LemmaReport", "carleman_sweep",
+    "estimate_c0", "random_family", "verify_lemma", "weight_extrema",
     "BlowupError", "MFGTriple", "PicardNonConvergence", "ProblemSpec",
     "manufacture_triple", "residual", "solve_fokker_planck", "solve_hjb",
     "solve_mfg_picard", "spec_for_triple",

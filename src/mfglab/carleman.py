@@ -20,7 +20,10 @@ The two-sided functional check reads
 
     lhs >= C0 * (main - boundary - negligible)
 
-with the components defined in ``carleman_functional``.  C0 is existence
+with the components defined in ``carleman_sweep``.  Each term is computed
+once for the inputs it depends on: the derivatives and norms once per test
+function, the squared operator once per sign, and the weighted sums once per
+lambda, against a weight built on the (x1, t) axes alone.  C0 is existence
 only in the underlying theory; here it is estimated as the infimum of
 lhs / bracket over a documented seeded test family and published per grid,
 never asserted as a universal constant.
@@ -59,8 +62,6 @@ __all__ = [
     "weight_log_values",
     "scaled_weight_values",
     "weight_extrema",
-    "carleman_functional",
-    "carleman_functional_restricted",
     "carleman_sweep",
     "estimate_c0",
     "random_family",
@@ -123,15 +124,15 @@ class CarlemanReport:
             if any(v < 0.0 for v in vals):
                 raise ValueError(f"{name} integral must be nonnegative")
 
-    def all_passed(self) -> bool:
-        return all(self.passed)
-
 
 def weight_log_values(params: CarlemanParams, grid: Grid) -> np.ndarray:
-    """log phi on the space-time grid (exact, no rescaling)."""
-    mesh = grid.spacetime_meshgrid()
-    x1 = mesh[0]
-    t = mesh[-1]
+    """log phi (exact, no rescaling) of shape (nx1, 1, ..., 1, nt).
+
+    phi depends on x1 and t only, so the array broadcasts against fields.
+    """
+    ones = (1,) * (grid.dim - 1)
+    x1 = grid.axis_coords(0).reshape(-1, *ones, 1)
+    t = grid.times.reshape(1, *ones, -1)
     return 2.0 * params.lam * (x1**2 - params.alpha * (t - grid.prism.T / 2.0) ** 2)
 
 
@@ -145,11 +146,15 @@ def weight_phi(params: CarlemanParams, grid: Grid) -> tuple[Field, float]:
     logw = weight_log_values(params, grid)
     peak = 2.0 * params.lam * grid.prism.b**2
     log_scale = peak if peak > _OVERFLOW_EXPONENT else 0.0
-    return Field(grid, np.exp(logw - log_scale), _copy=False), log_scale
+    values = np.exp(np.broadcast_to(logw, grid.shape) - log_scale)
+    return Field(grid, values, _copy=False), log_scale
 
 
 def scaled_weight_values(lam: float, alpha: float, grid: Grid) -> np.ndarray:
-    """phi / exp(2 lam b^2): values in (0, 1], safe for any lambda <= LAMBDA_MAX."""
+    """phi / exp(2 lam b^2): values in (0, 1], safe for any lambda <= LAMBDA_MAX.
+
+    Shaped like ``weight_log_values``, to broadcast against fields.
+    """
     params = CarlemanParams(lam, alpha)
     logw = weight_log_values(params, grid)
     return np.exp(logw - 2.0 * lam * grid.prism.b**2)
@@ -211,54 +216,6 @@ def _end_norms_sq(u: Field) -> float:
     return n0**2 + nT**2
 
 
-def _functional_row(
-    u: Field,
-    sign: int,
-    lam: float,
-    alpha: float,
-    *,
-    restricted: bool,
-) -> dict:
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    g = u.grid
-    prism = g.prism
-    phi_s = scaled_weight_values(lam, alpha, g)
-    log_scale = 2.0 * lam * prism.b**2
-
-    ut = dt(u).values
-    lap = laplacian(u).values
-    op = ut + sign * lap
-    lhs = weighted_sum(g, op * op * phi_s)
-
-    grad_sq = np.zeros(u.values.shape)
-    for comp in gradient(u):
-        grad_sq += comp.values * comp.values
-    main = (1.0 / lam) * weighted_sum(g, (ut * ut + _ordered_second_sum(u)) * phi_s)
-    main += weighted_sum(g, (lam * grad_sq + lam**3 * u.values * u.values) * phi_s)
-
-    faces = [f for f in g.faces() if f.axis == 0 and f.side == +1] if restricted else list(g.faces())
-    bnd_norms = _boundary_norms_sq(u, faces)
-    # exp(3 lam b^2) becomes exp(lam b^2) after the shared rescaling
-    boundary = bnd_norms * math.exp(lam * prism.b**2)
-
-    end_norms = _end_norms_sq(u)
-    gap = alpha * prism.T**2 / 4.0 - prism.b**2
-    negligible = end_norms * math.exp(min(-2.0 * lam * gap - log_scale, _OVERFLOW_EXPONENT))
-    negligible_log = (
-        math.log(end_norms) - 2.0 * lam * gap if end_norms > 0.0 else -math.inf
-    )
-    return {
-        "lam": lam,
-        "log_scale": log_scale,
-        "lhs": float(lhs),
-        "main": float(main),
-        "boundary": float(boundary),
-        "negligible": float(negligible),
-        "negligible_log": float(negligible_log),
-    }
-
-
 def _passes(row: dict, c0: float) -> bool:
     bracket = row["main"] - row["boundary"] - row["negligible"]
     rhs = c0 * bracket
@@ -276,6 +233,71 @@ def _check_restricted_precondition(u: Field, tol: float = 1e-10) -> None:
                 f"restricted functional requires u = 0 off the outflow face; "
                 f"max |u| = {worst:.3e} on face {f.label}"
             )
+
+
+def _functional_rows(
+    u: Field,
+    signs: Sequence[int],
+    lambdas: Sequence[float],
+    alpha: float,
+    *,
+    restricted: bool,
+) -> list[list[dict]]:
+    """Rows of the functional for each sign (outer list) and lambda (inner).
+
+    Each term is computed once for the inputs it depends on: derivatives and
+    boundary and end-time norms once per member, the squared operator once
+    per sign, the weight and the weighted sums once per lambda.
+    """
+    if restricted:
+        _check_restricted_precondition(u)
+    for sign in signs:
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+    g = u.grid
+    prism = g.prism
+
+    ut = dt(u).values
+    lap = laplacian(u).values
+    op_sq = []
+    for sign in signs:
+        op = ut + sign * lap
+        op_sq.append(op * op)
+    grad_sq = np.zeros(u.values.shape)
+    for comp in gradient(u):
+        grad_sq += comp.values * comp.values
+    second_sq = ut * ut + _ordered_second_sum(u)
+
+    faces = [f for f in g.faces() if f.axis == 0 and f.side == +1] if restricted else list(g.faces())
+    bnd_norms = _boundary_norms_sq(u, faces)
+    end_norms = _end_norms_sq(u)
+    gap = alpha * prism.T**2 / 4.0 - prism.b**2
+
+    rows: list[list[dict]] = [[] for _ in signs]
+    for lam in lambdas:
+        phi_s = scaled_weight_values(lam, alpha, g)
+        log_scale = 2.0 * lam * prism.b**2
+        main = (1.0 / lam) * weighted_sum(g, second_sq * phi_s)
+        main += weighted_sum(g, (lam * grad_sq + lam**3 * u.values * u.values) * phi_s)
+        # exp(3 lam b^2) becomes exp(lam b^2) after the shared rescaling
+        boundary = bnd_norms * math.exp(lam * prism.b**2)
+        negligible = end_norms * math.exp(min(-2.0 * lam * gap - log_scale, _OVERFLOW_EXPONENT))
+        negligible_log = (
+            math.log(end_norms) - 2.0 * lam * gap if end_norms > 0.0 else -math.inf
+        )
+        for sign_rows, sq in zip(rows, op_sq):
+            sign_rows.append(
+                {
+                    "lam": lam,
+                    "log_scale": log_scale,
+                    "lhs": float(weighted_sum(g, sq * phi_s)),
+                    "main": float(main),
+                    "boundary": float(boundary),
+                    "negligible": float(negligible),
+                    "negligible_log": float(negligible_log),
+                }
+            )
+    return rows
 
 
 def _build_report(
@@ -306,49 +328,6 @@ def _build_report(
     )
 
 
-def carleman_functional(
-    u: Field,
-    sign: int,
-    params: CarlemanParams,
-    c0_candidate: float,
-    *,
-    restricted: bool = False,
-) -> CarlemanReport:
-    """Single-lambda evaluation of the two-sided functional check.
-
-    Components, all against the shared rescaled weight:
-
-      lhs        = integral (u_t + sign * Lap u)^2 phi
-      main       = (1/lam) integral (u_t^2 + sum u_{x_i x_j}^2) phi
-                   + integral (lam |grad u|^2 + lam^3 u^2) phi
-      boundary   = (|du/dn|_{H10(lateral)}^2 + |u|_{H21(lateral)}^2) exp(3 lam b^2)
-      negligible = (|u(.,0)|_{H1}^2 + |u(.,T)|_{H1}^2) exp(-2 lam (alpha T^2/4 - b^2))
-
-    and the pass flag asserts lhs >= c0 (main - boundary - negligible).
-    """
-    if restricted:
-        _check_restricted_precondition(u)
-    row = _functional_row(u, sign, params.lam, params.alpha, restricted=restricted)
-    return _build_report(
-        [row],
-        c0_candidate,
-        params.lam,
-        decay_flag=params.negligible_decays(u.grid.prism),
-        sign=sign,
-        restricted=restricted,
-    )
-
-
-def carleman_functional_restricted(
-    u: Field, params: CarlemanParams, c0_candidate: float, *, sign: int = 1
-) -> CarlemanReport:
-    """Variant whose boundary component reads only the outflow face x1 = b.
-
-    Requires u to vanish (to 1e-10) on every other lateral face.
-    """
-    return carleman_functional(u, sign, params, c0_candidate, restricted=True)
-
-
 def carleman_sweep(
     u: Field,
     sign: int,
@@ -358,16 +337,27 @@ def carleman_sweep(
     *,
     restricted: bool = False,
 ) -> CarlemanReport:
-    """The functional over a lambda grid, merged in ascending lambda order."""
-    if restricted:
-        _check_restricted_precondition(u)
-    rows = [_functional_row(u, sign, lam, alpha, restricted=restricted) for lam in lambdas]
-    params0 = CarlemanParams(min(lambdas), alpha)
+    """The two-sided functional check over a lambda grid, in ascending lambda.
+
+    Components, all against the shared rescaled weight:
+
+      lhs        = integral (u_t + sign * Lap u)^2 phi
+      main       = (1/lam) integral (u_t^2 + sum u_{x_i x_j}^2) phi
+                   + integral (lam |grad u|^2 + lam^3 u^2) phi
+      boundary   = (|du/dn|_{H10(lateral)}^2 + |u|_{H21(lateral)}^2) exp(3 lam b^2)
+      negligible = (|u(.,0)|_{H1}^2 + |u(.,T)|_{H1}^2) exp(-2 lam (alpha T^2/4 - b^2))
+
+    and each row's pass flag asserts lhs >= c0_candidate (main - boundary -
+    negligible).  With ``restricted`` the boundary component reads only the
+    outflow face x1 = b, and u must vanish (to 1e-10) on every other lateral
+    face; otherwise a ValueError is raised.
+    """
+    (rows,) = _functional_rows(u, (sign,), lambdas, alpha, restricted=restricted)
     return _build_report(
         rows,
         c0_candidate,
         min(lambdas),
-        decay_flag=params0.negligible_decays(u.grid.prism),
+        decay_flag=CarlemanParams(min(lambdas), alpha).negligible_decays(u.grid.prism),
         sign=sign,
         restricted=restricted,
     )
@@ -387,39 +377,27 @@ def estimate_c0(
     C0 passes there).  Returns (c0, lambda0, reports); c0 is None when no
     cell constrains it.  lambda0 is the smallest swept lambda at which the
     reported c0 makes every member pass from there on; with a true infimum
-    that is the smallest lambda in the sweep.
+    that is the smallest lambda in the sweep.  ``restricted`` has the
+    meaning and the precondition it has in ``carleman_sweep``.
     """
     lambdas = sorted(float(x) for x in lambdas)
-    all_rows: list[list[dict]] = []
     reports: list[CarlemanReport] = []
+    caps = []
     for u in members:
-        for sign in signs:
-            rows = [
-                _functional_row(u, sign, lam, alpha, restricted=restricted)
-                for lam in lambdas
-            ]
-            all_rows.append(rows)
+        decay_flag = CarlemanParams(lambdas[0], alpha).negligible_decays(u.grid.prism)
+        member_rows = _functional_rows(u, signs, lambdas, alpha, restricted=restricted)
+        for sign, rows in zip(signs, member_rows):
             reports.append(
                 _build_report(
-                    rows,
-                    None,
-                    None,
-                    decay_flag=CarlemanParams(lambdas[0], alpha).negligible_decays(
-                        u.grid.prism
-                    ),
-                    sign=sign,
-                    restricted=restricted,
+                    rows, None, None, decay_flag=decay_flag, sign=sign, restricted=restricted
                 )
             )
-    caps = []
-    for rows in all_rows:
-        for row in rows:
-            bracket = row["main"] - row["boundary"] - row["negligible"]
-            if bracket > 0.0:
-                caps.append(row["lhs"] / bracket)
+            for row in rows:
+                bracket = row["main"] - row["boundary"] - row["negligible"]
+                if bracket > 0.0:
+                    caps.append(row["lhs"] / bracket)
     c0 = min(caps) if caps else None
-    lambda0 = lambdas[0]
-    return c0, lambda0, reports
+    return c0, lambdas[0], reports
 
 
 def random_family(

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "kernel_from_dict",
     "save_triple_dir",
     "save_history_csv",
-    "save_carleman_report",
     "save_carleman_family",
     "save_lemma_reports",
     "save_sweep_report",
@@ -199,35 +197,6 @@ def save_history_csv(history: Sequence[float], path: str) -> None:
 
 # ---------------------------------------------------------------------------
 # carleman reports
-
-
-def save_carleman_report(report: CarlemanReport, outdir: str, stem: str = "carleman") -> None:
-    """Per-lambda CSV plus a summary JSON with (C0, lambda0)."""
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, stem + ".csv"), "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["lambda", "log_scale", "lhs", "main", "boundary", "negligible",
-             "negligible_log", "passed"]
-        )
-        for i, lam in enumerate(report.lambdas):
-            writer.writerow(
-                [fmt(lam), fmt(report.log_scales[i]), fmt(report.lhs[i]),
-                 fmt(report.main[i]), fmt(report.boundary[i]),
-                 fmt(report.negligible[i]), fmt(report.negligible_log[i]),
-                 str(int(report.passed[i]))]
-            )
-    _write_json(
-        os.path.join(outdir, stem + ".json"),
-        {
-            "c0": report.c0,
-            "lambda0": report.lambda0,
-            "sign": report.sign,
-            "restricted": report.restricted,
-            "decay_flag": report.decay_flag,
-            "all_passed": all(report.passed),
-        },
-    )
 
 
 def save_carleman_family(

@@ -335,6 +335,16 @@ def _strides(nx: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def _lo_hi(ndim: int, axis: int, rest: slice = slice(None)) -> tuple[tuple, tuple]:
+    """Index tuples taking entries 0..n-2 (lo) and 1..n-1 (hi) along ``axis``
+    and ``rest`` along every other axis."""
+    lo = [rest] * ndim
+    hi = [rest] * ndim
+    lo[axis] = slice(0, -1)
+    hi[axis] = slice(1, None)
+    return tuple(lo), tuple(hi)
+
+
 class _SpatialOperator:
     """The marching system I - tau (L + D) of one grid, laid out once.
 
@@ -418,14 +428,11 @@ class _SpatialOperator:
             upper.append(-(inv_h2 * tau))
         if a_faces is None:
             return diag, lower, upper
-        inner = [slice(1, -1)] * g.dim
         for axis, (h, a) in enumerate(zip(g.h, a_faces)):
-            # a on the faces i + 1/2 (plus) and i - 1/2 (minus) of interior nodes
-            inner[axis] = slice(1, None)
-            plus = a[tuple(inner)].ravel()
-            inner[axis] = slice(0, -1)
-            minus = a[tuple(inner)].ravel()
-            inner[axis] = slice(1, -1)
+            # a on the faces i - 1/2 (minus) and i + 1/2 (plus) of interior nodes
+            lo, hi = _lo_hi(g.dim, axis, slice(1, -1))
+            minus = a[lo].ravel()
+            plus = a[hi].ravel()
             diag = diag - (plus - minus) / (2.0 * h) * tau
             upper[axis] = upper[axis] - plus / (2.0 * h) * tau
             lower[axis] = lower[axis] + minus / (2.0 * h) * tau
@@ -486,12 +493,9 @@ def _face_drift_coefficients(
     """a = (k du/dx_i) on the i+1/2 faces, per axis; arithmetic mean for k."""
     out = []
     for axis in range(grid.dim):
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        k_face = 0.5 * (k[tuple(lo)] + k[tuple(hi)])
-        du = (u_level[tuple(hi)] - u_level[tuple(lo)]) / grid.h[axis]
+        lo, hi = _lo_hi(grid.dim, axis)
+        k_face = 0.5 * (k[lo] + k[hi])
+        du = (u_level[hi] - u_level[lo]) / grid.h[axis]
         out.append(k_face * du)
     return out
 
@@ -503,16 +507,12 @@ def _divergence_flux(
     a_faces = _face_drift_coefficients(grid, k, u_level)
     out = np.zeros(grid.shape_space)
     for axis in range(grid.dim):
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        m_face = 0.5 * (m_level[tuple(lo)] + m_level[tuple(hi)])
+        lo, hi = _lo_hi(grid.dim, axis)
+        m_face = 0.5 * (m_level[lo] + m_level[hi])
         flux = a_faces[axis] * m_face
-        inner = [slice(None)] * grid.dim
-        inner[axis] = slice(1, -1)
-        div = (flux[tuple(hi)] - flux[tuple(lo)]) / grid.h[axis]
-        out[tuple(inner)] += div
+        div = (flux[hi] - flux[lo]) / grid.h[axis]
+        # interior nodes along the axis: out[1:][:-1] is a view of out[1:-1]
+        out[hi][lo] += div
     # zero rows on every face: boundary values come from data, not the PDE
     out[boundary_mask(grid)] = 0.0
     return out

@@ -41,6 +41,7 @@ from .grid import (
     interior_mask,
     laplacian,
     integrate_spatial,
+    second_derivative,
     time_integral_from_t0,
 )
 from .kernels import Kernel, GaussianProduct, apply_kernel, apply_kernel_spatial, apply_G
@@ -214,8 +215,6 @@ def compute_F(
 
 
 def _nodal_laplacian(grid: Grid, arr: np.ndarray) -> np.ndarray:
-    from .grid import second_derivative
-
     out = np.zeros(arr.shape)
     for axis in range(grid.dim):
         out += second_derivative(arr, axis, grid.h[axis])
@@ -239,20 +238,32 @@ def reconstruct_k_tilde(
     discretization, which ``reconstruction_spread`` quantifies.
     """
     g = pack.grid
-    p = _inverse_grad_sq(g, u01, c)
     if mode == "snapshot":
+        p = _inverse_grad_sq(g, u01, c)
         return 2.0 * p * pack.v.values[..., g.index_t0] + F
     if mode != "shifted":
         raise ValueError("mode must be 'snapshot' or 'shifted'")
     if times is None:
         T = g.prism.T
         times = (T / 4.0, T / 2.0, 3.0 * T / 4.0)
-    iw = time_integral_from_t0(pack.w).values
     acc = np.zeros(g.shape_space)
+    for k_t in _shifted_reconstructions(pack, u01, F, times, c):
+        acc += k_t
+    return acc / len(times)
+
+
+def _shifted_reconstructions(
+    pack: DifferencePack, u01: np.ndarray, F: np.ndarray, times: Sequence[float], c: float
+) -> list[np.ndarray]:
+    """2 P (v(., t) - int_{T/2}^t w dtau) + F at each of ``times``."""
+    g = pack.grid
+    p = _inverse_grad_sq(g, u01, c)
+    iw = time_integral_from_t0(pack.w).values
+    out = []
     for t in times:
         j = g.index_of_time(t)
-        acc += 2.0 * p * (pack.v.values[..., j] - iw[..., j]) + F
-    return acc / len(times)
+        out.append(2.0 * p * (pack.v.values[..., j] - iw[..., j]) + F)
+    return out
 
 
 def reconstruction_spread(
@@ -265,12 +276,7 @@ def reconstruction_spread(
 ) -> float:
     """Largest pairwise L2 distance between shifted reconstructions."""
     g = pack.grid
-    p = _inverse_grad_sq(g, u01, c)
-    iw = time_integral_from_t0(pack.w).values
-    fields = []
-    for t in times:
-        j = g.index_of_time(t)
-        fields.append(2.0 * p * (pack.v.values[..., j] - iw[..., j]) + F)
+    fields = _shifted_reconstructions(pack, u01, F, times, c)
     worst = 0.0
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):

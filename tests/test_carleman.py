@@ -10,8 +10,6 @@ from mfglab.carleman import (
     LAMBDA_MAX,
     CarlemanParams,
     CarlemanReport,
-    carleman_functional,
-    carleman_functional_restricted,
     carleman_sweep,
     estimate_c0,
     random_family,
@@ -20,8 +18,18 @@ from mfglab.carleman import (
     weight_extrema,
     weight_phi,
 )
-from mfglab.grid import Prism, make_grid
-from mfglab.kernels import GaussianProduct, HeavisideCausal, SeparableDelta
+from mfglab.grid import (
+    Prism,
+    dt,
+    gradient,
+    laplacian,
+    make_grid,
+    mixed_xixj,
+    snapshot,
+    trace,
+)
+from mfglab.kernels import HeavisideCausal, SeparableDelta
+from mfglab.norms import norm_spatial, trace_norm, weighted_sum
 
 ALPHA = 1000.0 / 7.0
 
@@ -100,7 +108,7 @@ class TestRandomFamily:
 class TestFunctional:
     def test_report_components_nonnegative(self, grid):
         u = random_family(grid, count=1)[0]
-        rep = carleman_functional(u, 1, CarlemanParams(2.0, ALPHA), 1.0)
+        rep = carleman_sweep(u, 1, ALPHA, (2.0,), 1.0)
         assert rep.lhs[0] >= 0.0 and rep.main[0] >= 0.0
         assert rep.boundary[0] >= 0.0 and rep.negligible[0] >= 0.0
         assert rep.decay_flag
@@ -147,22 +155,93 @@ class TestFunctional:
 
     def test_both_operator_signs_run(self, grid):
         u = random_family(grid, count=1)[0]
-        fwd = carleman_functional(u, 1, CarlemanParams(2.0, ALPHA), 1.0)
-        bwd = carleman_functional(u, -1, CarlemanParams(2.0, ALPHA), 1.0)
+        fwd = carleman_sweep(u, 1, ALPHA, (2.0,), 1.0)
+        bwd = carleman_sweep(u, -1, ALPHA, (2.0,), 1.0)
         assert fwd.sign == 1 and bwd.sign == -1
         assert fwd.lhs != bwd.lhs
+
+
+def _reference_rows(u, sign, lambdas, alpha, restricted):
+    """The functional as its docstring writes it, one lambda at a time, with
+    the weight evaluated on the full space-time mesh."""
+    g = u.grid
+    prism = g.prism
+    x1, *_, t = g.spacetime_meshgrid()
+    faces = [f for f in g.faces() if f.axis == 0 and f.side == +1] if restricted else list(g.faces())
+    rows = {k: [] for k in ("lhs", "main", "boundary", "negligible", "negligible_log")}
+    for lam in lambdas:
+        logw = 2.0 * lam * (x1**2 - alpha * (t - prism.T / 2.0) ** 2)
+        phi_s = np.exp(logw - 2.0 * lam * prism.b**2)
+        ut = dt(u).values
+        op = ut + sign * laplacian(u).values
+        rows["lhs"].append(weighted_sum(g, op * op * phi_s))
+        grad_sq = np.zeros(g.shape)
+        for comp in gradient(u):
+            grad_sq += comp.values * comp.values
+        second_sq = np.zeros(g.shape)
+        for i in range(g.dim):
+            for j in range(g.dim):
+                d = mixed_xixj(u, i, j).values
+                second_sq += d * d
+        main = (1.0 / lam) * weighted_sum(g, (ut * ut + second_sq) * phi_s)
+        main += weighted_sum(g, (lam * grad_sq + lam**3 * u.values * u.values) * phi_s)
+        rows["main"].append(main)
+        bnd = 0.0
+        for f in faces:
+            bnd += (
+                trace_norm(trace(u, "neumann", f), "H10") ** 2
+                + trace_norm(trace(u, "dirichlet", f), "H21") ** 2
+            )
+        rows["boundary"].append(bnd * math.exp(lam * prism.b**2))
+        end = (
+            norm_spatial(g, snapshot(u, 0.0), "H1") ** 2
+            + norm_spatial(g, snapshot(u, prism.T), "H1") ** 2
+        )
+        gap = alpha * prism.T**2 / 4.0 - prism.b**2
+        rows["negligible"].append(end * math.exp(-2.0 * lam * gap - 2.0 * lam * prism.b**2))
+        rows["negligible_log"].append(math.log(end) - 2.0 * lam * gap)
+    return {k: tuple(v) for k, v in rows.items()}
+
+
+class TestReferenceRows:
+    LAMBDAS = (2.0, 4.0, 8.0)
+
+    @pytest.mark.parametrize(
+        "prism, nx, nt",
+        [(Prism(1.0, 2.0, (), 1.0), 33, 65), (Prism(1.0, 2.0, (0.5,), 1.0), 9, 17)],
+        ids=["1d", "2d"],
+    )
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_rows_equal_reference(self, prism, nx, nt, restricted):
+        g = make_grid(prism, nx, nt)
+        # flattened members satisfy the restricted precondition; unflattened
+        # ones keep every boundary term alive
+        u = random_family(g, count=1, flatten_space=restricted)[0]
+        _, _, reports = estimate_c0([u], ALPHA, self.LAMBDAS, restricted=restricted)
+        for sign, from_estimate in zip((1, -1), reports):
+            ref = _reference_rows(u, sign, self.LAMBDAS, ALPHA, restricted)
+            from_sweep = carleman_sweep(u, sign, ALPHA, self.LAMBDAS, 1.0, restricted=restricted)
+            for rep in (from_sweep, from_estimate):
+                assert rep.sign == sign and rep.lambdas == self.LAMBDAS
+                for name, values in ref.items():
+                    assert getattr(rep, name) == values, name
 
 
 class TestRestricted:
     def test_flattened_family_is_admissible(self, grid):
         u = random_family(grid, count=1)[0]
-        rep = carleman_functional_restricted(u, CarlemanParams(2.0, ALPHA), 1.0)
+        rep = carleman_sweep(u, 1, ALPHA, (2.0,), 1.0, restricted=True)
         assert rep.restricted
 
     def test_nonvanishing_member_rejected(self, grid):
         u = random_family(grid, count=1, flatten_space=False)[0]
         with pytest.raises(ValueError, match="off the outflow face"):
-            carleman_functional_restricted(u, CarlemanParams(2.0, ALPHA), 1.0)
+            carleman_sweep(u, 1, ALPHA, (2.0,), 1.0, restricted=True)
+
+    def test_nonvanishing_member_rejected_by_estimate(self, grid):
+        u = random_family(grid, 1, flatten_space=False)[0]
+        with pytest.raises(ValueError, match="off the outflow face"):
+            estimate_c0([u], ALPHA, (2.0,), restricted=True)
 
 
 class TestIntegralBounds:

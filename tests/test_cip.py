@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mfglab.cip import (
-    CIPData,
     DataCompatibilityError,
     NoiseSpec,
     OUTER_FACE,

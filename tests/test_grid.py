@@ -6,7 +6,6 @@ import pytest
 from mfglab.grid import (
     BoundaryTrace,
     Face,
-    Field,
     Prism,
     constant_in_time,
     diff,

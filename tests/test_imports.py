@@ -1,0 +1,60 @@
+"""Every import in the package and its tests is used or re-exported.
+
+A standard-library stand-in for a linter's unused-import rule: a module
+fails when it imports a name that its code never reads and that its
+``__all__`` does not list.  ``from __future__`` imports are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "mfglab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import statement -> its line."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    keep = read | _exported_names(tree)
+    return [f"line {line}: {name}" for name, line in _imported_names(tree).items() if name not in keep]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_checker_flags_an_unused_import():
+    source = "\n".join([
+        "from __future__ import annotations",
+        "import os",
+        "import math as m",
+        "from a import b, c",
+        "__all__ = ['c']",
+        "m.pi",
+    ])
+    assert unused_imports(source) == ["line 2: os", "line 4: b"]

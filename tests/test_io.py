@@ -19,7 +19,6 @@ from mfglab.io import (
     load_field_csv,
     load_grid_json,
     save_carleman_family,
-    save_carleman_report,
     save_field_csv,
     save_grid_json,
     save_history_csv,
@@ -183,22 +182,6 @@ def _toy_carleman_report() -> CarlemanReport:
 
 
 class TestCarlemanFiles:
-    def test_single_report_files(self, tmp_path):
-        rep = _toy_carleman_report()
-        save_carleman_report(rep, str(tmp_path))
-        rows = open(tmp_path / "carleman.csv").read().splitlines()
-        assert rows[0].startswith("lambda,log_scale,lhs,main")
-        assert len(rows) == 3
-        summary = json.load(open(tmp_path / "carleman.json"))
-        assert summary == {
-            "c0": 1.5,
-            "lambda0": 1.0,
-            "sign": 1,
-            "restricted": False,
-            "decay_flag": True,
-            "all_passed": True,
-        }
-
     def test_family_files(self, tmp_path):
         reps = [_toy_carleman_report(), _toy_carleman_report()]
         save_carleman_family(reps, str(tmp_path), 1.5, 1.0)
