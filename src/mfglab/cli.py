@@ -211,14 +211,7 @@ def _carleman_alpha(cfg: dict) -> float:
         if not alpha > 0:
             raise ConfigError("carleman.alpha must be positive")
         return float(alpha)
-    prism, _ = _build_geometry(cfg)
-    params = select_parameters(
-        Fraction(cfg["stability"]["rho"]),
-        Fraction(cfg["stability"]["epsilon"]),
-        prism,
-        cfg["stability"]["lam1"],
-    )
-    return float(params.alpha)
+    return float(_stability_params(cfg).alpha)
 
 
 def cmd_carleman(args) -> int:
@@ -284,16 +277,15 @@ def _stability_params(cfg: dict):
         epsilon = Fraction(stab["epsilon"])
     except (ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"stability.rho/epsilon: {e}")
-    return select_parameters(rho, epsilon, prism, stab["lam1"])
+    try:
+        return select_parameters(rho, epsilon, prism, stab["lam1"])
+    except ValueError as e:
+        raise ConfigError(str(e))
 
 
 def cmd_params(args) -> int:
     cfg = load_config(args)
-    try:
-        params = _stability_params(cfg)
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    params = _stability_params(cfg)
     for key, val in mio.stability_params_to_dict(params).items():
         print(f"{key} = {val}")
     return EXIT_OK
@@ -301,17 +293,7 @@ def cmd_params(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args)
-    try:
-        params = _stability_params(cfg)
-    except ConfigError:
-        raise
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.params_only:
-        for key, val in mio.stability_params_to_dict(params).items():
-            print(f"{key} = {val}")
-        return EXIT_OK
+    params = _stability_params(cfg)
     stab = cfg["stability"]
     lo, hi, count = stab["scales"]
     if not (0 < lo < hi and int(count) >= 2):
@@ -379,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--rho", help="exponent parameter (fraction or decimal)")
     p.add_argument("--epsilon", help="time margin (fraction or decimal)")
-    p.add_argument("--params-only", action="store_true",
-                   help="print derived parameters and exit")
     p = sub.add_parser("params", help="print the parameter calculus")
     common(p)
     p.add_argument("--rho", help="exponent parameter (fraction or decimal)")

@@ -254,10 +254,6 @@ class Grid:
     def face_shape(self, face: Face) -> tuple[int, ...]:
         return tuple(m for i, m in enumerate(self.nx) if i != face.axis)
 
-    def face_coordinate(self, face: Face) -> float:
-        lo, hi = self.prism.axis_bounds(face.axis)
-        return hi if face.side > 0 else lo
-
     def trapezoid_weights(self, axis: int) -> np.ndarray:
         """Trapezoidal quadrature weights along a spatial axis."""
         return _trapezoid_weights(self.nx[axis], self.h[axis])

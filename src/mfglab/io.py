@@ -122,13 +122,10 @@ def kernel_to_dict(kernel: Kernel) -> dict:
             "amplitude": kernel.amplitude,
             "n1": kernel.n1,
         }
-    profile = kernel.profile
-    if callable(profile):
-        raise ValueError("callable kernel profiles are not serializable")
     name = "separable" if isinstance(kernel, SeparableDelta) else "causal"
     return {
         "type": name,
-        "profile": profile,
+        "profile": kernel.profile,
         "amplitude": kernel.amplitude,
         "n1": kernel.n1,
     }

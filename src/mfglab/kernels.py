@@ -12,10 +12,12 @@ integrates causally along the first axis,
 
     (K m)(x, t) = integral_{cross} integral_{x_1}^{b} Ybar(x, y) m(y, t) dy_1 dybar.
 
-Every kernel is realized as a dense quadrature matrix over the flattened
-spatial grid (cached per kernel-grid pair), so application to a field is a
-single matrix product per time slab.  The cost is O((prod nx)^2) memory;
-intended grid sizes keep this in the tens of megabytes.
+Every kernel is a Kronecker product of per-axis quadrature factors, one
+``nx_i x nx_i`` matrix per integrated axis, and is applied one axis at a
+time.  Nothing is cached: the factors cost O(sum nx_i^2) to build and hold,
+and one application costs O(N sum nx_i) for a field of N samples, against
+O(N prod nx_i) time and O((prod nx_i)^2) memory for the dense quadrature
+matrix over the flattened grid.
 
 The majorant operator ``G`` replaces the profile by one and the integrand by
 its absolute value; it exists only for the two reduced forms and is the
@@ -26,8 +28,7 @@ inequalities for the difference system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -41,14 +42,11 @@ __all__ = [
     "causal_weights",
     "swapped_causal_weights",
     "fubini_swap_residual",
-    "kernel_matrix",
     "apply_kernel",
     "apply_kernel_spatial",
     "apply_G",
     "kernel_bound",
 ]
-
-Profile = Union[str, Callable]
 
 
 @dataclass(frozen=True)
@@ -70,47 +68,45 @@ class GaussianProduct:
                 raise ValueError(f"gaussian widths must be positive, got {s}")
 
 
+def _check_profile(profile) -> None:
+    if profile not in ("constant", "cosine"):
+        raise ValueError(f"unknown kernel profile {profile!r}")
+
+
 @dataclass(frozen=True)
 class SeparableDelta:
-    """Cross-section kernel; the profile takes cross coordinates only."""
+    """Cross-section kernel ``amplitude * Ybar(xbar, ybar)``.
 
-    profile: Profile = "constant"
+    ``profile`` names ``Ybar``: ``"constant"`` (one) or ``"cosine"`` (the
+    product over cross axes of ``cos(pi x_k / 2B_k) cos(pi y_k / 2B_k)``,
+    vanishing on the side faces).
+    """
+
+    profile: str = "constant"
     amplitude: float = 1.0
     n1: float | None = None
+
+    def __post_init__(self) -> None:
+        _check_profile(self.profile)
 
 
 @dataclass(frozen=True)
 class HeavisideCausal:
-    """Causal kernel along the first axis; the profile takes full coordinates."""
+    """Causal kernel along the first axis with cross-section profile ``Ybar``.
 
-    profile: Profile = "constant"
+    ``profile`` takes the same two names as for ``SeparableDelta``; it
+    depends on the cross coordinates only.
+    """
+
+    profile: str = "constant"
     amplitude: float = 1.0
     n1: float | None = None
 
+    def __post_init__(self) -> None:
+        _check_profile(self.profile)
+
 
 Kernel = Union[GaussianProduct, SeparableDelta, HeavisideCausal]
-
-
-def _resolve_profile(kernel: Kernel, grid: Grid) -> Callable:
-    """Return ``fn(xs, ys)`` acting on tuples of broadcast coordinate arrays."""
-    profile = kernel.profile  # type: ignore[union-attr]
-    if callable(profile):
-        return profile
-    skip = 1 if isinstance(kernel, HeavisideCausal) else 0
-    widths = grid.prism.half_widths
-    if profile == "constant":
-        return lambda xs, ys: 1.0
-    if profile == "cosine":
-        # even cosine bump over each cross axis, vanishing on the side faces
-        def fn(xs, ys):
-            out = 1.0
-            for k, w in enumerate(widths):
-                out = out * np.cos(0.5 * np.pi * xs[skip + k] / w)
-                out = out * np.cos(0.5 * np.pi * ys[skip + k] / w)
-            return out
-
-        return fn
-    raise ValueError(f"unknown kernel profile {profile!r}")
 
 
 def causal_weights(npts: int, spacing: float) -> np.ndarray:
@@ -170,112 +166,68 @@ def fubini_swap_residual(grid: Grid, samples: np.ndarray) -> float:
     return abs(a - b) / denom
 
 
-def _cross_flat(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened cross-section coordinates (Nc, n-1) and weights (Nc,)."""
-    if grid.dim == 1:
-        return np.zeros((1, 0)), np.ones(1)
-    axes = [grid.axis_coords(i) for i in range(1, grid.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([m.ravel() for m in mesh], axis=-1)
-    w = reduce(np.multiply.outer, [grid.trapezoid_weights(i) for i in range(1, grid.dim)])
-    return coords, np.asarray(w).ravel()
+def _cosine(grid: Grid, axis: int) -> np.ndarray:
+    """Even cosine bump on a cross axis, vanishing on its two side faces."""
+    return np.cos(0.5 * np.pi * grid.axis_coords(axis) / grid.prism.half_widths[axis - 1])
 
 
-def _space_flat(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened full spatial coordinates (Ns, n) and weights (Ns,)."""
-    mesh = grid.space_meshgrid()
-    coords = np.stack([m.ravel() for m in mesh], axis=-1)
-    w = reduce(np.multiply.outer, [grid.trapezoid_weights(i) for i in range(grid.dim)])
-    return coords, np.asarray(w).ravel()
+def _axis_factors(kernel: Kernel, grid: Grid, *, majorant: bool = False):
+    """Per-axis quadrature factors whose Kronecker product is the kernel.
 
-
-def _profile_matrix(fn: Callable, xcoords: np.ndarray, ycoords: np.ndarray) -> np.ndarray:
-    xs = tuple(xcoords[:, k][:, None] for k in range(xcoords.shape[1]))
-    ys = tuple(ycoords[:, k][None, :] for k in range(ycoords.shape[1]))
-    out = fn(xs, ys)
-    return np.broadcast_to(np.asarray(out, dtype=float), (xcoords.shape[0], ycoords.shape[0]))
-
-
-@lru_cache(maxsize=8)
-def kernel_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
-    """Dense quadrature matrix of the kernel over the flattened spatial grid.
-
-    For ``SeparableDelta`` the matrix acts on the flattened cross-section
-    (shape ``(Nc, Nc)``); for the other forms it acts on the full flattened
-    space (shape ``(Ns, Ns)``).
+    Returns ``(scale, factors)``.  ``factors[i]`` is an ``(nx_i, nx_i)``
+    matrix with the trapezoid weights of the integration variable folded
+    into its columns, or ``None`` where the kernel does not integrate along
+    axis ``i``.  The amplitude is folded into the first integrating factor;
+    ``scale`` is what is left of it, which differs from one only for the
+    one-dimensional ``SeparableDelta`` (nothing integrates and the empty
+    cross-section carries measure one).  ``majorant`` gives the factors of
+    ``G``: unit profile and unit amplitude.
     """
     if isinstance(kernel, GaussianProduct):
+        if majorant:
+            raise ValueError("the majorant operator is defined only for the reduced kernel forms")
         if len(kernel.sigmas) != grid.dim:
             raise ValueError(
                 f"gaussian kernel needs {grid.dim} widths, got {len(kernel.sigmas)}"
             )
-        factors = []
-        for axis, sigma in enumerate(kernel.sigmas):
+    scale = 1.0 if majorant else kernel.amplitude
+    factors = []
+    for axis in range(grid.dim):
+        n = grid.nx[axis]
+        if isinstance(kernel, GaussianProduct):
             x = grid.axis_coords(axis)
-            factors.append(np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * sigma**2)))
-        M = reduce(np.kron, factors)
-        _, wflat = _space_flat(grid)
-        out = kernel.amplitude * M * wflat[None, :]
-    elif isinstance(kernel, SeparableDelta):
-        coords, wbar = _cross_flat(grid)
-        fn = _resolve_profile(kernel, grid)
-        Ybar = _profile_matrix(fn, coords, coords)
-        out = kernel.amplitude * Ybar * wbar[None, :]
-    elif isinstance(kernel, HeavisideCausal):
-        xcoords, _ = _space_flat(grid)
-        _, wbar = _cross_flat(grid)
-        nc = wbar.size
-        fn = _resolve_profile(kernel, grid)
-        Ybar = _profile_matrix(fn, xcoords, xcoords)
-        Wc = causal_weights(grid.nx[0], grid.h[0])
-        Wfull = np.kron(Wc, np.tile(wbar, (nc, 1)))
-        out = kernel.amplitude * Ybar * Wfull
-    else:
-        raise TypeError(f"unknown kernel type {type(kernel).__name__}")
-    out.setflags(write=False)
-    return out
+            profile = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * kernel.sigmas[axis] ** 2))
+        elif axis == 0:
+            if isinstance(kernel, SeparableDelta):
+                factors.append(None)
+            else:
+                factors.append(scale * causal_weights(n, grid.h[0]))
+                scale = 1.0
+            continue
+        elif majorant or kernel.profile == "constant":
+            profile = np.ones((n, n))
+        else:
+            c = _cosine(grid, axis)
+            profile = c[:, None] * c[None, :]
+        factors.append(scale * profile * grid.trapezoid_weights(axis)[None, :])
+        scale = 1.0
+    return scale, factors
 
 
-@lru_cache(maxsize=8)
-def _g_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
-    """Quadrature matrix of the majorant operator (profile replaced by one)."""
-    if isinstance(kernel, GaussianProduct):
-        raise ValueError("the majorant operator is defined only for the reduced kernel forms")
-    _, wbar = _cross_flat(grid)
-    nc = wbar.size
-    if isinstance(kernel, SeparableDelta):
-        out = np.tile(wbar, (nc, 1))
-    else:
-        Wc = causal_weights(grid.nx[0], grid.h[0])
-        out = np.kron(Wc, np.tile(wbar, (nc, 1)))
-    out.setflags(write=False)
-    return out
+def _apply(kernel: Kernel, grid: Grid, values: np.ndarray, *, majorant: bool = False):
+    """Apply the kernel (or its majorant) to an array with spatial axes leading,
+    contracting one axis at a time."""
+    scale, factors = _axis_factors(kernel, grid, majorant=majorant)
+    out = values
+    for axis, factor in enumerate(factors):
+        if factor is not None:
+            out = np.moveaxis(np.tensordot(factor, out, axes=(1, axis)), 0, axis)
+    return scale * values if out is values else out
 
 
-def _apply_matrix(kernel: Kernel, grid: Grid, values: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Apply a kernel-shaped matrix to an array with spatial axes leading."""
-    trailing = values.shape[grid.dim :]
-    if isinstance(kernel, SeparableDelta):
-        nc = M.shape[0]
-        flat = values.reshape(grid.nx[0], nc, -1)
-        out = np.einsum("pq,iqt->ipt", M, flat)
-    else:
-        flat = values.reshape(-1, int(np.prod(trailing)) if trailing else 1)
-        out = M @ flat
-    return out.reshape(values.shape)
-
-
-def apply_kernel(kernel: Kernel, m: Field, t_index: int | None = None):
-    """Kernel applied to a density field.
-
-    With ``t_index`` given, returns the spatial array for that one time
-    level; otherwise returns the full space-time ``Field``.
-    """
-    g = m.grid
-    M = kernel_matrix(kernel, g)
-    if t_index is not None:
-        return _apply_matrix(kernel, g, np.ascontiguousarray(m.values[..., t_index]), M)
-    return Field(g, _apply_matrix(kernel, g, m.values, M), _copy=False)
+def apply_kernel(kernel: Kernel, m: Field) -> Field:
+    """Kernel applied to a density field."""
+    return Field(m.grid, _apply(kernel, m.grid, m.values), _copy=False)
 
 
 def apply_kernel_spatial(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -283,34 +235,29 @@ def apply_kernel_spatial(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.n
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape_space:
         raise ValueError(f"spatial shape {values.shape} does not match {grid.shape_space}")
-    M = kernel_matrix(kernel, grid)
-    return _apply_matrix(kernel, grid, values, M)
+    return _apply(kernel, grid, values)
 
 
 def apply_G(kernel: Kernel, q: Field) -> Field:
     """Majorant operator: unit profile applied to ``|q|``."""
-    g = q.grid
-    M = _g_matrix(kernel, g)
-    return Field(g, _apply_matrix(kernel, g, np.abs(q.values), M), _copy=False)
+    return Field(q.grid, _apply(kernel, q.grid, np.abs(q.values), majorant=True), _copy=False)
 
 
 def kernel_bound(kernel: Kernel, grid: Grid) -> float:
     """Sampled sup-norm of the kernel on the grid.
 
-    When the kernel declares a bound ``n1``, the sample must respect it
-    (the declared value is returned in that case).
+    Every profile is a product of per-axis factors, so the sampled sup is the
+    product of the per-axis maxima: one for the Gaussian (its diagonal) and
+    the constant profile, and the squared peak of the bump on each cross axis
+    for the cosine profile.  When the kernel declares a bound ``n1``, the
+    sample must respect it (the declared value is returned in that case).
     """
-    if isinstance(kernel, GaussianProduct):
-        # sup attained on the sampled diagonal x = y
-        sampled = abs(kernel.amplitude)
-    else:
-        if isinstance(kernel, SeparableDelta):
-            coords, _ = _cross_flat(grid)
-        else:
-            coords, _ = _space_flat(grid)
-        fn = _resolve_profile(kernel, grid)
-        vals = _profile_matrix(fn, coords, coords)
-        sampled = float(abs(kernel.amplitude) * np.max(np.abs(vals)))
+    peak = 1.0
+    if not isinstance(kernel, GaussianProduct) and kernel.profile == "cosine":
+        for axis in range(1, grid.dim):
+            c = np.max(np.abs(_cosine(grid, axis)))
+            peak = peak * c * c
+    sampled = float(abs(kernel.amplitude) * peak)
     if kernel.n1 is not None:
         if sampled > kernel.n1 * (1.0 + 1e-12):
             raise ValueError(

@@ -48,7 +48,6 @@ from .grid import (
     Grid,
     boundary_mask,
     dt as field_dt,
-    dtt as field_dtt,
     first_derivative,
     gradient,
     interior_mask,
@@ -167,14 +166,6 @@ class ProblemSpec:
         object.__setattr__(self, "u_terminal", u_term)
         object.__setattr__(self, "m_initial", m_init)
 
-    def f_bounds(self) -> dict[str, float]:
-        """Sampled sup norms of f and its first two time derivatives."""
-        return {
-            "f": float(np.max(np.abs(self.f.values))),
-            "f_t": float(np.max(np.abs(field_dt(self.f).values))),
-            "f_tt": float(np.max(np.abs(field_dtt(self.f).values))),
-        }
-
 
 @dataclass(frozen=True)
 class MFGTriple:
@@ -208,29 +199,6 @@ class MFGTriple:
             sl = comp.values[..., g.index_t0]
             total += sl * sl
         return float(np.min(total) / 2.0)
-
-    def sampled_bounds(self) -> dict[str, float]:
-        """Discrete sup norms standing in for the smoothness-class bounds."""
-        g = self.grid
-        out: dict[str, float] = {}
-        for name, fld in (("u", self.u), ("m", self.m)):
-            out[name] = float(np.max(np.abs(fld.values)))
-            out[f"{name}_t"] = float(np.max(np.abs(field_dt(fld).values)))
-            out[f"{name}_tt"] = float(np.max(np.abs(field_dtt(fld).values)))
-            grad_max = 0.0
-            lap_max = float(np.max(np.abs(laplacian(fld).values)))
-            for comp in gradient(fld):
-                grad_max = max(grad_max, float(np.max(np.abs(comp.values))))
-            out[f"{name}_x"] = grad_max
-            out[f"{name}_xx"] = lap_max
-        out["k"] = float(np.max(np.abs(self.k)))
-        kmax = 0.0
-        for axis in range(g.dim):
-            kmax = max(
-                kmax, float(np.max(np.abs(first_derivative(self.k, axis, g.h[axis]))))
-            )
-        out["k_x"] = kmax
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -81,9 +81,11 @@ class TestEntryPoints:
 
 
 class TestParams:
-    def test_default_point(self):
-        res = run_cli("params")
+    def test_default_point(self, tmp_path):
+        res = run_cli("params", cwd=str(tmp_path))
         assert res.returncode == 0
+        # the calculus alone writes nothing
+        assert os.listdir(tmp_path) == []
         lines = dict(
             line.split(" = ", 1) for line in res.stdout.strip().splitlines()
         )
@@ -99,13 +101,6 @@ class TestParams:
         res = run_cli("params", "--rho", "1/2", "--epsilon", "1/10")
         assert res.returncode == 1
         assert "outside the admissible window" in res.stderr
-
-    def test_sweep_params_only_prints_the_same_calculus(self, tmp_path):
-        res = run_cli("sweep", "--params-only", cwd=str(tmp_path))
-        assert res.returncode == 0
-        assert "beta = 33/7" in res.stdout
-        # nothing may be written in params-only mode
-        assert os.listdir(tmp_path) == []
 
 
 class TestForward:
@@ -309,3 +304,11 @@ class TestConfigErrors:
         res = run_cli("forward", "--config", cfg, cwd=str(tmp_path))
         assert res.returncode == 1
         assert "solver.damping must lie in (0, 1]" in res.stderr
+
+    def test_unknown_kernel_profile(self, tmp_path):
+        cfg = write_config(
+            tmp_path, {**FAST_CONFIG, "kernel": {"type": "separable", "profile": "triangle"}}
+        )
+        res = run_cli("manufacture", "--config", cfg, cwd=str(tmp_path))
+        assert res.returncode == 1
+        assert res.stderr == "config error: kernel: unknown kernel profile 'triangle'\n"

@@ -1,8 +1,11 @@
-"""Every import in the package and its tests is used or re-exported.
+"""Every import in the package and its tests is used or re-exported, and
+every function, method and class the package defines is referenced.
 
-A standard-library stand-in for a linter's unused-import rule: a module
-fails when it imports a name that its code never reads and that its
-``__all__`` does not list.  ``from __future__`` imports are exempt.
+Standard-library stand-ins for a linter's unused-import and dead-code rules.
+A module fails when it imports a name that its code never reads and that its
+``__all__`` does not list; ``from __future__`` imports are exempt.  A
+definition in ``src/mfglab`` fails when no ``Name`` or ``Attribute`` in the
+package or its tests mentions it; dunder methods are exempt.
 """
 
 import ast
@@ -11,7 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "mfglab").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "mfglab").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -58,3 +62,48 @@ def test_checker_flags_an_unused_import():
         "m.pi",
     ])
     assert unused_imports(source) == ["line 2: os", "line 4: b"]
+
+
+def referenced_names(trees) -> set[str]:
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+    return out
+
+
+def unreferenced_definitions(defining, referencing) -> list[str]:
+    """Functions, methods and classes of ``defining`` (name -> tree) that no
+    tree of ``referencing`` mentions by name."""
+    used = referenced_names(referencing)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted(
+        f"{label}:{node.lineno}: {node.name}"
+        for label, tree in defining.items()
+        for node in ast.walk(tree)
+        if isinstance(node, kinds)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    )
+
+
+def test_no_unreferenced_definitions():
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    package = {p.name: trees[p.name] for p in PACKAGE}
+    assert unreferenced_definitions(package, trees.values()) == []
+
+
+def test_checker_flags_an_unreferenced_definition():
+    tree = ast.parse("\n".join([
+        "class A:",
+        "    def __init__(self): self.used()",
+        "    def used(self): pass",
+        "    def dead(self): pass",
+        "def helper(): pass",
+        "def orphan(): pass",
+        "A().x = helper",
+    ]))
+    assert unreferenced_definitions({"m.py": tree}, [tree]) == ["m.py:4: dead", "m.py:6: orphan"]

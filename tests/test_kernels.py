@@ -1,10 +1,11 @@
-"""Interaction kernels: quadrature matrices, closed forms, and the majorant."""
+"""Interaction kernels: per-axis factors against the dense quadrature matrix,
+closed forms, and the majorant."""
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from mfglab.grid import Prism, make_grid, sample_field
+from mfglab.grid import Field, Prism, make_grid, sample_field
 from mfglab.kernels import (
     GaussianProduct,
     HeavisideCausal,
@@ -15,7 +16,6 @@ from mfglab.kernels import (
     causal_weights,
     fubini_swap_residual,
     kernel_bound,
-    kernel_matrix,
     swapped_causal_weights,
 )
 
@@ -45,10 +45,12 @@ class TestSeparableDelta:
         want = np.cos(np.pi * x2)[..., None] * (2.0 / np.pi) + 0 * out.values
         np.testing.assert_allclose(out.values, want, rtol=4e-3, atol=1e-12)
 
-    def test_unknown_profile_rejected(self, grid):
-        m = sample_field(grid, lambda x, t: x)
-        with pytest.raises(ValueError, match="unknown kernel profile"):
-            apply_kernel(SeparableDelta(profile="triangle"), m)
+    def test_unknown_profile_rejected(self):
+        # checked when the kernel is built, for names and non-names alike
+        for profile in ("triangle", lambda xs, ys: 1.0):
+            for cls in (SeparableDelta, HeavisideCausal):
+                with pytest.raises(ValueError, match="unknown kernel profile"):
+                    cls(profile=profile)
 
 
 class TestHeavisideCausal:
@@ -177,7 +179,110 @@ class TestApplySpatial:
         with pytest.raises(ValueError, match="spatial shape"):
             apply_kernel_spatial(SeparableDelta(), grid, np.zeros(7))
 
-    def test_matrix_is_read_only(self, grid):
-        M = kernel_matrix(SeparableDelta(), grid)
-        with pytest.raises(ValueError):
-            M[0, 0] = 1.0
+
+# ---------------------------------------------------------------------------
+# reference: the dense quadrature matrix over the flattened spatial grid
+
+
+def _flat_coords(grid, axes):
+    mesh = np.meshgrid(*[grid.axis_coords(i) for i in axes], indexing="ij")
+    if not mesh:
+        return np.zeros((1, 0))
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _flat_weights(grid, axes):
+    w = np.ones(1)
+    for i in axes:
+        w = np.multiply.outer(w, grid.trapezoid_weights(i)).ravel()
+    return w
+
+
+def _dense_profile(kernel, grid, majorant=False):
+    """Ybar over every pair of flattened nodes: the cross-section's for
+    ``SeparableDelta``, the full space's for ``HeavisideCausal``."""
+    skip = 1 if isinstance(kernel, HeavisideCausal) else 0
+    coords = _flat_coords(grid, range(1 - skip, grid.dim))
+    out = np.ones((coords.shape[0], coords.shape[0]))
+    if majorant or kernel.profile == "constant":
+        return out
+    for k, w in enumerate(grid.prism.half_widths):
+        c = np.cos(0.5 * np.pi * coords[:, skip + k] / w)
+        out = out * c[:, None] * c[None, :]
+    return out
+
+
+def dense_matrix(kernel, grid, majorant=False):
+    """Kernel as one matrix over the flattened space (the cross-section for
+    ``SeparableDelta``), built from the closed-form Kronecker formulas."""
+    amp = 1.0 if majorant else kernel.amplitude
+    cross = list(range(1, grid.dim))
+    if isinstance(kernel, GaussianProduct):
+        M = np.ones((1, 1))
+        for axis, sigma in enumerate(kernel.sigmas):
+            x = grid.axis_coords(axis)
+            M = np.kron(M, np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * sigma**2)))
+        return amp * M * _flat_weights(grid, range(grid.dim))[None, :]
+    wbar = _flat_weights(grid, cross)
+    Ybar = _dense_profile(kernel, grid, majorant)
+    if isinstance(kernel, SeparableDelta):
+        return amp * Ybar * wbar[None, :]
+    Wc = causal_weights(grid.nx[0], grid.h[0])
+    return amp * Ybar * np.kron(Wc, np.tile(wbar, (wbar.size, 1)))
+
+
+def dense_apply(kernel, grid, values, majorant=False):
+    M = dense_matrix(kernel, grid, majorant)
+    if isinstance(kernel, SeparableDelta):
+        flat = values.reshape(grid.nx[0], M.shape[0], -1)
+        return np.einsum("pq,iqt->ipt", M, flat).reshape(values.shape)
+    return (M @ values.reshape(M.shape[0], -1)).reshape(values.shape)
+
+
+REFERENCE_GRIDS = {
+    "1d": (Prism(1.0, 2.0, (), 1.0), 65),
+    "2d": (Prism(1.0, 2.0, (0.5,), 1.0), (9, 17)),
+    "3d": (Prism(1.0, 2.0, (0.5, 0.75), 1.0), (7, 9, 11)),
+}
+
+
+def _reference_kernels(dim):
+    yield GaussianProduct(sigmas=tuple(0.25 + 0.1 * i for i in range(dim)), amplitude=0.7)
+    for cls in (SeparableDelta, HeavisideCausal):
+        for profile in ("constant", "cosine"):
+            yield cls(profile=profile, amplitude=0.4)
+
+
+class TestDenseReference:
+    """Axis-by-axis application against the dense matrix: bitwise in 1-D,
+    where the arithmetic is the same, and to 1e-14 relative otherwise."""
+
+    @staticmethod
+    def _check(dim, got, want):
+        if dim == 1:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GRIDS))
+    def test_kernel_and_majorant_match_dense(self, name):
+        prism, nx = REFERENCE_GRIDS[name]
+        g = make_grid(prism, nx, 5)
+        vals = np.random.default_rng(7).standard_normal(g.shape)
+        for kern in _reference_kernels(g.dim):
+            got = apply_kernel(kern, Field(g, vals)).values
+            self._check(g.dim, got, dense_apply(kern, g, vals))
+            if not isinstance(kern, GaussianProduct):
+                got = apply_G(kern, Field(g, vals)).values
+                self._check(g.dim, got, dense_apply(kern, g, np.abs(vals), majorant=True))
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GRIDS))
+    def test_bound_is_the_dense_sup(self, name):
+        prism, nx = REFERENCE_GRIDS[name]
+        g = make_grid(prism, nx, 5)
+        for kern in _reference_kernels(g.dim):
+            if isinstance(kern, GaussianProduct):
+                continue
+            # rounding is monotone, so the product of per-axis maxima is exact
+            want = float(abs(kern.amplitude) * np.max(np.abs(_dense_profile(kern, g))))
+            assert kernel_bound(kern, g) == want
