@@ -42,7 +42,7 @@ from .grid import (
     Grid,
     Prism,
     dt,
-    gradient,
+    grad_sq,
     laplacian,
     mixed_xixj,
     snap_epsilon,
@@ -194,7 +194,7 @@ def _ordered_second_sum(u: Field) -> np.ndarray:
     total = np.zeros(u.values.shape)
     for i in range(g.dim):
         for j in range(g.dim):
-            d = mixed_xixj(u, i, j).values
+            d = mixed_xixj(g, u.values, i, j)
             total += d * d
     return total
 
@@ -258,14 +258,12 @@ def _functional_rows(
     prism = g.prism
 
     ut = dt(u).values
-    lap = laplacian(u).values
+    lap = laplacian(g, u.values)
     op_sq = []
     for sign in signs:
         op = ut + sign * lap
         op_sq.append(op * op)
-    grad_sq = np.zeros(u.values.shape)
-    for comp in gradient(u):
-        grad_sq += comp.values * comp.values
+    u_grad_sq = grad_sq(g, u.values)
     second_sq = ut * ut + _ordered_second_sum(u)
 
     faces = [f for f in g.faces() if f.axis == 0 and f.side == +1] if restricted else list(g.faces())
@@ -278,7 +276,7 @@ def _functional_rows(
         phi_s = scaled_weight_values(lam, alpha, g)
         log_scale = 2.0 * lam * prism.b**2
         main = (1.0 / lam) * weighted_sum(g, second_sq * phi_s)
-        main += weighted_sum(g, (lam * grad_sq + lam**3 * u.values * u.values) * phi_s)
+        main += weighted_sum(g, (lam * u_grad_sq + lam**3 * u.values * u.values) * phi_s)
         # exp(3 lam b^2) becomes exp(lam b^2) after the shared rescaling
         boundary = bnd_norms * math.exp(lam * prism.b**2)
         negligible = end_norms * math.exp(min(-2.0 * lam * gap - log_scale, _OVERFLOW_EXPONENT))
@@ -496,7 +494,7 @@ def verify_lemma(
             )
         target = apply_kernel(kernel, h).values
     elif which == "time-integral":
-        target = time_integral_from_t0(h).values
+        target = time_integral_from_t0(g, h.values)
     else:
         raise ValueError(f"unknown bound {which!r}")
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .grid import Prism, make_grid
-from .kernels import HeavisideCausal, SeparableDelta
+from .kernels import HeavisideCausal, SeparableDelta, kernel_bound
 from .carleman import (
     LAMBDA_MAX,
     estimate_c0,
@@ -130,17 +130,29 @@ def _build_geometry(cfg: dict):
     return prism, grid
 
 
-def _build_kernel(cfg: dict):
+def _build_kernel(cfg: dict, grid):
+    """The configured kernel, checked against its declared bound ``n1``."""
     try:
-        return mio.kernel_from_dict(cfg["kernel"])
+        kernel = mio.kernel_from_dict(cfg["kernel"])
+        kernel_bound(kernel, grid)
     except (ValueError, TypeError, KeyError) as e:
         raise ConfigError(f"kernel: {e}")
+    return kernel
+
+
+def _solver_params(cfg: dict) -> dict:
+    """Keyword arguments of the coupled solve, checked."""
+    sol = cfg["solver"]
+    damping = sol["damping"]
+    if not isinstance(damping, (int, float)) or not 0.0 < damping <= 1.0:
+        raise ConfigError("solver.damping must lie in (0, 1]")
+    return {"damping": damping, "max_iter": sol["max_iter"], "tol": sol["tol"]}
 
 
 def _manufactured_problem(cfg: dict):
     """Default manufactured setup: unit coefficient, compatible density."""
     prism, grid = _build_geometry(cfg)
-    kernel = _build_kernel(cfg)
+    kernel = _build_kernel(cfg, grid)
     prob = cfg["problem"]
     u_form = bump_form(prism, amplitude=prob["u_amplitude"])
     m0 = steady_density(grid)
@@ -172,15 +184,11 @@ def _provenance(cfg: dict, command: str) -> dict:
 
 def cmd_forward(args) -> int:
     cfg = load_config(args)
+    solver = _solver_params(cfg)
     grid, kernel, k1, _, f, spec = _manufactured_problem(cfg)
-    sol = cfg["solver"]
     outdir = cfg["out"]
-    if sol["damping"] is not None and not 0.0 < sol["damping"] <= 1.0:
-        raise ConfigError("solver.damping must lie in (0, 1]")
     try:
-        triple = solve_mfg_picard(
-            spec, k1, damping=sol["damping"], max_iter=sol["max_iter"], tol=sol["tol"]
-        )
+        triple = solve_mfg_picard(spec, k1, **solver)
     except PicardNonConvergence as e:
         os.makedirs(outdir, exist_ok=True)
         mio.save_history_csv(e.history, os.path.join(outdir, "history.csv"))
@@ -294,6 +302,7 @@ def cmd_params(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args)
     params = _stability_params(cfg)
+    solver = _solver_params(cfg)
     stab = cfg["stability"]
     lo, hi, count = stab["scales"]
     if not (0 < lo < hi and int(count) >= 2):
@@ -301,7 +310,6 @@ def cmd_sweep(args) -> int:
     scales = np.geomspace(lo, hi, int(count))
     grid, kernel, k1, _, f, spec = _manufactured_problem(cfg)
     delta_k = stab["perturbation_scale"] * _perturbation(grid)
-    sol = cfg["solver"]
     try:
         report = holder_sweep(
             spec,
@@ -311,9 +319,7 @@ def cmd_sweep(args) -> int:
             rho=float(params.rho),
             eps=float(params.epsilon),
             completeness=stab["completeness"],
-            damping=sol["damping"],
-            max_iter=sol["max_iter"],
-            tol=sol["tol"],
+            **solver,
         )
     except PicardNonConvergence as e:
         print(f"base forward solve did not converge: {e}", file=sys.stderr)

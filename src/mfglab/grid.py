@@ -19,6 +19,12 @@ Conventions used by every module downstream:
   second-order one-sided stencils on the boundary, exact for per-axis
   quadratics;
 * integrals are tensor-product trapezoidal sums.
+
+The calculus helpers (stencil combinations, trapezoid sums, the cumulative
+time integral) take plain arrays with the spatial axes leading, so one call
+serves both a space-time array and a spatial snapshot, and
+``trapezoid_sum`` also takes a face trace with its tangential axes; only
+``dt``, ``dtt``, ``trace`` and ``snapshot`` act on :class:`Field` objects.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "Prism",
@@ -38,19 +43,16 @@ __all__ = [
     "BoundaryTrace",
     "make_grid",
     "sample_field",
-    "sample_spatial",
-    "constant_in_time",
     "first_derivative",
     "second_derivative",
-    "diff",
     "gradient",
-    "grad_component",
+    "grad_sq",
     "laplacian",
     "mixed_xixj",
     "divergence",
     "dt",
     "dtt",
-    "integrate_spatial",
+    "trapezoid_sum",
     "time_integral_from_t0",
     "trace",
     "snapshot",
@@ -104,19 +106,6 @@ class Prism:
             return (float(self.a), float(self.b))
         return (-self.half_widths[axis - 1], self.half_widths[axis - 1])
 
-    @property
-    def cross_section_measure(self) -> float:
-        """Measure of the cross-section ``prod_i (-B_i, B_i)``.
-
-        For ``n = 1`` the cross-section is the empty product and carries
-        measure one, so that cross-section integrals degenerate to the
-        identity.
-        """
-        out = 1.0
-        for w in self.half_widths:
-            out *= 2.0 * w
-        return out
-
 
 @dataclass(frozen=True, order=True)
 class Face:
@@ -139,15 +128,6 @@ class Face:
     @property
     def label(self) -> str:
         return f"x{self.axis + 1}{'+' if self.side > 0 else '-'}"
-
-    @classmethod
-    def parse(cls, label: str) -> "Face":
-        text = label.strip()
-        if len(text) < 3 or text[0] != "x" or text[-1] not in "+-":
-            raise ValueError(f"cannot parse face label {label!r}")
-        axis = int(text[1:-1]) - 1
-        side = 1 if text[-1] == "+" else -1
-        return cls(axis, side)
 
     def __str__(self) -> str:
         return self.label
@@ -325,8 +305,7 @@ class Field:
     Values are stored as a read-only array of shape ``(*nx, nt)``; the class
     is a thin immutable wrapper so that solver outputs cannot be mutated in
     place.  Snapshots (purely spatial data such as coefficients or central
-    cuts) are passed around as plain arrays of shape ``nx`` and broadcast to
-    fields with :func:`constant_in_time` where a field is required.
+    cuts) are passed around as plain arrays of shape ``nx``.
     """
 
     __slots__ = ("grid", "_values")
@@ -423,22 +402,6 @@ def sample_field(grid: Grid, fn: Callable[..., np.ndarray]) -> Field:
     return Field(grid, values)
 
 
-def sample_spatial(grid: Grid, fn: Callable[..., np.ndarray]) -> np.ndarray:
-    """Sample ``fn(x_1, ..., x_n)`` on the spatial grid."""
-    coords = grid.space_meshgrid()
-    return np.array(np.broadcast_to(np.asarray(fn(*coords), dtype=float), grid.shape_space))
-
-
-def constant_in_time(grid: Grid, spatial_values: np.ndarray) -> Field:
-    """Broadcast a spatial array to a field that is constant along time."""
-    spatial_values = np.asarray(spatial_values, dtype=float)
-    if spatial_values.shape != grid.shape_space:
-        raise ValueError(
-            f"spatial shape {spatial_values.shape} does not match {grid.shape_space}"
-        )
-    return Field(grid, np.repeat(spatial_values[..., None], grid.nt, axis=-1))
-
-
 # ---------------------------------------------------------------------------
 # finite differences
 
@@ -468,43 +431,43 @@ def second_derivative(values: np.ndarray, axis: int, spacing: float) -> np.ndarr
     return np.moveaxis(out, 0, axis)
 
 
-def grad_component(field: Field, axis: int) -> Field:
-    """Spatial derivative ``d/dx_{axis+1}`` of a field."""
-    g = field.grid
-    return Field(g, first_derivative(field.values, axis, g.h[axis]), _copy=False)
+def gradient(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Spatial gradient components ``d/dx_1, ..., d/dx_n``."""
+    return tuple(first_derivative(values, i, grid.h[i]) for i in range(grid.dim))
 
 
-def gradient(field: Field) -> tuple[Field, ...]:
-    return tuple(grad_component(field, i) for i in range(field.grid.dim))
+def grad_sq(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """``|grad values|^2``, the squared components summed in axis order."""
+    total = np.zeros(values.shape)
+    for d in gradient(grid, values):
+        total += d * d
+    return total
 
 
-def laplacian(field: Field) -> Field:
-    g = field.grid
-    out = second_derivative(field.values, 0, g.h[0])
-    for i in range(1, g.dim):
-        out = out + second_derivative(field.values, i, g.h[i])
-    return Field(g, out, _copy=False)
+def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
+    out = second_derivative(values, 0, grid.h[0])
+    for i in range(1, grid.dim):
+        out = out + second_derivative(values, i, grid.h[i])
+    return out
 
 
-def mixed_xixj(field: Field, i: int, j: int) -> Field:
+def mixed_xixj(grid: Grid, values: np.ndarray, i: int, j: int) -> np.ndarray:
     """Second derivative ``d^2/dx_i dx_j`` (pure second derivative if i == j)."""
-    g = field.grid
     if i == j:
-        return Field(g, second_derivative(field.values, i, g.h[i]), _copy=False)
-    once = first_derivative(field.values, i, g.h[i])
-    return Field(g, first_derivative(once, j, g.h[j]), _copy=False)
+        return second_derivative(values, i, grid.h[i])
+    return first_derivative(first_derivative(values, i, grid.h[i]), j, grid.h[j])
 
 
-def divergence(components: Sequence[Field]) -> Field:
-    g = components[0].grid
-    if len(components) != g.dim:
+def divergence(grid: Grid, components: Sequence[np.ndarray]) -> np.ndarray:
+    """``sum_i d/dx_i components[i]``, one component per spatial axis."""
+    if len(components) != grid.dim:
         raise ValueError(
-            f"divergence needs {g.dim} components, got {len(components)}"
+            f"divergence needs {grid.dim} components, got {len(components)}"
         )
-    out = first_derivative(components[0].values, 0, g.h[0])
-    for i in range(1, g.dim):
-        out = out + first_derivative(components[i].values, i, g.h[i])
-    return Field(g, out, _copy=False)
+    out = first_derivative(components[0], 0, grid.h[0])
+    for i in range(1, grid.dim):
+        out = out + first_derivative(components[i], i, grid.h[i])
+    return out
 
 
 def dt(field: Field) -> Field:
@@ -515,25 +478,6 @@ def dt(field: Field) -> Field:
 def dtt(field: Field) -> Field:
     g = field.grid
     return Field(g, second_derivative(field.values, g.dim, g.tau), _copy=False)
-
-
-def diff(field: Field, kind: str, axis: int | None = None, axis2: int | None = None):
-    """Dispatch by kind: grad_i, laplacian, divergence, dt, dtt, mixed_xixj."""
-    if kind == "grad_i":
-        if axis is None:
-            raise ValueError("grad_i needs an axis")
-        return grad_component(field, axis)
-    if kind == "laplacian":
-        return laplacian(field)
-    if kind == "dt":
-        return dt(field)
-    if kind == "dtt":
-        return dtt(field)
-    if kind == "mixed_xixj":
-        if axis is None or axis2 is None:
-            raise ValueError("mixed_xixj needs two axes")
-        return mixed_xixj(field, axis, axis2)
-    raise ValueError(f"unknown diff kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -547,32 +491,37 @@ def _trapezoid_weights(npts: int, spacing: float) -> np.ndarray:
     return w
 
 
-def _contract(values: np.ndarray, weight_vectors: Sequence[np.ndarray]) -> float:
+def trapezoid_sum(
+    grid: Grid,
+    values: np.ndarray,
+    axes: Sequence[int] | None = None,
+    time_weights: np.ndarray | None = None,
+) -> float:
+    """Tensor-product trapezoidal sum of an array.
+
+    The leading axes of ``values`` are contracted in order against the
+    weights of the spatial ``axes`` of ``grid`` (all of them by default; a
+    face trace passes its tangential axes), then the remaining time axis
+    against ``time_weights`` when given.
+    """
     out = np.asarray(values, dtype=float)
-    for w in weight_vectors:
-        out = np.tensordot(out, w, axes=([0], [0]))
+    for axis in range(grid.dim) if axes is None else axes:
+        out = np.tensordot(out, grid.trapezoid_weights(axis), axes=([0], [0]))
+    if time_weights is not None:
+        # np.dot, not tensordot: the BLAS path of a 1-D tensordot can round
+        # differently
+        out = np.dot(out, time_weights)
     return float(out)
 
 
-def integrate_spatial(grid: Grid, spatial_values: np.ndarray) -> float:
-    """Trapezoidal integral of a spatial array over the prism."""
-    spatial_values = np.asarray(spatial_values, dtype=float)
-    if spatial_values.shape != grid.shape_space:
-        raise ValueError(
-            f"spatial shape {spatial_values.shape} does not match {grid.shape_space}"
-        )
-    weights = [grid.trapezoid_weights(i) for i in range(grid.dim)]
-    return _contract(spatial_values, weights)
-
-
-def time_integral_from_t0(field: Field) -> Field:
-    """Cumulative trapezoidal integral from the central time:
-    ``(x, t) -> integral_{t0}^{t} field(x, tau) dtau`` (negative for t < t0).
+def time_integral_from_t0(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Cumulative trapezoidal integral along the last (time) axis from the
+    central time: ``(x, t) -> integral_{t0}^{t} values(x, tau) dtau``
+    (negative for t < t0).
     """
-    g = field.grid
-    running = cumulative_trapezoid(field.values, dx=g.tau, axis=-1, initial=0.0)
-    running = running - running[..., g.index_t0 : g.index_t0 + 1]
-    return Field(g, running, _copy=False)
+    steps = np.cumsum(grid.tau * (values[..., 1:] + values[..., :-1]) / 2.0, axis=-1)
+    running = np.concatenate([np.zeros((*values.shape[:-1], 1)), steps], axis=-1)
+    return running - running[..., grid.index_t0 : grid.index_t0 + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from .grid import Field, Grid
+from .grid import Field, Grid, trapezoid_sum
 
 __all__ = [
     "GaussianProduct",
@@ -157,11 +157,10 @@ def fubini_swap_residual(grid: Grid, samples: np.ndarray) -> float:
     n = grid.nx[0]
     if samples.shape != (n, n):
         raise ValueError(f"samples must be ({n}, {n}), got {samples.shape}")
-    w = grid.trapezoid_weights(0)
     Wc = causal_weights(n, grid.h[0])
     Ws = swapped_causal_weights(n, grid.h[0])
-    a = float(w @ np.sum(Wc * samples, axis=1))
-    b = float(w @ np.sum(Ws * samples.T, axis=1))
+    a = trapezoid_sum(grid, np.sum(Wc * samples, axis=1), axes=(0,))
+    b = trapezoid_sum(grid, np.sum(Ws * samples.T, axis=1), axes=(0,))
     denom = max(abs(a), abs(b), np.finfo(float).tiny)
     return abs(a - b) / denom
 

@@ -48,8 +48,7 @@ from .grid import (
     Grid,
     boundary_mask,
     dt as field_dt,
-    first_derivative,
-    gradient,
+    grad_sq,
     interior_mask,
     laplacian,
     trace,
@@ -69,7 +68,6 @@ __all__ = [
     "bump_form",
     "steady_density",
     "dirichlet_data",
-    "constant_boundary",
     "solve_fokker_planck",
     "solve_hjb",
     "solve_mfg_picard",
@@ -117,14 +115,6 @@ class PicardNonConvergence(RuntimeError):
 def dirichlet_data(u: Field) -> dict[Face, BoundaryTrace]:
     """Dirichlet restrictions of a field to every lateral face."""
     return {f: trace(u, "dirichlet", f) for f in u.grid.faces()}
-
-
-def constant_boundary(grid: Grid, value: float) -> dict[Face, BoundaryTrace]:
-    out = {}
-    for f in grid.faces():
-        shape = (*grid.face_shape(f), grid.nt)
-        out[f] = BoundaryTrace(grid, f, np.full(shape, float(value)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -194,10 +184,7 @@ class MFGTriple:
     def nondegeneracy_constant(self) -> float:
         """min over the prism of |grad u(., T/2)|^2 / 2 (sampled)."""
         g = self.grid
-        total = np.zeros(g.shape_space)
-        for comp in gradient(self.u):
-            sl = comp.values[..., g.index_t0]
-            total += sl * sl
+        total = grad_sq(g, self.u.values[..., g.index_t0])
         return float(np.min(total) / 2.0)
 
 
@@ -276,16 +263,13 @@ def bump_form(prism, amplitude: float = 0.3) -> ClosedForm:
     )
 
 
-def steady_density(grid: Grid, k: np.ndarray | None = None) -> np.ndarray:
+def steady_density(grid: Grid) -> np.ndarray:
     """exp(1 - x_1^2): zero-flux steady density for k = 1 and drift 2 x_1.
 
     The flux m_x1 + k m (2 x_1) vanishes identically, so freezing this
     profile on the boundary gives corner-compatible data for any u whose
-    t = 0 gradient is (2 x_1, 0, ...).  Only k = 1 is supported; the
-    argument is accepted for signature symmetry and checked.
+    t = 0 gradient is (2 x_1, 0, ...).
     """
-    if k is not None and not np.allclose(np.asarray(k), 1.0):
-        raise ValueError("steady_density is the k = 1 profile")
     x = grid.space_meshgrid()[0]
     return np.exp(1.0 - x * x)
 
@@ -548,11 +532,7 @@ def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: Field) -> Field:
     values[..., -1] = level
     for j in range(g.nt - 2, -1, -1):
         prev = values[..., j + 1]
-        grad_sq = np.zeros(g.shape_space)
-        for axis in range(g.dim):
-            d = first_derivative(prev, axis, g.h[axis])
-            grad_sq += d * d
-        rhs = prev - tau * (0.5 * k * grad_sq - km[..., j] - fm[..., j])
+        rhs = prev - tau * (0.5 * k * grad_sq(g, prev) - km[..., j] - fm[..., j])
         level = op.step(solve, rhs, bvals[j])
         _check_blowup("hjb", j, level)
         values[..., j] = level
@@ -672,12 +652,12 @@ def manufacture_triple(
     shape = g.shape
     u_t = np.broadcast_to(np.asarray(u_form.d_t(*mesh), dtype=float), shape)
     u_lap = np.broadcast_to(np.asarray(u_form.lap(*mesh), dtype=float), shape)
-    grad_sq = np.zeros(shape)
+    u_grad_sq = np.zeros(shape)
     for comp in u_form.grad:
         d = np.broadcast_to(np.asarray(comp(*mesh), dtype=float), shape)
-        grad_sq = grad_sq + d * d
+        u_grad_sq = u_grad_sq + d * d
     km = apply_kernel(kernel, m).values
-    f_values = (-u_t - u_lap + 0.5 * k[..., None] * grad_sq - km) / m.values
+    f_values = (-u_t - u_lap + 0.5 * k[..., None] * u_grad_sq - km) / m.values
     f_field = Field(g, f_values, _copy=False)
     triple = MFGTriple(
         u,
@@ -720,14 +700,11 @@ def residual(
     g = triple.grid
     u, m, k = triple.u, triple.m, triple.k
     if which == "hjb":
-        grad_sq = np.zeros(g.shape)
-        for comp in gradient(u):
-            grad_sq += comp.values * comp.values
         km = apply_kernel(spec.kernel, m).values
         res = (
             field_dt(u).values
-            + laplacian(u).values
-            - 0.5 * k[..., None] * grad_sq
+            + laplacian(g, u.values)
+            - 0.5 * k[..., None] * grad_sq(g, u.values)
             + km
             + spec.f.values * m.values
         )
@@ -735,7 +712,7 @@ def residual(
         div = np.empty(g.shape)
         for j in range(g.nt):
             div[..., j] = _divergence_flux(g, k, m.values[..., j], u.values[..., j])
-        res = field_dt(m).values - laplacian(m).values - div
+        res = field_dt(m).values - laplacian(g, m.values) - div
     else:
         raise ValueError(f"unknown equation {which!r}; expected 'hjb' or 'fp'")
     mask = interior_mask(g, time_ring=1)

@@ -6,8 +6,7 @@ All norms are trapezoidal discretizations of the continuous definitions:
 * ``L2``, the parabolic ``H^{2,1}`` (all spatial derivatives up to second
   order plus one time derivative) and the isotropic space-time ``H^2`` on
   the cylinder or on its time-truncated version;
-* ``L2 / H^{1,0} / H^{2,1}`` on a lateral face cross time, and their sums
-  over the whole lateral boundary.
+* ``L2 / H^{1,0} / H^{2,1}`` on a lateral face cross time.
 
 Face norms evaluate every derivative tangentially on the face in question,
 so they are well defined for pure boundary data; this is the reading used
@@ -20,13 +19,13 @@ import numpy as np
 
 from .grid import (
     BoundaryTrace,
-    Face,
     Field,
     Grid,
     first_derivative,
+    gradient,
     second_derivative,
     snap_epsilon,
-    trace,
+    trapezoid_sum,
 )
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "norm_spatial",
     "norm",
     "trace_norm",
-    "lateral_norm",
 ]
 
 
@@ -48,14 +46,11 @@ def weighted_sum(
     ``time_window=(lo, hi)`` restricts the time quadrature to the inclusive
     index range (used for the time-truncated cylinder).
     """
-    out = np.asarray(values, dtype=float)
-    for axis in range(grid.dim):
-        out = np.tensordot(out, grid.trapezoid_weights(axis), axes=([0], [0]))
     if time_window is None:
         wt = grid.time_weights()
     else:
         wt = grid.time_weights(*time_window)
-    return float(np.dot(out, wt))
+    return trapezoid_sum(grid, values, time_weights=wt)
 
 
 def _time_window(grid: Grid, eps: float | None) -> tuple[int, int] | None:
@@ -76,11 +71,11 @@ def norm_spatial(grid: Grid, values: np.ndarray, kind: str = "L2") -> float:
         raise ValueError(
             f"spatial shape {values.shape} does not match {grid.shape_space}"
         )
-    total = _spatial_sq(grid, values)
+    total = trapezoid_sum(grid, values * values)
     if kind == "L2":
         return float(np.sqrt(total))
-    firsts = [first_derivative(values, i, grid.h[i]) for i in range(grid.dim)]
-    total += sum(_spatial_sq(grid, g) for g in firsts)
+    firsts = gradient(grid, values)
+    total += sum(trapezoid_sum(grid, g * g) for g in firsts)
     if kind == "H1":
         return float(np.sqrt(total))
     if kind != "H2":
@@ -91,15 +86,8 @@ def norm_spatial(grid: Grid, values: np.ndarray, kind: str = "L2") -> float:
                 d2 = second_derivative(values, i, grid.h[i])
             else:
                 d2 = first_derivative(firsts[i], j, grid.h[j])
-            total += _spatial_sq(grid, d2)
+            total += trapezoid_sum(grid, d2 * d2)
     return float(np.sqrt(total))
-
-
-def _spatial_sq(grid: Grid, values: np.ndarray) -> float:
-    out = np.asarray(values, dtype=float) ** 2
-    for axis in range(grid.dim):
-        out = np.tensordot(out, grid.trapezoid_weights(axis), axes=([0], [0]))
-    return float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +111,7 @@ def norm(field: Field, kind: str = "L2", *, eps: float | None = None) -> float:
     if kind == "L2":
         return float(np.sqrt(total))
 
-    firsts = [first_derivative(v, i, g.h[i]) for i in range(g.dim)]
+    firsts = gradient(g, v)
     vt = first_derivative(v, g.dim, g.tau)
     for gcomp in firsts:
         total += weighted_sum(g, gcomp * gcomp, window)
@@ -152,14 +140,6 @@ def norm(field: Field, kind: str = "L2", *, eps: float | None = None) -> float:
 # face norms
 
 
-def _trace_sq(btrace: BoundaryTrace, values: np.ndarray) -> float:
-    g = btrace.grid
-    out = np.asarray(values, dtype=float)
-    for axis in btrace.tangential_axes:
-        out = np.tensordot(out, g.trapezoid_weights(axis), axes=([0], [0]))
-    return float(np.dot(out, g.time_weights()))
-
-
 def trace_norm(btrace: BoundaryTrace, kind: str = "L2") -> float:
     """``L2``, ``H^{1,0}`` or ``H^{2,1}`` norm of boundary data on its face.
 
@@ -170,23 +150,24 @@ def trace_norm(btrace: BoundaryTrace, kind: str = "L2") -> float:
     """
     v = btrace.values
     g = btrace.grid
-    total = _trace_sq(btrace, v * v)
+    tangential = btrace.tangential_axes
+    wt = g.time_weights()
+    total = trapezoid_sum(g, v * v, tangential, wt)
     if kind == "L2":
         return float(np.sqrt(total))
 
-    tangential = btrace.tangential_axes
     firsts = {}
     for pos, axis in enumerate(tangential):
         d = first_derivative(v, pos, g.h[axis])
         firsts[axis] = (pos, d)
-        total += _trace_sq(btrace, d * d)
+        total += trapezoid_sum(g, d * d, tangential, wt)
     if kind == "H10":
         return float(np.sqrt(total))
     if kind != "H21":
         raise ValueError(f"unknown trace norm kind {kind!r}")
 
     vt = first_derivative(v, v.ndim - 1, g.tau)
-    total += _trace_sq(btrace, vt * vt)
+    total += trapezoid_sum(g, vt * vt, tangential, wt)
     for axis_a in tangential:
         pos_a, da = firsts[axis_a]
         for axis_b in tangential:
@@ -195,19 +176,5 @@ def trace_norm(btrace: BoundaryTrace, kind: str = "L2") -> float:
                 d2 = second_derivative(v, pos_a, g.h[axis_a])
             else:
                 d2 = first_derivative(da, pos_b, g.h[axis_b])
-            total += _trace_sq(btrace, d2 * d2)
-    return float(np.sqrt(total))
-
-
-def lateral_norm(field: Field, kind: str = "H21", *, face: Face | None = None) -> float:
-    """Face norm of a volume field; ``face=None`` sums over all faces.
-
-    Agrees exactly with :func:`trace_norm` applied to the field's Dirichlet
-    trace on each face.
-    """
-    g = field.grid
-    faces = [face] if face is not None else list(g.faces())
-    total = 0.0
-    for f in faces:
-        total += trace_norm(trace(field, "dirichlet", f), kind) ** 2
+            total += trapezoid_sum(g, d2 * d2, tangential, wt)
     return float(np.sqrt(total))

@@ -36,13 +36,14 @@ from .grid import (
     Grid,
     dt as field_dt,
     dtt as field_dtt,
+    divergence,
     first_derivative,
+    grad_sq,
     gradient,
     interior_mask,
     laplacian,
-    integrate_spatial,
-    second_derivative,
     time_integral_from_t0,
+    trapezoid_sum,
 )
 from .kernels import Kernel, GaussianProduct, apply_kernel, apply_kernel_spatial, apply_G
 from .mfg import MFGTriple, PicardNonConvergence, ProblemSpec, solve_mfg_picard
@@ -122,7 +123,7 @@ class DifferencePack:
 
     def reconstruction_identity_residual(self) -> float:
         """Max defect of u~ = u0~ + cumulative integral of v (quadrature check)."""
-        rebuilt = time_integral_from_t0(self.v).values + self.u0_tilde[..., None]
+        rebuilt = time_integral_from_t0(self.grid, self.v.values) + self.u0_tilde[..., None]
         return float(np.max(np.abs(rebuilt - self.u_tilde.values)))
 
 
@@ -161,15 +162,9 @@ def form_difference(
 # reconstruction of the coefficient difference
 
 
-def _central_gradient(grid: Grid, arr: np.ndarray) -> list[np.ndarray]:
-    return [first_derivative(arr, axis, grid.h[axis]) for axis in range(grid.dim)]
-
-
 def _inverse_grad_sq(grid: Grid, u01: np.ndarray, c: float) -> np.ndarray:
     """1 / |grad u_1(., T/2)|^2 with the flatness guard."""
-    total = np.zeros(grid.shape_space)
-    for comp in _central_gradient(grid, u01):
-        total += comp * comp
+    total = grad_sq(grid, u01)
     worst = float(np.min(total))
     if worst < 2.0 * c:
         j = np.unravel_index(np.argmin(total), total.shape)
@@ -189,36 +184,22 @@ def compute_F(
     f: Field,
     *,
     c: float = 1e-8,
-    f_time: str = "central",
 ) -> np.ndarray:
     """Snapshot part of the coefficient reconstruction.
 
     F = 2 P [Lap u0~ + (K m0~) + f(., T/2) m0~] - P k2 grad u0~ . grad(u01 + u02),
-    P = |grad u01|^{-2}.  ``f_time`` selects which time level of f multiplies
-    m0~: "central" (the time the equation is evaluated at, default) or
-    "initial" (kept selectable because the two choices are a live
-    discrepancy; they coincide for time-constant f).
+    P = |grad u01|^{-2}, with f taken at the central time, where the
+    equation is evaluated.
     """
     g = pack.grid
-    if f_time not in ("central", "initial"):
-        raise ValueError("f_time must be 'central' or 'initial'")
     p = _inverse_grad_sq(g, u01, c)
     km0 = apply_kernel_spatial(kernel, g, pack.m0_tilde)
-    f_slice = f.values[..., g.index_t0 if f_time == "central" else 0]
-    lap0 = _nodal_laplacian(g, pack.u0_tilde)
+    f_slice = f.values[..., g.index_t0]
+    lap0 = laplacian(g, pack.u0_tilde)
     cross = np.zeros(g.shape_space)
-    for d0, ds in zip(
-        _central_gradient(g, pack.u0_tilde), _central_gradient(g, u01 + u02)
-    ):
+    for d0, ds in zip(gradient(g, pack.u0_tilde), gradient(g, u01 + u02)):
         cross += d0 * ds
     return 2.0 * p * (lap0 + km0 + f_slice * pack.m0_tilde) - p * k2 * cross
-
-
-def _nodal_laplacian(grid: Grid, arr: np.ndarray) -> np.ndarray:
-    out = np.zeros(arr.shape)
-    for axis in range(grid.dim):
-        out += second_derivative(arr, axis, grid.h[axis])
-    return out
 
 
 def reconstruct_k_tilde(
@@ -258,7 +239,7 @@ def _shifted_reconstructions(
     """2 P (v(., t) - int_{T/2}^t w dtau) + F at each of ``times``."""
     g = pack.grid
     p = _inverse_grad_sq(g, u01, c)
-    iw = time_integral_from_t0(pack.w).values
+    iw = time_integral_from_t0(g, pack.w.values)
     out = []
     for t in times:
         j = g.index_of_time(t)
@@ -286,13 +267,6 @@ def reconstruction_spread(
 
 # ---------------------------------------------------------------------------
 # derived-system residuals
-
-
-def _nodal_div(grid: Grid, comps: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.zeros(comps[0].shape)
-    for axis, comp in enumerate(comps):
-        out += first_derivative(comp, axis, grid.h[axis])
-    return out
 
 
 def _masked_norms(
@@ -334,9 +308,9 @@ def residual_derived_system(
     fv = f.values
 
     if which == "value-diff":
-        grads_ut = [comp.values for comp in gradient(pack.u_tilde)]
-        grads_u1 = [comp.values for comp in gradient(t1.u)]
-        grads_u2 = [comp.values for comp in gradient(t2.u)]
+        grads_ut = gradient(g, pack.u_tilde.values)
+        grads_u1 = gradient(g, t1.u.values)
+        grads_u2 = gradient(g, t2.u.values)
         cross = np.zeros(g.shape)
         grad1_sq = np.zeros(g.shape)
         for du, d1, d2 in zip(grads_ut, grads_u1, grads_u2):
@@ -344,7 +318,7 @@ def residual_derived_system(
             grad1_sq += d1 * d1
         res = (
             pack.v.values
-            + laplacian(pack.u_tilde).values
+            + laplacian(g, pack.u_tilde.values)
             + apply_kernel(kernel, pack.m_tilde).values
             + fv * pack.m_tilde.values
             - 0.5 * k2[..., None] * cross
@@ -353,15 +327,15 @@ def residual_derived_system(
         return _masked_norms(g, res, eps=eps)
 
     if which == "density-diff":
-        grads_u1 = [comp.values for comp in gradient(t1.u)]
-        grads_ut = [comp.values for comp in gradient(pack.u_tilde)]
+        grads_u1 = gradient(g, t1.u.values)
+        grads_ut = gradient(g, pack.u_tilde.values)
         kb = k2[..., None]
-        div1 = _nodal_div(g, [kb * pack.m_tilde.values * d1 for d1 in grads_u1])
-        div2 = _nodal_div(g, [kb * t2.m.values * du for du in grads_ut])
-        div3 = _nodal_div(
+        div1 = divergence(g, [kb * pack.m_tilde.values * d1 for d1 in grads_u1])
+        div2 = divergence(g, [kb * t2.m.values * du for du in grads_ut])
+        div3 = divergence(
             g, [pack.k_tilde[..., None] * t1.m.values * d1 for d1 in grads_u1]
         )
-        res = pack.q.values - laplacian(pack.m_tilde).values - div1 - div2 - div3
+        res = pack.q.values - laplacian(g, pack.m_tilde.values) - div1 - div2 - div3
         return _masked_norms(g, res, eps=eps)
 
     # the four substituted equations share this preparation
@@ -371,18 +345,16 @@ def residual_derived_system(
     F = compute_F(pack, u01, u02, k2, kernel, f, c=c)
     ft = field_dt(f).values
     ftt = field_dtt(f).values
-    grads_u1 = [comp.values for comp in gradient(t1.u)]
-    grads_u2 = [comp.values for comp in gradient(t2.u)]
+    grads_u1 = gradient(g, t1.u.values)
+    grads_u2 = gradient(g, t2.u.values)
     s_comps = [d1 + d2 for d1, d2 in zip(grads_u1, grads_u2)]
     s_t = [first_derivative(s, g.dim, g.tau) for s in s_comps]
     grads_u1t = [first_derivative(d1, g.dim, g.tau) for d1 in grads_u1]
-    iq = time_integral_from_t0(pack.q).values
-    iv_grad = [
-        time_integral_from_t0(comp).values for comp in gradient(pack.v)
-    ]
-    iw = time_integral_from_t0(pack.w).values
+    iq = time_integral_from_t0(g, pack.q.values)
+    iv_grad = [time_integral_from_t0(g, comp) for comp in gradient(g, pack.v.values)]
+    iw = time_integral_from_t0(g, pack.w.values)
     v_shift = pack.v.values - iw
-    grads_u0t = _central_gradient(g, pack.u0_tilde)
+    grads_u0t = gradient(g, pack.u0_tilde)
     kb = k2[..., None]
     pb = p[..., None]
     fb = F[..., None]
@@ -392,13 +364,13 @@ def residual_derived_system(
         d1_mix = np.zeros(g.shape)
         for a, b in zip(grads_u1, grads_u1t):
             d1_mix += a * b
-        grads_v = [comp.values for comp in gradient(pack.v)]
+        grads_v = gradient(g, pack.v.values)
         dot_v_s = sum(gv * s for gv, s in zip(grads_v, s_comps))
         dot_iv_st = sum(ivc * st for ivc, st in zip(iv_grad, s_t))
         dot_u0_st = sum(d0[..., None] * st for d0, st in zip(grads_u0t, s_t))
         res = (
             field_dt(pack.v).values
-            + laplacian(pack.v).values
+            + laplacian(g, pack.v.values)
             + apply_kernel(kernel, pack.q).values
             + fv * pack.q.values
             + ft * iq
@@ -415,15 +387,15 @@ def residual_derived_system(
         d2_mix = np.zeros(g.shape)
         for a, b, bt in zip(grads_u1, grads_u1tt, grads_u1t):
             d2_mix += bt * bt + a * b
-        grads_w = [comp.values for comp in gradient(pack.w)]
-        grads_v = [comp.values for comp in gradient(pack.v)]
+        grads_w = gradient(g, pack.w.values)
+        grads_v = gradient(g, pack.v.values)
         dot_w_s = sum(gw * s for gw, s in zip(grads_w, s_comps))
         dot_v_st = sum(gv * st for gv, st in zip(grads_v, s_t))
         dot_iv_stt = sum(ivc * stt for ivc, stt in zip(iv_grad, s_tt))
         dot_u0_stt = sum(d0[..., None] * stt for d0, stt in zip(grads_u0t, s_tt))
         res = (
             field_dt(pack.w).values
-            + laplacian(pack.w).values
+            + laplacian(g, pack.w.values)
             + apply_kernel(kernel, pack.r).values
             + 2.0 * ft * pack.q.values
             + fv * pack.r.values
@@ -441,18 +413,18 @@ def residual_derived_system(
     flux1_t = [first_derivative(fx, g.dim, g.tau) for fx in flux1]
 
     if which == "density-dt":
-        grads_v = [comp.values for comp in gradient(pack.v)]
+        grads_v = gradient(g, pack.v.values)
         res = (
             field_dt(pack.q).values
-            - laplacian(pack.q).values
-            - _nodal_div(g, [kb * pack.q.values * d1 for d1 in grads_u1])
-            - _nodal_div(g, [kb * iq * d1t for d1t in grads_u1t])
-            - _nodal_div(g, [kb * t2.m.values * gv for gv in grads_v])
-            - _nodal_div(g, [kb * m2t * ivc for ivc in iv_grad])
-            - _nodal_div(g, [2.0 * pb * v_shift * fx for fx in flux1_t])
-            - _nodal_div(g, [fb * fx for fx in flux1_t])
-            - _nodal_div(g, [kb * m0b * d1t for d1t in grads_u1t])
-            - _nodal_div(g, [kb * m2t * d0[..., None] for d0 in grads_u0t])
+            - laplacian(g, pack.q.values)
+            - divergence(g, [kb * pack.q.values * d1 for d1 in grads_u1])
+            - divergence(g, [kb * iq * d1t for d1t in grads_u1t])
+            - divergence(g, [kb * t2.m.values * gv for gv in grads_v])
+            - divergence(g, [kb * m2t * ivc for ivc in iv_grad])
+            - divergence(g, [2.0 * pb * v_shift * fx for fx in flux1_t])
+            - divergence(g, [fb * fx for fx in flux1_t])
+            - divergence(g, [kb * m0b * d1t for d1t in grads_u1t])
+            - divergence(g, [kb * m2t * d0[..., None] for d0 in grads_u0t])
         )
         return _masked_norms(g, res, eps=eps)
 
@@ -460,21 +432,21 @@ def residual_derived_system(
         m2tt = field_dtt(t2.m).values
         grads_u1tt = [first_derivative(d, g.dim, g.tau) for d in grads_u1t]
         flux1_tt = [first_derivative(fx, g.dim, g.tau) for fx in flux1_t]
-        grads_v = [comp.values for comp in gradient(pack.v)]
-        grads_w = [comp.values for comp in gradient(pack.w)]
+        grads_v = gradient(g, pack.v.values)
+        grads_w = gradient(g, pack.w.values)
         res = (
             field_dt(pack.r).values
-            - laplacian(pack.r).values
-            - _nodal_div(g, [kb * pack.r.values * d1 for d1 in grads_u1])
-            - 2.0 * _nodal_div(g, [kb * pack.q.values * d1t for d1t in grads_u1t])
-            - _nodal_div(g, [kb * iq * d1tt for d1tt in grads_u1tt])
-            - _nodal_div(g, [kb * t2.m.values * gw for gw in grads_w])
-            - 2.0 * _nodal_div(g, [kb * m2t * gv for gv in grads_v])
-            - _nodal_div(g, [kb * m2tt * ivc for ivc in iv_grad])
-            - _nodal_div(g, [2.0 * pb * v_shift * fx for fx in flux1_tt])
-            - _nodal_div(g, [fb * fx for fx in flux1_tt])
-            - _nodal_div(g, [kb * m0b * d1tt for d1tt in grads_u1tt])
-            - _nodal_div(g, [kb * m2tt * d0[..., None] for d0 in grads_u0t])
+            - laplacian(g, pack.r.values)
+            - divergence(g, [kb * pack.r.values * d1 for d1 in grads_u1])
+            - 2.0 * divergence(g, [kb * pack.q.values * d1t for d1t in grads_u1t])
+            - divergence(g, [kb * iq * d1tt for d1tt in grads_u1tt])
+            - divergence(g, [kb * t2.m.values * gw for gw in grads_w])
+            - 2.0 * divergence(g, [kb * m2t * gv for gv in grads_v])
+            - divergence(g, [kb * m2tt * ivc for ivc in iv_grad])
+            - divergence(g, [2.0 * pb * v_shift * fx for fx in flux1_tt])
+            - divergence(g, [fb * fx for fx in flux1_tt])
+            - divergence(g, [kb * m0b * d1tt for d1tt in grads_u1tt])
+            - divergence(g, [kb * m2tt * d0[..., None] for d0 in grads_u0t])
         )
         return _masked_norms(g, res, time_ring=3, eps=eps)
 
@@ -496,8 +468,7 @@ class InequalityReport:
 
 
 def _abs_time_integral(field_values: np.ndarray, grid: Grid) -> np.ndarray:
-    f = Field(grid, np.abs(field_values), _copy=False)
-    return np.abs(time_integral_from_t0(f).values)
+    return np.abs(time_integral_from_t0(grid, np.abs(field_values)))
 
 
 def _g_term(kernel: Kernel, field: Field) -> np.ndarray:
@@ -508,7 +479,7 @@ def _g_term(kernel: Kernel, field: Field) -> np.ndarray:
         out = np.empty(g.shape)
         absv = np.abs(field.values)
         for j in range(g.nt):
-            out[..., j] = integrate_spatial(g, absv[..., j])
+            out[..., j] = trapezoid_sum(g, absv[..., j])
         return out
     return apply_G(kernel, field).values
 
@@ -536,13 +507,10 @@ def check_inequality(
     v, q, w, r = pack.v, pack.q, pack.w, pack.r
 
     def grad_abs(f: Field) -> np.ndarray:
-        total = np.zeros(g.shape)
-        for comp in gradient(f):
-            total += comp.values**2
-        return np.sqrt(total)
+        return np.sqrt(grad_sq(g, f.values))
 
     if which == "v":
-        lhs = np.abs(field_dt(v).values + laplacian(v).values)
+        lhs = np.abs(field_dt(v).values + laplacian(g, v.values))
         bracket = (
             grad_abs(v)
             + np.abs(v.values)
@@ -554,7 +522,7 @@ def check_inequality(
         )
     elif which == "q":
         gv = grad_abs(v)
-        lapv = np.abs(laplacian(v).values)
+        lapv = np.abs(laplacian(g, v.values))
         bracket = (
             grad_abs(q)
             + np.abs(q.values)
@@ -564,9 +532,9 @@ def check_inequality(
             + _abs_time_integral(lapv + gv, g)
             + _abs_time_integral(grad_abs(w) + np.abs(w.values), g)
         )
-        lhs = np.abs(field_dt(q).values - laplacian(q).values)
+        lhs = np.abs(field_dt(q).values - laplacian(g, q.values))
     elif which == "w":
-        lhs = np.abs(field_dt(w).values + laplacian(w).values)
+        lhs = np.abs(field_dt(w).values + laplacian(g, w.values))
         bracket = (
             grad_abs(w)
             + np.abs(w.values)
@@ -581,9 +549,9 @@ def check_inequality(
         )
     else:
         gv = grad_abs(v)
-        lapv = np.abs(laplacian(v).values)
+        lapv = np.abs(laplacian(g, v.values))
         gw = grad_abs(w)
-        lhs = np.abs(field_dt(r).values - laplacian(r).values)
+        lhs = np.abs(field_dt(r).values - laplacian(g, r.values))
         bracket = (
             grad_abs(r)
             + np.abs(r.values)
@@ -592,7 +560,7 @@ def check_inequality(
             + lapv
             + gv
             + np.abs(v.values)
-            + np.abs(laplacian(w).values)
+            + np.abs(laplacian(g, w.values))
             + gw
             + np.abs(w.values)
             + _abs_time_integral(lapv + gv + np.abs(v.values), g)

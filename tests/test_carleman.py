@@ -173,15 +173,15 @@ def _reference_rows(u, sign, lambdas, alpha, restricted):
         logw = 2.0 * lam * (x1**2 - alpha * (t - prism.T / 2.0) ** 2)
         phi_s = np.exp(logw - 2.0 * lam * prism.b**2)
         ut = dt(u).values
-        op = ut + sign * laplacian(u).values
+        op = ut + sign * laplacian(g, u.values)
         rows["lhs"].append(weighted_sum(g, op * op * phi_s))
         grad_sq = np.zeros(g.shape)
-        for comp in gradient(u):
-            grad_sq += comp.values * comp.values
+        for comp in gradient(g, u.values):
+            grad_sq += comp * comp
         second_sq = np.zeros(g.shape)
         for i in range(g.dim):
             for j in range(g.dim):
-                d = mixed_xixj(u, i, j).values
+                d = mixed_xixj(g, u.values, i, j)
                 second_sq += d * d
         main = (1.0 / lam) * weighted_sum(g, (ut * ut + second_sq) * phi_s)
         main += weighted_sum(g, (lam * grad_sq + lam**3 * u.values * u.values) * phi_s)

@@ -297,13 +297,25 @@ class TestConfigErrors:
         assert res.returncode == 1
         assert "cannot read config" in res.stderr
 
-    def test_bad_damping(self, tmp_path):
+    @pytest.mark.parametrize("command", ["forward", "sweep"])
+    def test_bad_damping(self, tmp_path, command):
+        for damping in (1.5, None):
+            cfg = write_config(
+                tmp_path, {**FAST_CONFIG, "solver": {"damping": damping}}
+            )
+            res = run_cli(command, "--config", cfg, cwd=str(tmp_path))
+            assert res.returncode == 1
+            assert res.stderr == "config error: solver.damping must lie in (0, 1]\n"
+
+    def test_kernel_above_declared_bound(self, tmp_path):
         cfg = write_config(
-            tmp_path, {**FAST_CONFIG, "solver": {"damping": 1.5}}
+            tmp_path, {**FAST_CONFIG, "kernel": {"amplitude": 5.0, "n1": 1}}
         )
-        res = run_cli("forward", "--config", cfg, cwd=str(tmp_path))
+        res = run_cli("manufacture", "--config", cfg, cwd=str(tmp_path))
         assert res.returncode == 1
-        assert "solver.damping must lie in (0, 1]" in res.stderr
+        assert res.stderr == (
+            "config error: kernel: sampled kernel magnitude 5.0 exceeds the declared bound 1\n"
+        )
 
     def test_unknown_kernel_profile(self, tmp_path):
         cfg = write_config(

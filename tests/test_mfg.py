@@ -22,7 +22,6 @@ from mfglab.mfg import (
     PicardNonConvergence,
     ProblemSpec,
     bump_form,
-    constant_boundary,
     dirichlet_data,
     manufacture_triple,
     quadratic_form,
@@ -50,7 +49,7 @@ def heat_problem(nx: int, nt: int):
         u_terminal=np.zeros(nx),
         m_initial=m0,
         u_boundary=dirichlet_data(u_const),
-        m_boundary=constant_boundary(g, 2.0),
+        m_boundary=dirichlet_data(sample_field(g, lambda x, t: 2.0 + 0 * x + 0 * t)),
     )
     exact = (
         2.0
@@ -93,10 +92,10 @@ class TestClosedForms:
             field_dt(u).values, np.broadcast_to(form.d_t(*mesh), g.shape), atol=1e-10
         )
         np.testing.assert_allclose(
-            gradient(u)[0].values, np.broadcast_to(form.grad[0](*mesh), g.shape), atol=1e-10
+            gradient(g, u.values)[0], np.broadcast_to(form.grad[0](*mesh), g.shape), atol=1e-10
         )
         np.testing.assert_allclose(
-            laplacian(u).values, np.broadcast_to(form.lap(*mesh), g.shape), atol=1e-9
+            laplacian(g, u.values), np.broadcast_to(form.lap(*mesh), g.shape), atol=1e-9
         )
 
     def test_steady_density_positive_and_normalized_shape(self):
@@ -119,7 +118,7 @@ class TestFokkerPlanck:
             u_terminal=np.zeros(33),
             m_initial=np.full(33, 2.0),
             u_boundary=dirichlet_data(u_const),
-            m_boundary=constant_boundary(g, 2.0),
+            m_boundary=dirichlet_data(sample_field(g, lambda x, t: 2.0 + 0 * x + 0 * t)),
         )
         m = solve_fokker_planck(spec, np.ones(33), u_const)
         assert np.max(np.abs(m.values - 2.0)) < 1e-13
@@ -184,7 +183,7 @@ class TestHJB:
             u_terminal=np.sin(np.pi * (g.axis_coords(0) - 1.0)),
             m_initial=np.ones(33),
             u_boundary=zero_tr,
-            m_boundary=constant_boundary(g, 1.0),
+            m_boundary=dirichlet_data(sample_field(g, lambda x, t: 1.0 + 0 * x + 0 * t)),
         )
         u = solve_hjb(spec, np.zeros(33), sample_field(g, lambda x, t: 1.0 + 0 * x + 0 * t))
         exact = (
@@ -352,7 +351,7 @@ class TestSpecValidation:
             u_terminal=np.zeros(33),
             m_initial=np.ones(33),
             u_boundary=dirichlet_data(u_const),
-            m_boundary=constant_boundary(g, 1.0),
+            m_boundary=dirichlet_data(sample_field(g, lambda x, t: 1.0 + 0 * x + 0 * t)),
         )
         ProblemSpec(**good)
         with pytest.raises(ValueError, match="spatial shape"):

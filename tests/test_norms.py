@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mfglab.grid import Face, Prism, make_grid, sample_field, trace
-from mfglab.norms import lateral_norm, norm, norm_spatial, trace_norm, weighted_sum
+from mfglab.norms import norm, norm_spatial, trace_norm, weighted_sum
 
 
 @pytest.fixture
@@ -77,14 +77,3 @@ class TestTraceNorms:
         # trace is 2t: L2^2 = 4/3, H21^2 adds the 4 units of d/dt = 2
         assert l2**2 == pytest.approx(4.0 / 3, rel=1e-3)
         assert h21**2 == pytest.approx(4.0 / 3 + 4.0, rel=1e-3)
-
-    def test_lateral_norm_sums_faces(self, grid):
-        u = sample_field(grid, lambda x, t: x + 0 * t)
-        total = lateral_norm(u, "L2")
-        per_face = [trace_norm(trace(u, "dirichlet", f), "L2") for f in grid.faces()]
-        assert total == pytest.approx(np.sqrt(sum(v**2 for v in per_face)), rel=1e-12)
-
-    def test_lateral_norm_single_face(self, grid):
-        u = sample_field(grid, lambda x, t: x + 0 * t)
-        got = lateral_norm(u, "L2", face=Face(0, 1))
-        assert got == pytest.approx(2.0, rel=1e-12)

@@ -122,19 +122,6 @@ class TestReconstruction:
         with pytest.raises(NondegeneracyError, match="dips to"):
             compute_F(pack, flat, flat, pair["k2"], KERNEL, pair["f"])
 
-    def test_f_time_selector(self, pair, pack, recon):
-        u01, u02, F = recon
-        with pytest.raises(ValueError, match="f_time must be"):
-            compute_F(pack, u01, u02, pair["k2"], KERNEL, pair["f"], f_time="final")
-        F_init = compute_F(
-            pack, u01, u02, pair["k2"], KERNEL, pair["f"], f_time="initial"
-        )
-        # the manufactured source is genuinely time-dependent, so the two
-        # conventions measurably disagree
-        assert float(np.max(np.abs(F - F_init))) == pytest.approx(
-            0.015678785571338463, rel=1e-6
-        )
-
 
 class TestDerivedResiduals:
     # trimmed (eps = 0.2) L2 residuals of the six derived equations on the
