@@ -71,6 +71,14 @@ __all__ = [
 LAMBDA_MAX = 64.0
 _OVERFLOW_EXPONENT = 700.0
 FAMILY_SEED = 0x5EED
+# both operators d_t + Lap and d_t - Lap
+_SIGNS = (1, -1)
+# u must vanish to this tolerance off the outflow face in the restricted check
+_RESTRICTED_TOL = 1e-10
+# verify_lemma's flatness cap on max/min of a kernel ratio, and the window
+# of log-log slopes the time-integral ratio must fall in
+_SPREAD_CAP = 10.0
+_SLOPE_WINDOW = (-1.15, -0.85)
 
 
 @dataclass(frozen=True)
@@ -98,23 +106,19 @@ class CarlemanReport:
     """Per-lambda terms of the functional check, in shared rescaled units.
 
     ``lhs``, ``main``, ``boundary`` and ``negligible`` are all divided by
-    exp(log_scale) for the row's lambda; ``main``/``boundary``/``negligible``
-    are the C0-free brackets (multiply by C0 to get the inequality's right
-    side).  ``negligible_log`` is the natural log of the unscaled negligible
+    exp(2 lam b^2), the weight's peak, for the row's lambda;
+    ``main``/``boundary``/``negligible`` are the C0-free brackets (multiply
+    by C0 to get the inequality's right side).  ``negligible_log`` is the natural log of the unscaled negligible
     term, kept separately because the scaled value underflows by design.
     """
 
     lambdas: tuple[float, ...]
-    log_scales: tuple[float, ...]
     lhs: tuple[float, ...]
     main: tuple[float, ...]
     boundary: tuple[float, ...]
     negligible: tuple[float, ...]
     negligible_log: tuple[float, ...]
-    c0: float | None
-    lambda0: float | None
     passed: tuple[bool, ...]
-    decay_flag: bool
     sign: int
     restricted: bool
 
@@ -223,12 +227,12 @@ def _passes(row: dict, c0: float) -> bool:
     return row["lhs"] - rhs >= -slack
 
 
-def _check_restricted_precondition(u: Field, tol: float = 1e-10) -> None:
+def _check_restricted_precondition(u: Field) -> None:
     for f in u.grid.faces():
         if f.axis == 0 and f.side == +1:
             continue
         worst = float(np.max(np.abs(trace(u, "dirichlet", f).values)))
-        if worst > tol:
+        if worst > _RESTRICTED_TOL:
             raise ValueError(
                 f"restricted functional requires u = 0 off the outflow face; "
                 f"max |u| = {worst:.3e} on face {f.label}"
@@ -287,7 +291,6 @@ def _functional_rows(
             sign_rows.append(
                 {
                     "lam": lam,
-                    "log_scale": log_scale,
                     "lhs": float(weighted_sum(g, sq * phi_s)),
                     "main": float(main),
                     "boundary": float(boundary),
@@ -299,28 +302,18 @@ def _functional_rows(
 
 
 def _build_report(
-    rows: list[dict],
-    c0: float | None,
-    lambda0: float | None,
-    *,
-    decay_flag: bool,
-    sign: int,
-    restricted: bool,
+    rows: list[dict], c0: float | None, *, sign: int, restricted: bool
 ) -> CarlemanReport:
     rows = sorted(rows, key=lambda r: r["lam"])
     passed = tuple(_passes(r, c0) if c0 is not None else True for r in rows)
     return CarlemanReport(
         lambdas=tuple(r["lam"] for r in rows),
-        log_scales=tuple(r["log_scale"] for r in rows),
         lhs=tuple(r["lhs"] for r in rows),
         main=tuple(r["main"] for r in rows),
         boundary=tuple(r["boundary"] for r in rows),
         negligible=tuple(r["negligible"] for r in rows),
         negligible_log=tuple(r["negligible_log"] for r in rows),
-        c0=c0,
-        lambda0=lambda0,
         passed=passed,
-        decay_flag=decay_flag,
         sign=sign,
         restricted=restricted,
     )
@@ -351,14 +344,7 @@ def carleman_sweep(
     face; otherwise a ValueError is raised.
     """
     (rows,) = _functional_rows(u, (sign,), lambdas, alpha, restricted=restricted)
-    return _build_report(
-        rows,
-        c0_candidate,
-        min(lambdas),
-        decay_flag=CarlemanParams(min(lambdas), alpha).negligible_decays(u.grid.prism),
-        sign=sign,
-        restricted=restricted,
-    )
+    return _build_report(rows, c0_candidate, sign=sign, restricted=restricted)
 
 
 def estimate_c0(
@@ -366,7 +352,6 @@ def estimate_c0(
     alpha: float,
     lambdas: Sequence[float],
     *,
-    signs: Sequence[int] = (1, -1),
     restricted: bool = False,
 ) -> tuple[float | None, float, list[CarlemanReport]]:
     """Infimum of lhs/bracket over the family, both operators, all lambdas.
@@ -382,14 +367,9 @@ def estimate_c0(
     reports: list[CarlemanReport] = []
     caps = []
     for u in members:
-        decay_flag = CarlemanParams(lambdas[0], alpha).negligible_decays(u.grid.prism)
-        member_rows = _functional_rows(u, signs, lambdas, alpha, restricted=restricted)
-        for sign, rows in zip(signs, member_rows):
-            reports.append(
-                _build_report(
-                    rows, None, None, decay_flag=decay_flag, sign=sign, restricted=restricted
-                )
-            )
+        member_rows = _functional_rows(u, _SIGNS, lambdas, alpha, restricted=restricted)
+        for sign, rows in zip(_SIGNS, member_rows):
+            reports.append(_build_report(rows, None, sign=sign, restricted=restricted))
             for row in rows:
                 bracket = row["main"] - row["boundary"] - row["negligible"]
                 if bracket > 0.0:
@@ -462,19 +442,17 @@ def verify_lemma(
     kernel: Kernel | None = None,
     alpha: float,
     lambdas: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
-    spread_cap: float = 10.0,
-    slope_window: tuple[float, float] = (-1.15, -0.85),
 ) -> LemmaReport:
     """Numerical check of one of the three weighted integral lemmas.
 
     "spatial" and "causal" bound the weighted energy of the kernel integral
     of h by the weighted energy of h; the check computes ratio(lam) and
     asserts both boundedness (reported as the empirical constant) and
-    flatness across the sweep (max/min <= spread_cap).  "time-integral"
-    bounds the energy of the running time integral from T/2 by (1/lam)
-    times the energy of h; the check reports the lam-normalized ratio and
-    asserts the log-log slope of the raw ratio against lambda lies in
-    ``slope_window``.
+    flatness across the sweep (max/min <= _SPREAD_CAP = 10).
+    "time-integral" bounds the energy of the running time integral from T/2
+    by (1/lam) times the energy of h; the check reports the lam-normalized
+    ratio and asserts the log-log slope of the raw ratio against lambda
+    lies in _SLOPE_WINDOW = [-1.15, -0.85].
 
     An identically-zero h is degenerate: ratios are zero and no assertion is
     made (passed is None).
@@ -518,7 +496,7 @@ def verify_lemma(
         slope = float(
             np.polyfit(np.log(np.asarray(lambdas)), np.log(np.asarray(raw)), 1)[0]
         )
-        passed = slope_window[0] <= slope <= slope_window[1]
+        passed = _SLOPE_WINDOW[0] <= slope <= _SLOPE_WINDOW[1]
         return LemmaReport(which, tuple(lambdas), ratios, c_bound, None, slope, passed, False)
 
     ratios = tuple(raw)
@@ -527,5 +505,5 @@ def verify_lemma(
         return LemmaReport(which, tuple(lambdas), ratios, c_bound, None, None, None, True)
     spread = max(ratios) / min(ratios)
     return LemmaReport(
-        which, tuple(lambdas), ratios, c_bound, spread, None, spread <= spread_cap, False
+        which, tuple(lambdas), ratios, c_bound, spread, None, spread <= _SPREAD_CAP, False
     )

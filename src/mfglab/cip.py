@@ -120,12 +120,8 @@ class CIPData:
         return {"g0": self.g0, "g1": self.g1, "p0": self.p0, "p1": self.p1}
 
 
-def _trace_family(field: Field, face: Face, kind: str) -> tuple[BoundaryTrace, ...]:
-    return (
-        trace(field, kind, face),
-        trace(field_dt(field), kind, face),
-        trace(field_dtt(field), kind, face),
-    )
+def _trace_family(levels: tuple[Field, ...], face: Face, kind: str) -> tuple[BoundaryTrace, ...]:
+    return tuple(trace(level, kind, face) for level in levels)
 
 
 def extract(triple: MFGTriple, completeness: str = "full") -> CIPData:
@@ -133,15 +129,18 @@ def extract(triple: MFGTriple, completeness: str = "full") -> CIPData:
     g = triple.grid
     t0 = g.prism.T / 2.0
     neumann_faces = list(g.faces()) if completeness == "full" else [OUTER_FACE]
+    # each field's s = 0, 1, 2 levels, differentiated once for every face
+    u = (triple.u, field_dt(triple.u), field_dtt(triple.u))
+    m = (triple.m, field_dt(triple.m), field_dtt(triple.m))
     return CIPData(
         grid=g,
         completeness=completeness,
         u0=snapshot(triple.u, t0),
         m0=snapshot(triple.m, t0),
-        g0={f: _trace_family(triple.u, f, "dirichlet") for f in g.faces()},
-        g1={f: _trace_family(triple.u, f, "neumann") for f in neumann_faces},
-        p0={f: _trace_family(triple.m, f, "dirichlet") for f in g.faces()},
-        p1={f: _trace_family(triple.m, f, "neumann") for f in neumann_faces},
+        g0={f: _trace_family(u, f, "dirichlet") for f in g.faces()},
+        g1={f: _trace_family(u, f, "neumann") for f in neumann_faces},
+        p0={f: _trace_family(m, f, "dirichlet") for f in g.faces()},
+        p1={f: _trace_family(m, f, "neumann") for f in neumann_faces},
     )
 
 
@@ -182,21 +181,20 @@ def _aggregate(tset_1: TraceSet, tset_2: TraceSet | None, s: int, kind: str) -> 
     return float(np.sqrt(total))
 
 
-def budget_lines(d1: CIPData, d2: CIPData | None = None, mode: str | None = None) -> dict[str, float]:
+def budget_lines(d1: CIPData, d2: CIPData | None = None) -> dict[str, float]:
     """Every norm line of the data budget, evaluated on d1 (or d1 - d2).
 
-    Full mode: u0 and m0 in H1, Dirichlet traces in H2,1 and Neumann traces
-    in H1,0 over all faces, each trace line per s.  Incomplete mode: u0 in
-    H2, m0 in H1, Neumann lines on the outer face only, and no Dirichlet
-    lines (those differences are required to vanish off the outer face,
-    checked by measure_delta).
+    The mode is ``d1.completeness``.  Full mode: u0 and m0 in H1, Dirichlet
+    traces in H2,1 and Neumann traces in H1,0 over all faces, each trace
+    line per s.  Incomplete mode: u0 in H2, m0 in H1, Neumann lines on the
+    outer face only, and no Dirichlet lines (those differences are required
+    to vanish off the outer face, checked by measure_delta).
     """
     g = d1.grid
-    mode = mode or d1.completeness
     u0 = d1.u0 if d2 is None else d1.u0 - d2.u0
     m0 = d1.m0 if d2 is None else d1.m0 - d2.m0
     lines: dict[str, float] = {}
-    if mode == "full":
+    if d1.completeness == "full":
         lines["u0"] = norm_spatial(g, u0, "H1")
         lines["m0"] = norm_spatial(g, m0, "H1")
         for s in range(3):
@@ -204,23 +202,28 @@ def budget_lines(d1: CIPData, d2: CIPData | None = None, mode: str | None = None
             lines[f"p0_s{s}"] = _aggregate(d1.p0, d2.p0 if d2 else None, s, "H21")
             lines[f"g1_s{s}"] = _aggregate(d1.g1, d2.g1 if d2 else None, s, "H10")
             lines[f"p1_s{s}"] = _aggregate(d1.p1, d2.p1 if d2 else None, s, "H10")
-    elif mode == "incomplete":
+    else:
         lines["u0"] = norm_spatial(g, u0, "H2")
         lines["m0"] = norm_spatial(g, m0, "H1")
         for s in range(3):
             lines[f"g1_s{s}"] = _aggregate(d1.g1, d2.g1 if d2 else None, s, "H10")
             lines[f"p1_s{s}"] = _aggregate(d1.p1, d2.p1 if d2 else None, s, "H10")
-    else:
-        raise ValueError("mode must be 'full' or 'incomplete'")
     return lines
 
 
-def measure_delta(d1: CIPData, d2: CIPData, mode: str | None = None) -> float:
-    """Experimental delta: the largest budget line of the difference."""
+def measure_delta(d1: CIPData, d2: CIPData) -> float:
+    """Experimental delta: the largest budget line of the difference.
+
+    The mode is the datasets' shared completeness; mixed completeness is
+    refused.
+    """
     if d1.grid != d2.grid:
         raise DataCompatibilityError("datasets live on different grids")
-    mode = mode or d1.completeness
-    if mode == "incomplete":
+    if d1.completeness != d2.completeness:
+        raise DataCompatibilityError(
+            f"cannot compare {d1.completeness} data with {d2.completeness} data"
+        )
+    if d1.completeness == "incomplete":
         scale = max(
             1.0, float(np.max(np.abs(d1.u0))), float(np.max(np.abs(d1.m0)))
         )
@@ -236,7 +239,7 @@ def measure_delta(d1: CIPData, d2: CIPData, mode: str | None = None) -> float:
                             f"the outer face; {name} s={s} differs by {gap:.3e} "
                             f"on face {face.label}"
                         )
-    lines = budget_lines(d1, d2, mode)
+    lines = budget_lines(d1, d2)
     return max(lines.values())
 
 
@@ -357,7 +360,7 @@ def inject_noise(data: CIPData, noise: NoiseSpec) -> CIPData:
         p0=_scaled_trace_set(data.p0, trace_noise["p0"], 1.0),
         p1=_scaled_trace_set(data.p1, trace_noise["p1"], 1.0),
     )
-    lines = budget_lines(unit, data, data.completeness)
+    lines = budget_lines(unit, data)
 
     def component_scale(prefix: str) -> float:
         worst = max(

@@ -76,6 +76,10 @@ class ConfigError(ValueError):
     pass
 
 
+class RangeGuardError(ValueError):
+    """A setting would take the weight out of floating-point range."""
+
+
 def _merge(base: dict, extra: dict) -> dict:
     out = copy.deepcopy(base)
     for key, val in extra.items():
@@ -140,13 +144,37 @@ def _build_kernel(cfg: dict, grid):
     return kernel
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _solver_params(cfg: dict) -> dict:
     """Keyword arguments of the coupled solve, checked."""
     sol = cfg["solver"]
-    damping = sol["damping"]
+    damping, max_iter, tol = sol["damping"], sol["max_iter"], sol["tol"]
     if not isinstance(damping, (int, float)) or not 0.0 < damping <= 1.0:
         raise ConfigError("solver.damping must lie in (0, 1]")
-    return {"damping": damping, "max_iter": sol["max_iter"], "tol": sol["tol"]}
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
+        raise ConfigError("solver.max_iter must be an integer >= 1")
+    if not (_is_number(tol) and 0.0 < tol < float("inf")):
+        raise ConfigError("solver.tol must be a finite number > 0")
+    return {"damping": damping, "max_iter": max_iter, "tol": tol}
+
+
+def _check_lambda_grid(lambdas) -> None:
+    """Every lambda in [1, LAMBDA_MAX]; above the cap is a range error."""
+    if not isinstance(lambdas, list) or not lambdas:
+        raise ConfigError("lambda grid must be a non-empty list of numbers")
+    for lam in lambdas:
+        if not _is_number(lam):
+            raise ConfigError(f"lambda grid values must be numbers, got {lam!r}")
+        if lam > LAMBDA_MAX:
+            raise RangeGuardError(
+                f"lambda = {lam:g} exceeds the overflow guard LAMBDA_MAX = "
+                f"{LAMBDA_MAX:g}; the weight would leave floating-point range"
+            )
+        if not lam >= 1.0:
+            raise ConfigError(f"lambda grid values must be >= 1, got {lam:g}")
 
 
 def _manufactured_problem(cfg: dict):
@@ -226,21 +254,11 @@ def cmd_carleman(args) -> int:
     cfg = load_config(args)
     _, grid = _build_geometry(cfg)
     car = cfg["carleman"]
-    lambdas = car["lambdas"]
-    for lam in lambdas:
-        if lam > LAMBDA_MAX:
-            print(
-                f"lambda = {lam:g} exceeds the overflow guard LAMBDA_MAX = "
-                f"{LAMBDA_MAX:g}; the weight would leave floating-point range",
-                file=sys.stderr,
-            )
-            return EXIT_RANGE
-        if lam < 1.0:
-            raise ConfigError(f"lambda grid values must be >= 1, got {lam:g}")
+    _check_lambda_grid(car["lambdas"])
     alpha = _carleman_alpha(cfg)
     members = random_family(grid, count=car["count"], seed=car["seed"])
     c0, lambda0, reports = estimate_c0(
-        members, alpha, lambdas, restricted=car["restricted"]
+        members, alpha, car["lambdas"], restricted=car["restricted"]
     )
     outdir = cfg["out"]
     mio.save_carleman_family(reports, outdir, c0, lambda0)
@@ -256,6 +274,7 @@ def cmd_lemmas(args) -> int:
     cfg = load_config(args)
     _, grid = _build_geometry(cfg)
     lem = cfg["lemmas"]
+    _check_lambda_grid(lem["lambdas"])
     alpha = _carleman_alpha(cfg)
     members = random_family(grid, count=lem["samples"], seed=lem["seed"])
     lemma_kernels = {
@@ -316,7 +335,6 @@ def cmd_sweep(args) -> int:
             k1,
             delta_k,
             scales,
-            rho=float(params.rho),
             eps=float(params.epsilon),
             completeness=stab["completeness"],
             **solver,
@@ -391,6 +409,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except RangeGuardError as e:
+        print(e, file=sys.stderr)
+        return EXIT_RANGE
 
 
 if __name__ == "__main__":

@@ -213,14 +213,14 @@ class Grid:
         axes = [self.axis_coords(i) for i in range(self.dim)]
         return tuple(np.meshgrid(*axes, self.times, indexing="ij"))
 
-    def index_of_time(self, t: float, tol: float | None = None) -> int:
+    def index_of_time(self, t: float) -> int:
         """Index of the grid time level equal to ``t``.
 
         Raises:
-            ValueError: if ``t`` is off-grid (not within ``tol`` of a level).
+            ValueError: if ``t`` is off-grid (not within 1e-9 max(T, 1) of a
+                level).
         """
-        if tol is None:
-            tol = 1e-9 * max(self.prism.T, 1.0)
+        tol = 1e-9 * max(self.prism.T, 1.0)
         j = int(round(t / self.tau))
         if j < 0 or j >= self.nt or abs(j * self.tau - t) > tol:
             raise ValueError(f"time {t} is off-grid (tau={self.tau})")

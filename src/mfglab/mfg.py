@@ -310,8 +310,6 @@ class _SpatialOperator:
     new drift rewrites values only.
     """
 
-    _cache: dict[Grid, "_SpatialOperator"] = {}
-
     def __init__(self, grid: Grid):
         self.grid = grid
         ns = self.ns = int(np.prod(grid.nx))
@@ -349,18 +347,8 @@ class _SpatialOperator:
         self._identity = np.zeros(order.size)
         self._identity[slots[self.boundary]] = 1.0
 
-    @classmethod
-    def get(cls, grid: Grid) -> "_SpatialOperator":
-        op = cls._cache.get(grid)
-        if op is None:
-            op = cls(grid)
-            if len(cls._cache) > 8:
-                cls._cache.clear()
-            cls._cache[grid] = op
-        return op
-
     def couplings(
-        self, tau: float, a_faces: Sequence[np.ndarray] | None = None
+        self, tau: float, a_faces: Sequence[np.ndarray] | None
     ) -> tuple[np.ndarray | float, list, list]:
         """Diagonal and per-axis lower and upper entries of I - tau (L + D)
         on the interior rows, in flat node order; ``a_faces=None`` drops D.
@@ -492,7 +480,7 @@ def solve_fokker_planck(spec: ProblemSpec, k: np.ndarray, u: Field) -> Field:
     """
     g = spec.grid
     k = _checked_coefficient(g, k)
-    op = _SpatialOperator.get(g)
+    op = _SpatialOperator(g)
     bvals = op.dirichlet_values(spec.m_boundary)
     values = np.empty(g.shape)
     level = np.array(spec.m_initial)
@@ -520,7 +508,7 @@ def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: Field) -> Field:
     """
     g = spec.grid
     k = _checked_coefficient(g, k)
-    op = _SpatialOperator.get(g)
+    op = _SpatialOperator(g)
     tau = g.tau
     km = apply_kernel(spec.kernel, m).values
     fm = spec.f.values * m.values
@@ -602,15 +590,13 @@ def manufacture_triple(
     k: np.ndarray,
     u_form: ClosedForm,
     m0: np.ndarray,
-    *,
-    m_floor: float = M_FLOOR,
 ) -> tuple[MFGTriple, Field]:
     """Exact-solution triple: prescribed u, solved m, and the f that closes
     the value equation.
 
     f is assembled from the closed-form derivatives of u and the discrete
     kernel integral of the solved m, then divided by m pointwise; the
-    division is rejected if m dips below ``m_floor`` anywhere.
+    division is rejected if m dips below ``M_FLOOR`` anywhere.
     """
     g = grid
     u = u_form.sample(g)
@@ -642,10 +628,10 @@ def manufacture_triple(
     )
     m = solve_fokker_planck(spec0, k, u)
     m_min = float(np.min(m.values))
-    if m_min < m_floor:
+    if m_min < M_FLOOR:
         j = np.unravel_index(np.argmin(m.values), m.values.shape)
         raise ValueError(
-            f"solved density fell below the floor {m_floor:.1e}: "
+            f"solved density fell below the floor {M_FLOOR:.1e}: "
             f"min m = {m_min:.3e} at index {tuple(int(i) for i in j)}"
         )
     mesh = g.spacetime_meshgrid()

@@ -25,7 +25,7 @@ the form whose residual genuinely vanishes on solution pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -82,6 +82,9 @@ DERIVED_EQUATIONS = (
 
 INEQUALITIES = ("v", "q", "w", "r")
 
+# flatness guard of the reconstruction: |grad u_1(., T/2)|^2 must stay above 2c
+_FLATNESS_C = 1e-8
+
 
 class NondegeneracyError(ValueError):
     """The central-time gradient of the reference value function is too flat."""
@@ -108,7 +111,6 @@ class DifferencePack:
     r: Field
     u0_tilde: np.ndarray
     m0_tilde: np.ndarray
-    norms: dict = dataclass_field(default_factory=dict, compare=False)
 
     @property
     def grid(self) -> Grid:
@@ -127,20 +129,18 @@ class DifferencePack:
         return float(np.max(np.abs(rebuilt - self.u_tilde.values)))
 
 
-def form_difference(
-    t1: MFGTriple, t2: MFGTriple, *, eps: float | None = None
-) -> DifferencePack:
+def form_difference(t1: MFGTriple, t2: MFGTriple) -> DifferencePack:
     """Difference pack of two triples (caller guarantees shared kernel and f).
 
-    Records the squared norms of the stacked derivative vector over the full
-    cylinder and, when ``eps`` is given, over the eps-trimmed cylinder.
+    Computes no norm; ``DifferencePack.v_norm_sq`` measures the stacked
+    derivative vector on demand.
     """
     if t1.grid != t2.grid:
         raise ValueError("triples live on different grids")
     g = t1.grid
     u_tilde = t1.u - t2.u
     m_tilde = t1.m - t2.m
-    pack = DifferencePack(
+    return DifferencePack(
         u_tilde=u_tilde,
         m_tilde=m_tilde,
         k_tilde=t1.k - t2.k,
@@ -151,26 +151,21 @@ def form_difference(
         u0_tilde=u_tilde.values[..., g.index_t0].copy(),
         m0_tilde=m_tilde.values[..., g.index_t0].copy(),
     )
-    pack.norms["V_H2_QT_sq"] = pack.v_norm_sq("H2")
-    if eps is not None:
-        pack.norms["V_H21_QepsT_sq"] = pack.v_norm_sq("H21", eps=eps)
-        pack.norms["eps"] = eps
-    return pack
 
 
 # ---------------------------------------------------------------------------
 # reconstruction of the coefficient difference
 
 
-def _inverse_grad_sq(grid: Grid, u01: np.ndarray, c: float) -> np.ndarray:
+def _inverse_grad_sq(grid: Grid, u01: np.ndarray) -> np.ndarray:
     """1 / |grad u_1(., T/2)|^2 with the flatness guard."""
     total = grad_sq(grid, u01)
     worst = float(np.min(total))
-    if worst < 2.0 * c:
+    if worst < 2.0 * _FLATNESS_C:
         j = np.unravel_index(np.argmin(total), total.shape)
         raise NondegeneracyError(
             f"|grad u_1|^2 at the central time dips to {worst:.3e} < 2c = "
-            f"{2.0 * c:.3e} at index {tuple(int(i) for i in j)}"
+            f"{2.0 * _FLATNESS_C:.3e} at index {tuple(int(i) for i in j)}"
         )
     return 1.0 / total
 
@@ -182,8 +177,6 @@ def compute_F(
     k2: np.ndarray,
     kernel: Kernel,
     f: Field,
-    *,
-    c: float = 1e-8,
 ) -> np.ndarray:
     """Snapshot part of the coefficient reconstruction.
 
@@ -192,7 +185,7 @@ def compute_F(
     equation is evaluated.
     """
     g = pack.grid
-    p = _inverse_grad_sq(g, u01, c)
+    p = _inverse_grad_sq(g, u01)
     km0 = apply_kernel_spatial(kernel, g, pack.m0_tilde)
     f_slice = f.values[..., g.index_t0]
     lap0 = laplacian(g, pack.u0_tilde)
@@ -207,38 +200,34 @@ def reconstruct_k_tilde(
     u01: np.ndarray,
     F: np.ndarray,
     mode: str = "snapshot",
-    *,
-    times: Sequence[float] | None = None,
-    c: float = 1e-8,
 ) -> np.ndarray:
     """Coefficient difference from the central-time identity.
 
     snapshot: k~ = 2 P v(., T/2) + F.  shifted: replaces v(., T/2) by
-    v(., t) - int_{T/2}^t w dtau, evaluated at each requested time and
+    v(., t) - int_{T/2}^t w dtau, evaluated at t = T/4, T/2, 3T/4 and
     averaged; the pointwise identity makes the result t-independent up to
     discretization, which ``reconstruction_spread`` quantifies.
     """
     g = pack.grid
     if mode == "snapshot":
-        p = _inverse_grad_sq(g, u01, c)
+        p = _inverse_grad_sq(g, u01)
         return 2.0 * p * pack.v.values[..., g.index_t0] + F
     if mode != "shifted":
         raise ValueError("mode must be 'snapshot' or 'shifted'")
-    if times is None:
-        T = g.prism.T
-        times = (T / 4.0, T / 2.0, 3.0 * T / 4.0)
+    T = g.prism.T
+    times = (T / 4.0, T / 2.0, 3.0 * T / 4.0)
     acc = np.zeros(g.shape_space)
-    for k_t in _shifted_reconstructions(pack, u01, F, times, c):
+    for k_t in _shifted_reconstructions(pack, u01, F, times):
         acc += k_t
     return acc / len(times)
 
 
 def _shifted_reconstructions(
-    pack: DifferencePack, u01: np.ndarray, F: np.ndarray, times: Sequence[float], c: float
+    pack: DifferencePack, u01: np.ndarray, F: np.ndarray, times: Sequence[float]
 ) -> list[np.ndarray]:
     """2 P (v(., t) - int_{T/2}^t w dtau) + F at each of ``times``."""
     g = pack.grid
-    p = _inverse_grad_sq(g, u01, c)
+    p = _inverse_grad_sq(g, u01)
     iw = time_integral_from_t0(g, pack.w.values)
     out = []
     for t in times:
@@ -252,12 +241,10 @@ def reconstruction_spread(
     u01: np.ndarray,
     F: np.ndarray,
     times: Sequence[float],
-    *,
-    c: float = 1e-8,
 ) -> float:
     """Largest pairwise L2 distance between shifted reconstructions."""
     g = pack.grid
-    fields = _shifted_reconstructions(pack, u01, F, times, c)
+    fields = _shifted_reconstructions(pack, u01, F, times)
     worst = 0.0
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
@@ -270,7 +257,7 @@ def reconstruction_spread(
 
 
 def _masked_norms(
-    grid: Grid, res: np.ndarray, time_ring: int = 2, eps: float | None = None
+    grid: Grid, res: np.ndarray, eps: float | None, time_ring: int = 2
 ) -> tuple[float, float]:
     mask = interior_mask(grid, time_ring, eps)
     masked = np.where(mask, res, 0.0)
@@ -286,7 +273,6 @@ def residual_derived_system(
     f: Field,
     which: str,
     *,
-    c: float = 1e-8,
     eps: float | None = None,
 ) -> tuple[float, float]:
     """Discrete residual norms (L2, max) of one derived equation.
@@ -341,8 +327,8 @@ def residual_derived_system(
     # the four substituted equations share this preparation
     u01 = t1.u.values[..., g.index_t0]
     u02 = t2.u.values[..., g.index_t0]
-    p = _inverse_grad_sq(g, u01, c)
-    F = compute_F(pack, u01, u02, k2, kernel, f, c=c)
+    p = _inverse_grad_sq(g, u01)
+    F = compute_F(pack, u01, u02, k2, kernel, f)
     ft = field_dt(f).values
     ftt = field_dtt(f).values
     grads_u1 = gradient(g, t1.u.values)
@@ -462,7 +448,6 @@ class InequalityReport:
     which: str
     empirical_c: float
     lhs_max: float
-    bracket_threshold: float
     small_bracket_measure: float
     node_fraction_used: float
 
@@ -586,7 +571,6 @@ def check_inequality(
         which=which,
         empirical_c=empirical_c,
         lhs_max=float(np.max(np.where(mask, lhs, 0.0))),
-        bracket_threshold=threshold,
         small_bracket_measure=float(small_measure),
         node_fraction_used=frac,
     )
@@ -685,8 +669,6 @@ class SweepReport:
     slope: float
     intercept: float
     r_squared: float
-    rho: float
-    epsilon: float
     completeness: str
 
     def delta_decades(self) -> float:
@@ -714,7 +696,6 @@ def holder_sweep(
     delta_k: np.ndarray,
     scales: Sequence[float],
     *,
-    rho: float = 0.5,
     eps: float = 0.2,
     completeness: str = "full",
     damping: float = 0.5,
@@ -727,8 +708,9 @@ def holder_sweep(
     machinery and shared data, so data differences and solution differences
     carry the perturbation signal rather than solver bias.  The fitted
     slope of log(max error) against log(delta) is the empirical exponent;
-    the theory asserts it is at least 1 - rho, with steeper (near-Lipschitz)
-    behavior compliant.
+    the theory asserts it is at least 1 - rho for the rho that fixed
+    ``eps``, with steeper (near-Lipschitz) behavior compliant.  The error
+    norms live on the ``eps``-trimmed cylinder.
     """
     g = spec.grid
     base = solve_mfg_picard(spec, k1, damping=damping, max_iter=max_iter, tol=tol)
@@ -738,8 +720,8 @@ def holder_sweep(
         k2 = k1 + scale * delta_k
         t2 = solve_mfg_picard(spec, k2, damping=damping, max_iter=max_iter, tol=tol)
         d2 = extract(t2, completeness)
-        delta = measure_delta(d1, d2, completeness)
-        pack = form_difference(base, t2, eps=eps)
+        delta = measure_delta(d1, d2)
+        pack = form_difference(base, t2)
         row = {"scale": scale, "delta": delta}
         row.update(_sweep_errors(pack, g, eps))
         return row
@@ -774,8 +756,6 @@ def holder_sweep(
         slope=float(slope),
         intercept=float(intercept),
         r_squared=float(r2),
-        rho=float(rho),
-        epsilon=float(eps),
         completeness=completeness,
     )
 
@@ -788,15 +768,13 @@ def assemble_final_estimate(
     pack: DifferencePack,
     params: StabilityParams,
     delta: float,
-    *,
-    c_constant: float = 1.0,
 ) -> dict:
     """Both sides of the two-term estimate at lambda = max(lam(delta), lam1).
 
-    RHS terms are combined in log space: the first decays like
-    exp(-2 lam beta b^2) times the full-cylinder norm, the second is
-    delta^2 exp(2 lam d); at lam = lam(delta) the second equals
-    delta^{2(1 - rho)} by construction.
+    RHS terms are combined in log space with the estimate's constant set
+    to 1: the first decays like exp(-2 lam beta b^2) times the
+    full-cylinder norm, the second is delta^2 exp(2 lam d); at
+    lam = lam(delta) the second equals delta^{2(1 - rho)} by construction.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -804,11 +782,10 @@ def assemble_final_estimate(
     lam = max(params.lam(delta), params.lam1) if delta < 1.0 else params.lam1
     b2 = float(params.b) ** 2
     log_term1 = (
-        math.log(c_constant)
-        - 2.0 * lam * float(params.beta) * b2
+        -2.0 * lam * float(params.beta) * b2
         + math.log(max(pack.v_norm_sq("H2"), 1e-300))
     )
-    log_term2 = math.log(c_constant) + 2.0 * math.log(delta) + 2.0 * lam * float(params.d)
+    log_term2 = 2.0 * math.log(delta) + 2.0 * lam * float(params.d)
     log_rhs = np.logaddexp(log_term1, log_term2)
     log_lhs = math.log(lhs) if lhs > 0.0 else -math.inf
     return {

@@ -84,14 +84,14 @@ def make_pair():
 
 @pytest.fixture(scope="session")
 def make_pack(make_pair):
-    """Difference pack (with time trim 0.2) for a solved pair."""
+    """Difference pack of a solved pair."""
     cache: dict = {}
 
     def build(nx: int, nt: int, scale: float = 0.1):
         key = (nx, nt, scale)
         if key not in cache:
             pair = make_pair(nx, nt, scale)
-            cache[key] = form_difference(pair["t1"], pair["t2"], eps=0.2)
+            cache[key] = form_difference(pair["t1"], pair["t2"])
         return cache[key]
 
     return build

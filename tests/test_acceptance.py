@@ -61,7 +61,7 @@ def _reconstruction_study(pairs):
     hs, errs, spreads = [], [], []
     for pair in pairs:
         g = pair["grid"]
-        pack = form_difference(pair["t1"], pair["t2"], eps=0.2)
+        pack = form_difference(pair["t1"], pair["t2"])
         u01 = pair["t1"].u.values[..., g.index_t0]
         u02 = pair["t2"].u.values[..., g.index_t0]
         F = compute_F(pack, u01, u02, pair["k2"], KERNEL, pair["f"])
@@ -308,7 +308,6 @@ def test_criterion_8_noise_to_error_exponent(capsys):
         np.ones(g.shape_space),
         perturbation(g),
         np.geomspace(1e-4, 1e-1, 6),
-        rho=0.5,
         eps=0.2,
         completeness="full",
         damping=0.5,
@@ -347,7 +346,6 @@ def test_criterion_9_incomplete_data_regime(capsys, pairs):
         np.ones(g.shape_space),
         perturbation(g),
         np.geomspace(1e-4, 1e-1, 6),
-        rho=0.5,
         eps=0.2,
         completeness="incomplete",
         damping=0.5,

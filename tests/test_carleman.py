@@ -111,22 +111,17 @@ class TestFunctional:
         rep = carleman_sweep(u, 1, ALPHA, (2.0,), 1.0)
         assert rep.lhs[0] >= 0.0 and rep.main[0] >= 0.0
         assert rep.boundary[0] >= 0.0 and rep.negligible[0] >= 0.0
-        assert rep.decay_flag
 
     def test_negative_component_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             CarlemanReport(
                 lambdas=(2.0,),
-                log_scales=(0.0,),
                 lhs=(-1.0,),
                 main=(1.0,),
                 boundary=(0.0,),
                 negligible=(0.0,),
                 negligible_log=(0.0,),
-                c0=None,
-                lambda0=None,
                 passed=(True,),
-                decay_flag=True,
                 sign=1,
                 restricted=False,
             )

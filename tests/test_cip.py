@@ -110,10 +110,6 @@ class TestBudget:
         assert inc["u0"] > full["u0"]
         assert inc["m0"] == pytest.approx(full["m0"], rel=1e-12)
 
-    def test_unknown_mode_rejected(self, data):
-        with pytest.raises(ValueError, match="mode must be 'full' or 'incomplete'"):
-            budget_lines(data, mode="partial")
-
 
 class TestNoise:
     def test_spec_validation(self):
@@ -178,15 +174,22 @@ class TestCompatibility:
         with pytest.raises(DataCompatibilityError, match="different grids"):
             measure_delta(other, data)
 
-    def test_incomplete_mode_demands_shared_dirichlet_data(self, data):
-        # full-mode noise touches the Dirichlet traces, so reading the same
-        # pair through the incomplete budget must be refused
-        noisy = inject_noise(data, NoiseSpec(delta=1e-2, seed=3))
+    def test_incomplete_mode_demands_shared_dirichlet_data(self, data, data_inc):
+        # full-mode noise touches the Dirichlet traces, so incomplete data
+        # carrying them must be refused
+        noisy_g0 = inject_noise(data, NoiseSpec(delta=1e-2, seed=3)).g0
+        refused = dataclasses.replace(data_inc, g0=noisy_g0)
         with pytest.raises(
             DataCompatibilityError,
             match=r"identical Dirichlet data off the outer face.*x1-",
         ):
-            measure_delta(noisy, data, mode="incomplete")
+            measure_delta(refused, data_inc)
+
+    @pytest.mark.parametrize("order", ["full-first", "incomplete-first"])
+    def test_mixed_completeness_rejected(self, data, data_inc, order):
+        pair = (data, data_inc) if order == "full-first" else (data_inc, data)
+        with pytest.raises(DataCompatibilityError, match="cannot compare"):
+            measure_delta(*pair)
 
     def test_solution_pair_is_incomplete_compatible(self, make_pair):
         # two solves of one data specification share their lateral Dirichlet

@@ -225,6 +225,30 @@ class TestLemmas:
         assert all(not e["passed"] for e in summary if e["which"] == "causal")
         assert all(e["passed"] for e in summary if e["which"] == "spatial")
 
+    def test_lambda_beyond_overflow_guard_exits_3(self, tmp_path):
+        cfg = write_config(
+            tmp_path, {"grid": {"nx": 17, "nt": 33}, "lemmas": {"lambdas": [1.0, 100.0]}}
+        )
+        res = run_cli("lemmas", "--config", cfg, cwd=str(tmp_path))
+        assert res.returncode == 3
+        assert res.stderr == (
+            "lambda = 100 exceeds the overflow guard LAMBDA_MAX = 64; "
+            "the weight would leave floating-point range\n"
+        )
+
+    @pytest.mark.parametrize("lambdas, message", [
+        ([0.5, 2.0], "lambda grid values must be >= 1, got 0.5"),
+        ([], "lambda grid must be a non-empty list of numbers"),
+        (["2"], "lambda grid values must be numbers, got '2'"),
+    ], ids=["below-one", "empty", "not-a-number"])
+    def test_bad_lambda_grid_is_a_config_error(self, tmp_path, lambdas, message):
+        cfg = write_config(
+            tmp_path, {"grid": {"nx": 17, "nt": 33}, "lemmas": {"lambdas": lambdas}}
+        )
+        res = run_cli("lemmas", "--config", cfg, cwd=str(tmp_path))
+        assert res.returncode == 1
+        assert res.stderr == f"config error: {message}\n"
+
 
 class TestSweep:
     SWEEP_CONFIG = {
@@ -306,6 +330,22 @@ class TestConfigErrors:
             res = run_cli(command, "--config", cfg, cwd=str(tmp_path))
             assert res.returncode == 1
             assert res.stderr == "config error: solver.damping must lie in (0, 1]\n"
+
+    @pytest.mark.parametrize("command", ["forward", "sweep"])
+    def test_bad_max_iter_and_tol(self, tmp_path, command):
+        cases = [
+            ({"max_iter": "5"}, "solver.max_iter must be an integer >= 1"),
+            ({"max_iter": 0}, "solver.max_iter must be an integer >= 1"),
+            ({"max_iter": True}, "solver.max_iter must be an integer >= 1"),
+            ({"tol": None}, "solver.tol must be a finite number > 0"),
+            ({"tol": -1e-9}, "solver.tol must be a finite number > 0"),
+            ({"tol": float("nan")}, "solver.tol must be a finite number > 0"),
+        ]
+        for solver, message in cases:
+            cfg = write_config(tmp_path, {**FAST_CONFIG, "solver": solver})
+            res = run_cli(command, "--config", cfg, cwd=str(tmp_path))
+            assert res.returncode == 1, solver
+            assert res.stderr == f"config error: {message}\n"
 
     def test_kernel_above_declared_bound(self, tmp_path):
         cfg = write_config(

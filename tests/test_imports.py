@@ -1,13 +1,16 @@
-"""Every import in the package and its tests is used or re-exported, and
+"""Every import in the package and its tests is used or re-exported,
 every function, method and class the package defines is referenced by the
-package itself, unless it is a declared test oracle.
+package itself, unless it is a declared test oracle, and every defaulted
+parameter is set by some call.
 
 Standard-library stand-ins for a linter's unused-import and dead-code rules.
 A module fails when it imports a name that its code never reads and that its
 ``__all__`` does not list; ``from __future__`` imports are exempt.  A
 definition in ``src/mfglab`` fails when no ``Name`` or ``Attribute`` in the
 package or its tests mentions it; dunder methods are exempt.  A definition
-that only tests mention fails unless it is listed in ``ORACLES``.
+that only tests mention fails unless it is listed in ``ORACLES``.  A
+defaulted parameter fails when no call in the package or its tests passes
+it, by keyword or by position.
 """
 
 import ast
@@ -31,6 +34,7 @@ ORACLES = {
     "ladder_residual",
     "load_field_csv",
     "load_grid_json",
+    "negligible_decays",
     "nondegeneracy_constant",
     "quadratic_form",
     "reconstruct_k_tilde",
@@ -152,3 +156,99 @@ def test_checker_counts_an_aliased_import_as_a_reference():
     lib = ast.parse("def dtt(): pass\ndef spare(): pass")
     user = ast.parse("from lib import dtt as field_dtt\nfield_dtt()")
     assert unreferenced_definitions({"lib.py": lib}, [lib, user]) == ["lib.py:2: spare"]
+
+
+def _defaulted(fn: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None]]:
+    """(name, position in a call or None if keyword-only) of each defaulted
+    parameter; a bound method's call does not pass its first parameter."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    shift = 1 if bound else 0
+    out = [(a.arg, i - shift) for i, a in enumerate(positional) if i >= first]
+    out += [
+        (a.arg, None)
+        for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        if d is not None
+    ]
+    return out
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(called name, function name, line, parameter, position); a class's
+    ``__init__`` is called by the class name."""
+    found = []
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list
+                )
+                called = cls if cls and node.name == "__init__" else node.name
+                for param, pos in _defaulted(node, cls is not None and not static):
+                    found.append((called, node.name, node.lineno, param, pos))
+                visit(node.body, None)
+
+    visit(tree.body, None)
+    return found
+
+
+def _passes(call: ast.Call, param: str, pos: int | None) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    return pos is not None and len(call.args) > pos
+
+
+def unset_options(defining, calling) -> list[str]:
+    """Defaulted parameters of ``defining`` (name -> tree) that no call in
+    ``calling`` passes; calls are matched by function or attribute name."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in calling:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return sorted(
+        f"{label}:{line}: {fn}({param}=)"
+        for label, tree in defining.items()
+        for called, fn, line, param, pos in _defaulted_parameters(tree)
+        if not any(_passes(c, param, pos) for c in calls.get(called, []))
+    )
+
+
+def test_no_options_nothing_sets():
+    trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
+    package = {p.name: trees[p.name] for p in PACKAGE}
+    assert unset_options(package, trees.values()) == []
+
+
+def test_checker_flags_an_option_nothing_sets():
+    lib = ast.parse("\n".join([
+        "class A:",
+        "    def __init__(self, x=1, y=2): pass",
+        "    def run(self, n=3, *, tol=4): pass",
+        "    @staticmethod",
+        "    def make(k=5): pass",
+        "def f(a, b=6, *, c=7, d=8): pass",
+        "def g(e=9): pass",
+        "def h(z=0): pass",
+    ]))
+    user = ast.parse("\n".join([
+        "A(0)",
+        "A().run(tol=1)",
+        "A.make(1)",
+        "f(1, 2, c=3)",
+        "g(*args)",
+        "m.h(**kw)",
+    ]))
+    assert unset_options({"m.py": lib}, [lib, user]) == [
+        "m.py:2: __init__(y=)",
+        "m.py:3: run(n=)",
+        "m.py:6: f(d=)",
+    ]

@@ -161,16 +161,12 @@ class TestTripleDir:
 def _toy_carleman_report() -> CarlemanReport:
     return CarlemanReport(
         lambdas=(1.0, 2.0),
-        log_scales=(0.0, 0.0),
         lhs=(1.0, 2.0),
         main=(3.0, 4.0),
         boundary=(0.5, 0.25),
         negligible=(0.0, 0.0),
         negligible_log=(-40.0, -80.0),
-        c0=1.5,
-        lambda0=1.0,
         passed=(True, True),
-        decay_flag=True,
         sign=1,
         restricted=False,
     )
@@ -229,8 +225,6 @@ class TestSweepFiles:
             slope=slope,
             intercept=0.0,
             r_squared=1.0,
-            rho=0.5,
-            epsilon=0.2,
             completeness="full",
         )
 

@@ -160,7 +160,7 @@ class TestMarchingSystem:
         k = rng.uniform(0.5, 1.5, nx)
         u = rng.normal(size=nx)
         x = rng.uniform(0.5, 1.5, nx)
-        op = _SpatialOperator.get(g)
+        op = _SpatialOperator(g)
         storage = op.system(g.tau, _face_drift_coefficients(g, k, u))
         got = (self.dense(op, storage) @ x.ravel()).reshape(nx)
         lap = sum(second_derivative(x, axis, g.h[axis]) for axis in range(g.dim))

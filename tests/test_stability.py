@@ -65,10 +65,8 @@ class TestDifferencePack:
         )
 
     def test_recorded_norms(self, pack):
-        assert set(pack.norms) == {"V_H2_QT_sq", "V_H21_QepsT_sq", "eps"}
-        assert pack.norms["eps"] == 0.2
-        assert pack.norms["V_H2_QT_sq"] == pytest.approx(331429.5642542975, rel=1e-8)
-        assert pack.norms["V_H21_QepsT_sq"] == pytest.approx(
+        assert pack.v_norm_sq("H2") == pytest.approx(331429.5642542975, rel=1e-8)
+        assert pack.v_norm_sq("H21", eps=0.2) == pytest.approx(
             4.780119405920742, rel=1e-8
         )
 
