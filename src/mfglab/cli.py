@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -148,14 +149,20 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _count(value, name: str) -> int:
+    """``value`` checked to be an integer >= 1 (bools rejected)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1")
+    return value
+
+
 def _solver_params(cfg: dict) -> dict:
     """Keyword arguments of the coupled solve, checked."""
     sol = cfg["solver"]
     damping, max_iter, tol = sol["damping"], sol["max_iter"], sol["tol"]
     if not isinstance(damping, (int, float)) or not 0.0 < damping <= 1.0:
         raise ConfigError("solver.damping must lie in (0, 1]")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
-        raise ConfigError("solver.max_iter must be an integer >= 1")
+    _count(max_iter, "solver.max_iter")
     if not (_is_number(tol) and 0.0 < tol < float("inf")):
         raise ConfigError("solver.tol must be a finite number > 0")
     return {"damping": damping, "max_iter": max_iter, "tol": tol}
@@ -256,7 +263,9 @@ def cmd_carleman(args) -> int:
     car = cfg["carleman"]
     _check_lambda_grid(car["lambdas"])
     alpha = _carleman_alpha(cfg)
-    members = random_family(grid, count=car["count"], seed=car["seed"])
+    members = random_family(
+        grid, count=_count(car["count"], "carleman.count"), seed=car["seed"]
+    )
     c0, lambda0, reports = estimate_c0(
         members, alpha, car["lambdas"], restricted=car["restricted"]
     )
@@ -276,7 +285,9 @@ def cmd_lemmas(args) -> int:
     lem = cfg["lemmas"]
     _check_lambda_grid(lem["lambdas"])
     alpha = _carleman_alpha(cfg)
-    members = random_family(grid, count=lem["samples"], seed=lem["seed"])
+    members = random_family(
+        grid, count=_count(lem["samples"], "lemmas.samples"), seed=lem["seed"]
+    )
     lemma_kernels = {
         "spatial": SeparableDelta(),
         "causal": HeavisideCausal(),
@@ -323,9 +334,20 @@ def cmd_sweep(args) -> int:
     params = _stability_params(cfg)
     solver = _solver_params(cfg)
     stab = cfg["stability"]
-    lo, hi, count = stab["scales"]
-    if not (0 < lo < hi and int(count) >= 2):
-        raise ConfigError("stability.scales must be [lo, hi, count] with 0 < lo < hi")
+    bounds = stab["scales"]
+    if not (
+        isinstance(bounds, list)
+        and len(bounds) == 3
+        and all(_is_number(v) and math.isfinite(v) for v in bounds)
+        and 0 < bounds[0] < bounds[1]
+        and int(bounds[2]) >= 2
+    ):
+        raise ConfigError(
+            "stability.scales must be [lo, hi, count] with 0 < lo < hi and count >= 2"
+        )
+    if stab["completeness"] not in ("full", "incomplete"):
+        raise ConfigError("stability.completeness must be 'full' or 'incomplete'")
+    lo, hi, count = bounds
     scales = np.geomspace(lo, hi, int(count))
     grid, kernel, k1, _, f, spec = _manufactured_problem(cfg)
     delta_k = stab["perturbation_scale"] * _perturbation(grid)

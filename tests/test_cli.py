@@ -273,13 +273,31 @@ class TestSweep:
         assert fit["excluded"] == []
 
     def test_bad_scales_rejected(self, tmp_path):
+        for scales in (
+            [0.1, 0.01, 3], [1e-3, 1e-1, 1], [1e-3, 1e-1], [1e-3, 1e-1, 3, 4],
+            "1e-3,1e-1,3", [1e-3, "0.1", 3], [1e-3, 1e-1, None],
+            [1e-3, float("inf"), 3],
+        ):
+            cfg = write_config(
+                tmp_path, {"grid": {"nx": 33, "nt": 65}, "stability": {"scales": scales}}
+            )
+            res = run_cli("sweep", "--config", cfg, cwd=str(tmp_path))
+            assert res.returncode == 1, scales
+            assert res.stderr == (
+                "config error: stability.scales must be [lo, hi, count] "
+                "with 0 < lo < hi and count >= 2\n"
+            )
+
+    def test_unknown_completeness_is_a_config_error(self, tmp_path):
         cfg = write_config(
             tmp_path,
-            {"grid": {"nx": 33, "nt": 65}, "stability": {"scales": [0.1, 0.01, 3]}},
+            {"grid": {"nx": 17, "nt": 33}, "stability": {"completeness": "partial"}},
         )
         res = run_cli("sweep", "--config", cfg, cwd=str(tmp_path))
         assert res.returncode == 1
-        assert "stability.scales must be [lo, hi, count]" in res.stderr
+        assert res.stderr == (
+            "config error: stability.completeness must be 'full' or 'incomplete'\n"
+        )
 
 
 class TestReadme:
@@ -364,3 +382,13 @@ class TestConfigErrors:
         res = run_cli("manufacture", "--config", cfg, cwd=str(tmp_path))
         assert res.returncode == 1
         assert res.stderr == "config error: kernel: unknown kernel profile 'triangle'\n"
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("carleman", "carleman", "count"), ("lemmas", "lemmas", "samples"),
+    ])
+    @pytest.mark.parametrize("value", ["3", 0, True, 2.0])
+    def test_family_size_must_be_a_positive_integer(self, tmp_path, command, section, key, value):
+        cfg = write_config(tmp_path, {"grid": {"nx": 17, "nt": 33}, section: {key: value}})
+        res = run_cli(command, "--config", cfg, cwd=str(tmp_path))
+        assert res.returncode == 1
+        assert res.stderr == f"config error: {section}.{key} must be an integer >= 1\n"

@@ -1,8 +1,11 @@
 """Forward solvers: marching schemes, fixed point, manufactured solutions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solve_banded
 
 from mfglab.grid import (
     BoundaryTrace,
@@ -14,6 +17,7 @@ from mfglab.grid import (
     sample_field,
     second_derivative,
 )
+from mfglab import mfg
 from mfglab.kernels import SeparableDelta
 from mfglab.mfg import (
     BlowupError,
@@ -142,6 +146,39 @@ class TestFokkerPlanck:
         with pytest.raises(ValueError, match="spatial shape"):
             solve_fokker_planck(spec, np.ones(7), u_const)
 
+    def test_drift_block_size_leaves_march_unchanged(self, monkeypatch):
+        # one level per block, blocks of 3 with a remainder, one block of all
+        g = make_grid(PRISM, 33, 65)
+        kern = SeparableDelta(amplitude=0.4, n1=1)
+        triple, f = manufacture_triple(
+            g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
+        )
+        spec = spec_for_triple(triple, kern, f)
+        runs = []
+        for nodes in (33, 99, 33 * 65):
+            monkeypatch.setattr(mfg, "_DRIFT_BLOCK_NODES", nodes)
+            runs.append(solve_fokker_planck(spec, np.ones(33), triple.u).values)
+        assert all(np.array_equal(run, runs[0]) for run in runs[1:])
+
+    def test_blowup_guard_names_level(self):
+        # the one scan after the march reports the first level out of range
+        g = make_grid(PRISM, 33, 65)
+        kern = SeparableDelta(amplitude=0.4, n1=1)
+        triple, f = manufacture_triple(
+            g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
+        )
+        spec = spec_for_triple(triple, kern, f)
+        face = next(iter(spec.m_boundary))
+        values = np.array(spec.m_boundary[face].values)
+        values[5] = 1e13
+        m_boundary = {**spec.m_boundary, face: BoundaryTrace(g, face, values)}
+        spec = dataclasses.replace(spec, m_boundary=m_boundary)
+        with pytest.raises(BlowupError) as info:
+            solve_fokker_planck(spec, np.ones(33), triple.u)
+        assert info.value.equation == "fokker-planck"
+        assert info.value.t_index == 5
+        assert info.value.worst == 1e13
+
 
 class TestMarchingSystem:
     """The density step's matrix applies the residual's own flux."""
@@ -169,6 +206,22 @@ class TestMarchingSystem:
         scale = np.max(np.abs(expected[inner]))
         assert np.max(np.abs(got - expected)[inner]) <= 1e-12 * scale
         np.testing.assert_array_equal(got[~inner], x[~inner])
+
+    def test_1d_factor_solves_like_solve_banded(self):
+        g = make_grid(PRISM, 33, 9)
+        rng = np.random.default_rng(5)
+        k = rng.uniform(0.5, 1.5, 33)
+        u = rng.normal(size=33)
+        b = rng.normal(size=33)
+        op = _SpatialOperator(g)
+        storage = op.system(g.tau, _face_drift_coefficients(g, k, u))
+        expected = solve_banded((1, 1), storage.reshape(3, op.ns), b)
+        assert np.array_equal(op.factor(storage)(b), expected)
+
+    def test_1d_factor_rejects_singular_matrix(self):
+        op = _SpatialOperator(make_grid(PRISM, 17, 9))
+        with pytest.raises(np.linalg.LinAlgError):
+            op.factor(np.zeros(3 * op.ns))
 
 
 class TestHJB:

@@ -28,3 +28,6 @@ def test_tiny_variant_matches_reference(tmp_path, workload, variant):
         assert main(argv) == 0
     check = wl.check_outputs(workload, variant, "tiny", str(outdir))
     assert check["ok"], check["mismatched"]
+    if workload == "sweep-1d":
+        # the 1-D march is bitwise: its outputs match the reference byte for byte
+        assert check["bit_identical"], check["mismatched"]
