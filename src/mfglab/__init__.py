@@ -15,7 +15,7 @@ from .grid import (
     snap_epsilon,
 )
 from .norms import norm, norm_spatial, trace_norm
-from .kernels import GaussianProduct, HeavisideCausal, SeparableDelta
+from .kernels import HeavisideCausal, SeparableDelta
 from .carleman import (
     CarlemanParams,
     CarlemanReport,
@@ -57,7 +57,7 @@ __all__ = [
     "__version__",
     "BoundaryTrace", "Face", "Field", "Grid", "Prism", "make_grid", "snap_epsilon",
     "norm", "norm_spatial", "trace_norm",
-    "GaussianProduct", "HeavisideCausal", "SeparableDelta",
+    "HeavisideCausal", "SeparableDelta",
     "CarlemanParams", "CarlemanReport", "LemmaReport", "carleman_sweep",
     "estimate_c0", "random_family", "verify_lemma", "weight_extrema",
     "BlowupError", "MFGTriple", "PicardNonConvergence", "ProblemSpec",

@@ -4,7 +4,8 @@ Subcommands cover the forward solver, manufactured-solution generation, the
 weight-functional sweep, the integral-lemma checks, the end-to-end exponent
 sweep, and the parameter calculus.  Configuration is a single JSON file;
 command-line flags override file keys.  Exit codes: 0 success, 1
-configuration error, 2 solver non-convergence, 3 numeric-range guard.
+configuration error, 2 solver non-convergence, 3 numeric-range guard or
+solver blow-up.  Every config value is checked before any work.
 
 Outputs are deterministic: same config and seeds give byte-identical files,
 and every output directory carries a provenance.json sufficient to re-run.
@@ -32,6 +33,7 @@ from .carleman import (
     verify_lemma,
 )
 from .mfg import (
+    BlowupError,
     PicardNonConvergence,
     bump_form,
     manufacture_triple,
@@ -75,6 +77,56 @@ DEFAULT_CONFIG = {
 
 class ConfigError(ValueError):
     pass
+
+
+def _finite(value) -> bool:
+    """A finite JSON number; bools are rejected although they are ints."""
+    return type(value) in (int, float) and -math.inf < value < math.inf
+
+
+def _positive(value) -> bool:
+    return _finite(value) and value > 0
+
+
+def _integer(lo: int):
+    return lambda value: type(value) is int and value >= lo
+
+
+def _scales(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == 3
+        and _finite(value[0])
+        and _finite(value[1])
+        and 0 < value[0] < value[1]
+        and type(value[2]) is int
+        and value[2] >= 2
+    )
+
+
+# (section, key, predicate, requirement): the config values that no library
+# constructor checks.  Every command checks all of them before any work.
+_RULES = (
+    ("solver", "damping", lambda v: _finite(v) and 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    ("solver", "max_iter", _integer(1), "must be an integer >= 1"),
+    ("solver", "tol", _positive, "must be a finite number > 0"),
+    ("problem", "u_amplitude", _finite, "must be a finite number"),
+    ("problem", "coupling_gain", _finite, "must be a finite number"),
+    ("stability", "lam1", _positive, "must be a finite number > 0"),
+    ("stability", "scales", _scales,
+     "must be [lo, hi, count] with 0 < lo < hi and count >= 2"),
+    ("stability", "perturbation_scale", lambda v: _finite(v) and v != 0,
+     "must be a finite nonzero number"),
+    ("stability", "completeness", lambda v: v in ("full", "incomplete"),
+     "must be 'full' or 'incomplete'"),
+    ("carleman", "alpha", lambda v: v is None or _positive(v),
+     "must be null or a finite number > 0"),
+    ("carleman", "count", _integer(1), "must be an integer >= 1"),
+    ("carleman", "seed", _integer(0), "must be an integer >= 0"),
+    ("carleman", "restricted", lambda v: type(v) is bool, "must be true or false"),
+    ("lemmas", "samples", _integer(1), "must be an integer >= 1"),
+    ("lemmas", "seed", _integer(0), "must be an integer >= 0"),
+)
 
 
 class RangeGuardError(ValueError):
@@ -122,6 +174,11 @@ def load_config(args) -> dict:
         cfg["lemmas"]["seed"] = args.seed
     if getattr(args, "out", None) is not None:
         cfg["out"] = args.out
+    for section, key, ok, requirement in _RULES:
+        if not ok(cfg[section][key]):
+            raise ConfigError(f"{section}.{key} {requirement}")
+    _check_lambda_grid(cfg["carleman"]["lambdas"])
+    _check_lambda_grid(cfg["lemmas"]["lambdas"])
     return cfg
 
 
@@ -145,35 +202,12 @@ def _build_kernel(cfg: dict, grid):
     return kernel
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _count(value, name: str) -> int:
-    """``value`` checked to be an integer >= 1 (bools rejected)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1")
-    return value
-
-
-def _solver_params(cfg: dict) -> dict:
-    """Keyword arguments of the coupled solve, checked."""
-    sol = cfg["solver"]
-    damping, max_iter, tol = sol["damping"], sol["max_iter"], sol["tol"]
-    if not isinstance(damping, (int, float)) or not 0.0 < damping <= 1.0:
-        raise ConfigError("solver.damping must lie in (0, 1]")
-    _count(max_iter, "solver.max_iter")
-    if not (_is_number(tol) and 0.0 < tol < float("inf")):
-        raise ConfigError("solver.tol must be a finite number > 0")
-    return {"damping": damping, "max_iter": max_iter, "tol": tol}
-
-
 def _check_lambda_grid(lambdas) -> None:
     """Every lambda in [1, LAMBDA_MAX]; above the cap is a range error."""
     if not isinstance(lambdas, list) or not lambdas:
         raise ConfigError("lambda grid must be a non-empty list of numbers")
     for lam in lambdas:
-        if not _is_number(lam):
+        if type(lam) not in (int, float):
             raise ConfigError(f"lambda grid values must be numbers, got {lam!r}")
         if lam > LAMBDA_MAX:
             raise RangeGuardError(
@@ -192,7 +226,10 @@ def _manufactured_problem(cfg: dict):
     u_form = bump_form(prism, amplitude=prob["u_amplitude"])
     m0 = steady_density(grid)
     k1 = np.ones(grid.shape_space)
-    triple, f = manufacture_triple(grid, kernel, k1, u_form, m0)
+    try:
+        triple, f = manufacture_triple(grid, kernel, k1, u_form, m0)
+    except ValueError as e:
+        raise ConfigError(f"problem: {e}")
     gain = prob["coupling_gain"]
     if gain != 1.0:
         f = f * float(gain)
@@ -219,11 +256,10 @@ def _provenance(cfg: dict, command: str) -> dict:
 
 def cmd_forward(args) -> int:
     cfg = load_config(args)
-    solver = _solver_params(cfg)
     grid, kernel, k1, _, f, spec = _manufactured_problem(cfg)
     outdir = cfg["out"]
     try:
-        triple = solve_mfg_picard(spec, k1, **solver)
+        triple = solve_mfg_picard(spec, k1, **cfg["solver"])
     except PicardNonConvergence as e:
         os.makedirs(outdir, exist_ok=True)
         mio.save_history_csv(e.history, os.path.join(outdir, "history.csv"))
@@ -250,22 +286,17 @@ def cmd_manufacture(args) -> int:
 
 def _carleman_alpha(cfg: dict) -> float:
     alpha = cfg["carleman"]["alpha"]
-    if alpha is not None:
-        if not alpha > 0:
-            raise ConfigError("carleman.alpha must be positive")
-        return float(alpha)
-    return float(_stability_params(cfg).alpha)
+    if alpha is None:
+        alpha = _stability_params(cfg).alpha
+    return float(alpha)
 
 
 def cmd_carleman(args) -> int:
     cfg = load_config(args)
     _, grid = _build_geometry(cfg)
     car = cfg["carleman"]
-    _check_lambda_grid(car["lambdas"])
     alpha = _carleman_alpha(cfg)
-    members = random_family(
-        grid, count=_count(car["count"], "carleman.count"), seed=car["seed"]
-    )
+    members = random_family(grid, count=car["count"], seed=car["seed"])
     c0, lambda0, reports = estimate_c0(
         members, alpha, car["lambdas"], restricted=car["restricted"]
     )
@@ -283,11 +314,8 @@ def cmd_lemmas(args) -> int:
     cfg = load_config(args)
     _, grid = _build_geometry(cfg)
     lem = cfg["lemmas"]
-    _check_lambda_grid(lem["lambdas"])
     alpha = _carleman_alpha(cfg)
-    members = random_family(
-        grid, count=_count(lem["samples"], "lemmas.samples"), seed=lem["seed"]
-    )
+    members = random_family(grid, count=lem["samples"], seed=lem["seed"])
     lemma_kernels = {
         "spatial": SeparableDelta(),
         "causal": HeavisideCausal(),
@@ -313,11 +341,11 @@ def _stability_params(cfg: dict):
     try:
         rho = Fraction(stab["rho"])
         epsilon = Fraction(stab["epsilon"])
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError) as e:
         raise ConfigError(f"stability.rho/epsilon: {e}")
     try:
         return select_parameters(rho, epsilon, prism, stab["lam1"])
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise ConfigError(str(e))
 
 
@@ -332,23 +360,9 @@ def cmd_params(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = load_config(args)
     params = _stability_params(cfg)
-    solver = _solver_params(cfg)
     stab = cfg["stability"]
-    bounds = stab["scales"]
-    if not (
-        isinstance(bounds, list)
-        and len(bounds) == 3
-        and all(_is_number(v) and math.isfinite(v) for v in bounds)
-        and 0 < bounds[0] < bounds[1]
-        and int(bounds[2]) >= 2
-    ):
-        raise ConfigError(
-            "stability.scales must be [lo, hi, count] with 0 < lo < hi and count >= 2"
-        )
-    if stab["completeness"] not in ("full", "incomplete"):
-        raise ConfigError("stability.completeness must be 'full' or 'incomplete'")
-    lo, hi, count = bounds
-    scales = np.geomspace(lo, hi, int(count))
+    lo, hi, count = stab["scales"]
+    scales = np.geomspace(lo, hi, count)
     grid, kernel, k1, _, f, spec = _manufactured_problem(cfg)
     delta_k = stab["perturbation_scale"] * _perturbation(grid)
     try:
@@ -359,7 +373,7 @@ def cmd_sweep(args) -> int:
             scales,
             eps=float(params.epsilon),
             completeness=stab["completeness"],
-            **solver,
+            **cfg["solver"],
         )
     except PicardNonConvergence as e:
         print(f"base forward solve did not converge: {e}", file=sys.stderr)
@@ -431,7 +445,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except RangeGuardError as e:
+    except (RangeGuardError, BlowupError) as e:
         print(e, file=sys.stderr)
         return EXIT_RANGE
 

@@ -30,6 +30,7 @@ serves both a space-time array and a spatial snapshot, and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterator, Sequence
 
@@ -159,7 +160,13 @@ class Grid:
     _MIN_POINTS = 5
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nx", tuple(int(m) for m in self.nx))
+        try:
+            object.__setattr__(self, "nx", tuple(operator.index(m) for m in self.nx))
+            object.__setattr__(self, "nt", operator.index(self.nt))
+        except TypeError:
+            raise ValueError(
+                f"grid point counts must be integers, got nx={self.nx!r}, nt={self.nt!r}"
+            ) from None
         if len(self.nx) != self.prism.dim:
             raise ValueError(
                 f"grid needs {self.prism.dim} spatial counts, got {len(self.nx)}"

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .grid import Field, Grid, Prism, make_grid
-from .kernels import GaussianProduct, HeavisideCausal, Kernel, SeparableDelta
+from .kernels import HeavisideCausal, Kernel, SeparableDelta
 from .carleman import CarlemanReport, LemmaReport
 from .mfg import MFGTriple
 from .stability import StabilityParams, SweepReport
@@ -115,13 +115,6 @@ def load_grid_json(path: str) -> Grid:
 
 
 def kernel_to_dict(kernel: Kernel) -> dict:
-    if isinstance(kernel, GaussianProduct):
-        return {
-            "type": "gaussian",
-            "sigmas": list(kernel.sigmas),
-            "amplitude": kernel.amplitude,
-            "n1": kernel.n1,
-        }
     name = "separable" if isinstance(kernel, SeparableDelta) else "causal"
     return {
         "type": name,
@@ -133,10 +126,6 @@ def kernel_to_dict(kernel: Kernel) -> dict:
 
 def kernel_from_dict(d: Mapping) -> Kernel:
     kind = d.get("type")
-    if kind == "gaussian":
-        return GaussianProduct(
-            tuple(d["sigmas"]), amplitude=d.get("amplitude", 1.0), n1=d.get("n1")
-        )
     cls = {"separable": SeparableDelta, "causal": HeavisideCausal}.get(kind)
     if cls is None:
         raise ValueError(f"unknown kernel type {kind!r}")

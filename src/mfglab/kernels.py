@@ -1,8 +1,7 @@
 """Interaction kernels coupling the value function to the density.
 
-Three families are supported.  ``GaussianProduct`` is the full convolution
-against a tensor-product Gaussian.  ``SeparableDelta`` is the reduced form
-that integrates only over the cross-section,
+Two families are supported.  ``SeparableDelta`` integrates only over the
+cross-section,
 
     (K m)(x, t) = integral_{cross} Ybar(xbar, ybar) m(x_1, ybar, t) dybar,
 
@@ -20,9 +19,8 @@ O(N prod nx_i) time and O((prod nx_i)^2) memory for the dense quadrature
 matrix over the flattened grid.
 
 The majorant operator ``G`` replaces the profile by one and the integrand by
-its absolute value; it exists only for the two reduced forms and is the
-object appearing on the right-hand side of the pointwise differential
-inequalities for the difference system.
+its absolute value; it is the object appearing on the right-hand side of the
+pointwise differential inequalities for the difference system.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import numpy as np
 from .grid import Field, Grid, trapezoid_sum
 
 __all__ = [
-    "GaussianProduct",
     "SeparableDelta",
     "HeavisideCausal",
     "Kernel",
@@ -47,25 +44,6 @@ __all__ = [
     "apply_G",
     "kernel_bound",
 ]
-
-
-@dataclass(frozen=True)
-class GaussianProduct:
-    """Tensor-product Gaussian kernel with per-axis widths ``sigmas``.
-
-    ``n1`` is an optional declared sup-norm bound; ``kernel_bound`` checks
-    the sampled magnitude against it.
-    """
-
-    sigmas: tuple[float, ...]
-    amplitude: float = 1.0
-    n1: float | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
-        for s in self.sigmas:
-            if not s > 0.0:
-                raise ValueError(f"gaussian widths must be positive, got {s}")
 
 
 def _check_profile(profile) -> None:
@@ -106,7 +84,7 @@ class HeavisideCausal:
         _check_profile(self.profile)
 
 
-Kernel = Union[GaussianProduct, SeparableDelta, HeavisideCausal]
+Kernel = Union[SeparableDelta, HeavisideCausal]
 
 
 def causal_weights(npts: int, spacing: float) -> np.ndarray:
@@ -182,28 +160,18 @@ def _axis_factors(kernel: Kernel, grid: Grid, *, majorant: bool = False):
     cross-section carries measure one).  ``majorant`` gives the factors of
     ``G``: unit profile and unit amplitude.
     """
-    if isinstance(kernel, GaussianProduct):
-        if majorant:
-            raise ValueError("the majorant operator is defined only for the reduced kernel forms")
-        if len(kernel.sigmas) != grid.dim:
-            raise ValueError(
-                f"gaussian kernel needs {grid.dim} widths, got {len(kernel.sigmas)}"
-            )
     scale = 1.0 if majorant else kernel.amplitude
     factors = []
     for axis in range(grid.dim):
         n = grid.nx[axis]
-        if isinstance(kernel, GaussianProduct):
-            x = grid.axis_coords(axis)
-            profile = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * kernel.sigmas[axis] ** 2))
-        elif axis == 0:
+        if axis == 0:
             if isinstance(kernel, SeparableDelta):
                 factors.append(None)
             else:
                 factors.append(scale * causal_weights(n, grid.h[0]))
                 scale = 1.0
             continue
-        elif majorant or kernel.profile == "constant":
+        if majorant or kernel.profile == "constant":
             profile = np.ones((n, n))
         else:
             c = _cosine(grid, axis)
@@ -246,13 +214,12 @@ def kernel_bound(kernel: Kernel, grid: Grid) -> float:
     """Sampled sup-norm of the kernel on the grid.
 
     Every profile is a product of per-axis factors, so the sampled sup is the
-    product of the per-axis maxima: one for the Gaussian (its diagonal) and
-    the constant profile, and the squared peak of the bump on each cross axis
-    for the cosine profile.  When the kernel declares a bound ``n1``, the
+    product of the per-axis maxima: one for the constant profile, and the
+    squared peak of the bump on each cross axis for the cosine profile.  When the kernel declares a bound ``n1``, the
     sample must respect it (the declared value is returned in that case).
     """
     peak = 1.0
-    if not isinstance(kernel, GaussianProduct) and kernel.profile == "cosine":
+    if kernel.profile == "cosine":
         for axis in range(1, grid.dim):
             c = np.max(np.abs(_cosine(grid, axis)))
             peak = peak * c * c

@@ -54,6 +54,7 @@ from .grid import (
     grad_sq,
     interior_mask,
     laplacian,
+    sample_field,
     trace,
 )
 from .kernels import Kernel, apply_kernel
@@ -208,10 +209,6 @@ class ClosedForm:
     d_t: Callable
     grad: tuple[Callable, ...]
     lap: Callable
-
-    def sample(self, grid: Grid) -> Field:
-        mesh = grid.spacetime_meshgrid()
-        return Field(grid, np.broadcast_to(np.asarray(self.fn(*mesh), dtype=float), grid.shape))
 
 
 def quadratic_form(dim: int) -> ClosedForm:
@@ -630,7 +627,7 @@ def manufacture_triple(
     division is rejected if m dips below ``M_FLOOR`` anywhere.
     """
     g = grid
-    u = u_form.sample(g)
+    u = sample_field(g, u_form.fn)
     m0 = np.asarray(m0, dtype=float)
     if np.min(m0) <= 0.0:
         j = np.unravel_index(np.argmin(m0), m0.shape)

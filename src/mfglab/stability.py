@@ -43,9 +43,8 @@ from .grid import (
     interior_mask,
     laplacian,
     time_integral_from_t0,
-    trapezoid_sum,
 )
-from .kernels import Kernel, GaussianProduct, apply_kernel, apply_kernel_spatial, apply_G
+from .kernels import Kernel, apply_kernel, apply_kernel_spatial, apply_G
 from .mfg import MFGTriple, PicardNonConvergence, ProblemSpec, solve_mfg_picard
 from .cip import extract, measure_delta
 from .norms import norm, norm_spatial, weighted_sum
@@ -456,19 +455,6 @@ def _abs_time_integral(field_values: np.ndarray, grid: Grid) -> np.ndarray:
     return np.abs(time_integral_from_t0(grid, np.abs(field_values)))
 
 
-def _g_term(kernel: Kernel, field: Field) -> np.ndarray:
-    """Structural kernel majorant of |field|; bounded kernels fall back to
-    the full-domain integral."""
-    if isinstance(kernel, GaussianProduct):
-        g = field.grid
-        out = np.empty(g.shape)
-        absv = np.abs(field.values)
-        for j in range(g.nt):
-            out[..., j] = trapezoid_sum(g, absv[..., j])
-        return out
-    return apply_G(kernel, field).values
-
-
 def check_inequality(
     pack: DifferencePack,
     kernel: Kernel,
@@ -502,7 +488,7 @@ def check_inequality(
             + _abs_time_integral(grad_abs(v), g)
             + _abs_time_integral(w.values, g)
             + _abs_time_integral(q.values, g)
-            + _g_term(kernel, q)
+            + apply_G(kernel, q).values
             + np.abs(q.values)
         )
     elif which == "q":
@@ -530,7 +516,7 @@ def check_inequality(
             + np.abs(r.values)
             + np.abs(q.values)
             + _abs_time_integral(q.values, g)
-            + _g_term(kernel, r)
+            + apply_G(kernel, r).values
         )
     else:
         gv = grad_abs(v)

@@ -1,7 +1,8 @@
 """Command-line interface: exit codes, file layouts, and determinism.
 
-Every test runs ``python -m mfglab.cli`` in a subprocess, the way a user
-would.  The child imports the same ``mfglab`` package that pytest imported,
+Most tests run ``python -m mfglab.cli`` in a subprocess, the way a user
+would; the config-guard and solver-failure tests call ``cli.main`` in
+process.  The child imports the same ``mfglab`` package that pytest imported,
 whether it is installed or found through ``PYTHONPATH=src``, even when the
 child runs in a temporary working directory.  The console-script test runs
 only where the ``mfglab`` script is installed (``pip install -e .``).
@@ -17,7 +18,7 @@ import sys
 import pytest
 
 import mfglab
-from mfglab import __version__
+from mfglab import __version__, cli
 from mfglab.cli import DEFAULT_CONFIG
 
 # directory holding the imported mfglab package, so that a child started in
@@ -392,3 +393,106 @@ class TestConfigErrors:
         res = run_cli(command, "--config", cfg, cwd=str(tmp_path))
         assert res.returncode == 1
         assert res.stderr == f"config error: {section}.{key} must be an integer >= 1\n"
+
+
+def run_main(tmp_path, capsys, command, payload):
+    """``cli.main`` in process: exit code, stderr, and whether --out exists."""
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", write_config(tmp_path, payload), "--out", str(out)])
+    return rc, capsys.readouterr().err, out.exists()
+
+
+class TestSolverFailures:
+    SMALL = {"grid": {"nx": 17, "nt": 33}}
+
+    def test_density_below_floor_is_a_config_error(self, tmp_path, capsys):
+        payload = {**self.SMALL, "problem": {"u_amplitude": 30}}
+        rc, err, wrote = run_main(tmp_path, capsys, "forward", payload)
+        assert (rc, wrote) == (1, False)
+        assert err.startswith("config error: problem: solved density fell below the floor")
+
+    def test_forward_blowup_exits_3(self, tmp_path, capsys):
+        payload = {**self.SMALL, "problem": {"coupling_gain": 1e300}}
+        rc, err, wrote = run_main(tmp_path, capsys, "forward", payload)
+        assert (rc, wrote) == (3, False)
+        assert err.startswith("hjb solve blew up at time level")
+
+    def test_sweep_blowup_exits_3(self, tmp_path, capsys):
+        payload = {**self.SMALL, "stability": {"perturbation_scale": 1e6}}
+        rc, err, wrote = run_main(tmp_path, capsys, "sweep", payload)
+        assert (rc, wrote) == (3, False)
+        assert err.startswith("hjb solve blew up at time level")
+
+
+CONFIG_LEAVES = [
+    (section, key)
+    for section, values in DEFAULT_CONFIG.items()
+    if isinstance(values, dict)
+    for key in values
+]
+
+# the exact line for each value the CLI's own rule table checks
+RULE_LINES = {
+    ("solver", "damping"): "solver.damping must lie in (0, 1]",
+    ("solver", "max_iter"): "solver.max_iter must be an integer >= 1",
+    ("solver", "tol"): "solver.tol must be a finite number > 0",
+    ("problem", "u_amplitude"): "problem.u_amplitude must be a finite number",
+    ("problem", "coupling_gain"): "problem.coupling_gain must be a finite number",
+    ("stability", "lam1"): "stability.lam1 must be a finite number > 0",
+    ("stability", "scales"):
+        "stability.scales must be [lo, hi, count] with 0 < lo < hi and count >= 2",
+    ("stability", "perturbation_scale"):
+        "stability.perturbation_scale must be a finite nonzero number",
+    ("stability", "completeness"): "stability.completeness must be 'full' or 'incomplete'",
+    ("carleman", "alpha"): "carleman.alpha must be null or a finite number > 0",
+    ("carleman", "count"): "carleman.count must be an integer >= 1",
+    ("carleman", "seed"): "carleman.seed must be an integer >= 0",
+    ("carleman", "restricted"): "carleman.restricted must be true or false",
+    ("lemmas", "samples"): "lemmas.samples must be an integer >= 1",
+    ("lemmas", "seed"): "lemmas.seed must be an integer >= 0",
+}
+
+
+class TestConfigGuard:
+    """Every config key is checked before any work, whatever the command:
+    a string where a value belongs exits 1 with one line and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "section, key", CONFIG_LEAVES, ids=[f"{s}.{k}" for s, k in CONFIG_LEAVES]
+    )
+    def test_every_key_is_checked(self, tmp_path, capsys, section, key):
+        payload = {"grid": {"nx": 17, "nt": 33}}
+        payload.setdefault(section, {})[key] = "x"
+        rc, err, wrote = run_main(tmp_path, capsys, "sweep", payload)
+        assert (rc, wrote) == (1, False)
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert err.endswith("\n")
+        if (section, key) in RULE_LINES:
+            assert err == f"config error: {RULE_LINES[section, key]}\n"
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "damping", True),
+        ("stability", "scales", [1e-3, 1e-1, 2.5]),
+        ("stability", "lam1", "2"),
+        ("carleman", "count", 0),
+    ], ids=["bool-damping", "fractional-count", "string-lam1", "params-checks-carleman"])
+    def test_no_value_is_coerced(self, tmp_path, capsys, section, key, value):
+        rc, err, wrote = run_main(tmp_path, capsys, "params", {section: {key: value}})
+        assert (rc, wrote) == (1, False)
+        assert err == f"config error: {RULE_LINES[section, key]}\n"
+
+    def test_params_guards_the_lemma_lambdas(self, tmp_path, capsys):
+        payload = {"lemmas": {"lambdas": [1.0, 100.0]}}
+        rc, err, _ = run_main(tmp_path, capsys, "params", payload)
+        assert rc == 3
+        assert err.startswith("lambda = 100 exceeds the overflow guard")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("stability", "rho", [1]),
+        ("stability", "rho", float("inf")),
+        ("prism", "T", float("inf")),
+    ], ids=["list-rho", "infinite-rho", "infinite-T"])
+    def test_parameter_calculus_input_is_checked(self, tmp_path, capsys, section, key, value):
+        rc, err, _ = run_main(tmp_path, capsys, "params", {section: {key: value}})
+        assert rc == 1
+        assert err.startswith("config error: ") and err.count("\n") == 1

@@ -108,6 +108,12 @@ class TestGrid:
         with pytest.raises(ValueError, match="nx"):
             make_grid(Prism(1.0, 2.0, (), 1.0), 2, 65)
 
+    @pytest.mark.parametrize("nx, nt", [((17.9,), 33), (17, 33.0), (("17",), 33)])
+    def test_point_counts_must_be_integers(self, nx, nt):
+        # no count is truncated or passed on as a float
+        with pytest.raises(ValueError, match="grid point counts must be integers"):
+            make_grid(Prism(1.0, 2.0, (), 1.0), nx, nt)
+
 
 class TestField:
     def test_arithmetic(self, grid):

@@ -42,7 +42,6 @@ ORACLES = {
     "reconstruction_spread",
     "residual",
     "residual_derived_system",
-    "sample_field",
     "weight_extrema",
 }
 

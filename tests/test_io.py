@@ -28,7 +28,7 @@ from mfglab.io import (
     save_triple_dir,
     stability_params_to_dict,
 )
-from mfglab.kernels import GaussianProduct, HeavisideCausal, SeparableDelta
+from mfglab.kernels import HeavisideCausal, SeparableDelta
 from mfglab.stability import SweepReport, select_parameters
 
 from conftest import PRISM, KERNEL
@@ -97,7 +97,6 @@ class TestKernelDict:
         [
             (SeparableDelta(amplitude=0.4, n1=1), "separable"),
             (HeavisideCausal(profile="constant", amplitude=0.7, n1=2), "causal"),
-            (GaussianProduct((0.5,), amplitude=2.0, n1=3), "gaussian"),
         ],
     )
     def test_round_trip(self, kernel, kind):

@@ -3,11 +3,9 @@ closed forms, and the majorant."""
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from mfglab.grid import Field, Prism, make_grid, sample_field
 from mfglab.kernels import (
-    GaussianProduct,
     HeavisideCausal,
     SeparableDelta,
     apply_G,
@@ -82,37 +80,6 @@ class TestHeavisideCausal:
         )
 
 
-class TestGaussianProduct:
-    def test_matches_independent_quadrature(self, grid):
-        rng = np.random.default_rng(11)
-        mvals = rng.standard_normal(grid.shape)
-        m = sample_field(grid, lambda x, t: 0 * x + 0 * t)
-        m = type(m)(grid, mvals)
-        kern = GaussianProduct(sigmas=(0.25,), amplitude=0.7)
-        out = apply_kernel(kern, m)
-        x = grid.axis_coords(0)
-        w = grid.trapezoid_weights(0)
-        M = 0.7 * np.exp(-((x[:, None] - x[None, :]) ** 2) / (2 * 0.25**2)) * w[None, :]
-        np.testing.assert_allclose(out.values, np.einsum("pq,qt->pt", M, mvals), atol=1e-12)
-
-    def test_constant_density_matches_erf(self, grid):
-        m = sample_field(grid, lambda x, t: 1.0 + 0 * x + 0 * t)
-        out = apply_kernel(GaussianProduct(sigmas=(0.25,)), m)
-        x = grid.axis_coords(0)
-        s = 0.25 * np.sqrt(2.0)
-        closed = 0.25 * np.sqrt(2 * np.pi) * 0.5 * (erf((x - 1.0) / s) + erf((2.0 - x) / s))
-        np.testing.assert_allclose(out.values[:, 0], closed, rtol=2e-4, atol=1e-5)
-
-    def test_sigma_count_must_match_dim(self, grid2d):
-        m = sample_field(grid2d, lambda x, y, t: 1.0 + 0 * x + 0 * y + 0 * t)
-        with pytest.raises(ValueError, match="widths"):
-            apply_kernel(GaussianProduct(sigmas=(0.25,)), m)
-
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(ValueError, match="positive"):
-            GaussianProduct(sigmas=(0.0,))
-
-
 class TestCausalWeights:
     def test_rows_integrate_from_node_to_end(self):
         w = causal_weights(9, 0.125)
@@ -148,11 +115,6 @@ class TestMajorant:
         want[-1] = 0.5 * grid.h[0]
         np.testing.assert_allclose(out.values, want, atol=1e-13)
 
-    def test_gaussian_has_no_reduced_majorant(self, grid):
-        q = sample_field(grid, lambda x, t: x + 0 * t)
-        with pytest.raises(ValueError, match="reduced kernel forms"):
-            apply_G(GaussianProduct(sigmas=(0.25,)), q)
-
 
 class TestKernelBound:
     def test_declared_bound_returned(self, grid):
@@ -163,7 +125,7 @@ class TestKernelBound:
             kernel_bound(SeparableDelta(amplitude=5.0, n1=1), grid)
 
     def test_sampled_bound_without_declaration(self, grid):
-        got = kernel_bound(GaussianProduct(sigmas=(0.25,), amplitude=0.7), grid)
+        got = kernel_bound(HeavisideCausal(amplitude=0.7), grid)
         assert got == pytest.approx(0.7, rel=1e-12)
 
 
@@ -217,12 +179,6 @@ def dense_matrix(kernel, grid, majorant=False):
     ``SeparableDelta``), built from the closed-form Kronecker formulas."""
     amp = 1.0 if majorant else kernel.amplitude
     cross = list(range(1, grid.dim))
-    if isinstance(kernel, GaussianProduct):
-        M = np.ones((1, 1))
-        for axis, sigma in enumerate(kernel.sigmas):
-            x = grid.axis_coords(axis)
-            M = np.kron(M, np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * sigma**2)))
-        return amp * M * _flat_weights(grid, range(grid.dim))[None, :]
     wbar = _flat_weights(grid, cross)
     Ybar = _dense_profile(kernel, grid, majorant)
     if isinstance(kernel, SeparableDelta):
@@ -247,7 +203,6 @@ REFERENCE_GRIDS = {
 
 
 def _reference_kernels(dim):
-    yield GaussianProduct(sigmas=tuple(0.25 + 0.1 * i for i in range(dim)), amplitude=0.7)
     for cls in (SeparableDelta, HeavisideCausal):
         for profile in ("constant", "cosine"):
             yield cls(profile=profile, amplitude=0.4)
@@ -272,17 +227,14 @@ class TestDenseReference:
         for kern in _reference_kernels(g.dim):
             got = apply_kernel(kern, Field(g, vals)).values
             self._check(g.dim, got, dense_apply(kern, g, vals))
-            if not isinstance(kern, GaussianProduct):
-                got = apply_G(kern, Field(g, vals)).values
-                self._check(g.dim, got, dense_apply(kern, g, np.abs(vals), majorant=True))
+            got = apply_G(kern, Field(g, vals)).values
+            self._check(g.dim, got, dense_apply(kern, g, np.abs(vals), majorant=True))
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_GRIDS))
     def test_bound_is_the_dense_sup(self, name):
         prism, nx = REFERENCE_GRIDS[name]
         g = make_grid(prism, nx, 5)
         for kern in _reference_kernels(g.dim):
-            if isinstance(kern, GaussianProduct):
-                continue
             # rounding is monotone, so the product of per-axis maxima is exact
             want = float(abs(kern.amplitude) * np.max(np.abs(_dense_profile(kern, g))))
             assert kernel_bound(kern, g) == want
