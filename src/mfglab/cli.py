@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -24,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .grid import Prism, make_grid
+from .grid import Prism, finite_real, make_grid
 from .kernels import HeavisideCausal, SeparableDelta, kernel_bound
 from .carleman import (
     LAMBDA_MAX,
@@ -79,13 +78,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _finite(value) -> bool:
-    """A finite JSON number; bools are rejected although they are ints."""
-    return type(value) in (int, float) and -math.inf < value < math.inf
-
-
 def _positive(value) -> bool:
-    return _finite(value) and value > 0
+    return finite_real(value) and value > 0
 
 
 def _integer(lo: int):
@@ -96,8 +90,8 @@ def _scales(value) -> bool:
     return (
         isinstance(value, list)
         and len(value) == 3
-        and _finite(value[0])
-        and _finite(value[1])
+        and finite_real(value[0])
+        and finite_real(value[1])
         and 0 < value[0] < value[1]
         and type(value[2]) is int
         and value[2] >= 2
@@ -107,15 +101,15 @@ def _scales(value) -> bool:
 # (section, key, predicate, requirement): the config values that no library
 # constructor checks.  Every command checks all of them before any work.
 _RULES = (
-    ("solver", "damping", lambda v: _finite(v) and 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    ("solver", "damping", lambda v: finite_real(v) and 0.0 < v <= 1.0, "must lie in (0, 1]"),
     ("solver", "max_iter", _integer(1), "must be an integer >= 1"),
     ("solver", "tol", _positive, "must be a finite number > 0"),
-    ("problem", "u_amplitude", _finite, "must be a finite number"),
-    ("problem", "coupling_gain", _finite, "must be a finite number"),
+    ("problem", "u_amplitude", finite_real, "must be a finite number"),
+    ("problem", "coupling_gain", finite_real, "must be a finite number"),
     ("stability", "lam1", _positive, "must be a finite number > 0"),
     ("stability", "scales", _scales,
      "must be [lo, hi, count] with 0 < lo < hi and count >= 2"),
-    ("stability", "perturbation_scale", lambda v: _finite(v) and v != 0,
+    ("stability", "perturbation_scale", lambda v: finite_real(v) and v != 0,
      "must be a finite nonzero number"),
     ("stability", "completeness", lambda v: v in ("full", "incomplete"),
      "must be 'full' or 'incomplete'"),

@@ -30,6 +30,7 @@ serves both a space-time array and a spatial snapshot, and
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterator, Sequence
@@ -60,7 +61,17 @@ __all__ = [
     "snap_epsilon",
     "boundary_mask",
     "interior_mask",
+    "finite_real",
 ]
+
+
+def finite_real(value) -> bool:
+    """A finite real number; bools are rejected although they are ints."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 @dataclass(frozen=True)
@@ -75,8 +86,8 @@ class Prism:
         T: final time, strictly positive.
 
     Raises:
-        ValueError: if ``a <= 0``, ``b <= a``, any half-width is
-            non-positive, or ``T <= 0``.
+        ValueError: if a bound is not a finite real number, ``a <= 0``,
+            ``b <= a``, any half-width is non-positive, or ``T <= 0``.
     """
 
     a: float
@@ -85,6 +96,10 @@ class Prism:
     T: float = 1.0
 
     def __post_init__(self) -> None:
+        widths = [(f"half_widths[{i}]", w) for i, w in enumerate(self.half_widths)]
+        for name, value in [("a", self.a), ("b", self.b), ("T", self.T)] + widths:
+            if not finite_real(value):
+                raise ValueError(f"prism {name} must be a finite number, got {value!r}")
         object.__setattr__(self, "half_widths", tuple(float(w) for w in self.half_widths))
         if not self.a > 0.0:
             raise ValueError(f"prism requires a > 0, got a={self.a}")

@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .grid import Field, Grid, trapezoid_sum
+from .grid import Field, Grid, finite_real, trapezoid_sum
 
 __all__ = [
     "SeparableDelta",
@@ -46,9 +46,13 @@ __all__ = [
 ]
 
 
-def _check_profile(profile) -> None:
-    if profile not in ("constant", "cosine"):
-        raise ValueError(f"unknown kernel profile {profile!r}")
+def _check_kernel(kernel: Kernel) -> None:
+    if kernel.profile not in ("constant", "cosine"):
+        raise ValueError(f"unknown kernel profile {kernel.profile!r}")
+    if not finite_real(kernel.amplitude):
+        raise ValueError(f"amplitude must be a finite number, got {kernel.amplitude!r}")
+    if kernel.n1 is not None and not (finite_real(kernel.n1) and kernel.n1 >= 0):
+        raise ValueError(f"n1 must be null or a finite number >= 0, got {kernel.n1!r}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ class SeparableDelta:
     n1: float | None = None
 
     def __post_init__(self) -> None:
-        _check_profile(self.profile)
+        _check_kernel(self)
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,7 @@ class HeavisideCausal:
     n1: float | None = None
 
     def __post_init__(self) -> None:
-        _check_profile(self.profile)
+        _check_kernel(self)
 
 
 Kernel = Union[SeparableDelta, HeavisideCausal]

@@ -37,7 +37,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,8 +45,6 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 from .grid import (
-    BoundaryTrace,
-    Face,
     Field,
     Grid,
     boundary_mask,
@@ -55,7 +53,6 @@ from .grid import (
     interior_mask,
     laplacian,
     sample_field,
-    trace,
 )
 from .kernels import Kernel, apply_kernel
 from .norms import norm
@@ -71,7 +68,6 @@ __all__ = [
     "quadratic_form",
     "bump_form",
     "steady_density",
-    "dirichlet_data",
     "solve_fokker_planck",
     "solve_hjb",
     "solve_mfg_picard",
@@ -116,49 +112,29 @@ class PicardNonConvergence(RuntimeError):
 # problem data
 
 
-def dirichlet_data(u: Field) -> dict[Face, BoundaryTrace]:
-    """Dirichlet restrictions of a field to every lateral face."""
-    return {f: trace(u, "dirichlet", f) for f in u.grid.faces()}
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Data of one forward problem: geometry, coupling, and boundary data.
+    """Data of one forward problem: geometry, coupling, and Dirichlet data.
 
-    ``f`` is the local-interaction coefficient field; ``u_boundary`` and
-    ``m_boundary`` hold Dirichlet traces on every face; ``u_terminal`` and
-    ``m_initial`` are spatial arrays.
+    ``f`` is the local-interaction coefficient field.  ``u_data`` supplies u
+    on the lateral boundary at every level and its terminal level;
+    ``m_data`` supplies m on the lateral boundary and its initial level.
+    The solvers read no other entry of either field.
     """
 
     grid: Grid
     kernel: Kernel
     f: Field
-    u_terminal: np.ndarray
-    m_initial: np.ndarray
-    u_boundary: Mapping[Face, BoundaryTrace]
-    m_boundary: Mapping[Face, BoundaryTrace]
+    u_data: Field
+    m_data: Field
 
     def __post_init__(self) -> None:
-        g = self.grid
-        u_term = np.asarray(self.u_terminal, dtype=float)
-        m_init = np.asarray(self.m_initial, dtype=float)
-        for name, arr in (("u_terminal", u_term), ("m_initial", m_init)):
-            if arr.shape != g.shape_space:
-                raise ValueError(f"{name} must have spatial shape {g.shape_space}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-        if np.min(m_init) <= 0.0:
-            raise ValueError(
-                f"initial density must be positive, min = {np.min(m_init):.3e}"
-            )
-        if self.f.grid != g:
-            raise ValueError("f lives on a different grid")
-        for data, label in ((self.u_boundary, "u"), (self.m_boundary, "m")):
-            for f in g.faces():
-                if f not in data:
-                    raise ValueError(f"missing {label} boundary data on face {f.label}")
-        object.__setattr__(self, "u_terminal", u_term)
-        object.__setattr__(self, "m_initial", m_init)
+        for name in ("f", "u_data", "m_data"):
+            if getattr(self, name).grid != self.grid:
+                raise ValueError(f"{name} lives on a different grid")
+        m_min = np.min(self.m_data.values[..., 0])
+        if m_min <= 0.0:
+            raise ValueError(f"initial density must be positive, min = {m_min:.3e}")
 
 
 @dataclass(frozen=True)
@@ -407,17 +383,9 @@ class _SpatialOperator:
         A = sp.csc_matrix((storage, self.indices, self.indptr), shape=(self.ns, self.ns))
         return splu(A).solve
 
-    def dirichlet_values(self, data: Mapping[Face, BoundaryTrace]) -> np.ndarray:
+    def dirichlet_values(self, data: Field) -> np.ndarray:
         """Dirichlet values of every time level, shape (nt, boundary nodes)."""
-        g = self.grid
-        full = np.zeros(g.shape)
-        # faces in deterministic order; later faces win on shared edges,
-        # where consistent data agree
-        for f in g.faces():
-            sl = [slice(None)] * (g.dim + 1)
-            sl[f.axis] = 0 if f.side < 0 else -1
-            full[tuple(sl)] = data[f].values
-        return full.reshape(self.ns, g.nt)[self.boundary].T
+        return data.values.reshape(self.ns, self.grid.nt)[self.boundary].T
 
     def step(
         self, solve: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, bvals: np.ndarray
@@ -502,11 +470,9 @@ def solve_fokker_planck(spec: ProblemSpec, k: np.ndarray, u: Field) -> Field:
     g = spec.grid
     k = _checked_coefficient(g, k)
     op = _SpatialOperator(g)
-    bvals = op.dirichlet_values(spec.m_boundary)
+    bvals = op.dirichlet_values(spec.m_data)
     values = np.empty(g.shape)
-    level = np.array(spec.m_initial)
-    level.flat[op.boundary] = bvals[0]
-    values[..., 0] = level
+    values[..., 0] = spec.m_data.values[..., 0]
     storage = None
     levels = max(1, _DRIFT_BLOCK_NODES // op.ns)
     for j0 in range(1, g.nt, levels):
@@ -541,11 +507,9 @@ def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: Field) -> Field:
     km = apply_kernel(spec.kernel, m).values
     fm = spec.f.values * m.values
     solve = op.factor(op.system(tau))
-    bvals = op.dirichlet_values(spec.u_boundary)
+    bvals = op.dirichlet_values(spec.u_data)
     values = np.empty(g.shape)
-    level = np.array(spec.u_terminal)
-    level.flat[op.boundary] = bvals[-1]
-    values[..., -1] = level
+    values[..., -1] = spec.u_data.values[..., -1]
     for j in range(g.nt - 2, -1, -1):
         prev = values[..., j + 1]
         rhs = prev - tau * (0.5 * k * grad_sq(g, prev) - km[..., j] - fm[..., j])
@@ -575,9 +539,8 @@ def solve_mfg_picard(
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     g = spec.grid
-    m_iter = Field(
-        g, np.repeat(spec.m_initial[..., None], g.nt, axis=-1), _copy=False
-    )
+    m0 = spec.m_data.values[..., :1]
+    m_iter = Field(g, np.repeat(m0, g.nt, axis=-1), _copy=False)
     history: list[float] = []
     u_prev: Field | None = None
     m_prev_raw: Field | None = None
@@ -636,24 +599,9 @@ def manufacture_triple(
             f"is {np.min(m0):.3e}"
         )
     # density data: initial profile frozen in time on the boundary
-    m_boundary = {}
-    for f in g.faces():
-        sl = [slice(None)] * g.dim
-        sl[f.axis] = 0 if f.side < 0 else -1
-        face_vals = m0[tuple(sl)]
-        m_boundary[f] = BoundaryTrace(
-            g, f, np.repeat(face_vals[..., None], g.nt, axis=-1)
-        )
+    m_data = Field(g, np.repeat(m0[..., None], g.nt, axis=-1), _copy=False)
     zero_f = Field(g, np.zeros(g.shape), _copy=False)
-    spec0 = ProblemSpec(
-        grid=g,
-        kernel=kernel,
-        f=zero_f,
-        u_terminal=u.at_index(g.nt - 1),
-        m_initial=m0,
-        u_boundary=dirichlet_data(u),
-        m_boundary=m_boundary,
-    )
+    spec0 = ProblemSpec(grid=g, kernel=kernel, f=zero_f, u_data=u, m_data=m_data)
     m = solve_fokker_planck(spec0, k, u)
     m_min = float(np.min(m.values))
     if m_min < M_FLOOR:
@@ -685,16 +633,7 @@ def manufacture_triple(
 def spec_for_triple(triple: MFGTriple, kernel: Kernel, f: Field) -> ProblemSpec:
     """Forward-problem data whose solution the given triple is (by its own
     Dirichlet restrictions)."""
-    g = triple.grid
-    return ProblemSpec(
-        grid=g,
-        kernel=kernel,
-        f=f,
-        u_terminal=triple.u.at_index(g.nt - 1),
-        m_initial=triple.m.at_index(0),
-        u_boundary=dirichlet_data(triple.u),
-        m_boundary=dirichlet_data(triple.m),
-    )
+    return ProblemSpec(triple.grid, kernel, f, triple.u, triple.m)
 
 
 # ---------------------------------------------------------------------------

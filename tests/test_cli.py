@@ -481,6 +481,25 @@ class TestConfigGuard:
         assert (rc, wrote) == (1, False)
         assert err == f"config error: {RULE_LINES[section, key]}\n"
 
+    @pytest.mark.parametrize("section, key, value, line", [
+        ("kernel", "amplitude", True, "kernel: amplitude must be a finite number, got True"),
+        ("kernel", "amplitude", float("nan"), "kernel: amplitude must be a finite number, got nan"),
+        ("kernel", "n1", "x", "kernel: n1 must be null or a finite number >= 0, got 'x'"),
+        ("kernel", "n1", -1, "kernel: n1 must be null or a finite number >= 0, got -1"),
+        ("prism", "T", float("inf"), "prism/grid: prism T must be a finite number, got inf"),
+        ("prism", "half_widths", ["0.5"],
+         "prism/grid: prism half_widths[0] must be a finite number, got '0.5'"),
+        ("prism", "a", True, "prism/grid: prism a must be a finite number, got True"),
+    ], ids=["bool-amplitude", "nan-amplitude", "string-n1", "negative-n1", "infinite-T",
+            "string-half-width", "bool-a"])
+    def test_kernel_and_prism_numbers_are_checked(
+        self, tmp_path, capsys, section, key, value, line
+    ):
+        payload = {"grid": {"nx": 17, "nt": 33}, section: {key: value}}
+        rc, err, wrote = run_main(tmp_path, capsys, "manufacture", payload)
+        assert (rc, wrote) == (1, False)
+        assert err == f"config error: {line}\n"
+
     def test_params_guards_the_lemma_lambdas(self, tmp_path, capsys):
         payload = {"lemmas": {"lambdas": [1.0, 100.0]}}
         rc, err, _ = run_main(tmp_path, capsys, "params", payload)

@@ -38,6 +38,8 @@ class TestPrism:
         assert p.dim == 3
         assert p.axis_bounds(1) == (-0.5, 0.5)
         assert p.axis_bounds(2) == (-0.25, 0.25)
+        # integer bounds are real numbers too
+        assert Prism(1, 2, (1,), 1).axis_bounds(1) == (-1.0, 1.0)
 
     @pytest.mark.parametrize(
         "args, match",
@@ -46,6 +48,9 @@ class TestPrism:
             ((-1.0, 2.0, (), 1.0), "a > 0"),
             ((1.0, 2.0, (), 0.0), "T > 0"),
             ((1.0, 2.0, (0.0,), 1.0), "half_widths"),
+            ((1.0, 2.0, (), float("inf")), "T must be a finite number"),
+            ((1.0, 2.0, ("0.5",), 1.0), r"half_widths\[0\] must be a finite number"),
+            ((True, 2.0, (), 1.0), "a must be a finite number"),
         ],
     )
     def test_rejects_bad_geometry(self, args, match):

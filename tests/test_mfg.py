@@ -8,8 +8,6 @@ import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from mfglab.grid import (
-    BoundaryTrace,
-    Face,
     Field,
     Prism,
     boundary_mask,
@@ -26,7 +24,6 @@ from mfglab.mfg import (
     PicardNonConvergence,
     ProblemSpec,
     bump_form,
-    dirichlet_data,
     manufacture_triple,
     quadratic_form,
     residual,
@@ -50,10 +47,8 @@ def heat_problem(nx: int, nt: int):
         grid=g,
         kernel=SeparableDelta(amplitude=0.0),
         f=Field(g, np.zeros(g.shape)),
-        u_terminal=np.zeros(nx),
-        m_initial=m0,
-        u_boundary=dirichlet_data(u_const),
-        m_boundary=dirichlet_data(sample_field(g, lambda x, t: 2.0 + 0 * x + 0 * t)),
+        u_data=u_const,
+        m_data=Field(g, np.repeat(m0[:, None], nt, axis=1)),
     )
     exact = (
         2.0
@@ -119,10 +114,8 @@ class TestFokkerPlanck:
             grid=g,
             kernel=SeparableDelta(amplitude=0.0),
             f=Field(g, np.zeros(g.shape)),
-            u_terminal=np.zeros(33),
-            m_initial=np.full(33, 2.0),
-            u_boundary=dirichlet_data(u_const),
-            m_boundary=dirichlet_data(sample_field(g, lambda x, t: 2.0 + 0 * x + 0 * t)),
+            u_data=u_const,
+            m_data=sample_field(g, lambda x, t: 2.0 + 0 * x + 0 * t),
         )
         m = solve_fokker_planck(spec, np.ones(33), u_const)
         assert np.max(np.abs(m.values - 2.0)) < 1e-13
@@ -168,11 +161,9 @@ class TestFokkerPlanck:
             g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
         )
         spec = spec_for_triple(triple, kern, f)
-        face = next(iter(spec.m_boundary))
-        values = np.array(spec.m_boundary[face].values)
-        values[5] = 1e13
-        m_boundary = {**spec.m_boundary, face: BoundaryTrace(g, face, values)}
-        spec = dataclasses.replace(spec, m_boundary=m_boundary)
+        values = np.array(spec.m_data.values)
+        values[0, 5] = 1e13
+        spec = dataclasses.replace(spec, m_data=Field(g, values))
         with pytest.raises(BlowupError) as info:
             solve_fokker_planck(spec, np.ones(33), triple.u)
         assert info.value.equation == "fokker-planck"
@@ -228,21 +219,15 @@ class TestHJB:
     def test_backward_heat_mode(self):
         g = make_grid(PRISM, 33, 257)
         kern = SeparableDelta(amplitude=0.0)
-        zero_tr = dirichlet_data(sample_field(g, lambda x, t: 0.0 + 0 * x + 0 * t))
-        spec = ProblemSpec(
-            grid=g,
-            kernel=kern,
-            f=Field(g, np.zeros(g.shape)),
-            u_terminal=np.sin(np.pi * (g.axis_coords(0) - 1.0)),
-            m_initial=np.ones(33),
-            u_boundary=zero_tr,
-            m_boundary=dirichlet_data(sample_field(g, lambda x, t: 1.0 + 0 * x + 0 * t)),
-        )
-        u = solve_hjb(spec, np.zeros(33), sample_field(g, lambda x, t: 1.0 + 0 * x + 0 * t))
         exact = (
             np.sin(np.pi * (g.axis_coords(0) - 1.0))[:, None]
             * np.exp(-np.pi**2 * (1.0 - g.times[None, :]))
         )
+        ones = sample_field(g, lambda x, t: 1.0 + 0 * x + 0 * t)
+        spec = ProblemSpec(
+            grid=g, kernel=kern, f=Field(g, np.zeros(g.shape)), u_data=Field(g, exact), m_data=ones
+        )
+        u = solve_hjb(spec, np.zeros(33), ones)
         assert np.max(np.abs(u.values - exact)) < 8e-3
 
     def test_blowup_guard_names_level(self):
@@ -265,12 +250,8 @@ class TestPicard:
             grid=g,
             kernel=SeparableDelta(amplitude=0.0),
             f=Field(g, np.zeros(g.shape)),
-            u_terminal=np.zeros(33),
-            m_initial=steady_density(g),
-            u_boundary=dirichlet_data(u_const),
-            m_boundary=dirichlet_data(
-                Field(g, np.repeat(steady_density(g)[..., None], g.nt, axis=-1))
-            ),
+            u_data=u_const,
+            m_data=Field(g, np.repeat(steady_density(g)[..., None], g.nt, axis=-1)),
         )
         triple = solve_mfg_picard(spec, np.ones(33), tol=1e-9)
         assert triple.report["iterations"] == 1
@@ -312,6 +293,23 @@ class TestPicard:
         with pytest.raises(ValueError, match="damping"):
             solve_mfg_picard(pair["spec"], pair["k1"], damping=0.0)
 
+    def test_solvers_read_only_boundary_and_end_levels(self, make_pair):
+        # the interior of u_data below the terminal level and of m_data above
+        # the initial level are not data: filling them changes nothing
+        pair = make_pair(33, 65)
+        g, spec = pair["grid"], pair["spec"]
+        inner = ~boundary_mask(g)
+        u_values = np.array(spec.u_data.values)
+        u_values[inner, :-1] = 7.0
+        m_values = np.array(spec.m_data.values)
+        m_values[inner, 1:] = 3.0
+        filled = dataclasses.replace(
+            spec, u_data=Field(g, u_values), m_data=Field(g, m_values)
+        )
+        got = solve_mfg_picard(filled, pair["k1"], damping=0.5, max_iter=80, tol=1e-10)
+        assert np.array_equal(got.u.values, pair["t1"].u.values)
+        assert np.array_equal(got.m.values, pair["t1"].m.values)
+
     def test_mirror_symmetry(self, make_pair):
         # reflecting every data array about the slab midpoint commutes with
         # the solver to roundoff
@@ -321,22 +319,12 @@ class TestPicard:
         def flip(a):
             return np.asarray(a)[::-1].copy()
 
-        ub = {
-            Face(0, -1): BoundaryTrace(g, Face(0, -1), spec.u_boundary[Face(0, 1)].values.copy()),
-            Face(0, 1): BoundaryTrace(g, Face(0, 1), spec.u_boundary[Face(0, -1)].values.copy()),
-        }
-        mb = {
-            Face(0, -1): BoundaryTrace(g, Face(0, -1), spec.m_boundary[Face(0, 1)].values.copy()),
-            Face(0, 1): BoundaryTrace(g, Face(0, 1), spec.m_boundary[Face(0, -1)].values.copy()),
-        }
         mirrored = ProblemSpec(
             grid=g,
             kernel=spec.kernel,
-            f=Field(g, spec.f.values[::-1].copy()),
-            u_terminal=flip(spec.u_terminal),
-            m_initial=flip(spec.m_initial),
-            u_boundary=ub,
-            m_boundary=mb,
+            f=Field(g, flip(spec.f.values)),
+            u_data=Field(g, flip(spec.u_data.values)),
+            m_data=Field(g, flip(spec.m_data.values)),
         )
         got = solve_mfg_picard(mirrored, flip(pair["k1"]), damping=0.5, max_iter=80, tol=1e-10)
         assert np.max(np.abs(got.u.values[::-1] - pair["t1"].u.values)) < 1e-12
@@ -396,24 +384,21 @@ class TestManufacture:
 class TestSpecValidation:
     def test_shape_and_positivity_guards(self):
         g = make_grid(PRISM, 33, 65)
-        u_const = sample_field(g, lambda x, t: 0.0 + 0 * x + 0 * t)
         good = dict(
             grid=g,
             kernel=SeparableDelta(),
             f=Field(g, np.zeros(g.shape)),
-            u_terminal=np.zeros(33),
-            m_initial=np.ones(33),
-            u_boundary=dirichlet_data(u_const),
-            m_boundary=dirichlet_data(sample_field(g, lambda x, t: 1.0 + 0 * x + 0 * t)),
+            u_data=Field(g, np.zeros(g.shape)),
+            m_data=Field(g, np.ones(g.shape)),
         )
         ProblemSpec(**good)
-        with pytest.raises(ValueError, match="spatial shape"):
-            ProblemSpec(**{**good, "u_terminal": np.zeros(7)})
+        other = make_grid(PRISM, 17, 65)
+        with pytest.raises(ValueError, match="u_data lives on a different grid"):
+            ProblemSpec(**{**good, "u_data": Field(other, np.zeros(other.shape))})
+        m_values = np.ones(g.shape)
+        m_values[4, 0] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            ProblemSpec(**{**good, "m_initial": np.zeros(33)})
-        bad_boundary = {Face(0, -1): good["u_boundary"][Face(0, -1)]}
-        with pytest.raises(ValueError, match="missing"):
-            ProblemSpec(**{**good, "u_boundary": bad_boundary})
+            ProblemSpec(**{**good, "m_data": Field(g, m_values)})
 
     def test_triple_guards(self, make_pair):
         pair = make_pair(33, 65)
