@@ -6,7 +6,6 @@ difference machinery behind the stability estimate."""
 __version__ = "0.1.0"
 
 from .grid import (
-    BoundaryTrace,
     Face,
     Field,
     Grid,
@@ -55,7 +54,7 @@ from .stability import (
 
 __all__ = [
     "__version__",
-    "BoundaryTrace", "Face", "Field", "Grid", "Prism", "make_grid", "snap_epsilon",
+    "Face", "Field", "Grid", "Prism", "make_grid", "snap_epsilon",
     "norm", "norm_spatial", "trace_norm",
     "HeavisideCausal", "SeparableDelta",
     "CarlemanParams", "CarlemanReport", "LemmaReport", "carleman_sweep",

@@ -205,11 +205,13 @@ def _ordered_second_sum(u: Field) -> np.ndarray:
 
 def _boundary_norms_sq(u: Field, faces) -> float:
     """|du/dn|_{H10}^2 + |u|_{H21}^2 summed over the given faces."""
+    g = u.grid
     total = 0.0
     for f in faces:
-        neu = trace(u, "neumann", f)
-        dir_ = trace(u, "dirichlet", f)
-        total += trace_norm(neu, "H10") ** 2 + trace_norm(dir_, "H21") ** 2
+        total += (
+            trace_norm(g, f, trace(u, "neumann", f), "H10") ** 2
+            + trace_norm(g, f, trace(u, "dirichlet", f), "H21") ** 2
+        )
     return total
 
 
@@ -231,7 +233,7 @@ def _check_restricted_precondition(u: Field) -> None:
     for f in u.grid.faces():
         if f.axis == 0 and f.side == +1:
             continue
-        worst = float(np.max(np.abs(trace(u, "dirichlet", f).values)))
+        worst = float(np.max(np.abs(trace(u, "dirichlet", f))))
         if worst > _RESTRICTED_TOL:
             raise ValueError(
                 f"restricted functional requires u = 0 off the outflow face; "

@@ -28,12 +28,11 @@ from typing import Mapping
 import numpy as np
 
 from .grid import (
-    BoundaryTrace,
     Face,
-    Field,
     Grid,
     dt as field_dt,
     dtt as field_dtt,
+    finite_real,
     first_derivative,
     snapshot,
     trace,
@@ -71,13 +70,13 @@ class NoiseSpec:
     profile: str = "smooth-low-mode"
 
     def __post_init__(self) -> None:
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
+        if not finite_real(self.delta) or self.delta < 0.0:
+            raise ValueError(f"delta must be nonnegative and finite, got {self.delta!r}")
         if self.profile not in _PROFILES:
             raise ValueError(f"profile must be one of {_PROFILES}")
 
 
-TraceSet = Mapping[Face, tuple[BoundaryTrace, BoundaryTrace, BoundaryTrace]]
+TraceSet = Mapping[Face, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,9 @@ class CIPData:
     """One measurement: central-time snapshots plus s-differentiated traces.
 
     ``g0``/``g1`` are Dirichlet/Neumann traces of u, ``p0``/``p1`` of m;
-    each maps a face to its (s=0, s=1, s=2) trace family.
+    each maps a face to its (s=0, s=1, s=2) trace family, three finite
+    arrays of shape ``(*grid.face_shape(face), nt)`` laid out as
+    :func:`mfglab.grid.trace` returns them.
     """
 
     grid: Grid
@@ -115,13 +116,18 @@ class CIPData:
         for arr, name in ((self.u0, "u0"), (self.m0, "m0")):
             if np.asarray(arr).shape != g.shape_space:
                 raise ValueError(f"{name} must have spatial shape {g.shape_space}")
+        for name, tset in self.trace_components().items():
+            for face, fam in tset.items():
+                shape = (*g.face_shape(face), g.nt)
+                if len(fam) != 3 or any(np.shape(a) != shape for a in fam):
+                    raise ValueError(
+                        f"{name} on face {face.label} must be three traces of shape {shape}"
+                    )
+                if not all(np.all(np.isfinite(a)) for a in fam):
+                    raise ValueError(f"{name} on face {face.label} must be finite")
 
     def trace_components(self) -> dict[str, TraceSet]:
         return {"g0": self.g0, "g1": self.g1, "p0": self.p0, "p1": self.p1}
-
-
-def _trace_family(levels: tuple[Field, ...], face: Face, kind: str) -> tuple[BoundaryTrace, ...]:
-    return tuple(trace(level, kind, face) for level in levels)
 
 
 def extract(triple: MFGTriple, completeness: str = "full") -> CIPData:
@@ -137,10 +143,10 @@ def extract(triple: MFGTriple, completeness: str = "full") -> CIPData:
         completeness=completeness,
         u0=snapshot(triple.u, t0),
         m0=snapshot(triple.m, t0),
-        g0={f: _trace_family(u, f, "dirichlet") for f in g.faces()},
-        g1={f: _trace_family(u, f, "neumann") for f in neumann_faces},
-        p0={f: _trace_family(m, f, "dirichlet") for f in g.faces()},
-        p1={f: _trace_family(m, f, "neumann") for f in neumann_faces},
+        g0={f: tuple(trace(level, "dirichlet", f) for level in u) for f in g.faces()},
+        g1={f: tuple(trace(level, "neumann", f) for level in u) for f in neumann_faces},
+        p0={f: tuple(trace(level, "dirichlet", f) for level in m) for f in g.faces()},
+        p1={f: tuple(trace(level, "neumann", f) for level in m) for f in neumann_faces},
     )
 
 
@@ -159,8 +165,8 @@ def ladder_residual(data: CIPData) -> float:
     worst = 0.0
     for tset in data.trace_components().values():
         for fam in tset.values():
-            d1 = first_derivative(fam[0].values, fam[0].values.ndim - 1, tau)
-            worst = max(worst, float(np.max(np.abs(d1 - fam[1].values))))
+            d1 = first_derivative(fam[0], fam[0].ndim - 1, tau)
+            worst = max(worst, float(np.max(np.abs(d1 - fam[1]))))
     return worst
 
 
@@ -168,16 +174,13 @@ def ladder_residual(data: CIPData) -> float:
 # norm budget
 
 
-def _aggregate(tset_1: TraceSet, tset_2: TraceSet | None, s: int, kind: str) -> float:
+def _aggregate(
+    grid: Grid, tset_1: TraceSet, tset_2: TraceSet | None, s: int, kind: str
+) -> float:
     total = 0.0
     for face, fam in tset_1.items():
-        if tset_2 is None:
-            bt = fam[s]
-        else:
-            bt = BoundaryTrace(
-                fam[s].grid, face, fam[s].values - tset_2[face][s].values
-            )
-        total += trace_norm(bt, kind) ** 2
+        values = fam[s] if tset_2 is None else fam[s] - tset_2[face][s]
+        total += trace_norm(grid, face, values, kind) ** 2
     return float(np.sqrt(total))
 
 
@@ -198,16 +201,16 @@ def budget_lines(d1: CIPData, d2: CIPData | None = None) -> dict[str, float]:
         lines["u0"] = norm_spatial(g, u0, "H1")
         lines["m0"] = norm_spatial(g, m0, "H1")
         for s in range(3):
-            lines[f"g0_s{s}"] = _aggregate(d1.g0, d2.g0 if d2 else None, s, "H21")
-            lines[f"p0_s{s}"] = _aggregate(d1.p0, d2.p0 if d2 else None, s, "H21")
-            lines[f"g1_s{s}"] = _aggregate(d1.g1, d2.g1 if d2 else None, s, "H10")
-            lines[f"p1_s{s}"] = _aggregate(d1.p1, d2.p1 if d2 else None, s, "H10")
+            lines[f"g0_s{s}"] = _aggregate(g, d1.g0, d2.g0 if d2 else None, s, "H21")
+            lines[f"p0_s{s}"] = _aggregate(g, d1.p0, d2.p0 if d2 else None, s, "H21")
+            lines[f"g1_s{s}"] = _aggregate(g, d1.g1, d2.g1 if d2 else None, s, "H10")
+            lines[f"p1_s{s}"] = _aggregate(g, d1.p1, d2.p1 if d2 else None, s, "H10")
     else:
         lines["u0"] = norm_spatial(g, u0, "H2")
         lines["m0"] = norm_spatial(g, m0, "H1")
         for s in range(3):
-            lines[f"g1_s{s}"] = _aggregate(d1.g1, d2.g1 if d2 else None, s, "H10")
-            lines[f"p1_s{s}"] = _aggregate(d1.p1, d2.p1 if d2 else None, s, "H10")
+            lines[f"g1_s{s}"] = _aggregate(g, d1.g1, d2.g1 if d2 else None, s, "H10")
+            lines[f"p1_s{s}"] = _aggregate(g, d1.p1, d2.p1 if d2 else None, s, "H10")
     return lines
 
 
@@ -232,7 +235,7 @@ def measure_delta(d1: CIPData, d2: CIPData) -> float:
                 if face == OUTER_FACE:
                     continue
                 for s in range(3):
-                    gap = float(np.max(np.abs(fam[s].values - t2[face][s].values)))
+                    gap = float(np.max(np.abs(fam[s] - t2[face][s])))
                     if gap > 1e-12 * scale:
                         raise DataCompatibilityError(
                             f"incomplete mode requires identical Dirichlet data off "
@@ -295,14 +298,11 @@ def _smooth_spatial_noise(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
 def _scaled_trace_set(
     tset: TraceSet, noise: dict[Face, tuple[np.ndarray, ...]], scale: float
-) -> dict[Face, tuple[BoundaryTrace, BoundaryTrace, BoundaryTrace]]:
-    out = {}
-    for face, fam in tset.items():
-        out[face] = tuple(
-            BoundaryTrace(fam[s].grid, face, fam[s].values + scale * noise[face][s])
-            for s in range(3)
-        )
-    return out
+) -> TraceSet:
+    return {
+        face: tuple(fam[s] + scale * noise[face][s] for s in range(3))
+        for face, fam in tset.items()
+    }
 
 
 def inject_noise(data: CIPData, noise: NoiseSpec) -> CIPData:
@@ -330,7 +330,7 @@ def inject_noise(data: CIPData, noise: NoiseSpec) -> CIPData:
             if smooth:
                 out[face] = _smooth_trace_noise(g, face, rng.uniform(-1.0, 1.0, _N_MODES))
             else:
-                out[face] = tuple(rng.standard_normal(fam[s].values.shape) for s in range(3))
+                out[face] = tuple(rng.standard_normal(fam[s].shape) for s in range(3))
         return out
 
     if smooth:

@@ -42,7 +42,6 @@ __all__ = [
     "Face",
     "Grid",
     "Field",
-    "BoundaryTrace",
     "make_grid",
     "sample_field",
     "first_derivative",
@@ -176,6 +175,8 @@ class Grid:
 
     def __post_init__(self) -> None:
         try:
+            if any(isinstance(m, bool) for m in (*self.nx, self.nt)):
+                raise TypeError
             object.__setattr__(self, "nx", tuple(operator.index(m) for m in self.nx))
             object.__setattr__(self, "nt", operator.index(self.nt))
         except TypeError:
@@ -381,38 +382,6 @@ class Field:
             raise ValueError("fields live on different grids")
 
 
-@dataclass(frozen=True)
-class BoundaryTrace:
-    """Samples of a field (or of its outward normal derivative) on one face.
-
-    ``values`` has the face's tangential axes first and time last; for a
-    one-dimensional domain a face is a single point and ``values`` has shape
-    ``(nt,)``.
-    """
-
-    grid: Grid
-    face: Face
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        expected = (*self.grid.face_shape(self.face), self.grid.nt)
-        if values.shape != expected:
-            raise ValueError(
-                f"trace shape {values.shape} does not match face shape {expected}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("trace values must be finite")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def tangential_axes(self) -> tuple[int, ...]:
-        """Spatial axes of the parent grid that are tangential to the face."""
-        return tuple(i for i in range(self.grid.dim) if i != self.face.axis)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -550,10 +519,13 @@ def time_integral_from_t0(grid: Grid, values: np.ndarray) -> np.ndarray:
 # traces and snapshots
 
 
-def trace(field: Field, kind: str, face: Face) -> BoundaryTrace:
+def trace(field: Field, kind: str, face: Face) -> np.ndarray:
     """Restrict a field (``"dirichlet"``) or its outward normal derivative
     (``"neumann"``) to one lateral face.
 
+    The trace is a writable array of shape ``(*grid.face_shape(face), nt)``:
+    the face's tangential axes in grid order, then time; on a
+    one-dimensional domain a face is a point and the shape is ``(nt,)``.
     The normal derivative uses the one-sided three-point stencil from the
     interior, with the sign of the outward normal, so that e.g. for
     ``u = x_1`` the traces on the two ``x_1`` faces are +1 and -1.
@@ -563,16 +535,13 @@ def trace(field: Field, kind: str, face: Face) -> BoundaryTrace:
         raise ValueError(f"face {face.label} does not exist on a {g.dim}-d grid")
     v = np.moveaxis(field.values, face.axis, 0)
     if kind == "dirichlet":
-        plane = v[-1] if face.side > 0 else v[0]
-    elif kind == "neumann":
-        h = g.h[face.axis]
-        if face.side > 0:
-            plane = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-        else:
-            plane = (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * h)
-    else:
+        return np.array(v[-1] if face.side > 0 else v[0])
+    if kind != "neumann":
         raise ValueError(f"unknown trace kind {kind!r}")
-    return BoundaryTrace(g, face, np.array(plane))
+    h = g.h[face.axis]
+    if face.side > 0:
+        return (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * h)
 
 
 def snapshot(field: Field, t: float) -> np.ndarray:

@@ -592,12 +592,6 @@ def manufacture_triple(
     g = grid
     u = sample_field(g, u_form.fn)
     m0 = np.asarray(m0, dtype=float)
-    if np.min(m0) <= 0.0:
-        j = np.unravel_index(np.argmin(m0), m0.shape)
-        raise ValueError(
-            f"initial density must be positive; min at index {tuple(int(i) for i in j)} "
-            f"is {np.min(m0):.3e}"
-        )
     # density data: initial profile frozen in time on the boundary
     m_data = Field(g, np.repeat(m0[..., None], g.nt, axis=-1), _copy=False)
     zero_f = Field(g, np.zeros(g.shape), _copy=False)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import (
-    BoundaryTrace,
+    Face,
     Field,
     Grid,
     first_derivative,
@@ -140,41 +140,41 @@ def norm(field: Field, kind: str = "L2", *, eps: float | None = None) -> float:
 # face norms
 
 
-def trace_norm(btrace: BoundaryTrace, kind: str = "L2") -> float:
-    """``L2``, ``H^{1,0}`` or ``H^{2,1}`` norm of boundary data on its face.
+def trace_norm(grid: Grid, face: Face, values: np.ndarray, kind: str) -> float:
+    """``L2``, ``H^{1,0}`` or ``H^{2,1}`` norm of boundary data on a face.
 
-    Derivatives are tangential (and temporal for ``H^{2,1}``), so the norm
-    is computable from the trace values alone.  Second tangential
-    derivatives run over ordered axis pairs, matching the summation
-    convention of the boundary terms in the weighted estimates.
+    ``values`` is a trace as :func:`mfglab.grid.trace` returns it: the face's
+    tangential axes first, time last.  Derivatives are tangential (and
+    temporal for ``H^{2,1}``), so the norm is computable from the trace
+    values alone.  Second tangential derivatives run over ordered axis
+    pairs, matching the summation convention of the boundary terms in the
+    weighted estimates.
     """
-    v = btrace.values
-    g = btrace.grid
-    tangential = btrace.tangential_axes
-    wt = g.time_weights()
-    total = trapezoid_sum(g, v * v, tangential, wt)
+    tangential = tuple(i for i in range(grid.dim) if i != face.axis)
+    wt = grid.time_weights()
+    total = trapezoid_sum(grid, values * values, tangential, wt)
     if kind == "L2":
         return float(np.sqrt(total))
 
     firsts = {}
     for pos, axis in enumerate(tangential):
-        d = first_derivative(v, pos, g.h[axis])
+        d = first_derivative(values, pos, grid.h[axis])
         firsts[axis] = (pos, d)
-        total += trapezoid_sum(g, d * d, tangential, wt)
+        total += trapezoid_sum(grid, d * d, tangential, wt)
     if kind == "H10":
         return float(np.sqrt(total))
     if kind != "H21":
         raise ValueError(f"unknown trace norm kind {kind!r}")
 
-    vt = first_derivative(v, v.ndim - 1, g.tau)
-    total += trapezoid_sum(g, vt * vt, tangential, wt)
+    vt = first_derivative(values, values.ndim - 1, grid.tau)
+    total += trapezoid_sum(grid, vt * vt, tangential, wt)
     for axis_a in tangential:
         pos_a, da = firsts[axis_a]
         for axis_b in tangential:
             pos_b, _ = firsts[axis_b]
             if axis_a == axis_b:
-                d2 = second_derivative(v, pos_a, g.h[axis_a])
+                d2 = second_derivative(values, pos_a, grid.h[axis_a])
             else:
-                d2 = first_derivative(da, pos_b, g.h[axis_b])
-            total += trapezoid_sum(g, d2 * d2, tangential, wt)
+                d2 = first_derivative(da, pos_b, grid.h[axis_b])
+            total += trapezoid_sum(grid, d2 * d2, tangential, wt)
     return float(np.sqrt(total))

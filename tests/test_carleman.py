@@ -184,8 +184,8 @@ def _reference_rows(u, sign, lambdas, alpha, restricted):
         bnd = 0.0
         for f in faces:
             bnd += (
-                trace_norm(trace(u, "neumann", f), "H10") ** 2
-                + trace_norm(trace(u, "dirichlet", f), "H21") ** 2
+                trace_norm(g, f, trace(u, "neumann", f), "H10") ** 2
+                + trace_norm(g, f, trace(u, "dirichlet", f), "H21") ** 2
             )
         rows["boundary"].append(bnd * math.exp(lam * prism.b**2))
         end = (

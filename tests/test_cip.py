@@ -115,6 +115,9 @@ class TestNoise:
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="delta must be nonnegative"):
             NoiseSpec(delta=-1e-3, seed=0)
+        for delta in (float("nan"), float("inf"), True, "0.1"):
+            with pytest.raises(ValueError, match="delta must be nonnegative and finite"):
+                NoiseSpec(delta=delta, seed=0)
         with pytest.raises(ValueError, match="profile must be one of"):
             NoiseSpec(delta=1e-3, seed=0, profile="pink")
 
@@ -146,9 +149,7 @@ class TestNoise:
         ):
             for face, fam in tset.items():
                 for s in range(3):
-                    assert np.array_equal(
-                        fam[s].values, noisy_tset[face][s].values
-                    ), (face.label, s)
+                    assert np.array_equal(fam[s], noisy_tset[face][s]), (face.label, s)
 
     def test_same_seed_reproduces_bit_for_bit(self, data):
         spec = NoiseSpec(delta=1e-2, seed=5)
@@ -160,7 +161,7 @@ class TestNoise:
             other = b.trace_components()[name]
             for face, fam in tset.items():
                 for s in range(3):
-                    assert np.array_equal(fam[s].values, other[face][s].values)
+                    assert np.array_equal(fam[s], other[face][s])
 
     def test_different_seed_differs(self, data):
         a = inject_noise(data, NoiseSpec(delta=1e-2, seed=5))
@@ -222,3 +223,15 @@ class TestValidation:
     def test_snapshot_shape_checked(self, data):
         with pytest.raises(ValueError, match="u0 must have spatial shape"):
             dataclasses.replace(data, u0=np.zeros(5))
+
+    def test_traces_are_finite_and_shaped_like_their_face(self, data):
+        s0, s1, s2 = data.p1[OUTER_FACE]
+        for family in ((s0, s1, s2[:-1]), (s0, s1)):
+            with pytest.raises(
+                ValueError, match=r"p1 on face x1\+ must be three traces of shape \(65,\)"
+            ):
+                dataclasses.replace(data, p1={**data.p1, OUTER_FACE: family})
+        s0 = s0.copy()
+        s0[3] = np.nan
+        with pytest.raises(ValueError, match=r"p1 on face x1\+ must be finite"):
+            dataclasses.replace(data, p1={**data.p1, OUTER_FACE: (s0, s1, s2)})

@@ -1,7 +1,8 @@
 """Command-line interface: exit codes, file layouts, and determinism.
 
-Most tests run ``python -m mfglab.cli`` in a subprocess, the way a user
-would; the config-guard and solver-failure tests call ``cli.main`` in
+The entry point, one smoke run per command, the cwd-invariance test and the
+README example run ``python -m mfglab.cli`` in a subprocess, the way a user
+would; the config-error and solver-failure tests call ``cli.main`` in
 process.  The child imports the same ``mfglab`` package that pytest imported,
 whether it is installed or found through ``PYTHONPATH=src``, even when the
 child runs in a temporary working directory.  The console-script test runs
@@ -58,6 +59,13 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_main(tmp_path, capsys, command, payload):
+    """``cli.main`` in process: exit code, stderr, and whether --out exists."""
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", write_config(tmp_path, payload), "--out", str(out)])
+    return rc, capsys.readouterr().err, out.exists()
 
 
 class TestEntryPoints:
@@ -273,30 +281,25 @@ class TestSweep:
         assert fit["delta_decades"] > 1.5
         assert fit["excluded"] == []
 
-    def test_bad_scales_rejected(self, tmp_path):
+    def test_bad_scales_rejected(self, tmp_path, capsys):
         for scales in (
             [0.1, 0.01, 3], [1e-3, 1e-1, 1], [1e-3, 1e-1], [1e-3, 1e-1, 3, 4],
             "1e-3,1e-1,3", [1e-3, "0.1", 3], [1e-3, 1e-1, None],
             [1e-3, float("inf"), 3],
         ):
-            cfg = write_config(
-                tmp_path, {"grid": {"nx": 33, "nt": 65}, "stability": {"scales": scales}}
-            )
-            res = run_cli("sweep", "--config", cfg, cwd=str(tmp_path))
-            assert res.returncode == 1, scales
-            assert res.stderr == (
+            payload = {"grid": {"nx": 33, "nt": 65}, "stability": {"scales": scales}}
+            rc, err, wrote = run_main(tmp_path, capsys, "sweep", payload)
+            assert (rc, wrote) == (1, False), scales
+            assert err == (
                 "config error: stability.scales must be [lo, hi, count] "
                 "with 0 < lo < hi and count >= 2\n"
             )
 
-    def test_unknown_completeness_is_a_config_error(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {"grid": {"nx": 17, "nt": 33}, "stability": {"completeness": "partial"}},
-        )
-        res = run_cli("sweep", "--config", cfg, cwd=str(tmp_path))
-        assert res.returncode == 1
-        assert res.stderr == (
+    def test_unknown_completeness_is_a_config_error(self, tmp_path, capsys):
+        payload = {"grid": {"nx": 17, "nt": 33}, "stability": {"completeness": "partial"}}
+        rc, err, wrote = run_main(tmp_path, capsys, "sweep", payload)
+        assert (rc, wrote) == (1, False)
+        assert err == (
             "config error: stability.completeness must be 'full' or 'incomplete'\n"
         )
 
@@ -341,17 +344,15 @@ class TestConfigErrors:
         assert "cannot read config" in res.stderr
 
     @pytest.mark.parametrize("command", ["forward", "sweep"])
-    def test_bad_damping(self, tmp_path, command):
+    def test_bad_damping(self, tmp_path, capsys, command):
         for damping in (1.5, None):
-            cfg = write_config(
-                tmp_path, {**FAST_CONFIG, "solver": {"damping": damping}}
-            )
-            res = run_cli(command, "--config", cfg, cwd=str(tmp_path))
-            assert res.returncode == 1
-            assert res.stderr == "config error: solver.damping must lie in (0, 1]\n"
+            payload = {**FAST_CONFIG, "solver": {"damping": damping}}
+            rc, err, wrote = run_main(tmp_path, capsys, command, payload)
+            assert (rc, wrote) == (1, False)
+            assert err == "config error: solver.damping must lie in (0, 1]\n"
 
     @pytest.mark.parametrize("command", ["forward", "sweep"])
-    def test_bad_max_iter_and_tol(self, tmp_path, command):
+    def test_bad_max_iter_and_tol(self, tmp_path, capsys, command):
         cases = [
             ({"max_iter": "5"}, "solver.max_iter must be an integer >= 1"),
             ({"max_iter": 0}, "solver.max_iter must be an integer >= 1"),
@@ -361,45 +362,36 @@ class TestConfigErrors:
             ({"tol": float("nan")}, "solver.tol must be a finite number > 0"),
         ]
         for solver, message in cases:
-            cfg = write_config(tmp_path, {**FAST_CONFIG, "solver": solver})
-            res = run_cli(command, "--config", cfg, cwd=str(tmp_path))
-            assert res.returncode == 1, solver
-            assert res.stderr == f"config error: {message}\n"
+            payload = {**FAST_CONFIG, "solver": solver}
+            rc, err, wrote = run_main(tmp_path, capsys, command, payload)
+            assert (rc, wrote) == (1, False), solver
+            assert err == f"config error: {message}\n"
 
-    def test_kernel_above_declared_bound(self, tmp_path):
-        cfg = write_config(
-            tmp_path, {**FAST_CONFIG, "kernel": {"amplitude": 5.0, "n1": 1}}
-        )
-        res = run_cli("manufacture", "--config", cfg, cwd=str(tmp_path))
-        assert res.returncode == 1
-        assert res.stderr == (
+    def test_kernel_above_declared_bound(self, tmp_path, capsys):
+        payload = {**FAST_CONFIG, "kernel": {"amplitude": 5.0, "n1": 1}}
+        rc, err, wrote = run_main(tmp_path, capsys, "manufacture", payload)
+        assert (rc, wrote) == (1, False)
+        assert err == (
             "config error: kernel: sampled kernel magnitude 5.0 exceeds the declared bound 1\n"
         )
 
-    def test_unknown_kernel_profile(self, tmp_path):
-        cfg = write_config(
-            tmp_path, {**FAST_CONFIG, "kernel": {"type": "separable", "profile": "triangle"}}
-        )
-        res = run_cli("manufacture", "--config", cfg, cwd=str(tmp_path))
-        assert res.returncode == 1
-        assert res.stderr == "config error: kernel: unknown kernel profile 'triangle'\n"
+    def test_unknown_kernel_profile(self, tmp_path, capsys):
+        payload = {**FAST_CONFIG, "kernel": {"type": "separable", "profile": "triangle"}}
+        rc, err, wrote = run_main(tmp_path, capsys, "manufacture", payload)
+        assert (rc, wrote) == (1, False)
+        assert err == "config error: kernel: unknown kernel profile 'triangle'\n"
 
     @pytest.mark.parametrize("command, section, key", [
         ("carleman", "carleman", "count"), ("lemmas", "lemmas", "samples"),
     ])
     @pytest.mark.parametrize("value", ["3", 0, True, 2.0])
-    def test_family_size_must_be_a_positive_integer(self, tmp_path, command, section, key, value):
-        cfg = write_config(tmp_path, {"grid": {"nx": 17, "nt": 33}, section: {key: value}})
-        res = run_cli(command, "--config", cfg, cwd=str(tmp_path))
-        assert res.returncode == 1
-        assert res.stderr == f"config error: {section}.{key} must be an integer >= 1\n"
-
-
-def run_main(tmp_path, capsys, command, payload):
-    """``cli.main`` in process: exit code, stderr, and whether --out exists."""
-    out = tmp_path / "out"
-    rc = cli.main([command, "--config", write_config(tmp_path, payload), "--out", str(out)])
-    return rc, capsys.readouterr().err, out.exists()
+    def test_family_size_must_be_a_positive_integer(
+        self, tmp_path, capsys, command, section, key, value
+    ):
+        payload = {"grid": {"nx": 17, "nt": 33}, section: {key: value}}
+        rc, err, wrote = run_main(tmp_path, capsys, command, payload)
+        assert (rc, wrote) == (1, False)
+        assert err == f"config error: {section}.{key} must be an integer >= 1\n"
 
 
 class TestSolverFailures:

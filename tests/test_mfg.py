@@ -230,15 +230,21 @@ class TestHJB:
         u = solve_hjb(spec, np.zeros(33), ones)
         assert np.max(np.abs(u.values - exact)) < 8e-3
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_guard_names_level(self):
+        # the report names the first level out of range, and no level marched
+        # past it may leak a RuntimeWarning
         g = make_grid(PRISM, 33, 65)
         kern = SeparableDelta(amplitude=0.4, n1=1)
         triple, f = manufacture_triple(
             g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
         )
         spec = spec_for_triple(triple, kern, f)
-        with pytest.raises(BlowupError, match="blew up at time level"):
+        with pytest.raises(BlowupError, match="blew up at time level") as info:
             solve_mfg_picard(spec, -80.0 * np.ones(33), damping=1.0, max_iter=3)
+        assert info.value.equation == "hjb"
+        assert info.value.t_index == 59
+        assert info.value.worst == pytest.approx(1.0787727898274822e24, rel=1e-12)
 
 
 class TestPicard:
@@ -399,6 +405,11 @@ class TestSpecValidation:
         m_values[4, 0] = 0.0
         with pytest.raises(ValueError, match="positive"):
             ProblemSpec(**{**good, "m_data": Field(g, m_values)})
+        # manufacture_triple leaves the rule to the ProblemSpec it builds
+        m0 = steady_density(g)
+        m0[3] = 0.0
+        with pytest.raises(ValueError, match="initial density must be positive, min = "):
+            manufacture_triple(g, SeparableDelta(), np.ones(33), bump_form(PRISM), m0)
 
     def test_triple_guards(self, make_pair):
         pair = make_pair(33, 65)

@@ -67,13 +67,13 @@ class TestTraceNorms:
         u = sample_field(grid, lambda x, t: x + 0 * t)
         tr = trace(u, "dirichlet", Face(0, 1))
         for kind in ("L2", "H10", "H21"):
-            assert trace_norm(tr, kind) == pytest.approx(2.0, rel=1e-12)
+            assert trace_norm(grid, Face(0, 1), tr, kind) == pytest.approx(2.0, rel=1e-12)
 
     def test_time_variation_enters_h21_only(self, grid):
         u = sample_field(grid, lambda x, t: x * t)
         tr = trace(u, "dirichlet", Face(0, 1))
-        l2 = trace_norm(tr, "L2")
-        h21 = trace_norm(tr, "H21")
+        l2 = trace_norm(grid, Face(0, 1), tr, "L2")
+        h21 = trace_norm(grid, Face(0, 1), tr, "H21")
         # trace is 2t: L2^2 = 4/3, H21^2 adds the 4 units of d/dt = 2
         assert l2**2 == pytest.approx(4.0 / 3, rel=1e-3)
         assert h21**2 == pytest.approx(4.0 / 3 + 4.0, rel=1e-3)
