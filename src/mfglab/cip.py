@@ -22,6 +22,7 @@ stencil-accuracy level, which is what the ladder check measures.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -72,6 +73,9 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not finite_real(self.delta) or self.delta < 0.0:
             raise ValueError(f"delta must be nonnegative and finite, got {self.delta!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         if self.profile not in _PROFILES:
             raise ValueError(f"profile must be one of {_PROFILES}")
 
@@ -116,6 +120,8 @@ class CIPData:
         for arr, name in ((self.u0, "u0"), (self.m0, "m0")):
             if np.asarray(arr).shape != g.shape_space:
                 raise ValueError(f"{name} must have spatial shape {g.shape_space}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         for name, tset in self.trace_components().items():
             for face, fam in tset.items():
                 shape = (*g.face_shape(face), g.nt)

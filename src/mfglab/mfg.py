@@ -444,10 +444,17 @@ def _divergence_flux(
 _DRIFT_BLOCK_NODES = 4096
 
 
-def _check_blowup(equation: str, j: int, level: np.ndarray) -> None:
-    worst = float(np.max(np.abs(level)))
-    if not np.isfinite(worst) or worst > BLOWUP_THRESHOLD:
-        raise BlowupError(equation, j, worst)
+def _scan_blowup(equation: str, values: np.ndarray, marched: np.ndarray) -> np.ndarray:
+    """Each level's minimum; BlowupError for the first ``marched`` level, in
+    march order, whose max |value| (from its max and min, without a
+    field-sized temporary) is not finite or exceeds BLOWUP_THRESHOLD."""
+    spatial = tuple(range(values.ndim - 1))
+    lowest = np.min(values, axis=spatial)
+    worst = np.maximum(np.max(values, axis=spatial), -lowest)[marched]
+    bad = np.flatnonzero(~np.isfinite(worst) | (worst > BLOWUP_THRESHOLD))
+    if bad.size:
+        raise BlowupError(equation, int(marched[bad[0]]), float(worst[bad[0]]))
+    return lowest
 
 
 def _checked_coefficient(grid: Grid, k: np.ndarray) -> np.ndarray:
@@ -480,14 +487,7 @@ def solve_fokker_planck(spec: ProblemSpec, k: np.ndarray, u: Field) -> Field:
         for j in range(j0, min(j0 + levels, g.nt)):
             storage = op.system(g.tau, [a[..., j - j0] for a in block], out=storage)
             values[..., j] = op.step(op.factor(storage), values[..., j - 1], bvals[j])
-    # max |m| per level from its max and min, without a field-sized temporary
-    spatial = tuple(range(g.dim))
-    lowest = np.min(values, axis=spatial)
-    worst = np.maximum(np.max(values, axis=spatial), -lowest)[1:]
-    bad = np.flatnonzero(~np.isfinite(worst) | (worst > BLOWUP_THRESHOLD))
-    if bad.size:
-        raise BlowupError("fokker-planck", int(bad[0]) + 1, float(worst[bad[0]]))
-    worst_min = float(np.min(lowest))
+    worst_min = float(np.min(_scan_blowup("fokker-planck", values, np.arange(1, g.nt))))
     if worst_min < 0.0:
         log.warning("density went negative: min m = %.3e (not clipped)", worst_min)
     return Field(g, values, _copy=False)
@@ -499,6 +499,8 @@ def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: Field) -> Field:
     The kernel and local-interaction terms use the frozen density; the
     quadratic gradient term is evaluated at the already-computed level
     (lagged), so every step is linear with the same matrix, factored once.
+    As in the density march, one scan after the march finds the first level
+    that blew up.
     """
     g = spec.grid
     k = _checked_coefficient(g, k)
@@ -510,12 +512,14 @@ def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: Field) -> Field:
     bvals = op.dirichlet_values(spec.u_data)
     values = np.empty(g.shape)
     values[..., -1] = spec.u_data.values[..., -1]
-    for j in range(g.nt - 2, -1, -1):
-        prev = values[..., j + 1]
-        rhs = prev - tau * (0.5 * k * grad_sq(g, prev) - km[..., j] - fm[..., j])
-        level = op.step(solve, rhs, bvals[j])
-        _check_blowup("hjb", j, level)
-        values[..., j] = level
+    marched = np.arange(g.nt - 2, -1, -1)
+    # levels marched after a blow-up overflow; the scan below reports the first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in marched:
+            prev = values[..., j + 1]
+            rhs = prev - tau * (0.5 * k * grad_sq(g, prev) - km[..., j] - fm[..., j])
+            values[..., j] = op.step(solve, rhs, bvals[j])
+    _scan_blowup("hjb", values, marched)
     return Field(g, values, _copy=False)
 
 

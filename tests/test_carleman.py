@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mfglab import carleman
 from mfglab.carleman import (
     FAMILY_SEED,
     LAMBDA_MAX,
@@ -16,7 +17,6 @@ from mfglab.carleman import (
     scaled_weight_values,
     verify_lemma,
     weight_extrema,
-    weight_phi,
 )
 from mfglab.grid import (
     Prism,
@@ -77,13 +77,17 @@ class TestWeight:
         assert vals.max() == pytest.approx(1.0, rel=1e-14)
         assert vals.min() > 0.0
 
-    def test_rescue_scale_activates_past_overflow_guard(self):
-        # 2 lam b^2 = 1152 > 700 forces the shared rescaling
+    def test_scaled_values_live_on_x1_and_time(self):
+        g = make_grid(Prism(1.0, 2.0, (0.5, 0.5), 1.0), [9, 5, 5], 17)
+        assert scaled_weight_values(2.0, ALPHA, g).shape == (9, 1, 1, 17)
+
+    def test_extrema_overflow_past_double_range(self):
+        # 2 lam b^2 = 702 with b = 3 is still representable, 720 is not
         g = make_grid(Prism(1.0, 3.0, (), 1.0), 17, 17)
-        _, log_scale = weight_phi(CarlemanParams(64.0, ALPHA), g)
-        assert log_scale == pytest.approx(2.0 * 64.0 * 9.0)
-        _, none_scale = weight_phi(CarlemanParams(2.0, ALPHA), g)
-        assert none_scale == 0.0
+        ex = weight_extrema(CarlemanParams(39.0, ALPHA), g)
+        assert ex["max"] == pytest.approx(math.exp(702.0), rel=1e-12)
+        with pytest.raises(OverflowError):
+            weight_extrema(CarlemanParams(40.0, ALPHA), g)
 
 
 class TestRandomFamily:
@@ -98,6 +102,40 @@ class TestRandomFamily:
         a = random_family(grid, count=2, seed=FAMILY_SEED)
         b = random_family(grid, count=2, seed=FAMILY_SEED + 1)
         assert not np.array_equal(a[0].values, b[0].values)
+
+    @pytest.mark.parametrize(
+        "prism, nx, nt",
+        [
+            (Prism(1.0, 2.0, (), 1.0), 33, 65),
+            (Prism(1.0, 2.0, (0.5,), 1.0), [17, 9], 33),
+            (Prism(1.0, 2.0, (0.5, 0.7), 1.0), [9, 7, 5], 17),
+        ],
+        ids=["1d", "2d", "3d"],
+    )
+    @pytest.mark.parametrize("flatten_space", [True, False])
+    def test_matches_full_mesh_formula(self, prism, nx, nt, flatten_space):
+        # every factor evaluated on the full space-time mesh, multiplied in
+        # axis order with time last, from the same random stream
+        g = make_grid(prism, nx, nt)
+        mesh = g.spacetime_meshgrid()
+        rng = np.random.default_rng(FAMILY_SEED)
+        for member in random_family(g, count=3, flatten_space=flatten_space):
+            values = np.ones(g.shape)
+            for axis in range(g.dim):
+                lo, hi = prism.axis_bounds(axis)
+                s = (mesh[axis] - lo) / (hi - lo)
+                c = rng.uniform(-1.0, 1.0, 4)
+                factor = c[0] + c[1] * s + c[2] * np.sin(np.pi * s) + c[3] * np.cos(np.pi * s)
+                if flatten_space:
+                    factor = factor * np.sin(np.pi * s) ** 2
+                values = values * factor
+            s = mesh[-1] / prism.T
+            c = rng.uniform(-1.0, 1.0, 4)
+            values = values * (
+                c[0] + c[1] * s + c[2] * np.sin(np.pi * s) + c[3] * np.cos(np.pi * s)
+            )
+            assert member.values.shape == g.shape
+            assert np.array_equal(member.values, values)
 
     def test_flattened_members_vanish_on_lateral_faces(self, grid):
         for member in random_family(grid, count=2):
@@ -250,16 +288,38 @@ class TestIntegralBounds:
         rep = verify_lemma("spatial", member, kernel=SeparableDelta(), alpha=ALPHA)
         assert rep.ratios == (1.0,) * 6
         assert rep.spread == 1.0
+        assert rep.slope == 0.0
         assert rep.passed is True
 
     def test_causal_ratio_decays_instead_of_flattening(self, member):
-        # the causal ratio keeps falling with lambda, so the flatness check
-        # honestly fails; boundedness still holds
+        # the causal ratio keeps falling with lambda, so it is not flat; the
+        # verdict checks the stated bound: small and non-increasing
         rep = verify_lemma("causal", member, kernel=HeavisideCausal(), alpha=ALPHA)
         assert rep.spread > 10.0
-        assert rep.passed is False
-        assert rep.c_bound == max(rep.ratios)
+        assert rep.passed is True
+        assert rep.c_bound == max(rep.ratios) == rep.ratios[0]
+        assert all(b <= a for a, b in zip(rep.ratios, rep.ratios[1:]))
         assert all(r > 0.0 for r in rep.ratios)
+        assert rep.slope == pytest.approx(
+            np.polyfit(np.log(rep.lambdas), np.log(rep.ratios), 1)[0], rel=1e-12
+        )
+        assert rep.slope < -1.0
+
+    def test_causal_verdict_rejects_a_growing_ratio(self, member, monkeypatch):
+        # reversing the sweep order of the weight makes the ratio grow with
+        # lambda; the same numbers must then fail the monotonicity check
+        rep = verify_lemma("causal", member, kernel=HeavisideCausal(), alpha=ALPHA)
+        lams = rep.lambdas
+        real = carleman.scaled_weight_values
+        flipped = dict(zip(lams, reversed(lams)))
+        monkeypatch.setattr(
+            carleman, "scaled_weight_values",
+            lambda lam, alpha, grid: real(flipped[lam], alpha, grid),
+        )
+        grown = verify_lemma("causal", member, kernel=HeavisideCausal(), alpha=ALPHA)
+        assert grown.ratios == tuple(reversed(rep.ratios))
+        assert grown.c_bound == rep.c_bound <= 10.0
+        assert grown.passed is False
 
     def test_time_integral_ratio_decays_like_one_over_lambda(self, member):
         rep = verify_lemma("time-integral", member, alpha=ALPHA)

@@ -120,6 +120,10 @@ class TestNoise:
                 NoiseSpec(delta=delta, seed=0)
         with pytest.raises(ValueError, match="profile must be one of"):
             NoiseSpec(delta=1e-3, seed=0, profile="pink")
+        for seed in ("x", 1.5, -1, True):
+            with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got "):
+                NoiseSpec(delta=1e-3, seed=seed)
+        NoiseSpec(delta=1e-3, seed=np.int64(3))
 
     def test_zero_delta_returns_data_unchanged(self, data):
         assert inject_noise(data, NoiseSpec(delta=0.0, seed=1)) is data
@@ -223,6 +227,15 @@ class TestValidation:
     def test_snapshot_shape_checked(self, data):
         with pytest.raises(ValueError, match="u0 must have spatial shape"):
             dataclasses.replace(data, u0=np.zeros(5))
+
+    def test_snapshots_are_finite(self, data):
+        for name in ("u0", "m0"):
+            bad = getattr(data, name).copy()
+            bad[4] = np.nan
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                dataclasses.replace(data, **{name: bad})
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                dataclasses.replace(data, **{name: np.full(bad.shape, np.inf)})
 
     def test_traces_are_finite_and_shaped_like_their_face(self, data):
         s0, s1, s2 = data.p1[OUTER_FACE]
