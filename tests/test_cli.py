@@ -2,8 +2,7 @@
 
 The entry point, one smoke run per command, the cwd-invariance test and the
 README example run ``python -m mfglab.cli`` in a subprocess, the way a user
-would; the config-error and solver-failure tests call ``cli.main`` in
-process.  The child imports the same ``mfglab`` package that pytest imported,
+would; every error-exit test calls ``cli.main`` in process.  The child imports the same ``mfglab`` package that pytest imported,
 whether it is installed or found through ``PYTHONPATH=src``, even when the
 child runs in a temporary working directory.  The console-script test runs
 only where the ``mfglab`` script is installed (``pip install -e .``).
