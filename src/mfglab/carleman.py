@@ -41,6 +41,7 @@ from .grid import (
     Field,
     Grid,
     Prism,
+    data_faces,
     dt,
     grad_sq,
     laplacian,
@@ -207,9 +208,10 @@ def _passes(row: dict, c0: float) -> bool:
     return row["lhs"] - rhs >= -slack
 
 
-def _check_restricted_precondition(u: Field) -> None:
+def _check_restricted_precondition(u: Field, faces: Sequence) -> None:
+    """u must vanish on every face the functional leaves out of ``faces``."""
     for f in u.grid.faces():
-        if f.axis == 0 and f.side == +1:
+        if f in faces:
             continue
         worst = float(np.max(np.abs(trace(u, "dirichlet", f))))
         if worst > _RESTRICTED_TOL:
@@ -233,13 +235,13 @@ def _functional_rows(
     boundary and end-time norms once per member, the squared operator once
     per sign, the weight and the weighted sums once per lambda.
     """
-    if restricted:
-        _check_restricted_precondition(u)
+    g = u.grid
+    prism = g.prism
+    faces = data_faces(g, restricted)
+    _check_restricted_precondition(u, faces)
     for sign in signs:
         if sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {sign}")
-    g = u.grid
-    prism = g.prism
 
     ut = dt(u).values
     lap = laplacian(g, u.values)
@@ -247,7 +249,6 @@ def _functional_rows(
     u_grad_sq = grad_sq(g, u.values)
     second_sq = ut * ut + _ordered_second_sum(u)
 
-    faces = [f for f in g.faces() if f.axis == 0 and f.side == +1] if restricted else list(g.faces())
     bnd_norms = _boundary_norms_sq(u, faces)
     end_norms = _end_norms_sq(u)
     gap = alpha * prism.T**2 / 4.0 - prism.b**2
@@ -428,14 +429,17 @@ def verify_lemma(
     ratio and asserts the log-log slope of the raw ratio against lambda
     lies in _SLOPE_WINDOW = [-1.15, -0.85].
 
-    An identically-zero h is degenerate: ratios are zero and no assertion is
-    made (passed is None).
+    Every verdict reads a trend in lambda, so the grid needs at least two
+    distinct values.  An identically-zero h is degenerate: ratios are zero
+    and no assertion is made (passed is None).
     """
     g = h.grid
     lambdas = sorted(float(x) for x in lambdas)
     for lam in lambdas:
         if not 1.0 <= lam <= LAMBDA_MAX:
             raise ValueError(f"lambda grid must lie in [1, {LAMBDA_MAX}], got {lam}")
+    if len(set(lambdas)) < 2:
+        raise ValueError(f"lambda grid needs at least two distinct values, got {lambdas}")
     if which in _KERNEL_LEMMAS:
         if kernel is None:
             raise ValueError(f"the {which} bound needs a kernel")

@@ -5,13 +5,12 @@ the central time and lateral Cauchy data (Dirichlet and Neumann traces of u
 and m) together with their first and second time derivatives.  This module
 extracts that data from a solution triple, perturbs it at a prescribed
 level, and measures the distance between two datasets as the maximum over
-the per-component norm budget:
-
-  full data        u0, m0 in H1; Dirichlet traces in H2,1 and Neumann
-                   traces in H1,0 on every face, s = 0, 1, 2;
-  incomplete data  u0 in H2, m0 in H1; Neumann traces only on the outer
-                   first-coordinate face, and Dirichlet differences must
-                   vanish on every other face.
+the per-component norm budget.  The two data regimes are one table,
+``BUDGET_NORMS``: the norm of each component a regime budgets (traces once
+per s = 0, 1, 2).  Full data budget every component and keep Neumann
+traces on every face; incomplete data keep Neumann traces on the outer face
+x1 = b alone, budget no Dirichlet traces, and require the components they do
+not budget to agree off the outer face.
 
 Derivative traces are computed field-then-trace (differentiate the parent
 field in time, then restrict); since restriction and time differencing act
@@ -22,15 +21,18 @@ stencil-accuracy level, which is what the ladder check measures.
 
 from __future__ import annotations
 
+import dataclasses
 import numbers
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .grid import (
+    OUTER_FACE,
     Face,
     Grid,
+    data_faces,
     dt as field_dt,
     dtt as field_dtt,
     finite_real,
@@ -46,6 +48,7 @@ __all__ = [
     "NoiseSpec",
     "DataCompatibilityError",
     "OUTER_FACE",
+    "BUDGET_NORMS",
     "extract",
     "inject_noise",
     "measure_delta",
@@ -53,8 +56,11 @@ __all__ = [
     "ladder_residual",
 ]
 
-# the face x_1 = b: the one keeping its Neumann data in the incomplete regime
-OUTER_FACE = Face(axis=0, side=1)
+# the norm of each component a data regime budgets
+BUDGET_NORMS = {
+    "full": {"u0": "H1", "m0": "H1", "g0": "H21", "p0": "H21", "g1": "H10", "p1": "H10"},
+    "incomplete": {"u0": "H2", "m0": "H1", "g1": "H10", "p1": "H10"},
+}
 
 _PROFILES = ("smooth-low-mode", "white-per-node")
 _N_MODES = 5
@@ -103,14 +109,16 @@ class CIPData:
     p1: TraceSet
 
     def __post_init__(self) -> None:
-        if self.completeness not in ("full", "incomplete"):
-            raise ValueError("completeness must be 'full' or 'incomplete'")
+        if self.completeness not in BUDGET_NORMS:
+            raise ValueError(
+                f"completeness must be {' or '.join(map(repr, BUDGET_NORMS))}"
+            )
         g = self.grid
         all_faces = set(g.faces())
         for name, tset in (("g0", self.g0), ("p0", self.p0)):
             if set(tset) != all_faces:
                 raise ValueError(f"{name} must cover every face")
-        want = all_faces if self.completeness == "full" else {OUTER_FACE}
+        want = set(_neumann_faces(g, self.completeness))
         for name, tset in (("g1", self.g1), ("p1", self.p1)):
             if set(tset) != want:
                 raise ValueError(
@@ -136,11 +144,16 @@ class CIPData:
         return {"g0": self.g0, "g1": self.g1, "p0": self.p0, "p1": self.p1}
 
 
+def _neumann_faces(grid: Grid, completeness: str) -> list[Face]:
+    """The faces a regime keeps Neumann data on."""
+    return data_faces(grid, completeness == "incomplete")
+
+
 def extract(triple: MFGTriple, completeness: str = "full") -> CIPData:
     """Measurement data of a solution triple (field-then-trace derivatives)."""
     g = triple.grid
     t0 = g.prism.T / 2.0
-    neumann_faces = list(g.faces()) if completeness == "full" else [OUTER_FACE]
+    neumann_faces = _neumann_faces(g, completeness)
     # each field's s = 0, 1, 2 levels, differentiated once for every face
     u = (triple.u, field_dt(triple.u), field_dtt(triple.u))
     m = (triple.m, field_dt(triple.m), field_dtt(triple.m))
@@ -193,38 +206,29 @@ def _aggregate(
 def budget_lines(d1: CIPData, d2: CIPData | None = None) -> dict[str, float]:
     """Every norm line of the data budget, evaluated on d1 (or d1 - d2).
 
-    The mode is ``d1.completeness``.  Full mode: u0 and m0 in H1, Dirichlet
-    traces in H2,1 and Neumann traces in H1,0 over all faces, each trace
-    line per s.  Incomplete mode: u0 in H2, m0 in H1, Neumann lines on the
-    outer face only, and no Dirichlet lines (those differences are required
-    to vanish off the outer face, checked by measure_delta).
+    The regime is ``d1.completeness``; ``BUDGET_NORMS`` names the norm of
+    each component it budgets.  A snapshot gives one line, a trace family
+    one line per s, summed over the faces it covers.
     """
     g = d1.grid
-    u0 = d1.u0 if d2 is None else d1.u0 - d2.u0
-    m0 = d1.m0 if d2 is None else d1.m0 - d2.m0
     lines: dict[str, float] = {}
-    if d1.completeness == "full":
-        lines["u0"] = norm_spatial(g, u0, "H1")
-        lines["m0"] = norm_spatial(g, m0, "H1")
-        for s in range(3):
-            lines[f"g0_s{s}"] = _aggregate(g, d1.g0, d2.g0 if d2 else None, s, "H21")
-            lines[f"p0_s{s}"] = _aggregate(g, d1.p0, d2.p0 if d2 else None, s, "H21")
-            lines[f"g1_s{s}"] = _aggregate(g, d1.g1, d2.g1 if d2 else None, s, "H10")
-            lines[f"p1_s{s}"] = _aggregate(g, d1.p1, d2.p1 if d2 else None, s, "H10")
-    else:
-        lines["u0"] = norm_spatial(g, u0, "H2")
-        lines["m0"] = norm_spatial(g, m0, "H1")
-        for s in range(3):
-            lines[f"g1_s{s}"] = _aggregate(g, d1.g1, d2.g1 if d2 else None, s, "H10")
-            lines[f"p1_s{s}"] = _aggregate(g, d1.p1, d2.p1 if d2 else None, s, "H10")
+    for name, kind in BUDGET_NORMS[d1.completeness].items():
+        part = getattr(d1, name)
+        other = None if d2 is None else getattr(d2, name)
+        if isinstance(part, Mapping):
+            for s in range(3):
+                lines[f"{name}_s{s}"] = _aggregate(g, part, other, s, kind)
+        else:
+            lines[name] = norm_spatial(g, part if other is None else part - other, kind)
     return lines
 
 
 def measure_delta(d1: CIPData, d2: CIPData) -> float:
     """Experimental delta: the largest budget line of the difference.
 
-    The mode is the datasets' shared completeness; mixed completeness is
-    refused.
+    The regime is the datasets' shared completeness; mixed completeness is
+    refused, and so are trace families the regime does not budget that
+    differ off the outer face.
     """
     if d1.grid != d2.grid:
         raise DataCompatibilityError("datasets live on different grids")
@@ -232,22 +236,23 @@ def measure_delta(d1: CIPData, d2: CIPData) -> float:
         raise DataCompatibilityError(
             f"cannot compare {d1.completeness} data with {d2.completeness} data"
         )
-    if d1.completeness == "incomplete":
-        scale = max(
-            1.0, float(np.max(np.abs(d1.u0))), float(np.max(np.abs(d1.m0)))
-        )
-        for name, t1, t2 in (("g0", d1.g0, d2.g0), ("p0", d1.p0, d2.p0)):
-            for face, fam in t1.items():
-                if face == OUTER_FACE:
-                    continue
-                for s in range(3):
-                    gap = float(np.max(np.abs(fam[s] - t2[face][s])))
-                    if gap > 1e-12 * scale:
-                        raise DataCompatibilityError(
-                            f"incomplete mode requires identical Dirichlet data off "
-                            f"the outer face; {name} s={s} differs by {gap:.3e} "
-                            f"on face {face.label}"
-                        )
+    budget = BUDGET_NORMS[d1.completeness]
+    scale = max(1.0, float(np.max(np.abs(d1.u0))), float(np.max(np.abs(d1.m0))))
+    for name, t1 in d1.trace_components().items():
+        if name in budget:
+            continue
+        t2 = getattr(d2, name)
+        for face, fam in t1.items():
+            if face == OUTER_FACE:
+                continue
+            for s in range(3):
+                gap = float(np.max(np.abs(fam[s] - t2[face][s])))
+                if gap > 1e-12 * scale:
+                    raise DataCompatibilityError(
+                        f"{d1.completeness} mode requires identical Dirichlet data off "
+                        f"the outer face; {name} s={s} differs by {gap:.3e} "
+                        f"on face {face.label}"
+                    )
     lines = budget_lines(d1, d2)
     return max(lines.values())
 
@@ -320,8 +325,9 @@ def inject_noise(data: CIPData, noise: NoiseSpec) -> CIPData:
     still satisfies the derivative-ladder invariant; white-per-node draws
     independent values everywhere, which breaks the ladder and makes the
     stronger norms grid-dependent (kept for contrast experiments).
-    In incomplete mode Dirichlet components receive no noise, preserving
-    the identical-Dirichlet-data hypothesis.
+    A component the regime does not budget has no line to scale against and
+    receives no noise, which keeps the incomplete regime's Dirichlet data
+    identical.
     """
     if noise.delta == 0.0:
         return data
@@ -347,26 +353,19 @@ def inject_noise(data: CIPData, noise: NoiseSpec) -> CIPData:
         nu_m0 = rng.standard_normal(g.shape_space)
     trace_noise = {name: draw_trace_noise(tset) for name, tset in data.trace_components().items()}
 
-    incomplete = data.completeness == "incomplete"
-    if incomplete:
-        for name in ("g0", "p0"):
-            trace_noise[name] = {
-                face: tuple(np.zeros_like(a) for a in fam)
-                for face, fam in trace_noise[name].items()
-            }
+    def perturbed(scale: Callable[[str], float]) -> CIPData:
+        return dataclasses.replace(
+            data,
+            u0=data.u0 + scale("u0") * nu_u0,
+            m0=data.m0 + scale("m0") * nu_m0,
+            **{
+                name: _scaled_trace_set(tset, trace_noise[name], scale(name))
+                for name, tset in data.trace_components().items()
+            },
+        )
 
     # unit-noise dataset: measure each component's budget lines, then scale
-    unit = CIPData(
-        grid=g,
-        completeness=data.completeness,
-        u0=data.u0 + nu_u0,
-        m0=data.m0 + nu_m0,
-        g0=_scaled_trace_set(data.g0, trace_noise["g0"], 1.0),
-        g1=_scaled_trace_set(data.g1, trace_noise["g1"], 1.0),
-        p0=_scaled_trace_set(data.p0, trace_noise["p0"], 1.0),
-        p1=_scaled_trace_set(data.p1, trace_noise["p1"], 1.0),
-    )
-    lines = budget_lines(unit, data)
+    lines = budget_lines(perturbed(lambda name: 1.0), data)
 
     def component_scale(prefix: str) -> float:
         worst = max(
@@ -375,16 +374,4 @@ def inject_noise(data: CIPData, noise: NoiseSpec) -> CIPData:
         )
         return target / worst if worst > 0.0 else 0.0
 
-    s_u0 = component_scale("u0")
-    s_m0 = component_scale("m0")
-    scales = {name: component_scale(name) for name in ("g0", "g1", "p0", "p1")}
-    return CIPData(
-        grid=g,
-        completeness=data.completeness,
-        u0=data.u0 + s_u0 * nu_u0,
-        m0=data.m0 + s_m0 * nu_m0,
-        g0=_scaled_trace_set(data.g0, trace_noise["g0"], scales["g0"]),
-        g1=_scaled_trace_set(data.g1, trace_noise["g1"], scales["g1"]),
-        p0=_scaled_trace_set(data.p0, trace_noise["p0"], scales["p0"]),
-        p1=_scaled_trace_set(data.p1, trace_noise["p1"], scales["p1"]),
-    )
+    return perturbed(component_scale)

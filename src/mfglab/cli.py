@@ -31,6 +31,7 @@ from .carleman import (
     random_family,
     verify_lemma,
 )
+from .cip import BUDGET_NORMS
 from .mfg import (
     BlowupError,
     PicardNonConvergence,
@@ -111,8 +112,8 @@ _RULES = (
      "must be [lo, hi, count] with 0 < lo < hi and count >= 2"),
     ("stability", "perturbation_scale", lambda v: finite_real(v) and v != 0,
      "must be a finite nonzero number"),
-    ("stability", "completeness", lambda v: v in ("full", "incomplete"),
-     "must be 'full' or 'incomplete'"),
+    ("stability", "completeness", lambda v: v in tuple(BUDGET_NORMS),
+     f"must be {' or '.join(map(repr, BUDGET_NORMS))}"),
     ("carleman", "alpha", lambda v: v is None or _positive(v),
      "must be null or a finite number > 0"),
     ("carleman", "count", _integer(1), "must be an integer >= 1"),
@@ -173,6 +174,9 @@ def load_config(args) -> dict:
             raise ConfigError(f"{section}.{key} {requirement}")
     _check_lambda_grid(cfg["carleman"]["lambdas"])
     _check_lambda_grid(cfg["lemmas"]["lambdas"])
+    # each lemma verdict reads a trend in lambda
+    if len(set(cfg["lemmas"]["lambdas"])) < 2:
+        raise ConfigError("lemmas.lambdas must hold at least two distinct values")
     return cfg
 
 

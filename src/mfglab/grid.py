@@ -40,6 +40,7 @@ import numpy as np
 __all__ = [
     "Prism",
     "Face",
+    "OUTER_FACE",
     "Grid",
     "Field",
     "make_grid",
@@ -57,6 +58,7 @@ __all__ = [
     "time_integral_from_t0",
     "trace",
     "snapshot",
+    "data_faces",
     "snap_epsilon",
     "boundary_mask",
     "interior_mask",
@@ -277,6 +279,17 @@ class Grid:
         return w
 
 
+# the face x_1 = b: the one face that keeps its Neumann data in the
+# incomplete data regime and its boundary term in the restricted functional
+OUTER_FACE = Face(axis=0, side=1)
+
+
+def data_faces(grid: Grid, outer_only: bool) -> list[Face]:
+    """The faces that carry boundary data: every lateral face, or the outer
+    face alone."""
+    return [OUTER_FACE] if outer_only else list(grid.faces())
+
+
 def make_grid(prism: Prism, nx: Sequence[int] | int, nt: int) -> Grid:
     """Build a grid; scalar ``nx`` is broadcast over all spatial axes."""
     if isinstance(nx, int):
@@ -358,28 +371,13 @@ class Field:
         """Spatial slice at time level ``j`` (a writable copy)."""
         return np.array(self._values[..., j])
 
-    def __add__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
-        return Field(self.grid, self._values + other._values, _copy=False)
-
     def __sub__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
+        if other.grid is not self.grid and other.grid != self.grid:
+            raise ValueError("fields live on different grids")
         return Field(self.grid, self._values - other._values, _copy=False)
 
     def __mul__(self, factor) -> "Field":
-        if isinstance(factor, Field):
-            self._check_same_grid(factor)
-            return Field(self.grid, self._values * factor._values, _copy=False)
         return Field(self.grid, self._values * np.asarray(factor), _copy=False)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return Field(self.grid, -self._values, _copy=False)
-
-    def _check_same_grid(self, other: "Field") -> None:
-        if other.grid is not self.grid and other.grid != self.grid:
-            raise ValueError("fields live on different grids")
 
 
 # ---------------------------------------------------------------------------

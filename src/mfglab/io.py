@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,22 +51,31 @@ def _write_json(path: str, payload) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """A header row and comma-joined rows of already-formatted cells."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _write_array_csv(path: str, index_names: Sequence[str], values: np.ndarray) -> None:
+    """One row per entry in C order: its indices, then its value."""
+    row = "%d," * values.ndim + "%.17g\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join([*index_names, "value"]) + "\n")
+        fh.writelines(
+            row % (*idx, x) for idx, x in zip(np.ndindex(values.shape), values.flat)
+        )
+
+
 # ---------------------------------------------------------------------------
 # fields and grids
 
 
 def save_field_csv(field: Field, path: str) -> None:
     """One row per node: spatial indices, time index, value."""
-    g = field.grid
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"i{a}" for a in range(g.dim)] + ["j", "value"])
-        flat = field.values.reshape(-1, g.nt)
-        for row_idx in range(flat.shape[0]):
-            idx = np.unravel_index(row_idx, g.shape_space)
-            prefix = [str(int(i)) for i in idx]
-            for j in range(g.nt):
-                writer.writerow(prefix + [str(j), fmt(flat[row_idx, j])])
+    names = [f"i{a}" for a in range(field.grid.dim)] + ["j"]
+    _write_array_csv(path, names, field.values)
 
 
 def load_field_csv(grid: Grid, path: str) -> Field:
@@ -140,30 +149,19 @@ def kernel_from_dict(d: Mapping) -> Kernel:
 # triples and histories
 
 
-def save_triple_dir(
-    triple: MFGTriple,
-    outdir: str,
-    *,
-    f: Field | None = None,
-    kernel: Kernel | None = None,
-) -> None:
-    """Write grid.json, u.csv, m.csv, k.csv and the solver report."""
+def save_triple_dir(triple: MFGTriple, outdir: str, *, f: Field, kernel: Kernel) -> None:
+    """Write grid.json, u.csv, m.csv, k.csv, f.csv, kernel.json and the
+    solver report."""
     os.makedirs(outdir, exist_ok=True)
     g = triple.grid
     save_grid_json(g, os.path.join(outdir, "grid.json"))
     save_field_csv(triple.u, os.path.join(outdir, "u.csv"))
     save_field_csv(triple.m, os.path.join(outdir, "m.csv"))
-    with open(os.path.join(outdir, "k.csv"), "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"i{a}" for a in range(g.dim)] + ["value"])
-        flat = triple.k.reshape(-1)
-        for row_idx in range(flat.shape[0]):
-            idx = np.unravel_index(row_idx, g.shape_space)
-            writer.writerow([str(int(i)) for i in idx] + [fmt(flat[row_idx])])
-    if f is not None:
-        save_field_csv(f, os.path.join(outdir, "f.csv"))
-    if kernel is not None:
-        _write_json(os.path.join(outdir, "kernel.json"), kernel_to_dict(kernel))
+    _write_array_csv(
+        os.path.join(outdir, "k.csv"), [f"i{a}" for a in range(g.dim)], triple.k
+    )
+    save_field_csv(f, os.path.join(outdir, "f.csv"))
+    _write_json(os.path.join(outdir, "kernel.json"), kernel_to_dict(kernel))
     report = {
         key: val for key, val in triple.report.items() if key != "history"
     }
@@ -174,11 +172,9 @@ def save_triple_dir(
 
 
 def save_history_csv(history: Sequence[float], path: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "change"])
-        for i, change in enumerate(history):
-            writer.writerow([str(i), fmt(change)])
+    _write_csv(
+        path, ["iteration", "change"], ([str(i), fmt(c)] for i, c in enumerate(history))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +186,19 @@ def save_carleman_family(
 ) -> None:
     """Family sweep: one CSV row per (member, sign, lambda) plus summary JSON."""
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "carleman.csv"), "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["member", "sign", "lambda", "lhs", "main", "boundary",
-             "negligible", "negligible_log", "passed"]
-        )
-        for idx, rep in enumerate(reports):
-            for i, lam in enumerate(rep.lambdas):
-                writer.writerow(
-                    [str(idx), str(rep.sign), fmt(lam), fmt(rep.lhs[i]),
-                     fmt(rep.main[i]), fmt(rep.boundary[i]),
-                     fmt(rep.negligible[i]), fmt(rep.negligible_log[i]),
-                     str(int(rep.passed[i]))]
-                )
+    _write_csv(
+        os.path.join(outdir, "carleman.csv"),
+        ["member", "sign", "lambda", "lhs", "main", "boundary",
+         "negligible", "negligible_log", "passed"],
+        (
+            [str(idx), str(rep.sign), fmt(lam), fmt(rep.lhs[i]),
+             fmt(rep.main[i]), fmt(rep.boundary[i]),
+             fmt(rep.negligible[i]), fmt(rep.negligible_log[i]),
+             str(int(rep.passed[i]))]
+            for idx, rep in enumerate(reports)
+            for i, lam in enumerate(rep.lambdas)
+        ),
+    )
     _write_json(
         os.path.join(outdir, "carleman.json"),
         {
@@ -217,12 +212,15 @@ def save_carleman_family(
 
 def save_lemma_reports(reports: Sequence[LemmaReport], outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "lemmas.csv"), "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["which", "sample", "lambda", "ratio"])
-        for idx, rep in enumerate(reports):
-            for lam, ratio in zip(rep.lambdas, rep.ratios):
-                writer.writerow([rep.which, str(idx), fmt(lam), fmt(ratio)])
+    _write_csv(
+        os.path.join(outdir, "lemmas.csv"),
+        ["which", "sample", "lambda", "ratio"],
+        (
+            [rep.which, str(idx), fmt(lam), fmt(ratio)]
+            for idx, rep in enumerate(reports)
+            for lam, ratio in zip(rep.lambdas, rep.ratios)
+        ),
+    )
     summary = [
         {
             "which": rep.which,
@@ -260,18 +258,16 @@ def stability_params_to_dict(params: StabilityParams) -> dict:
     }
 
 
-def save_sweep_report(
-    report: SweepReport, outdir: str, params: StabilityParams | None = None
-) -> None:
-    """sweep.csv with one row per scale, fit.json, optional params.json."""
+def save_sweep_report(report: SweepReport, outdir: str, params: StabilityParams) -> None:
+    """sweep.csv with one row per scale, fit.json and params.json."""
     os.makedirs(outdir, exist_ok=True)
     cols = ["scale", "delta", "err_k", "err_u_s0", "err_u_s1", "err_u_s2",
             "err_m_s0", "err_m_s1", "err_m_s2"]
-    with open(os.path.join(outdir, "sweep.csv"), "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for row in report.rows:
-            writer.writerow([fmt(row[c]) for c in cols])
+    _write_csv(
+        os.path.join(outdir, "sweep.csv"),
+        cols,
+        ([fmt(row[c]) for c in cols] for row in report.rows),
+    )
     def _num(x: float):
         return None if x != x else x
 
@@ -286,8 +282,7 @@ def save_sweep_report(
             "excluded": list(report.excluded),
         },
     )
-    if params is not None:
-        _write_json(os.path.join(outdir, "params.json"), stability_params_to_dict(params))
+    _write_json(os.path.join(outdir, "params.json"), stability_params_to_dict(params))
 
 
 def save_provenance(outdir: str, payload: Mapping) -> None:

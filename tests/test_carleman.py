@@ -344,3 +344,8 @@ class TestIntegralBounds:
     def test_lambda_grid_validated(self, member):
         with pytest.raises(ValueError, match="lambda grid"):
             verify_lemma("time-integral", member, alpha=ALPHA, lambdas=(0.5, 2.0))
+
+    @pytest.mark.parametrize("lambdas", [(2.0,), (2.0, 2.0)])
+    def test_lambda_grid_needs_two_distinct_values(self, member, lambdas):
+        with pytest.raises(ValueError, match="at least two distinct values"):
+            verify_lemma("causal", member, kernel=HeavisideCausal(), alpha=ALPHA, lambdas=lambdas)

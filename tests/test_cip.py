@@ -101,6 +101,16 @@ class TestBudget:
         want = {"u0", "m0"} | {f"{name}_s{s}" for name in ("g1", "p1") for s in range(3)}
         assert set(lines) == want
 
+    @pytest.mark.parametrize(
+        "completeness, delta",
+        [("full", 11.83615940590032), ("incomplete", 7.681672444752676)],
+    )
+    def test_solution_pair_delta_is_pinned(self, make_pair, completeness, delta):
+        pair = make_pair(33, 65)
+        d1 = extract(pair["t1"], completeness)
+        d2 = extract(pair["t2"], completeness)
+        assert measure_delta(d1, d2) == pytest.approx(delta, rel=1e-12)
+
     def test_snapshot_norms_strengthen_in_incomplete_mode(self, data, data_inc):
         # u0 moves from H1 to H2, so the incomplete line is strictly larger
         full = budget_lines(data)

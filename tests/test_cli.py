@@ -283,7 +283,9 @@ class TestLemmas:
         ([0.5, 2.0], "lambda grid values must be >= 1, got 0.5"),
         ([], "lambda grid must be a non-empty list of numbers"),
         (["2"], "lambda grid values must be numbers, got '2'"),
-    ], ids=["below-one", "empty", "not-a-number"])
+        ([2.0], "lemmas.lambdas must hold at least two distinct values"),
+        ([2.0, 2.0], "lemmas.lambdas must hold at least two distinct values"),
+    ], ids=["below-one", "empty", "not-a-number", "one-value", "one-distinct-value"])
     def test_bad_lambda_grid_is_a_config_error(self, tmp_path, capsys, lambdas, message):
         payload = {"grid": {"nx": 17, "nt": 33}, "lemmas": {"lambdas": lambdas}}
         rc, err, wrote = run_main(tmp_path, capsys, "lemmas", payload)

@@ -33,6 +33,8 @@ from mfglab.stability import SweepReport, select_parameters
 
 from conftest import PRISM, KERNEL
 
+PARAMS = select_parameters(Fraction(1, 2), Fraction(1, 5), PRISM)
+
 
 class TestFmt:
     def test_shortest_round_trip(self):
@@ -131,19 +133,10 @@ class TestTripleDir:
         assert lines[0] == "iteration,change"
         assert len(lines) == 1 + report["iterations"]
 
-    def test_minimal_layout(self, make_pair, tmp_path):
-        pair = make_pair(33, 65)
-        out = str(tmp_path / "bare")
-        save_triple_dir(pair["t1"], out)
-        names = sorted(os.listdir(out))
-        assert "f.csv" not in names
-        assert "kernel.json" not in names
-        assert {"grid.json", "u.csv", "m.csv", "k.csv", "report.json"} <= set(names)
-
     def test_coefficient_round_trip(self, make_pair, tmp_path):
         pair = make_pair(33, 65)
         out = str(tmp_path / "k")
-        save_triple_dir(pair["t2"], out)
+        save_triple_dir(pair["t2"], out, f=pair["f"], kernel=KERNEL)
         rows = open(os.path.join(out, "k.csv")).read().splitlines()
         assert rows[0] == "i0,value"
         values = np.array([float(r.split(",")[1]) for r in rows[1:]])
@@ -228,7 +221,7 @@ class TestSweepFiles:
         )
 
     def test_files_and_fit(self, tmp_path):
-        save_sweep_report(self._report(1.0), str(tmp_path))
+        save_sweep_report(self._report(1.0), str(tmp_path), PARAMS)
         rows = open(tmp_path / "sweep.csv").read().splitlines()
         assert rows[0] == (
             "scale,delta,err_k,err_u_s0,err_u_s1,err_u_s2,"
@@ -239,16 +232,14 @@ class TestSweepFiles:
         assert fit["slope"] == 1.0
         assert fit["delta_decades"] == 1.0
         assert fit["excluded"] == [{"scale": 5.0, "reason": "no convergence"}]
-        assert not (tmp_path / "params.json").exists()
 
     def test_nan_fit_becomes_null(self, tmp_path):
-        save_sweep_report(self._report(math.nan), str(tmp_path))
+        save_sweep_report(self._report(math.nan), str(tmp_path), PARAMS)
         fit = json.load(open(tmp_path / "fit.json"))
         assert fit["slope"] is None
 
     def test_params_json(self, tmp_path):
-        params = select_parameters(Fraction(1, 2), Fraction(1, 5), PRISM)
-        save_sweep_report(self._report(1.0), str(tmp_path), params)
+        save_sweep_report(self._report(1.0), str(tmp_path), PARAMS)
         d = json.load(open(tmp_path / "params.json"))
         assert d["rho"] == "1/2"
         assert d["beta"] == "33/7"
@@ -258,8 +249,7 @@ class TestSweepFiles:
         assert d["delta0"] == pytest.approx(math.exp(-264 / 7), rel=1e-15)
 
     def test_params_dict_strings_are_exact(self):
-        params = select_parameters(Fraction(1, 2), Fraction(1, 5), PRISM)
-        d = stability_params_to_dict(params)
+        d = stability_params_to_dict(PARAMS)
         assert Fraction(d["s"]) == Fraction(9, 16)
         assert Fraction(d["alpha"]) == Fraction(1000, 7)
 

@@ -261,7 +261,7 @@ class TestSweep:
         assert zero["err_k"] == 0.0
         assert math.isfinite(rep.slope)
 
-    def test_sweep_is_deterministic_and_thread_invariant(self, sweep_setup):
+    def test_sweep_is_deterministic(self, sweep_setup):
         g, spec, k1, dk = sweep_setup
         a = holder_sweep(spec, k1, dk, self.SCALES)
         b = holder_sweep(spec, k1, dk, self.SCALES)
