@@ -37,7 +37,6 @@ from .grid import (
     dtt as field_dtt,
     finite_real,
     first_derivative,
-    snapshot,
     trace,
 )
 from .mfg import MFGTriple
@@ -152,7 +151,6 @@ def _neumann_faces(grid: Grid, completeness: str) -> list[Face]:
 def extract(triple: MFGTriple, completeness: str = "full") -> CIPData:
     """Measurement data of a solution triple (field-then-trace derivatives)."""
     g = triple.grid
-    t0 = g.prism.T / 2.0
     neumann_faces = _neumann_faces(g, completeness)
     # each field's s = 0, 1, 2 levels, differentiated once for every face
     u = (triple.u, field_dt(triple.u), field_dtt(triple.u))
@@ -160,8 +158,8 @@ def extract(triple: MFGTriple, completeness: str = "full") -> CIPData:
     return CIPData(
         grid=g,
         completeness=completeness,
-        u0=snapshot(triple.u, t0),
-        m0=snapshot(triple.m, t0),
+        u0=triple.u.values[..., g.index_t0].copy(),
+        m0=triple.m.values[..., g.index_t0].copy(),
         g0={f: tuple(trace(level, "dirichlet", f) for level in u) for f in g.faces()},
         g1={f: tuple(trace(level, "neumann", f) for level in u) for f in neumann_faces},
         p0={f: tuple(trace(level, "dirichlet", f) for level in m) for f in g.faces()},

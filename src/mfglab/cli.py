@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -35,9 +36,9 @@ from .cip import BUDGET_NORMS
 from .mfg import (
     BlowupError,
     PicardNonConvergence,
+    ProblemSpec,
     bump_form,
     manufacture_triple,
-    spec_for_triple,
     solve_mfg_picard,
     steady_density,
 )
@@ -231,7 +232,7 @@ def _manufactured_problem(cfg: dict):
     gain = prob["coupling_gain"]
     if gain != 1.0:
         f = f * float(gain)
-    spec = spec_for_triple(triple, kernel, f)
+    spec = ProblemSpec(grid, kernel, f, triple.u, triple.m)
     return grid, kernel, k1, triple, f, spec
 
 
@@ -293,6 +294,13 @@ def cmd_carleman(args) -> int:
     cfg = load_config(args)
     _, grid = _build_geometry(cfg)
     car = cfg["carleman"]
+    # the boundary factor exp(lam b^2) of the functional must stay a double
+    lam, b = max(car["lambdas"]), grid.prism.b
+    if lam * b**2 > math.log(sys.float_info.max):
+        raise RangeGuardError(
+            f"lambda = {lam:g} with b = {b:g} takes the boundary factor "
+            f"exp(lambda b^2) = exp({lam * b**2:g}) out of floating-point range"
+        )
     alpha = _carleman_alpha(cfg)
     members = random_family(grid, count=car["count"], seed=car["seed"])
     c0, lambda0, reports = estimate_c0(
@@ -337,8 +345,11 @@ def _stability_params(cfg: dict):
     prism, _ = _build_geometry(cfg)
     stab = cfg["stability"]
     try:
-        rho = Fraction(stab["rho"])
-        epsilon = Fraction(stab["epsilon"])
+        # a JSON number reads as the decimal it spells, as a flag's string does
+        rho, epsilon = (
+            Fraction(repr(v)) if isinstance(v, float) else Fraction(v)
+            for v in (stab["rho"], stab["epsilon"])
+        )
     except (ValueError, TypeError, OverflowError, ZeroDivisionError) as e:
         raise ConfigError(f"stability.rho/epsilon: {e}")
     try:

@@ -24,7 +24,8 @@ The calculus helpers (stencil combinations, trapezoid sums, the cumulative
 time integral) take plain arrays with the spatial axes leading, so one call
 serves both a space-time array and a spatial snapshot, and
 ``trapezoid_sum`` also takes a face trace with its tangential axes; only
-``dt``, ``dtt``, ``trace`` and ``snapshot`` act on :class:`Field` objects.
+``dt``, ``dtt`` and ``trace`` act on :class:`Field` objects.  A snapshot
+is the array ``field.values[..., j]`` at time level ``j``.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ __all__ = [
     "trapezoid_sum",
     "time_integral_from_t0",
     "trace",
-    "snapshot",
     "data_faces",
     "snap_epsilon",
     "boundary_mask",
@@ -326,10 +326,11 @@ def boundary_mask(grid: Grid) -> np.ndarray:
 def interior_mask(grid: Grid, time_ring: int, eps: float | None = None) -> np.ndarray:
     """Space-time mask without the lateral boundary and without ``time_ring``
     levels at each end of the time axis; ``eps`` widens the ring to cover
-    the levels outside ``[eps, T - eps]``."""
+    the levels outside the window ``snap_epsilon`` gives, the one the norms
+    integrate over."""
     mask = np.repeat(~boundary_mask(grid)[..., None], grid.nt, axis=-1)
     if eps is not None:
-        time_ring = max(time_ring, int(math.ceil(eps / grid.tau - 1e-12)))
+        time_ring = max(time_ring, snap_epsilon(grid, eps)[0])
     mask[..., :time_ring] = False
     mask[..., grid.nt - time_ring :] = False
     return mask
@@ -366,10 +367,6 @@ class Field:
     @property
     def values(self) -> np.ndarray:
         return self._values
-
-    def at_index(self, j: int) -> np.ndarray:
-        """Spatial slice at time level ``j`` (a writable copy)."""
-        return np.array(self._values[..., j])
 
     def __sub__(self, other: "Field") -> "Field":
         if other.grid is not self.grid and other.grid != self.grid:
@@ -514,7 +511,7 @@ def time_integral_from_t0(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# traces and snapshots
+# traces
 
 
 def trace(field: Field, kind: str, face: Face) -> np.ndarray:
@@ -540,9 +537,3 @@ def trace(field: Field, kind: str, face: Face) -> np.ndarray:
     if face.side > 0:
         return (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     return (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * h)
-
-
-def snapshot(field: Field, t: float) -> np.ndarray:
-    """Spatial slice of a field at an on-grid time (a writable copy)."""
-    j = field.grid.index_of_time(t)
-    return field.at_index(j)

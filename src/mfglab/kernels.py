@@ -16,7 +16,10 @@ Every kernel is a Kronecker product of per-axis quadrature factors, one
 time.  Nothing is cached: the factors cost O(sum nx_i^2) to build and hold,
 and one application costs O(N sum nx_i) for a field of N samples, against
 O(N prod nx_i) time and O((prod nx_i)^2) memory for the dense quadrature
-matrix over the flattened grid.
+matrix over the flattened grid.  ``apply_kernel`` and ``apply_G`` take and
+return plain arrays with the spatial axes leading, a snapshot of shape
+``nx`` or a space-time array of shape ``(*nx, nt)``, as ``grid``'s calculus
+does.
 
 The majorant operator ``G`` replaces the profile by one and the integrand by
 its absolute value; it is the object appearing on the right-hand side of the
@@ -30,17 +33,15 @@ from typing import Union
 
 import numpy as np
 
-from .grid import Field, Grid, finite_real, trapezoid_sum
+from .grid import Grid, finite_real, trapezoid_sum
 
 __all__ = [
     "SeparableDelta",
     "HeavisideCausal",
     "Kernel",
     "causal_weights",
-    "swapped_causal_weights",
     "fubini_swap_residual",
     "apply_kernel",
-    "apply_kernel_spatial",
     "apply_G",
     "kernel_bound",
 ]
@@ -98,7 +99,9 @@ def causal_weights(npts: int, spacing: float) -> np.ndarray:
     the corner weight ``spacing/2``.  With this choice the composite weight
     of the pair ``(i, j)`` in the iterated double integral,
     ``w_i * W[i, j]``, is symmetric against the swapped-order composite
-    ``w_j * W'[j, i]``, so the discrete order-of-integration swap
+    ``w_j * W'[j, i]``, where the flip ``W' = W[::-1, ::-1]`` holds in row
+    ``j`` the weights for ``integral_{x_start}^{x_j}``, so the discrete
+    order-of-integration swap
 
         sum_i w_i (sum_{j>=i} W[i,j] f[i,j]) = sum_j w_j (sum_{i<=j} W'[j,i] f[i,j])
 
@@ -115,20 +118,6 @@ def causal_weights(npts: int, spacing: float) -> np.ndarray:
     return W
 
 
-def swapped_causal_weights(npts: int, spacing: float) -> np.ndarray:
-    """Row ``j`` holds trapezoidal weights for ``integral_{x_start}^{x_j}``.
-
-    Same closed-corner convention as ``causal_weights``; the two are exact
-    adjoints of each other under the full-interval trapezoid rule.
-    """
-    W = np.zeros((npts, npts))
-    for j in range(npts):
-        W[j, : j + 1] = spacing
-        W[j, j] = 0.5 * spacing
-        W[j, 0] = 0.5 * spacing
-    return W
-
-
 def fubini_swap_residual(grid: Grid, samples: np.ndarray) -> float:
     """Relative defect of the order-of-integration swap on the first axis.
 
@@ -140,7 +129,7 @@ def fubini_swap_residual(grid: Grid, samples: np.ndarray) -> float:
     if samples.shape != (n, n):
         raise ValueError(f"samples must be ({n}, {n}), got {samples.shape}")
     Wc = causal_weights(n, grid.h[0])
-    Ws = swapped_causal_weights(n, grid.h[0])
+    Ws = Wc[::-1, ::-1]
     a = trapezoid_sum(grid, np.sum(Wc * samples, axis=1), axes=(0,))
     b = trapezoid_sum(grid, np.sum(Ws * samples.T, axis=1), axes=(0,))
     denom = max(abs(a), abs(b), np.finfo(float).tiny)
@@ -186,8 +175,14 @@ def _axis_factors(kernel: Kernel, grid: Grid, *, majorant: bool = False):
 
 
 def _apply(kernel: Kernel, grid: Grid, values: np.ndarray, *, majorant: bool = False):
-    """Apply the kernel (or its majorant) to an array with spatial axes leading,
-    contracting one axis at a time."""
+    """Apply the kernel (or its majorant) to an array with the spatial axes
+    leading and at most one trailing (time) axis, contracting one axis at a
+    time."""
+    if values.shape[: grid.dim] != grid.shape_space or values.ndim > grid.dim + 1:
+        raise ValueError(
+            f"array shape {values.shape} is not the spatial shape {grid.shape_space} "
+            f"with at most one trailing axis"
+        )
     scale, factors = _axis_factors(kernel, grid, majorant=majorant)
     out = values
     for axis, factor in enumerate(factors):
@@ -196,22 +191,14 @@ def _apply(kernel: Kernel, grid: Grid, values: np.ndarray, *, majorant: bool = F
     return scale * values if out is values else out
 
 
-def apply_kernel(kernel: Kernel, m: Field) -> Field:
-    """Kernel applied to a density field."""
-    return Field(m.grid, _apply(kernel, m.grid, m.values), _copy=False)
-
-
-def apply_kernel_spatial(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Kernel applied to a single spatial array."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape_space:
-        raise ValueError(f"spatial shape {values.shape} does not match {grid.shape_space}")
+def apply_kernel(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Kernel applied to a density: a snapshot or a space-time array."""
     return _apply(kernel, grid, values)
 
 
-def apply_G(kernel: Kernel, q: Field) -> Field:
-    """Majorant operator: unit profile applied to ``|q|``."""
-    return Field(q.grid, _apply(kernel, q.grid, np.abs(q.values), majorant=True), _copy=False)
+def apply_G(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Majorant operator: unit profile applied to ``|values|``."""
+    return _apply(kernel, grid, np.abs(values), majorant=True)
 
 
 def kernel_bound(kernel: Kernel, grid: Grid) -> float:

@@ -72,7 +72,6 @@ __all__ = [
     "solve_hjb",
     "solve_mfg_picard",
     "manufacture_triple",
-    "spec_for_triple",
     "residual",
     "M_FLOOR",
     "BLOWUP_THRESHOLD",
@@ -174,7 +173,8 @@ class MFGTriple:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """A function of (x_1, ..., x_n, t) with hand-written exact derivatives.
+    """A function of (x_1, ..., x_n, t) with hand-written exact derivatives:
+    ``d_t``, ``grad_sq`` (the squared gradient norm) and ``lap``.
 
     The exactness matters: manufactured coefficients are built from these
     callables rather than from finite differences, so the residuals of the
@@ -183,21 +183,16 @@ class ClosedForm:
 
     fn: Callable
     d_t: Callable
-    grad: tuple[Callable, ...]
+    grad_sq: Callable
     lap: Callable
 
 
-def quadratic_form(dim: int) -> ClosedForm:
+def quadratic_form() -> ClosedForm:
     """u = x_1^2 + t; gradient bounded away from zero for a > 0."""
     return ClosedForm(
         fn=lambda *c: c[0] ** 2 + c[-1],
         d_t=lambda *c: np.ones(np.broadcast(*c).shape),
-        grad=tuple(
-            (lambda *c: 2.0 * c[0])
-            if axis == 0
-            else (lambda *c: np.zeros(np.broadcast(*c).shape))
-            for axis in range(dim)
-        ),
+        grad_sq=lambda *c: (2.0 * c[0]) ** 2,
         lap=lambda *c: 2.0 * np.ones(np.broadcast(*c).shape),
     )
 
@@ -229,12 +224,7 @@ def bump_form(prism, amplitude: float = 0.3) -> ClosedForm:
     return ClosedForm(
         fn=lambda *c: c[0] ** 2 + amplitude * np.sin(s(c)) * p(c[-1]),
         d_t=lambda *c: amplitude * np.sin(s(c)) * p_t(c[-1]),
-        grad=tuple(
-            (lambda *c: 2.0 * c[0] + amplitude * w * np.cos(s(c)) * p(c[-1]))
-            if axis == 0
-            else (lambda *c: np.zeros(np.broadcast(*c).shape))
-            for axis in range(prism.dim)
-        ),
+        grad_sq=lambda *c: (2.0 * c[0] + amplitude * w * np.cos(s(c)) * p(c[-1])) ** 2,
         lap=lambda *c: 2.0 - amplitude * w * w * np.sin(s(c)) * p(c[-1]),
     )
 
@@ -506,7 +496,7 @@ def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: Field) -> Field:
     k = _checked_coefficient(g, k)
     op = _SpatialOperator(g)
     tau = g.tau
-    km = apply_kernel(spec.kernel, m).values
+    km = apply_kernel(spec.kernel, g, m.values)
     fm = spec.f.values * m.values
     solve = op.factor(op.system(tau))
     bvals = op.dirichlet_values(spec.u_data)
@@ -527,9 +517,9 @@ def solve_mfg_picard(
     spec: ProblemSpec,
     k: np.ndarray,
     *,
-    damping: float = 0.5,
-    max_iter: int = 50,
-    tol: float = 1e-8,
+    damping: float,
+    max_iter: int,
+    tol: float,
 ) -> MFGTriple:
     """Damped alternating fixed point for the coupled system.
 
@@ -612,11 +602,8 @@ def manufacture_triple(
     shape = g.shape
     u_t = np.broadcast_to(np.asarray(u_form.d_t(*mesh), dtype=float), shape)
     u_lap = np.broadcast_to(np.asarray(u_form.lap(*mesh), dtype=float), shape)
-    u_grad_sq = np.zeros(shape)
-    for comp in u_form.grad:
-        d = np.broadcast_to(np.asarray(comp(*mesh), dtype=float), shape)
-        u_grad_sq = u_grad_sq + d * d
-    km = apply_kernel(kernel, m).values
+    u_grad_sq = np.broadcast_to(np.asarray(u_form.grad_sq(*mesh), dtype=float), shape)
+    km = apply_kernel(kernel, g, m.values)
     f_values = (-u_t - u_lap + 0.5 * k[..., None] * u_grad_sq - km) / m.values
     f_field = Field(g, f_values, _copy=False)
     triple = MFGTriple(
@@ -626,12 +613,6 @@ def manufacture_triple(
         report={"manufactured": True, "m_min": m_min},
     )
     return triple, f_field
-
-
-def spec_for_triple(triple: MFGTriple, kernel: Kernel, f: Field) -> ProblemSpec:
-    """Forward-problem data whose solution the given triple is (by its own
-    Dirichlet restrictions)."""
-    return ProblemSpec(triple.grid, kernel, f, triple.u, triple.m)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +632,7 @@ def residual(
     g = triple.grid
     u, m, k = triple.u, triple.m, triple.k
     if which == "hjb":
-        km = apply_kernel(spec.kernel, m).values
+        km = apply_kernel(spec.kernel, g, m.values)
         res = (
             field_dt(u).values
             + laplacian(g, u.values)

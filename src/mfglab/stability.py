@@ -44,7 +44,7 @@ from .grid import (
     laplacian,
     time_integral_from_t0,
 )
-from .kernels import Kernel, apply_kernel, apply_kernel_spatial, apply_G
+from .kernels import Kernel, apply_kernel, apply_G
 from .mfg import MFGTriple, PicardNonConvergence, ProblemSpec, solve_mfg_picard
 from .cip import extract, measure_delta
 from .norms import norm, norm_spatial, weighted_sum
@@ -185,7 +185,7 @@ def compute_F(
     """
     g = pack.grid
     p = _inverse_grad_sq(g, u01)
-    km0 = apply_kernel_spatial(kernel, g, pack.m0_tilde)
+    km0 = apply_kernel(kernel, g, pack.m0_tilde)
     f_slice = f.values[..., g.index_t0]
     lap0 = laplacian(g, pack.u0_tilde)
     cross = np.zeros(g.shape_space)
@@ -194,45 +194,18 @@ def compute_F(
     return 2.0 * p * (lap0 + km0 + f_slice * pack.m0_tilde) - p * k2 * cross
 
 
-def reconstruct_k_tilde(
-    pack: DifferencePack,
-    u01: np.ndarray,
-    F: np.ndarray,
-    mode: str = "snapshot",
-) -> np.ndarray:
-    """Coefficient difference from the central-time identity.
+def reconstruct_k_tilde(pack: DifferencePack, u01: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Coefficient difference from the central-time identity,
+    k~ = 2 P v(., T/2) + F.
 
-    snapshot: k~ = 2 P v(., T/2) + F.  shifted: replaces v(., T/2) by
-    v(., t) - int_{T/2}^t w dtau, evaluated at t = T/4, T/2, 3T/4 and
-    averaged; the pointwise identity makes the result t-independent up to
-    discretization, which ``reconstruction_spread`` quantifies.
+    Replacing v(., T/2) by v(., t) - int_{T/2}^t w dtau gives the shifted
+    form at time t; at t = T/2 the integral vanishes and the two agree, and
+    ``reconstruction_spread`` measures how far the shifted forms at other
+    times move.
     """
     g = pack.grid
-    if mode == "snapshot":
-        p = _inverse_grad_sq(g, u01)
-        return 2.0 * p * pack.v.values[..., g.index_t0] + F
-    if mode != "shifted":
-        raise ValueError("mode must be 'snapshot' or 'shifted'")
-    T = g.prism.T
-    times = (T / 4.0, T / 2.0, 3.0 * T / 4.0)
-    acc = np.zeros(g.shape_space)
-    for k_t in _shifted_reconstructions(pack, u01, F, times):
-        acc += k_t
-    return acc / len(times)
-
-
-def _shifted_reconstructions(
-    pack: DifferencePack, u01: np.ndarray, F: np.ndarray, times: Sequence[float]
-) -> list[np.ndarray]:
-    """2 P (v(., t) - int_{T/2}^t w dtau) + F at each of ``times``."""
-    g = pack.grid
     p = _inverse_grad_sq(g, u01)
-    iw = time_integral_from_t0(g, pack.w.values)
-    out = []
-    for t in times:
-        j = g.index_of_time(t)
-        out.append(2.0 * p * (pack.v.values[..., j] - iw[..., j]) + F)
-    return out
+    return 2.0 * p * pack.v.values[..., g.index_t0] + F
 
 
 def reconstruction_spread(
@@ -241,9 +214,15 @@ def reconstruction_spread(
     F: np.ndarray,
     times: Sequence[float],
 ) -> float:
-    """Largest pairwise L2 distance between shifted reconstructions."""
+    """Largest pairwise L2 distance between the shifted reconstructions
+    2 P (v(., t) - int_{T/2}^t w dtau) + F at each of ``times``."""
     g = pack.grid
-    fields = _shifted_reconstructions(pack, u01, F, times)
+    p = _inverse_grad_sq(g, u01)
+    iw = time_integral_from_t0(g, pack.w.values)
+    fields = []
+    for t in times:
+        j = g.index_of_time(t)
+        fields.append(2.0 * p * (pack.v.values[..., j] - iw[..., j]) + F)
     worst = 0.0
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
@@ -304,7 +283,7 @@ def residual_derived_system(
         res = (
             pack.v.values
             + laplacian(g, pack.u_tilde.values)
-            + apply_kernel(kernel, pack.m_tilde).values
+            + apply_kernel(kernel, g, pack.m_tilde.values)
             + fv * pack.m_tilde.values
             - 0.5 * k2[..., None] * cross
             - 0.5 * pack.k_tilde[..., None] * grad1_sq
@@ -356,7 +335,7 @@ def residual_derived_system(
         res = (
             field_dt(pack.v).values
             + laplacian(g, pack.v.values)
-            + apply_kernel(kernel, pack.q).values
+            + apply_kernel(kernel, g, pack.q.values)
             + fv * pack.q.values
             + ft * iq
             - 0.5 * kb * dot_v_s
@@ -381,7 +360,7 @@ def residual_derived_system(
         res = (
             field_dt(pack.w).values
             + laplacian(g, pack.w.values)
-            + apply_kernel(kernel, pack.r).values
+            + apply_kernel(kernel, g, pack.r.values)
             + 2.0 * ft * pack.q.values
             + fv * pack.r.values
             + ftt * iq
@@ -488,7 +467,7 @@ def check_inequality(
             + _abs_time_integral(grad_abs(v), g)
             + _abs_time_integral(w.values, g)
             + _abs_time_integral(q.values, g)
-            + apply_G(kernel, q).values
+            + apply_G(kernel, g, q.values)
             + np.abs(q.values)
         )
     elif which == "q":
@@ -516,7 +495,7 @@ def check_inequality(
             + np.abs(r.values)
             + np.abs(q.values)
             + _abs_time_integral(q.values, g)
-            + apply_G(kernel, r).values
+            + apply_G(kernel, g, r.values)
         )
     else:
         gv = grad_abs(v)
@@ -684,9 +663,9 @@ def holder_sweep(
     *,
     eps: float = 0.2,
     completeness: str = "full",
-    damping: float = 0.5,
-    max_iter: int = 60,
-    tol: float = 1e-9,
+    damping: float,
+    max_iter: int,
+    tol: float,
 ) -> SweepReport:
     """Measured data-to-solution exponent over a coefficient family.
 

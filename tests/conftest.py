@@ -11,10 +11,10 @@ import pytest
 from mfglab.grid import Prism, make_grid
 from mfglab.kernels import SeparableDelta
 from mfglab.mfg import (
+    ProblemSpec,
     bump_form,
     manufacture_triple,
     solve_mfg_picard,
-    spec_for_triple,
     steady_density,
 )
 from mfglab.stability import form_difference
@@ -46,7 +46,7 @@ def build_problem(nx: int, nt: int):
     triple, f = manufacture_triple(
         g, KERNEL, np.ones(g.shape_space), bump_form(PRISM), steady_density(g)
     )
-    spec = spec_for_triple(triple, KERNEL, f)
+    spec = ProblemSpec(g, KERNEL, f, triple.u, triple.m)
     return g, triple, f, spec
 
 

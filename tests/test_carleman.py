@@ -25,7 +25,6 @@ from mfglab.grid import (
     laplacian,
     make_grid,
     mixed_xixj,
-    snapshot,
     trace,
 )
 from mfglab.kernels import HeavisideCausal, SeparableDelta
@@ -227,8 +226,8 @@ def _reference_rows(u, sign, lambdas, alpha, restricted):
             )
         rows["boundary"].append(bnd * math.exp(lam * prism.b**2))
         end = (
-            norm_spatial(g, snapshot(u, 0.0), "H1") ** 2
-            + norm_spatial(g, snapshot(u, prism.T), "H1") ** 2
+            norm_spatial(g, u.values[..., g.index_of_time(0.0)], "H1") ** 2
+            + norm_spatial(g, u.values[..., g.index_of_time(prism.T)], "H1") ** 2
         )
         gap = alpha * prism.T**2 / 4.0 - prism.b**2
         rows["negligible"].append(end * math.exp(-2.0 * lam * gap - 2.0 * lam * prism.b**2))

@@ -140,6 +140,17 @@ class TestParams:
         assert lines["d"] == "132/7"
         assert float(lines["delta0"]) == pytest.approx(4.1772822957852647e-17)
 
+    def test_json_number_reads_as_the_decimal_it_spells(self, tmp_path, capsys):
+        # the config number 0.2 is the flag's 1/5, not the nearest binary fraction
+        config = write_config(tmp_path, {"stability": {"epsilon": 0.2}})
+        outputs = []
+        for argv in (["--config", config], ["--epsilon", "0.2"]):
+            assert cli.main(["params", *argv]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert "epsilon = 1/5\n" in outputs[0].out
+        assert outputs[0].err == ""
+
     def test_rejects_epsilon_outside_window(self, tmp_path, capsys):
         rc, err, wrote = run_main(
             tmp_path, capsys, "params", None, "--rho", "1/2", "--epsilon", "1/10"
@@ -242,6 +253,17 @@ class TestCarleman:
         )
         assert (rc, wrote) == (3, False)
         assert "exceeds the overflow guard LAMBDA_MAX" in err
+
+    def test_boundary_factor_overflow_exits_3(self, tmp_path, capsys):
+        # lambda b^2 = 64 * 16 = 1024: exp(1024) is out of double range
+        payload = {"prism": {"a": 1, "b": 4}, "grid": {"nx": 17, "nt": 33},
+                   "carleman": {"count": 2, "lambdas": [2, 64]}}
+        rc, err, wrote = run_main(tmp_path, capsys, "carleman", payload)
+        assert (rc, wrote) == (3, False)
+        assert err == (
+            "lambda = 64 with b = 4 takes the boundary factor exp(lambda b^2) = "
+            "exp(1024) out of floating-point range\n"
+        )
 
     def test_lambda_below_one_is_a_config_error(self, tmp_path, capsys):
         rc, err, wrote = run_main(tmp_path, capsys, "carleman", None, "--lambda-grid", "0.5,2")

@@ -11,6 +11,7 @@ from mfglab.grid import (
     dtt,
     first_derivative,
     gradient,
+    interior_mask,
     laplacian,
     make_grid,
     mixed_xixj,
@@ -92,6 +93,16 @@ class TestGrid:
         assert k == 13
         assert eps == pytest.approx(13.0 / 64)
         assert eps >= 0.2
+
+    def test_interior_mask_keeps_the_epsilon_window(self):
+        # the masks keep the levels the eps-trimmed norms integrate over; at
+        # nt = 257, eps / tau = 51.2 lies under the half-way mark
+        for nt, kept in ((257, (51, 205)), (65, (13, 51))):
+            g = make_grid(Prism(1.0, 2.0, (), 1.0), 17, nt)
+            j, _ = snap_epsilon(g, 0.2)
+            assert (j, g.nt - 1 - j) == kept
+            levels = np.flatnonzero(interior_mask(g, 2, 0.2).any(axis=0))
+            assert (levels[0], levels[-1], levels.size) == (*kept, kept[1] - kept[0] + 1)
 
     def test_faces_1d(self, grid):
         assert [f.label for f in grid.faces()] == ["x1-", "x1+"]

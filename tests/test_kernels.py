@@ -4,17 +4,15 @@ closed forms, and the majorant."""
 import numpy as np
 import pytest
 
-from mfglab.grid import Field, Prism, make_grid, sample_field
+from mfglab.grid import Prism, make_grid, sample_field
 from mfglab.kernels import (
     HeavisideCausal,
     SeparableDelta,
     apply_G,
     apply_kernel,
-    apply_kernel_spatial,
     causal_weights,
     fubini_swap_residual,
     kernel_bound,
-    swapped_causal_weights,
 )
 
 
@@ -32,16 +30,16 @@ class TestSeparableDelta:
     def test_slab_reduces_to_pointwise_scaling(self, grid):
         # no cross axes: the cross integral collapses to the value itself
         m = sample_field(grid, lambda x, t: np.sin(x) + t)
-        out = apply_kernel(SeparableDelta(amplitude=0.4, n1=1), m)
-        np.testing.assert_allclose(out.values, 0.4 * m.values, atol=1e-14)
+        out = apply_kernel(SeparableDelta(amplitude=0.4, n1=1), grid, m.values)
+        np.testing.assert_allclose(out, 0.4 * m.values, atol=1e-14)
 
     def test_cosine_profile_integrates_cross_section(self, grid2d):
         # profile cos(pi x2 / 2w) on each side; integral of the y-factor is 2w * 2/pi
         m = sample_field(grid2d, lambda x, y, t: 1.0 + 0 * x + 0 * y + 0 * t)
-        out = apply_kernel(SeparableDelta(profile="cosine"), m)
+        out = apply_kernel(SeparableDelta(profile="cosine"), grid2d, m.values)
         _, x2 = grid2d.space_meshgrid()
-        want = np.cos(np.pi * x2)[..., None] * (2.0 / np.pi) + 0 * out.values
-        np.testing.assert_allclose(out.values, want, rtol=4e-3, atol=1e-12)
+        want = np.cos(np.pi * x2)[..., None] * (2.0 / np.pi) + 0 * out
+        np.testing.assert_allclose(out, want, rtol=4e-3, atol=1e-12)
 
     def test_unknown_profile_rejected(self):
         # checked when the kernel is built, for names and non-names alike
@@ -56,27 +54,27 @@ class TestHeavisideCausal:
         # integral_x^b 1 dy = b - x, exact for trapezoid weights; the
         # degenerate end row keeps the closed-corner half weight h/2
         m = sample_field(grid, lambda x, t: 1.0 + 0 * x + 0 * t)
-        out = apply_kernel(HeavisideCausal(), m)
+        out = apply_kernel(HeavisideCausal(), grid, m.values)
         x = grid.axis_coords(0)
-        want = (2.0 - x)[:, None] + 0 * out.values
+        want = (2.0 - x)[:, None] + 0 * out
         want[-1] = 0.5 * grid.h[0]
-        np.testing.assert_allclose(out.values, want, atol=1e-13)
+        np.testing.assert_allclose(out, want, atol=1e-13)
 
     def test_linear_density_closed_form(self, grid):
         # integral_x^2 y dy = 2 - x^2/2, trapezoid is exact on linear integrands
         m = sample_field(grid, lambda x, t: x + 0 * t)
-        out = apply_kernel(HeavisideCausal(), m)
+        out = apply_kernel(HeavisideCausal(), grid, m.values)
         x = grid.axis_coords(0)
-        want = (2.0 - 0.5 * x * x)[:, None] + 0 * out.values
+        want = (2.0 - 0.5 * x * x)[:, None] + 0 * out
         want[-1] = 0.5 * grid.h[0] * 2.0
-        np.testing.assert_allclose(out.values, want, atol=1e-13)
+        np.testing.assert_allclose(out, want, atol=1e-13)
 
     def test_right_wall_keeps_half_node_weight(self, grid):
         # the closed corner leaves h/2 * m(b) at the wall instead of zero
         m = sample_field(grid, lambda x, t: np.exp(x) + 0 * t)
-        out = apply_kernel(HeavisideCausal(), m)
+        out = apply_kernel(HeavisideCausal(), grid, m.values)
         np.testing.assert_allclose(
-            out.values[-1], 0.5 * grid.h[0] * np.exp(2.0), rtol=1e-12
+            out[-1], 0.5 * grid.h[0] * np.exp(2.0), rtol=1e-12
         )
 
 
@@ -90,7 +88,8 @@ class TestCausalWeights:
         np.testing.assert_allclose(w @ np.ones(9), want, atol=1e-15)
 
     def test_swapped_rows_integrate_from_start(self):
-        w = swapped_causal_weights(9, 0.125)
+        # the flip of the causal weights, the swapped order of fubini_swap_residual
+        w = causal_weights(9, 0.125)[::-1, ::-1]
         want = 0.125 * np.arange(9.0)
         want[0] = 0.0625
         np.testing.assert_allclose(w @ np.ones(9), want, atol=1e-15)
@@ -104,16 +103,16 @@ class TestCausalWeights:
 class TestMajorant:
     def test_slab_majorant_is_absolute_value(self, grid):
         q = sample_field(grid, lambda x, t: np.sin(3 * x) - 0.5 + 0 * t)
-        out = apply_G(SeparableDelta(amplitude=0.4), q)
-        np.testing.assert_allclose(out.values, np.abs(q.values), atol=1e-14)
+        out = apply_G(SeparableDelta(amplitude=0.4), grid, q.values)
+        np.testing.assert_allclose(out, np.abs(q.values), atol=1e-14)
 
     def test_causal_majorant_integrates_tail(self, grid):
         q = sample_field(grid, lambda x, t: -1.0 + 0 * x + 0 * t)
-        out = apply_G(HeavisideCausal(), q)
+        out = apply_G(HeavisideCausal(), grid, q.values)
         x = grid.axis_coords(0)
-        want = (2.0 - x)[:, None] + 0 * out.values
+        want = (2.0 - x)[:, None] + 0 * out
         want[-1] = 0.5 * grid.h[0]
-        np.testing.assert_allclose(out.values, want, atol=1e-13)
+        np.testing.assert_allclose(out, want, atol=1e-13)
 
 
 class TestKernelBound:
@@ -131,15 +130,20 @@ class TestKernelBound:
 
 class TestApplySpatial:
     def test_matches_time_slice(self, grid):
+        # one call serves a space-time array and a snapshot of it
         m = sample_field(grid, lambda x, t: np.cos(x) * (1 + t))
         kern = HeavisideCausal(amplitude=0.3)
-        full = apply_kernel(kern, m)
-        one = apply_kernel_spatial(kern, grid, np.ascontiguousarray(m.values[:, 5]))
-        np.testing.assert_allclose(one, full.values[:, 5], atol=1e-14)
+        full = apply_kernel(kern, grid, m.values)
+        one = apply_kernel(kern, grid, np.ascontiguousarray(m.values[:, 5]))
+        np.testing.assert_allclose(one, full[:, 5], atol=1e-14)
 
-    def test_shape_guard(self, grid):
-        with pytest.raises(ValueError, match="spatial shape"):
-            apply_kernel_spatial(SeparableDelta(), grid, np.zeros(7))
+    def test_shape_guard(self, grid, grid2d):
+        # the leading axes must be the spatial shape, with one trailing axis at most
+        bad = [(grid, np.zeros(7)), (grid, np.zeros((65, 3, 2))), (grid2d, np.zeros((17, 9)))]
+        for g, values in bad:
+            for apply in (apply_kernel, apply_G):
+                with pytest.raises(ValueError, match="spatial shape"):
+                    apply(SeparableDelta(), g, values)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +229,9 @@ class TestDenseReference:
         g = make_grid(prism, nx, 5)
         vals = np.random.default_rng(7).standard_normal(g.shape)
         for kern in _reference_kernels(g.dim):
-            got = apply_kernel(kern, Field(g, vals)).values
+            got = apply_kernel(kern, g, vals)
             self._check(g.dim, got, dense_apply(kern, g, vals))
-            got = apply_G(kern, Field(g, vals)).values
+            got = apply_G(kern, g, vals)
             self._check(g.dim, got, dense_apply(kern, g, np.abs(vals), majorant=True))
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_GRIDS))

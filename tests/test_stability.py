@@ -84,7 +84,7 @@ class TestDifferencePack:
 
     def test_grid_mismatch_rejected(self, pair):
         g, triple, f, spec = build_problem(33, 33)
-        other = solve_mfg_picard(spec, np.ones(g.shape_space))
+        other = solve_mfg_picard(spec, np.ones(g.shape_space), damping=0.5, max_iter=50, tol=1e-8)
         with pytest.raises(ValueError, match="different grids"):
             form_difference(pair["t1"], other)
 
@@ -96,23 +96,10 @@ class TestReconstruction:
         err = norm_spatial(pair["grid"], krec - pack.k_tilde, "L2")
         assert err == pytest.approx(3.8789098360899677e-4, rel=1e-6)
 
-    def test_shifted_mode_matches_snapshot(self, pair, pack, recon):
-        # v(., t) - int_{T/2}^t w telescopes back to v(., T/2) exactly on
-        # the discrete level, so the two modes agree to rounding
-        u01, _, F = recon
-        ksnap = reconstruct_k_tilde(pack, u01, F)
-        kshift = reconstruct_k_tilde(pack, u01, F, mode="shifted")
-        assert norm_spatial(pair["grid"], kshift - ksnap, "L2") < 1e-14
-
     def test_shifted_reconstructions_are_time_independent(self, pack, recon):
         u01, _, F = recon
         spread = reconstruction_spread(pack, u01, F, times=(0.25, 0.5, 0.75))
         assert spread == 0.0
-
-    def test_unknown_mode_rejected(self, pack, recon):
-        u01, _, F = recon
-        with pytest.raises(ValueError, match="mode must be 'snapshot' or 'shifted'"):
-            reconstruct_k_tilde(pack, u01, F, mode="averaged")
 
     def test_flat_reference_gradient_rejected(self, pair, pack):
         g = pair["grid"]
@@ -242,10 +229,12 @@ def params():
 
 class TestSweep:
     SCALES = (0.0, 0.02, 0.05, 0.1)
+    # the solver settings the frozen slope was recorded with
+    SOLVER = {"damping": 0.5, "max_iter": 60, "tol": 1e-9}
 
     def test_small_sweep_fit(self, sweep_setup):
         g, spec, k1, dk = sweep_setup
-        rep = holder_sweep(spec, k1, dk, self.SCALES)
+        rep = holder_sweep(spec, k1, dk, self.SCALES, **self.SOLVER)
         assert rep.slope == pytest.approx(1.0137131966416255, rel=1e-9)
         assert rep.r_squared == pytest.approx(0.9999906332771438, rel=1e-9)
         assert rep.delta_decades() == pytest.approx(0.689242497379236, rel=1e-9)
@@ -254,7 +243,7 @@ class TestSweep:
 
     def test_zero_scale_row_kept_but_not_fitted(self, sweep_setup):
         g, spec, k1, dk = sweep_setup
-        rep = holder_sweep(spec, k1, dk, self.SCALES)
+        rep = holder_sweep(spec, k1, dk, self.SCALES, **self.SOLVER)
         zero = rep.rows[0]
         assert zero["scale"] == 0.0
         assert zero["delta"] == 0.0
@@ -263,15 +252,15 @@ class TestSweep:
 
     def test_sweep_is_deterministic(self, sweep_setup):
         g, spec, k1, dk = sweep_setup
-        a = holder_sweep(spec, k1, dk, self.SCALES)
-        b = holder_sweep(spec, k1, dk, self.SCALES)
+        a = holder_sweep(spec, k1, dk, self.SCALES, **self.SOLVER)
+        b = holder_sweep(spec, k1, dk, self.SCALES, **self.SOLVER)
         assert a == b
 
     def test_nonconvergent_scale_is_excluded_with_reason(self, sweep_setup):
         # the base coefficient converges in 20 damped iterations, the large
         # scale needs 22, so a cap of 21 splits them
         g, spec, k1, dk = sweep_setup
-        rep = holder_sweep(spec, k1, dk, (0.02, 4.0), max_iter=21)
+        rep = holder_sweep(spec, k1, dk, (0.02, 4.0), damping=0.5, max_iter=21, tol=1e-9)
         assert [row["scale"] for row in rep.rows] == [0.02]
         assert len(rep.excluded) == 1
         assert rep.excluded[0]["scale"] == 4.0
@@ -279,7 +268,7 @@ class TestSweep:
 
     def test_single_point_has_no_slope(self, sweep_setup):
         g, spec, k1, dk = sweep_setup
-        rep = holder_sweep(spec, k1, dk, (0.02,))
+        rep = holder_sweep(spec, k1, dk, (0.02,), **self.SOLVER)
         assert math.isnan(rep.slope)
         assert rep.delta_decades() == 0.0
 
