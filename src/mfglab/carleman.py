@@ -20,7 +20,7 @@ The two-sided functional check reads
 
     lhs >= C0 * (main - boundary - negligible)
 
-with the components defined in ``carleman_sweep``.  Each term is computed
+with the components defined in ``estimate_c0``.  Each term is computed
 once for the inputs it depends on: the derivatives and norms once per test
 function, the squared operator once per sign, and the weighted sums once per
 lambda, against a weight built on the (x1, t) axes alone.  C0 is existence
@@ -60,7 +60,6 @@ __all__ = [
     "LemmaReport",
     "scaled_weight_values",
     "weight_extrema",
-    "carleman_sweep",
     "estimate_c0",
     "random_family",
     "verify_lemma",
@@ -222,13 +221,12 @@ def _check_restricted_precondition(u: Field, faces: Sequence) -> None:
 
 def _functional_rows(
     u: Field,
-    signs: Sequence[int],
     lambdas: Sequence[float],
     alpha: float,
     *,
     restricted: bool,
 ) -> list[list[dict]]:
-    """Rows of the functional for each sign (outer list) and lambda (inner).
+    """Rows of the functional for each sign of ``_SIGNS`` (outer) and lambda.
 
     Each term is computed once for the inputs it depends on: derivatives and
     boundary and end-time norms once per member, the squared operator once
@@ -238,13 +236,10 @@ def _functional_rows(
     prism = g.prism
     faces = data_faces(g, restricted)
     _check_restricted_precondition(u, faces)
-    for sign in signs:
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {sign}")
 
     ut = dt(u).values
     lap = laplacian(g, u.values)
-    op_sq = [op * op for op in (ut + sign * lap for sign in signs)]
+    op_sq = [op * op for op in (ut + sign * lap for sign in _SIGNS)]
     u_grad_sq = grad_sq(g, u.values)
     second_sq = ut * ut + _ordered_second_sum(u)
 
@@ -252,7 +247,7 @@ def _functional_rows(
     end_norms = _end_norms_sq(u)
     gap = alpha * prism.T**2 / 4.0 - prism.b**2
 
-    rows: list[list[dict]] = [[] for _ in signs]
+    rows: list[list[dict]] = [[] for _ in _SIGNS]
     for lam in lambdas:
         phi_s = scaled_weight_values(lam, alpha, g)
         log_scale = 2.0 * lam * prism.b**2
@@ -278,48 +273,6 @@ def _functional_rows(
     return rows
 
 
-def _build_report(
-    rows: list[dict], c0: float | None, *, sign: int, restricted: bool
-) -> CarlemanReport:
-    rows = sorted(rows, key=lambda r: r["lam"])
-    terms = ("lhs", "main", "boundary", "negligible", "negligible_log")
-    return CarlemanReport(
-        lambdas=tuple(r["lam"] for r in rows),
-        **{name: tuple(r[name] for r in rows) for name in terms},
-        passed=tuple(_passes(r, c0) if c0 is not None else True for r in rows),
-        sign=sign,
-        restricted=restricted,
-    )
-
-
-def carleman_sweep(
-    u: Field,
-    sign: int,
-    alpha: float,
-    lambdas: Sequence[float],
-    c0_candidate: float,
-    *,
-    restricted: bool = False,
-) -> CarlemanReport:
-    """The two-sided functional check over a lambda grid, in ascending lambda.
-
-    Components, all against the shared rescaled weight:
-
-      lhs        = integral (u_t + sign * Lap u)^2 phi
-      main       = (1/lam) integral (u_t^2 + sum u_{x_i x_j}^2) phi
-                   + integral (lam |grad u|^2 + lam^3 u^2) phi
-      boundary   = (|du/dn|_{H10(lateral)}^2 + |u|_{H21(lateral)}^2) exp(3 lam b^2)
-      negligible = (|u(.,0)|_{H1}^2 + |u(.,T)|_{H1}^2) exp(-2 lam (alpha T^2/4 - b^2))
-
-    and each row's pass flag asserts lhs >= c0_candidate (main - boundary -
-    negligible).  With ``restricted`` the boundary component reads only the
-    outflow face x1 = b, and u must vanish (to 1e-10) on every other lateral
-    face; otherwise a ValueError is raised.
-    """
-    (rows,) = _functional_rows(u, (sign,), lambdas, alpha, restricted=restricted)
-    return _build_report(rows, c0_candidate, sign=sign, restricted=restricted)
-
-
 def estimate_c0(
     members: Sequence[Field],
     alpha: float,
@@ -329,25 +282,48 @@ def estimate_c0(
 ) -> tuple[float | None, float, list[CarlemanReport]]:
     """Infimum of lhs/bracket over the family, both operators, all lambdas.
 
-    Cells whose bracket is nonpositive impose no constraint (any positive
-    C0 passes there).  Returns (c0, lambda0, reports); c0 is None when no
-    cell constrains it.  lambda0 is the smallest swept lambda at which the
-    reported c0 makes every member pass from there on; with a true infimum
-    that is the smallest lambda in the sweep.  ``restricted`` has the
-    meaning and the precondition it has in ``carleman_sweep``.
+    The functional's components, all against the shared rescaled weight:
+
+      lhs        = integral (u_t + sign * Lap u)^2 phi
+      main       = (1/lam) integral (u_t^2 + sum u_{x_i x_j}^2) phi
+                   + integral (lam |grad u|^2 + lam^3 u^2) phi
+      boundary   = (|du/dn|_{H10(lateral)}^2 + |u|_{H21(lateral)}^2) exp(3 lam b^2)
+      negligible = (|u(.,0)|_{H1}^2 + |u(.,T)|_{H1}^2) exp(-2 lam (alpha T^2/4 - b^2))
+
+    with sign +1 and -1 for the operators d_t + Lap and d_t - Lap.  Cells
+    whose bracket main - boundary - negligible is nonpositive impose no
+    constraint (any positive C0 passes there).  Returns (c0, lambda0,
+    reports), one report per member and sign in ascending lambda; c0 is None
+    when no cell constrains it.  Each row's pass flag asserts
+    lhs >= c0 (main - boundary - negligible), and is True when c0 is None.
+    lambda0 is the smallest swept lambda at which the reported c0 makes
+    every member pass from there on; with a true infimum that is the
+    smallest lambda in the sweep.  With ``restricted`` the boundary
+    component reads only the outflow face x1 = b, and u must vanish (to
+    1e-10) on every other lateral face; otherwise a ValueError is raised.
     """
     lambdas = sorted(float(x) for x in lambdas)
-    reports: list[CarlemanReport] = []
+    member_rows = [_functional_rows(u, lambdas, alpha, restricted=restricted) for u in members]
     caps = []
-    for u in members:
-        member_rows = _functional_rows(u, _SIGNS, lambdas, alpha, restricted=restricted)
-        for sign, rows in zip(_SIGNS, member_rows):
-            reports.append(_build_report(rows, None, sign=sign, restricted=restricted))
+    for sign_rows in member_rows:
+        for rows in sign_rows:
             for row in rows:
                 bracket = row["main"] - row["boundary"] - row["negligible"]
                 if bracket > 0.0:
                     caps.append(row["lhs"] / bracket)
     c0 = min(caps) if caps else None
+    terms = ("lhs", "main", "boundary", "negligible", "negligible_log")
+    reports = [
+        CarlemanReport(
+            lambdas=tuple(r["lam"] for r in rows),
+            **{name: tuple(r[name] for r in rows) for name in terms},
+            passed=tuple(_passes(r, c0) if c0 is not None else True for r in rows),
+            sign=sign,
+            restricted=restricted,
+        )
+        for sign_rows in member_rows
+        for sign, rows in zip(_SIGNS, sign_rows)
+    ]
     return c0, lambdas[0], reports
 
 

@@ -79,7 +79,9 @@ def save_field_csv(field: Field, path: str) -> None:
 
 
 def load_field_csv(grid: Grid, path: str) -> Field:
-    values = np.empty(grid.shape)
+    """Read a field ``save_field_csv`` wrote.  A node the file never sets
+    stays NaN, which ``Field`` rejects."""
+    values = np.full(grid.shape, np.nan)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -88,8 +90,10 @@ def load_field_csv(grid: Grid, path: str) -> Field:
                 f"{path}: expected {grid.dim + 2} columns, found {len(header)}"
             )
         for row in reader:
-            idx = tuple(int(c) for c in row[: grid.dim])
-            values[idx + (int(row[grid.dim]),)] = float(row[-1])
+            idx = tuple(int(c) for c in row[: grid.dim + 1])
+            if not all(0 <= i < n for i, n in zip(idx, grid.shape)):
+                raise ValueError(f"{path}: index {idx} outside the grid shape {grid.shape}")
+            values[idx] = float(row[-1])
     return Field(grid, values, _copy=False)
 
 

@@ -22,8 +22,8 @@ operation and scans its levels for blow-up once, after the march.
 
 The Fokker-Planck divergence uses conservative face-centered fluxes
 (arithmetic means of k, m and the first difference of u on the face), and
-the residual evaluator applies the identical flux so that solver and
-residual disagree only through the time discretization.
+``residual``, which measures both equations in one call, applies the
+identical flux so solver and residual differ only in time discretization.
 
 ``manufacture_triple`` builds exact solution triples: u is prescribed in
 closed form (with hand-written derivatives), m is solved forward, and f is
@@ -50,12 +50,11 @@ from .grid import (
     boundary_mask,
     dt as field_dt,
     grad_sq,
-    interior_mask,
     laplacian,
     sample_field,
 )
 from .kernels import Kernel, apply_kernel
-from .norms import norm
+from .norms import masked_norms, norm
 
 log = logging.getLogger(__name__)
 
@@ -619,10 +618,9 @@ def manufacture_triple(
 # residuals
 
 
-def residual(
-    triple: MFGTriple, spec: ProblemSpec, which: str
-) -> tuple[Field, float, float]:
-    """Pointwise discrete residual of one equation, with interior norms.
+def residual(triple: MFGTriple, spec: ProblemSpec) -> dict[str, tuple[float, float]]:
+    """Interior residual norms (L2, max) of the value ("hjb") and density
+    ("fp") equations.
 
     The value-equation residual applies central differences throughout; the
     density residual applies the solver's own conservative flux so the two
@@ -631,25 +629,15 @@ def residual(
     """
     g = triple.grid
     u, m, k = triple.u, triple.m, triple.k
-    if which == "hjb":
-        km = apply_kernel(spec.kernel, g, m.values)
-        res = (
-            field_dt(u).values
-            + laplacian(g, u.values)
-            - 0.5 * k[..., None] * grad_sq(g, u.values)
-            + km
-            + spec.f.values * m.values
-        )
-    elif which == "fp":
-        div = np.empty(g.shape)
-        for j in range(g.nt):
-            div[..., j] = _divergence_flux(g, k, m.values[..., j], u.values[..., j])
-        res = field_dt(m).values - laplacian(g, m.values) - div
-    else:
-        raise ValueError(f"unknown equation {which!r}; expected 'hjb' or 'fp'")
-    mask = interior_mask(g, time_ring=1)
-    masked = np.where(mask, res, 0.0)
-    res_field = Field(g, masked, _copy=False)
-    l2 = norm(res_field, "L2")
-    worst = float(np.max(np.abs(masked)))
-    return res_field, l2, worst
+    hjb = (
+        field_dt(u).values
+        + laplacian(g, u.values)
+        - 0.5 * k[..., None] * grad_sq(g, u.values)
+        + apply_kernel(spec.kernel, g, m.values)
+        + spec.f.values * m.values
+    )
+    div = np.empty(g.shape)
+    for j in range(g.nt):
+        div[..., j] = _divergence_flux(g, k, m.values[..., j], u.values[..., j])
+    fp = field_dt(m).values - laplacian(g, m.values) - div
+    return {"hjb": masked_norms(g, hjb, 1, None), "fp": masked_norms(g, fp, 1, None)}

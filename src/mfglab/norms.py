@@ -6,7 +6,8 @@ All norms are trapezoidal discretizations of the continuous definitions:
 * ``L2``, the parabolic ``H^{2,1}`` (all spatial derivatives up to second
   order plus one time derivative) and the isotropic space-time ``H^2`` on
   the cylinder or on its time-truncated version;
-* ``L2 / H^{1,0} / H^{2,1}`` on a lateral face cross time.
+* ``L2 / H^{1,0} / H^{2,1}`` on a lateral face cross time;
+* ``L2`` and max over the interior nodes, for residuals.
 
 Face norms evaluate every derivative tangentially on the face in question,
 so they are well defined for pure boundary data; this is the reading used
@@ -14,6 +15,8 @@ for the data norms of the inverse problem.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .grid import (
     Grid,
     first_derivative,
     gradient,
+    interior_mask,
     second_derivative,
     snap_epsilon,
     trapezoid_sum,
@@ -30,6 +34,7 @@ from .grid import (
 
 __all__ = [
     "weighted_sum",
+    "masked_norms",
     "norm_spatial",
     "norm",
     "trace_norm",
@@ -51,6 +56,17 @@ def weighted_sum(
     else:
         wt = grid.time_weights(*time_window)
     return trapezoid_sum(grid, values, time_weights=wt)
+
+
+def masked_norms(
+    grid: Grid, values: np.ndarray, time_ring: int, eps: float | None
+) -> tuple[float, float]:
+    """(L2, max) of a space-time array over ``interior_mask(grid, time_ring,
+    eps)``: off the lateral boundary and ``time_ring`` levels (or the eps
+    window) away from each end of the time axis."""
+    masked = np.where(interior_mask(grid, time_ring, eps), values, 0.0)
+    l2 = math.sqrt(weighted_sum(grid, masked * masked))
+    return l2, float(np.max(np.abs(masked)))
 
 
 def _time_window(grid: Grid, eps: float | None) -> tuple[int, int] | None:

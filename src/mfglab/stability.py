@@ -19,7 +19,10 @@ behind the final estimate can be asserted to machine precision.
 The derived equations are implemented in the algebraically closed form this
 module re-derives from the base system (substituting the reconstruction and
 the time-reconstruction of u~ into the differentiated equations), which is
-the form whose residual genuinely vanishes on solution pairs.
+the form whose residual genuinely vanishes on solution pairs.  One call
+evaluates every equation of an analysis: ``derived_residuals`` the six
+derived equations and ``inequality_constants`` the four pointwise
+differential inequalities, each computing a term the equations share once.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .grid import (
 from .kernels import Kernel, apply_kernel, apply_G
 from .mfg import MFGTriple, PicardNonConvergence, ProblemSpec, solve_mfg_picard
 from .cip import extract, measure_delta
-from .norms import norm, norm_spatial, weighted_sum
+from .norms import masked_norms, norm, norm_spatial, weighted_sum
 
 __all__ = [
     "NondegeneracyError",
@@ -55,31 +58,16 @@ __all__ = [
     "StabilityParams",
     "InequalityReport",
     "SweepReport",
-    "DERIVED_EQUATIONS",
-    "INEQUALITIES",
     "form_difference",
     "compute_F",
     "reconstruct_k_tilde",
     "reconstruction_spread",
-    "residual_derived_system",
-    "check_inequality",
+    "derived_residuals",
+    "inequality_constants",
     "select_parameters",
     "holder_sweep",
     "assemble_final_estimate",
 ]
-
-# the six consequences of differencing the system and differentiating in
-# time, in the closed substituted form (see module docstring)
-DERIVED_EQUATIONS = (
-    "value-diff",
-    "density-diff",
-    "value-dt",
-    "density-dt",
-    "value-dtt",
-    "density-dtt",
-)
-
-INEQUALITIES = ("v", "q", "w", "r")
 
 # flatness guard of the reconstruction: |grad u_1(., T/2)|^2 must stay above 2c
 _FLATNESS_C = 1e-8
@@ -234,187 +222,156 @@ def reconstruction_spread(
 # derived-system residuals
 
 
-def _masked_norms(
-    grid: Grid, res: np.ndarray, eps: float | None, time_ring: int = 2
-) -> tuple[float, float]:
-    mask = interior_mask(grid, time_ring, eps)
-    masked = np.where(mask, res, 0.0)
-    l2 = math.sqrt(weighted_sum(grid, masked * masked))
-    return l2, float(np.max(np.abs(masked)))
-
-
-def residual_derived_system(
+def derived_residuals(
     pack: DifferencePack,
     t1: MFGTriple,
     t2: MFGTriple,
     kernel: Kernel,
     f: Field,
-    which: str,
     *,
-    eps: float | None = None,
-) -> tuple[float, float]:
-    """Discrete residual norms (L2, max) of one derived equation.
+    eps: float | None,
+) -> dict[str, tuple[float, float]]:
+    """Discrete residual norms (L2, max) of the six derived equations, by name.
 
     All spatial operators are central nodal stencils; integral terms use
     the kernel quadrature and the cumulative central-time integral.  Norms
-    exclude the spatial boundary ring and two time levels at each end,
-    where one-sided stencils of second derivatives live.  With ``eps``
-    given, the norms are restricted to the eps-trimmed time window: the
-    forward solvers carry small layers near t = 0 and t = T (initial and
-    terminal compatibility is only approximate for a perturbed
-    coefficient), and twice t-differentiating amplifies them; the trimmed
-    window is also where all downstream norms of the estimate live.
+    exclude the spatial boundary ring and two time levels at each end
+    (three for "density-dtt"), where one-sided stencils of second
+    derivatives live.  With ``eps`` given, the norms are restricted to the
+    eps-trimmed time window: the forward solvers carry small layers near
+    t = 0 and t = T (initial and terminal compatibility is only approximate
+    for a perturbed coefficient), and twice t-differentiating amplifies
+    them; the trimmed window is also where all downstream norms of the
+    estimate live.  Each term is computed once for all the equations that
+    read it.
     """
-    if which not in DERIVED_EQUATIONS:
-        raise ValueError(f"unknown equation {which!r}; expected one of {DERIVED_EQUATIONS}")
     g = pack.grid
-    k2 = t2.k
     fv = f.values
+    kb = t2.k[..., None]
+    u_tilde, m_tilde = pack.u_tilde.values, pack.m_tilde.values
+    v, q, w, r = pack.v.values, pack.q.values, pack.w.values, pack.r.values
+    m1, m2 = t1.m.values, t2.m.values
+    grads_ut = gradient(g, u_tilde)
+    grads_u1 = gradient(g, t1.u.values)
+    grads_u2 = gradient(g, t2.u.values)
+    grads_v = gradient(g, v)
+    grads_w = gradient(g, w)
+    out = {}
 
-    if which == "value-diff":
-        grads_ut = gradient(g, pack.u_tilde.values)
-        grads_u1 = gradient(g, t1.u.values)
-        grads_u2 = gradient(g, t2.u.values)
-        cross = np.zeros(g.shape)
-        grad1_sq = np.zeros(g.shape)
-        for du, d1, d2 in zip(grads_ut, grads_u1, grads_u2):
-            cross += du * (d1 + d2)
-            grad1_sq += d1 * d1
-        res = (
-            pack.v.values
-            + laplacian(g, pack.u_tilde.values)
-            + apply_kernel(kernel, g, pack.m_tilde.values)
-            + fv * pack.m_tilde.values
-            - 0.5 * k2[..., None] * cross
-            - 0.5 * pack.k_tilde[..., None] * grad1_sq
-        )
-        return _masked_norms(g, res, eps=eps)
+    cross = np.zeros(g.shape)
+    grad1_sq = np.zeros(g.shape)
+    for du, d1, d2 in zip(grads_ut, grads_u1, grads_u2):
+        cross += du * (d1 + d2)
+        grad1_sq += d1 * d1
+    res = (
+        v
+        + laplacian(g, u_tilde)
+        + apply_kernel(kernel, g, m_tilde)
+        + fv * m_tilde
+        - 0.5 * kb * cross
+        - 0.5 * pack.k_tilde[..., None] * grad1_sq
+    )
+    out["value-diff"] = masked_norms(g, res, 2, eps)
 
-    if which == "density-diff":
-        grads_u1 = gradient(g, t1.u.values)
-        grads_ut = gradient(g, pack.u_tilde.values)
-        kb = k2[..., None]
-        div1 = divergence(g, [kb * pack.m_tilde.values * d1 for d1 in grads_u1])
-        div2 = divergence(g, [kb * t2.m.values * du for du in grads_ut])
-        div3 = divergence(
-            g, [pack.k_tilde[..., None] * t1.m.values * d1 for d1 in grads_u1]
-        )
-        res = pack.q.values - laplacian(g, pack.m_tilde.values) - div1 - div2 - div3
-        return _masked_norms(g, res, eps=eps)
+    div1 = divergence(g, [kb * m_tilde * d1 for d1 in grads_u1])
+    div2 = divergence(g, [kb * m2 * du for du in grads_ut])
+    div3 = divergence(g, [pack.k_tilde[..., None] * m1 * d1 for d1 in grads_u1])
+    res = q - laplacian(g, m_tilde) - div1 - div2 - div3
+    out["density-diff"] = masked_norms(g, res, 2, eps)
 
     # the four substituted equations share this preparation
     u01 = t1.u.values[..., g.index_t0]
     u02 = t2.u.values[..., g.index_t0]
-    p = _inverse_grad_sq(g, u01)
-    F = compute_F(pack, u01, u02, k2, kernel, f)
+    pb = _inverse_grad_sq(g, u01)[..., None]
+    fb = compute_F(pack, u01, u02, t2.k, kernel, f)[..., None]
     ft = field_dt(f).values
     ftt = field_dtt(f).values
-    grads_u1 = gradient(g, t1.u.values)
-    grads_u2 = gradient(g, t2.u.values)
     s_comps = [d1 + d2 for d1, d2 in zip(grads_u1, grads_u2)]
     s_t = [first_derivative(s, g.dim, g.tau) for s in s_comps]
+    s_tt = [first_derivative(st, g.dim, g.tau) for st in s_t]
     grads_u1t = [first_derivative(d1, g.dim, g.tau) for d1 in grads_u1]
-    iq = time_integral_from_t0(g, pack.q.values)
-    iv_grad = [time_integral_from_t0(g, comp) for comp in gradient(g, pack.v.values)]
-    iw = time_integral_from_t0(g, pack.w.values)
-    v_shift = pack.v.values - iw
+    grads_u1tt = [first_derivative(d, g.dim, g.tau) for d in grads_u1t]
+    iq = time_integral_from_t0(g, q)
+    iv_grad = [time_integral_from_t0(g, comp) for comp in grads_v]
+    v_shift = v - time_integral_from_t0(g, w)
     grads_u0t = gradient(g, pack.u0_tilde)
-    kb = k2[..., None]
-    pb = p[..., None]
-    fb = F[..., None]
     m0b = pack.m0_tilde[..., None]
-
-    if which == "value-dt":
-        d1_mix = np.zeros(g.shape)
-        for a, b in zip(grads_u1, grads_u1t):
-            d1_mix += a * b
-        grads_v = gradient(g, pack.v.values)
-        dot_v_s = sum(gv * s for gv, s in zip(grads_v, s_comps))
-        dot_iv_st = sum(ivc * st for ivc, st in zip(iv_grad, s_t))
-        dot_u0_st = sum(d0[..., None] * st for d0, st in zip(grads_u0t, s_t))
-        res = (
-            field_dt(pack.v).values
-            + laplacian(g, pack.v.values)
-            + apply_kernel(kernel, g, pack.q.values)
-            + fv * pack.q.values
-            + ft * iq
-            - 0.5 * kb * dot_v_s
-            - 0.5 * kb * dot_iv_st
-            - 2.0 * pb * d1_mix * v_shift
-            - (fb * d1_mix - ft * m0b + 0.5 * kb * dot_u0_st)
-        )
-        return _masked_norms(g, res, eps=eps)
-
-    if which == "value-dtt":
-        s_tt = [first_derivative(st, g.dim, g.tau) for st in s_t]
-        grads_u1tt = [first_derivative(d, g.dim, g.tau) for d in grads_u1t]
-        d2_mix = np.zeros(g.shape)
-        for a, b, bt in zip(grads_u1, grads_u1tt, grads_u1t):
-            d2_mix += bt * bt + a * b
-        grads_w = gradient(g, pack.w.values)
-        grads_v = gradient(g, pack.v.values)
-        dot_w_s = sum(gw * s for gw, s in zip(grads_w, s_comps))
-        dot_v_st = sum(gv * st for gv, st in zip(grads_v, s_t))
-        dot_iv_stt = sum(ivc * stt for ivc, stt in zip(iv_grad, s_tt))
-        dot_u0_stt = sum(d0[..., None] * stt for d0, stt in zip(grads_u0t, s_tt))
-        res = (
-            field_dt(pack.w).values
-            + laplacian(g, pack.w.values)
-            + apply_kernel(kernel, g, pack.r.values)
-            + 2.0 * ft * pack.q.values
-            + fv * pack.r.values
-            + ftt * iq
-            - 0.5 * kb * dot_w_s
-            - kb * dot_v_st
-            - 0.5 * kb * dot_iv_stt
-            - 2.0 * pb * d2_mix * v_shift
-            - (fb * d2_mix - ftt * m0b + 0.5 * kb * dot_u0_stt)
-        )
-        return _masked_norms(g, res, eps=eps)
-
     m2t = field_dt(t2.m).values
-    flux1 = [t1.m.values * d1 for d1 in grads_u1]
-    flux1_t = [first_derivative(fx, g.dim, g.tau) for fx in flux1]
+    m2tt = field_dtt(t2.m).values
+    flux1_t = [first_derivative(m1 * d1, g.dim, g.tau) for d1 in grads_u1]
+    flux1_tt = [first_derivative(fx, g.dim, g.tau) for fx in flux1_t]
 
-    if which == "density-dt":
-        grads_v = gradient(g, pack.v.values)
-        res = (
-            field_dt(pack.q).values
-            - laplacian(g, pack.q.values)
-            - divergence(g, [kb * pack.q.values * d1 for d1 in grads_u1])
-            - divergence(g, [kb * iq * d1t for d1t in grads_u1t])
-            - divergence(g, [kb * t2.m.values * gv for gv in grads_v])
-            - divergence(g, [kb * m2t * ivc for ivc in iv_grad])
-            - divergence(g, [2.0 * pb * v_shift * fx for fx in flux1_t])
-            - divergence(g, [fb * fx for fx in flux1_t])
-            - divergence(g, [kb * m0b * d1t for d1t in grads_u1t])
-            - divergence(g, [kb * m2t * d0[..., None] for d0 in grads_u0t])
-        )
-        return _masked_norms(g, res, eps=eps)
+    d1_mix = np.zeros(g.shape)
+    for a, b in zip(grads_u1, grads_u1t):
+        d1_mix += a * b
+    dot_v_s = sum(gv * s for gv, s in zip(grads_v, s_comps))
+    dot_iv_st = sum(ivc * st for ivc, st in zip(iv_grad, s_t))
+    dot_u0_st = sum(d0[..., None] * st for d0, st in zip(grads_u0t, s_t))
+    res = (
+        field_dt(pack.v).values
+        + laplacian(g, v)
+        + apply_kernel(kernel, g, q)
+        + fv * q
+        + ft * iq
+        - 0.5 * kb * dot_v_s
+        - 0.5 * kb * dot_iv_st
+        - 2.0 * pb * d1_mix * v_shift
+        - (fb * d1_mix - ft * m0b + 0.5 * kb * dot_u0_st)
+    )
+    out["value-dt"] = masked_norms(g, res, 2, eps)
 
-    if which == "density-dtt":
-        m2tt = field_dtt(t2.m).values
-        grads_u1tt = [first_derivative(d, g.dim, g.tau) for d in grads_u1t]
-        flux1_tt = [first_derivative(fx, g.dim, g.tau) for fx in flux1_t]
-        grads_v = gradient(g, pack.v.values)
-        grads_w = gradient(g, pack.w.values)
-        res = (
-            field_dt(pack.r).values
-            - laplacian(g, pack.r.values)
-            - divergence(g, [kb * pack.r.values * d1 for d1 in grads_u1])
-            - 2.0 * divergence(g, [kb * pack.q.values * d1t for d1t in grads_u1t])
-            - divergence(g, [kb * iq * d1tt for d1tt in grads_u1tt])
-            - divergence(g, [kb * t2.m.values * gw for gw in grads_w])
-            - 2.0 * divergence(g, [kb * m2t * gv for gv in grads_v])
-            - divergence(g, [kb * m2tt * ivc for ivc in iv_grad])
-            - divergence(g, [2.0 * pb * v_shift * fx for fx in flux1_tt])
-            - divergence(g, [fb * fx for fx in flux1_tt])
-            - divergence(g, [kb * m0b * d1tt for d1tt in grads_u1tt])
-            - divergence(g, [kb * m2tt * d0[..., None] for d0 in grads_u0t])
-        )
-        return _masked_norms(g, res, time_ring=3, eps=eps)
+    res = (
+        field_dt(pack.q).values
+        - laplacian(g, q)
+        - divergence(g, [kb * q * d1 for d1 in grads_u1])
+        - divergence(g, [kb * iq * d1t for d1t in grads_u1t])
+        - divergence(g, [kb * m2 * gv for gv in grads_v])
+        - divergence(g, [kb * m2t * ivc for ivc in iv_grad])
+        - divergence(g, [2.0 * pb * v_shift * fx for fx in flux1_t])
+        - divergence(g, [fb * fx for fx in flux1_t])
+        - divergence(g, [kb * m0b * d1t for d1t in grads_u1t])
+        - divergence(g, [kb * m2t * d0[..., None] for d0 in grads_u0t])
+    )
+    out["density-dt"] = masked_norms(g, res, 2, eps)
 
-    raise AssertionError(which)
+    d2_mix = np.zeros(g.shape)
+    for a, b, bt in zip(grads_u1, grads_u1tt, grads_u1t):
+        d2_mix += bt * bt + a * b
+    dot_w_s = sum(gw * s for gw, s in zip(grads_w, s_comps))
+    dot_v_st = sum(gv * st for gv, st in zip(grads_v, s_t))
+    dot_iv_stt = sum(ivc * stt for ivc, stt in zip(iv_grad, s_tt))
+    dot_u0_stt = sum(d0[..., None] * stt for d0, stt in zip(grads_u0t, s_tt))
+    res = (
+        field_dt(pack.w).values
+        + laplacian(g, w)
+        + apply_kernel(kernel, g, r)
+        + 2.0 * ft * q
+        + fv * r
+        + ftt * iq
+        - 0.5 * kb * dot_w_s
+        - kb * dot_v_st
+        - 0.5 * kb * dot_iv_stt
+        - 2.0 * pb * d2_mix * v_shift
+        - (fb * d2_mix - ftt * m0b + 0.5 * kb * dot_u0_stt)
+    )
+    out["value-dtt"] = masked_norms(g, res, 2, eps)
+
+    res = (
+        field_dt(pack.r).values
+        - laplacian(g, r)
+        - divergence(g, [kb * r * d1 for d1 in grads_u1])
+        - 2.0 * divergence(g, [kb * q * d1t for d1t in grads_u1t])
+        - divergence(g, [kb * iq * d1tt for d1tt in grads_u1tt])
+        - divergence(g, [kb * m2 * gw for gw in grads_w])
+        - 2.0 * divergence(g, [kb * m2t * gv for gv in grads_v])
+        - divergence(g, [kb * m2tt * ivc for ivc in iv_grad])
+        - divergence(g, [2.0 * pb * v_shift * fx for fx in flux1_tt])
+        - divergence(g, [fb * fx for fx in flux1_tt])
+        - divergence(g, [kb * m0b * d1tt for d1tt in grads_u1tt])
+        - divergence(g, [kb * m2tt * d0[..., None] for d0 in grads_u0t])
+    )
+    out["density-dtt"] = masked_norms(g, res, 3, eps)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +380,6 @@ def residual_derived_system(
 
 @dataclass(frozen=True)
 class InequalityReport:
-    which: str
     empirical_c: float
     lhs_max: float
     small_bracket_measure: float
@@ -434,111 +390,107 @@ def _abs_time_integral(field_values: np.ndarray, grid: Grid) -> np.ndarray:
     return np.abs(time_integral_from_t0(grid, np.abs(field_values)))
 
 
-def check_inequality(
+def inequality_constants(
     pack: DifferencePack,
     kernel: Kernel,
-    which: str,
     c_candidate: float = 0.0,
     delta_budget: float = 0.0,
     *,
-    eps: float | None = None,
-) -> InequalityReport:
-    """Empirical constant of one pointwise differential inequality.
+    eps: float | None,
+) -> dict[str, InequalityReport]:
+    """Empirical constants of the pointwise differential inequalities for
+    v, q, w and r, by name.
 
-    LHS is |d_t +- Lap| of the selected derivative field; the bracket is
-    the sum of the lower-order majorant terms of that inequality (unit
+    Each LHS is |d_t +- Lap| of its derivative field; its bracket is the
+    sum of the lower-order majorant terms of that inequality (unit
     coefficients).  The reported constant is the max over nodes with
     bracket above threshold of (LHS - c_candidate * delta_bar) / bracket,
     where delta_bar is the uniform function with L2 mass ``delta_budget``.
+    Each term is computed once for all the inequalities that read it.
     """
-    if which not in INEQUALITIES:
-        raise ValueError(f"unknown inequality {which!r}; expected one of {INEQUALITIES}")
     g = pack.grid
-    v, q, w, r = pack.v, pack.q, pack.w, pack.r
+    v, q, w, r = pack.v.values, pack.q.values, pack.w.values, pack.r.values
+    gv, gq, gw, gr = (np.sqrt(grad_sq(g, x)) for x in (v, q, w, r))
+    av, aq, aw, ar = (np.abs(x) for x in (v, q, w, r))
+    lap_v, lap_q, lap_w, lap_r = (laplacian(g, x) for x in (v, q, w, r))
+    lapv = np.abs(lap_v)
+    int_gv = _abs_time_integral(gv, g)
+    int_w = _abs_time_integral(w, g)
+    int_q = _abs_time_integral(q, g)
 
-    def grad_abs(f: Field) -> np.ndarray:
-        return np.sqrt(grad_sq(g, f.values))
+    mask = interior_mask(g, time_ring=2, eps=eps)
+    measure_total = weighted_sum(g, np.ones(g.shape))
+    delta_bar = delta_budget / math.sqrt(measure_total) if delta_budget > 0.0 else 0.0
 
-    if which == "v":
-        lhs = np.abs(field_dt(v).values + laplacian(g, v.values))
-        bracket = (
-            grad_abs(v)
-            + np.abs(v.values)
-            + _abs_time_integral(grad_abs(v), g)
-            + _abs_time_integral(w.values, g)
-            + _abs_time_integral(q.values, g)
-            + apply_G(kernel, g, q.values)
-            + np.abs(q.values)
+    def report(lhs: np.ndarray, bracket: np.ndarray) -> InequalityReport:
+        scale = float(np.max(bracket)) if bracket.size else 0.0
+        threshold = 1e-10 * max(scale, 1.0)
+        small = mask & (bracket <= threshold)
+        usable = mask & (bracket > threshold)
+        if np.any(usable):
+            ratios = np.maximum(lhs - c_candidate * delta_bar, 0.0)[usable] / bracket[usable]
+            empirical_c = float(np.max(ratios))
+            frac = float(np.count_nonzero(usable) / np.count_nonzero(mask))
+        else:
+            empirical_c = 0.0
+            frac = 0.0
+        return InequalityReport(
+            empirical_c=empirical_c,
+            lhs_max=float(np.max(np.where(mask, lhs, 0.0))),
+            small_bracket_measure=float(weighted_sum(g, small.astype(float))),
+            node_fraction_used=frac,
         )
-    elif which == "q":
-        gv = grad_abs(v)
-        lapv = np.abs(laplacian(g, v.values))
-        bracket = (
-            grad_abs(q)
-            + np.abs(q.values)
-            + _abs_time_integral(grad_abs(q) + np.abs(q.values), g)
+
+    return {
+        "v": report(
+            np.abs(field_dt(pack.v).values + lap_v),
+            gv
+            + av
+            + int_gv
+            + int_w
+            + int_q
+            + apply_G(kernel, g, q)
+            + aq,
+        ),
+        "q": report(
+            np.abs(field_dt(pack.q).values - lap_q),
+            gq
+            + aq
+            + _abs_time_integral(gq + aq, g)
             + lapv
             + gv
             + _abs_time_integral(lapv + gv, g)
-            + _abs_time_integral(grad_abs(w) + np.abs(w.values), g)
-        )
-        lhs = np.abs(field_dt(q).values - laplacian(g, q.values))
-    elif which == "w":
-        lhs = np.abs(field_dt(w).values + laplacian(g, w.values))
-        bracket = (
-            grad_abs(w)
-            + np.abs(w.values)
-            + _abs_time_integral(w.values, g)
-            + grad_abs(v)
-            + np.abs(v.values)
-            + _abs_time_integral(grad_abs(v), g)
-            + np.abs(r.values)
-            + np.abs(q.values)
-            + _abs_time_integral(q.values, g)
-            + apply_G(kernel, g, r.values)
-        )
-    else:
-        gv = grad_abs(v)
-        lapv = np.abs(laplacian(g, v.values))
-        gw = grad_abs(w)
-        lhs = np.abs(field_dt(r).values - laplacian(g, r.values))
-        bracket = (
-            grad_abs(r)
-            + np.abs(r.values)
-            + grad_abs(q)
-            + np.abs(q.values)
+            + _abs_time_integral(gw + aw, g),
+        ),
+        "w": report(
+            np.abs(field_dt(pack.w).values + lap_w),
+            gw
+            + aw
+            + int_w
+            + gv
+            + av
+            + int_gv
+            + ar
+            + aq
+            + int_q
+            + apply_G(kernel, g, r),
+        ),
+        "r": report(
+            np.abs(field_dt(pack.r).values - lap_r),
+            gr
+            + ar
+            + gq
+            + aq
             + lapv
             + gv
-            + np.abs(v.values)
-            + np.abs(laplacian(g, w.values))
+            + av
+            + np.abs(lap_w)
             + gw
-            + np.abs(w.values)
-            + _abs_time_integral(lapv + gv + np.abs(v.values), g)
-            + _abs_time_integral(gw + np.abs(w.values), g)
-        )
-
-    mask = interior_mask(g, time_ring=2, eps=eps)
-    scale = float(np.max(bracket)) if bracket.size else 0.0
-    threshold = 1e-10 * max(scale, 1.0)
-    measure_total = weighted_sum(g, np.ones(g.shape))
-    small = mask & (bracket <= threshold)
-    small_measure = weighted_sum(g, small.astype(float))
-    usable = mask & (bracket > threshold)
-    delta_bar = delta_budget / math.sqrt(measure_total) if delta_budget > 0.0 else 0.0
-    if np.any(usable):
-        ratios = np.maximum(lhs - c_candidate * delta_bar, 0.0)[usable] / bracket[usable]
-        empirical_c = float(np.max(ratios))
-        frac = float(np.count_nonzero(usable) / np.count_nonzero(mask))
-    else:
-        empirical_c = 0.0
-        frac = 0.0
-    return InequalityReport(
-        which=which,
-        empirical_c=empirical_c,
-        lhs_max=float(np.max(np.where(mask, lhs, 0.0))),
-        small_bracket_measure=float(small_measure),
-        node_fraction_used=frac,
-    )
+            + aw
+            + _abs_time_integral(lapv + gv + av, g)
+            + _abs_time_integral(gw + aw, g),
+        ),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -206,8 +206,8 @@ def test_criterion_5_manufactured_residual_order(capsys):
     for nx, nt in LEVELS:
         g, triple, f, spec = build_problem(nx, nt)
         hs.append(g.h[0])
-        for which in ("hjb", "fp"):
-            errs[which].append(residual(triple, spec, which)[1])
+        for which, (l2, _) in residual(triple, spec).items():
+            errs[which].append(l2)
     slopes = {
         which: float(np.polyfit(np.log(hs), np.log(errs[which]), 1)[0])
         for which in errs

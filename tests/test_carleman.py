@@ -11,7 +11,6 @@ from mfglab.carleman import (
     LAMBDA_MAX,
     CarlemanParams,
     CarlemanReport,
-    carleman_sweep,
     estimate_c0,
     random_family,
     scaled_weight_values,
@@ -145,7 +144,7 @@ class TestRandomFamily:
 class TestFunctional:
     def test_report_components_nonnegative(self, grid):
         u = random_family(grid, count=1)[0]
-        rep = carleman_sweep(u, 1, ALPHA, (2.0,), 1.0)
+        _, _, (rep, _) = estimate_c0([u], ALPHA, (2.0,))
         assert rep.lhs[0] >= 0.0 and rep.main[0] >= 0.0
         assert rep.boundary[0] >= 0.0 and rep.negligible[0] >= 0.0
 
@@ -181,14 +180,13 @@ class TestFunctional:
     def test_negligible_log_decay_rate(self, grid):
         # log negligible falls at exactly 2(b^2 - alpha T^2/4) per unit lambda
         u = random_family(grid, count=1)[0]
-        rep = carleman_sweep(u, 1, ALPHA, (2.0, 4.0, 8.0, 16.0), 1.0)
+        _, _, (rep, _) = estimate_c0([u], ALPHA, (2.0, 4.0, 8.0, 16.0))
         slope = np.polyfit(rep.lambdas, rep.negligible_log, 1)[0]
         assert slope == pytest.approx(2.0 * (4.0 - ALPHA / 4.0), rel=1e-12)
 
     def test_both_operator_signs_run(self, grid):
         u = random_family(grid, count=1)[0]
-        fwd = carleman_sweep(u, 1, ALPHA, (2.0,), 1.0)
-        bwd = carleman_sweep(u, -1, ALPHA, (2.0,), 1.0)
+        _, _, (fwd, bwd) = estimate_c0([u], ALPHA, (2.0,))
         assert fwd.sign == 1 and bwd.sign == -1
         assert fwd.lhs != bwd.lhs
 
@@ -250,25 +248,18 @@ class TestReferenceRows:
         # ones keep every boundary term alive
         u = random_family(g, count=1, flatten_space=restricted)[0]
         _, _, reports = estimate_c0([u], ALPHA, self.LAMBDAS, restricted=restricted)
-        for sign, from_estimate in zip((1, -1), reports):
+        for sign, rep in zip((1, -1), reports):
             ref = _reference_rows(u, sign, self.LAMBDAS, ALPHA, restricted)
-            from_sweep = carleman_sweep(u, sign, ALPHA, self.LAMBDAS, 1.0, restricted=restricted)
-            for rep in (from_sweep, from_estimate):
-                assert rep.sign == sign and rep.lambdas == self.LAMBDAS
-                for name, values in ref.items():
-                    assert getattr(rep, name) == values, name
+            assert rep.sign == sign and rep.lambdas == self.LAMBDAS
+            for name, values in ref.items():
+                assert getattr(rep, name) == values, name
 
 
 class TestRestricted:
     def test_flattened_family_is_admissible(self, grid):
         u = random_family(grid, count=1)[0]
-        rep = carleman_sweep(u, 1, ALPHA, (2.0,), 1.0, restricted=True)
-        assert rep.restricted
-
-    def test_nonvanishing_member_rejected(self, grid):
-        u = random_family(grid, count=1, flatten_space=False)[0]
-        with pytest.raises(ValueError, match="off the outflow face"):
-            carleman_sweep(u, 1, ALPHA, (2.0,), 1.0, restricted=True)
+        _, _, reports = estimate_c0([u], ALPHA, (2.0,), restricted=True)
+        assert all(rep.restricted for rep in reports)
 
     def test_nonvanishing_member_rejected_by_estimate(self, grid):
         u = random_family(grid, 1, flatten_space=False)[0]

@@ -10,7 +10,8 @@ definition in ``src/mfglab`` fails when no ``Name`` or ``Attribute`` in the
 package or its tests mentions it; dunder methods are exempt.  A definition
 that only tests mention fails unless it is listed in ``ORACLES``.  A
 defaulted parameter fails when no call in the package or its tests passes
-it, by keyword or by position.
+it, by keyword or by position.  An ``__all__`` entry fails when its module
+binds no such name, which would break ``from mfglab.<module> import *``.
 """
 
 import ast
@@ -26,10 +27,10 @@ SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 # acceptance criteria measure, and the readers that check the writers.
 ORACLES = {
     "assemble_final_estimate",
-    "carleman_sweep",
-    "check_inequality",
+    "derived_residuals",
     "feasibility_margin",
     "fubini_swap_residual",
+    "inequality_constants",
     "inject_noise",
     "ladder_residual",
     "load_field_csv",
@@ -41,7 +42,6 @@ ORACLES = {
     "reconstruction_identity_residual",
     "reconstruction_spread",
     "residual",
-    "residual_derived_system",
     "weight_extrema",
 }
 
@@ -90,6 +90,38 @@ def test_checker_flags_an_unused_import():
         "m.pi",
     ])
     assert unused_imports(source) == ["line 2: os", "line 4: b"]
+
+
+def stale_exports(source: str) -> list[str]:
+    """``__all__`` entries that no top-level definition, assignment or import
+    of the module binds."""
+    tree = ast.parse(source)
+    bound = set(_imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return sorted(_exported_names(tree) - bound)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_stale_exports(path):
+    assert stale_exports(path.read_text()) == []
+
+
+def test_checker_flags_a_stale_export():
+    source = "\n".join([
+        "from a import b",
+        "import c.d",
+        "X, Y = 1, 2",
+        "Z: int = 3",
+        "def f(): pass",
+        "class K: pass",
+        "__all__ = ['b', 'c', 'X', 'Y', 'Z', 'f', 'K', 'gone', 'd']",
+    ])
+    assert stale_exports(source) == ["d", "gone"]
 
 
 def referenced_names(trees) -> set[str]:

@@ -80,6 +80,25 @@ class TestFieldCsv:
         with pytest.raises(ValueError, match="expected 3 columns, found 4"):
             load_field_csv(field.grid, path)
 
+    def test_missing_rows_rejected(self, field, tmp_path):
+        path = str(tmp_path / "u.csv")
+        save_field_csv(field, path)
+        with open(path) as fh:
+            lines = fh.readlines()
+        with open(path, "w") as fh:
+            fh.writelines(lines[:72])  # header and 71 of the 81 nodes
+        with pytest.raises(ValueError, match="field values must be finite"):
+            load_field_csv(field.grid, path)
+
+    @pytest.mark.parametrize("row", ["-1,0,5.0", "0,9,5.0"])
+    def test_index_outside_the_grid_rejected(self, field, tmp_path, row):
+        path = str(tmp_path / "u.csv")
+        save_field_csv(field, path)
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(ValueError, match=r"u\.csv: index .* outside the grid shape \(9, 9\)"):
+            load_field_csv(field.grid, path)
+
 
 class TestGridJson:
     def test_round_trip(self, tmp_path):

@@ -279,9 +279,8 @@ class TestPicard:
 
     def test_solution_solves_both_equations(self, make_pair):
         pair = make_pair(33, 65)
-        _, l2_hjb, _ = residual(pair["t1"], pair["spec"], "hjb")
-        _, l2_fp, _ = residual(pair["t1"], pair["spec"], "fp")
-        assert l2_hjb < 0.1 and l2_fp < 0.01
+        res = residual(pair["t1"], pair["spec"])
+        assert res["hjb"][0] < 0.1 and res["fp"][0] < 0.01
 
     def test_nonconvergence_carries_history(self):
         g = make_grid(PRISM, 33, 65)
@@ -344,9 +343,8 @@ class TestManufacture:
             g, pair["spec"].kernel, pair["k1"], bump_form(PRISM), steady_density(g)
         )
         spec = ProblemSpec(g, pair["spec"].kernel, f, triple.u, triple.m)
-        _, l2_hjb, _ = residual(triple, spec, "hjb")
-        _, l2_fp, _ = residual(triple, spec, "fp")
-        assert l2_hjb < 5e-3 and l2_fp < 1e-2
+        res = residual(triple, spec)
+        assert res["hjb"][0] < 5e-3 and res["fp"][0] < 1e-2
 
     def test_rejects_nonpositive_initial_density(self):
         g = make_grid(PRISM, 33, 65)
@@ -369,8 +367,7 @@ class TestManufacture:
             np.exp(1.0 - x1**2 - 0.5 * x2**2),
         )
         spec = ProblemSpec(g, kern, f, triple.u, triple.m)
-        _, l2_hjb, _ = residual(triple, spec, "hjb")
-        assert l2_hjb < 1e-12
+        assert residual(triple, spec)["hjb"][0] < 1e-12
 
     def test_2d_picard_smoke(self):
         g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), (9, 9), 17)
@@ -414,11 +411,6 @@ class TestSpecValidation:
         pair = make_pair(33, 65)
         with pytest.raises(ValueError, match="spatial shape"):
             MFGTriple(pair["t1"].u, pair["t1"].m, np.ones(7))
-
-    def test_residual_rejects_unknown_equation(self, make_pair):
-        pair = make_pair(33, 65)
-        with pytest.raises(ValueError, match="unknown equation"):
-            residual(pair["t1"], pair["spec"], "navier")
 
     def test_nondegeneracy_constant_positive(self, make_pair):
         assert make_pair(33, 65)["t1"].nondegeneracy_constant() > 0.0

@@ -77,3 +77,24 @@ class TestTraceNorms:
         # trace is 2t: L2^2 = 4/3, H21^2 adds the 4 units of d/dt = 2
         assert l2**2 == pytest.approx(4.0 / 3, rel=1e-3)
         assert h21**2 == pytest.approx(4.0 / 3 + 4.0, rel=1e-3)
+
+
+class TestMultiDimensional:
+    # tolerance 1e-3 separates the closed forms from the other pair
+    # convention, which moves each value by more than a quarter
+
+    def test_mixed_derivative_counted_once_in_2d(self):
+        # u = x1 x2 on (1,2)x(-1/2,1/2), T = 1: |u|^2 = 7/36, |grad u|^2 =
+        # 1/12 + 7/3 and u_{x1 x2}^2 = 1 once, 65/18 in all
+        g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), (33, 33), 9)
+        u = sample_field(g, lambda x1, x2, t: x1 * x2 + 0 * t)
+        assert norm(u, "H21") ** 2 == pytest.approx(65.0 / 18, rel=1e-3)
+        assert norm_spatial(g, u.values[..., 0], "H2") ** 2 == pytest.approx(65.0 / 18, rel=1e-3)
+
+    def test_trace_counts_mixed_derivative_per_ordered_pair_in_3d(self):
+        # trace of u = x1 x2 x3 on x1 = 2 is 2 x2 x3: |.|^2 = 1/36, tangential
+        # gradient 24/36, and (d_{x2 x3})^2 = 4 for each ordered pair, 313/36
+        g = make_grid(Prism(1.0, 2.0, (0.5, 0.5), 1.0), (17, 17, 17), 9)
+        u = sample_field(g, lambda x1, x2, x3, t: x1 * x2 * x3 + 0 * t)
+        tr = trace(u, "dirichlet", Face(0, 1))
+        assert trace_norm(g, Face(0, 1), tr, "H21") ** 2 == pytest.approx(313.0 / 36, rel=1e-3)

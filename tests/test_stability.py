@@ -10,18 +10,16 @@ import pytest
 from mfglab.mfg import solve_mfg_picard
 from mfglab.norms import norm, norm_spatial
 from mfglab.stability import (
-    DERIVED_EQUATIONS,
-    INEQUALITIES,
     NondegeneracyError,
     assemble_final_estimate,
-    check_inequality,
     compute_F,
+    derived_residuals,
     epsilon_window,
     form_difference,
     holder_sweep,
+    inequality_constants,
     reconstruct_k_tilde,
     reconstruction_spread,
-    residual_derived_system,
     select_parameters,
 )
 
@@ -120,19 +118,18 @@ class TestDerivedResiduals:
         "density-dtt": 0.0317699842059286,
     }
 
-    @pytest.mark.parametrize("which", DERIVED_EQUATIONS)
-    def test_trimmed_residuals(self, pair, pack, which):
-        l2, worst = residual_derived_system(
-            pack, pair["t1"], pair["t2"], KERNEL, pair["f"], which, eps=0.2
-        )
+    @pytest.fixture(scope="class")
+    def residuals(self, pair, pack):
+        return derived_residuals(pack, pair["t1"], pair["t2"], KERNEL, pair["f"], eps=0.2)
+
+    def test_every_equation_in_one_call(self, residuals):
+        assert list(residuals) == list(self.FROZEN)
+
+    @pytest.mark.parametrize("which", list(FROZEN))
+    def test_trimmed_residuals(self, residuals, which):
+        l2, worst = residuals[which]
         assert l2 == pytest.approx(self.FROZEN[which], rel=1e-6)
         assert worst > l2
-
-    def test_unknown_equation_rejected(self, pair, pack):
-        with pytest.raises(ValueError, match="unknown equation 'mass'"):
-            residual_derived_system(
-                pack, pair["t1"], pair["t2"], KERNEL, pair["f"], "mass"
-            )
 
 
 class TestInequalities:
@@ -143,26 +140,27 @@ class TestInequalities:
         "r": 5.732423782381865,
     }
 
-    @pytest.mark.parametrize("which", INEQUALITIES)
-    def test_empirical_constants(self, pack, which):
-        rep = check_inequality(pack, KERNEL, which, eps=0.2)
-        assert rep.which == which
+    @pytest.fixture(scope="class")
+    def reports(self, pack):
+        return inequality_constants(pack, KERNEL, eps=0.2)
+
+    def test_every_inequality_in_one_call(self, reports):
+        assert list(reports) == list(self.FROZEN)
+
+    @pytest.mark.parametrize("which", list(FROZEN))
+    def test_empirical_constants(self, reports, which):
+        rep = reports[which]
         assert rep.empirical_c == pytest.approx(self.FROZEN[which], rel=1e-6)
         assert rep.small_bracket_measure == 0.0
         assert rep.node_fraction_used == 1.0
         assert rep.lhs_max > 0.0
 
-    def test_noise_budget_lowers_the_constant(self, pack):
-        plain = check_inequality(pack, KERNEL, "v", eps=0.2)
-        budgeted = check_inequality(
-            pack, KERNEL, "v", c_candidate=1.0, delta_budget=1.0, eps=0.2
-        )
+    def test_noise_budget_lowers_the_constant(self, pack, reports):
+        budgeted = inequality_constants(
+            pack, KERNEL, c_candidate=1.0, delta_budget=1.0, eps=0.2
+        )["v"]
         assert budgeted.empirical_c == pytest.approx(0.10634076253763297, rel=1e-6)
-        assert budgeted.empirical_c < plain.empirical_c
-
-    def test_unknown_inequality_rejected(self, pack):
-        with pytest.raises(ValueError, match="unknown inequality 'z'"):
-            check_inequality(pack, KERNEL, "z")
+        assert budgeted.empirical_c < reports["v"].empirical_c
 
 
 class TestParameterCalculus:
