@@ -398,12 +398,12 @@ def first_derivative(values: np.ndarray, axis: int, spacing: float) -> np.ndarra
     Central differences in the interior, one-sided three-point stencils at
     the two edge planes; exact for quadratics along the axis.
     """
-    v = np.moveaxis(values, axis, 0)
+    v = np.moveaxis(values, axis, 0) if axis else values
     out = np.empty_like(v, dtype=float)
     out[1:-1] = (v[2:] - v[:-2]) / (2.0 * spacing)
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * spacing)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * spacing)
-    return np.moveaxis(out, 0, axis)
+    return np.moveaxis(out, 0, axis) if axis else out
 
 
 def second_derivative(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
@@ -419,7 +419,7 @@ def second_derivative(values: np.ndarray, axis: int, spacing: float) -> np.ndarr
 
 def gradient(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
     """Spatial gradient components ``d/dx_1, ..., d/dx_n``."""
-    return tuple(first_derivative(values, i, grid.h[i]) for i in range(grid.dim))
+    return tuple(first_derivative(values, i, h) for i, h in enumerate(grid.h))
 
 
 def grad_sq(grid: Grid, values: np.ndarray) -> np.ndarray:

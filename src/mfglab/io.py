@@ -79,20 +79,31 @@ def save_field_csv(field: Field, path: str) -> None:
 
 
 def load_field_csv(grid: Grid, path: str) -> Field:
-    """Read a field ``save_field_csv`` wrote.  A node the file never sets
-    stays NaN, which ``Field`` rejects."""
+    """Read a field ``save_field_csv`` wrote.  Every row holds exactly the
+    node's indices and its value, and sets a node no other row sets; a node
+    the file never sets stays NaN, which ``Field`` rejects.  Rows count from
+    the header, row 1."""
     values = np.full(grid.shape, np.nan)
+    seen = np.zeros(grid.shape, dtype=bool)
+    columns = grid.dim + 2
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if len(header) != grid.dim + 2:
-            raise ValueError(
-                f"{path}: expected {grid.dim + 2} columns, found {len(header)}"
-            )
-        for row in reader:
-            idx = tuple(int(c) for c in row[: grid.dim + 1])
-            if not all(0 <= i < n for i, n in zip(idx, grid.shape)):
-                raise ValueError(f"{path}: index {idx} outside the grid shape {grid.shape}")
+        if len(header) != columns:
+            raise ValueError(f"{path}: expected {columns} columns, found {len(header)}")
+        for n, row in enumerate(reader, 2):
+            if len(row) != columns:
+                raise ValueError(
+                    f"{path}: expected {columns} fields, found {len(row)} in row {n}"
+                )
+            idx = tuple(int(c) for c in row[:-1])
+            if not all(0 <= i < m for i, m in zip(idx, grid.shape)):
+                raise ValueError(
+                    f"{path}: index {idx} outside the grid shape {grid.shape} in row {n}"
+                )
+            if seen[idx]:
+                raise ValueError(f"{path}: node {idx} set a second time in row {n}")
+            seen[idx] = True
             values[idx] = float(row[-1])
     return Field(grid, values, _copy=False)
 

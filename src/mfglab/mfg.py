@@ -14,11 +14,12 @@ value equation, and a damped alternating fixed point for the coupling.
 Stepping is implicit because the downstream analysis differentiates
 solutions twice in time, which amplifies any conditional instability.  The
 marching matrix is laid out once per grid: the value equation's matrix does
-not change in time and is factored once per solve, and each density step
-rewrites only its drift entries.  In 1-D the factorization is LAPACK's
-tridiagonal ``dgttrf`` and each step one bare ``dgttrs`` call.  The density
-march computes the face drift of a block of levels from u in one array
-operation and scans its levels for blow-up once, after the march.
+not change in time and is factored once per solve, and the density march
+fills the matrices of a block of levels in one pass from their face drift,
+so each density step only factors its level and solves.  In 1-D the
+factorization is LAPACK's tridiagonal ``dgttrf`` and each step one bare
+``dgttrs`` call, with the two Dirichlet nodes written by slice around it.
+The density march scans its levels for blow-up once, after the march.
 
 The Fokker-Planck divergence uses conservative face-centered fluxes
 (arithmetic means of k, m and the first difference of u on the face), and
@@ -272,7 +273,8 @@ class _SpatialOperator:
     in 1-D, the ``data`` array of a CSC matrix with fixed sparsity in n-D.
     The slot arrays map each stencil entry of an interior row (diagonal,
     and per axis the lower and upper neighbour) to its position there, so a
-    new drift rewrites values only.
+    new drift rewrites values only.  ``system`` fills that storage for a
+    whole block of levels in one pass, one contiguous column per level.
     """
 
     def __init__(self, grid: Grid):
@@ -281,7 +283,10 @@ class _SpatialOperator:
         on_boundary = boundary_mask(grid).ravel()
         self.boundary = np.flatnonzero(on_boundary)
         self.interior = np.flatnonzero(~on_boundary)
-        if grid.dim == 1:
+        self.dim = grid.dim
+        self.shape = grid.shape_space
+        self._dirichlet_rows = slice(0, None, ns - 1) if self.dim == 1 else self.boundary
+        if self.dim == 1:
             # band rows: [0, j] = A[j-1, j], [1, j] = A[j, j], [2, j] = A[j+1, j]
             i = self.interior
             self.diag_slots = ns + i
@@ -316,7 +321,8 @@ class _SpatialOperator:
         self, tau: float, a_faces: Sequence[np.ndarray] | None
     ) -> tuple[np.ndarray | float, list, list]:
         """Diagonal and per-axis lower and upper entries of I - tau (L + D)
-        on the interior rows, in flat node order; ``a_faces=None`` drops D.
+        on the interior rows, in flat node order, one column per level of
+        the face drifts' trailing level axis; ``a_faces=None`` drops D.
 
         Every entry sums its Laplacian terms first, then its drift terms,
         axis by axis.  In one and two dimensions that is the order in which
@@ -335,40 +341,39 @@ class _SpatialOperator:
             return diag, lower, upper
         for axis, (h, a) in enumerate(zip(g.h, a_faces)):
             # a on the faces i - 1/2 (minus) and i + 1/2 (plus) of interior nodes
-            lo, hi = _lo_hi(g.dim, axis, slice(1, -1))
-            minus = a[lo].ravel()
-            plus = a[hi].ravel()
+            lo, hi = _lo_hi(self.dim, axis, slice(1, -1))
+            minus = a[lo].reshape(-1, a.shape[-1])
+            plus = a[hi].reshape(-1, a.shape[-1])
             diag = diag - (plus - minus) / (2.0 * h) * tau
             upper[axis] = upper[axis] - plus / (2.0 * h) * tau
             lower[axis] = lower[axis] + minus / (2.0 * h) * tau
         return diag, lower, upper
 
-    def system(
-        self,
-        tau: float,
-        a_faces: Sequence[np.ndarray] | None = None,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Flat storage of I - tau (L + D), written into ``out`` if given."""
-        if out is None:
-            out = self._identity.copy()
+    def system(self, tau: float, a_faces: Sequence[np.ndarray] | None = None) -> np.ndarray:
+        """Flat storage of I - tau (L + D), filled in one pass.  Face drifts
+        with a trailing axis of L levels give storage of shape (slots, L),
+        each level's column contiguous; ``a_faces=None`` gives one column."""
         diag, lower, upper = self.couplings(tau, a_faces)
+        level_axis = () if a_faces is None else a_faces[0].shape[-1:]
+        out = np.empty(self._identity.shape + level_axis, order="F")
+        out.T[...] = self._identity
         out[self.diag_slots] = diag
         for slots, vals in zip(self.lower_slots + self.upper_slots, lower + upper):
             out[slots] = vals
         return out
 
     def factor(self, storage: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Solver for the system held in ``storage``, factored once here:
-        LAPACK ``dgttrf`` on the three bands in 1-D, whose solve is a bare
-        ``dgttrs`` call, and sparse LU in higher dimensions.  A singular
-        tridiagonal matrix raises ``np.linalg.LinAlgError``."""
-        if self.grid.dim == 1:
+        """Solver for the system held in ``storage`` (one level), factored
+        once here: LAPACK ``dgttrf`` on the three bands in 1-D, whose solve
+        is a bare ``dgttrs`` call that overwrites its argument, and sparse
+        LU in higher dimensions.  A singular tridiagonal matrix raises
+        ``np.linalg.LinAlgError``."""
+        if self.dim == 1:
             ab = storage.reshape(3, self.ns)
             dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
             if info != 0:
                 raise np.linalg.LinAlgError("singular matrix")
-            return lambda b: dgttrs(dl, d, du, du2, ipiv, b)[0]
+            return lambda b: dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
         A = sp.csc_matrix((storage, self.indices, self.indptr), shape=(self.ns, self.ns))
         return splu(A).solve
 
@@ -379,14 +384,15 @@ class _SpatialOperator:
     def step(
         self, solve: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, bvals: np.ndarray
     ) -> np.ndarray:
-        """One marching step: solve with the Dirichlet rows set to ``bvals``."""
+        """One marching step: solve with the Dirichlet rows set to ``bvals``,
+        on a copy of ``rhs``; in 1-D those rows are written by slice."""
         b = rhs.flatten()
-        b[self.boundary] = bvals
+        b[self._dirichlet_rows] = bvals
         x = solve(b)
         # reimpose Dirichlet data bit-exactly; LU roundoff on the identity rows
         # otherwise leaks into trace differences of solves sharing data
-        x[self.boundary] = bvals
-        return x.reshape(self.grid.shape_space)
+        x[self._dirichlet_rows] = bvals
+        return x.reshape(self.shape)
 
 
 def _face_drift_coefficients(
@@ -423,8 +429,9 @@ def _divergence_flux(
     return out
 
 
-# Space-time nodes in one block of levels whose face drift the density march
-# computes in one array operation: 32 KB per face array.  One block of all
+# Space-time nodes in one block of levels whose face drift and marching
+# storage the density march fills in one pass: 32 KB per face array, and
+# storage of up to 2 dim + 1 entries per node.  One block of all
 # levels keeps field-sized arrays alive through the march, which fragmented
 # the heap and raised the peak resident memory of a 2-D 33x33x65 forward run
 # by ~3 MB (4%); blocks above the allocator's 128 KB mmap threshold made its
@@ -458,8 +465,8 @@ def solve_fokker_planck(spec: ProblemSpec, k: np.ndarray, u: Field) -> Field:
 
     Backward Euler with the full spatial operator at the new level,
     unconditionally stable.  u is known at every level, so the face drift
-    is computed for a block of levels at a time; each step writes its
-    level's drift into the operator's fixed layout and factors it.  No step
+    and the marching storage are filled for a block of levels at a time;
+    each step factors its level's column and solves.  No step
     reads a level's magnitude, so one scan after the march finds the first
     level that blew up.
     """
@@ -469,12 +476,10 @@ def solve_fokker_planck(spec: ProblemSpec, k: np.ndarray, u: Field) -> Field:
     bvals = op.dirichlet_values(spec.m_data)
     values = np.empty(g.shape)
     values[..., 0] = spec.m_data.values[..., 0]
-    storage = None
     levels = max(1, _DRIFT_BLOCK_NODES // op.ns)
     for j0 in range(1, g.nt, levels):
-        block = _face_drift_coefficients(g, k[..., None], u.values[..., j0 : j0 + levels])
-        for j in range(j0, min(j0 + levels, g.nt)):
-            storage = op.system(g.tau, [a[..., j - j0] for a in block], out=storage)
+        drift = _face_drift_coefficients(g, k[..., None], u.values[..., j0 : j0 + levels])
+        for j, storage in enumerate(op.system(g.tau, drift).T, j0):
             values[..., j] = op.step(op.factor(storage), values[..., j - 1], bvals[j])
     worst_min = float(np.min(_scan_blowup("fokker-planck", values, np.arange(1, g.nt))))
     if worst_min < 0.0:

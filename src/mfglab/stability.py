@@ -144,19 +144,6 @@ def form_difference(t1: MFGTriple, t2: MFGTriple) -> DifferencePack:
 # reconstruction of the coefficient difference
 
 
-def _inverse_grad_sq(grid: Grid, u01: np.ndarray) -> np.ndarray:
-    """1 / |grad u_1(., T/2)|^2 with the flatness guard."""
-    total = grad_sq(grid, u01)
-    worst = float(np.min(total))
-    if worst < 2.0 * _FLATNESS_C:
-        j = np.unravel_index(np.argmin(total), total.shape)
-        raise NondegeneracyError(
-            f"|grad u_1|^2 at the central time dips to {worst:.3e} < 2c = "
-            f"{2.0 * _FLATNESS_C:.3e} at index {tuple(int(i) for i in j)}"
-        )
-    return 1.0 / total
-
-
 def compute_F(
     pack: DifferencePack,
     u01: np.ndarray,
@@ -164,27 +151,38 @@ def compute_F(
     k2: np.ndarray,
     kernel: Kernel,
     f: Field,
-) -> np.ndarray:
-    """Snapshot part of the coefficient reconstruction.
+) -> tuple[np.ndarray, np.ndarray]:
+    """P = |grad u01|^{-2} and the snapshot part of the coefficient
+    reconstruction,
 
     F = 2 P [Lap u0~ + (K m0~) + f(., T/2) m0~] - P k2 grad u0~ . grad(u01 + u02),
-    P = |grad u01|^{-2}, with f taken at the central time, where the
-    equation is evaluated.
+
+    with f taken at the central time, where the equation is evaluated.  The
+    reconstruction reads P too, so it is returned rather than recomputed.
+    NondegeneracyError if |grad u01|^2 dips below 2c.
     """
     g = pack.grid
-    p = _inverse_grad_sq(g, u01)
+    total = grad_sq(g, u01)
+    worst = float(np.min(total))
+    if worst < 2.0 * _FLATNESS_C:
+        j = np.unravel_index(np.argmin(total), total.shape)
+        raise NondegeneracyError(
+            f"|grad u_1|^2 at the central time dips to {worst:.3e} < 2c = "
+            f"{2.0 * _FLATNESS_C:.3e} at index {tuple(int(i) for i in j)}"
+        )
+    p = 1.0 / total
     km0 = apply_kernel(kernel, g, pack.m0_tilde)
     f_slice = f.values[..., g.index_t0]
     lap0 = laplacian(g, pack.u0_tilde)
     cross = np.zeros(g.shape_space)
     for d0, ds in zip(gradient(g, pack.u0_tilde), gradient(g, u01 + u02)):
         cross += d0 * ds
-    return 2.0 * p * (lap0 + km0 + f_slice * pack.m0_tilde) - p * k2 * cross
+    return p, 2.0 * p * (lap0 + km0 + f_slice * pack.m0_tilde) - p * k2 * cross
 
 
-def reconstruct_k_tilde(pack: DifferencePack, u01: np.ndarray, F: np.ndarray) -> np.ndarray:
+def reconstruct_k_tilde(pack: DifferencePack, p: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Coefficient difference from the central-time identity,
-    k~ = 2 P v(., T/2) + F.
+    k~ = 2 P v(., T/2) + F, with P and F from ``compute_F``.
 
     Replacing v(., T/2) by v(., t) - int_{T/2}^t w dtau gives the shifted
     form at time t; at t = T/2 the integral vanishes and the two agree, and
@@ -192,20 +190,19 @@ def reconstruct_k_tilde(pack: DifferencePack, u01: np.ndarray, F: np.ndarray) ->
     times move.
     """
     g = pack.grid
-    p = _inverse_grad_sq(g, u01)
     return 2.0 * p * pack.v.values[..., g.index_t0] + F
 
 
 def reconstruction_spread(
     pack: DifferencePack,
-    u01: np.ndarray,
+    p: np.ndarray,
     F: np.ndarray,
     times: Sequence[float],
 ) -> float:
     """Largest pairwise L2 distance between the shifted reconstructions
-    2 P (v(., t) - int_{T/2}^t w dtau) + F at each of ``times``."""
+    2 P (v(., t) - int_{T/2}^t w dtau) + F at each of ``times``, with P and
+    F from ``compute_F``."""
     g = pack.grid
-    p = _inverse_grad_sq(g, u01)
     iw = time_integral_from_t0(g, pack.w.values)
     fields = []
     for t in times:
@@ -282,8 +279,8 @@ def derived_residuals(
     # the four substituted equations share this preparation
     u01 = t1.u.values[..., g.index_t0]
     u02 = t2.u.values[..., g.index_t0]
-    pb = _inverse_grad_sq(g, u01)[..., None]
-    fb = compute_F(pack, u01, u02, t2.k, kernel, f)[..., None]
+    p, F = compute_F(pack, u01, u02, t2.k, kernel, f)
+    pb, fb = p[..., None], F[..., None]
     ft = field_dt(f).values
     ftt = field_dtt(f).values
     s_comps = [d1 + d2 for d1, d2 in zip(grads_u1, grads_u2)]

@@ -64,12 +64,12 @@ def _reconstruction_study(pairs):
         pack = form_difference(pair["t1"], pair["t2"])
         u01 = pair["t1"].u.values[..., g.index_t0]
         u02 = pair["t2"].u.values[..., g.index_t0]
-        F = compute_F(pack, u01, u02, pair["k2"], KERNEL, pair["f"])
-        krec = reconstruct_k_tilde(pack, u01, F)
+        p, F = compute_F(pack, u01, u02, pair["k2"], KERNEL, pair["f"])
+        krec = reconstruct_k_tilde(pack, p, F)
         hs.append(g.h[0])
         errs.append(norm_spatial(g, krec - pack.k_tilde, "L2"))
         spreads.append(
-            reconstruction_spread(pack, u01, F, times=(0.25, 0.5, 0.75))
+            reconstruction_spread(pack, p, F, times=(0.25, 0.5, 0.75))
         )
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     return errs, spreads, slope

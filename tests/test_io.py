@@ -99,6 +99,28 @@ class TestFieldCsv:
         with pytest.raises(ValueError, match=r"u\.csv: index .* outside the grid shape \(9, 9\)"):
             load_field_csv(field.grid, path)
 
+    @pytest.mark.parametrize("row, found", [("2,1", 2), ("2,1,0,5.0", 4)])
+    def test_row_field_count_checked(self, field, tmp_path, row, found):
+        # a short row would read its time index as the value
+        path = str(tmp_path / "u.csv")
+        save_field_csv(field, path)
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(
+            ValueError, match=rf"u\.csv: expected 3 fields, found {found} in row 83"
+        ):
+            load_field_csv(field.grid, path)
+
+    def test_node_set_twice_rejected(self, field, tmp_path):
+        path = str(tmp_path / "u.csv")
+        save_field_csv(field, path)
+        with open(path, "a") as fh:
+            fh.write("4,2,5.0\n")
+        with pytest.raises(
+            ValueError, match=r"u\.csv: node \(4, 2\) set a second time in row 83"
+        ):
+            load_field_csv(field.grid, path)
+
 
 class TestGridJson:
     def test_round_trip(self, tmp_path):

@@ -188,7 +188,8 @@ class TestMarchingSystem:
         u = rng.normal(size=nx)
         x = rng.uniform(0.5, 1.5, nx)
         op = _SpatialOperator(g)
-        storage = op.system(g.tau, _face_drift_coefficients(g, k, u))
+        drift = _face_drift_coefficients(g, k[..., None], u[..., None])
+        storage = op.system(g.tau, drift)[:, 0]
         got = (self.dense(op, storage) @ x.ravel()).reshape(nx)
         lap = sum(second_derivative(x, axis, g.h[axis]) for axis in range(g.dim))
         expected = x - g.tau * (lap + _divergence_flux(g, k, x, u))
@@ -197,6 +198,37 @@ class TestMarchingSystem:
         assert np.max(np.abs(got - expected)[inner]) <= 1e-12 * scale
         np.testing.assert_array_equal(got[~inner], x[~inner])
 
+    @pytest.mark.parametrize("half_widths, nx", [((), (17,)), ((0.5,), (9, 7))])
+    def test_block_columns_match_single_levels(self, half_widths, nx):
+        g = make_grid(Prism(1.0, 2.0, half_widths, 1.0), nx, 9)
+        rng = np.random.default_rng(13)
+        k = rng.uniform(0.5, 1.5, nx)[..., None]
+        u = rng.normal(size=(*nx, 4))
+        op = _SpatialOperator(g)
+        block = op.system(g.tau, _face_drift_coefficients(g, k, u))
+        assert block.shape[-1] == 4
+        for j in range(4):
+            alone = op.system(g.tau, _face_drift_coefficients(g, k, u[..., j : j + 1]))
+            assert np.array_equal(block[:, j], alone[:, 0])
+
+    def test_1d_density_step_keeps_previous_level_and_walls(self, monkeypatch):
+        # wall data that moves in time shows a step writing into the level
+        # it was handed, or a wall value off by roundoff
+        g, spec, u_const, _ = heat_problem(33, 65)
+        walls = spec.m_data.values + 0.3 * np.sin(7.0 * g.times)
+        spec = dataclasses.replace(spec, m_data=Field(g, walls))
+        step = _SpatialOperator.step
+
+        def checked_step(op, solve, rhs, bvals):
+            before = rhs.copy()
+            x = step(op, solve, rhs, bvals)
+            assert np.array_equal(rhs, before)
+            return x
+
+        monkeypatch.setattr(_SpatialOperator, "step", checked_step)
+        m = solve_fokker_planck(spec, np.ones(33), u_const)
+        np.testing.assert_array_equal(m.values[[0, -1]], walls[[0, -1]])
+
     def test_1d_factor_solves_like_solve_banded(self):
         g = make_grid(PRISM, 33, 9)
         rng = np.random.default_rng(5)
@@ -204,7 +236,8 @@ class TestMarchingSystem:
         u = rng.normal(size=33)
         b = rng.normal(size=33)
         op = _SpatialOperator(g)
-        storage = op.system(g.tau, _face_drift_coefficients(g, k, u))
+        drift = _face_drift_coefficients(g, k[..., None], u[..., None])
+        storage = op.system(g.tau, drift)[:, 0]
         expected = solve_banded((1, 1), storage.reshape(3, op.ns), b)
         assert np.array_equal(op.factor(storage)(b), expected)
 

@@ -41,8 +41,7 @@ def recon(pair, pack):
     g = pair["grid"]
     u01 = pair["t1"].u.values[..., g.index_t0]
     u02 = pair["t2"].u.values[..., g.index_t0]
-    F = compute_F(pack, u01, u02, pair["k2"], KERNEL, pair["f"])
-    return u01, u02, F
+    return compute_F(pack, u01, u02, pair["k2"], KERNEL, pair["f"])
 
 
 class TestDifferencePack:
@@ -89,14 +88,14 @@ class TestDifferencePack:
 
 class TestReconstruction:
     def test_snapshot_reconstruction_error(self, pair, pack, recon):
-        u01, _, F = recon
-        krec = reconstruct_k_tilde(pack, u01, F)
+        p, F = recon
+        krec = reconstruct_k_tilde(pack, p, F)
         err = norm_spatial(pair["grid"], krec - pack.k_tilde, "L2")
         assert err == pytest.approx(3.8789098360899677e-4, rel=1e-6)
 
     def test_shifted_reconstructions_are_time_independent(self, pack, recon):
-        u01, _, F = recon
-        spread = reconstruction_spread(pack, u01, F, times=(0.25, 0.5, 0.75))
+        p, F = recon
+        spread = reconstruction_spread(pack, p, F, times=(0.25, 0.5, 0.75))
         assert spread == 0.0
 
     def test_flat_reference_gradient_rejected(self, pair, pack):
