@@ -96,7 +96,11 @@ def load_field_csv(grid: Grid, path: str) -> Field:
                 raise ValueError(
                     f"{path}: expected {columns} fields, found {len(row)} in row {n}"
                 )
-            idx = tuple(int(c) for c in row[:-1])
+            try:
+                idx = tuple(int(c) for c in row[:-1])
+                value = float(row[-1])
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric index or value {row} in row {n}") from None
             if not all(0 <= i < m for i, m in zip(idx, grid.shape)):
                 raise ValueError(
                     f"{path}: index {idx} outside the grid shape {grid.shape} in row {n}"
@@ -104,7 +108,7 @@ def load_field_csv(grid: Grid, path: str) -> Field:
             if seen[idx]:
                 raise ValueError(f"{path}: node {idx} set a second time in row {n}")
             seen[idx] = True
-            values[idx] = float(row[-1])
+            values[idx] = value
     return Field(grid, values, _copy=False)
 
 

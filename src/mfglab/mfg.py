@@ -16,9 +16,9 @@ solutions twice in time, which amplifies any conditional instability.  The
 marching matrix is laid out once per grid: the value equation's matrix does
 not change in time and is factored once per solve, and the density march
 fills the matrices of a block of levels in one pass from their face drift,
-so each density step only factors its level and solves.  In 1-D the
-factorization is LAPACK's tridiagonal ``dgttrf`` and each step one bare
-``dgttrs`` call, with the two Dirichlet nodes written by slice around it.
+so each density step only factors its level and solves, with LAPACK:
+tridiagonal ``dgttrf``/``dgttrs`` in 1-D, band ``dgbtrf``/``dgbtrs`` in n-D,
+and in 1-D the two Dirichlet nodes written by slice around the solve.
 The density march scans its levels for blow-up once, after the march.
 
 The Fokker-Planck divergence uses conservative face-centered fluxes
@@ -41,9 +41,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 from .grid import (
     Field,
@@ -270,11 +268,13 @@ class _SpatialOperator:
     operator m -> div(a m) with face-centered fluxes; boundary rows are
     identity rows that carry the Dirichlet data.  The matrix lives in one
     flat array with a fixed layout: the three bands of a tridiagonal matrix
-    in 1-D, the ``data`` array of a CSC matrix with fixed sparsity in n-D.
-    The slot arrays map each stencil entry of an interior row (diagonal,
-    and per axis the lower and upper neighbour) to its position there, so a
-    new drift rewrites values only.  ``system`` fills that storage for a
-    whole block of levels in one pass, one contiguous column per level.
+    in 1-D; in n-D every node's diagonal, then the lower and upper neighbour
+    of each interior node axis by axis, which ``band_slots`` maps into the
+    LAPACK band storage that ``factor`` fills.  The slot arrays map each
+    stencil entry of an interior row (diagonal, and per axis the lower and
+    upper neighbour) to its position there, so a new drift rewrites values
+    only.  ``system`` fills that storage for a whole block of levels in one
+    pass, one contiguous column per level.
     """
 
     def __init__(self, grid: Grid):
@@ -295,27 +295,20 @@ class _SpatialOperator:
             self._identity = np.zeros(3 * ns)
             self._identity[ns + self.boundary] = 1.0
             return
-        # entries in the order diagonal, then (lower, upper) per axis
-        ni = self.interior.size
-        neighbours = [
-            self.interior + sign * stride
-            for stride in _strides(grid.nx)
-            for sign in (-1, 1)
-        ]
+        strides = _strides(grid.nx)
+        neighbours = [self.interior + sign * stride for stride in strides for sign in (-1, 1)]
         rows = np.concatenate([np.arange(ns)] + [self.interior] * len(neighbours))
         cols = np.concatenate([np.arange(ns)] + neighbours)
-        order = np.lexsort((rows, cols))
-        self.indices = rows[order].astype(np.intc)
-        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=ns))))
-        self.indptr = self.indptr.astype(np.intc)
-        slots = np.empty_like(order)
-        slots[order] = np.arange(order.size)
-        self.diag_slots = slots[self.interior]
-        off = slots[ns:].reshape(grid.dim, 2, ni)
+        # A[row, col] is ab[kl + ku + row - col, col] of band storage with
+        # kl = ku = the stride of axis 0; its top kl rows take the LU fill-in
+        kl = self.kl = strides[0]
+        self.band_slots = 2 * kl + rows - cols + (3 * kl + 1) * cols
+        self.diag_slots = self.interior
+        off = np.arange(ns, rows.size).reshape(grid.dim, 2, -1)
         self.lower_slots = list(off[:, 0])
         self.upper_slots = list(off[:, 1])
-        self._identity = np.zeros(order.size)
-        self._identity[slots[self.boundary]] = 1.0
+        self._identity = np.zeros(rows.size)
+        self._identity[self.boundary] = 1.0
 
     def couplings(
         self, tau: float, a_faces: Sequence[np.ndarray] | None
@@ -325,9 +318,7 @@ class _SpatialOperator:
         the face drifts' trailing level axis; ``a_faces=None`` drops D.
 
         Every entry sums its Laplacian terms first, then its drift terms,
-        axis by axis.  In one and two dimensions that is the order in which
-        assembling the stencils as duplicate sparse entries summed them, so
-        solutions match that assembly bit for bit; keep the order.
+        axis by axis; the 1-D outputs are bitwise to this order, so keep it.
         """
         g = self.grid
         diag: np.ndarray | float = 1.0
@@ -364,18 +355,23 @@ class _SpatialOperator:
 
     def factor(self, storage: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Solver for the system held in ``storage`` (one level), factored
-        once here: LAPACK ``dgttrf`` on the three bands in 1-D, whose solve
-        is a bare ``dgttrs`` call that overwrites its argument, and sparse
-        LU in higher dimensions.  A singular tridiagonal matrix raises
-        ``np.linalg.LinAlgError``."""
+        once here with LAPACK: ``dgttrf`` on the three bands in 1-D, and in
+        n-D ``dgbtrf`` on the entries scattered into zeroed band storage.
+        The solve is a bare ``dgttrs``/``dgbtrs`` call that overwrites its
+        argument.  A singular matrix raises ``np.linalg.LinAlgError``."""
         if self.dim == 1:
             ab = storage.reshape(3, self.ns)
             dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
             if info != 0:
                 raise np.linalg.LinAlgError("singular matrix")
             return lambda b: dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
-        A = sp.csc_matrix((storage, self.indices, self.indptr), shape=(self.ns, self.ns))
-        return splu(A).solve
+        kl = self.kl
+        band = np.zeros((3 * kl + 1, self.ns), order="F")
+        band.ravel(order="F")[self.band_slots] = storage
+        lu, ipiv, info = dgbtrf(band, kl, kl, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return lambda b: dgbtrs(lu, kl, kl, b, ipiv, overwrite_b=1)[0]
 
     def dirichlet_values(self, data: Field) -> np.ndarray:
         """Dirichlet values of every time level, shape (nt, boundary nodes)."""
@@ -431,7 +427,9 @@ def _divergence_flux(
 
 # Space-time nodes in one block of levels whose face drift and marching
 # storage the density march fills in one pass: 32 KB per face array, and
-# storage of up to 2 dim + 1 entries per node.  One block of all
+# storage of up to 2 dim + 1 entries per node; ``factor`` fills the n-D band
+# storage, 3 kl + 1 entries per node, for its one level (for a 3-level block
+# at 33x33 that would be 2.6 MB, not 118 KB).  One block of all
 # levels keeps field-sized arrays alive through the march, which fragmented
 # the heap and raised the peak resident memory of a 2-D 33x33x65 forward run
 # by ~3 MB (4%); blocks above the allocator's 128 KB mmap threshold made its

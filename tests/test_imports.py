@@ -12,9 +12,13 @@ that only tests mention fails unless it is listed in ``ORACLES``.  A
 defaulted parameter fails when no call in the package or its tests passes
 it, by keyword or by position.  An ``__all__`` entry fails when its module
 binds no such name, which would break ``from mfglab.<module> import *``.
+Importing the CLI must not load ``scipy.sparse``, which nothing uses.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -283,3 +287,14 @@ def test_checker_flags_an_option_nothing_sets():
         "m.py:3: run(n=)",
         "m.py:6: f(d=)",
     ]
+
+
+def test_cli_import_loads_no_scipy_sparse():
+    # the march factors with LAPACK alone; scipy.sparse would cost import time
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, mfglab.cli; print('scipy.sparse' in sys.modules)"
+    res = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

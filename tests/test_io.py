@@ -111,6 +111,17 @@ class TestFieldCsv:
         ):
             load_field_csv(field.grid, path)
 
+    @pytest.mark.parametrize("row", ["x,1,2.0", "2,1,abc"])
+    def test_non_numeric_field_rejected(self, field, tmp_path, row):
+        path = str(tmp_path / "u.csv")
+        save_field_csv(field, path)
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(
+            ValueError, match=r"u\.csv: non-numeric index or value .* in row 83"
+        ):
+            load_field_csv(field.grid, path)
+
     def test_node_set_twice_rejected(self, field, tmp_path):
         path = str(tmp_path / "u.csv")
         save_field_csv(field, path)

@@ -4,7 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from mfglab.grid import (
@@ -178,9 +177,15 @@ class TestMarchingSystem:
         if op.grid.dim == 1:
             ab = storage.reshape(3, op.ns)
             return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-        return sp.csc_matrix((storage, op.indices, op.indptr), shape=(op.ns, op.ns)).toarray()
+        # band slot kl + ku + row - col + (2 kl + ku + 1) col, with ku = kl
+        cols, offsets = np.divmod(op.band_slots, 3 * op.kl + 1)
+        out = np.zeros((op.ns, op.ns))
+        out[offsets - 2 * op.kl + cols, cols] = storage
+        return out
 
-    @pytest.mark.parametrize("half_widths, nx", [((), (17,)), ((0.5,), (9, 7))])
+    @pytest.mark.parametrize(
+        "half_widths, nx", [((), (17,)), ((0.5,), (9, 7)), ((0.5, 0.5), (5, 6, 7))]
+    )
     def test_fp_system_matches_residual_flux(self, half_widths, nx):
         g = make_grid(Prism(1.0, 2.0, half_widths, 1.0), nx, 9)
         rng = np.random.default_rng(11)
@@ -245,6 +250,28 @@ class TestMarchingSystem:
         op = _SpatialOperator(make_grid(PRISM, 17, 9))
         with pytest.raises(np.linalg.LinAlgError):
             op.factor(np.zeros(3 * op.ns))
+
+    def test_2d_factor_rejects_singular_matrix(self):
+        g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), (9, 7), 9)
+        op = _SpatialOperator(g)
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            op.factor(np.zeros_like(op.system(g.tau)))
+
+    @pytest.mark.parametrize(
+        "half_widths, nx", [((0.5,), (9, 7)), ((0.5, 0.5), (5, 5, 5))]
+    )
+    def test_nd_factor_solves_like_dense(self, half_widths, nx):
+        g = make_grid(Prism(1.0, 2.0, half_widths, 1.0), nx, 9)
+        rng = np.random.default_rng(17)
+        k = rng.uniform(0.5, 1.5, nx)
+        u = rng.normal(size=nx)
+        b = rng.normal(size=int(np.prod(nx)))
+        op = _SpatialOperator(g)
+        drift = _face_drift_coefficients(g, k[..., None], u[..., None])
+        storage = op.system(g.tau, drift)[:, 0]
+        expected = np.linalg.solve(self.dense(op, storage), b)
+        got = op.factor(storage)(b.copy())
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestHJB:
