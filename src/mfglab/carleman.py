@@ -38,7 +38,6 @@ from typing import Sequence
 import numpy as np
 
 from .grid import (
-    Field,
     Grid,
     Prism,
     data_faces,
@@ -169,33 +168,30 @@ def weight_extrema(params: CarlemanParams, grid: Grid, eps: float | None = None)
     return out
 
 
-def _ordered_second_sum(u: Field) -> np.ndarray:
+def _ordered_second_sum(grid: Grid, u: np.ndarray) -> np.ndarray:
     """sum over all ordered pairs (i, j) of u_{x_i x_j}^2."""
-    g = u.grid
-    total = np.zeros(u.values.shape)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            d = mixed_xixj(g, u.values, i, j)
+    total = np.zeros(u.shape)
+    for i in range(grid.dim):
+        for j in range(grid.dim):
+            d = mixed_xixj(grid, u, i, j)
             total += d * d
     return total
 
 
-def _boundary_norms_sq(u: Field, faces) -> float:
+def _boundary_norms_sq(grid: Grid, u: np.ndarray, faces) -> float:
     """|du/dn|_{H10}^2 + |u|_{H21}^2 summed over the given faces."""
-    g = u.grid
     total = 0.0
     for f in faces:
         total += (
-            trace_norm(g, f, trace(u, "neumann", f), "H10") ** 2
-            + trace_norm(g, f, trace(u, "dirichlet", f), "H21") ** 2
+            trace_norm(grid, f, trace(grid, u, "neumann", f), "H10") ** 2
+            + trace_norm(grid, f, trace(grid, u, "dirichlet", f), "H21") ** 2
         )
     return total
 
 
-def _end_norms_sq(u: Field) -> float:
-    g = u.grid
-    n0 = norm_spatial(g, u.values[..., 0], "H1")
-    nT = norm_spatial(g, u.values[..., -1], "H1")
+def _end_norms_sq(grid: Grid, u: np.ndarray) -> float:
+    n0 = norm_spatial(grid, u[..., 0], "H1")
+    nT = norm_spatial(grid, u[..., -1], "H1")
     return n0**2 + nT**2
 
 
@@ -206,12 +202,12 @@ def _passes(row: dict, c0: float) -> bool:
     return row["lhs"] - rhs >= -slack
 
 
-def _check_restricted_precondition(u: Field, faces: Sequence) -> None:
+def _check_restricted_precondition(grid: Grid, u: np.ndarray, faces: Sequence) -> None:
     """u must vanish on every face the functional leaves out of ``faces``."""
-    for f in u.grid.faces():
+    for f in grid.faces():
         if f in faces:
             continue
-        worst = float(np.max(np.abs(trace(u, "dirichlet", f))))
+        worst = float(np.max(np.abs(trace(grid, u, "dirichlet", f))))
         if worst > _RESTRICTED_TOL:
             raise ValueError(
                 f"restricted functional requires u = 0 off the outflow face; "
@@ -220,7 +216,8 @@ def _check_restricted_precondition(u: Field, faces: Sequence) -> None:
 
 
 def _functional_rows(
-    u: Field,
+    grid: Grid,
+    u: np.ndarray,
     lambdas: Sequence[float],
     alpha: float,
     *,
@@ -232,27 +229,26 @@ def _functional_rows(
     boundary and end-time norms once per member, the squared operator once
     per sign, the weight and the weighted sums once per lambda.
     """
-    g = u.grid
-    prism = g.prism
-    faces = data_faces(g, restricted)
-    _check_restricted_precondition(u, faces)
+    prism = grid.prism
+    faces = data_faces(grid, restricted)
+    _check_restricted_precondition(grid, u, faces)
 
-    ut = dt(u).values
-    lap = laplacian(g, u.values)
+    ut = dt(grid, u)
+    lap = laplacian(grid, u)
     op_sq = [op * op for op in (ut + sign * lap for sign in _SIGNS)]
-    u_grad_sq = grad_sq(g, u.values)
-    second_sq = ut * ut + _ordered_second_sum(u)
+    u_grad_sq = grad_sq(grid, u)
+    second_sq = ut * ut + _ordered_second_sum(grid, u)
 
-    bnd_norms = _boundary_norms_sq(u, faces)
-    end_norms = _end_norms_sq(u)
+    bnd_norms = _boundary_norms_sq(grid, u, faces)
+    end_norms = _end_norms_sq(grid, u)
     gap = alpha * prism.T**2 / 4.0 - prism.b**2
 
     rows: list[list[dict]] = [[] for _ in _SIGNS]
     for lam in lambdas:
-        phi_s = scaled_weight_values(lam, alpha, g)
+        phi_s = scaled_weight_values(lam, alpha, grid)
         log_scale = 2.0 * lam * prism.b**2
-        main = (1.0 / lam) * weighted_sum(g, second_sq * phi_s)
-        main += weighted_sum(g, (lam * u_grad_sq + lam**3 * u.values * u.values) * phi_s)
+        main = (1.0 / lam) * weighted_sum(grid, second_sq * phi_s)
+        main += weighted_sum(grid, (lam * u_grad_sq + lam**3 * u * u) * phi_s)
         # exp(3 lam b^2) becomes exp(lam b^2) after the shared rescaling
         boundary = bnd_norms * math.exp(lam * prism.b**2)
         negligible = end_norms * math.exp(min(-2.0 * lam * gap - log_scale, _OVERFLOW_EXPONENT))
@@ -263,7 +259,7 @@ def _functional_rows(
             sign_rows.append(
                 {
                     "lam": lam,
-                    "lhs": float(weighted_sum(g, sq * phi_s)),
+                    "lhs": float(weighted_sum(grid, sq * phi_s)),
                     "main": float(main),
                     "boundary": float(boundary),
                     "negligible": float(negligible),
@@ -274,13 +270,15 @@ def _functional_rows(
 
 
 def estimate_c0(
-    members: Sequence[Field],
+    grid: Grid,
+    members: Sequence[np.ndarray],
     alpha: float,
     lambdas: Sequence[float],
     *,
     restricted: bool = False,
 ) -> tuple[float | None, float, list[CarlemanReport]]:
-    """Infimum of lhs/bracket over the family, both operators, all lambdas.
+    """Infimum of lhs/bracket over the family of space-time arrays on
+    ``grid``, both operators, all lambdas.
 
     The functional's components, all against the shared rescaled weight:
 
@@ -303,7 +301,9 @@ def estimate_c0(
     1e-10) on every other lateral face; otherwise a ValueError is raised.
     """
     lambdas = sorted(float(x) for x in lambdas)
-    member_rows = [_functional_rows(u, lambdas, alpha, restricted=restricted) for u in members]
+    member_rows = [
+        _functional_rows(grid, u, lambdas, alpha, restricted=restricted) for u in members
+    ]
     caps = []
     for sign_rows in member_rows:
         for rows in sign_rows:
@@ -333,8 +333,9 @@ def random_family(
     seed: int = FAMILY_SEED,
     *,
     flatten_space: bool = True,
-) -> list[Field]:
-    """Seeded family of smooth products of low-order trig and polynomial factors.
+) -> list[np.ndarray]:
+    """Seeded family of smooth products of low-order trig and polynomial
+    factors, each an array of shape ``grid.shape``.
 
     Each member is a product over axes (and time) of
     c0 + c1 s + c2 sin(pi s) + c3 cos(pi s) with coefficients uniform in
@@ -361,7 +362,7 @@ def random_family(
             if flatten_space and axis < grid.dim:
                 factor = factor * np.sin(np.pi * s) ** 2
             values = values * factor
-        members.append(Field(grid, values, _copy=False))
+        members.append(values)
     return members
 
 
@@ -384,13 +385,15 @@ _KERNEL_LEMMAS = {"spatial": SeparableDelta, "causal": HeavisideCausal}
 
 def verify_lemma(
     which: str,
-    h: Field,
+    grid: Grid,
+    h: np.ndarray,
     *,
     kernel: Kernel | None = None,
     alpha: float,
     lambdas: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
 ) -> LemmaReport:
-    """Numerical check of one of the three weighted integral lemmas.
+    """Numerical check of one of the three weighted integral lemmas on the
+    space-time array ``h`` sampled on ``grid``.
 
     "spatial" and "causal" bound the weighted energy of the kernel integral
     of h by the weighted energy of h; the check reports ratio(lam), its
@@ -408,7 +411,6 @@ def verify_lemma(
     distinct values.  An identically-zero h is degenerate: ratios are zero
     and no assertion is made (passed is None).
     """
-    g = h.grid
     lambdas = sorted(float(x) for x in lambdas)
     for lam in lambdas:
         if not 1.0 <= lam <= LAMBDA_MAX:
@@ -423,18 +425,18 @@ def verify_lemma(
                 f"the {which} bound is stated for {_KERNEL_LEMMAS[which].__name__} kernels, "
                 f"got {type(kernel).__name__}"
             )
-        target = apply_kernel(kernel, g, h.values)
+        target = apply_kernel(kernel, grid, h)
     elif which == "time-integral":
-        target = time_integral_from_t0(g, h.values)
+        target = time_integral_from_t0(grid, h)
     else:
         raise ValueError(f"unknown bound {which!r}")
 
     raw = []
     degenerate = False
     for lam in lambdas:
-        phi_s = scaled_weight_values(lam, alpha, g)
-        num = weighted_sum(g, target * target * phi_s)
-        den = weighted_sum(g, h.values * h.values * phi_s)
+        phi_s = scaled_weight_values(lam, alpha, grid)
+        num = weighted_sum(grid, target * target * phi_s)
+        den = weighted_sum(grid, h * h * phi_s)
         if den <= 0.0:
             degenerate = True
             raw.append(0.0)

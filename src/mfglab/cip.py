@@ -33,8 +33,8 @@ from .grid import (
     Face,
     Grid,
     data_faces,
-    dt as field_dt,
-    dtt as field_dtt,
+    dt,
+    dtt,
     finite_real,
     first_derivative,
     trace,
@@ -153,17 +153,17 @@ def extract(triple: MFGTriple, completeness: str = "full") -> CIPData:
     g = triple.grid
     neumann_faces = _neumann_faces(g, completeness)
     # each field's s = 0, 1, 2 levels, differentiated once for every face
-    u = (triple.u, field_dt(triple.u), field_dtt(triple.u))
-    m = (triple.m, field_dt(triple.m), field_dtt(triple.m))
+    u = (triple.u, dt(g, triple.u), dtt(g, triple.u))
+    m = (triple.m, dt(g, triple.m), dtt(g, triple.m))
     return CIPData(
         grid=g,
         completeness=completeness,
-        u0=triple.u.values[..., g.index_t0].copy(),
-        m0=triple.m.values[..., g.index_t0].copy(),
-        g0={f: tuple(trace(level, "dirichlet", f) for level in u) for f in g.faces()},
-        g1={f: tuple(trace(level, "neumann", f) for level in u) for f in neumann_faces},
-        p0={f: tuple(trace(level, "dirichlet", f) for level in m) for f in g.faces()},
-        p1={f: tuple(trace(level, "neumann", f) for level in m) for f in neumann_faces},
+        u0=triple.u[..., g.index_t0].copy(),
+        m0=triple.m[..., g.index_t0].copy(),
+        g0={f: tuple(trace(g, level, "dirichlet", f) for level in u) for f in g.faces()},
+        g1={f: tuple(trace(g, level, "neumann", f) for level in u) for f in neumann_faces},
+        p0={f: tuple(trace(g, level, "dirichlet", f) for level in m) for f in g.faces()},
+        p1={f: tuple(trace(g, level, "neumann", f) for level in m) for f in neumann_faces},
     )
 
 

@@ -173,6 +173,8 @@ def load_config(args) -> dict:
     for section, key, ok, requirement in _RULES:
         if not ok(cfg[section][key]):
             raise ConfigError(f"{section}.{key} {requirement}")
+    if not isinstance(cfg["out"], str) or not cfg["out"]:
+        raise ConfigError(f"out must be a non-empty path string, got {cfg['out']!r}")
     _check_lambda_grid(cfg["carleman"]["lambdas"])
     _check_lambda_grid(cfg["lemmas"]["lambdas"])
     # each lemma verdict reads a trend in lambda
@@ -304,7 +306,7 @@ def cmd_carleman(args) -> int:
     alpha = _carleman_alpha(cfg)
     members = random_family(grid, count=car["count"], seed=car["seed"])
     c0, lambda0, reports = estimate_c0(
-        members, alpha, car["lambdas"], restricted=car["restricted"]
+        grid, members, alpha, car["lambdas"], restricted=car["restricted"]
     )
     outdir = cfg["out"]
     mio.save_carleman_family(reports, outdir, c0, lambda0)
@@ -331,7 +333,7 @@ def cmd_lemmas(args) -> int:
     for which, kern in lemma_kernels.items():
         for h in members:
             reports.append(
-                verify_lemma(which, h, kernel=kern, alpha=alpha, lambdas=lem["lambdas"])
+                verify_lemma(which, grid, h, kernel=kern, alpha=alpha, lambdas=lem["lambdas"])
             )
     outdir = cfg["out"]
     mio.save_lemma_reports(reports, outdir)

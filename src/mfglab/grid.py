@@ -20,12 +20,13 @@ Conventions used by every module downstream:
   quadratics;
 * integrals are tensor-product trapezoidal sums.
 
-The calculus helpers (stencil combinations, trapezoid sums, the cumulative
-time integral) take plain arrays with the spatial axes leading, so one call
-serves both a space-time array and a spatial snapshot, and
-``trapezoid_sum`` also takes a face trace with its tangential axes; only
-``dt``, ``dtt`` and ``trace`` act on :class:`Field` objects.  A snapshot
-is the array ``field.values[..., j]`` at time level ``j``.
+Every sampled function is a plain float array, and every helper that needs
+the grid takes it first.  The calculus helpers (stencil combinations, time
+derivatives, trapezoid sums, the cumulative time integral, traces) take
+arrays with the spatial axes leading, so one call serves both a space-time
+array and a spatial snapshot, and ``trapezoid_sum`` also takes a face trace
+with its tangential axes.  A snapshot is the array ``values[..., j]`` at
+time level ``j``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "Face",
     "OUTER_FACE",
     "Grid",
-    "Field",
     "make_grid",
     "sample_field",
     "first_derivative",
@@ -336,56 +336,14 @@ def interior_mask(grid: Grid, time_ring: int, eps: float | None = None) -> np.nd
     return mask
 
 
-class Field:
-    """Scalar samples on the full space-time grid.
-
-    Values are stored as a read-only array of shape ``(*nx, nt)``; the class
-    is a thin immutable wrapper so that solver outputs cannot be mutated in
-    place.  Snapshots (purely spatial data such as coefficients or central
-    cuts) are passed around as plain arrays of shape ``nx``.
-    """
-
-    __slots__ = ("grid", "_values")
-
-    def __init__(self, grid: Grid, values: np.ndarray, *, _copy: bool = True):
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise ValueError(
-                f"field shape {values.shape} does not match grid shape {grid.shape}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field values must be finite")
-        if _copy:
-            values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "_values", values)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("Field is immutable")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
-
-    def __sub__(self, other: "Field") -> "Field":
-        if other.grid is not self.grid and other.grid != self.grid:
-            raise ValueError("fields live on different grids")
-        return Field(self.grid, self._values - other._values, _copy=False)
-
-    def __mul__(self, factor) -> "Field":
-        return Field(self.grid, self._values * np.asarray(factor), _copy=False)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
 
-def sample_field(grid: Grid, fn: Callable[..., np.ndarray]) -> Field:
+def sample_field(grid: Grid, fn: Callable[..., np.ndarray]) -> np.ndarray:
     """Sample ``fn(x_1, ..., x_n, t)`` on the space-time grid."""
     coords = grid.spacetime_meshgrid()
-    values = np.broadcast_to(np.asarray(fn(*coords), dtype=float), grid.shape)
-    return Field(grid, values)
+    return np.broadcast_to(np.asarray(fn(*coords), dtype=float), grid.shape).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +414,14 @@ def divergence(grid: Grid, components: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def dt(field: Field) -> Field:
-    g = field.grid
-    return Field(g, first_derivative(field.values, g.dim, g.tau), _copy=False)
+def dt(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """First time derivative of a space-time array."""
+    return first_derivative(values, grid.dim, grid.tau)
 
 
-def dtt(field: Field) -> Field:
-    g = field.grid
-    return Field(g, second_derivative(field.values, g.dim, g.tau), _copy=False)
+def dtt(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Second time derivative of a space-time array."""
+    return second_derivative(values, grid.dim, grid.tau)
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +472,9 @@ def time_integral_from_t0(grid: Grid, values: np.ndarray) -> np.ndarray:
 # traces
 
 
-def trace(field: Field, kind: str, face: Face) -> np.ndarray:
-    """Restrict a field (``"dirichlet"``) or its outward normal derivative
-    (``"neumann"``) to one lateral face.
+def trace(grid: Grid, values: np.ndarray, kind: str, face: Face) -> np.ndarray:
+    """Restrict a space-time array (``"dirichlet"``) or its outward normal
+    derivative (``"neumann"``) to one lateral face.
 
     The trace is a writable array of shape ``(*grid.face_shape(face), nt)``:
     the face's tangential axes in grid order, then time; on a
@@ -525,15 +483,14 @@ def trace(field: Field, kind: str, face: Face) -> np.ndarray:
     interior, with the sign of the outward normal, so that e.g. for
     ``u = x_1`` the traces on the two ``x_1`` faces are +1 and -1.
     """
-    g = field.grid
-    if face.axis >= g.dim:
-        raise ValueError(f"face {face.label} does not exist on a {g.dim}-d grid")
-    v = np.moveaxis(field.values, face.axis, 0)
+    if face.axis >= grid.dim:
+        raise ValueError(f"face {face.label} does not exist on a {grid.dim}-d grid")
+    v = np.moveaxis(values, face.axis, 0)
     if kind == "dirichlet":
         return np.array(v[-1] if face.side > 0 else v[0])
     if kind != "neumann":
         raise ValueError(f"unknown trace kind {kind!r}")
-    h = g.h[face.axis]
+    h = grid.h[face.axis]
     if face.side > 0:
         return (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     return (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * h)

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .grid import Field, Grid, Prism, make_grid
+from .grid import Grid, Prism, make_grid
 from .kernels import HeavisideCausal, Kernel, SeparableDelta
 from .carleman import CarlemanReport, LemmaReport
 from .mfg import MFGTriple
@@ -72,17 +73,18 @@ def _write_array_csv(path: str, index_names: Sequence[str], values: np.ndarray) 
 # fields and grids
 
 
-def save_field_csv(field: Field, path: str) -> None:
-    """One row per node: spatial indices, time index, value."""
-    names = [f"i{a}" for a in range(field.grid.dim)] + ["j"]
-    _write_array_csv(path, names, field.values)
+def save_field_csv(values: np.ndarray, path: str) -> None:
+    """One row per node of a space-time array: spatial indices, time index,
+    value."""
+    names = [f"i{a}" for a in range(values.ndim - 1)] + ["j"]
+    _write_array_csv(path, names, values)
 
 
-def load_field_csv(grid: Grid, path: str) -> Field:
-    """Read a field ``save_field_csv`` wrote.  Every row holds exactly the
-    node's indices and its value, and sets a node no other row sets; a node
-    the file never sets stays NaN, which ``Field`` rejects.  Rows count from
-    the header, row 1."""
+def load_field_csv(grid: Grid, path: str) -> np.ndarray:
+    """Read the space-time array ``save_field_csv`` wrote on ``grid``.  Every
+    row holds exactly the node's indices and a finite value, and sets a node
+    no other row sets, and every node is set.  Rows count from the header,
+    row 1."""
     values = np.full(grid.shape, np.nan)
     seen = np.zeros(grid.shape, dtype=bool)
     columns = grid.dim + 2
@@ -101,6 +103,8 @@ def load_field_csv(grid: Grid, path: str) -> Field:
                 value = float(row[-1])
             except ValueError:
                 raise ValueError(f"{path}: non-numeric index or value {row} in row {n}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: non-finite value {row[-1]} in row {n}")
             if not all(0 <= i < m for i, m in zip(idx, grid.shape)):
                 raise ValueError(
                     f"{path}: index {idx} outside the grid shape {grid.shape} in row {n}"
@@ -109,7 +113,10 @@ def load_field_csv(grid: Grid, path: str) -> Field:
                 raise ValueError(f"{path}: node {idx} set a second time in row {n}")
             seen[idx] = True
             values[idx] = value
-    return Field(grid, values, _copy=False)
+    if not seen.all():
+        idx = tuple(int(i) for i in np.argwhere(~seen)[0])
+        raise ValueError(f"{path}: node {idx} is never set")
+    return values
 
 
 def grid_to_dict(grid: Grid) -> dict:
@@ -168,7 +175,7 @@ def kernel_from_dict(d: Mapping) -> Kernel:
 # triples and histories
 
 
-def save_triple_dir(triple: MFGTriple, outdir: str, *, f: Field, kernel: Kernel) -> None:
+def save_triple_dir(triple: MFGTriple, outdir: str, *, f: np.ndarray, kernel: Kernel) -> None:
     """Write grid.json, u.csv, m.csv, k.csv, f.csv, kernel.json and the
     solver report."""
     os.makedirs(outdir, exist_ok=True)

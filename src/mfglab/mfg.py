@@ -44,10 +44,9 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 
 from .grid import (
-    Field,
     Grid,
     boundary_mask,
-    dt as field_dt,
+    dt,
     grad_sq,
     laplacian,
     sample_field,
@@ -109,44 +108,63 @@ class PicardNonConvergence(RuntimeError):
 # problem data
 
 
+def _grid_array(grid: Grid, name: str, values: np.ndarray) -> np.ndarray:
+    """``values`` as a float array of shape ``grid.shape``, not copied if it
+    is one already."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != grid.shape:
+        raise ValueError(f"{name} has shape {values.shape}, not the grid shape {grid.shape}")
+    return values
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Data of one forward problem: geometry, coupling, and Dirichlet data.
 
-    ``f`` is the local-interaction coefficient field.  ``u_data`` supplies u
-    on the lateral boundary at every level and its terminal level;
-    ``m_data`` supplies m on the lateral boundary and its initial level.
-    The solvers read no other entry of either field.
+    ``f``, ``u_data`` and ``m_data`` are finite arrays of shape
+    ``grid.shape``, marked read-only here.  ``f`` is the local-interaction
+    coefficient.  ``u_data`` supplies u on the lateral boundary at every
+    level and its terminal level; ``m_data`` supplies m on the lateral
+    boundary and its initial level.  The solvers read no other entry of
+    either.
     """
 
     grid: Grid
     kernel: Kernel
-    f: Field
-    u_data: Field
-    m_data: Field
+    f: np.ndarray
+    u_data: np.ndarray
+    m_data: np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("f", "u_data", "m_data"):
-            if getattr(self, name).grid != self.grid:
-                raise ValueError(f"{name} lives on a different grid")
-        m_min = np.min(self.m_data.values[..., 0])
+            values = _grid_array(self.grid, name, getattr(self, name))
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        m_min = np.min(self.m_data[..., 0])
         if m_min <= 0.0:
             raise ValueError(f"initial density must be positive, min = {m_min:.3e}")
 
 
 @dataclass(frozen=True)
 class MFGTriple:
-    """A solution pair (u, m) together with the coefficient k that made it."""
+    """A solution pair (u, m) on ``grid`` together with the coefficient k
+    that made it; u and m are arrays of shape ``grid.shape``, marked
+    read-only here."""
 
-    u: Field
-    m: Field
+    grid: Grid
+    u: np.ndarray
+    m: np.ndarray
     k: np.ndarray
     report: dict = dataclass_field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        g = self.u.grid
-        if self.m.grid != g:
-            raise ValueError("u and m live on different grids")
+        g = self.grid
+        for name in ("u", "m"):
+            values = _grid_array(g, name, getattr(self, name))
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         k = np.asarray(self.k, dtype=float)
         if k.shape != g.shape_space:
             raise ValueError(f"k must have spatial shape {g.shape_space}")
@@ -154,14 +172,10 @@ class MFGTriple:
             raise ValueError("k must be finite")
         object.__setattr__(self, "k", k)
 
-    @property
-    def grid(self) -> Grid:
-        return self.u.grid
-
     def nondegeneracy_constant(self) -> float:
         """min over the prism of |grad u(., T/2)|^2 / 2 (sampled)."""
         g = self.grid
-        total = grad_sq(g, self.u.values[..., g.index_t0])
+        total = grad_sq(g, self.u[..., g.index_t0])
         return float(np.min(total) / 2.0)
 
 
@@ -373,9 +387,9 @@ class _SpatialOperator:
             raise np.linalg.LinAlgError("singular matrix")
         return lambda b: dgbtrs(lu, kl, kl, b, ipiv, overwrite_b=1)[0]
 
-    def dirichlet_values(self, data: Field) -> np.ndarray:
+    def dirichlet_values(self, data: np.ndarray) -> np.ndarray:
         """Dirichlet values of every time level, shape (nt, boundary nodes)."""
-        return data.values.reshape(self.ns, self.grid.nt)[self.boundary].T
+        return data.reshape(self.ns, self.grid.nt)[self.boundary].T
 
     def step(
         self, solve: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, bvals: np.ndarray
@@ -458,7 +472,7 @@ def _checked_coefficient(grid: Grid, k: np.ndarray) -> np.ndarray:
     return k
 
 
-def solve_fokker_planck(spec: ProblemSpec, k: np.ndarray, u: Field) -> Field:
+def solve_fokker_planck(spec: ProblemSpec, k: np.ndarray, u: np.ndarray) -> np.ndarray:
     """March the density equation forward from the initial level.
 
     Backward Euler with the full spatial operator at the new level,
@@ -473,19 +487,19 @@ def solve_fokker_planck(spec: ProblemSpec, k: np.ndarray, u: Field) -> Field:
     op = _SpatialOperator(g)
     bvals = op.dirichlet_values(spec.m_data)
     values = np.empty(g.shape)
-    values[..., 0] = spec.m_data.values[..., 0]
+    values[..., 0] = spec.m_data[..., 0]
     levels = max(1, _DRIFT_BLOCK_NODES // op.ns)
     for j0 in range(1, g.nt, levels):
-        drift = _face_drift_coefficients(g, k[..., None], u.values[..., j0 : j0 + levels])
+        drift = _face_drift_coefficients(g, k[..., None], u[..., j0 : j0 + levels])
         for j, storage in enumerate(op.system(g.tau, drift).T, j0):
             values[..., j] = op.step(op.factor(storage), values[..., j - 1], bvals[j])
     worst_min = float(np.min(_scan_blowup("fokker-planck", values, np.arange(1, g.nt))))
     if worst_min < 0.0:
         log.warning("density went negative: min m = %.3e (not clipped)", worst_min)
-    return Field(g, values, _copy=False)
+    return values
 
 
-def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: Field) -> Field:
+def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: np.ndarray) -> np.ndarray:
     """March the value equation backward from the terminal level.
 
     The kernel and local-interaction terms use the frozen density; the
@@ -498,12 +512,12 @@ def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: Field) -> Field:
     k = _checked_coefficient(g, k)
     op = _SpatialOperator(g)
     tau = g.tau
-    km = apply_kernel(spec.kernel, g, m.values)
-    fm = spec.f.values * m.values
+    km = apply_kernel(spec.kernel, g, m)
+    fm = spec.f * m
     solve = op.factor(op.system(tau))
     bvals = op.dirichlet_values(spec.u_data)
     values = np.empty(g.shape)
-    values[..., -1] = spec.u_data.values[..., -1]
+    values[..., -1] = spec.u_data[..., -1]
     marched = np.arange(g.nt - 2, -1, -1)
     # levels marched after a blow-up overflow; the scan below reports the first
     with np.errstate(over="ignore", invalid="ignore"):
@@ -512,7 +526,7 @@ def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: Field) -> Field:
             rhs = prev - tau * (0.5 * k * grad_sq(g, prev) - km[..., j] - fm[..., j])
             values[..., j] = op.step(solve, rhs, bvals[j])
     _scan_blowup("hjb", values, marched)
-    return Field(g, values, _copy=False)
+    return values
 
 
 def solve_mfg_picard(
@@ -535,19 +549,22 @@ def solve_mfg_picard(
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     g = spec.grid
-    m0 = spec.m_data.values[..., :1]
-    m_iter = Field(g, np.repeat(m0, g.nt, axis=-1), _copy=False)
+    m_iter = np.repeat(spec.m_data[..., :1], g.nt, axis=-1)
     history: list[float] = []
-    u_prev: Field | None = None
-    m_prev_raw: Field | None = None
+    u_prev: np.ndarray | None = None
+    m_prev_raw: np.ndarray | None = None
     for it in range(1, max_iter + 1):
         u_new = solve_hjb(spec, k, m_iter)
         m_raw = solve_fokker_planck(spec, k, u_new)
         if u_prev is not None:
-            change = max(norm(u_new - u_prev, "L2"), norm(m_raw - m_prev_raw, "L2"))
+            change = max(
+                norm(g, u_new - u_prev, "L2", eps=None),
+                norm(g, m_raw - m_prev_raw, "L2", eps=None),
+            )
             history.append(change)
             if change < tol:
                 triple = MFGTriple(
+                    g,
                     u_new,
                     m_raw,
                     k,
@@ -562,8 +579,7 @@ def solve_mfg_picard(
                 return triple
         u_prev = u_new
         m_prev_raw = m_raw
-        damped = damping * m_raw.values + (1.0 - damping) * m_iter.values
-        m_iter = Field(g, damped, _copy=False)
+        m_iter = damping * m_raw + (1.0 - damping) * m_iter
     raise PicardNonConvergence(history, max_iter, tol)
 
 
@@ -577,7 +593,7 @@ def manufacture_triple(
     k: np.ndarray,
     u_form: ClosedForm,
     m0: np.ndarray,
-) -> tuple[MFGTriple, Field]:
+) -> tuple[MFGTriple, np.ndarray]:
     """Exact-solution triple: prescribed u, solved m, and the f that closes
     the value equation.
 
@@ -589,13 +605,12 @@ def manufacture_triple(
     u = sample_field(g, u_form.fn)
     m0 = np.asarray(m0, dtype=float)
     # density data: initial profile frozen in time on the boundary
-    m_data = Field(g, np.repeat(m0[..., None], g.nt, axis=-1), _copy=False)
-    zero_f = Field(g, np.zeros(g.shape), _copy=False)
-    spec0 = ProblemSpec(grid=g, kernel=kernel, f=zero_f, u_data=u, m_data=m_data)
+    m_data = np.repeat(m0[..., None], g.nt, axis=-1)
+    spec0 = ProblemSpec(grid=g, kernel=kernel, f=np.zeros(g.shape), u_data=u, m_data=m_data)
     m = solve_fokker_planck(spec0, k, u)
-    m_min = float(np.min(m.values))
+    m_min = float(np.min(m))
     if m_min < M_FLOOR:
-        j = np.unravel_index(np.argmin(m.values), m.values.shape)
+        j = np.unravel_index(np.argmin(m), m.shape)
         raise ValueError(
             f"solved density fell below the floor {M_FLOOR:.1e}: "
             f"min m = {m_min:.3e} at index {tuple(int(i) for i in j)}"
@@ -605,16 +620,18 @@ def manufacture_triple(
     u_t = np.broadcast_to(np.asarray(u_form.d_t(*mesh), dtype=float), shape)
     u_lap = np.broadcast_to(np.asarray(u_form.lap(*mesh), dtype=float), shape)
     u_grad_sq = np.broadcast_to(np.asarray(u_form.grad_sq(*mesh), dtype=float), shape)
-    km = apply_kernel(kernel, g, m.values)
-    f_values = (-u_t - u_lap + 0.5 * k[..., None] * u_grad_sq - km) / m.values
-    f_field = Field(g, f_values, _copy=False)
+    km = apply_kernel(kernel, g, m)
+    f = (-u_t - u_lap + 0.5 * k[..., None] * u_grad_sq - km) / m
+    if not np.all(np.isfinite(f)):
+        raise ValueError("manufactured f must be finite")
     triple = MFGTriple(
+        g,
         u,
         m,
         np.asarray(k, dtype=float),
         report={"manufactured": True, "m_min": m_min},
     )
-    return triple, f_field
+    return triple, f
 
 
 # ---------------------------------------------------------------------------
@@ -633,14 +650,14 @@ def residual(triple: MFGTriple, spec: ProblemSpec) -> dict[str, tuple[float, flo
     g = triple.grid
     u, m, k = triple.u, triple.m, triple.k
     hjb = (
-        field_dt(u).values
-        + laplacian(g, u.values)
-        - 0.5 * k[..., None] * grad_sq(g, u.values)
-        + apply_kernel(spec.kernel, g, m.values)
-        + spec.f.values * m.values
+        dt(g, u)
+        + laplacian(g, u)
+        - 0.5 * k[..., None] * grad_sq(g, u)
+        + apply_kernel(spec.kernel, g, m)
+        + spec.f * m
     )
     div = np.empty(g.shape)
     for j in range(g.nt):
-        div[..., j] = _divergence_flux(g, k, m.values[..., j], u.values[..., j])
-    fp = field_dt(m).values - laplacian(g, m.values) - div
+        div[..., j] = _divergence_flux(g, k, m[..., j], u[..., j])
+    fp = dt(g, m) - laplacian(g, m) - div
     return {"hjb": masked_norms(g, hjb, 1, None), "fp": masked_norms(g, fp, 1, None)}

@@ -22,7 +22,6 @@ import numpy as np
 
 from .grid import (
     Face,
-    Field,
     Grid,
     first_derivative,
     gradient,
@@ -110,8 +109,9 @@ def norm_spatial(grid: Grid, values: np.ndarray, kind: str = "L2") -> float:
 # cylinder norms
 
 
-def norm(field: Field, kind: str = "L2", *, eps: float | None = None) -> float:
-    """Norm of a field over the cylinder (or its eps-truncation).
+def norm(grid: Grid, values: np.ndarray, kind: str, *, eps: float | None) -> float:
+    """Norm of a space-time array over the cylinder, or over its
+    eps-truncation when ``eps`` is given.
 
     Kinds:
         ``"L2"``: plain weighted L2.
@@ -120,35 +120,33 @@ def norm(field: Field, kind: str = "L2", *, eps: float | None = None) -> float:
         ``"H2"``: isotropic space-time H2 treating time as one more
             coordinate.
     """
-    g = field.grid
-    window = _time_window(g, eps)
-    v = field.values
-    total = weighted_sum(g, v * v, window)
+    window = _time_window(grid, eps)
+    total = weighted_sum(grid, values * values, window)
     if kind == "L2":
         return float(np.sqrt(total))
 
-    firsts = gradient(g, v)
-    vt = first_derivative(v, g.dim, g.tau)
+    firsts = gradient(grid, values)
+    vt = first_derivative(values, grid.dim, grid.tau)
     for gcomp in firsts:
-        total += weighted_sum(g, gcomp * gcomp, window)
-    total += weighted_sum(g, vt * vt, window)
-    for i in range(g.dim):
-        for j in range(i, g.dim):
+        total += weighted_sum(grid, gcomp * gcomp, window)
+    total += weighted_sum(grid, vt * vt, window)
+    for i in range(grid.dim):
+        for j in range(i, grid.dim):
             if i == j:
-                d2 = second_derivative(v, i, g.h[i])
+                d2 = second_derivative(values, i, grid.h[i])
             else:
-                d2 = first_derivative(firsts[i], j, g.h[j])
-            total += weighted_sum(g, d2 * d2, window)
+                d2 = first_derivative(firsts[i], j, grid.h[j])
+            total += weighted_sum(grid, d2 * d2, window)
     if kind == "H21":
         return float(np.sqrt(total))
     if kind != "H2":
         raise ValueError(f"unknown field norm kind {kind!r}")
     # remaining space-time couplings: x_i t and t t
-    for i in range(g.dim):
-        dxt = first_derivative(firsts[i], g.dim, g.tau)
-        total += weighted_sum(g, dxt * dxt, window)
-    vtt = second_derivative(v, g.dim, g.tau)
-    total += weighted_sum(g, vtt * vtt, window)
+    for i in range(grid.dim):
+        dxt = first_derivative(firsts[i], grid.dim, grid.tau)
+        total += weighted_sum(grid, dxt * dxt, window)
+    vtt = second_derivative(values, grid.dim, grid.tau)
+    total += weighted_sum(grid, vtt * vtt, window)
     return float(np.sqrt(total))
 
 

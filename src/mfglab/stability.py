@@ -35,10 +35,9 @@ from typing import Sequence
 import numpy as np
 
 from .grid import (
-    Field,
     Grid,
-    dt as field_dt,
-    dtt as field_dtt,
+    dt,
+    dtt,
     divergence,
     first_derivative,
     grad_sq,
@@ -83,37 +82,35 @@ class NondegeneracyError(ValueError):
 
 @dataclass(frozen=True)
 class DifferencePack:
-    """Differences of two solution triples and their time derivatives.
+    """Differences of two solution triples on ``grid`` and their time
+    derivatives, as arrays of shape ``grid.shape``.
 
     v, q are first and w, r second discrete time derivatives of u~ and m~;
     u0~, m0~ are the central-time snapshots of the differences.
     """
 
-    u_tilde: Field
-    m_tilde: Field
+    grid: Grid
+    u_tilde: np.ndarray
+    m_tilde: np.ndarray
     k_tilde: np.ndarray
-    v: Field
-    q: Field
-    w: Field
-    r: Field
+    v: np.ndarray
+    q: np.ndarray
+    w: np.ndarray
+    r: np.ndarray
     u0_tilde: np.ndarray
     m0_tilde: np.ndarray
-
-    @property
-    def grid(self) -> Grid:
-        return self.u_tilde.grid
 
     def v_norm_sq(self, kind: str, eps: float | None = None) -> float:
         """Sum of squared component norms of the stacked (v, q, w, r)."""
         total = 0.0
         for comp in (self.v, self.q, self.w, self.r):
-            total += norm(comp, kind, eps=eps) ** 2
+            total += norm(self.grid, comp, kind, eps=eps) ** 2
         return total
 
     def reconstruction_identity_residual(self) -> float:
         """Max defect of u~ = u0~ + cumulative integral of v (quadrature check)."""
-        rebuilt = time_integral_from_t0(self.grid, self.v.values) + self.u0_tilde[..., None]
-        return float(np.max(np.abs(rebuilt - self.u_tilde.values)))
+        rebuilt = time_integral_from_t0(self.grid, self.v) + self.u0_tilde[..., None]
+        return float(np.max(np.abs(rebuilt - self.u_tilde)))
 
 
 def form_difference(t1: MFGTriple, t2: MFGTriple) -> DifferencePack:
@@ -128,15 +125,16 @@ def form_difference(t1: MFGTriple, t2: MFGTriple) -> DifferencePack:
     u_tilde = t1.u - t2.u
     m_tilde = t1.m - t2.m
     return DifferencePack(
+        grid=g,
         u_tilde=u_tilde,
         m_tilde=m_tilde,
         k_tilde=t1.k - t2.k,
-        v=field_dt(u_tilde),
-        q=field_dt(m_tilde),
-        w=field_dtt(u_tilde),
-        r=field_dtt(m_tilde),
-        u0_tilde=u_tilde.values[..., g.index_t0].copy(),
-        m0_tilde=m_tilde.values[..., g.index_t0].copy(),
+        v=dt(g, u_tilde),
+        q=dt(g, m_tilde),
+        w=dtt(g, u_tilde),
+        r=dtt(g, m_tilde),
+        u0_tilde=u_tilde[..., g.index_t0].copy(),
+        m0_tilde=m_tilde[..., g.index_t0].copy(),
     )
 
 
@@ -150,7 +148,7 @@ def compute_F(
     u02: np.ndarray,
     k2: np.ndarray,
     kernel: Kernel,
-    f: Field,
+    f: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """P = |grad u01|^{-2} and the snapshot part of the coefficient
     reconstruction,
@@ -172,7 +170,7 @@ def compute_F(
         )
     p = 1.0 / total
     km0 = apply_kernel(kernel, g, pack.m0_tilde)
-    f_slice = f.values[..., g.index_t0]
+    f_slice = f[..., g.index_t0]
     lap0 = laplacian(g, pack.u0_tilde)
     cross = np.zeros(g.shape_space)
     for d0, ds in zip(gradient(g, pack.u0_tilde), gradient(g, u01 + u02)):
@@ -190,7 +188,7 @@ def reconstruct_k_tilde(pack: DifferencePack, p: np.ndarray, F: np.ndarray) -> n
     times move.
     """
     g = pack.grid
-    return 2.0 * p * pack.v.values[..., g.index_t0] + F
+    return 2.0 * p * pack.v[..., g.index_t0] + F
 
 
 def reconstruction_spread(
@@ -203,11 +201,11 @@ def reconstruction_spread(
     2 P (v(., t) - int_{T/2}^t w dtau) + F at each of ``times``, with P and
     F from ``compute_F``."""
     g = pack.grid
-    iw = time_integral_from_t0(g, pack.w.values)
+    iw = time_integral_from_t0(g, pack.w)
     fields = []
     for t in times:
         j = g.index_of_time(t)
-        fields.append(2.0 * p * (pack.v.values[..., j] - iw[..., j]) + F)
+        fields.append(2.0 * p * (pack.v[..., j] - iw[..., j]) + F)
     worst = 0.0
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
@@ -224,7 +222,7 @@ def derived_residuals(
     t1: MFGTriple,
     t2: MFGTriple,
     kernel: Kernel,
-    f: Field,
+    f: np.ndarray,
     *,
     eps: float | None,
 ) -> dict[str, tuple[float, float]]:
@@ -243,14 +241,13 @@ def derived_residuals(
     read it.
     """
     g = pack.grid
-    fv = f.values
     kb = t2.k[..., None]
-    u_tilde, m_tilde = pack.u_tilde.values, pack.m_tilde.values
-    v, q, w, r = pack.v.values, pack.q.values, pack.w.values, pack.r.values
-    m1, m2 = t1.m.values, t2.m.values
+    u_tilde, m_tilde = pack.u_tilde, pack.m_tilde
+    v, q, w, r = pack.v, pack.q, pack.w, pack.r
+    m1, m2 = t1.m, t2.m
     grads_ut = gradient(g, u_tilde)
-    grads_u1 = gradient(g, t1.u.values)
-    grads_u2 = gradient(g, t2.u.values)
+    grads_u1 = gradient(g, t1.u)
+    grads_u2 = gradient(g, t2.u)
     grads_v = gradient(g, v)
     grads_w = gradient(g, w)
     out = {}
@@ -264,7 +261,7 @@ def derived_residuals(
         v
         + laplacian(g, u_tilde)
         + apply_kernel(kernel, g, m_tilde)
-        + fv * m_tilde
+        + f * m_tilde
         - 0.5 * kb * cross
         - 0.5 * pack.k_tilde[..., None] * grad1_sq
     )
@@ -277,12 +274,12 @@ def derived_residuals(
     out["density-diff"] = masked_norms(g, res, 2, eps)
 
     # the four substituted equations share this preparation
-    u01 = t1.u.values[..., g.index_t0]
-    u02 = t2.u.values[..., g.index_t0]
+    u01 = t1.u[..., g.index_t0]
+    u02 = t2.u[..., g.index_t0]
     p, F = compute_F(pack, u01, u02, t2.k, kernel, f)
     pb, fb = p[..., None], F[..., None]
-    ft = field_dt(f).values
-    ftt = field_dtt(f).values
+    ft = dt(g, f)
+    ftt = dtt(g, f)
     s_comps = [d1 + d2 for d1, d2 in zip(grads_u1, grads_u2)]
     s_t = [first_derivative(s, g.dim, g.tau) for s in s_comps]
     s_tt = [first_derivative(st, g.dim, g.tau) for st in s_t]
@@ -293,8 +290,8 @@ def derived_residuals(
     v_shift = v - time_integral_from_t0(g, w)
     grads_u0t = gradient(g, pack.u0_tilde)
     m0b = pack.m0_tilde[..., None]
-    m2t = field_dt(t2.m).values
-    m2tt = field_dtt(t2.m).values
+    m2t = dt(g, m2)
+    m2tt = dtt(g, m2)
     flux1_t = [first_derivative(m1 * d1, g.dim, g.tau) for d1 in grads_u1]
     flux1_tt = [first_derivative(fx, g.dim, g.tau) for fx in flux1_t]
 
@@ -305,10 +302,10 @@ def derived_residuals(
     dot_iv_st = sum(ivc * st for ivc, st in zip(iv_grad, s_t))
     dot_u0_st = sum(d0[..., None] * st for d0, st in zip(grads_u0t, s_t))
     res = (
-        field_dt(pack.v).values
+        dt(g, v)
         + laplacian(g, v)
         + apply_kernel(kernel, g, q)
-        + fv * q
+        + f * q
         + ft * iq
         - 0.5 * kb * dot_v_s
         - 0.5 * kb * dot_iv_st
@@ -318,7 +315,7 @@ def derived_residuals(
     out["value-dt"] = masked_norms(g, res, 2, eps)
 
     res = (
-        field_dt(pack.q).values
+        dt(g, q)
         - laplacian(g, q)
         - divergence(g, [kb * q * d1 for d1 in grads_u1])
         - divergence(g, [kb * iq * d1t for d1t in grads_u1t])
@@ -339,11 +336,11 @@ def derived_residuals(
     dot_iv_stt = sum(ivc * stt for ivc, stt in zip(iv_grad, s_tt))
     dot_u0_stt = sum(d0[..., None] * stt for d0, stt in zip(grads_u0t, s_tt))
     res = (
-        field_dt(pack.w).values
+        dt(g, w)
         + laplacian(g, w)
         + apply_kernel(kernel, g, r)
         + 2.0 * ft * q
-        + fv * r
+        + f * r
         + ftt * iq
         - 0.5 * kb * dot_w_s
         - kb * dot_v_st
@@ -354,7 +351,7 @@ def derived_residuals(
     out["value-dtt"] = masked_norms(g, res, 2, eps)
 
     res = (
-        field_dt(pack.r).values
+        dt(g, r)
         - laplacian(g, r)
         - divergence(g, [kb * r * d1 for d1 in grads_u1])
         - 2.0 * divergence(g, [kb * q * d1t for d1t in grads_u1t])
@@ -406,7 +403,7 @@ def inequality_constants(
     Each term is computed once for all the inequalities that read it.
     """
     g = pack.grid
-    v, q, w, r = pack.v.values, pack.q.values, pack.w.values, pack.r.values
+    v, q, w, r = pack.v, pack.q, pack.w, pack.r
     gv, gq, gw, gr = (np.sqrt(grad_sq(g, x)) for x in (v, q, w, r))
     av, aq, aw, ar = (np.abs(x) for x in (v, q, w, r))
     lap_v, lap_q, lap_w, lap_r = (laplacian(g, x) for x in (v, q, w, r))
@@ -440,7 +437,7 @@ def inequality_constants(
 
     return {
         "v": report(
-            np.abs(field_dt(pack.v).values + lap_v),
+            np.abs(dt(g, v) + lap_v),
             gv
             + av
             + int_gv
@@ -450,7 +447,7 @@ def inequality_constants(
             + aq,
         ),
         "q": report(
-            np.abs(field_dt(pack.q).values - lap_q),
+            np.abs(dt(g, q) - lap_q),
             gq
             + aq
             + _abs_time_integral(gq + aq, g)
@@ -460,7 +457,7 @@ def inequality_constants(
             + _abs_time_integral(gw + aw, g),
         ),
         "w": report(
-            np.abs(field_dt(pack.w).values + lap_w),
+            np.abs(dt(g, w) + lap_w),
             gw
             + aw
             + int_w
@@ -473,7 +470,7 @@ def inequality_constants(
             + apply_G(kernel, g, r),
         ),
         "r": report(
-            np.abs(field_dt(pack.r).values - lap_r),
+            np.abs(dt(g, r) - lap_r),
             gr
             + ar
             + gq
@@ -595,12 +592,12 @@ class SweepReport:
 def _sweep_errors(pack: DifferencePack, grid: Grid, eps: float) -> dict[str, float]:
     return {
         "err_k": norm_spatial(grid, pack.k_tilde, "L2"),
-        "err_u_s0": norm(pack.u_tilde, "H21", eps=eps),
-        "err_u_s1": norm(pack.v, "H21", eps=eps),
-        "err_u_s2": norm(pack.w, "H21", eps=eps),
-        "err_m_s0": norm(pack.m_tilde, "H21", eps=eps),
-        "err_m_s1": norm(pack.q, "H21", eps=eps),
-        "err_m_s2": norm(pack.r, "H21", eps=eps),
+        "err_u_s0": norm(grid, pack.u_tilde, "H21", eps=eps),
+        "err_u_s1": norm(grid, pack.v, "H21", eps=eps),
+        "err_u_s2": norm(grid, pack.w, "H21", eps=eps),
+        "err_m_s0": norm(grid, pack.m_tilde, "H21", eps=eps),
+        "err_m_s1": norm(grid, pack.q, "H21", eps=eps),
+        "err_m_s2": norm(grid, pack.r, "H21", eps=eps),
     }
 
 

@@ -62,8 +62,8 @@ def _reconstruction_study(pairs):
     for pair in pairs:
         g = pair["grid"]
         pack = form_difference(pair["t1"], pair["t2"])
-        u01 = pair["t1"].u.values[..., g.index_t0]
-        u02 = pair["t2"].u.values[..., g.index_t0]
+        u01 = pair["t1"].u[..., g.index_t0]
+        u02 = pair["t2"].u[..., g.index_t0]
         p, F = compute_F(pack, u01, u02, pair["k2"], KERNEL, pair["f"])
         krec = reconstruct_k_tilde(pack, p, F)
         hs.append(g.h[0])
@@ -102,7 +102,7 @@ def test_criterion_2_weighted_coercivity(capsys):
     params = CarlemanParams(2.0, ALPHA)
     assert params.negligible_decays(PRISM)
     members = random_family(g, count=20, seed=24301)
-    c0, lambda0, reports = estimate_c0(members, ALPHA, (2.0, 4.0, 8.0, 16.0))
+    c0, lambda0, reports = estimate_c0(g, members, ALPHA, (2.0, 4.0, 8.0, 16.0))
     predicted = 2.0 * (4.0 - ALPHA / 4.0)
     max_dev = max(
         abs(
@@ -137,7 +137,7 @@ def test_criterion_3_time_integral_rate(capsys):
     g = make_grid(PRISM, 65, 257)
     members = random_family(g, count=10, seed=123)
     slopes = [
-        verify_lemma("time-integral", h, alpha=ALPHA, lambdas=LEMMA_LAMBDAS).slope
+        verify_lemma("time-integral", g, h, alpha=ALPHA, lambdas=LEMMA_LAMBDAS).slope
         for h in members
     ]
     worst = max(abs(s + 1.0) for s in slopes)
@@ -157,13 +157,13 @@ def test_criterion_4_kernel_form_flatness(capsys):
     members = random_family(g, count=10, seed=123)
     spatial = [
         verify_lemma(
-            "spatial", h, kernel=SeparableDelta(), alpha=ALPHA, lambdas=LEMMA_LAMBDAS
+            "spatial", g, h, kernel=SeparableDelta(), alpha=ALPHA, lambdas=LEMMA_LAMBDAS
         ).spread
         for h in members
     ]
     causal_reports = [
         verify_lemma(
-            "causal", h, kernel=HeavisideCausal(), alpha=ALPHA, lambdas=LEMMA_LAMBDAS
+            "causal", g, h, kernel=HeavisideCausal(), alpha=ALPHA, lambdas=LEMMA_LAMBDAS
         )
         for h in members
     ]

@@ -94,12 +94,12 @@ class TestRandomFamily:
         b = random_family(grid, count=4)
         assert len(a) == 4
         for fa, fb in zip(a, b):
-            np.testing.assert_array_equal(fa.values, fb.values)
+            np.testing.assert_array_equal(fa, fb)
 
     def test_seed_changes_family(self, grid):
         a = random_family(grid, count=2, seed=FAMILY_SEED)
         b = random_family(grid, count=2, seed=FAMILY_SEED + 1)
-        assert not np.array_equal(a[0].values, b[0].values)
+        assert not np.array_equal(a[0], b[0])
 
     @pytest.mark.parametrize(
         "prism, nx, nt",
@@ -132,19 +132,19 @@ class TestRandomFamily:
             values = values * (
                 c[0] + c[1] * s + c[2] * np.sin(np.pi * s) + c[3] * np.cos(np.pi * s)
             )
-            assert member.values.shape == g.shape
-            assert np.array_equal(member.values, values)
+            assert member.shape == g.shape
+            assert np.array_equal(member, values)
 
     def test_flattened_members_vanish_on_lateral_faces(self, grid):
         for member in random_family(grid, count=2):
-            assert abs(member.values[0]).max() < 1e-12
-            assert abs(member.values[-1]).max() < 1e-12
+            assert abs(member[0]).max() < 1e-12
+            assert abs(member[-1]).max() < 1e-12
 
 
 class TestFunctional:
     def test_report_components_nonnegative(self, grid):
         u = random_family(grid, count=1)[0]
-        _, _, (rep, _) = estimate_c0([u], ALPHA, (2.0,))
+        _, _, (rep, _) = estimate_c0(grid, [u], ALPHA, (2.0,))
         assert rep.lhs[0] >= 0.0 and rep.main[0] >= 0.0
         assert rep.boundary[0] >= 0.0 and rep.negligible[0] >= 0.0
 
@@ -165,7 +165,7 @@ class TestFunctional:
     def test_estimate_c0_regression(self):
         g = make_grid(Prism(1.0, 2.0, (), 1.0), 65, 257)
         fam = random_family(g, count=5)
-        c0, lam0, reports = estimate_c0(fam, ALPHA, (2.0, 4.0, 8.0, 16.0))
+        c0, lam0, reports = estimate_c0(g, fam, ALPHA, (2.0, 4.0, 8.0, 16.0))
         assert c0 == pytest.approx(2.2961516645944338, rel=1e-12)
         assert lam0 == 2.0
         assert len(reports) == 10  # 5 members x 2 operator signs
@@ -174,27 +174,26 @@ class TestFunctional:
     def test_c0_none_when_unconstrained(self, grid):
         # at this coarse resolution every bracket is nonpositive
         fam = random_family(grid, count=3)
-        c0, _, _ = estimate_c0(fam, ALPHA, (2.0, 4.0))
+        c0, _, _ = estimate_c0(grid, fam, ALPHA, (2.0, 4.0))
         assert c0 is None
 
     def test_negligible_log_decay_rate(self, grid):
         # log negligible falls at exactly 2(b^2 - alpha T^2/4) per unit lambda
         u = random_family(grid, count=1)[0]
-        _, _, (rep, _) = estimate_c0([u], ALPHA, (2.0, 4.0, 8.0, 16.0))
+        _, _, (rep, _) = estimate_c0(grid, [u], ALPHA, (2.0, 4.0, 8.0, 16.0))
         slope = np.polyfit(rep.lambdas, rep.negligible_log, 1)[0]
         assert slope == pytest.approx(2.0 * (4.0 - ALPHA / 4.0), rel=1e-12)
 
     def test_both_operator_signs_run(self, grid):
         u = random_family(grid, count=1)[0]
-        _, _, (fwd, bwd) = estimate_c0([u], ALPHA, (2.0,))
+        _, _, (fwd, bwd) = estimate_c0(grid, [u], ALPHA, (2.0,))
         assert fwd.sign == 1 and bwd.sign == -1
         assert fwd.lhs != bwd.lhs
 
 
-def _reference_rows(u, sign, lambdas, alpha, restricted):
+def _reference_rows(g, u, sign, lambdas, alpha, restricted):
     """The functional as its docstring writes it, one lambda at a time, with
     the weight evaluated on the full space-time mesh."""
-    g = u.grid
     prism = g.prism
     x1, *_, t = g.spacetime_meshgrid()
     faces = [f for f in g.faces() if f.axis == 0 and f.side == +1] if restricted else list(g.faces())
@@ -202,30 +201,30 @@ def _reference_rows(u, sign, lambdas, alpha, restricted):
     for lam in lambdas:
         logw = 2.0 * lam * (x1**2 - alpha * (t - prism.T / 2.0) ** 2)
         phi_s = np.exp(logw - 2.0 * lam * prism.b**2)
-        ut = dt(u).values
-        op = ut + sign * laplacian(g, u.values)
+        ut = dt(g, u)
+        op = ut + sign * laplacian(g, u)
         rows["lhs"].append(weighted_sum(g, op * op * phi_s))
         grad_sq = np.zeros(g.shape)
-        for comp in gradient(g, u.values):
+        for comp in gradient(g, u):
             grad_sq += comp * comp
         second_sq = np.zeros(g.shape)
         for i in range(g.dim):
             for j in range(g.dim):
-                d = mixed_xixj(g, u.values, i, j)
+                d = mixed_xixj(g, u, i, j)
                 second_sq += d * d
         main = (1.0 / lam) * weighted_sum(g, (ut * ut + second_sq) * phi_s)
-        main += weighted_sum(g, (lam * grad_sq + lam**3 * u.values * u.values) * phi_s)
+        main += weighted_sum(g, (lam * grad_sq + lam**3 * u * u) * phi_s)
         rows["main"].append(main)
         bnd = 0.0
         for f in faces:
             bnd += (
-                trace_norm(g, f, trace(u, "neumann", f), "H10") ** 2
-                + trace_norm(g, f, trace(u, "dirichlet", f), "H21") ** 2
+                trace_norm(g, f, trace(g, u, "neumann", f), "H10") ** 2
+                + trace_norm(g, f, trace(g, u, "dirichlet", f), "H21") ** 2
             )
         rows["boundary"].append(bnd * math.exp(lam * prism.b**2))
         end = (
-            norm_spatial(g, u.values[..., g.index_of_time(0.0)], "H1") ** 2
-            + norm_spatial(g, u.values[..., g.index_of_time(prism.T)], "H1") ** 2
+            norm_spatial(g, u[..., g.index_of_time(0.0)], "H1") ** 2
+            + norm_spatial(g, u[..., g.index_of_time(prism.T)], "H1") ** 2
         )
         gap = alpha * prism.T**2 / 4.0 - prism.b**2
         rows["negligible"].append(end * math.exp(-2.0 * lam * gap - 2.0 * lam * prism.b**2))
@@ -247,9 +246,9 @@ class TestReferenceRows:
         # flattened members satisfy the restricted precondition; unflattened
         # ones keep every boundary term alive
         u = random_family(g, count=1, flatten_space=restricted)[0]
-        _, _, reports = estimate_c0([u], ALPHA, self.LAMBDAS, restricted=restricted)
+        _, _, reports = estimate_c0(g, [u], ALPHA, self.LAMBDAS, restricted=restricted)
         for sign, rep in zip((1, -1), reports):
-            ref = _reference_rows(u, sign, self.LAMBDAS, ALPHA, restricted)
+            ref = _reference_rows(g, u, sign, self.LAMBDAS, ALPHA, restricted)
             assert rep.sign == sign and rep.lambdas == self.LAMBDAS
             for name, values in ref.items():
                 assert getattr(rep, name) == values, name
@@ -258,13 +257,13 @@ class TestReferenceRows:
 class TestRestricted:
     def test_flattened_family_is_admissible(self, grid):
         u = random_family(grid, count=1)[0]
-        _, _, reports = estimate_c0([u], ALPHA, (2.0,), restricted=True)
+        _, _, reports = estimate_c0(grid, [u], ALPHA, (2.0,), restricted=True)
         assert all(rep.restricted for rep in reports)
 
     def test_nonvanishing_member_rejected_by_estimate(self, grid):
         u = random_family(grid, 1, flatten_space=False)[0]
         with pytest.raises(ValueError, match="off the outflow face"):
-            estimate_c0([u], ALPHA, (2.0,), restricted=True)
+            estimate_c0(grid, [u], ALPHA, (2.0,), restricted=True)
 
 
 class TestIntegralBounds:
@@ -272,19 +271,19 @@ class TestIntegralBounds:
     def member(self, grid):
         return random_family(grid, count=1)[0]
 
-    def test_spatial_ratio_is_exactly_one_on_slab(self, member):
+    def test_spatial_ratio_is_exactly_one_on_slab(self, grid, member):
         # no cross axes: the kernel is the identity, so the ratio is 1 at
         # every lambda and the bound holds with spread 1
-        rep = verify_lemma("spatial", member, kernel=SeparableDelta(), alpha=ALPHA)
+        rep = verify_lemma("spatial", grid, member, kernel=SeparableDelta(), alpha=ALPHA)
         assert rep.ratios == (1.0,) * 6
         assert rep.spread == 1.0
         assert rep.slope == 0.0
         assert rep.passed is True
 
-    def test_causal_ratio_decays_instead_of_flattening(self, member):
+    def test_causal_ratio_decays_instead_of_flattening(self, grid, member):
         # the causal ratio keeps falling with lambda, so it is not flat; the
         # verdict checks the stated bound: small and non-increasing
-        rep = verify_lemma("causal", member, kernel=HeavisideCausal(), alpha=ALPHA)
+        rep = verify_lemma("causal", grid, member, kernel=HeavisideCausal(), alpha=ALPHA)
         assert rep.spread > 10.0
         assert rep.passed is True
         assert rep.c_bound == max(rep.ratios) == rep.ratios[0]
@@ -295,10 +294,10 @@ class TestIntegralBounds:
         )
         assert rep.slope < -1.0
 
-    def test_causal_verdict_rejects_a_growing_ratio(self, member, monkeypatch):
+    def test_causal_verdict_rejects_a_growing_ratio(self, grid, member, monkeypatch):
         # reversing the sweep order of the weight makes the ratio grow with
         # lambda; the same numbers must then fail the monotonicity check
-        rep = verify_lemma("causal", member, kernel=HeavisideCausal(), alpha=ALPHA)
+        rep = verify_lemma("causal", grid, member, kernel=HeavisideCausal(), alpha=ALPHA)
         lams = rep.lambdas
         real = carleman.scaled_weight_values
         flipped = dict(zip(lams, reversed(lams)))
@@ -306,36 +305,36 @@ class TestIntegralBounds:
             carleman, "scaled_weight_values",
             lambda lam, alpha, grid: real(flipped[lam], alpha, grid),
         )
-        grown = verify_lemma("causal", member, kernel=HeavisideCausal(), alpha=ALPHA)
+        grown = verify_lemma("causal", grid, member, kernel=HeavisideCausal(), alpha=ALPHA)
         assert grown.ratios == tuple(reversed(rep.ratios))
         assert grown.c_bound == rep.c_bound <= 10.0
         assert grown.passed is False
 
-    def test_time_integral_ratio_decays_like_one_over_lambda(self, member):
-        rep = verify_lemma("time-integral", member, alpha=ALPHA)
+    def test_time_integral_ratio_decays_like_one_over_lambda(self, grid, member):
+        rep = verify_lemma("time-integral", grid, member, alpha=ALPHA)
         assert rep.passed is True
         assert -1.15 <= rep.slope <= -0.85
 
     def test_zero_function_is_degenerate(self, grid):
-        from mfglab.grid import Field
-
-        zero = Field(grid, np.zeros(grid.shape))
-        rep = verify_lemma("time-integral", zero, alpha=ALPHA)
+        zero = np.zeros(grid.shape)
+        rep = verify_lemma("time-integral", grid, zero, alpha=ALPHA)
         assert rep.degenerate and rep.passed is None
 
-    def test_kernel_requirements(self, member):
+    def test_kernel_requirements(self, grid, member):
         with pytest.raises(ValueError, match="needs a kernel"):
-            verify_lemma("spatial", member, alpha=ALPHA)
+            verify_lemma("spatial", grid, member, alpha=ALPHA)
         with pytest.raises(ValueError, match="stated for"):
-            verify_lemma("spatial", member, kernel=HeavisideCausal(), alpha=ALPHA)
+            verify_lemma("spatial", grid, member, kernel=HeavisideCausal(), alpha=ALPHA)
         with pytest.raises(ValueError, match="unknown bound"):
-            verify_lemma("everything", member, kernel=SeparableDelta(), alpha=ALPHA)
+            verify_lemma("everything", grid, member, kernel=SeparableDelta(), alpha=ALPHA)
 
-    def test_lambda_grid_validated(self, member):
+    def test_lambda_grid_validated(self, grid, member):
         with pytest.raises(ValueError, match="lambda grid"):
-            verify_lemma("time-integral", member, alpha=ALPHA, lambdas=(0.5, 2.0))
+            verify_lemma("time-integral", grid, member, alpha=ALPHA, lambdas=(0.5, 2.0))
 
     @pytest.mark.parametrize("lambdas", [(2.0,), (2.0, 2.0)])
-    def test_lambda_grid_needs_two_distinct_values(self, member, lambdas):
+    def test_lambda_grid_needs_two_distinct_values(self, grid, member, lambdas):
         with pytest.raises(ValueError, match="at least two distinct values"):
-            verify_lemma("causal", member, kernel=HeavisideCausal(), alpha=ALPHA, lambdas=lambdas)
+            verify_lemma(
+                "causal", grid, member, kernel=HeavisideCausal(), alpha=ALPHA, lambdas=lambdas
+            )

@@ -56,8 +56,8 @@ class TestExtract:
     def test_snapshots_are_central_time_slices(self, triple, data):
         g = triple.grid
         i0 = g.index_of_time(g.prism.T / 2.0)
-        assert np.array_equal(data.u0, triple.u.values[:, i0])
-        assert np.array_equal(data.m0, triple.m.values[:, i0])
+        assert np.array_equal(data.u0, triple.u[:, i0])
+        assert np.array_equal(data.m0, triple.m[:, i0])
 
     def test_each_family_has_three_levels(self, data):
         for tset in data.trace_components().values():

@@ -448,6 +448,27 @@ class TestConfigErrors:
         assert (rc, wrote) == (1, False)
         assert err == f"config error: {section}.{key} must be an integer >= 1\n"
 
+    @pytest.mark.parametrize("out, flag, shown", [
+        (5, False, "5"), (None, False, "None"), ("", False, "''"), ("", True, "''"),
+    ], ids=["number", "null", "empty", "empty-flag"])
+    def test_out_must_be_a_nonempty_path(self, tmp_path, capsys, monkeypatch, out, flag, shown):
+        # checked before any work: the carleman run would finish and only
+        # then fail to make the directory
+        monkeypatch.chdir(tmp_path)
+        payload = {"grid": {"nx": 9, "nt": 17}, "carleman": {"count": 2}}
+        argv = ["carleman", "--config", write_config(tmp_path, payload)]
+        if flag:
+            argv += ["--out", out]
+        else:
+            payload["out"] = out
+            write_config(tmp_path, payload)
+        rc = cli.main(argv)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"config error: out must be a non-empty path string, got {shown}\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
 
 class TestSolverFailures:
     SMALL = {"grid": {"nx": 17, "nt": 33}}

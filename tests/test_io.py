@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mfglab.carleman import CarlemanReport, LemmaReport
-from mfglab.grid import Field, Prism, make_grid
+from mfglab.grid import Prism, make_grid
 from mfglab.io import (
     fmt,
     grid_from_dict,
@@ -48,16 +48,19 @@ class TestFmt:
 
 class TestFieldCsv:
     @pytest.fixture()
-    def field(self):
-        g = make_grid(PRISM, 9, 9)
-        rng = np.random.default_rng(3)
-        return Field(g, rng.standard_normal(g.shape))
+    def grid(self):
+        return make_grid(PRISM, 9, 9)
 
-    def test_round_trip_is_bit_exact(self, field, tmp_path):
+    @pytest.fixture()
+    def field(self, grid):
+        rng = np.random.default_rng(3)
+        return rng.standard_normal(grid.shape)
+
+    def test_round_trip_is_bit_exact(self, grid, field, tmp_path):
         path = str(tmp_path / "u.csv")
         save_field_csv(field, path)
-        back = load_field_csv(field.grid, path)
-        np.testing.assert_array_equal(back.values, field.values)
+        back = load_field_csv(grid, path)
+        np.testing.assert_array_equal(back, field)
 
     def test_rewrite_is_byte_identical(self, field, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -68,39 +71,39 @@ class TestFieldCsv:
     def test_two_dimensional_round_trip(self, tmp_path):
         g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), (5, 7), 5)
         rng = np.random.default_rng(4)
-        field = Field(g, rng.standard_normal(g.shape))
+        field = rng.standard_normal(g.shape)
         path = str(tmp_path / "u.csv")
         save_field_csv(field, path)
-        np.testing.assert_array_equal(load_field_csv(g, path).values, field.values)
+        np.testing.assert_array_equal(load_field_csv(g, path), field)
 
-    def test_column_count_checked(self, field, tmp_path):
+    def test_column_count_checked(self, grid, tmp_path):
         path = str(tmp_path / "bad.csv")
         with open(path, "w") as fh:
             fh.write("i0,j,extra,value\n")
         with pytest.raises(ValueError, match="expected 3 columns, found 4"):
-            load_field_csv(field.grid, path)
+            load_field_csv(grid, path)
 
-    def test_missing_rows_rejected(self, field, tmp_path):
+    def test_missing_rows_rejected(self, grid, field, tmp_path):
         path = str(tmp_path / "u.csv")
         save_field_csv(field, path)
         with open(path) as fh:
             lines = fh.readlines()
         with open(path, "w") as fh:
             fh.writelines(lines[:72])  # header and 71 of the 81 nodes
-        with pytest.raises(ValueError, match="field values must be finite"):
-            load_field_csv(field.grid, path)
+        with pytest.raises(ValueError, match=r"u\.csv: node \(7, 8\) is never set"):
+            load_field_csv(grid, path)
 
     @pytest.mark.parametrize("row", ["-1,0,5.0", "0,9,5.0"])
-    def test_index_outside_the_grid_rejected(self, field, tmp_path, row):
+    def test_index_outside_the_grid_rejected(self, grid, field, tmp_path, row):
         path = str(tmp_path / "u.csv")
         save_field_csv(field, path)
         with open(path, "a") as fh:
             fh.write(row + "\n")
         with pytest.raises(ValueError, match=r"u\.csv: index .* outside the grid shape \(9, 9\)"):
-            load_field_csv(field.grid, path)
+            load_field_csv(grid, path)
 
     @pytest.mark.parametrize("row, found", [("2,1", 2), ("2,1,0,5.0", 4)])
-    def test_row_field_count_checked(self, field, tmp_path, row, found):
+    def test_row_field_count_checked(self, grid, field, tmp_path, row, found):
         # a short row would read its time index as the value
         path = str(tmp_path / "u.csv")
         save_field_csv(field, path)
@@ -109,10 +112,10 @@ class TestFieldCsv:
         with pytest.raises(
             ValueError, match=rf"u\.csv: expected 3 fields, found {found} in row 83"
         ):
-            load_field_csv(field.grid, path)
+            load_field_csv(grid, path)
 
     @pytest.mark.parametrize("row", ["x,1,2.0", "2,1,abc"])
-    def test_non_numeric_field_rejected(self, field, tmp_path, row):
+    def test_non_numeric_field_rejected(self, grid, field, tmp_path, row):
         path = str(tmp_path / "u.csv")
         save_field_csv(field, path)
         with open(path, "a") as fh:
@@ -120,9 +123,18 @@ class TestFieldCsv:
         with pytest.raises(
             ValueError, match=r"u\.csv: non-numeric index or value .* in row 83"
         ):
-            load_field_csv(field.grid, path)
+            load_field_csv(grid, path)
 
-    def test_node_set_twice_rejected(self, field, tmp_path):
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_value_rejected(self, grid, field, tmp_path, value):
+        path = str(tmp_path / "u.csv")
+        save_field_csv(field, path)
+        with open(path, "a") as fh:
+            fh.write(f"2,1,{value}\n")
+        with pytest.raises(ValueError, match=rf"u\.csv: non-finite value {value} in row 83"):
+            load_field_csv(grid, path)
+
+    def test_node_set_twice_rejected(self, grid, field, tmp_path):
         path = str(tmp_path / "u.csv")
         save_field_csv(field, path)
         with open(path, "a") as fh:
@@ -130,7 +142,7 @@ class TestFieldCsv:
         with pytest.raises(
             ValueError, match=r"u\.csv: node \(4, 2\) set a second time in row 83"
         ):
-            load_field_csv(field.grid, path)
+            load_field_csv(grid, path)
 
 
 class TestGridJson:

@@ -30,13 +30,13 @@ class TestSeparableDelta:
     def test_slab_reduces_to_pointwise_scaling(self, grid):
         # no cross axes: the cross integral collapses to the value itself
         m = sample_field(grid, lambda x, t: np.sin(x) + t)
-        out = apply_kernel(SeparableDelta(amplitude=0.4, n1=1), grid, m.values)
-        np.testing.assert_allclose(out, 0.4 * m.values, atol=1e-14)
+        out = apply_kernel(SeparableDelta(amplitude=0.4, n1=1), grid, m)
+        np.testing.assert_allclose(out, 0.4 * m, atol=1e-14)
 
     def test_cosine_profile_integrates_cross_section(self, grid2d):
         # profile cos(pi x2 / 2w) on each side; integral of the y-factor is 2w * 2/pi
         m = sample_field(grid2d, lambda x, y, t: 1.0 + 0 * x + 0 * y + 0 * t)
-        out = apply_kernel(SeparableDelta(profile="cosine"), grid2d, m.values)
+        out = apply_kernel(SeparableDelta(profile="cosine"), grid2d, m)
         _, x2 = grid2d.space_meshgrid()
         want = np.cos(np.pi * x2)[..., None] * (2.0 / np.pi) + 0 * out
         np.testing.assert_allclose(out, want, rtol=4e-3, atol=1e-12)
@@ -54,7 +54,7 @@ class TestHeavisideCausal:
         # integral_x^b 1 dy = b - x, exact for trapezoid weights; the
         # degenerate end row keeps the closed-corner half weight h/2
         m = sample_field(grid, lambda x, t: 1.0 + 0 * x + 0 * t)
-        out = apply_kernel(HeavisideCausal(), grid, m.values)
+        out = apply_kernel(HeavisideCausal(), grid, m)
         x = grid.axis_coords(0)
         want = (2.0 - x)[:, None] + 0 * out
         want[-1] = 0.5 * grid.h[0]
@@ -63,7 +63,7 @@ class TestHeavisideCausal:
     def test_linear_density_closed_form(self, grid):
         # integral_x^2 y dy = 2 - x^2/2, trapezoid is exact on linear integrands
         m = sample_field(grid, lambda x, t: x + 0 * t)
-        out = apply_kernel(HeavisideCausal(), grid, m.values)
+        out = apply_kernel(HeavisideCausal(), grid, m)
         x = grid.axis_coords(0)
         want = (2.0 - 0.5 * x * x)[:, None] + 0 * out
         want[-1] = 0.5 * grid.h[0] * 2.0
@@ -72,7 +72,7 @@ class TestHeavisideCausal:
     def test_right_wall_keeps_half_node_weight(self, grid):
         # the closed corner leaves h/2 * m(b) at the wall instead of zero
         m = sample_field(grid, lambda x, t: np.exp(x) + 0 * t)
-        out = apply_kernel(HeavisideCausal(), grid, m.values)
+        out = apply_kernel(HeavisideCausal(), grid, m)
         np.testing.assert_allclose(
             out[-1], 0.5 * grid.h[0] * np.exp(2.0), rtol=1e-12
         )
@@ -103,12 +103,12 @@ class TestCausalWeights:
 class TestMajorant:
     def test_slab_majorant_is_absolute_value(self, grid):
         q = sample_field(grid, lambda x, t: np.sin(3 * x) - 0.5 + 0 * t)
-        out = apply_G(SeparableDelta(amplitude=0.4), grid, q.values)
-        np.testing.assert_allclose(out, np.abs(q.values), atol=1e-14)
+        out = apply_G(SeparableDelta(amplitude=0.4), grid, q)
+        np.testing.assert_allclose(out, np.abs(q), atol=1e-14)
 
     def test_causal_majorant_integrates_tail(self, grid):
         q = sample_field(grid, lambda x, t: -1.0 + 0 * x + 0 * t)
-        out = apply_G(HeavisideCausal(), grid, q.values)
+        out = apply_G(HeavisideCausal(), grid, q)
         x = grid.axis_coords(0)
         want = (2.0 - x)[:, None] + 0 * out
         want[-1] = 0.5 * grid.h[0]
@@ -133,8 +133,8 @@ class TestApplySpatial:
         # one call serves a space-time array and a snapshot of it
         m = sample_field(grid, lambda x, t: np.cos(x) * (1 + t))
         kern = HeavisideCausal(amplitude=0.3)
-        full = apply_kernel(kern, grid, m.values)
-        one = apply_kernel(kern, grid, np.ascontiguousarray(m.values[:, 5]))
+        full = apply_kernel(kern, grid, m)
+        one = apply_kernel(kern, grid, np.ascontiguousarray(m[:, 5]))
         np.testing.assert_allclose(one, full[:, 5], atol=1e-14)
 
     def test_shape_guard(self, grid, grid2d):

@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import solve_banded
 
 from mfglab.grid import (
-    Field,
     Prism,
     boundary_mask,
     make_grid,
@@ -44,9 +43,9 @@ def heat_problem(nx: int, nt: int):
     spec = ProblemSpec(
         grid=g,
         kernel=SeparableDelta(amplitude=0.0),
-        f=Field(g, np.zeros(g.shape)),
+        f=np.zeros(g.shape),
         u_data=u_const,
-        m_data=Field(g, np.repeat(m0[:, None], nt, axis=1)),
+        m_data=np.repeat(m0[:, None], nt, axis=1),
     )
     exact = (
         2.0
@@ -64,8 +63,8 @@ class TestClosedForms:
         form = bump_form(PRISM)
         u = sample_field(g, form.fn)
         x = g.axis_coords(0)
-        np.testing.assert_allclose(u.values[..., 0], x * x, atol=1e-14)
-        np.testing.assert_allclose(u.values[..., -1], x * x, atol=1e-14)
+        np.testing.assert_allclose(u[..., 0], x * x, atol=1e-14)
+        np.testing.assert_allclose(u[..., -1], x * x, atol=1e-14)
         mesh = g.spacetime_meshgrid()
         dt_vals = np.broadcast_to(form.d_t(*mesh), g.shape)
         assert np.max(np.abs(dt_vals[..., 0])) < 1e-14
@@ -74,25 +73,25 @@ class TestClosedForms:
     def test_bump_peaks_at_central_time(self):
         g = make_grid(PRISM, 33, 65)
         u = sample_field(g, bump_form(PRISM, amplitude=0.3).fn)
-        interior = np.abs(u.values - u.values[0, 0])
+        interior = np.abs(u - u[0, 0])
         assert interior.max() == pytest.approx(interior[:, g.index_t0].max())
 
     def test_quadratic_form_derivatives_close(self):
         # closed-form derivatives agree with the stencils applied to the sample
-        from mfglab.grid import dt as field_dt, grad_sq, laplacian
+        from mfglab.grid import dt, grad_sq, laplacian
 
         g = make_grid(PRISM, 33, 65)
         form = quadratic_form()
         u = sample_field(g, form.fn)
         mesh = g.spacetime_meshgrid()
         np.testing.assert_allclose(
-            field_dt(u).values, np.broadcast_to(form.d_t(*mesh), g.shape), atol=1e-10
+            dt(g, u), np.broadcast_to(form.d_t(*mesh), g.shape), atol=1e-10
         )
         np.testing.assert_allclose(
-            grad_sq(g, u.values), np.broadcast_to(form.grad_sq(*mesh), g.shape), atol=1e-10
+            grad_sq(g, u), np.broadcast_to(form.grad_sq(*mesh), g.shape), atol=1e-10
         )
         np.testing.assert_allclose(
-            laplacian(g, u.values), np.broadcast_to(form.lap(*mesh), g.shape), atol=1e-9
+            laplacian(g, u), np.broadcast_to(form.lap(*mesh), g.shape), atol=1e-9
         )
 
     def test_steady_density_positive_and_normalized_shape(self):
@@ -111,17 +110,17 @@ class TestFokkerPlanck:
         spec = ProblemSpec(
             grid=g,
             kernel=SeparableDelta(amplitude=0.0),
-            f=Field(g, np.zeros(g.shape)),
+            f=np.zeros(g.shape),
             u_data=u_const,
             m_data=sample_field(g, lambda x, t: 2.0 + 0 * x + 0 * t),
         )
         m = solve_fokker_planck(spec, np.ones(33), u_const)
-        assert np.max(np.abs(m.values - 2.0)) < 1e-13
+        assert np.max(np.abs(m - 2.0)) < 1e-13
 
     def test_heat_mode_decay(self):
         _, spec, u_const, exact = heat_problem(33, 65)
         m = solve_fokker_planck(spec, np.ones(33), u_const)
-        assert np.max(np.abs(m.values - exact)) < 0.03
+        assert np.max(np.abs(m - exact)) < 0.03
 
     def test_first_order_in_time(self):
         # backward Euler: quartering tau cuts the error near fourfold
@@ -129,7 +128,7 @@ class TestFokkerPlanck:
         for nt in (65, 257):
             _, spec, u_const, exact = heat_problem(33, nt)
             m = solve_fokker_planck(spec, np.ones(33), u_const)
-            errs.append(np.max(np.abs(m.values - exact)))
+            errs.append(np.max(np.abs(m - exact)))
         assert 0.2 < errs[1] / errs[0] < 0.4
 
     def test_k_shape_guard(self):
@@ -148,7 +147,7 @@ class TestFokkerPlanck:
         runs = []
         for nodes in (33, 99, 33 * 65):
             monkeypatch.setattr(mfg, "_DRIFT_BLOCK_NODES", nodes)
-            runs.append(solve_fokker_planck(spec, np.ones(33), triple.u).values)
+            runs.append(solve_fokker_planck(spec, np.ones(33), triple.u))
         assert all(np.array_equal(run, runs[0]) for run in runs[1:])
 
     def test_blowup_guard_names_level(self):
@@ -159,9 +158,9 @@ class TestFokkerPlanck:
             g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
         )
         spec = ProblemSpec(g, kern, f, triple.u, triple.m)
-        values = np.array(spec.m_data.values)
+        values = np.array(spec.m_data)
         values[0, 5] = 1e13
-        spec = dataclasses.replace(spec, m_data=Field(g, values))
+        spec = dataclasses.replace(spec, m_data=values)
         with pytest.raises(BlowupError) as info:
             solve_fokker_planck(spec, np.ones(33), triple.u)
         assert info.value.equation == "fokker-planck"
@@ -220,8 +219,8 @@ class TestMarchingSystem:
         # wall data that moves in time shows a step writing into the level
         # it was handed, or a wall value off by roundoff
         g, spec, u_const, _ = heat_problem(33, 65)
-        walls = spec.m_data.values + 0.3 * np.sin(7.0 * g.times)
-        spec = dataclasses.replace(spec, m_data=Field(g, walls))
+        walls = spec.m_data + 0.3 * np.sin(7.0 * g.times)
+        spec = dataclasses.replace(spec, m_data=walls)
         step = _SpatialOperator.step
 
         def checked_step(op, solve, rhs, bvals):
@@ -232,7 +231,7 @@ class TestMarchingSystem:
 
         monkeypatch.setattr(_SpatialOperator, "step", checked_step)
         m = solve_fokker_planck(spec, np.ones(33), u_const)
-        np.testing.assert_array_equal(m.values[[0, -1]], walls[[0, -1]])
+        np.testing.assert_array_equal(m[[0, -1]], walls[[0, -1]])
 
     def test_1d_factor_solves_like_solve_banded(self):
         g = make_grid(PRISM, 33, 9)
@@ -284,10 +283,10 @@ class TestHJB:
         )
         ones = sample_field(g, lambda x, t: 1.0 + 0 * x + 0 * t)
         spec = ProblemSpec(
-            grid=g, kernel=kern, f=Field(g, np.zeros(g.shape)), u_data=Field(g, exact), m_data=ones
+            grid=g, kernel=kern, f=np.zeros(g.shape), u_data=exact, m_data=ones
         )
         u = solve_hjb(spec, np.zeros(33), ones)
-        assert np.max(np.abs(u.values - exact)) < 8e-3
+        assert np.max(np.abs(u - exact)) < 8e-3
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_guard_names_level(self):
@@ -314,9 +313,9 @@ class TestPicard:
         spec = ProblemSpec(
             grid=g,
             kernel=SeparableDelta(amplitude=0.0),
-            f=Field(g, np.zeros(g.shape)),
+            f=np.zeros(g.shape),
             u_data=u_const,
-            m_data=Field(g, np.repeat(steady_density(g)[..., None], g.nt, axis=-1)),
+            m_data=np.repeat(steady_density(g)[..., None], g.nt, axis=-1),
         )
         triple = solve_mfg_picard(spec, np.ones(33), damping=0.5, max_iter=50, tol=1e-9)
         assert triple.report["iterations"] == 1
@@ -334,8 +333,8 @@ class TestPicard:
     def test_deterministic(self, make_pair):
         pair = make_pair(33, 65)
         again = solve_mfg_picard(pair["spec"], pair["k1"], damping=0.5, max_iter=80, tol=1e-10)
-        np.testing.assert_array_equal(pair["t1"].u.values, again.u.values)
-        np.testing.assert_array_equal(pair["t1"].m.values, again.m.values)
+        np.testing.assert_array_equal(pair["t1"].u, again.u)
+        np.testing.assert_array_equal(pair["t1"].m, again.m)
 
     def test_solution_solves_both_equations(self, make_pair):
         pair = make_pair(33, 65)
@@ -363,16 +362,16 @@ class TestPicard:
         pair = make_pair(33, 65)
         g, spec = pair["grid"], pair["spec"]
         inner = ~boundary_mask(g)
-        u_values = np.array(spec.u_data.values)
+        u_values = np.array(spec.u_data)
         u_values[inner, :-1] = 7.0
-        m_values = np.array(spec.m_data.values)
+        m_values = np.array(spec.m_data)
         m_values[inner, 1:] = 3.0
         filled = dataclasses.replace(
-            spec, u_data=Field(g, u_values), m_data=Field(g, m_values)
+            spec, u_data=u_values, m_data=m_values
         )
         got = solve_mfg_picard(filled, pair["k1"], damping=0.5, max_iter=80, tol=1e-10)
-        assert np.array_equal(got.u.values, pair["t1"].u.values)
-        assert np.array_equal(got.m.values, pair["t1"].m.values)
+        assert np.array_equal(got.u, pair["t1"].u)
+        assert np.array_equal(got.m, pair["t1"].m)
 
     def test_mirror_symmetry(self, make_pair):
         # reflecting every data array about the slab midpoint commutes with
@@ -386,13 +385,13 @@ class TestPicard:
         mirrored = ProblemSpec(
             grid=g,
             kernel=spec.kernel,
-            f=Field(g, flip(spec.f.values)),
-            u_data=Field(g, flip(spec.u_data.values)),
-            m_data=Field(g, flip(spec.m_data.values)),
+            f=flip(spec.f),
+            u_data=flip(spec.u_data),
+            m_data=flip(spec.m_data),
         )
         got = solve_mfg_picard(mirrored, flip(pair["k1"]), damping=0.5, max_iter=80, tol=1e-10)
-        assert np.max(np.abs(got.u.values[::-1] - pair["t1"].u.values)) < 1e-12
-        assert np.max(np.abs(got.m.values[::-1] - pair["t1"].m.values)) < 1e-12
+        assert np.max(np.abs(got.u[::-1] - pair["t1"].u)) < 1e-12
+        assert np.max(np.abs(got.m[::-1] - pair["t1"].m)) < 1e-12
 
 
 class TestManufacture:
@@ -415,7 +414,7 @@ class TestManufacture:
 
     def test_density_stays_above_floor(self, make_pair):
         pair = make_pair(33, 65)
-        assert pair["t1"].m.values.min() > M_FLOOR
+        assert pair["t1"].m.min() > M_FLOOR
 
     def test_quadratic_form_2d_is_reproduced_exactly(self):
         # a space-time quadratic lies in the kernel of the truncation error
@@ -440,7 +439,7 @@ class TestManufacture:
         spec = ProblemSpec(g, kern, f, triple.u, triple.m)
         got = solve_mfg_picard(spec, np.ones((9, 9)), damping=0.5, max_iter=40, tol=1e-8)
         assert got.report["history"][-1] < 1e-8
-        assert np.max(np.abs(got.u.values - triple.u.values)) < 0.05
+        assert np.max(np.abs(got.u - triple.u)) < 0.05
 
 
 class TestSpecValidation:
@@ -449,18 +448,24 @@ class TestSpecValidation:
         good = dict(
             grid=g,
             kernel=SeparableDelta(),
-            f=Field(g, np.zeros(g.shape)),
-            u_data=Field(g, np.zeros(g.shape)),
-            m_data=Field(g, np.ones(g.shape)),
+            f=np.zeros(g.shape),
+            u_data=np.zeros(g.shape),
+            m_data=np.ones(g.shape),
         )
-        ProblemSpec(**good)
+        spec = ProblemSpec(**good)
+        # the data are marked read-only in place, not copied
+        assert spec.f is good["f"] and not good["f"].flags.writeable
         other = make_grid(PRISM, 17, 65)
-        with pytest.raises(ValueError, match="u_data lives on a different grid"):
-            ProblemSpec(**{**good, "u_data": Field(other, np.zeros(other.shape))})
+        with pytest.raises(ValueError, match=r"f has shape \(17, 65\), not the grid shape"):
+            ProblemSpec(**{**good, "f": np.zeros(other.shape)})
+        u_values = np.zeros(g.shape)
+        u_values[5, 7] = np.nan
+        with pytest.raises(ValueError, match="u_data must be finite"):
+            ProblemSpec(**{**good, "u_data": u_values})
         m_values = np.ones(g.shape)
         m_values[4, 0] = 0.0
         with pytest.raises(ValueError, match="positive"):
-            ProblemSpec(**{**good, "m_data": Field(g, m_values)})
+            ProblemSpec(**{**good, "m_data": m_values})
         # manufacture_triple leaves the rule to the ProblemSpec it builds
         m0 = steady_density(g)
         m0[3] = 0.0
@@ -470,7 +475,16 @@ class TestSpecValidation:
     def test_triple_guards(self, make_pair):
         pair = make_pair(33, 65)
         with pytest.raises(ValueError, match="spatial shape"):
-            MFGTriple(pair["t1"].u, pair["t1"].m, np.ones(7))
+            MFGTriple(pair["grid"], pair["t1"].u, pair["t1"].m, np.ones(7))
+        other = make_grid(PRISM, 17, 65)
+        with pytest.raises(ValueError, match=r"u has shape \(33, 65\), not the grid shape"):
+            MFGTriple(other, pair["t1"].u, pair["t1"].m, np.ones(17))
+
+    def test_solved_fields_are_read_only(self, make_pair):
+        triple = make_pair(33, 65)["t1"]
+        for values in (triple.u, triple.m):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0, 0] = 99.0
 
     def test_nondegeneracy_constant_positive(self, make_pair):
         assert make_pair(33, 65)["t1"].nondegeneracy_constant() > 0.0

@@ -25,32 +25,33 @@ class TestWeightedSum:
 class TestFieldNorm:
     def test_constant_l2(self, grid):
         c = sample_field(grid, lambda x, t: 3.0 + 0 * x + 0 * t)
-        assert norm(c) == pytest.approx(3.0, rel=1e-12)
+        assert norm(grid, c, "L2", eps=None) == pytest.approx(3.0, rel=1e-12)
 
     def test_constant_l2_eps_window(self, grid):
         c = sample_field(grid, lambda x, t: 3.0 + 0 * x + 0 * t)
-        assert norm(c, eps=0.2) == pytest.approx(3.0 * np.sqrt(0.59375), rel=1e-12)
+        assert norm(grid, c, "L2", eps=0.2) == pytest.approx(3.0 * np.sqrt(0.59375), rel=1e-12)
 
     def test_linear_field_closed_forms(self, grid):
         # u = x on (1,2)x(0,1): |u|^2 = 7/3 up to quadrature error,
         # the only nonzero derivative is u_x = 1
         u = sample_field(grid, lambda x, t: x + 0 * t)
-        assert norm(u) ** 2 == pytest.approx(7.0 / 3, rel=1e-4)
-        assert norm(u, "H21") ** 2 == pytest.approx(7.0 / 3 + 1.0, rel=1e-4)
-        assert norm(u, "H2") == pytest.approx(norm(u, "H21"), rel=1e-12)
+        assert norm(grid, u, "L2", eps=None) ** 2 == pytest.approx(7.0 / 3, rel=1e-4)
+        assert norm(grid, u, "H21", eps=None) ** 2 == pytest.approx(7.0 / 3 + 1.0, rel=1e-4)
+        h21 = norm(grid, u, "H21", eps=None)
+        assert norm(grid, u, "H2", eps=None) == pytest.approx(h21, rel=1e-12)
 
     def test_h2_sees_time_couplings(self, grid):
         # u = t^2 has u_t and u_tt but no spatial content
         u = sample_field(grid, lambda x, t: t * t + 0 * x)
-        h21_sq = norm(u, "H21") ** 2
-        h2_sq = norm(u, "H2") ** 2
+        h21_sq = norm(grid, u, "H21", eps=None) ** 2
+        h2_sq = norm(grid, u, "H2", eps=None) ** 2
         # H2 adds the 4 units of the u_tt term
         assert h2_sq - h21_sq == pytest.approx(4.0, rel=1e-4)
 
     def test_unknown_kind_raises(self, grid):
         u = sample_field(grid, lambda x, t: x)
         with pytest.raises(ValueError, match="unknown field norm kind"):
-            norm(u, "H99")
+            norm(grid, u, "H99", eps=None)
 
 
 class TestSpatialNorm:
@@ -65,13 +66,13 @@ class TestSpatialNorm:
 class TestTraceNorms:
     def test_constant_trace_all_kinds(self, grid):
         u = sample_field(grid, lambda x, t: x + 0 * t)
-        tr = trace(u, "dirichlet", Face(0, 1))
+        tr = trace(grid, u, "dirichlet", Face(0, 1))
         for kind in ("L2", "H10", "H21"):
             assert trace_norm(grid, Face(0, 1), tr, kind) == pytest.approx(2.0, rel=1e-12)
 
     def test_time_variation_enters_h21_only(self, grid):
         u = sample_field(grid, lambda x, t: x * t)
-        tr = trace(u, "dirichlet", Face(0, 1))
+        tr = trace(grid, u, "dirichlet", Face(0, 1))
         l2 = trace_norm(grid, Face(0, 1), tr, "L2")
         h21 = trace_norm(grid, Face(0, 1), tr, "H21")
         # trace is 2t: L2^2 = 4/3, H21^2 adds the 4 units of d/dt = 2
@@ -88,13 +89,13 @@ class TestMultiDimensional:
         # 1/12 + 7/3 and u_{x1 x2}^2 = 1 once, 65/18 in all
         g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), (33, 33), 9)
         u = sample_field(g, lambda x1, x2, t: x1 * x2 + 0 * t)
-        assert norm(u, "H21") ** 2 == pytest.approx(65.0 / 18, rel=1e-3)
-        assert norm_spatial(g, u.values[..., 0], "H2") ** 2 == pytest.approx(65.0 / 18, rel=1e-3)
+        assert norm(g, u, "H21", eps=None) ** 2 == pytest.approx(65.0 / 18, rel=1e-3)
+        assert norm_spatial(g, u[..., 0], "H2") ** 2 == pytest.approx(65.0 / 18, rel=1e-3)
 
     def test_trace_counts_mixed_derivative_per_ordered_pair_in_3d(self):
         # trace of u = x1 x2 x3 on x1 = 2 is 2 x2 x3: |.|^2 = 1/36, tangential
         # gradient 24/36, and (d_{x2 x3})^2 = 4 for each ordered pair, 313/36
         g = make_grid(Prism(1.0, 2.0, (0.5, 0.5), 1.0), (17, 17, 17), 9)
         u = sample_field(g, lambda x1, x2, x3, t: x1 * x2 * x3 + 0 * t)
-        tr = trace(u, "dirichlet", Face(0, 1))
+        tr = trace(g, u, "dirichlet", Face(0, 1))
         assert trace_norm(g, Face(0, 1), tr, "H21") ** 2 == pytest.approx(313.0 / 36, rel=1e-3)
