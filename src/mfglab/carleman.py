@@ -21,9 +21,12 @@ The two-sided functional check reads
     lhs >= C0 * (main - boundary - negligible)
 
 with the components defined in ``estimate_c0``.  Each term is computed
-once for the inputs it depends on: the derivatives and norms once per test
-function, the squared operator once per sign, and the weighted sums once per
-lambda, against a weight built on the (x1, t) axes alone.  C0 is existence
+once for the inputs it depends on.  Per test function: the derivatives, the
+boundary and end-time norms, and the volume integrands (the squared operator
+once per sign), each summed over the cross-section axes x2..xn at once, since
+the weight does not depend on them.  Per lambda: the weight on the (x1, t)
+axes alone and the (x1, t) sums of those reduced integrands against it.  The
+lemma checks reduce their two energies the same way.  C0 is existence
 only in the underlying theory; here it is estimated as the infimum of
 lhs / bracket over a documented seeded test family and published per grid,
 never asserted as a universal constant.
@@ -40,6 +43,7 @@ import numpy as np
 from .grid import (
     Grid,
     Prism,
+    cross_section_sum,
     data_faces,
     dt,
     grad_sq,
@@ -48,9 +52,10 @@ from .grid import (
     snap_epsilon,
     time_integral_from_t0,
     trace,
+    trapezoid_sum,
 )
 from .kernels import HeavisideCausal, Kernel, SeparableDelta, apply_kernel
-from .norms import norm_spatial, trace_norm, weighted_sum
+from .norms import norm_spatial, trace_norm
 
 __all__ = [
     "LAMBDA_MAX",
@@ -122,8 +127,9 @@ class CarlemanReport:
     def __post_init__(self) -> None:
         for name in ("lhs", "main", "boundary", "negligible"):
             vals = getattr(self, name)
-            if any(v < 0.0 for v in vals):
-                raise ValueError(f"{name} integral must be nonnegative")
+            # written so that NaN fails too
+            if any(not v >= 0.0 for v in vals):
+                raise ValueError(f"{name} integral must be nonnegative, got {vals}")
 
 
 def scaled_weight_values(lam: float, alpha: float, grid: Grid) -> np.ndarray:
@@ -139,6 +145,21 @@ def scaled_weight_values(lam: float, alpha: float, grid: Grid) -> np.ndarray:
     t = grid.times.reshape(1, *ones, -1)
     logw = 2.0 * lam * (x1**2 - alpha * (t - grid.prism.T / 2.0) ** 2)
     return np.exp(logw - 2.0 * lam * grid.prism.b**2)
+
+
+def _weighted_x1t(grid: Grid, sums: np.ndarray, phi_s: np.ndarray) -> float:
+    """(x1, t) trapezoid sum of a ``cross_section_sum`` against the weight
+    ``phi_s`` from ``scaled_weight_values``."""
+    phi_s = phi_s.reshape(sums.shape)
+    return trapezoid_sum(grid, sums * phi_s, axes=(0,), time_weights=grid.time_weights())
+
+
+def _check_member(grid: Grid, u: np.ndarray, name: str) -> None:
+    """A test function must be a finite array of shape ``grid.shape``."""
+    if np.shape(u) != grid.shape:
+        raise ValueError(f"{name} has shape {np.shape(u)}, not the grid shape {grid.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError(f"{name} must be finite")
 
 
 def weight_extrema(params: CarlemanParams, grid: Grid, eps: float | None = None):
@@ -225,9 +246,12 @@ def _functional_rows(
 ) -> list[list[dict]]:
     """Rows of the functional for each sign of ``_SIGNS`` (outer) and lambda.
 
-    Each term is computed once for the inputs it depends on: derivatives and
-    boundary and end-time norms once per member, the squared operator once
-    per sign, the weight and the weighted sums once per lambda.
+    Each term is computed once for the inputs it depends on.  Once per
+    member: the derivatives, the boundary and end-time norms, and the
+    ``cross_section_sum`` of each volume integrand (u^2, |grad u|^2,
+    u_t^2 + sum u_{x_i x_j}^2, and (u_t + sign Lap u)^2 once per sign).
+    Once per lambda: the weight on (x1, t) and the (x1, t) sums of those
+    reduced arrays against it.
     """
     prism = grid.prism
     faces = data_faces(grid, restricted)
@@ -235,9 +259,10 @@ def _functional_rows(
 
     ut = dt(grid, u)
     lap = laplacian(grid, u)
-    op_sq = [op * op for op in (ut + sign * lap for sign in _SIGNS)]
-    u_grad_sq = grad_sq(grid, u)
-    second_sq = ut * ut + _ordered_second_sum(grid, u)
+    op_sq = [cross_section_sum(grid, op * op) for op in (ut + sign * lap for sign in _SIGNS)]
+    u_grad_sq = cross_section_sum(grid, grad_sq(grid, u))
+    u_sq = cross_section_sum(grid, u * u)
+    second_sq = cross_section_sum(grid, ut * ut + _ordered_second_sum(grid, u))
 
     bnd_norms = _boundary_norms_sq(grid, u, faces)
     end_norms = _end_norms_sq(grid, u)
@@ -247,8 +272,8 @@ def _functional_rows(
     for lam in lambdas:
         phi_s = scaled_weight_values(lam, alpha, grid)
         log_scale = 2.0 * lam * prism.b**2
-        main = (1.0 / lam) * weighted_sum(grid, second_sq * phi_s)
-        main += weighted_sum(grid, (lam * u_grad_sq + lam**3 * u * u) * phi_s)
+        main = (1.0 / lam) * _weighted_x1t(grid, second_sq, phi_s)
+        main += _weighted_x1t(grid, lam * u_grad_sq + lam**3 * u_sq, phi_s)
         # exp(3 lam b^2) becomes exp(lam b^2) after the shared rescaling
         boundary = bnd_norms * math.exp(lam * prism.b**2)
         negligible = end_norms * math.exp(min(-2.0 * lam * gap - log_scale, _OVERFLOW_EXPONENT))
@@ -259,7 +284,7 @@ def _functional_rows(
             sign_rows.append(
                 {
                     "lam": lam,
-                    "lhs": float(weighted_sum(grid, sq * phi_s)),
+                    "lhs": float(_weighted_x1t(grid, sq, phi_s)),
                     "main": float(main),
                     "boundary": float(boundary),
                     "negligible": float(negligible),
@@ -299,7 +324,11 @@ def estimate_c0(
     smallest lambda in the sweep.  With ``restricted`` the boundary
     component reads only the outflow face x1 = b, and u must vanish (to
     1e-10) on every other lateral face; otherwise a ValueError is raised.
+    Every member must be a finite array of shape ``grid.shape``; a
+    ValueError names the first that is not.
     """
+    for i, u in enumerate(members):
+        _check_member(grid, u, f"member {i}")
     lambdas = sorted(float(x) for x in lambdas)
     member_rows = [
         _functional_rows(grid, u, lambdas, alpha, restricted=restricted) for u in members
@@ -409,8 +438,11 @@ def verify_lemma(
 
     Every verdict reads a trend in lambda, so the grid needs at least two
     distinct values.  An identically-zero h is degenerate: ratios are zero
-    and no assertion is made (passed is None).
+    and no assertion is made (passed is None).  h must be a finite array of
+    shape ``grid.shape``.  Both energies are summed over the cross-section
+    axes once, and only their (x1, t) sums are taken per lambda.
     """
+    _check_member(grid, h, "h")
     lambdas = sorted(float(x) for x in lambdas)
     for lam in lambdas:
         if not 1.0 <= lam <= LAMBDA_MAX:
@@ -431,12 +463,14 @@ def verify_lemma(
     else:
         raise ValueError(f"unknown bound {which!r}")
 
+    target_sq = cross_section_sum(grid, target * target)
+    h_sq = cross_section_sum(grid, h * h)
     raw = []
     degenerate = False
     for lam in lambdas:
         phi_s = scaled_weight_values(lam, alpha, grid)
-        num = weighted_sum(grid, target * target * phi_s)
-        den = weighted_sum(grid, h * h * phi_s)
+        num = _weighted_x1t(grid, target_sq, phi_s)
+        den = _weighted_x1t(grid, h_sq, phi_s)
         if den <= 0.0:
             degenerate = True
             raw.append(0.0)

@@ -56,6 +56,7 @@ __all__ = [
     "dt",
     "dtt",
     "trapezoid_sum",
+    "cross_section_sum",
     "time_integral_from_t0",
     "trace",
     "data_faces",
@@ -456,6 +457,23 @@ def trapezoid_sum(
         # differently
         out = np.dot(out, time_weights)
     return float(out)
+
+
+def cross_section_sum(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Trapezoidal sum of a space-time array over the cross-section axes
+    x_2, ..., x_n, leaving an array of shape ``(nx_1, nt)``.
+
+    The axes are contracted in order against their trapezoid weights.  A
+    function of (x_1, t) times ``values`` then integrates as
+    ``trapezoid_sum(grid, out * w, axes=(0,), time_weights=...)``, so the
+    cross-section work is paid once, not once per weight.  On a 1-D grid
+    there is nothing to contract and ``values`` is returned as it is, not
+    copied, so those sums are the ones of the full array.
+    """
+    out = values
+    for axis in range(1, grid.dim):
+        out = np.tensordot(out, grid.trapezoid_weights(axis), axes=([1], [0]))
+    return out
 
 
 def time_integral_from_t0(grid: Grid, values: np.ndarray) -> np.ndarray:

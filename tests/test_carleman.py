@@ -24,9 +24,10 @@ from mfglab.grid import (
     laplacian,
     make_grid,
     mixed_xixj,
+    time_integral_from_t0,
     trace,
 )
-from mfglab.kernels import HeavisideCausal, SeparableDelta
+from mfglab.kernels import HeavisideCausal, SeparableDelta, apply_kernel
 from mfglab.norms import norm_spatial, trace_norm, weighted_sum
 
 ALPHA = 1000.0 / 7.0
@@ -190,6 +191,33 @@ class TestFunctional:
         assert fwd.sign == 1 and bwd.sign == -1
         assert fwd.lhs != bwd.lhs
 
+    def test_nan_component_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            CarlemanReport(
+                lambdas=(2.0,),
+                lhs=(math.nan,),
+                main=(1.0,),
+                boundary=(0.0,),
+                negligible=(0.0,),
+                negligible_log=(0.0,),
+                passed=(True,),
+                sign=1,
+                restricted=False,
+            )
+
+    def test_non_finite_member_rejected(self):
+        g = make_grid(Prism(1.0, 2.0, (), 1.0), 33, 65)
+        fam = random_family(g, 3)
+        fam[1][16, 32] = math.nan
+        with pytest.raises(ValueError, match="member 1 must be finite"):
+            estimate_c0(g, fam, ALPHA, (2.0, 4.0))
+
+    def test_wrongly_shaped_member_rejected(self, grid):
+        fam = random_family(grid, 2)
+        fam[1] = fam[1][:, :-1]
+        with pytest.raises(ValueError, match=r"member 1 has shape \(33, 64\)"):
+            estimate_c0(grid, fam, ALPHA, (2.0, 4.0))
+
 
 def _reference_rows(g, u, sign, lambdas, alpha, restricted):
     """The functional as its docstring writes it, one lambda at a time, with
@@ -234,11 +262,19 @@ def _reference_rows(g, u, sign, lambdas, alpha, restricted):
 
 class TestReferenceRows:
     LAMBDAS = (2.0, 4.0, 8.0)
+    # the functional sums the cross-section axes before the (x1, t) axes, so
+    # on an n-D grid the volume terms round differently from the reference's
+    # full-mesh sums; on a 1-D grid they are the same operations
+    VOLUME_RTOL = 1e-14
 
     @pytest.mark.parametrize(
         "prism, nx, nt",
-        [(Prism(1.0, 2.0, (), 1.0), 33, 65), (Prism(1.0, 2.0, (0.5,), 1.0), 9, 17)],
-        ids=["1d", "2d"],
+        [
+            (Prism(1.0, 2.0, (), 1.0), 33, 65),
+            (Prism(1.0, 2.0, (0.5,), 1.0), 9, 17),
+            (Prism(1.0, 2.0, (0.5, 0.5), 1.0), 9, 17),
+        ],
+        ids=["1d", "2d", "3d"],
     )
     @pytest.mark.parametrize("restricted", [False, True])
     def test_rows_equal_reference(self, prism, nx, nt, restricted):
@@ -251,7 +287,10 @@ class TestReferenceRows:
             ref = _reference_rows(g, u, sign, self.LAMBDAS, ALPHA, restricted)
             assert rep.sign == sign and rep.lambdas == self.LAMBDAS
             for name, values in ref.items():
-                assert getattr(rep, name) == values, name
+                if g.dim > 1 and name in ("lhs", "main"):
+                    assert getattr(rep, name) == pytest.approx(values, rel=self.VOLUME_RTOL), name
+                else:
+                    assert getattr(rep, name) == values, name
 
 
 class TestRestricted:
@@ -327,6 +366,37 @@ class TestIntegralBounds:
             verify_lemma("spatial", grid, member, kernel=HeavisideCausal(), alpha=ALPHA)
         with pytest.raises(ValueError, match="unknown bound"):
             verify_lemma("everything", grid, member, kernel=SeparableDelta(), alpha=ALPHA)
+
+    @pytest.mark.parametrize("which", ["spatial", "causal", "time-integral"])
+    def test_non_finite_or_misshapen_h_rejected(self, grid, member, which):
+        kern = {"spatial": SeparableDelta(), "causal": HeavisideCausal()}.get(which)
+        bad = member.copy()
+        bad[3, 5] = math.inf
+        with pytest.raises(ValueError, match="h must be finite"):
+            verify_lemma(which, grid, bad, kernel=kern, alpha=ALPHA)
+        with pytest.raises(ValueError, match="h has shape"):
+            verify_lemma(which, grid, member[:-1], kernel=kern, alpha=ALPHA)
+
+    @pytest.mark.parametrize("which", ["spatial", "causal", "time-integral"])
+    def test_ratios_match_full_mesh_formula_2d(self, which):
+        # the lemma sums the cross-section axis first; the full-mesh sums
+        # against the weight on every node agree to round-off
+        g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), [17, 9], 33)
+        h = random_family(g, count=1, flatten_space=False)[0]
+        kern = {"spatial": SeparableDelta(), "causal": HeavisideCausal()}.get(which)
+        rep = verify_lemma(which, g, h, kernel=kern, alpha=ALPHA)
+        if which == "time-integral":
+            target = time_integral_from_t0(g, h)
+        else:
+            target = apply_kernel(kern, g, h)
+        x1, _, t = g.spacetime_meshgrid()
+        for lam, ratio in zip(rep.lambdas, rep.ratios):
+            logw = 2.0 * lam * (x1**2 - ALPHA * (t - 0.5) ** 2)
+            phi_s = np.exp(logw - 2.0 * lam * 4.0)
+            ref = weighted_sum(g, target * target * phi_s) / weighted_sum(g, h * h * phi_s)
+            if which == "time-integral":
+                ref *= lam
+            assert ratio == pytest.approx(ref, rel=1e-14)
 
     def test_lambda_grid_validated(self, grid, member):
         with pytest.raises(ValueError, match="lambda grid"):

@@ -6,6 +6,7 @@ import pytest
 from mfglab.grid import (
     Face,
     Prism,
+    cross_section_sum,
     divergence,
     dt,
     dtt,
@@ -19,6 +20,7 @@ from mfglab.grid import (
     second_derivative,
     snap_epsilon,
     trace,
+    trapezoid_sum,
 )
 
 
@@ -118,6 +120,25 @@ class TestGrid:
     def test_time_weights_window(self, grid):
         assert grid.time_weights().sum() == pytest.approx(1.0)
         assert grid.time_weights(13, 52).sum() == pytest.approx(39.0 / 64)
+
+    def test_cross_section_sum_is_the_identity_in_1d(self, grid):
+        values = np.ones(grid.shape)
+        assert cross_section_sum(grid, values) is values
+
+    def test_cross_section_sum_then_x1_and_time(self):
+        # two cross-section axes of different lengths and widths
+        g = make_grid(Prism(1.0, 2.0, (0.5, 0.7), 1.0), (9, 7, 5), 17)
+        x1, x2, x3, t = g.spacetime_meshgrid()
+        values = np.exp(x1 * t) * (1.0 + x2**2) * np.cos(x3)
+        reduced = cross_section_sum(g, values)
+        assert reduced.shape == (9, 17)
+        whole = trapezoid_sum(g, values, time_weights=g.time_weights())
+        split = trapezoid_sum(g, reduced, axes=(0,), time_weights=g.time_weights())
+        assert split == pytest.approx(whole, rel=1e-14)
+        # a constant integrates to the cross-section's area
+        assert cross_section_sum(g, np.ones(g.shape)) == pytest.approx(
+            np.full((9, 17), 1.0 * 1.4)
+        )
 
     def test_rejects_tiny_axis(self):
         with pytest.raises(ValueError, match="nx"):
