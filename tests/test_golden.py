@@ -1,11 +1,12 @@
-"""The byte-identical output contract: seven CLI runs, in process through
+"""The byte-identical output contract: eight CLI runs, in process through
 ``cli.main``, reproduce the sha256 of every output file (``provenance.json``
 excluded), the stdout, the stderr and the exit code recorded in
 ``tests/golden_outputs.json``.
 
 The runs are the default ``forward``, ``manufacture``, ``sweep``,
-``carleman``, ``lemmas`` and ``params``, and a restricted 2-D ``carleman``
-on a 17x17x33 grid.  Each writes to a relative ``--out`` inside a temporary
+``carleman``, ``lemmas`` and ``params``, a restricted 2-D ``carleman``
+on a 17x17x33 grid, and a 2-D causal-kernel ``forward`` on a 9x9x17 grid,
+which checks the n-D band-LU march and its CSV output byte for byte.  Each writes to a relative ``--out`` inside a temporary
 working directory, so the printed paths, and with them the hashes, do not
 depend on where the tests run.  A change that means to change an output
 re-records the file, from the repository root, with
@@ -33,6 +34,12 @@ RESTRICTED_2D = {
     "carleman": {"restricted": True},
 }
 
+CAUSAL_2D = {
+    "prism": {"half_widths": [0.5]},
+    "grid": {"nx": [9, 9], "nt": 17},
+    "kernel": {"type": "causal"},
+}
+
 # run name -> (command, config payload or None for the defaults)
 RUNS = {
     "forward": ("forward", None),
@@ -42,6 +49,7 @@ RUNS = {
     "lemmas": ("lemmas", None),
     "params": ("params", None),
     "carleman-restricted-2d": ("carleman", RESTRICTED_2D),
+    "forward-causal-2d": ("forward", CAUSAL_2D),
 }
 
 
