@@ -55,7 +55,7 @@ from .grid import (
     trapezoid_sum,
 )
 from .kernels import HeavisideCausal, Kernel, SeparableDelta, apply_kernel
-from .norms import norm_spatial, trace_norm
+from .norms import norm, trace_norm
 
 __all__ = [
     "LAMBDA_MAX",
@@ -211,8 +211,8 @@ def _boundary_norms_sq(grid: Grid, u: np.ndarray, faces) -> float:
 
 
 def _end_norms_sq(grid: Grid, u: np.ndarray) -> float:
-    n0 = norm_spatial(grid, u[..., 0], "H1")
-    nT = norm_spatial(grid, u[..., -1], "H1")
+    n0 = norm(grid, u[..., 0], "H1")
+    nT = norm(grid, u[..., -1], "H1")
     return n0**2 + nT**2
 
 

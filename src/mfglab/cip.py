@@ -40,7 +40,7 @@ from .grid import (
     trace,
 )
 from .mfg import MFGTriple
-from .norms import norm_spatial, trace_norm
+from .norms import norm, trace_norm
 
 __all__ = [
     "CIPData",
@@ -217,7 +217,7 @@ def budget_lines(d1: CIPData, d2: CIPData | None = None) -> dict[str, float]:
             for s in range(3):
                 lines[f"{name}_s{s}"] = _aggregate(g, part, other, s, kind)
         else:
-            lines[name] = norm_spatial(g, part if other is None else part - other, kind)
+            lines[name] = norm(g, part if other is None else part - other, kind)
     return lines
 
 

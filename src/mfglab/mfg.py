@@ -424,9 +424,12 @@ def _face_drift_coefficients(
 def _divergence_flux(
     grid: Grid, k: np.ndarray, m_level: np.ndarray, u_level: np.ndarray
 ) -> np.ndarray:
-    """Conservative div(k m grad u) at interior nodes (zero on the boundary)."""
+    """Conservative div(k m grad u) at interior nodes (zero on the boundary).
+
+    ``m_level`` and ``u_level`` may carry a trailing time axis if ``k``
+    broadcasts against them."""
     a_faces = _face_drift_coefficients(grid, k, u_level)
-    out = np.zeros(grid.shape_space)
+    out = np.zeros(m_level.shape)
     for axis in range(grid.dim):
         lo, hi = _lo_hi(grid.dim, axis)
         m_face = 0.5 * (m_level[lo] + m_level[hi])
@@ -558,8 +561,8 @@ def solve_mfg_picard(
         m_raw = solve_fokker_planck(spec, k, u_new)
         if u_prev is not None:
             change = max(
-                norm(g, u_new - u_prev, "L2", eps=None),
-                norm(g, m_raw - m_prev_raw, "L2", eps=None),
+                norm(g, u_new - u_prev, "L2"),
+                norm(g, m_raw - m_prev_raw, "L2"),
             )
             history.append(change)
             if change < tol:
@@ -656,8 +659,5 @@ def residual(triple: MFGTriple, spec: ProblemSpec) -> dict[str, tuple[float, flo
         + apply_kernel(spec.kernel, g, m)
         + spec.f * m
     )
-    div = np.empty(g.shape)
-    for j in range(g.nt):
-        div[..., j] = _divergence_flux(g, k, m[..., j], u[..., j])
-    fp = dt(g, m) - laplacian(g, m) - div
+    fp = dt(g, m) - laplacian(g, m) - _divergence_flux(g, k[..., None], m, u)
     return {"hjb": masked_norms(g, hjb, 1, None), "fp": masked_norms(g, fp, 1, None)}

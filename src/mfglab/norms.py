@@ -1,22 +1,31 @@
-"""Discrete Sobolev norms on the cylinder, its spatial slices, and its faces.
+"""Discrete Sobolev norms on the cylinder, its time levels, and its faces.
 
-All norms are trapezoidal discretizations of the continuous definitions:
+Every norm is the square root of a trapezoidal sum of squared derivative
+terms, and one core computes them all from one table, ``_TERMS``, which
+lists the terms of each kind in summation order:
 
-* ``L2 / H1 / H2`` on the prism for purely spatial data;
-* ``L2``, the parabolic ``H^{2,1}`` (all spatial derivatives up to second
-  order plus one time derivative) and the isotropic space-time ``H^2`` on
-  the cylinder or on its time-truncated version;
-* ``L2 / H^{1,0} / H^{2,1}`` on a lateral face cross time;
-* ``L2`` and max over the interior nodes, for residuals.
+* ``L2``: the value;
+* ``H1`` / ``H10``: the value and the space gradient (``H^{1,0}``);
+* ``H21``: the parabolic ``H^{2,1}``: value, space gradient, one time
+  derivative and every second space derivative;
+* ``H2``: the isotropic space-time ``H^2``: ``H21`` plus the ``x_i t`` and
+  ``tt`` derivatives, treating time as one more coordinate.
 
-Face norms evaluate every derivative tangentially on the face in question,
-so they are well defined for pure boundary data; this is the reading used
-for the data norms of the inverse problem.
+The time terms drop out for an array without a time axis, so
+:func:`norm` takes a snapshot over the prism as well as a space-time array
+over the cylinder or its time-truncated version.  :func:`trace_norm`
+evaluates every derivative tangentially on the face in question, so face
+norms are well defined for pure boundary data; this is the reading used for
+the data norms of the inverse problem.  :func:`masked_norms` gives the
+``L2`` and max over the interior nodes, for residuals.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import combinations_with_replacement, product
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,7 +33,6 @@ from .grid import (
     Face,
     Grid,
     first_derivative,
-    gradient,
     interior_mask,
     second_derivative,
     snap_epsilon,
@@ -32,29 +40,96 @@ from .grid import (
 )
 
 __all__ = [
-    "weighted_sum",
     "masked_norms",
-    "norm_spatial",
     "norm",
     "trace_norm",
 ]
 
+# kind -> derivative terms in summation order: "v" the value, "x" the space
+# gradient, "t" the time derivative, "xx" the second space derivatives,
+# "xt" and "tt" the remaining space-time second derivatives
+_TERMS = {
+    "L2": ("v",),
+    "H1": ("v", "x"),
+    "H10": ("v", "x"),
+    "H21": ("v", "x", "t", "xx"),
+    "H2": ("v", "x", "t", "xx", "xt", "tt"),
+}
+_TIME_TERMS = ("t", "xt", "tt")
 
-def weighted_sum(
-    grid: Grid,
+
+def _norm(
     values: np.ndarray,
-    time_window: tuple[int, int] | None = None,
+    spacings: Sequence[float],
+    tau: float,
+    kind: str,
+    quad: Callable[[np.ndarray], float],
+    *,
+    ordered: bool,
 ) -> float:
-    """Tensor-product trapezoidal sum of a space-time array.
+    """Square root of ``quad`` summed over the squared terms of ``kind``.
 
-    ``time_window=(lo, hi)`` restricts the time quadrature to the inclusive
-    index range (used for the time-truncated cylinder).
+    The leading axes of ``values`` are space axes with the given
+    ``spacings``; one more axis is time, with step ``tau``, and without it
+    the time terms are skipped.  The gradient terms are summed as a group,
+    every other term is added alone.  Mixed second space derivatives run
+    over ordered axis pairs when ``ordered``, else over unordered ones.
     """
-    if time_window is None:
-        wt = grid.time_weights()
+    if kind not in _TERMS:
+        raise ValueError(f"unknown norm kind {kind!r}; the kinds are {', '.join(_TERMS)}")
+    n = len(spacings)
+    terms = _TERMS[kind]
+    if values.ndim == n:
+        terms = tuple(t for t in terms if t not in _TIME_TERMS)
+    total = quad(values * values)
+    if len(terms) == 1:
+        return math.sqrt(total)
+    firsts = [first_derivative(values, i, h) for i, h in enumerate(spacings)]
+    total += sum(quad(d * d) for d in firsts)
+    for term in terms[2:]:
+        if term == "t":
+            group = [first_derivative(values, n, tau)]
+        elif term == "xx":
+            if ordered:
+                pairs = product(range(n), repeat=2)
+            else:
+                pairs = combinations_with_replacement(range(n), 2)
+            group = (
+                second_derivative(values, i, spacings[i])
+                if i == j
+                else first_derivative(firsts[i], j, spacings[j])
+                for i, j in pairs
+            )
+        elif term == "xt":
+            group = (first_derivative(d, n, tau) for d in firsts)
+        else:
+            group = [second_derivative(values, n, tau)]
+        for d in group:
+            total += quad(d * d)
+    return math.sqrt(total)
+
+
+def norm(grid: Grid, values: np.ndarray, kind: str, *, eps: float | None = None) -> float:
+    """Norm of a snapshot (shape ``grid.shape_space``) over the prism, or of
+    a space-time array (shape ``grid.shape``) over the cylinder, or over its
+    eps-truncation ``[eps, T - eps]`` when ``eps`` is given.
+
+    Second space derivatives count each unordered pair of axes once.
+    """
+    if values.shape == grid.shape:
+        j = 0 if eps is None else snap_epsilon(grid, eps)[0]
+        wt = grid.time_weights(j, grid.nt - 1 - j)
+    elif values.shape == grid.shape_space:
+        if eps is not None:
+            raise ValueError("eps truncates the time axis, which a snapshot does not have")
+        wt = None
     else:
-        wt = grid.time_weights(*time_window)
-    return trapezoid_sum(grid, values, time_weights=wt)
+        raise ValueError(
+            f"shape {values.shape} is neither a snapshot {grid.shape_space} "
+            f"nor a space-time array {grid.shape}"
+        )
+    quad = partial(trapezoid_sum, grid, time_weights=wt)
+    return _norm(values, grid.h, grid.tau, kind, quad, ordered=False)
 
 
 def masked_norms(
@@ -64,94 +139,7 @@ def masked_norms(
     eps)``: off the lateral boundary and ``time_ring`` levels (or the eps
     window) away from each end of the time axis."""
     masked = np.where(interior_mask(grid, time_ring, eps), values, 0.0)
-    l2 = math.sqrt(weighted_sum(grid, masked * masked))
-    return l2, float(np.max(np.abs(masked)))
-
-
-def _time_window(grid: Grid, eps: float | None) -> tuple[int, int] | None:
-    if eps is None:
-        return None
-    j, _ = snap_epsilon(grid, eps)
-    return (j, grid.nt - 1 - j)
-
-
-# ---------------------------------------------------------------------------
-# spatial norms
-
-
-def norm_spatial(grid: Grid, values: np.ndarray, kind: str = "L2") -> float:
-    """``L2``, ``H1`` or ``H2`` norm of a spatial array over the prism."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape_space:
-        raise ValueError(
-            f"spatial shape {values.shape} does not match {grid.shape_space}"
-        )
-    total = trapezoid_sum(grid, values * values)
-    if kind == "L2":
-        return float(np.sqrt(total))
-    firsts = gradient(grid, values)
-    total += sum(trapezoid_sum(grid, g * g) for g in firsts)
-    if kind == "H1":
-        return float(np.sqrt(total))
-    if kind != "H2":
-        raise ValueError(f"unknown spatial norm kind {kind!r}")
-    for i in range(grid.dim):
-        for j in range(i, grid.dim):
-            if i == j:
-                d2 = second_derivative(values, i, grid.h[i])
-            else:
-                d2 = first_derivative(firsts[i], j, grid.h[j])
-            total += trapezoid_sum(grid, d2 * d2)
-    return float(np.sqrt(total))
-
-
-# ---------------------------------------------------------------------------
-# cylinder norms
-
-
-def norm(grid: Grid, values: np.ndarray, kind: str, *, eps: float | None) -> float:
-    """Norm of a space-time array over the cylinder, or over its
-    eps-truncation when ``eps`` is given.
-
-    Kinds:
-        ``"L2"``: plain weighted L2.
-        ``"H21"``: parabolic norm; value, spatial gradient, all unordered
-            second spatial derivatives, and one time derivative.
-        ``"H2"``: isotropic space-time H2 treating time as one more
-            coordinate.
-    """
-    window = _time_window(grid, eps)
-    total = weighted_sum(grid, values * values, window)
-    if kind == "L2":
-        return float(np.sqrt(total))
-
-    firsts = gradient(grid, values)
-    vt = first_derivative(values, grid.dim, grid.tau)
-    for gcomp in firsts:
-        total += weighted_sum(grid, gcomp * gcomp, window)
-    total += weighted_sum(grid, vt * vt, window)
-    for i in range(grid.dim):
-        for j in range(i, grid.dim):
-            if i == j:
-                d2 = second_derivative(values, i, grid.h[i])
-            else:
-                d2 = first_derivative(firsts[i], j, grid.h[j])
-            total += weighted_sum(grid, d2 * d2, window)
-    if kind == "H21":
-        return float(np.sqrt(total))
-    if kind != "H2":
-        raise ValueError(f"unknown field norm kind {kind!r}")
-    # remaining space-time couplings: x_i t and t t
-    for i in range(grid.dim):
-        dxt = first_derivative(firsts[i], grid.dim, grid.tau)
-        total += weighted_sum(grid, dxt * dxt, window)
-    vtt = second_derivative(values, grid.dim, grid.tau)
-    total += weighted_sum(grid, vtt * vtt, window)
-    return float(np.sqrt(total))
-
-
-# ---------------------------------------------------------------------------
-# face norms
+    return norm(grid, masked, "L2"), float(np.max(np.abs(masked)))
 
 
 def trace_norm(grid: Grid, face: Face, values: np.ndarray, kind: str) -> float:
@@ -165,30 +153,5 @@ def trace_norm(grid: Grid, face: Face, values: np.ndarray, kind: str) -> float:
     weighted estimates.
     """
     tangential = tuple(i for i in range(grid.dim) if i != face.axis)
-    wt = grid.time_weights()
-    total = trapezoid_sum(grid, values * values, tangential, wt)
-    if kind == "L2":
-        return float(np.sqrt(total))
-
-    firsts = {}
-    for pos, axis in enumerate(tangential):
-        d = first_derivative(values, pos, grid.h[axis])
-        firsts[axis] = (pos, d)
-        total += trapezoid_sum(grid, d * d, tangential, wt)
-    if kind == "H10":
-        return float(np.sqrt(total))
-    if kind != "H21":
-        raise ValueError(f"unknown trace norm kind {kind!r}")
-
-    vt = first_derivative(values, values.ndim - 1, grid.tau)
-    total += trapezoid_sum(grid, vt * vt, tangential, wt)
-    for axis_a in tangential:
-        pos_a, da = firsts[axis_a]
-        for axis_b in tangential:
-            pos_b, _ = firsts[axis_b]
-            if axis_a == axis_b:
-                d2 = second_derivative(values, pos_a, grid.h[axis_a])
-            else:
-                d2 = first_derivative(da, pos_b, grid.h[axis_b])
-            total += trapezoid_sum(grid, d2 * d2, tangential, wt)
-    return float(np.sqrt(total))
+    quad = partial(trapezoid_sum, grid, axes=tangential, time_weights=grid.time_weights())
+    return _norm(values, [grid.h[i] for i in tangential], grid.tau, kind, quad, ordered=True)

@@ -39,17 +39,17 @@ from .grid import (
     dt,
     dtt,
     divergence,
-    first_derivative,
     grad_sq,
     gradient,
     interior_mask,
     laplacian,
     time_integral_from_t0,
+    trapezoid_sum,
 )
 from .kernels import Kernel, apply_kernel, apply_G
 from .mfg import MFGTriple, PicardNonConvergence, ProblemSpec, solve_mfg_picard
 from .cip import extract, measure_delta
-from .norms import masked_norms, norm, norm_spatial, weighted_sum
+from .norms import masked_norms, norm
 
 __all__ = [
     "NondegeneracyError",
@@ -209,7 +209,7 @@ def reconstruction_spread(
     worst = 0.0
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
-            worst = max(worst, norm_spatial(g, fields[i] - fields[j], "L2"))
+            worst = max(worst, norm(g, fields[i] - fields[j], "L2"))
     return worst
 
 
@@ -281,10 +281,10 @@ def derived_residuals(
     ft = dt(g, f)
     ftt = dtt(g, f)
     s_comps = [d1 + d2 for d1, d2 in zip(grads_u1, grads_u2)]
-    s_t = [first_derivative(s, g.dim, g.tau) for s in s_comps]
-    s_tt = [first_derivative(st, g.dim, g.tau) for st in s_t]
-    grads_u1t = [first_derivative(d1, g.dim, g.tau) for d1 in grads_u1]
-    grads_u1tt = [first_derivative(d, g.dim, g.tau) for d in grads_u1t]
+    s_t = [dt(g, s) for s in s_comps]
+    s_tt = [dt(g, st) for st in s_t]
+    grads_u1t = [dt(g, d1) for d1 in grads_u1]
+    grads_u1tt = [dt(g, d) for d in grads_u1t]
     iq = time_integral_from_t0(g, q)
     iv_grad = [time_integral_from_t0(g, comp) for comp in grads_v]
     v_shift = v - time_integral_from_t0(g, w)
@@ -292,8 +292,8 @@ def derived_residuals(
     m0b = pack.m0_tilde[..., None]
     m2t = dt(g, m2)
     m2tt = dtt(g, m2)
-    flux1_t = [first_derivative(m1 * d1, g.dim, g.tau) for d1 in grads_u1]
-    flux1_tt = [first_derivative(fx, g.dim, g.tau) for fx in flux1_t]
+    flux1_t = [dt(g, m1 * d1) for d1 in grads_u1]
+    flux1_tt = [dt(g, fx) for fx in flux1_t]
 
     d1_mix = np.zeros(g.shape)
     for a, b in zip(grads_u1, grads_u1t):
@@ -413,7 +413,8 @@ def inequality_constants(
     int_q = _abs_time_integral(q, g)
 
     mask = interior_mask(g, time_ring=2, eps=eps)
-    measure_total = weighted_sum(g, np.ones(g.shape))
+    wt = g.time_weights()
+    measure_total = trapezoid_sum(g, np.ones(g.shape), time_weights=wt)
     delta_bar = delta_budget / math.sqrt(measure_total) if delta_budget > 0.0 else 0.0
 
     def report(lhs: np.ndarray, bracket: np.ndarray) -> InequalityReport:
@@ -431,7 +432,7 @@ def inequality_constants(
         return InequalityReport(
             empirical_c=empirical_c,
             lhs_max=float(np.max(np.where(mask, lhs, 0.0))),
-            small_bracket_measure=float(weighted_sum(g, small.astype(float))),
+            small_bracket_measure=trapezoid_sum(g, small.astype(float), time_weights=wt),
             node_fraction_used=frac,
         )
 
@@ -591,7 +592,7 @@ class SweepReport:
 
 def _sweep_errors(pack: DifferencePack, grid: Grid, eps: float) -> dict[str, float]:
     return {
-        "err_k": norm_spatial(grid, pack.k_tilde, "L2"),
+        "err_k": norm(grid, pack.k_tilde, "L2"),
         "err_u_s0": norm(grid, pack.u_tilde, "H21", eps=eps),
         "err_u_s1": norm(grid, pack.v, "H21", eps=eps),
         "err_u_s2": norm(grid, pack.w, "H21", eps=eps),

@@ -29,7 +29,7 @@ from mfglab.cip import extract, measure_delta
 from mfglab.grid import make_grid
 from mfglab.kernels import HeavisideCausal, SeparableDelta, fubini_swap_residual
 from mfglab.mfg import residual
-from mfglab.norms import norm_spatial
+from mfglab.norms import norm
 from mfglab.stability import (
     compute_F,
     epsilon_window,
@@ -67,7 +67,7 @@ def _reconstruction_study(pairs):
         p, F = compute_F(pack, u01, u02, pair["k2"], KERNEL, pair["f"])
         krec = reconstruct_k_tilde(pack, p, F)
         hs.append(g.h[0])
-        errs.append(norm_spatial(g, krec - pack.k_tilde, "L2"))
+        errs.append(norm(g, krec - pack.k_tilde, "L2"))
         spreads.append(
             reconstruction_spread(pack, p, F, times=(0.25, 0.5, 0.75))
         )

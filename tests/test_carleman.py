@@ -26,9 +26,10 @@ from mfglab.grid import (
     mixed_xixj,
     time_integral_from_t0,
     trace,
+    trapezoid_sum,
 )
 from mfglab.kernels import HeavisideCausal, SeparableDelta, apply_kernel
-from mfglab.norms import norm_spatial, trace_norm, weighted_sum
+from mfglab.norms import norm, trace_norm
 
 ALPHA = 1000.0 / 7.0
 
@@ -226,12 +227,13 @@ def _reference_rows(g, u, sign, lambdas, alpha, restricted):
     x1, *_, t = g.spacetime_meshgrid()
     faces = [f for f in g.faces() if f.axis == 0 and f.side == +1] if restricted else list(g.faces())
     rows = {k: [] for k in ("lhs", "main", "boundary", "negligible", "negligible_log")}
+    wt = g.time_weights()
     for lam in lambdas:
         logw = 2.0 * lam * (x1**2 - alpha * (t - prism.T / 2.0) ** 2)
         phi_s = np.exp(logw - 2.0 * lam * prism.b**2)
         ut = dt(g, u)
         op = ut + sign * laplacian(g, u)
-        rows["lhs"].append(weighted_sum(g, op * op * phi_s))
+        rows["lhs"].append(trapezoid_sum(g, op * op * phi_s, time_weights=wt))
         grad_sq = np.zeros(g.shape)
         for comp in gradient(g, u):
             grad_sq += comp * comp
@@ -240,8 +242,8 @@ def _reference_rows(g, u, sign, lambdas, alpha, restricted):
             for j in range(g.dim):
                 d = mixed_xixj(g, u, i, j)
                 second_sq += d * d
-        main = (1.0 / lam) * weighted_sum(g, (ut * ut + second_sq) * phi_s)
-        main += weighted_sum(g, (lam * grad_sq + lam**3 * u * u) * phi_s)
+        main = (1.0 / lam) * trapezoid_sum(g, (ut * ut + second_sq) * phi_s, time_weights=wt)
+        main += trapezoid_sum(g, (lam * grad_sq + lam**3 * u * u) * phi_s, time_weights=wt)
         rows["main"].append(main)
         bnd = 0.0
         for f in faces:
@@ -251,8 +253,8 @@ def _reference_rows(g, u, sign, lambdas, alpha, restricted):
             )
         rows["boundary"].append(bnd * math.exp(lam * prism.b**2))
         end = (
-            norm_spatial(g, u[..., g.index_of_time(0.0)], "H1") ** 2
-            + norm_spatial(g, u[..., g.index_of_time(prism.T)], "H1") ** 2
+            norm(g, u[..., g.index_of_time(0.0)], "H1") ** 2
+            + norm(g, u[..., g.index_of_time(prism.T)], "H1") ** 2
         )
         gap = alpha * prism.T**2 / 4.0 - prism.b**2
         rows["negligible"].append(end * math.exp(-2.0 * lam * gap - 2.0 * lam * prism.b**2))
@@ -390,10 +392,12 @@ class TestIntegralBounds:
         else:
             target = apply_kernel(kern, g, h)
         x1, _, t = g.spacetime_meshgrid()
+        wt = g.time_weights()
         for lam, ratio in zip(rep.lambdas, rep.ratios):
             logw = 2.0 * lam * (x1**2 - ALPHA * (t - 0.5) ** 2)
             phi_s = np.exp(logw - 2.0 * lam * 4.0)
-            ref = weighted_sum(g, target * target * phi_s) / weighted_sum(g, h * h * phi_s)
+            ref = trapezoid_sum(g, target * target * phi_s, time_weights=wt)
+            ref /= trapezoid_sum(g, h * h * phi_s, time_weights=wt)
             if which == "time-integral":
                 ref *= lam
             assert ratio == pytest.approx(ref, rel=1e-14)

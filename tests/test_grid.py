@@ -121,6 +121,15 @@ class TestGrid:
         assert grid.time_weights().sum() == pytest.approx(1.0)
         assert grid.time_weights(13, 52).sum() == pytest.approx(39.0 / 64)
 
+    def test_trapezoid_sum_constant_integrates_to_measure(self, grid):
+        values = np.ones(grid.shape)
+        assert trapezoid_sum(grid, values, time_weights=grid.time_weights()) == pytest.approx(1.0)
+
+    def test_trapezoid_sum_window_restricts_time(self, grid):
+        # eps = 0.2 snaps to 13 levels of tau = 1/64 on each end
+        wt = grid.time_weights(13, 51)
+        assert trapezoid_sum(grid, np.ones(grid.shape), time_weights=wt) == pytest.approx(38.0 / 64)
+
     def test_cross_section_sum_is_the_identity_in_1d(self, grid):
         values = np.ones(grid.shape)
         assert cross_section_sum(grid, values) is values

@@ -215,6 +215,19 @@ class TestMarchingSystem:
             alone = op.system(g.tau, _face_drift_coefficients(g, k, u[..., j : j + 1]))
             assert np.array_equal(block[:, j], alone[:, 0])
 
+    @pytest.mark.parametrize(
+        "half_widths, nx", [((), (17,)), ((0.5,), (9, 7)), ((0.5, 0.5), (5, 6, 7))]
+    )
+    def test_divergence_flux_of_all_levels_matches_single_levels(self, half_widths, nx):
+        g = make_grid(Prism(1.0, 2.0, half_widths, 1.0), nx, 9)
+        rng = np.random.default_rng(17)
+        k = rng.uniform(0.5, 1.5, nx)
+        m = rng.uniform(0.5, 1.5, g.shape)
+        u = rng.normal(size=g.shape)
+        levels = _divergence_flux(g, k[..., None], m, u)
+        for j in range(g.nt):
+            assert np.array_equal(levels[..., j], _divergence_flux(g, k, m[..., j], u[..., j]))
+
     def test_1d_density_step_keeps_previous_level_and_walls(self, monkeypatch):
         # wall data that moves in time shows a step writing into the level
         # it was handed, or a wall value off by roundoff

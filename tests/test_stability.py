@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mfglab.mfg import solve_mfg_picard
-from mfglab.norms import norm, norm_spatial
+from mfglab.norms import norm
 from mfglab.stability import (
     NondegeneracyError,
     assemble_final_estimate,
@@ -90,7 +90,7 @@ class TestReconstruction:
     def test_snapshot_reconstruction_error(self, pair, pack, recon):
         p, F = recon
         krec = reconstruct_k_tilde(pack, p, F)
-        err = norm_spatial(pair["grid"], krec - pack.k_tilde, "L2")
+        err = norm(pair["grid"], krec - pack.k_tilde, "L2")
         assert err == pytest.approx(3.8789098360899677e-4, rel=1e-6)
 
     def test_shifted_reconstructions_are_time_independent(self, pack, recon):
