@@ -54,7 +54,7 @@ from .grid import (
     trace,
     trapezoid_sum,
 )
-from .kernels import HeavisideCausal, Kernel, SeparableDelta, apply_kernel
+from .kernels import Kernel, apply_kernel
 from .norms import norm, trace_norm
 
 __all__ = [
@@ -325,11 +325,14 @@ def estimate_c0(
     component reads only the outflow face x1 = b, and u must vanish (to
     1e-10) on every other lateral face; otherwise a ValueError is raised.
     Every member must be a finite array of shape ``grid.shape``; a
-    ValueError names the first that is not.
+    ValueError names the first that is not.  An empty lambda grid is a
+    ValueError too.
     """
     for i, u in enumerate(members):
         _check_member(grid, u, f"member {i}")
     lambdas = sorted(float(x) for x in lambdas)
+    if not lambdas:
+        raise ValueError("lambda grid needs at least one value")
     member_rows = [
         _functional_rows(grid, u, lambdas, alpha, restricted=restricted) for u in members
     ]
@@ -409,7 +412,8 @@ class LemmaReport:
     degenerate: bool
 
 
-_KERNEL_LEMMAS = {"spatial": SeparableDelta, "causal": HeavisideCausal}
+# The kernel each kernel lemma is stated for.
+_KERNEL_LEMMAS = {"spatial": Kernel("separable"), "causal": Kernel("causal")}
 
 
 def verify_lemma(
@@ -417,7 +421,6 @@ def verify_lemma(
     grid: Grid,
     h: np.ndarray,
     *,
-    kernel: Kernel | None = None,
     alpha: float,
     lambdas: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
 ) -> LemmaReport:
@@ -425,12 +428,13 @@ def verify_lemma(
     space-time array ``h`` sampled on ``grid``.
 
     "spatial" and "causal" bound the weighted energy of the kernel integral
-    of h by the weighted energy of h; the check reports ratio(lam), its
-    largest value ``c_bound`` (the empirical constant), its max/min
-    ``spread`` and its log-log ``slope`` against lambda.  "spatial" passes
-    when the ratio is flat (spread <= _RATIO_CAP = 10).  "causal" passes when
-    c_bound <= _RATIO_CAP and the ratio does not increase with lambda; it
-    decays like 1/lam^2, and its slope stays out of the verdict.
+    of h, with the unit separable and causal kernel respectively, by the
+    weighted energy of h; the check reports ratio(lam), its largest value
+    ``c_bound`` (the empirical constant), its max/min ``spread`` and its
+    log-log ``slope`` against lambda.  "spatial" passes when the ratio is
+    flat (spread <= _RATIO_CAP = 10).  "causal" passes when c_bound <=
+    _RATIO_CAP and the ratio does not increase with lambda; it decays like
+    1/lam^2, and its slope stays out of the verdict.
     "time-integral" bounds the energy of the running time integral from T/2
     by (1/lam) times the energy of h; the check reports the lam-normalized
     ratio and asserts the log-log slope of the raw ratio against lambda
@@ -450,14 +454,7 @@ def verify_lemma(
     if len(set(lambdas)) < 2:
         raise ValueError(f"lambda grid needs at least two distinct values, got {lambdas}")
     if which in _KERNEL_LEMMAS:
-        if kernel is None:
-            raise ValueError(f"the {which} bound needs a kernel")
-        if not isinstance(kernel, _KERNEL_LEMMAS[which]):
-            raise ValueError(
-                f"the {which} bound is stated for {_KERNEL_LEMMAS[which].__name__} kernels, "
-                f"got {type(kernel).__name__}"
-            )
-        target = apply_kernel(kernel, grid, h)
+        target = apply_kernel(_KERNEL_LEMMAS[which], grid, h)
     elif which == "time-integral":
         target = time_integral_from_t0(grid, h)
     else:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .grid import Prism, finite_real, make_grid
-from .kernels import HeavisideCausal, SeparableDelta, kernel_bound
+from .kernels import Kernel, kernel_bound
 from .carleman import (
     LAMBDA_MAX,
     estimate_c0,
@@ -196,7 +196,7 @@ def _build_geometry(cfg: dict):
 def _build_kernel(cfg: dict, grid):
     """The configured kernel, checked against its declared bound ``n1``."""
     try:
-        kernel = mio.kernel_from_dict(cfg["kernel"])
+        kernel = Kernel(**cfg["kernel"])
         kernel_bound(kernel, grid)
     except (ValueError, TypeError, KeyError) as e:
         raise ConfigError(f"kernel: {e}")
@@ -324,17 +324,11 @@ def cmd_lemmas(args) -> int:
     lem = cfg["lemmas"]
     alpha = _carleman_alpha(cfg)
     members = random_family(grid, count=lem["samples"], seed=lem["seed"])
-    lemma_kernels = {
-        "spatial": SeparableDelta(),
-        "causal": HeavisideCausal(),
-        "time-integral": None,
-    }
-    reports = []
-    for which, kern in lemma_kernels.items():
-        for h in members:
-            reports.append(
-                verify_lemma(which, grid, h, kernel=kern, alpha=alpha, lambdas=lem["lambdas"])
-            )
+    reports = [
+        verify_lemma(which, grid, h, alpha=alpha, lambdas=lem["lambdas"])
+        for which in ("spatial", "causal", "time-integral")
+        for h in members
+    ]
     outdir = cfg["out"]
     mio.save_lemma_reports(reports, outdir)
     mio.save_provenance(outdir, _provenance(cfg, "lemmas"))

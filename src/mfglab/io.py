@@ -8,6 +8,7 @@ no timestamps are recorded.  Tables carry header rows; metadata is JSON.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .grid import Grid, Prism, make_grid
-from .kernels import HeavisideCausal, Kernel, SeparableDelta
+from .kernels import Kernel
 from .carleman import CarlemanReport, LemmaReport
 from .mfg import MFGTriple
 from .stability import StabilityParams, SweepReport
@@ -29,8 +30,6 @@ __all__ = [
     "grid_from_dict",
     "save_grid_json",
     "load_grid_json",
-    "kernel_to_dict",
-    "kernel_from_dict",
     "save_triple_dir",
     "save_history_csv",
     "save_carleman_family",
@@ -146,32 +145,6 @@ def load_grid_json(path: str) -> Grid:
 
 
 # ---------------------------------------------------------------------------
-# kernels
-
-
-def kernel_to_dict(kernel: Kernel) -> dict:
-    name = "separable" if isinstance(kernel, SeparableDelta) else "causal"
-    return {
-        "type": name,
-        "profile": kernel.profile,
-        "amplitude": kernel.amplitude,
-        "n1": kernel.n1,
-    }
-
-
-def kernel_from_dict(d: Mapping) -> Kernel:
-    kind = d.get("type")
-    cls = {"separable": SeparableDelta, "causal": HeavisideCausal}.get(kind)
-    if cls is None:
-        raise ValueError(f"unknown kernel type {kind!r}")
-    return cls(
-        profile=d.get("profile", "constant"),
-        amplitude=d.get("amplitude", 1.0),
-        n1=d.get("n1"),
-    )
-
-
-# ---------------------------------------------------------------------------
 # triples and histories
 
 
@@ -187,7 +160,7 @@ def save_triple_dir(triple: MFGTriple, outdir: str, *, f: np.ndarray, kernel: Ke
         os.path.join(outdir, "k.csv"), [f"i{a}" for a in range(g.dim)], triple.k
     )
     save_field_csv(f, os.path.join(outdir, "f.csv"))
-    _write_json(os.path.join(outdir, "kernel.json"), kernel_to_dict(kernel))
+    _write_json(os.path.join(outdir, "kernel.json"), dataclasses.asdict(kernel))
     report = {
         key: val for key, val in triple.report.items() if key != "history"
     }

@@ -1,12 +1,12 @@
 """Interaction kernels coupling the value function to the density.
 
-Two families are supported.  ``SeparableDelta`` integrates only over the
-cross-section,
+A kernel is one frozen dataclass, ``Kernel(type, profile, amplitude, n1)``.
+``type="separable"`` integrates only over the cross-section,
 
     (K m)(x, t) = integral_{cross} Ybar(xbar, ybar) m(x_1, ybar, t) dybar,
 
 which degenerates to pointwise multiplication when ``n = 1`` (the empty
-cross-section carries measure one).  ``HeavisideCausal`` additionally
+cross-section carries measure one).  ``type="causal"`` additionally
 integrates causally along the first axis,
 
     (K m)(x, t) = integral_{cross} integral_{x_1}^{b} Ybar(x, y) m(y, t) dy_1 dybar.
@@ -21,23 +21,22 @@ return plain arrays with the spatial axes leading, a snapshot of shape
 ``nx`` or a space-time array of shape ``(*nx, nt)``, as ``grid``'s calculus
 does.
 
-The majorant operator ``G`` replaces the profile by one and the integrand by
-its absolute value; it is the object appearing on the right-hand side of the
-pointwise differential inequalities for the difference system.
+The majorant operator ``G`` is the unit kernel of the same type (constant
+profile, amplitude one) applied to the absolute value of its argument; it
+is the object appearing on the right-hand side of the pointwise
+differential inequalities for the difference system.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .grid import Grid, finite_real, trapezoid_sum
 
 __all__ = [
-    "SeparableDelta",
-    "HeavisideCausal",
     "Kernel",
     "causal_weights",
     "fubini_swap_residual",
@@ -46,50 +45,32 @@ __all__ = [
     "kernel_bound",
 ]
 
-
-def _check_kernel(kernel: Kernel) -> None:
-    if kernel.profile not in ("constant", "cosine"):
-        raise ValueError(f"unknown kernel profile {kernel.profile!r}")
-    if not finite_real(kernel.amplitude):
-        raise ValueError(f"amplitude must be a finite number, got {kernel.amplitude!r}")
-    if kernel.n1 is not None and not (finite_real(kernel.n1) and kernel.n1 >= 0):
-        raise ValueError(f"n1 must be null or a finite number >= 0, got {kernel.n1!r}")
-
-
 @dataclass(frozen=True)
-class SeparableDelta:
-    """Cross-section kernel ``amplitude * Ybar(xbar, ybar)``.
+class Kernel:
+    """Interaction kernel ``amplitude * Ybar``, integrated over the
+    cross-section (``type="separable"``) or also causally along the first
+    axis (``type="causal"``).
 
-    ``profile`` names ``Ybar``: ``"constant"`` (one) or ``"cosine"`` (the
-    product over cross axes of ``cos(pi x_k / 2B_k) cos(pi y_k / 2B_k)``,
-    vanishing on the side faces).
+    ``profile`` names ``Ybar``, which depends on the cross coordinates only:
+    ``"constant"`` (one) or ``"cosine"`` (the product over cross axes of
+    ``cos(pi x_k / 2B_k) cos(pi y_k / 2B_k)``, vanishing on the side
+    faces).  ``n1`` is null or a declared bound on the kernel's magnitude.
     """
 
+    type: str
     profile: str = "constant"
     amplitude: float = 1.0
     n1: float | None = None
 
     def __post_init__(self) -> None:
-        _check_kernel(self)
-
-
-@dataclass(frozen=True)
-class HeavisideCausal:
-    """Causal kernel along the first axis with cross-section profile ``Ybar``.
-
-    ``profile`` takes the same two names as for ``SeparableDelta``; it
-    depends on the cross coordinates only.
-    """
-
-    profile: str = "constant"
-    amplitude: float = 1.0
-    n1: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_kernel(self)
-
-
-Kernel = Union[SeparableDelta, HeavisideCausal]
+        if self.type not in {"separable", "causal"}:
+            raise ValueError(f"unknown kernel type {self.type!r}")
+        if self.profile not in ("constant", "cosine"):
+            raise ValueError(f"unknown kernel profile {self.profile!r}")
+        if not finite_real(self.amplitude):
+            raise ValueError(f"amplitude must be a finite number, got {self.amplitude!r}")
+        if self.n1 is not None and not (finite_real(self.n1) and self.n1 >= 0):
+            raise ValueError(f"n1 must be null or a finite number >= 0, got {self.n1!r}")
 
 
 def causal_weights(npts: int, spacing: float) -> np.ndarray:
@@ -141,7 +122,7 @@ def _cosine(grid: Grid, axis: int) -> np.ndarray:
     return np.cos(0.5 * np.pi * grid.axis_coords(axis) / grid.prism.half_widths[axis - 1])
 
 
-def _axis_factors(kernel: Kernel, grid: Grid, *, majorant: bool = False):
+def _axis_factors(kernel: Kernel, grid: Grid):
     """Per-axis quadrature factors whose Kronecker product is the kernel.
 
     Returns ``(scale, factors)``.  ``factors[i]`` is an ``(nx_i, nx_i)``
@@ -149,22 +130,21 @@ def _axis_factors(kernel: Kernel, grid: Grid, *, majorant: bool = False):
     into its columns, or ``None`` where the kernel does not integrate along
     axis ``i``.  The amplitude is folded into the first integrating factor;
     ``scale`` is what is left of it, which differs from one only for the
-    one-dimensional ``SeparableDelta`` (nothing integrates and the empty
-    cross-section carries measure one).  ``majorant`` gives the factors of
-    ``G``: unit profile and unit amplitude.
+    one-dimensional separable kernel (nothing integrates and the empty
+    cross-section carries measure one).
     """
-    scale = 1.0 if majorant else kernel.amplitude
+    scale = kernel.amplitude
     factors = []
     for axis in range(grid.dim):
         n = grid.nx[axis]
         if axis == 0:
-            if isinstance(kernel, SeparableDelta):
+            if kernel.type == "separable":
                 factors.append(None)
             else:
                 factors.append(scale * causal_weights(n, grid.h[0]))
                 scale = 1.0
             continue
-        if majorant or kernel.profile == "constant":
+        if kernel.profile == "constant":
             profile = np.ones((n, n))
         else:
             c = _cosine(grid, axis)
@@ -174,16 +154,16 @@ def _axis_factors(kernel: Kernel, grid: Grid, *, majorant: bool = False):
     return scale, factors
 
 
-def _apply(kernel: Kernel, grid: Grid, values: np.ndarray, *, majorant: bool = False):
-    """Apply the kernel (or its majorant) to an array with the spatial axes
-    leading and at most one trailing (time) axis, contracting one axis at a
-    time."""
+def apply_kernel(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Kernel applied to a density with the spatial axes leading and at most
+    one trailing (time) axis: a snapshot or a space-time array, contracted
+    one axis at a time."""
     if values.shape[: grid.dim] != grid.shape_space or values.ndim > grid.dim + 1:
         raise ValueError(
             f"array shape {values.shape} is not the spatial shape {grid.shape_space} "
             f"with at most one trailing axis"
         )
-    scale, factors = _axis_factors(kernel, grid, majorant=majorant)
+    scale, factors = _axis_factors(kernel, grid)
     out = values
     for axis, factor in enumerate(factors):
         if factor is not None:
@@ -191,14 +171,11 @@ def _apply(kernel: Kernel, grid: Grid, values: np.ndarray, *, majorant: bool = F
     return scale * values if out is values else out
 
 
-def apply_kernel(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Kernel applied to a density: a snapshot or a space-time array."""
-    return _apply(kernel, grid, values)
-
-
 def apply_G(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Majorant operator: unit profile applied to ``|values|``."""
-    return _apply(kernel, grid, np.abs(values), majorant=True)
+    """Majorant operator: the unit kernel of the same type applied to
+    ``|values|``."""
+    unit = dataclasses.replace(kernel, profile="constant", amplitude=1.0)
+    return apply_kernel(unit, grid, np.abs(values))
 
 
 def kernel_bound(kernel: Kernel, grid: Grid) -> float:
@@ -206,8 +183,9 @@ def kernel_bound(kernel: Kernel, grid: Grid) -> float:
 
     Every profile is a product of per-axis factors, so the sampled sup is the
     product of the per-axis maxima: one for the constant profile, and the
-    squared peak of the bump on each cross axis for the cosine profile.  When the kernel declares a bound ``n1``, the
-    sample must respect it (the declared value is returned in that case).
+    squared peak of the bump on each cross axis for the cosine profile.
+    When the kernel declares a bound ``n1``, the sample must respect it (the
+    declared value is returned in that case).
     """
     peak = 1.0
     if kernel.profile == "cosine":

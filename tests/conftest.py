@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mfglab.grid import Prism, make_grid
-from mfglab.kernels import SeparableDelta
+from mfglab.kernels import Kernel
 from mfglab.mfg import (
     ProblemSpec,
     bump_form,
@@ -21,7 +21,7 @@ from mfglab.stability import form_difference
 
 
 PRISM = Prism(1.0, 2.0, (), 1.0)
-KERNEL = SeparableDelta(amplitude=0.4, n1=1)
+KERNEL = Kernel("separable", amplitude=0.4, n1=1)
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,7 @@ from mfglab.carleman import (
 )
 from mfglab.cip import extract, measure_delta
 from mfglab.grid import make_grid
-from mfglab.kernels import HeavisideCausal, SeparableDelta, fubini_swap_residual
+from mfglab.kernels import fubini_swap_residual
 from mfglab.mfg import residual
 from mfglab.norms import norm
 from mfglab.stability import (
@@ -156,16 +156,11 @@ def test_criterion_4_kernel_form_flatness(capsys):
     g = make_grid(PRISM, 65, 257)
     members = random_family(g, count=10, seed=123)
     spatial = [
-        verify_lemma(
-            "spatial", g, h, kernel=SeparableDelta(), alpha=ALPHA, lambdas=LEMMA_LAMBDAS
-        ).spread
+        verify_lemma("spatial", g, h, alpha=ALPHA, lambdas=LEMMA_LAMBDAS).spread
         for h in members
     ]
     causal_reports = [
-        verify_lemma(
-            "causal", g, h, kernel=HeavisideCausal(), alpha=ALPHA, lambdas=LEMMA_LAMBDAS
-        )
-        for h in members
+        verify_lemma("causal", g, h, alpha=ALPHA, lambdas=LEMMA_LAMBDAS) for h in members
     ]
     causal = [rep.spread for rep in causal_reports]
     bounds = [rep.c_bound for rep in causal_reports]

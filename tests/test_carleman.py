@@ -28,7 +28,7 @@ from mfglab.grid import (
     trace,
     trapezoid_sum,
 )
-from mfglab.kernels import HeavisideCausal, SeparableDelta, apply_kernel
+from mfglab.kernels import Kernel, apply_kernel
 from mfglab.norms import norm, trace_norm
 
 ALPHA = 1000.0 / 7.0
@@ -219,6 +219,15 @@ class TestFunctional:
         with pytest.raises(ValueError, match=r"member 1 has shape \(33, 64\)"):
             estimate_c0(grid, fam, ALPHA, (2.0, 4.0))
 
+    def test_empty_lambda_grid_rejected(self, grid, monkeypatch):
+        # rejected before any member is evaluated
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a member was evaluated")
+
+        monkeypatch.setattr(carleman, "_functional_rows", evaluated)
+        with pytest.raises(ValueError, match=r"lambda grid needs at least one value"):
+            estimate_c0(grid, random_family(grid, 2), ALPHA, [])
+
 
 def _reference_rows(g, u, sign, lambdas, alpha, restricted):
     """The functional as its docstring writes it, one lambda at a time, with
@@ -315,7 +324,7 @@ class TestIntegralBounds:
     def test_spatial_ratio_is_exactly_one_on_slab(self, grid, member):
         # no cross axes: the kernel is the identity, so the ratio is 1 at
         # every lambda and the bound holds with spread 1
-        rep = verify_lemma("spatial", grid, member, kernel=SeparableDelta(), alpha=ALPHA)
+        rep = verify_lemma("spatial", grid, member, alpha=ALPHA)
         assert rep.ratios == (1.0,) * 6
         assert rep.spread == 1.0
         assert rep.slope == 0.0
@@ -324,7 +333,7 @@ class TestIntegralBounds:
     def test_causal_ratio_decays_instead_of_flattening(self, grid, member):
         # the causal ratio keeps falling with lambda, so it is not flat; the
         # verdict checks the stated bound: small and non-increasing
-        rep = verify_lemma("causal", grid, member, kernel=HeavisideCausal(), alpha=ALPHA)
+        rep = verify_lemma("causal", grid, member, alpha=ALPHA)
         assert rep.spread > 10.0
         assert rep.passed is True
         assert rep.c_bound == max(rep.ratios) == rep.ratios[0]
@@ -338,7 +347,7 @@ class TestIntegralBounds:
     def test_causal_verdict_rejects_a_growing_ratio(self, grid, member, monkeypatch):
         # reversing the sweep order of the weight makes the ratio grow with
         # lambda; the same numbers must then fail the monotonicity check
-        rep = verify_lemma("causal", grid, member, kernel=HeavisideCausal(), alpha=ALPHA)
+        rep = verify_lemma("causal", grid, member, alpha=ALPHA)
         lams = rep.lambdas
         real = carleman.scaled_weight_values
         flipped = dict(zip(lams, reversed(lams)))
@@ -346,7 +355,7 @@ class TestIntegralBounds:
             carleman, "scaled_weight_values",
             lambda lam, alpha, grid: real(flipped[lam], alpha, grid),
         )
-        grown = verify_lemma("causal", grid, member, kernel=HeavisideCausal(), alpha=ALPHA)
+        grown = verify_lemma("causal", grid, member, alpha=ALPHA)
         assert grown.ratios == tuple(reversed(rep.ratios))
         assert grown.c_bound == rep.c_bound <= 10.0
         assert grown.passed is False
@@ -362,22 +371,17 @@ class TestIntegralBounds:
         assert rep.degenerate and rep.passed is None
 
     def test_kernel_requirements(self, grid, member):
-        with pytest.raises(ValueError, match="needs a kernel"):
-            verify_lemma("spatial", grid, member, alpha=ALPHA)
-        with pytest.raises(ValueError, match="stated for"):
-            verify_lemma("spatial", grid, member, kernel=HeavisideCausal(), alpha=ALPHA)
         with pytest.raises(ValueError, match="unknown bound"):
-            verify_lemma("everything", grid, member, kernel=SeparableDelta(), alpha=ALPHA)
+            verify_lemma("everything", grid, member, alpha=ALPHA)
 
     @pytest.mark.parametrize("which", ["spatial", "causal", "time-integral"])
     def test_non_finite_or_misshapen_h_rejected(self, grid, member, which):
-        kern = {"spatial": SeparableDelta(), "causal": HeavisideCausal()}.get(which)
         bad = member.copy()
         bad[3, 5] = math.inf
         with pytest.raises(ValueError, match="h must be finite"):
-            verify_lemma(which, grid, bad, kernel=kern, alpha=ALPHA)
+            verify_lemma(which, grid, bad, alpha=ALPHA)
         with pytest.raises(ValueError, match="h has shape"):
-            verify_lemma(which, grid, member[:-1], kernel=kern, alpha=ALPHA)
+            verify_lemma(which, grid, member[:-1], alpha=ALPHA)
 
     @pytest.mark.parametrize("which", ["spatial", "causal", "time-integral"])
     def test_ratios_match_full_mesh_formula_2d(self, which):
@@ -385,12 +389,12 @@ class TestIntegralBounds:
         # against the weight on every node agree to round-off
         g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), [17, 9], 33)
         h = random_family(g, count=1, flatten_space=False)[0]
-        kern = {"spatial": SeparableDelta(), "causal": HeavisideCausal()}.get(which)
-        rep = verify_lemma(which, g, h, kernel=kern, alpha=ALPHA)
+        rep = verify_lemma(which, g, h, alpha=ALPHA)
         if which == "time-integral":
             target = time_integral_from_t0(g, h)
         else:
-            target = apply_kernel(kern, g, h)
+            kind = {"spatial": "separable", "causal": "causal"}[which]
+            target = apply_kernel(Kernel(kind), g, h)
         x1, _, t = g.spacetime_meshgrid()
         wt = g.time_weights()
         for lam, ratio in zip(rep.lambdas, rep.ratios):
@@ -409,6 +413,4 @@ class TestIntegralBounds:
     @pytest.mark.parametrize("lambdas", [(2.0,), (2.0, 2.0)])
     def test_lambda_grid_needs_two_distinct_values(self, grid, member, lambdas):
         with pytest.raises(ValueError, match="at least two distinct values"):
-            verify_lemma(
-                "causal", grid, member, kernel=HeavisideCausal(), alpha=ALPHA, lambdas=lambdas
-            )
+            verify_lemma("causal", grid, member, alpha=ALPHA, lambdas=lambdas)

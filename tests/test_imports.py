@@ -208,14 +208,46 @@ def _defaulted(fn: ast.FunctionDef, bound: bool) -> list[tuple[str, int | None]]
     return out
 
 
+def _callee(node: ast.expr) -> str | None:
+    """Name a call or decorator goes by: ``f``, ``m.f`` and ``f(...)`` give ``f``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _defaulted_fields(cls: ast.ClassDef) -> list[tuple[str, int, int]]:
+    """(name, line, position in a call) of each defaulted field of a
+    ``@dataclass`` class; a ``field(init=False)`` is no parameter."""
+    if not any(_callee(d) == "dataclass" for d in cls.decorator_list):
+        return []
+    out, pos = [], 0
+    for node in cls.body:
+        if not isinstance(node, ast.AnnAssign):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and (_callee(value) or "").endswith("field"):
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            if not {"default", "default_factory"} & keywords.keys():
+                value = None
+        if value is not None:
+            out.append((node.target.id, node.lineno, pos))
+        pos += 1
+    return out
+
+
 def _defaulted_parameters(tree: ast.Module):
     """(called name, function name, line, parameter, position); a class's
-    ``__init__`` is called by the class name."""
+    ``__init__`` and a dataclass's fields are called by the class name."""
     found = []
 
     def visit(body, cls):
         for node in body:
             if isinstance(node, ast.ClassDef):
+                for param, line, pos in _defaulted_fields(node):
+                    found.append((node.name, node.name, line, param, pos))
                 visit(node.body, node.name)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 static = any(
@@ -246,9 +278,7 @@ def unset_options(defining, calling) -> list[str]:
     for tree in calling:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                f = node.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                calls.setdefault(name, []).append(node)
+                calls.setdefault(_callee(node), []).append(node)
     return sorted(
         f"{label}:{line}: {fn}({param}=)"
         for label, tree in defining.items()
@@ -287,6 +317,32 @@ def test_checker_flags_an_option_nothing_sets():
         "m.py:3: run(n=)",
         "m.py:6: f(d=)",
     ]
+
+
+def test_checker_flags_a_dataclass_field_nothing_sets():
+    lib = ast.parse("\n".join([
+        "@dataclass(frozen=True)",
+        "class P:",
+        "    a: int",
+        "    b: int = 1",
+        "    c: list = field(default_factory=list)",
+        "    d: int = field(init=False)",
+        "    e: int = 2",
+        "@dataclasses.dataclass",
+        "class Q:",
+        "    r: int = 4",
+        "class Plain:",
+        "    s: int = 5",
+    ]))
+    user = ast.parse("\n".join([
+        "P(0, 1)",
+        "P(0, c=[])",
+        "m.Q(r=6)",
+    ]))
+    # d takes no position, so e is the fourth argument; s is no parameter
+    assert unset_options({"m.py": lib}, [lib, user]) == ["m.py:7: P(e=)"]
+    user = ast.parse("P(0, 1, [], 7)")
+    assert unset_options({"m.py": lib}, [lib, user]) == ["m.py:10: Q(r=)"]
 
 
 def test_cli_import_loads_no_scipy_sparse():

@@ -1,5 +1,6 @@
 """On-disk formats: determinism, round trips, and file layouts."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,8 +15,6 @@ from mfglab.io import (
     fmt,
     grid_from_dict,
     grid_to_dict,
-    kernel_from_dict,
-    kernel_to_dict,
     load_field_csv,
     load_grid_json,
     save_carleman_family,
@@ -28,7 +27,7 @@ from mfglab.io import (
     save_triple_dir,
     stability_params_to_dict,
 )
-from mfglab.kernels import HeavisideCausal, SeparableDelta
+from mfglab.kernels import Kernel
 from mfglab.stability import SweepReport, select_parameters
 
 from conftest import PRISM, KERNEL
@@ -158,21 +157,29 @@ class TestGridJson:
 
 
 class TestKernelDict:
+    # kernel.json holds dataclasses.asdict(kernel); the config's kernel
+    # section is read back as Kernel(**section)
     @pytest.mark.parametrize(
         "kernel, kind",
         [
-            (SeparableDelta(amplitude=0.4, n1=1), "separable"),
-            (HeavisideCausal(profile="constant", amplitude=0.7, n1=2), "causal"),
+            (Kernel(kind, profile=profile, amplitude=0.4, n1=n1), kind)
+            for n1 in (None, 1)
+            for profile in ("constant", "cosine")
+            for kind in ("separable", "causal")
         ],
     )
     def test_round_trip(self, kernel, kind):
-        d = kernel_to_dict(kernel)
+        d = dataclasses.asdict(kernel)
         assert d["type"] == kind
-        assert kernel_from_dict(d) == kernel
+        assert Kernel(**d) == kernel
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(TypeError, match="bogus"):
+            Kernel(**{"type": "causal", "bogus": 1})
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel type 'mystery'"):
-            kernel_from_dict({"type": "mystery"})
+            Kernel("mystery")
 
 
 class TestTripleDir:

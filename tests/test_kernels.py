@@ -6,8 +6,7 @@ import pytest
 
 from mfglab.grid import Prism, make_grid, sample_field
 from mfglab.kernels import (
-    HeavisideCausal,
-    SeparableDelta,
+    Kernel,
     apply_G,
     apply_kernel,
     causal_weights,
@@ -26,17 +25,17 @@ def grid2d():
     return make_grid(Prism(1.0, 2.0, (0.5,), 1.0), (9, 17), 9)
 
 
-class TestSeparableDelta:
+class TestSeparable:
     def test_slab_reduces_to_pointwise_scaling(self, grid):
         # no cross axes: the cross integral collapses to the value itself
         m = sample_field(grid, lambda x, t: np.sin(x) + t)
-        out = apply_kernel(SeparableDelta(amplitude=0.4, n1=1), grid, m)
+        out = apply_kernel(Kernel("separable", amplitude=0.4, n1=1), grid, m)
         np.testing.assert_allclose(out, 0.4 * m, atol=1e-14)
 
     def test_cosine_profile_integrates_cross_section(self, grid2d):
         # profile cos(pi x2 / 2w) on each side; integral of the y-factor is 2w * 2/pi
         m = sample_field(grid2d, lambda x, y, t: 1.0 + 0 * x + 0 * y + 0 * t)
-        out = apply_kernel(SeparableDelta(profile="cosine"), grid2d, m)
+        out = apply_kernel(Kernel("separable", profile="cosine"), grid2d, m)
         _, x2 = grid2d.space_meshgrid()
         want = np.cos(np.pi * x2)[..., None] * (2.0 / np.pi) + 0 * out
         np.testing.assert_allclose(out, want, rtol=4e-3, atol=1e-12)
@@ -44,17 +43,17 @@ class TestSeparableDelta:
     def test_unknown_profile_rejected(self):
         # checked when the kernel is built, for names and non-names alike
         for profile in ("triangle", lambda xs, ys: 1.0):
-            for cls in (SeparableDelta, HeavisideCausal):
+            for kind in ("separable", "causal"):
                 with pytest.raises(ValueError, match="unknown kernel profile"):
-                    cls(profile=profile)
+                    Kernel(kind, profile=profile)
 
 
-class TestHeavisideCausal:
+class TestCausal:
     def test_constant_density_closed_form(self, grid):
         # integral_x^b 1 dy = b - x, exact for trapezoid weights; the
         # degenerate end row keeps the closed-corner half weight h/2
         m = sample_field(grid, lambda x, t: 1.0 + 0 * x + 0 * t)
-        out = apply_kernel(HeavisideCausal(), grid, m)
+        out = apply_kernel(Kernel("causal"), grid, m)
         x = grid.axis_coords(0)
         want = (2.0 - x)[:, None] + 0 * out
         want[-1] = 0.5 * grid.h[0]
@@ -63,7 +62,7 @@ class TestHeavisideCausal:
     def test_linear_density_closed_form(self, grid):
         # integral_x^2 y dy = 2 - x^2/2, trapezoid is exact on linear integrands
         m = sample_field(grid, lambda x, t: x + 0 * t)
-        out = apply_kernel(HeavisideCausal(), grid, m)
+        out = apply_kernel(Kernel("causal"), grid, m)
         x = grid.axis_coords(0)
         want = (2.0 - 0.5 * x * x)[:, None] + 0 * out
         want[-1] = 0.5 * grid.h[0] * 2.0
@@ -72,7 +71,7 @@ class TestHeavisideCausal:
     def test_right_wall_keeps_half_node_weight(self, grid):
         # the closed corner leaves h/2 * m(b) at the wall instead of zero
         m = sample_field(grid, lambda x, t: np.exp(x) + 0 * t)
-        out = apply_kernel(HeavisideCausal(), grid, m)
+        out = apply_kernel(Kernel("causal"), grid, m)
         np.testing.assert_allclose(
             out[-1], 0.5 * grid.h[0] * np.exp(2.0), rtol=1e-12
         )
@@ -103,12 +102,12 @@ class TestCausalWeights:
 class TestMajorant:
     def test_slab_majorant_is_absolute_value(self, grid):
         q = sample_field(grid, lambda x, t: np.sin(3 * x) - 0.5 + 0 * t)
-        out = apply_G(SeparableDelta(amplitude=0.4), grid, q)
+        out = apply_G(Kernel("separable", amplitude=0.4), grid, q)
         np.testing.assert_allclose(out, np.abs(q), atol=1e-14)
 
     def test_causal_majorant_integrates_tail(self, grid):
         q = sample_field(grid, lambda x, t: -1.0 + 0 * x + 0 * t)
-        out = apply_G(HeavisideCausal(), grid, q)
+        out = apply_G(Kernel("causal"), grid, q)
         x = grid.axis_coords(0)
         want = (2.0 - x)[:, None] + 0 * out
         want[-1] = 0.5 * grid.h[0]
@@ -117,14 +116,14 @@ class TestMajorant:
 
 class TestKernelBound:
     def test_declared_bound_returned(self, grid):
-        assert kernel_bound(SeparableDelta(amplitude=0.4, n1=1), grid) == 1.0
+        assert kernel_bound(Kernel("separable", amplitude=0.4, n1=1), grid) == 1.0
 
     def test_declared_bound_enforced(self, grid):
         with pytest.raises(ValueError):
-            kernel_bound(SeparableDelta(amplitude=5.0, n1=1), grid)
+            kernel_bound(Kernel("separable", amplitude=5.0, n1=1), grid)
 
     def test_sampled_bound_without_declaration(self, grid):
-        got = kernel_bound(HeavisideCausal(amplitude=0.7), grid)
+        got = kernel_bound(Kernel("causal", amplitude=0.7), grid)
         assert got == pytest.approx(0.7, rel=1e-12)
 
 
@@ -132,7 +131,7 @@ class TestApplySpatial:
     def test_matches_time_slice(self, grid):
         # one call serves a space-time array and a snapshot of it
         m = sample_field(grid, lambda x, t: np.cos(x) * (1 + t))
-        kern = HeavisideCausal(amplitude=0.3)
+        kern = Kernel("causal", amplitude=0.3)
         full = apply_kernel(kern, grid, m)
         one = apply_kernel(kern, grid, np.ascontiguousarray(m[:, 5]))
         np.testing.assert_allclose(one, full[:, 5], atol=1e-14)
@@ -143,7 +142,7 @@ class TestApplySpatial:
         for g, values in bad:
             for apply in (apply_kernel, apply_G):
                 with pytest.raises(ValueError, match="spatial shape"):
-                    apply(SeparableDelta(), g, values)
+                    apply(Kernel("separable"), g, values)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +165,8 @@ def _flat_weights(grid, axes):
 
 def _dense_profile(kernel, grid, majorant=False):
     """Ybar over every pair of flattened nodes: the cross-section's for
-    ``SeparableDelta``, the full space's for ``HeavisideCausal``."""
-    skip = 1 if isinstance(kernel, HeavisideCausal) else 0
+    the separable kernel, the full space's for the causal one."""
+    skip = 1 if kernel.type == "causal" else 0
     coords = _flat_coords(grid, range(1 - skip, grid.dim))
     out = np.ones((coords.shape[0], coords.shape[0]))
     if majorant or kernel.profile == "constant":
@@ -180,12 +179,12 @@ def _dense_profile(kernel, grid, majorant=False):
 
 def dense_matrix(kernel, grid, majorant=False):
     """Kernel as one matrix over the flattened space (the cross-section for
-    ``SeparableDelta``), built from the closed-form Kronecker formulas."""
+    the separable kernel), built from the closed-form Kronecker formulas."""
     amp = 1.0 if majorant else kernel.amplitude
     cross = list(range(1, grid.dim))
     wbar = _flat_weights(grid, cross)
     Ybar = _dense_profile(kernel, grid, majorant)
-    if isinstance(kernel, SeparableDelta):
+    if kernel.type == "separable":
         return amp * Ybar * wbar[None, :]
     Wc = causal_weights(grid.nx[0], grid.h[0])
     return amp * Ybar * np.kron(Wc, np.tile(wbar, (wbar.size, 1)))
@@ -193,7 +192,7 @@ def dense_matrix(kernel, grid, majorant=False):
 
 def dense_apply(kernel, grid, values, majorant=False):
     M = dense_matrix(kernel, grid, majorant)
-    if isinstance(kernel, SeparableDelta):
+    if kernel.type == "separable":
         flat = values.reshape(grid.nx[0], M.shape[0], -1)
         return np.einsum("pq,iqt->ipt", M, flat).reshape(values.shape)
     return (M @ values.reshape(M.shape[0], -1)).reshape(values.shape)
@@ -207,9 +206,9 @@ REFERENCE_GRIDS = {
 
 
 def _reference_kernels(dim):
-    for cls in (SeparableDelta, HeavisideCausal):
+    for kind in ("separable", "causal"):
         for profile in ("constant", "cosine"):
-            yield cls(profile=profile, amplitude=0.4)
+            yield Kernel(kind, profile=profile, amplitude=0.4)
 
 
 class TestDenseReference:

@@ -14,7 +14,7 @@ from mfglab.grid import (
     second_derivative,
 )
 from mfglab import mfg
-from mfglab.kernels import SeparableDelta
+from mfglab.kernels import Kernel
 from mfglab.mfg import (
     BlowupError,
     M_FLOOR,
@@ -42,7 +42,7 @@ def heat_problem(nx: int, nt: int):
     m0 = 2.0 + np.sin(np.pi * (g.axis_coords(0) - 1.0))
     spec = ProblemSpec(
         grid=g,
-        kernel=SeparableDelta(amplitude=0.0),
+        kernel=Kernel("separable", amplitude=0.0),
         f=np.zeros(g.shape),
         u_data=u_const,
         m_data=np.repeat(m0[:, None], nt, axis=1),
@@ -109,7 +109,7 @@ class TestFokkerPlanck:
         u_const = sample_field(g, lambda x, t: 0.0 + 0 * x + 0 * t)
         spec = ProblemSpec(
             grid=g,
-            kernel=SeparableDelta(amplitude=0.0),
+            kernel=Kernel("separable", amplitude=0.0),
             f=np.zeros(g.shape),
             u_data=u_const,
             m_data=sample_field(g, lambda x, t: 2.0 + 0 * x + 0 * t),
@@ -139,7 +139,7 @@ class TestFokkerPlanck:
     def test_drift_block_size_leaves_march_unchanged(self, monkeypatch):
         # one level per block, blocks of 3 with a remainder, one block of all
         g = make_grid(PRISM, 33, 65)
-        kern = SeparableDelta(amplitude=0.4, n1=1)
+        kern = Kernel("separable", amplitude=0.4, n1=1)
         triple, f = manufacture_triple(
             g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
         )
@@ -153,7 +153,7 @@ class TestFokkerPlanck:
     def test_blowup_guard_names_level(self):
         # the one scan after the march reports the first level out of range
         g = make_grid(PRISM, 33, 65)
-        kern = SeparableDelta(amplitude=0.4, n1=1)
+        kern = Kernel("separable", amplitude=0.4, n1=1)
         triple, f = manufacture_triple(
             g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
         )
@@ -289,7 +289,7 @@ class TestMarchingSystem:
 class TestHJB:
     def test_backward_heat_mode(self):
         g = make_grid(PRISM, 33, 257)
-        kern = SeparableDelta(amplitude=0.0)
+        kern = Kernel("separable", amplitude=0.0)
         exact = (
             np.sin(np.pi * (g.axis_coords(0) - 1.0))[:, None]
             * np.exp(-np.pi**2 * (1.0 - g.times[None, :]))
@@ -306,7 +306,7 @@ class TestHJB:
         # the report names the first level out of range, and no level marched
         # past it may leak a RuntimeWarning
         g = make_grid(PRISM, 33, 65)
-        kern = SeparableDelta(amplitude=0.4, n1=1)
+        kern = Kernel("separable", amplitude=0.4, n1=1)
         triple, f = manufacture_triple(
             g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
         )
@@ -325,7 +325,7 @@ class TestPicard:
         u_const = sample_field(g, lambda x, t: 0.0 + 0 * x + 0 * t)
         spec = ProblemSpec(
             grid=g,
-            kernel=SeparableDelta(amplitude=0.0),
+            kernel=Kernel("separable", amplitude=0.0),
             f=np.zeros(g.shape),
             u_data=u_const,
             m_data=np.repeat(steady_density(g)[..., None], g.nt, axis=-1),
@@ -356,7 +356,7 @@ class TestPicard:
 
     def test_nonconvergence_carries_history(self):
         g = make_grid(PRISM, 33, 65)
-        kern = SeparableDelta(amplitude=12.0, n1=12)
+        kern = Kernel("separable", amplitude=12.0, n1=12)
         triple, f = manufacture_triple(
             g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
         )
@@ -422,7 +422,7 @@ class TestManufacture:
         g = make_grid(PRISM, 33, 65)
         with pytest.raises(ValueError, match="positive"):
             manufacture_triple(
-                g, SeparableDelta(), np.ones(33), bump_form(PRISM), np.zeros(33)
+                g, Kernel("separable"), np.ones(33), bump_form(PRISM), np.zeros(33)
             )
 
     def test_density_stays_above_floor(self, make_pair):
@@ -433,7 +433,7 @@ class TestManufacture:
         # a space-time quadratic lies in the kernel of the truncation error
         g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), (9, 9), 17)
         x1, x2 = g.space_meshgrid()
-        kern = SeparableDelta(amplitude=0.2)
+        kern = Kernel("separable", amplitude=0.2)
         triple, f = manufacture_triple(
             g, kern, np.ones((9, 9)), quadratic_form(),
             np.exp(1.0 - x1**2 - 0.5 * x2**2),
@@ -444,7 +444,7 @@ class TestManufacture:
     def test_2d_picard_smoke(self):
         g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), (9, 9), 17)
         x1, x2 = g.space_meshgrid()
-        kern = SeparableDelta(amplitude=0.2)
+        kern = Kernel("separable", amplitude=0.2)
         triple, f = manufacture_triple(
             g, kern, np.ones((9, 9)), quadratic_form(),
             np.exp(1.0 - x1**2 - 0.5 * x2**2),
@@ -460,7 +460,7 @@ class TestSpecValidation:
         g = make_grid(PRISM, 33, 65)
         good = dict(
             grid=g,
-            kernel=SeparableDelta(),
+            kernel=Kernel("separable"),
             f=np.zeros(g.shape),
             u_data=np.zeros(g.shape),
             m_data=np.ones(g.shape),
@@ -483,7 +483,7 @@ class TestSpecValidation:
         m0 = steady_density(g)
         m0[3] = 0.0
         with pytest.raises(ValueError, match="initial density must be positive, min = "):
-            manufacture_triple(g, SeparableDelta(), np.ones(33), bump_form(PRISM), m0)
+            manufacture_triple(g, Kernel("separable"), np.ones(33), bump_form(PRISM), m0)
 
     def test_triple_guards(self, make_pair):
         pair = make_pair(33, 65)
