@@ -359,7 +359,9 @@ def first_derivative(values: np.ndarray, axis: int, spacing: float) -> np.ndarra
     """
     v = np.moveaxis(values, axis, 0) if axis else values
     out = np.empty_like(v, dtype=float)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * spacing)
+    inner = out[1:-1]
+    np.subtract(v[2:], v[:-2], out=inner)
+    inner /= 2.0 * spacing
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * spacing)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * spacing)
     return np.moveaxis(out, 0, axis) if axis else out
@@ -370,7 +372,11 @@ def second_derivative(values: np.ndarray, axis: int, spacing: float) -> np.ndarr
     v = np.moveaxis(values, axis, 0)
     out = np.empty_like(v, dtype=float)
     h2 = spacing * spacing
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
+    inner = out[1:-1]
+    np.multiply(v[1:-1], 2.0, out=inner)
+    np.subtract(v[2:], inner, out=inner)
+    inner += v[:-2]
+    inner /= h2
     out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
     out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
     return np.moveaxis(out, 0, axis)
@@ -382,10 +388,13 @@ def gradient(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def grad_sq(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """``|grad values|^2``, the squared components summed in axis order."""
-    total = np.zeros(values.shape)
-    for d in gradient(grid, values):
-        total += d * d
+    """``|grad values|^2``, the squared components summed in axis order,
+    squared in place in the fresh gradient arrays."""
+    total, *rest = gradient(grid, values)
+    total *= total
+    for d in rest:
+        d *= d
+        total += d
     return total
 
 

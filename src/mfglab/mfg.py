@@ -14,12 +14,19 @@ value equation, and a damped alternating fixed point for the coupling.
 Stepping is implicit because the downstream analysis differentiates
 solutions twice in time, which amplifies any conditional instability.  The
 marching matrix is laid out once per grid: the value equation's matrix does
-not change in time and is factored once per solve, and the density march
-fills the matrices of a block of levels in one pass from their face drift,
-so each density step only factors its level and solves, with LAPACK:
-tridiagonal ``dgttrf``/``dgttrs`` in 1-D, band ``dgbtrf``/``dgbtrs`` in n-D,
-and in 1-D the two Dirichlet nodes written by slice around the solve.
-The density march scans its levels for blow-up once, after the march.
+not change in time and is factored once per Picard solve, and the density
+march fills the matrices of a block of levels in one pass from their face
+drift, with LAPACK: tridiagonal ``dgttrf``/``dgttrs`` in 1-D, one ``dgttrf``
+call per block of levels, band ``dgbtrf``/``dgbtrs`` in n-D, one level at a
+time, and in 1-D the two Dirichlet nodes written by slice around the solve.
+Each march scans its levels for blow-up once, after the march.
+
+Several coefficients march in lockstep along a member axis
+(``solve_mfg_members``): one multi-column solve per value step, one
+block-diagonal solve per density step, element-wise work along the member
+axis, and per member its kernel term, convergence test and outcome, so that
+each member gets the bits of its solve alone.  A single solve is a group of
+one.
 
 The Fokker-Planck divergence uses conservative face-centered fluxes
 (arithmetic means of k, m and the first difference of u on the face), and
@@ -38,7 +45,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
@@ -67,6 +74,7 @@ __all__ = [
     "steady_density",
     "solve_fokker_planck",
     "solve_hjb",
+    "solve_mfg_members",
     "solve_mfg_picard",
     "manufacture_triple",
     "residual",
@@ -275,6 +283,16 @@ def _lo_hi(ndim: int, axis: int, rest: slice = slice(None)) -> tuple[tuple, tupl
     return tuple(lo), tuple(hi)
 
 
+def _member_columns(
+    solve: Callable[[np.ndarray], np.ndarray], members: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``solve`` of a block-diagonal system of several members, taking the
+    members' columns end to end as its one right-hand side."""
+    if members == 1:
+        return solve
+    return lambda b: solve(b.reshape(-1, order="F")).reshape(b.shape, order="F")
+
+
 class _SpatialOperator:
     """The marching system I - tau (L + D) of one grid, laid out once.
 
@@ -288,7 +306,7 @@ class _SpatialOperator:
     stencil entry of an interior row (diagonal, and per axis the lower and
     upper neighbour) to its position there, so a new drift rewrites values
     only.  ``system`` fills that storage for a whole block of levels in one
-    pass, one contiguous column per level.
+    pass, one contiguous block per level with the members side by side.
     """
 
     def __init__(self, grid: Grid):
@@ -328,8 +346,9 @@ class _SpatialOperator:
         self, tau: float, a_faces: Sequence[np.ndarray] | None
     ) -> tuple[np.ndarray | float, list, list]:
         """Diagonal and per-axis lower and upper entries of I - tau (L + D)
-        on the interior rows, in flat node order, one column per level of
-        the face drifts' trailing level axis; ``a_faces=None`` drops D.
+        on the interior rows, in flat node order, keeping the trailing axes
+        of the face drifts (a level axis, with a member axis before it for a
+        group); ``a_faces=None`` drops D.
 
         Every entry sums its Laplacian terms first, then its drift terms,
         axis by axis; the 1-D outputs are bitwise to this order, so keep it.
@@ -347,8 +366,9 @@ class _SpatialOperator:
         for axis, (h, a) in enumerate(zip(g.h, a_faces)):
             # a on the faces i - 1/2 (minus) and i + 1/2 (plus) of interior nodes
             lo, hi = _lo_hi(self.dim, axis, slice(1, -1))
-            minus = a[lo].reshape(-1, a.shape[-1])
-            plus = a[hi].reshape(-1, a.shape[-1])
+            trailing = a.shape[self.dim :]
+            minus = a[lo].reshape((-1,) + trailing)
+            plus = a[hi].reshape((-1,) + trailing)
             diag = diag - (plus - minus) / (2.0 * h) * tau
             upper[axis] = upper[axis] - plus / (2.0 * h) * tau
             lower[axis] = lower[axis] + minus / (2.0 * h) * tau
@@ -356,11 +376,14 @@ class _SpatialOperator:
 
     def system(self, tau: float, a_faces: Sequence[np.ndarray] | None = None) -> np.ndarray:
         """Flat storage of I - tau (L + D), filled in one pass.  Face drifts
-        with a trailing axis of L levels give storage of shape (slots, L),
-        each level's column contiguous; ``a_faces=None`` gives one column."""
+        with trailing axes (members, levels) give Fortran-order storage of
+        shape (slots, members, levels), so each level's storage is one
+        contiguous block with the members side by side; face drifts with a
+        level axis alone give shape (slots, levels), and ``a_faces=None``
+        one column."""
         diag, lower, upper = self.couplings(tau, a_faces)
-        level_axis = () if a_faces is None else a_faces[0].shape[-1:]
-        out = np.empty(self._identity.shape + level_axis, order="F")
+        trailing = () if a_faces is None else a_faces[0].shape[self.dim :]
+        out = np.empty(self._identity.shape + trailing, order="F")
         out.T[...] = self._identity
         out[self.diag_slots] = diag
         for slots, vals in zip(self.lower_slots + self.upper_slots, lower + upper):
@@ -368,41 +391,80 @@ class _SpatialOperator:
         return out
 
     def factor(self, storage: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Solver for the system held in ``storage`` (one level), factored
-        once here with LAPACK: ``dgttrf`` on the three bands in 1-D, and in
-        n-D ``dgbtrf`` on the entries scattered into zeroed band storage.
+        """Solver for the system held in ``storage``: one level, of shape
+        (slots,) or (slots, members).  The members' systems form one
+        block-diagonal matrix, their blocks side by side with zero couplings
+        between them, and each block gets the bits of its own factorization.
+        In n-D ``dgbtrf`` factors the entries scattered into zeroed band
+        storage, one call per member: past 64 bands it factors in panels, and
+        a panel straddling two members rounds differently.  In 1-D this is
+        ``factor_levels`` of one level.
+
         The solve is a bare ``dgttrs``/``dgbtrs`` call that overwrites its
-        argument.  A singular matrix raises ``np.linalg.LinAlgError``."""
+        argument, of shape (ns,) or a Fortran-order (ns, columns) array: a
+        column per member, or, for a single member, any number of columns,
+        one right-hand side each.  A singular matrix raises
+        ``np.linalg.LinAlgError``."""
         if self.dim == 1:
-            ab = storage.reshape(3, self.ns)
-            dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+            return next(self.factor_levels(storage.reshape(len(storage), -1, 1)))
+        members = storage.size // self._identity.size
+        kl, ns = self.kl, self.ns
+        lu = np.zeros((3 * kl + 1, members * ns), order="F")
+        lu.T.reshape(members, -1)[:, self.band_slots] = storage.T.reshape(members, -1)
+        ipiv = np.empty(members * ns, dtype=np.int32)
+        for i in range(0, members * ns, ns):
+            # in place: a column slice of Fortran-order storage is contiguous
+            _, ipiv[i : i + ns], info = dgbtrf(lu[:, i : i + ns], kl, kl, overwrite_ab=1)
             if info != 0:
                 raise np.linalg.LinAlgError("singular matrix")
-            return lambda b: dgttrs(dl, d, du, du2, ipiv, b, overwrite_b=1)[0]
-        kl = self.kl
-        band = np.zeros((3 * kl + 1, self.ns), order="F")
-        band.ravel(order="F")[self.band_slots] = storage
-        lu, ipiv, info = dgbtrf(band, kl, kl, overwrite_ab=1)
+            ipiv[i : i + ns] += i
+        return _member_columns(lambda b: dgbtrs(lu, kl, kl, b, ipiv, overwrite_b=1)[0], members)
+
+    def factor_levels(self, block: np.ndarray) -> Iterator[Callable[[np.ndarray], np.ndarray]]:
+        """Solvers for the systems of ``block``, of shape (slots, members,
+        levels), one per level in order, as ``factor`` makes them.  In 1-D
+        one ``dgttrf`` call factors the three bands of every level and
+        member as one block-diagonal matrix, and each level's solver reads
+        its slice of the factors; in n-D each level is factored when its
+        solver is asked for."""
+        if self.dim > 1:
+            for j in range(block.shape[-1]):
+                yield self.factor(block[..., j])
+            return
+        _, members, levels = block.shape
+        ab = block.T.reshape(levels * members, 3, self.ns)
+        dl, d, du, du2, ipiv, info = dgttrf(
+            ab[:, 2].ravel()[:-1], ab[:, 1].ravel(), ab[:, 0].ravel()[1:]
+        )
         if info != 0:
             raise np.linalg.LinAlgError("singular matrix")
-        return lambda b: dgbtrs(lu, kl, kl, b, ipiv, overwrite_b=1)[0]
+        n = members * self.ns
+        for a in range(0, levels * n, n):
+            factors = (dl[a : a + n - 1], d[a : a + n], du[a : a + n - 1], du2[a : a + n - 2])
+            pivots = ipiv[a : a + n] - a
+            yield _member_columns(
+                lambda b, f=factors, p=pivots: dgttrs(*f, p, b, overwrite_b=1)[0], members
+            )
 
     def dirichlet_values(self, data: np.ndarray) -> np.ndarray:
-        """Dirichlet values of every time level, shape (nt, boundary nodes)."""
-        return data.reshape(self.ns, self.grid.nt)[self.boundary].T
+        """Dirichlet values of every time level, shape (nt, boundary nodes,
+        1): a column that every member shares."""
+        return data.reshape(self.ns, self.grid.nt)[self.boundary].T[..., None]
 
     def step(
         self, solve: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, bvals: np.ndarray
     ) -> np.ndarray:
-        """One marching step: solve with the Dirichlet rows set to ``bvals``,
-        on a copy of ``rhs``; in 1-D those rows are written by slice."""
-        b = rhs.flatten()
+        """One marching step of every member: solve with the Dirichlet rows
+        set to ``bvals``, on a copy of ``rhs`` (shape ``(*grid.nx, members)``)
+        laid out one column per member; in 1-D those rows are written by
+        slice."""
+        b = rhs.reshape(self.ns, -1).copy(order="F")
         b[self._dirichlet_rows] = bvals
         x = solve(b)
         # reimpose Dirichlet data bit-exactly; LU roundoff on the identity rows
         # otherwise leaks into trace differences of solves sharing data
         x[self._dirichlet_rows] = bvals
-        return x.reshape(self.shape)
+        return x.reshape(rhs.shape)
 
 
 def _face_drift_coefficients(
@@ -442,30 +504,49 @@ def _divergence_flux(
     return out
 
 
-# Space-time nodes in one block of levels whose face drift and marching
-# storage the density march fills in one pass: 32 KB per face array, and
-# storage of up to 2 dim + 1 entries per node; ``factor`` fills the n-D band
-# storage, 3 kl + 1 entries per node, for its one level (for a 3-level block
-# at 33x33 that would be 2.6 MB, not 118 KB).  One block of all
-# levels keeps field-sized arrays alive through the march, which fragmented
-# the heap and raised the peak resident memory of a 2-D 33x33x65 forward run
-# by ~3 MB (4%); blocks above the allocator's 128 KB mmap threshold made its
-# page faults vary up to threefold from run to run.  At this size 1-D grids
-# still take dozens of levels per block, as fast as one block.
+# Space-time nodes, over all members, in one block of levels whose face
+# drift and marching storage the density march fills in one pass: 32 KB per
+# face array, and storage of up to 2 dim + 1 entries per node; ``factor``
+# fills the n-D band storage, 3 kl + 1 entries per node, for its one level
+# (for a 3-level block at 33x33 that would be 2.6 MB, not 118 KB).  One
+# block of all levels keeps field-sized arrays alive through the march,
+# which fragmented the heap and raised the peak resident memory of a 2-D
+# 33x33x65 forward run by ~3 MB (4%); blocks above the allocator's 128 KB
+# mmap threshold made its page faults vary up to threefold from run to run.
+# At this size a lone 1-D member still takes dozens of levels per block, as
+# fast as one block.
 _DRIFT_BLOCK_NODES = 4096
 
 
-def _scan_blowup(equation: str, values: np.ndarray, marched: np.ndarray) -> np.ndarray:
-    """Each level's minimum; BlowupError for the first ``marched`` level, in
-    march order, whose max |value| (from its max and min, without a
-    field-sized temporary) is not finite or exceeds BLOWUP_THRESHOLD."""
-    spatial = tuple(range(values.ndim - 1))
+# Space-time nodes of the members that one lockstep group marches at once
+# (``solve_mfg_members``): the group width is this budget over the nodes of
+# one member.  Each member holds four space-time arrays through its solve, so
+# memory sets the budget, not speed: on the 65x257 sweep (seven members, one
+# thread) width 4, two groups, ran ~1.7x faster than one member at a time for
+# ~0.9 MB more peak memory, and width 7 ~2.2x for ~3.2 MB more; widths 5
+# and 6 were no faster than 4.  A 2-D 33x33x65 forward solve is a group of
+# one.
+_GROUP_NODES = 70_000
+
+
+def _scan_blowup(
+    equation: str, values: np.ndarray, marched: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[BlowupError | None]]:
+    """Per member of the stack ``values``, shape ``(*grid.nx, members,
+    nt)``: each level's minimum, the max |value| of each ``marched`` level
+    (from its max and min, without a field-sized temporary), and the
+    BlowupError for the first marched level, in march order, whose max
+    |value| is not finite or exceeds BLOWUP_THRESHOLD, or None."""
+    spatial = tuple(range(values.ndim - 2))
     lowest = np.min(values, axis=spatial)
-    worst = np.maximum(np.max(values, axis=spatial), -lowest)[marched]
-    bad = np.flatnonzero(~np.isfinite(worst) | (worst > BLOWUP_THRESHOLD))
-    if bad.size:
-        raise BlowupError(equation, int(marched[bad[0]]), float(worst[bad[0]]))
-    return lowest
+    worst = np.maximum(np.max(values, axis=spatial), -lowest)[:, marched]
+    errors: list[BlowupError | None] = []
+    for row in worst:
+        bad = np.flatnonzero(~np.isfinite(row) | (row > BLOWUP_THRESHOLD))
+        errors.append(
+            BlowupError(equation, int(marched[bad[0]]), float(row[bad[0]])) if bad.size else None
+        )
+    return lowest, worst, errors
 
 
 def _checked_coefficient(grid: Grid, k: np.ndarray) -> np.ndarray:
@@ -475,61 +556,251 @@ def _checked_coefficient(grid: Grid, k: np.ndarray) -> np.ndarray:
     return k
 
 
-def solve_fokker_planck(spec: ProblemSpec, k: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """March the density equation forward from the initial level.
+def _shared(grid: Grid, data: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``data`` (spatial axes leading) broadcast against the members of
+    ``out``: a unit member axis after the spatial axes if ``out`` is a
+    stack."""
+    unit = (1,) * (out.ndim - grid.dim - 1)
+    return data.reshape(grid.shape_space + unit + data.shape[grid.dim :])
 
-    Backward Euler with the full spatial operator at the new level,
-    unconditionally stable.  u is known at every level, so the face drift
-    and the marching storage are filled for a block of levels at a time;
-    each step factors its level's column and solves.  No step
-    reads a level's magnitude, so one scan after the march finds the first
-    level that blew up.
+
+def _march_fp(
+    spec: ProblemSpec, op: _SpatialOperator, k: np.ndarray, u: np.ndarray, out: np.ndarray
+) -> list[BlowupError | None]:
+    """March the density equation forward for a group of members in
+    lockstep, writing ``out``; returns each member's BlowupError or None.
+
+    ``u`` and ``out`` are one member's arrays (``grid.shape``, with ``k`` of
+    ``grid.shape_space``) or stacks of shape ``(*grid.nx, members, nt)``
+    (with ``k`` of shape ``(*grid.nx, members)``).  u is known at every
+    level, so the face drift and the block-diagonal marching storage of all
+    members are filled for a block of levels at a time and factored as
+    ``factor_levels`` does; each step solves its level.  No step reads a
+    level's magnitude, so one scan after the march finds each member's
+    first level that blew up.
     """
     g = spec.grid
-    k = _checked_coefficient(g, k)
-    op = _SpatialOperator(g)
+    members = out.size // (op.ns * g.nt)
     bvals = op.dirichlet_values(spec.m_data)
-    values = np.empty(g.shape)
-    values[..., 0] = spec.m_data[..., 0]
-    levels = max(1, _DRIFT_BLOCK_NODES // op.ns)
+    out[..., 0] = _shared(g, spec.m_data[..., 0], out)
+    levels = max(1, _DRIFT_BLOCK_NODES // (op.ns * members))
     for j0 in range(1, g.nt, levels):
         drift = _face_drift_coefficients(g, k[..., None], u[..., j0 : j0 + levels])
-        for j, storage in enumerate(op.system(g.tau, drift).T, j0):
-            values[..., j] = op.step(op.factor(storage), values[..., j - 1], bvals[j])
-    worst_min = float(np.min(_scan_blowup("fokker-planck", values, np.arange(1, g.nt))))
-    if worst_min < 0.0:
-        log.warning("density went negative: min m = %.3e (not clipped)", worst_min)
-    return values
+        block = op.system(g.tau, drift)
+        solvers = op.factor_levels(block.reshape(len(block), members, -1))
+        for j in range(j0, j0 + block.shape[-1]):
+            out[..., j] = op.step(next(solvers), out[..., j - 1], bvals[j])
+    stack = out.reshape(g.shape_space + (members, g.nt))
+    lowest, worst, errors = _scan_blowup("fokker-planck", stack, np.arange(1, g.nt))
+    if members > 1 and not np.all(np.isfinite(worst)):
+        # 0 * inf is NaN: a non-finite value crosses the zero couplings
+        # between the members' blocks, so each member marches alone
+        return [
+            error
+            for i in range(members)
+            for error in _march_fp(spec, op, k[..., i], u[..., i, :], out[..., i, :])
+        ]
+    for level_min, error in zip(lowest, errors):
+        worst_min = float(np.min(level_min))
+        if error is None and worst_min < 0.0:
+            log.warning("density went negative: min m = %.3e (not clipped)", worst_min)
+    return errors
 
 
-def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """March the value equation backward from the terminal level.
+def _march_hjb(
+    spec: ProblemSpec,
+    op: _SpatialOperator,
+    solve: Callable[[np.ndarray], np.ndarray],
+    k: np.ndarray,
+    m: np.ndarray,
+    values: np.ndarray,
+) -> list[BlowupError | None]:
+    """March the value equation backward for a group of members in
+    lockstep; returns each member's BlowupError or None.
 
-    The kernel and local-interaction terms use the frozen density; the
-    quadratic gradient term is evaluated at the already-computed level
-    (lagged), so every step is linear with the same matrix, factored once.
-    As in the density march, one scan after the march finds the first level
+    ``m`` (the frozen density) and ``values`` are one member's arrays
+    (``grid.shape``, with ``k`` of ``grid.shape_space``) or stacks of shape
+    ``(*grid.nx, members, nt)`` (with ``k`` of shape ``(*grid.nx,
+    members)``); ``solve`` solves with I - tau L, which depends on neither k
+    nor m.  ``values`` holds the kernel term of m on entry and the value on
+    return: each level's kernel term is read once, by the step that then
+    overwrites it.  The quadratic gradient term is evaluated at the
+    already-computed level (lagged), so every step is linear with that one
+    matrix, and one call solves every member's level as a column.  As in the
+    density march, one scan after the march finds each member's first level
     that blew up.
     """
     g = spec.grid
-    k = _checked_coefficient(g, k)
-    op = _SpatialOperator(g)
     tau = g.tau
-    km = apply_kernel(spec.kernel, g, m)
-    fm = spec.f * m
-    solve = op.factor(op.system(tau))
     bvals = op.dirichlet_values(spec.u_data)
-    values = np.empty(g.shape)
-    values[..., -1] = spec.u_data[..., -1]
+    half_k = 0.5 * k
+    f = _shared(g, spec.f, values)
+    values[..., -1] = _shared(g, spec.u_data[..., -1], values)
     marched = np.arange(g.nt - 2, -1, -1)
     # levels marched after a blow-up overflow; the scan below reports the first
     with np.errstate(over="ignore", invalid="ignore"):
         for j in marched:
             prev = values[..., j + 1]
-            rhs = prev - tau * (0.5 * k * grad_sq(g, prev) - km[..., j] - fm[..., j])
+            rhs = prev - tau * (half_k * grad_sq(g, prev) - values[..., j] - f[..., j] * m[..., j])
             values[..., j] = op.step(solve, rhs, bvals[j])
-    _scan_blowup("hjb", values, marched)
+    return _scan_blowup("hjb", values.reshape(g.shape_space + (-1, g.nt)), marched)[2]
+
+
+def solve_fokker_planck(spec: ProblemSpec, k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """March the density equation forward from the initial level.
+
+    Backward Euler with the full spatial operator at the new level,
+    unconditionally stable; the march of a group of one.
+    """
+    g = spec.grid
+    k = _checked_coefficient(g, k)
+    out = np.empty(g.shape)
+    (error,) = _march_fp(spec, _SpatialOperator(g), k, np.asarray(u, dtype=float), out)
+    if error is not None:
+        raise error
+    return out
+
+
+def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """March the value equation backward from the terminal level.
+
+    The kernel and local-interaction terms use the frozen density, and the
+    quadratic gradient term is lagged one level; the march of a group of
+    one.
+    """
+    g = spec.grid
+    k = _checked_coefficient(g, k)
+    op = _SpatialOperator(g)
+    m = np.asarray(m, dtype=float)
+    values = apply_kernel(spec.kernel, g, m)
+    (error,) = _march_hjb(spec, op, op.factor(op.system(g.tau)), k, m, values)
+    if error is not None:
+        raise error
     return values
+
+
+def _picard_group(
+    spec: ProblemSpec, ks: list[np.ndarray], *, damping: float, max_iter: int, tol: float
+) -> list[MFGTriple | RuntimeError]:
+    """Outcome of each member of one lockstep group (see
+    ``solve_mfg_members``).
+
+    The marching operator and the factored value-equation matrix are built
+    once for the group.  Every per-member array is a stack of shape
+    ``(*grid.nx, members, nt)``; active members occupy its leading member
+    rows.  Four stacks serve a whole solve: the density iterate, the value,
+    the density, and a spare.  Each evaluation marches the value into the
+    spare (over the kernel term), leaves the change in the old value's
+    stack, and marches the density into that stack.  A member that
+    converges or fails leaves: the last active row moves into its place.
+    """
+    g = spec.grid
+    op = _SpatialOperator(g)
+    solve = op.factor(op.system(g.tau))
+    k = np.stack(ks, axis=-1)
+    rows = list(range(len(ks)))  # the member in each active row
+    histories: list[list[float]] = [[] for _ in ks]
+    u_change = [0.0] * len(ks)
+    outcomes: list = [None] * len(ks)
+    shape = g.shape_space + (len(ks), g.nt)
+    m_iter = np.empty(shape)
+    m_iter[...] = spec.m_data[..., None, :1]
+    u, spare, m_prev = (np.empty(shape) for _ in range(3))
+
+    def leave(results: list) -> None:
+        """Record each finished row's outcome and close the gap."""
+        for r in reversed(range(len(results))):
+            if results[r] is None:
+                continue
+            outcomes[rows[r]] = results[r]
+            last = len(rows) - 1
+            if r != last:
+                for a in (m_iter, u, spare, m_prev):
+                    a[..., r, :] = a[..., last, :]
+                k[..., r] = k[..., last]
+                rows[r] = rows[last]
+            rows.pop()
+
+    def active() -> int | slice:
+        """Index of the active rows; a lone member marches its own arrays,
+        which makes the per-step stencils cheaper."""
+        return 0 if len(rows) == 1 else slice(0, len(rows))
+
+    for it in range(1, max_iter + 1):
+        for r in range(len(rows)):
+            spare[..., r, :] = apply_kernel(spec.kernel, g, m_iter[..., r, :])
+        i = active()
+        leave(_march_hjb(spec, op, solve, k[..., i], m_iter[..., i, :], spare[..., i, :]))
+        if it > 1:
+            i = active()
+            np.subtract(spare[..., i, :], u[..., i, :], out=u[..., i, :])
+            for r, member in enumerate(rows):
+                u_change[member] = norm(g, u[..., r, :], "L2")
+        u, spare = spare, u
+        if rows:
+            i = active()
+            leave(_march_fp(spec, op, k[..., i], u[..., i, :], spare[..., i, :]))
+        if it > 1:
+            converged: list = []
+            for r, member in enumerate(rows):
+                m = spare[..., r, :]
+                change = max(u_change[member], norm(g, m - m_prev[..., r, :], "L2"))
+                histories[member].append(change)
+                report = {
+                    "iterations": it - 1,
+                    "evaluations": it,
+                    "history": histories[member],
+                    "tol": tol,
+                    "damping": damping,
+                }
+                converged.append(
+                    MFGTriple(g, u[..., r, :].copy(), m.copy(), ks[member], report=report)
+                    if change < tol
+                    else None
+                )
+            leave(converged)
+        if not rows:
+            return outcomes
+        m_prev, spare = spare, m_prev
+        for r in range(len(rows)):
+            relaxed = damping * m_prev[..., r, :]
+            m_iter[..., r, :] *= 1.0 - damping
+            m_iter[..., r, :] += relaxed
+    for member in rows:
+        outcomes[member] = PicardNonConvergence(histories[member], max_iter, tol)
+    return outcomes
+
+
+def solve_mfg_members(
+    spec: ProblemSpec,
+    ks: Sequence[np.ndarray],
+    *,
+    damping: float,
+    max_iter: int,
+    tol: float,
+) -> Iterator[MFGTriple | RuntimeError]:
+    """Each coefficient's outcome, in order: the MFGTriple of its Picard
+    solve (see ``solve_mfg_picard``), or the PicardNonConvergence or
+    BlowupError it ended in, bitwise as if it were solved alone.
+
+    Consecutive coefficients are solved in lockstep groups: every time step
+    of a march makes one set of calls for the whole group, along a member
+    axis.  The group width is ``_GROUP_NODES`` over the space-time nodes of
+    one member.  Each member keeps its own kernel term, convergence test and
+    change history, and leaves its group as soon as it converges or fails.
+    A group is solved when its first outcome is asked for.
+    """
+    if not 0.0 < damping <= 1.0:
+        raise ValueError(f"damping must lie in (0, 1], got {damping}")
+    g = spec.grid
+    ks = [_checked_coefficient(g, k) for k in ks]
+    width = max(1, _GROUP_NODES // math.prod(g.shape))
+    for start in range(0, len(ks), width):
+        outcomes = _picard_group(
+            spec, ks[start : start + width], damping=damping, max_iter=max_iter, tol=tol
+        )
+        while outcomes:
+            yield outcomes.pop(0)
 
 
 def solve_mfg_picard(
@@ -547,43 +818,13 @@ def solve_mfg_picard(
     iterate is relaxed by ``damping``.  Convergence is declared when the
     undamped outputs of consecutive iterations differ by less than ``tol``
     in L2 over the cylinder; the reported iteration count is the index of
-    the first iteration whose output the next one confirmed.
+    the first iteration whose output the next one confirmed.  The solve is
+    the group of one of ``solve_mfg_members``.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
-    g = spec.grid
-    m_iter = np.repeat(spec.m_data[..., :1], g.nt, axis=-1)
-    history: list[float] = []
-    u_prev: np.ndarray | None = None
-    m_prev_raw: np.ndarray | None = None
-    for it in range(1, max_iter + 1):
-        u_new = solve_hjb(spec, k, m_iter)
-        m_raw = solve_fokker_planck(spec, k, u_new)
-        if u_prev is not None:
-            change = max(
-                norm(g, u_new - u_prev, "L2"),
-                norm(g, m_raw - m_prev_raw, "L2"),
-            )
-            history.append(change)
-            if change < tol:
-                triple = MFGTriple(
-                    g,
-                    u_new,
-                    m_raw,
-                    k,
-                    report={
-                        "iterations": it - 1,
-                        "evaluations": it,
-                        "history": history,
-                        "tol": tol,
-                        "damping": damping,
-                    },
-                )
-                return triple
-        u_prev = u_new
-        m_prev_raw = m_raw
-        m_iter = damping * m_raw + (1.0 - damping) * m_iter
-    raise PicardNonConvergence(history, max_iter, tol)
+    outcome = next(solve_mfg_members(spec, [k], damping=damping, max_iter=max_iter, tol=tol))
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------

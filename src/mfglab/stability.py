@@ -47,7 +47,7 @@ from .grid import (
     trapezoid_sum,
 )
 from .kernels import Kernel, apply_kernel, apply_G
-from .mfg import MFGTriple, PicardNonConvergence, ProblemSpec, solve_mfg_picard
+from .mfg import MFGTriple, PicardNonConvergence, ProblemSpec, solve_mfg_members
 from .cip import extract, measure_delta
 from .norms import masked_norms, norm
 
@@ -618,19 +618,31 @@ def holder_sweep(
 
     For each scale both coefficients are solved with the same forward
     machinery and shared data, so data differences and solution differences
-    carry the perturbation signal rather than solver bias.  The fitted
-    slope of log(max error) against log(delta) is the empirical exponent;
-    the theory asserts it is at least 1 - rho for the rho that fixed
-    ``eps``, with steeper (near-Lipschitz) behavior compliant.  The error
-    norms live on the ``eps``-trimmed cylinder.
+    carry the perturbation signal rather than solver bias.  The base and the
+    scaled coefficients are solved as the members of ``solve_mfg_members``:
+    in lockstep groups whose width a space-time node budget sets, each member
+    converging on its own and bitwise as if solved alone.  Outcomes resolve
+    in member order: the base's failure is raised, then for each scale in
+    turn a non-converging solve becomes an ``excluded`` row and a blow-up is
+    raised.  The fitted slope of log(max error) against log(delta) is the
+    empirical exponent; the theory asserts it is at least 1 - rho for the
+    rho that fixed ``eps``, with steeper (near-Lipschitz) behavior
+    compliant.  The error norms live on the ``eps``-trimmed cylinder.
     """
     g = spec.grid
-    base = solve_mfg_picard(spec, k1, damping=damping, max_iter=max_iter, tol=tol)
+    outcomes = solve_mfg_members(
+        spec,
+        [k1] + [k1 + scale * delta_k for scale in scales],
+        damping=damping,
+        max_iter=max_iter,
+        tol=tol,
+    )
+    base = next(outcomes)
+    if isinstance(base, Exception):
+        raise base
     d1 = extract(base, completeness)
 
-    def run_scale(scale: float) -> dict:
-        k2 = k1 + scale * delta_k
-        t2 = solve_mfg_picard(spec, k2, damping=damping, max_iter=max_iter, tol=tol)
+    def scale_row(scale: float, t2: MFGTriple) -> dict:
         d2 = extract(t2, completeness)
         delta = measure_delta(d1, d2)
         pack = form_difference(base, t2)
@@ -640,11 +652,13 @@ def holder_sweep(
 
     rows: list[dict] = []
     excluded: list[dict] = []
-    for s in scales:
-        try:
-            rows.append(run_scale(s))
-        except PicardNonConvergence as e:
-            excluded.append({"scale": s, "reason": str(e)})
+    for scale, outcome in zip(scales, outcomes):
+        if isinstance(outcome, PicardNonConvergence):
+            excluded.append({"scale": scale, "reason": str(outcome)})
+        elif isinstance(outcome, Exception):
+            raise outcome
+        else:
+            rows.append(scale_row(scale, outcome))
 
     err_keys = [k for k in rows[0] if k.startswith("err_")] if rows else []
     pts = [

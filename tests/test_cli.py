@@ -360,6 +360,13 @@ class TestSweep:
         )
 
 
+    def test_base_nonconvergence_exits_2(self, tmp_path, capsys):
+        payload = {"grid": {"nx": 17, "nt": 33}, "solver": {"max_iter": 2}}
+        rc, err, wrote = run_main(tmp_path, capsys, "sweep", payload)
+        assert (rc, wrote) == (2, False)
+        assert err.startswith("base forward solve did not converge: no convergence after 2")
+
+
 class TestReadme:
     def test_example_config_holds_defaults_and_runs(self, tmp_path):
         with open(README) as fh:

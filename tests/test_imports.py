@@ -46,6 +46,7 @@ ORACLES = {
     "reconstruction_identity_residual",
     "reconstruction_spread",
     "residual",
+    "solve_hjb",
     "weight_extrema",
 }
 

@@ -27,10 +27,13 @@ from mfglab.mfg import (
     residual,
     solve_fokker_planck,
     solve_hjb,
+    solve_mfg_members,
     solve_mfg_picard,
     steady_density,
 )
-from mfglab.mfg import _SpatialOperator, _divergence_flux, _face_drift_coefficients
+from mfglab.mfg import _SpatialOperator, _divergence_flux, _face_drift_coefficients, _march_fp
+
+from conftest import build_problem, perturbation
 
 PRISM = Prism(1.0, 2.0, (), 1.0)
 
@@ -405,6 +408,136 @@ class TestPicard:
         got = solve_mfg_picard(mirrored, flip(pair["k1"]), damping=0.5, max_iter=80, tol=1e-10)
         assert np.max(np.abs(got.u[::-1] - pair["t1"].u)) < 1e-12
         assert np.max(np.abs(got.m[::-1] - pair["t1"].m)) < 1e-12
+
+
+def solo_outcome(spec, k, **solver):
+    """``solve_mfg_picard``'s triple, or the failure it raised."""
+    try:
+        return solve_mfg_picard(spec, k, **solver)
+    except (PicardNonConvergence, BlowupError) as e:
+        return e
+
+
+def assert_same_outcome(got, want):
+    """Byte for byte: a triple's u, m and report, or a failure's type,
+    message and fields."""
+    assert type(got) is type(want)
+    if isinstance(want, MFGTriple):
+        for name in ("u", "m"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.flags.c_contiguous
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert got.k.tobytes() == want.k.tobytes()
+        assert got.report == want.report
+    elif isinstance(want, PicardNonConvergence):
+        assert str(got) == str(want)
+        assert got.history == want.history
+    else:
+        assert str(got) == str(want)
+        assert (got.equation, got.t_index, got.worst) == (want.equation, want.t_index, want.worst)
+
+
+class TestLockstep:
+    """Members marched in lockstep give each the bytes of its solo solve."""
+
+    # the base converges in 20 damped evaluations and scale 4.0 needs 22, so
+    # a cap of 21 splits them; with a cap of 30, scale 4.0 marches on alone
+    # after the others leave
+    SOLVER = {"damping": 0.5, "max_iter": 21, "tol": 1e-9}
+
+    @pytest.mark.parametrize("width", [None, 2])
+    @pytest.mark.parametrize("max_iter", [21, 30])
+    def test_1d_members_equal_solo_solves(self, monkeypatch, width, max_iter):
+        g, _, _, spec = build_problem(33, 65)
+        k1 = np.ones(33)
+        ks = [k1] + [k1 + s * perturbation(g) for s in (0.02, 4.0)]
+        if width is not None:
+            monkeypatch.setattr(mfg, "_GROUP_NODES", width * g.nt * 33)
+        solver = dict(self.SOLVER, max_iter=max_iter)
+        got = list(solve_mfg_members(spec, ks, **solver))
+        want = [solo_outcome(spec, k, **solver) for k in ks]
+        last = MFGTriple if max_iter == 30 else PicardNonConvergence
+        assert [type(o) for o in want] == [MFGTriple, MFGTriple, last]
+        for a, b in zip(got, want):
+            assert_same_outcome(a, b)
+
+    def test_2d_causal_members_equal_solo_solves(self):
+        # side-by-side band storage: one dgbtrf per member, one dgbtrs per level
+        g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), (9, 9), 17)
+        kern = Kernel("causal", amplitude=0.4)
+        x1, x2 = g.space_meshgrid()
+        triple, f = manufacture_triple(
+            g, kern, np.ones((9, 9)), bump_form(g.prism), np.exp(1.0 - x1**2 - 0.5 * x2**2)
+        )
+        spec = ProblemSpec(g, kern, f, triple.u, triple.m)
+        bump = np.sin(np.pi * (x1 - 1.0)) ** 2 * np.cos(np.pi * x2) ** 2
+        ks = [np.ones((9, 9)) + s * bump for s in (0.0, 0.05, 0.3)]
+        solver = {"damping": 0.5, "max_iter": 60, "tol": 1e-10}
+        got = list(solve_mfg_members(spec, ks, **solver))
+        want = [solve_mfg_picard(spec, k, **solver) for k in ks]
+        for a, b in zip(got, want):
+            assert_same_outcome(a, b)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("order", [(1.0, -80.0), (-80.0, 1.0)])
+    def test_blowup_stays_with_its_member(self, order):
+        # the TestHJB blow-up setup beside a member that marches normally,
+        # which keeps marching after the blown-up member leaves
+        g = make_grid(PRISM, 33, 65)
+        kern = Kernel("separable", amplitude=0.4, n1=1)
+        triple, f = manufacture_triple(
+            g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
+        )
+        spec = ProblemSpec(g, kern, f, triple.u, triple.m)
+        solver = {"damping": 1.0, "max_iter": 3, "tol": 1e-8}
+        ks = [c * np.ones(33) for c in order]
+        got = dict(zip(order, solve_mfg_members(spec, ks, **solver)))
+        assert_same_outcome(got[1.0], solo_outcome(spec, np.ones(33), **solver))
+        blowup = got[-80.0]
+        assert isinstance(blowup, BlowupError)
+        assert (blowup.equation, blowup.t_index, blowup.worst) == ("hjb", 59, 1.0787727898274822e24)
+
+    def test_density_overflow_does_not_cross_members(self):
+        # a drift near resonance grows one member's density ~1e4-fold per
+        # level until it overflows; in the block-diagonal solve 0 * inf = NaN
+        # would reach its neighbour through the zero coupling
+        g, triple, _, spec = build_problem(33, 129)
+        x = g.axis_coords(0)[:, None]
+        runaway = 1327.0 * (x - 1.5) ** 2 + 0.0 * g.times
+        k = np.ones(33)
+        good = solve_fokker_planck(spec, k, triple.u)
+        with pytest.raises(BlowupError) as alone:
+            solve_fokker_planck(spec, k, runaway)
+        op = _SpatialOperator(g)
+        for u in ([triple.u, runaway], [runaway, triple.u]):
+            out = np.empty(g.shape_space + (2, g.nt))
+            errors = _march_fp(spec, op, np.stack([k, k], -1), np.stack(u, axis=-2), out)
+            assert not np.all(np.isfinite(out))
+            i = 0 if u[0] is triple.u else 1
+            assert out[..., i, :].tobytes() == good.tobytes()
+            assert errors[i] is None
+            assert str(errors[1 - i]) == str(alone.value)
+            assert errors[1 - i].worst == alone.value.worst
+
+    def test_outcomes_come_group_by_group(self, monkeypatch):
+        # a group is solved when its first outcome is asked for
+        g, _, _, spec = build_problem(33, 65)
+        monkeypatch.setattr(mfg, "_GROUP_NODES", 2 * g.nt * 33)
+        calls = []
+        group = mfg._picard_group
+
+        def counted(spec, ks, **solver):
+            calls.append(len(ks))
+            return group(spec, ks, **solver)
+
+        monkeypatch.setattr(mfg, "_picard_group", counted)
+        outcomes = solve_mfg_members(spec, [np.ones(33)] * 3, **self.SOLVER)
+        assert calls == []
+        next(outcomes)
+        next(outcomes)
+        assert calls == [2]
+        next(outcomes)
+        assert calls == [2, 1]
 
 
 class TestManufacture:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mfglab.mfg import solve_mfg_picard
+from mfglab.mfg import BlowupError, PicardNonConvergence, solve_mfg_picard
 from mfglab.norms import norm
 from mfglab.stability import (
     NondegeneracyError,
@@ -262,6 +262,31 @@ class TestSweep:
         assert len(rep.excluded) == 1
         assert rep.excluded[0]["scale"] == 4.0
         assert "no convergence" in rep.excluded[0]["reason"]
+
+    def test_failures_resolve_in_member_order(self, sweep_setup):
+        # as if the members were solved one after another: the base's failure
+        # first, then each scale in turn, a non-converging one excluded with
+        # its solo message and a blow-up raised
+        g, spec, k1, dk = sweep_setup
+        solver = {"damping": 0.5, "max_iter": 21, "tol": 1e-9}
+
+        def solo(k, **settings):
+            try:
+                return solve_mfg_picard(spec, k, **settings)
+            except (PicardNonConvergence, BlowupError) as e:
+                return e
+
+        stalled, blowup = solo(k1 + 4.0 * dk, **solver), solo(k1 - 200.0 * dk, **solver)
+        assert isinstance(stalled, PicardNonConvergence) and isinstance(blowup, BlowupError)
+        rep = holder_sweep(spec, k1, dk, (4.0, 0.02), **solver)
+        assert rep.excluded == ({"scale": 4.0, "reason": str(stalled)},)
+        with pytest.raises(BlowupError) as info:
+            holder_sweep(spec, k1, dk, (4.0, -200.0, 0.02), **solver)
+        assert str(info.value) == str(blowup)
+        base = solo(k1, damping=0.5, max_iter=5, tol=1e-9)
+        with pytest.raises(PicardNonConvergence) as info:
+            holder_sweep(spec, k1, dk, (-200.0,), damping=0.5, max_iter=5, tol=1e-9)
+        assert info.value.history == base.history
 
     def test_single_point_has_no_slope(self, sweep_setup):
         g, spec, k1, dk = sweep_setup
