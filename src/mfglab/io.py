@@ -59,13 +59,16 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) 
 
 
 def _write_array_csv(path: str, index_names: Sequence[str], values: np.ndarray) -> None:
-    """One row per entry in C order: its indices, then its value."""
-    row = "%d," * values.ndim + "%.17g\n"
+    """One row per entry in C order: its indices, then its value.  Each
+    line of the last axis is one write: its index prefix is formatted once,
+    and each value through a tail that holds its last index."""
+    prefix = "%d," * (values.ndim - 1)
+    tails = [f"{j},%.17g\n" for j in range(values.shape[-1])]
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join([*index_names, "value"]) + "\n")
-        fh.writelines(
-            row % (*idx, x) for idx, x in zip(np.ndindex(values.shape), values.flat)
-        )
+        for idx in np.ndindex(values.shape[:-1]):
+            head = prefix % idx
+            fh.write("".join([head + tail % x for tail, x in zip(tails, values[idx].tolist())]))
 
 
 # ---------------------------------------------------------------------------

@@ -520,13 +520,22 @@ _DRIFT_BLOCK_NODES = 4096
 
 # Space-time nodes of the members that one lockstep group marches at once
 # (``solve_mfg_members``): the group width is this budget over the nodes of
-# one member.  Each member holds four space-time arrays through its solve, so
-# memory sets the budget, not speed: on the 65x257 sweep (seven members, one
-# thread) width 4, two groups, ran ~1.7x faster than one member at a time for
-# ~0.9 MB more peak memory, and width 7 ~2.2x for ~3.2 MB more; widths 5
-# and 6 were no faster than 4.  A 2-D 33x33x65 forward solve is a group of
-# one.
-_GROUP_NODES = 70_000
+# one member, 7 at 65x257 (the whole default sweep) and 1 at 33x33x65.  Each
+# member holds four space-time arrays through its solve, so memory sets the
+# budget, not speed; a group whose last members converge together frees two
+# of them before copying the results out.  The 65x257 sweep by width
+# (medians of three interleaved ``perfbench/run.py --workload sweep-1d
+# --seed 7 --seconds 10 --trace 0`` runs, one thread, on a 2-vCPU Xeon whose
+# speed drifts by tens of percent between runs; "4, before" is the previous
+# budget, without the early free):
+#
+#   width      groups  run_s    peak RSS
+#   4, before  4+3     0.882 s  62.60 MB
+#   4          4+3     0.902 s  62.51 MB
+#   5          5+2     0.857 s  62.85 MB
+#   6          6+1     0.791 s  63.15 MB
+#   7          7       0.730 s  63.51 MB
+_GROUP_NODES = 120_000
 
 
 def _scan_blowup(
@@ -649,8 +658,11 @@ def _march_hjb(
 def solve_fokker_planck(spec: ProblemSpec, k: np.ndarray, u: np.ndarray) -> np.ndarray:
     """March the density equation forward from the initial level.
 
-    Backward Euler with the full spatial operator at the new level,
-    unconditionally stable; the march of a group of one.
+    Backward Euler with the full spatial operator at the new level; the
+    march of a group of one.  The off-diagonals of I - tau (L + D) stay
+    non-positive only while every face drift a = k du/dx_i has
+    |a| h <= 2.  Past that a drift-dominated cell can blow the density up,
+    which raises BlowupError.
     """
     g = spec.grid
     k = _checked_coefficient(g, k)
@@ -693,6 +705,10 @@ def _picard_group(
     spare (over the kernel term), leaves the change in the old value's
     stack, and marches the density into that stack.  A member that
     converges or fails leaves: the last active row moves into its place.
+    Every member's change is computed before any result is copied out; when
+    all the remaining members converge in one evaluation, the density
+    iterate and the previous density are released first, so their memory
+    holds the copies of u and m.
     """
     g = spec.grid
     op = _SpatialOperator(g)
@@ -708,7 +724,9 @@ def _picard_group(
     u, spare, m_prev = (np.empty(shape) for _ in range(3))
 
     def leave(results: list) -> None:
-        """Record each finished row's outcome and close the gap."""
+        """Record each finished row's outcome and close the gap.  Rows
+        leave from the last, so when every row leaves none is moved, and
+        released stacks are never touched."""
         for r in reversed(range(len(results))):
             if results[r] is None:
                 continue
@@ -741,11 +759,16 @@ def _picard_group(
             i = active()
             leave(_march_fp(spec, op, k[..., i], u[..., i, :], spare[..., i, :]))
         if it > 1:
-            converged: list = []
+            changes = []
             for r, member in enumerate(rows):
                 m = spare[..., r, :]
-                change = max(u_change[member], norm(g, m - m_prev[..., r, :], "L2"))
-                histories[member].append(change)
+                changes.append(max(u_change[member], norm(g, m - m_prev[..., r, :], "L2")))
+                histories[member].append(changes[-1])
+            if all(change < tol for change in changes):
+                # every member leaves now: the copies reuse the iterate stacks
+                m_iter = m_prev = None
+            converged: list = []
+            for r, (member, change) in enumerate(zip(rows, changes)):
                 report = {
                     "iterations": it - 1,
                     "evaluations": it,
@@ -753,6 +776,7 @@ def _picard_group(
                     "tol": tol,
                     "damping": damping,
                 }
+                m = spare[..., r, :]
                 converged.append(
                     MFGTriple(g, u[..., r, :].copy(), m.copy(), ks[member], report=report)
                     if change < tol
@@ -763,9 +787,8 @@ def _picard_group(
             return outcomes
         m_prev, spare = spare, m_prev
         for r in range(len(rows)):
-            relaxed = damping * m_prev[..., r, :]
             m_iter[..., r, :] *= 1.0 - damping
-            m_iter[..., r, :] += relaxed
+            m_iter[..., r, :] += damping * m_prev[..., r, :]
     for member in rows:
         outcomes[member] = PicardNonConvergence(histories[member], max_iter, tol)
     return outcomes

@@ -12,6 +12,7 @@ import pytest
 from mfglab.carleman import CarlemanReport, LemmaReport
 from mfglab.grid import Prism, make_grid
 from mfglab.io import (
+    _write_array_csv,
     fmt,
     grid_from_dict,
     grid_to_dict,
@@ -74,6 +75,26 @@ class TestFieldCsv:
         path = str(tmp_path / "u.csv")
         save_field_csv(field, path)
         np.testing.assert_array_equal(load_field_csv(g, path), field)
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 3), (3, 4, 5), (2, 3, 2, 4)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bytes_equal_one_format_per_entry(self, shape, order, tmp_path):
+        # the writer formats a line of the last axis at a time; its bytes are
+        # those of one "%d,"... "%.17g" format per entry in C order
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        values.flat[:3] = (-0.0, 1e300, 5e-324)
+        values = np.asarray(values, order=order)
+        names = [f"i{a}" for a in range(len(shape))]
+        path = tmp_path / "a.csv"
+        _write_array_csv(str(path), names, values)
+        row = "%d," * len(shape) + "%.17g\n"
+        want = ",".join(names + ["value"]) + "\n" + "".join(
+            row % (*idx, values[idx]) for idx in np.ndindex(shape)
+        )
+        assert path.read_bytes() == want.encode()
+        for special in ("-0", "1.0000000000000001e+300", "4.9406564584124654e-324"):
+            assert f",{special}\n" in want
 
     def test_column_count_checked(self, grid, tmp_path):
         path = str(tmp_path / "bad.csv")

@@ -519,6 +519,37 @@ class TestLockstep:
             assert str(errors[1 - i]) == str(alone.value)
             assert errors[1 - i].worst == alone.value.worst
 
+    @pytest.mark.parametrize(
+        "prism, nx, nt, members, calls",
+        [(PRISM, 65, 257, 7, [7]), (Prism(1.0, 2.0, (0.5,), 1.0), (33, 33), 65, 2, [1, 1])],
+    )
+    def test_default_budget_sets_the_width(self, monkeypatch, prism, nx, nt, members, calls):
+        # the default sweep's seven 65x257 members march as one group; a
+        # 33x33x65 member marches alone
+        g = make_grid(prism, nx, nt)
+        spec = ProblemSpec(g, Kernel("separable"), *(np.ones(g.shape) for _ in range(3)))
+        widths = []
+
+        def stub(spec, ks, **solver):
+            widths.append(len(ks))
+            return [None] * len(ks)
+
+        monkeypatch.setattr(mfg, "_picard_group", stub)
+        ks = [np.ones(g.shape_space)] * members
+        assert list(solve_mfg_members(spec, ks, **self.SOLVER)) == [None] * members
+        assert widths == calls
+
+    def test_members_converging_together_equal_solo_solves(self):
+        # every member converges in the same evaluation, so the iterate
+        # stacks are released before the results are copied out
+        g, _, _, spec = build_problem(33, 65)
+        ks = [np.ones(33) for _ in range(3)]
+        want = solve_mfg_picard(spec, ks[0], **self.SOLVER)
+        got = list(solve_mfg_members(spec, ks, **self.SOLVER))
+        assert len(got) == 3
+        for a in got:
+            assert_same_outcome(a, want)
+
     def test_outcomes_come_group_by_group(self, monkeypatch):
         # a group is solved when its first outcome is asked for
         g, _, _, spec = build_problem(33, 65)
