@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -190,12 +190,14 @@ def weight_extrema(params: CarlemanParams, grid: Grid, eps: float | None = None)
 
 
 def _ordered_second_sum(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """sum over all ordered pairs (i, j) of u_{x_i x_j}^2."""
+    """sum over all ordered pairs (i, j) of u_{x_i x_j}^2, each derivative
+    squared in place."""
     total = np.zeros(u.shape)
     for i in range(grid.dim):
         for j in range(grid.dim):
             d = mixed_xixj(grid, u, i, j)
-            total += d * d
+            d *= d
+            total += d
     return total
 
 
@@ -250,7 +252,9 @@ def _functional_rows(
     member: the derivatives, the boundary and end-time norms, and the
     ``cross_section_sum`` of each volume integrand (u^2, |grad u|^2,
     u_t^2 + sum u_{x_i x_j}^2, and (u_t + sign Lap u)^2 once per sign).
-    Once per lambda: the weight on (x1, t) and the (x1, t) sums of those
+    Each field-sized array is squared in place and dropped once its sum is
+    taken, so only a few fields of ``u``'s size are alive at once.  Once
+    per lambda: the weight on (x1, t) and the (x1, t) sums of those
     reduced arrays against it.
     """
     prism = grid.prism
@@ -259,10 +263,20 @@ def _functional_rows(
 
     ut = dt(grid, u)
     lap = laplacian(grid, u)
-    op_sq = [cross_section_sum(grid, op * op) for op in (ut + sign * lap for sign in _SIGNS)]
+    op_sq = []
+    for sign in _SIGNS:
+        op = (np.add if sign > 0 else np.subtract)(ut, lap)
+        op *= op
+        op_sq.append(cross_section_sum(grid, op))
+    del op, lap
+    ut *= ut
+    second = _ordered_second_sum(grid, u)
+    second += ut
+    del ut
+    second_sq = cross_section_sum(grid, second)
+    del second
     u_grad_sq = cross_section_sum(grid, grad_sq(grid, u))
     u_sq = cross_section_sum(grid, u * u)
-    second_sq = cross_section_sum(grid, ut * ut + _ordered_second_sum(grid, u))
 
     bnd_norms = _boundary_norms_sq(grid, u, faces)
     end_norms = _end_norms_sq(grid, u)
@@ -296,7 +310,7 @@ def _functional_rows(
 
 def estimate_c0(
     grid: Grid,
-    members: Sequence[np.ndarray],
+    members: Iterable[np.ndarray],
     alpha: float,
     lambdas: Sequence[float],
     *,
@@ -324,18 +338,20 @@ def estimate_c0(
     smallest lambda in the sweep.  With ``restricted`` the boundary
     component reads only the outflow face x1 = b, and u must vanish (to
     1e-10) on every other lateral face; otherwise a ValueError is raised.
-    Every member must be a finite array of shape ``grid.shape``; a
-    ValueError names the first that is not.  An empty lambda grid is a
-    ValueError too.
+    ``members`` may be any iterable, a generator such as ``random_family``
+    included: each member is checked and evaluated as it arrives and only
+    its rows are kept, so one member is in memory at a time.  Every member
+    must be a finite array of shape ``grid.shape``; a ValueError names the
+    first that is not.  An empty lambda grid is a ValueError too, raised
+    before any member is drawn.
     """
-    for i, u in enumerate(members):
-        _check_member(grid, u, f"member {i}")
     lambdas = sorted(float(x) for x in lambdas)
     if not lambdas:
         raise ValueError("lambda grid needs at least one value")
-    member_rows = [
-        _functional_rows(grid, u, lambdas, alpha, restricted=restricted) for u in members
-    ]
+    member_rows = []
+    for i, u in enumerate(members):
+        _check_member(grid, u, f"member {i}")
+        member_rows.append(_functional_rows(grid, u, lambdas, alpha, restricted=restricted))
     caps = []
     for sign_rows in member_rows:
         for rows in sign_rows:
@@ -365,9 +381,11 @@ def random_family(
     seed: int = FAMILY_SEED,
     *,
     flatten_space: bool = True,
-) -> list[np.ndarray]:
+) -> Iterator[np.ndarray]:
     """Seeded family of smooth products of low-order trig and polynomial
-    factors, each an array of shape ``grid.shape``.
+    factors, each an array of shape ``grid.shape``, yielded one member at a
+    time: nothing of an earlier member is kept, so memory does not grow
+    with ``count``.  Take ``list(...)`` to hold the whole family.
 
     Each member is a product over axes (and time) of
     c0 + c1 s + c2 sin(pi s) + c3 cos(pi s) with coefficients uniform in
@@ -385,7 +403,6 @@ def random_family(
         *((grid.axis_coords(axis) - lo) / (hi - lo) for axis, (lo, hi) in enumerate(bounds)),
         grid.times / grid.prism.T,
     )
-    members = []
     for _ in range(count):
         values = 1.0
         for axis, s in enumerate(coords):
@@ -394,8 +411,7 @@ def random_family(
             if flatten_space and axis < grid.dim:
                 factor = factor * np.sin(np.pi * s) ** 2
             values = values * factor
-        members.append(values)
-    return members
+        yield values
 
 
 @dataclass(frozen=True)
@@ -460,7 +476,9 @@ def verify_lemma(
     else:
         raise ValueError(f"unknown bound {which!r}")
 
-    target_sq = cross_section_sum(grid, target * target)
+    target *= target  # a fresh array, squared in place
+    target_sq = cross_section_sum(grid, target)
+    del target
     h_sq = cross_section_sum(grid, h * h)
     raw = []
     degenerate = False

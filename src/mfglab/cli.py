@@ -323,12 +323,16 @@ def cmd_lemmas(args) -> int:
     _, grid = _build_geometry(cfg)
     lem = cfg["lemmas"]
     alpha = _carleman_alpha(cfg)
-    members = random_family(grid, count=lem["samples"], seed=lem["seed"])
-    reports = [
-        verify_lemma(which, grid, h, alpha=alpha, lambdas=lem["lambdas"])
-        for which in ("spatial", "causal", "time-integral")
-        for h in members
+    # every lemma runs on a sample while it is in memory; the reports are
+    # written lemma by lemma, each in sample order
+    per_sample = [
+        [
+            verify_lemma(which, grid, h, alpha=alpha, lambdas=lem["lambdas"])
+            for which in ("spatial", "causal", "time-integral")
+        ]
+        for h in random_family(grid, count=lem["samples"], seed=lem["seed"])
     ]
+    reports = [rep for lemma_reports in zip(*per_sample) for rep in lemma_reports]
     outdir = cfg["out"]
     mio.save_lemma_reports(reports, outdir)
     mio.save_provenance(outdir, _provenance(cfg, "lemmas"))

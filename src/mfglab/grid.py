@@ -399,9 +399,10 @@ def grad_sq(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Sum of the pure second derivatives, in axis order, added in place."""
     out = second_derivative(values, 0, grid.h[0])
     for i in range(1, grid.dim):
-        out = out + second_derivative(values, i, grid.h[i])
+        out += second_derivative(values, i, grid.h[i])
     return out
 
 
@@ -489,10 +490,20 @@ def time_integral_from_t0(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Cumulative trapezoidal integral along the last (time) axis from the
     central time: ``(x, t) -> integral_{t0}^{t} values(x, tau) dtau``
     (negative for t < t0).
+
+    Built in one output buffer: the trapezoid increments are formed and
+    accumulated in place behind a zero first level, then the t0 level is
+    subtracted, with no field-sized temporary.
     """
-    steps = np.cumsum(grid.tau * (values[..., 1:] + values[..., :-1]) / 2.0, axis=-1)
-    running = np.concatenate([np.zeros((*values.shape[:-1], 1)), steps], axis=-1)
-    return running - running[..., grid.index_t0 : grid.index_t0 + 1]
+    out = np.empty(values.shape)
+    out[..., 0] = 0.0
+    steps = out[..., 1:]
+    np.add(values[..., 1:], values[..., :-1], out=steps)
+    steps *= grid.tau
+    steps /= 2.0
+    np.cumsum(steps, axis=-1, out=steps)
+    out -= out[..., grid.index_t0 : grid.index_t0 + 1].copy()
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -154,7 +154,7 @@ def test_criterion_3_time_integral_rate(capsys):
 def test_criterion_4_kernel_form_flatness(capsys):
     t0 = time.perf_counter()
     g = make_grid(PRISM, 65, 257)
-    members = random_family(g, count=10, seed=123)
+    members = list(random_family(g, count=10, seed=123))
     spatial = [
         verify_lemma("spatial", g, h, alpha=ALPHA, lambdas=LEMMA_LAMBDAS).spread
         for h in members

@@ -1,6 +1,7 @@
 """Exponential weight, coercivity functional, and weighted integral bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,16 +93,16 @@ class TestWeight:
 
 class TestRandomFamily:
     def test_deterministic(self, grid):
-        a = random_family(grid, count=4)
-        b = random_family(grid, count=4)
+        a = list(random_family(grid, count=4))
+        b = list(random_family(grid, count=4))
         assert len(a) == 4
         for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa, fb)
 
     def test_seed_changes_family(self, grid):
-        a = random_family(grid, count=2, seed=FAMILY_SEED)
-        b = random_family(grid, count=2, seed=FAMILY_SEED + 1)
-        assert not np.array_equal(a[0], b[0])
+        a = next(random_family(grid, count=2, seed=FAMILY_SEED))
+        b = next(random_family(grid, count=2, seed=FAMILY_SEED + 1))
+        assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize(
         "prism, nx, nt",
@@ -145,7 +146,7 @@ class TestRandomFamily:
 
 class TestFunctional:
     def test_report_components_nonnegative(self, grid):
-        u = random_family(grid, count=1)[0]
+        u = next(random_family(grid, count=1))
         _, _, (rep, _) = estimate_c0(grid, [u], ALPHA, (2.0,))
         assert rep.lhs[0] >= 0.0 and rep.main[0] >= 0.0
         assert rep.boundary[0] >= 0.0 and rep.negligible[0] >= 0.0
@@ -181,13 +182,13 @@ class TestFunctional:
 
     def test_negligible_log_decay_rate(self, grid):
         # log negligible falls at exactly 2(b^2 - alpha T^2/4) per unit lambda
-        u = random_family(grid, count=1)[0]
+        u = next(random_family(grid, count=1))
         _, _, (rep, _) = estimate_c0(grid, [u], ALPHA, (2.0, 4.0, 8.0, 16.0))
         slope = np.polyfit(rep.lambdas, rep.negligible_log, 1)[0]
         assert slope == pytest.approx(2.0 * (4.0 - ALPHA / 4.0), rel=1e-12)
 
     def test_both_operator_signs_run(self, grid):
-        u = random_family(grid, count=1)[0]
+        u = next(random_family(grid, count=1))
         _, _, (fwd, bwd) = estimate_c0(grid, [u], ALPHA, (2.0,))
         assert fwd.sign == 1 and bwd.sign == -1
         assert fwd.lhs != bwd.lhs
@@ -208,13 +209,13 @@ class TestFunctional:
 
     def test_non_finite_member_rejected(self):
         g = make_grid(Prism(1.0, 2.0, (), 1.0), 33, 65)
-        fam = random_family(g, 3)
+        fam = list(random_family(g, 3))
         fam[1][16, 32] = math.nan
         with pytest.raises(ValueError, match="member 1 must be finite"):
             estimate_c0(g, fam, ALPHA, (2.0, 4.0))
 
     def test_wrongly_shaped_member_rejected(self, grid):
-        fam = random_family(grid, 2)
+        fam = list(random_family(grid, 2))
         fam[1] = fam[1][:, :-1]
         with pytest.raises(ValueError, match=r"member 1 has shape \(33, 64\)"):
             estimate_c0(grid, fam, ALPHA, (2.0, 4.0))
@@ -227,6 +228,48 @@ class TestFunctional:
         monkeypatch.setattr(carleman, "_functional_rows", evaluated)
         with pytest.raises(ValueError, match=r"lambda grid needs at least one value"):
             estimate_c0(grid, random_family(grid, 2), ALPHA, [])
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreaming:
+    def test_random_family_yields_lazily(self, grid):
+        family = random_family(grid, count=3)
+        assert not isinstance(family, list)
+        assert iter(family) is family
+
+    def test_memory_does_not_grow_with_count(self):
+        g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), [33, 33], 33)
+        member_bytes = next(random_family(g, count=1)).nbytes
+
+        def peak(count):
+            return _traced_peak(
+                lambda: estimate_c0(g, random_family(g, count=count), ALPHA, (2.0, 4.0))
+            )
+
+        small = peak(2)
+        assert peak(8) - small < member_bytes
+
+    def test_bad_member_named_as_it_arrives(self, grid):
+        good = list(random_family(grid, count=2))
+
+        def members():
+            yield from good
+            bad = good[0].copy()
+            bad[16, 32] = math.nan
+            yield bad
+            raise AssertionError("drawn past the bad member")
+
+        with pytest.raises(ValueError, match="member 2 must be finite"):
+            estimate_c0(grid, members(), ALPHA, (2.0, 4.0))
 
 
 def _reference_rows(g, u, sign, lambdas, alpha, restricted):
@@ -292,7 +335,7 @@ class TestReferenceRows:
         g = make_grid(prism, nx, nt)
         # flattened members satisfy the restricted precondition; unflattened
         # ones keep every boundary term alive
-        u = random_family(g, count=1, flatten_space=restricted)[0]
+        u = next(random_family(g, count=1, flatten_space=restricted))
         _, _, reports = estimate_c0(g, [u], ALPHA, self.LAMBDAS, restricted=restricted)
         for sign, rep in zip((1, -1), reports):
             ref = _reference_rows(g, u, sign, self.LAMBDAS, ALPHA, restricted)
@@ -306,12 +349,12 @@ class TestReferenceRows:
 
 class TestRestricted:
     def test_flattened_family_is_admissible(self, grid):
-        u = random_family(grid, count=1)[0]
+        u = next(random_family(grid, count=1))
         _, _, reports = estimate_c0(grid, [u], ALPHA, (2.0,), restricted=True)
         assert all(rep.restricted for rep in reports)
 
     def test_nonvanishing_member_rejected_by_estimate(self, grid):
-        u = random_family(grid, 1, flatten_space=False)[0]
+        u = next(random_family(grid, 1, flatten_space=False))
         with pytest.raises(ValueError, match="off the outflow face"):
             estimate_c0(grid, [u], ALPHA, (2.0,), restricted=True)
 
@@ -319,7 +362,7 @@ class TestRestricted:
 class TestIntegralBounds:
     @pytest.fixture
     def member(self, grid):
-        return random_family(grid, count=1)[0]
+        return next(random_family(grid, count=1))
 
     def test_spatial_ratio_is_exactly_one_on_slab(self, grid, member):
         # no cross axes: the kernel is the identity, so the ratio is 1 at
@@ -388,7 +431,7 @@ class TestIntegralBounds:
         # the lemma sums the cross-section axis first; the full-mesh sums
         # against the weight on every node agree to round-off
         g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), [17, 9], 33)
-        h = random_family(g, count=1, flatten_space=False)[0]
+        h = next(random_family(g, count=1, flatten_space=False))
         rep = verify_lemma(which, g, h, alpha=ALPHA)
         if which == "time-integral":
             target = time_integral_from_t0(g, h)

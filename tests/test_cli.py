@@ -15,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -291,6 +292,35 @@ class TestLemmas:
         assert kinds == {"spatial", "causal", "time-integral"}
         assert all(e["passed"] for e in summary)
         assert all(e["slope"] < -1.0 for e in summary if e["which"] == "causal")
+
+    def test_reports_are_ordered_lemma_then_sample(self, tmp_path, capsys):
+        payload = {"grid": {"nx": 17, "nt": 33}, "lemmas": {"samples": 3}}
+        rc, _, _ = run_main(tmp_path, capsys, "lemmas", payload)
+        assert rc == 0
+        summary = json.load(open(tmp_path / "out" / "lemmas.json"))
+        assert [e["which"] for e in summary] == (
+            ["spatial"] * 3 + ["causal"] * 3 + ["time-integral"] * 3
+        )
+
+    def test_memory_does_not_grow_with_samples(self, tmp_path):
+        # every sample is checked against all three lemmas, then dropped
+        grid = {"nx": [33, 33], "nt": 33}
+        member_bytes = 33 * 33 * 33 * 8
+
+        def peak(samples):
+            payload = {"prism": {"half_widths": [0.5]}, "grid": grid,
+                       "lemmas": {"samples": samples}}
+            cfg = write_config(tmp_path, payload, f"samples{samples}.json")
+            argv = ["lemmas", "--config", cfg, "--out", str(tmp_path / f"out{samples}")]
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(2)
+        assert peak(8) - small < member_bytes
 
     def test_lambda_beyond_overflow_guard_exits_3(self, tmp_path, capsys):
         payload = {"grid": {"nx": 17, "nt": 33}, "lemmas": {"lambdas": [1.0, 100.0]}}

@@ -19,6 +19,7 @@ from mfglab.grid import (
     sample_field,
     second_derivative,
     snap_epsilon,
+    time_integral_from_t0,
     trace,
     trapezoid_sum,
 )
@@ -148,6 +149,21 @@ class TestGrid:
         assert cross_section_sum(g, np.ones(g.shape)) == pytest.approx(
             np.full((9, 17), 1.0 * 1.4)
         )
+
+    @pytest.mark.parametrize(
+        "half_widths, nx", [((), (17,)), ((0.5,), (9, 7)), ((0.5, 0.7), (9, 7, 5))],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_time_integral_from_t0_is_the_formula_bitwise(self, half_widths, nx):
+        # cumulative trapezoid from level 0, shifted to vanish at t0
+        g = make_grid(Prism(1.0, 2.0, half_widths, 1.0), nx, 17)
+        values = np.random.default_rng(5).standard_normal(g.shape)
+        steps = np.cumsum(g.tau * (values[..., 1:] + values[..., :-1]) / 2.0, axis=-1)
+        running = np.concatenate([np.zeros((*values.shape[:-1], 1)), steps], axis=-1)
+        expected = running - running[..., g.index_t0 : g.index_t0 + 1]
+        out = time_integral_from_t0(g, values)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
 
     def test_rejects_tiny_axis(self):
         with pytest.raises(ValueError, match="nx"):
