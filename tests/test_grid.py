@@ -151,6 +151,18 @@ class TestGrid:
         )
 
     @pytest.mark.parametrize(
+        "half_widths, nx", [((0.5,), (17, 33)), ((0.5, 0.7), (9, 17, 13))], ids=["2d", "3d"]
+    )
+    def test_cross_section_sum_matches_tensordot(self, half_widths, nx):
+        # the contraction in axis order with tensordot, to 1e-15 relative
+        g = make_grid(Prism(1.0, 2.0, half_widths, 1.0), nx, 33)
+        values = np.random.default_rng(4).standard_normal(g.shape) ** 2
+        expected = values
+        for axis in range(1, g.dim):
+            expected = np.tensordot(expected, g.trapezoid_weights(axis), axes=([1], [0]))
+        np.testing.assert_allclose(cross_section_sum(g, values), expected, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize(
         "half_widths, nx", [((), (17,)), ((0.5,), (9, 7)), ((0.5, 0.7), (9, 7, 5))],
         ids=["1d", "2d", "3d"],
     )
