@@ -243,8 +243,7 @@ def _traced_peak(fn) -> int:
 class TestStreaming:
     def test_random_family_yields_lazily(self, grid):
         family = random_family(grid, count=3)
-        assert not isinstance(family, list)
-        assert iter(family) is family
+        assert iter(family) is family  # an iterator, not a list
 
     def test_memory_does_not_grow_with_count(self):
         g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), [33, 33], 33)
