@@ -81,6 +81,14 @@ _RESTRICTED_TOL = 1e-10
 # and the window of log-log slopes the time-integral ratio must fall in
 _RATIO_CAP = 10.0
 _SLOPE_WINDOW = (-1.15, -0.85)
+# Space-time nodes of one block of x1 rows that ``_functional_rows`` reduces
+# at once: 7 rows at 65x65x129, where a block with its two halo rows is
+# 0.6 MB against 4.4 MB for the whole field; a grid of at most this many
+# nodes, such as the default 1-D 65x257, is one block.  A block needs at
+# least the 3 rows that the one-sided x1 stencils at a face read (4 with
+# its halo row).
+_FUNCTIONAL_BLOCK_NODES = 65_536
+_MIN_BLOCK_ROWS = 3
 
 
 @dataclass(frozen=True)
@@ -238,53 +246,78 @@ def _check_restricted_precondition(grid: Grid, u: np.ndarray, faces: Sequence) -
             )
 
 
+def _row_blocks(grid: Grid) -> list[tuple[int, int]]:
+    """``(start, stop)`` ranges of x1 rows covering the grid in order, each of
+    ``_FUNCTIONAL_BLOCK_NODES // (nodes per x1 row)`` rows and at least
+    ``_MIN_BLOCK_ROWS``; a shorter tail joins the block before it."""
+    nx1 = grid.nx[0]
+    rows = max(_MIN_BLOCK_ROWS, _FUNCTIONAL_BLOCK_NODES // math.prod(grid.shape[1:]))
+    starts = list(range(0, nx1, rows))
+    if len(starts) > 1 and nx1 - starts[-1] < _MIN_BLOCK_ROWS:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [nx1]))
+
+
 def _functional_rows(
     grid: Grid,
     u: np.ndarray,
     lambdas: Sequence[float],
+    weights: Sequence[np.ndarray],
     alpha: float,
     *,
     restricted: bool,
 ) -> list[list[dict]]:
-    """Rows of the functional for each sign of ``_SIGNS`` (outer) and lambda.
+    """Rows of the functional for each sign of ``_SIGNS`` (outer) and lambda,
+    ``weights`` holding ``scaled_weight_values`` of each lambda.
 
     Each term is computed once for the inputs it depends on.  Once per
     member: the derivatives, the boundary and end-time norms, and the
     ``cross_section_sum`` of each volume integrand (u^2, |grad u|^2,
-    u_t^2 + sum u_{x_i x_j}^2, and (u_t + sign Lap u)^2 once per sign).
-    Each field-sized array is squared in place and dropped once its sum is
-    taken, so only a few fields of ``u``'s size are alive at once.  Once
-    per lambda: the weight on (x1, t) and the (x1, t) sums of those
-    reduced arrays against it.
+    u_t^2 + sum u_{x_i x_j}^2, and (u_t + sign Lap u)^2 once per sign),
+    each an ``(nx1, nt)`` array.  Those five arrays are filled one block of
+    x1 rows at a time (``_row_blocks``): the x1 derivatives read the block
+    and one halo row on each side, clipped at the x1 faces, so every row
+    sees the stencils and the cross-section ``matmul`` it would see in the
+    whole field, and the sums are bitwise the same.  Only a few arrays of a
+    block's size are alive at once, squared in place and dropped once their
+    rows are summed.  Once per lambda: the (x1, t) sums of the reduced
+    arrays against its weight.
     """
     prism = grid.prism
     faces = data_faces(grid, restricted)
     _check_restricted_precondition(grid, u, faces)
 
-    ut = dt(grid, u)
-    lap = laplacian(grid, u)
-    op_sq = []
-    for sign in _SIGNS:
-        op = (np.add if sign > 0 else np.subtract)(ut, lap)
-        op *= op
-        op_sq.append(cross_section_sum(grid, op))
-    del op, lap
-    ut *= ut
-    second = _ordered_second_sum(grid, u)
-    second += ut
-    del ut
-    second_sq = cross_section_sum(grid, second)
-    del second
-    u_grad_sq = cross_section_sum(grid, grad_sq(grid, u))
-    u_sq = cross_section_sum(grid, u * u)
+    nx1 = grid.nx[0]
+    op_sq = [np.empty((nx1, grid.nt)) for _ in _SIGNS]
+    second_sq, u_grad_sq, u_sq = (np.empty((nx1, grid.nt)) for _ in range(3))
+    for start, stop in _row_blocks(grid):
+        lo = max(start - 1, 0)
+        halo = u[lo : stop + 1]
+        keep = slice(start - lo, stop - lo)
+        block = u[start:stop]
+        ut = dt(grid, block)
+        lap = laplacian(grid, halo)[keep]
+        for sq, sign in zip(op_sq, _SIGNS):
+            op = (np.add if sign > 0 else np.subtract)(ut, lap)
+            op *= op
+            sq[start:stop] = cross_section_sum(grid, op)
+            del op
+        del lap
+        ut *= ut
+        second = _ordered_second_sum(grid, halo)[keep]
+        second += ut
+        del ut
+        second_sq[start:stop] = cross_section_sum(grid, second)
+        del second
+        u_grad_sq[start:stop] = cross_section_sum(grid, grad_sq(grid, halo)[keep])
+        u_sq[start:stop] = cross_section_sum(grid, block * block)
 
     bnd_norms = _boundary_norms_sq(grid, u, faces)
     end_norms = _end_norms_sq(grid, u)
     gap = alpha * prism.T**2 / 4.0 - prism.b**2
 
     rows: list[list[dict]] = [[] for _ in _SIGNS]
-    for lam in lambdas:
-        phi_s = scaled_weight_values(lam, alpha, grid)
+    for lam, phi_s in zip(lambdas, weights):
         log_scale = 2.0 * lam * prism.b**2
         main = (1.0 / lam) * _weighted_x1t(grid, second_sq, phi_s)
         main += _weighted_x1t(grid, lam * u_grad_sq + lam**3 * u_sq, phi_s)
@@ -348,10 +381,13 @@ def estimate_c0(
     lambdas = sorted(float(x) for x in lambdas)
     if not lambdas:
         raise ValueError("lambda grid needs at least one value")
+    weights = [scaled_weight_values(lam, alpha, grid) for lam in lambdas]
     member_rows = []
     for i, u in enumerate(members):
         _check_member(grid, u, f"member {i}")
-        member_rows.append(_functional_rows(grid, u, lambdas, alpha, restricted=restricted))
+        member_rows.append(
+            _functional_rows(grid, u, lambdas, weights, alpha, restricted=restricted)
+        )
     caps = []
     for sign_rows in member_rows:
         for rows in sign_rows:

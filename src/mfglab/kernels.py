@@ -157,7 +157,16 @@ def _axis_factors(kernel: Kernel, grid: Grid):
 def apply_kernel(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.ndarray:
     """Kernel applied to a density with the spatial axes leading and at most
     one trailing (time) axis: a snapshot or a space-time array, contracted
-    one axis at a time."""
+    one axis at a time.
+
+    Each contraction is the one ``np.tensordot(factor, out, axes=(1, axis))``
+    makes: the axis is moved to the front, the rest flattened (a transposed
+    copy unless the axis already leads), and the same ``np.dot`` is taken,
+    so the bits are tensordot's.  The previous stage is dropped before the
+    product, so a 2-D causal application of a space-time array holds three
+    field-sized arrays at its peak (``values``, the copy and the product),
+    not four.
+    """
     if values.shape[: grid.dim] != grid.shape_space or values.ndim > grid.dim + 1:
         raise ValueError(
             f"array shape {values.shape} is not the spatial shape {grid.shape_space} "
@@ -166,8 +175,14 @@ def apply_kernel(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.ndarray:
     scale, factors = _axis_factors(kernel, grid)
     out = values
     for axis, factor in enumerate(factors):
-        if factor is not None:
-            out = np.moveaxis(np.tensordot(factor, out, axes=(1, axis)), 0, axis)
+        if factor is None:
+            continue
+        moved = np.moveaxis(out, axis, 0)
+        shape = moved.shape
+        flat = moved.reshape(shape[0], -1)
+        del moved, out  # the previous stage goes before the product
+        out = np.moveaxis(np.dot(factor, flat).reshape(shape), 0, axis)
+        del flat
     return scale * values if out is values else out
 
 

@@ -270,6 +270,76 @@ class TestStreaming:
         with pytest.raises(ValueError, match="member 2 must be finite"):
             estimate_c0(grid, members(), ALPHA, (2.0, 4.0))
 
+    def test_weight_built_once_per_lambda(self, grid, monkeypatch):
+        built = []
+        real = carleman.scaled_weight_values
+
+        def counted(lam, alpha, g):
+            built.append(lam)
+            return real(lam, alpha, g)
+
+        monkeypatch.setattr(carleman, "scaled_weight_values", counted)
+        estimate_c0(grid, random_family(grid, count=3), ALPHA, (4.0, 2.0))
+        assert built == [2.0, 4.0]
+
+
+class TestRowBlocks:
+    """The functional's reduced arrays are filled one block of x1 rows at a
+    time; the block size must not change a bit."""
+
+    @pytest.mark.parametrize(
+        "prism, nx, nt",
+        [
+            (Prism(1.0, 2.0, (), 1.0), 65, 129),
+            # 10 rows: blocks of 3, 3 and 4, the one-row tail merged
+            (Prism(1.0, 2.0, (0.5,), 1.0), [10, 5], 17),
+            (Prism(1.0, 2.0, (0.5,), 1.0), [65, 65], 33),
+            (Prism(1.0, 2.0, (0.5, 0.5), 1.0), [9, 9, 9], 17),
+        ],
+        ids=["1d", "2d-tail", "2d", "3d"],
+    )
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_minimum_blocks_equal_one_block(self, monkeypatch, prism, nx, nt, restricted):
+        g = make_grid(prism, nx, nt)
+        # flattened members satisfy the restricted precondition
+        members = list(random_family(g, count=2, flatten_space=restricted))
+
+        def run(nodes):
+            monkeypatch.setattr(carleman, "_FUNCTIONAL_BLOCK_NODES", nodes)
+            blocks = carleman._row_blocks(g)
+            return blocks, estimate_c0(g, members, ALPHA, (2.0, 4.0, 8.0), restricted=restricted)
+
+        whole, one = run(math.prod(g.shape))
+        assert whole == [(0, g.nx[0])]
+        blocks, minimum = run(1)
+        assert [stop - start for start, stop in blocks][:-1] == [3] * (len(blocks) - 1)
+        assert 3 <= blocks[-1][1] - blocks[-1][0] <= 5
+        assert repr(minimum) == repr(one)
+
+    @pytest.mark.parametrize(
+        "nx, nt, blocks",
+        [
+            ([10, 5], 17, [(0, 3), (3, 6), (6, 10)]),
+            # the default budget: 7 rows of 65 x 129 nodes, the 2-row tail merged
+            ([65, 65], 129, [(i, i + 7) for i in range(0, 56, 7)] + [(56, 65)]),
+            ([65], 257, [(0, 65)]),
+        ],
+    )
+    def test_block_layout(self, monkeypatch, nx, nt, blocks):
+        half_widths = (0.5,) * (len(nx) - 1)
+        g = make_grid(Prism(1.0, 2.0, half_widths, 1.0), nx, nt)
+        if nx == [10, 5]:
+            monkeypatch.setattr(carleman, "_FUNCTIONAL_BLOCK_NODES", 1)
+        assert carleman._row_blocks(g) == blocks
+
+    def test_one_member_holds_less_than_two_fields(self):
+        # the whole-field functional held about five fields at once
+        g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), [65, 65], 129)
+        u = next(random_family(g, count=1))
+        field = u.nbytes
+        peak = _traced_peak(lambda: estimate_c0(g, [u], ALPHA, (2.0, 4.0, 8.0, 16.0)))
+        assert peak < 2 * field
+
 
 def _reference_rows(g, u, sign, lambdas, alpha, restricted):
     """The functional as its docstring writes it, one lambda at a time, with

@@ -1,12 +1,15 @@
 """Interaction kernels: per-axis factors against the dense quadrature matrix,
 closed forms, and the majorant."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mfglab.grid import Prism, make_grid, sample_field
 from mfglab.kernels import (
     Kernel,
+    _axis_factors,
     apply_G,
     apply_kernel,
     causal_weights,
@@ -241,3 +244,45 @@ class TestDenseReference:
             # rounding is monotone, so the product of per-axis maxima is exact
             want = float(abs(kern.amplitude) * np.max(np.abs(_dense_profile(kern, g))))
             assert kernel_bound(kern, g) == want
+
+
+def _tensordot_apply(kernel, grid, values):
+    """The kernel contracted axis by axis with ``np.tensordot``."""
+    scale, factors = _axis_factors(kernel, grid)
+    out = values
+    for axis, factor in enumerate(factors):
+        if factor is not None:
+            out = np.moveaxis(np.tensordot(factor, out, axes=(1, axis)), 0, axis)
+    return scale * values if out is values else out
+
+
+class TestTensordotEquivalence:
+    """``apply_kernel`` takes the same ``np.dot`` of the same operands as
+    ``np.tensordot``, so the results are bitwise equal."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_GRIDS))
+    @pytest.mark.parametrize("spacetime", [False, True], ids=["snapshot", "spacetime"])
+    def test_equals_tensordot(self, name, spacetime):
+        prism, nx = REFERENCE_GRIDS[name]
+        g = make_grid(prism, nx, 5)
+        shape = g.shape if spacetime else g.shape_space
+        vals = np.random.default_rng(11).standard_normal(shape)
+        for kern in _reference_kernels(g.dim):
+            got = apply_kernel(kern, g, vals)
+            want = _tensordot_apply(kern, g, vals)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_causal_2d_holds_three_fields(self):
+        # values, the transposed copy and the product; tensordot kept the
+        # first product alive through the second, four fields in all
+        g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), (33, 33), 65)
+        vals = np.random.default_rng(5).standard_normal(g.shape)
+        field = vals.nbytes
+        tracemalloc.start()
+        try:
+            apply_kernel(Kernel("causal"), g, vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * field
