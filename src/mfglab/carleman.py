@@ -24,8 +24,10 @@ with the components defined in ``estimate_c0``.  Each term is computed
 once for the inputs it depends on.  Per test function: the derivatives, the
 boundary and end-time norms, and the volume integrands (the squared operator
 once per sign), each summed over the cross-section axes x2..xn at once, since
-the weight does not depend on them.  Per lambda: the weight on the (x1, t)
-axes alone and the (x1, t) sums of those reduced integrands against it.  The
+the weight does not depend on them; the integrands are built and summed one
+block of x1 rows at a time, so no field-sized temporary is made.  Per
+lambda: the weight on the (x1, t) axes alone, built once for the whole
+family, and the (x1, t) sums of those reduced integrands against it.  The
 lemma checks reduce their two energies the same way.  C0 is existence
 only in the underlying theory; here it is estimated as the infimum of
 lhs / bracket over a documented seeded test family and published per grid,
@@ -292,11 +294,11 @@ def _functional_rows(
     second_sq, u_grad_sq, u_sq = (np.empty((nx1, grid.nt)) for _ in range(3))
     for start, stop in _row_blocks(grid):
         lo = max(start - 1, 0)
-        halo = u[lo : stop + 1]
+        padded = u[lo : stop + 1]
         keep = slice(start - lo, stop - lo)
         block = u[start:stop]
         ut = dt(grid, block)
-        lap = laplacian(grid, halo)[keep]
+        lap = laplacian(grid, padded)[keep]
         for sq, sign in zip(op_sq, _SIGNS):
             op = (np.add if sign > 0 else np.subtract)(ut, lap)
             op *= op
@@ -304,12 +306,12 @@ def _functional_rows(
             del op
         del lap
         ut *= ut
-        second = _ordered_second_sum(grid, halo)[keep]
+        second = _ordered_second_sum(grid, padded)[keep]
         second += ut
         del ut
         second_sq[start:stop] = cross_section_sum(grid, second)
         del second
-        u_grad_sq[start:stop] = cross_section_sum(grid, grad_sq(grid, halo)[keep])
+        u_grad_sq[start:stop] = cross_section_sum(grid, grad_sq(grid, padded)[keep])
         u_sq[start:stop] = cross_section_sum(grid, block * block)
 
     bnd_norms = _boundary_norms_sq(grid, u, faces)
@@ -375,8 +377,8 @@ def estimate_c0(
     included: each member is checked and evaluated as it arrives and only
     its rows are kept, so one member is in memory at a time.  Every member
     must be a finite array of shape ``grid.shape``; a ValueError names the
-    first that is not.  An empty lambda grid is a ValueError too, raised
-    before any member is drawn.
+    first that is not.  An empty lambda grid, or a lambda outside
+    [1, LAMBDA_MAX], is a ValueError too, raised before any member is drawn.
     """
     lambdas = sorted(float(x) for x in lambdas)
     if not lambdas:

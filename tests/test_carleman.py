@@ -228,6 +228,8 @@ class TestFunctional:
         monkeypatch.setattr(carleman, "_functional_rows", evaluated)
         with pytest.raises(ValueError, match=r"lambda grid needs at least one value"):
             estimate_c0(grid, random_family(grid, 2), ALPHA, [])
+        with pytest.raises(ValueError, match="LAMBDA_MAX"):
+            estimate_c0(grid, random_family(grid, 2), ALPHA, [2.0, 100.0])
 
 
 def _traced_peak(fn) -> int:
@@ -317,19 +319,19 @@ class TestRowBlocks:
         assert repr(minimum) == repr(one)
 
     @pytest.mark.parametrize(
-        "nx, nt, blocks",
+        "nodes, nx, nt, blocks",
         [
-            ([10, 5], 17, [(0, 3), (3, 6), (6, 10)]),
+            (1, [10, 5], 17, [(0, 3), (3, 6), (6, 10)]),
             # the default budget: 7 rows of 65 x 129 nodes, the 2-row tail merged
-            ([65, 65], 129, [(i, i + 7) for i in range(0, 56, 7)] + [(56, 65)]),
-            ([65], 257, [(0, 65)]),
+            (None, [65, 65], 129, [(i, i + 7) for i in range(0, 56, 7)] + [(56, 65)]),
+            (None, [65], 257, [(0, 65)]),
         ],
     )
-    def test_block_layout(self, monkeypatch, nx, nt, blocks):
+    def test_block_layout(self, monkeypatch, nodes, nx, nt, blocks):
         half_widths = (0.5,) * (len(nx) - 1)
         g = make_grid(Prism(1.0, 2.0, half_widths, 1.0), nx, nt)
-        if nx == [10, 5]:
-            monkeypatch.setattr(carleman, "_FUNCTIONAL_BLOCK_NODES", 1)
+        if nodes is not None:
+            monkeypatch.setattr(carleman, "_FUNCTIONAL_BLOCK_NODES", nodes)
         assert carleman._row_blocks(g) == blocks
 
     def test_one_member_holds_less_than_two_fields(self):
