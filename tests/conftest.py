@@ -66,8 +66,8 @@ def make_pair():
             g, triple, f, spec = build_problem(nx, nt)
             k1 = np.ones(g.shape_space)
             k2 = k1 + scale * perturbation(g)
-            t1 = solve_mfg_picard(spec, k1, damping=0.5, max_iter=80, tol=1e-10)
-            t2 = solve_mfg_picard(spec, k2, damping=0.5, max_iter=80, tol=1e-10)
+            t1 = solve_mfg_picard(spec, k1, memory=0, damping=0.5, max_iter=80, tol=1e-10)
+            t2 = solve_mfg_picard(spec, k2, memory=0, damping=0.5, max_iter=80, tol=1e-10)
             cache[key] = {
                 "grid": g,
                 "f": f,

@@ -298,7 +298,8 @@ def test_criterion_8_noise_to_error_exponent(capsys):
         np.geomspace(1e-4, 1e-1, 6),
         eps=0.2,
         completeness="full",
-        damping=0.5,
+        memory=1,
+        damping=1.0,
         max_iter=80,
         tol=1e-9,
     )
@@ -336,7 +337,8 @@ def test_criterion_9_incomplete_data_regime(capsys, pairs):
         np.geomspace(1e-4, 1e-1, 6),
         eps=0.2,
         completeness="incomplete",
-        damping=0.5,
+        memory=1,
+        damping=1.0,
         max_iter=80,
         tol=1e-9,
     )

@@ -1,12 +1,16 @@
-"""The byte-identical output contract: eight CLI runs, in process through
+"""The byte-identical output contract: ten CLI runs, in process through
 ``cli.main``, reproduce the sha256 of every output file (``provenance.json``
 excluded), the stdout, the stderr and the exit code recorded in
 ``tests/golden_outputs.json``.
 
 The runs are the default ``forward``, ``manufacture``, ``sweep``,
 ``carleman``, ``lemmas`` and ``params``, a restricted 2-D ``carleman``
-on a 17x17x33 grid, and a 2-D causal-kernel ``forward`` on a 9x9x17 grid,
-which checks the n-D band-LU march and its CSV output byte for byte.  Each writes to a relative ``--out`` inside a temporary
+on a 17x17x33 grid, a 2-D causal-kernel ``forward`` on a 9x9x17 grid,
+which checks the n-D band-LU march and its CSV output byte for byte, and
+the default ``forward`` and ``sweep`` on the damped Picard step
+(``solver.memory`` 0, ``solver.damping`` 0.5), whose files keep the hashes
+that the default runs had before the Anderson window became the default.
+Each writes to a relative ``--out`` inside a temporary
 working directory, so the printed paths, and with them the hashes, do not
 depend on where the tests run.  A change that means to change an output
 re-records the file, from the repository root, with
@@ -40,6 +44,8 @@ CAUSAL_2D = {
     "kernel": {"type": "causal"},
 }
 
+DAMPED = {"solver": {"memory": 0, "damping": 0.5}}
+
 # run name -> (command, config payload or None for the defaults)
 RUNS = {
     "forward": ("forward", None),
@@ -50,6 +56,8 @@ RUNS = {
     "params": ("params", None),
     "carleman-restricted-2d": ("carleman", RESTRICTED_2D),
     "forward-causal-2d": ("forward", CAUSAL_2D),
+    "forward-damped": ("forward", DAMPED),
+    "sweep-damped": ("sweep", DAMPED),
 }
 
 
