@@ -789,10 +789,9 @@ def _picard_group(
     m_iter = np.empty(shape)
     m_iter[...] = spec.m_data[..., None, :1]
     u, spare, m_prev = (np.empty(shape) for _ in range(3))
-    # newest first; entries past the window's current depth are scratch
+    # newest first; entries past the window's current depth hold stale values
     past_x = [np.empty(shape) for _ in range(memory)]
     past_g = [np.empty(shape) for _ in range(memory - 1)]
-    levels = max(1, _DRIFT_BLOCK_NODES // op.ns)
 
     def leave(results: list) -> None:
         """Record each finished row's outcome and close the gap.  Rows
@@ -823,9 +822,10 @@ def _picard_group(
         levels, so that no temporary is member-sized."""
         n = len(rows)
         xs = [m_iter] + past_x[:depth]
-        gs = [m_prev, spare] + past_g[: depth - 1]
+        gs = ([m_prev, spare] + past_g)[: depth + 1]
         weights = np.ones((depth + 1, n, 1))
         if depth:
+            levels = max(1, _DRIFT_BLOCK_NODES // op.ns)
             for r in range(n):
                 pairs = [(b[..., r, :], a[..., r, :]) for b, a in zip(gs, xs)]
                 weights[:, r, 0] = _mixing_weights(pairs, levels)
@@ -888,6 +888,8 @@ def _picard_group(
             return outcomes
         m_prev, spare = spare, m_prev
         mix(min(memory, it - 1))
+        # the window now starts at x_k and g_{k-1}; its oldest output stack
+        # becomes the spare
         if past_x:
             past_x.insert(0, past_x.pop())
         if past_g:

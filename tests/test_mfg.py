@@ -350,7 +350,9 @@ class TestPicard:
 
     def test_deterministic(self, make_pair):
         pair = make_pair(33, 65)
-        again = solve_mfg_picard(pair["spec"], pair["k1"], memory=0, damping=0.5, max_iter=80, tol=1e-10)
+        again = solve_mfg_picard(
+            pair["spec"], pair["k1"], memory=0, damping=0.5, max_iter=80, tol=1e-10
+        )
         np.testing.assert_array_equal(pair["t1"].u, again.u)
         np.testing.assert_array_equal(pair["t1"].m, again.m)
 
@@ -407,7 +409,9 @@ class TestPicard:
             u_data=flip(spec.u_data),
             m_data=flip(spec.m_data),
         )
-        got = solve_mfg_picard(mirrored, flip(pair["k1"]), memory=0, damping=0.5, max_iter=80, tol=1e-10)
+        got = solve_mfg_picard(
+            mirrored, flip(pair["k1"]), memory=0, damping=0.5, max_iter=80, tol=1e-10
+        )
         assert np.max(np.abs(got.u[::-1] - pair["t1"].u)) < 1e-12
         assert np.max(np.abs(got.m[::-1] - pair["t1"].m)) < 1e-12
 

@@ -81,7 +81,9 @@ class TestDifferencePack:
 
     def test_grid_mismatch_rejected(self, pair):
         g, triple, f, spec = build_problem(33, 33)
-        other = solve_mfg_picard(spec, np.ones(g.shape_space), memory=0, damping=0.5, max_iter=50, tol=1e-8)
+        other = solve_mfg_picard(
+            spec, np.ones(g.shape_space), memory=0, damping=0.5, max_iter=50, tol=1e-8
+        )
         with pytest.raises(ValueError, match="different grids"):
             form_difference(pair["t1"], other)
 
