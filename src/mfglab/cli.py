@@ -55,7 +55,7 @@ DEFAULT_CONFIG = {
     "grid": {"nx": 65, "nt": 257},
     "kernel": {"type": "separable", "profile": "constant", "amplitude": 0.4, "n1": None},
     "problem": {"u_amplitude": 0.3, "coupling_gain": 1.0},
-    "solver": {"memory": 1, "damping": 1.0, "tol": 1e-9, "max_iter": 80},
+    "solver": {"damping": 1.0, "tol": 1e-9, "max_iter": 80},
     "stability": {
         "rho": "1/2",
         "epsilon": "1/5",
@@ -103,7 +103,6 @@ def _scales(value) -> bool:
 # (section, key, predicate, requirement): the config values that no library
 # constructor checks.  Every command checks all of them before any work.
 _RULES = (
-    ("solver", "memory", _integer(0), "must be an integer >= 0"),
     ("solver", "damping", lambda v: finite_real(v) and 0.0 < v <= 1.0, "must lie in (0, 1]"),
     ("solver", "max_iter", _integer(1), "must be an integer >= 1"),
     ("solver", "tol", _positive, "must be a finite number > 0"),

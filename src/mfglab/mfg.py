@@ -11,8 +11,8 @@ material; the lab adopts the simplest scheme whose failure modes are
 observable: backward-Euler marching in the stable direction for each
 equation, the quadratic gradient term lagged one level to linearize the
 value equation, and an alternating fixed point for the coupling whose
-density iterate is updated by type-II Anderson mixing over a short window
-of past iterates (plain damped relaxation when the window is empty).
+density iterate is updated by type-II Anderson mixing over a window of
+one past iterate (plain damped relaxation when the window is empty).
 Stepping is implicit because the downstream analysis differentiates
 solutions twice in time, which amplifies any conditional instability.  The
 marching matrix is laid out once per grid: the value equation's matrix does
@@ -520,18 +520,27 @@ def _divergence_flux(
 _DRIFT_BLOCK_NODES = 4096
 
 
+# Past density iterates in the Anderson mixing window of the coupling
+# iteration (``_picard_group``): 1 or 0.  One costs one space-time array
+# per member and halves the evaluations of the default problems (20 -> 10
+# on the 2-D 33x33x65 causal forward solve, 21 -> 12 on the default 1-D
+# sweep); 0 is the plain damped step x_{k+1} = (1 - damping) x_k +
+# damping g_k.
+_MIXING_WINDOW = 1
+
+
 # Space-time nodes of the members that one lockstep group marches at once
 # (``solve_mfg_members``): the group width is this budget over the nodes of
 # one member, 7 at 65x257 (the whole default sweep) and 1 at 33x33x65.  Each
-# member holds five space-time arrays through its solve at the default
-# mixing window of one (four, plus 2 m - 1 for a window of m), so memory
-# sets the budget, not speed; a group whose last members converge together
-# frees all but two of them before copying the results out.  The table
-# below was measured with four arrays per member.  The 65x257 sweep by width
-# (medians of three interleaved ``perfbench/run.py --workload sweep-1d
-# --seed 7 --seconds 10 --trace 0`` runs, one thread, on a 2-vCPU Xeon whose
-# speed drifts by tens of percent between runs; "4, before" is the previous
-# budget, without the early free):
+# member holds five space-time arrays through its solve (four, plus the
+# mixing window's past iterate), so memory sets the budget, not speed; a
+# group whose last members converge together frees all but two of them
+# before copying the results out.  The table below was measured with four
+# arrays per member.  The 65x257 sweep by width (medians of three
+# interleaved ``perfbench/run.py --workload sweep-1d --seed 7 --seconds 10
+# --trace 0`` runs, one thread, on a 2-vCPU Xeon whose speed drifts by tens
+# of percent between runs; "4, before" is the previous budget, without the
+# early free):
 #
 #   width      groups  run_s    peak RSS
 #   4, before  4+3     0.882 s  62.60 MB
@@ -695,65 +704,29 @@ def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: np.ndarray) -> np.ndarray:
     return values
 
 
-def _normal_solve(gram: list[list[float]], rhs: list[float]) -> list[float]:
-    """Least-squares coefficients from their normal equations, given the
-    lower triangle of the Gram matrix and the right-hand side: Cholesky in
-    plain floats, column by column.  A column whose pivot falls to 1e-12 of
-    its diagonal is, to rounding, a combination of the earlier ones (or
-    zero) and gets coefficient 0.  Plain floats keep LAPACK out of this
-    tiny solve: the first ``np.linalg`` call of a process touches 0.3-0.7 MB
-    of library code, which costs as much resident memory as the window."""
-    w = len(rhs)
-    chol = [[0.0] * w for _ in range(w)]
-    kept: list[int] = []
-    for j in range(w):
-        for i in kept:
-            chol[j][i] = (gram[j][i] - sum(chol[j][p] * chol[i][p] for p in range(i))) / chol[i][i]
-        pivot = gram[j][j] - sum(c * c for c in chol[j][:j])
-        if pivot > 1e-12 * gram[j][j]:
-            chol[j][j] = math.sqrt(pivot)
-            kept.append(j)
-    y = [0.0] * w
-    for j in kept:
-        y[j] = (rhs[j] - sum(chol[j][i] * y[i] for i in range(j))) / chol[j][j]
-    gamma = [0.0] * w
-    for j in reversed(kept):
-        gamma[j] = (y[j] - sum(chol[i][j] * gamma[i] for i in range(j + 1, w))) / chol[j][j]
-    return gamma
-
-
-def _mixing_weights(
-    past_f: list[tuple[np.ndarray, np.ndarray]], levels: int
-) -> np.ndarray:
-    """Anderson weights a_0..a_w of one member: the affine combination
-    sum_i a_i f_i, sum_i a_i = 1, of least sum of squares over the nodes,
-    where ``past_f`` pairs each (g_{k-i}, x_{k-i}) and f_i = g_{k-i} -
-    x_{k-i} is its residual.
-
-    Solved as type-II Anderson does, in differences: gamma minimizes
-    |f_0 - sum_j gamma_j (f_{j-1} - f_j)|, from its normal equations, and
-    a_i = gamma_i - gamma_{i+1} with gamma_0 = 1 and gamma_{w+1} = 0.  The
-    inner products are summed one block of ``levels`` levels at a time, in
-    an order that only the member's own arrays fix."""
-    w = len(past_f) - 1
-    gram = [[0.0] * w for _ in range(w)]
-    rhs = [0.0] * w
-    for j0 in range(0, past_f[0][0].shape[-1], levels):
-        f = [g[..., j0 : j0 + levels] - x[..., j0 : j0 + levels] for g, x in past_f]
-        d = [f[j - 1] - f[j] for j in range(1, w + 1)]
-        for a in range(w):
-            rhs[a] += float(np.sum(d[a] * f[0]))
-            for b in range(a + 1):
-                gram[a][b] += float(np.sum(d[a] * d[b]))
-    gamma = [1.0] + _normal_solve(gram, rhs) + [0.0]
-    return np.subtract(gamma[:-1], gamma[1:])
+def _mixing_weight(
+    x: np.ndarray, g: np.ndarray, x_past: np.ndarray, g_past: np.ndarray, levels: int
+) -> float:
+    """Type-II Anderson weight gamma of one member over a window of one
+    past iterate: with the residuals f = g - x and f_past = g_past -
+    x_past, gamma minimizes the sum of squares over the nodes of f - gamma
+    d, d = f - f_past, so gamma = <d, f> / <d, d>, or 0 when d vanishes.
+    The inner products are summed one block of ``levels`` levels at a time,
+    in an order that only the member's own arrays fix."""
+    df = dd = 0.0
+    for j0 in range(0, x.shape[-1], levels):
+        j = slice(j0, j0 + levels)
+        f = g[..., j] - x[..., j]
+        d = f - (g_past[..., j] - x_past[..., j])
+        df += float(np.sum(d * f))
+        dd += float(np.sum(d * d))
+    return df / dd if dd > 0.0 else 0.0
 
 
 def _picard_group(
     spec: ProblemSpec,
     ks: list[np.ndarray],
     *,
-    memory: int,
     damping: float,
     max_iter: int,
     tol: float,
@@ -767,9 +740,8 @@ def _picard_group(
     rows.  Four stacks serve a whole solve: the density iterate, the value,
     the density, and a spare.  Each evaluation marches the value into the
     spare (over the kernel term), leaves the change in the old value's
-    stack, and marches the density into that stack.  The mixing window of
-    ``memory`` past iterates adds 2 memory - 1 stacks: the past iterates
-    x_{k-1..k-memory} and the past outputs g_{k-2..k-memory}, because the
+    stack, and marches the density into that stack.  A mixing window
+    (``_MIXING_WINDOW``) adds one stack, the past iterate x_{k-1}; the past
     output g_{k-1} is still in the spare when the iterate is updated.  A
     member that converges or fails leaves: the last active row moves into
     its place.  Every member's change is computed before any result is
@@ -789,9 +761,8 @@ def _picard_group(
     m_iter = np.empty(shape)
     m_iter[...] = spec.m_data[..., None, :1]
     u, spare, m_prev = (np.empty(shape) for _ in range(3))
-    # newest first; entries past the window's current depth hold stale values
-    past_x = [np.empty(shape) for _ in range(memory)]
-    past_g = [np.empty(shape) for _ in range(memory - 1)]
+    # the mixing window's past iterate, if there is a window
+    window = [np.empty(shape) for _ in range(_MIXING_WINDOW)]
 
     def leave(results: list) -> None:
         """Record each finished row's outcome and close the gap.  Rows
@@ -803,7 +774,7 @@ def _picard_group(
             outcomes[rows[r]] = results[r]
             last = len(rows) - 1
             if r != last:
-                for a in (m_iter, u, spare, m_prev, *past_x, *past_g):
+                for a in (m_iter, u, spare, m_prev, *window):
                     a[..., r, :] = a[..., last, :]
                 k[..., r] = k[..., last]
                 rows[r] = rows[last]
@@ -814,33 +785,32 @@ def _picard_group(
         which makes the per-step stencils cheaper."""
         return 0 if len(rows) == 1 else slice(0, len(rows))
 
-    def mix(depth: int) -> None:
-        """Overwrite the density iterate x_k with x_{k+1} = sum_i a_i
-        ((1 - damping) x_{k-i} + damping g_{k-i}) over the window's
-        ``depth`` past pairs (``_mixing_weights``), and push x_k into the
-        window; an empty window leaves the damped step.  Block by block of
-        levels, so that no temporary is member-sized."""
+    def mix(it: int) -> None:
+        """Overwrite the density iterate x_k with x_{k+1} = (1 - gamma) y_k +
+        gamma y_{k-1}, y_i = (1 - damping) x_i + damping g_i, where gamma is
+        the member's ``_mixing_weight``, and keep x_k in the window.  Without
+        a window, or before it holds an iterate, this is the damped step
+        y_k.  Block by block of levels, so that no temporary is
+        member-sized."""
         n = len(rows)
-        xs = [m_iter] + past_x[:depth]
-        gs = ([m_prev, spare] + past_g)[: depth + 1]
-        weights = np.ones((depth + 1, n, 1))
-        if depth:
+        mixed = bool(window) and it > 1
+        if mixed:
+            past = window[0]
+            gamma = np.empty((n, 1))
             levels = max(1, _DRIFT_BLOCK_NODES // op.ns)
             for r in range(n):
-                pairs = [(b[..., r, :], a[..., r, :]) for b, a in zip(gs, xs)]
-                weights[:, r, 0] = _mixing_weights(pairs, levels)
+                gamma[r, 0] = _mixing_weight(
+                    m_iter[..., r, :], m_prev[..., r, :], past[..., r, :], spare[..., r, :], levels
+                )
         block = max(1, _DRIFT_BLOCK_NODES // (op.ns * n))
         for j0 in range(0, g.nt, block):
             j = slice(j0, j0 + block)
-            terms = (
-                a * ((1.0 - damping) * x[..., :n, j] + damping * b[..., :n, j])
-                for a, x, b in zip(weights, xs, gs)
-            )
-            new = next(terms)
-            for term in terms:
-                new += term
-            if past_x:
-                past_x[-1][..., :n, j] = m_iter[..., :n, j]
+            new = (1.0 - damping) * m_iter[..., :n, j] + damping * m_prev[..., :n, j]
+            if mixed:
+                new *= 1.0 - gamma
+                new += gamma * ((1.0 - damping) * past[..., :n, j] + damping * spare[..., :n, j])
+            if window:
+                window[0][..., :n, j] = m_iter[..., :n, j]
             m_iter[..., :n, j] = new
 
     for it in range(1, max_iter + 1):
@@ -866,8 +836,7 @@ def _picard_group(
             if all(change < tol for change in changes):
                 # every member leaves now: the copies reuse the iterate stacks
                 m_iter = m_prev = None
-                past_x.clear()
-                past_g.clear()
+                window.clear()
             converged: list = []
             for r, (member, change) in enumerate(zip(rows, changes)):
                 report = {
@@ -887,14 +856,7 @@ def _picard_group(
         if not rows:
             return outcomes
         m_prev, spare = spare, m_prev
-        mix(min(memory, it - 1))
-        # the window now starts at x_k and g_{k-1}; its oldest output stack
-        # becomes the spare
-        if past_x:
-            past_x.insert(0, past_x.pop())
-        if past_g:
-            past_g.insert(0, spare)
-            spare = past_g.pop()
+        mix(it)
     for member in rows:
         outcomes[member] = PicardNonConvergence(histories[member], max_iter, tol)
     return outcomes
@@ -904,7 +866,6 @@ def solve_mfg_members(
     spec: ProblemSpec,
     ks: Sequence[np.ndarray],
     *,
-    memory: int,
     damping: float,
     max_iter: int,
     tol: float,
@@ -921,8 +882,6 @@ def solve_mfg_members(
     converges or fails.
     A group is solved when its first outcome is asked for.
     """
-    if type(memory) is not int or memory < 0:
-        raise ValueError(f"memory must be an integer >= 0, got {memory!r}")
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     g = spec.grid
@@ -930,12 +889,7 @@ def solve_mfg_members(
     width = max(1, _GROUP_NODES // math.prod(g.shape))
     for start in range(0, len(ks), width):
         outcomes = _picard_group(
-            spec,
-            ks[start : start + width],
-            memory=memory,
-            damping=damping,
-            max_iter=max_iter,
-            tol=tol,
+            spec, ks[start : start + width], damping=damping, max_iter=max_iter, tol=tol
         )
         while outcomes:
             yield outcomes.pop(0)
@@ -945,7 +899,6 @@ def solve_mfg_picard(
     spec: ProblemSpec,
     k: np.ndarray,
     *,
-    memory: int,
     damping: float,
     max_iter: int,
     tol: float,
@@ -955,23 +908,18 @@ def solve_mfg_picard(
     Iteration k solves the value equation against the density iterate x_k,
     then the density equation against that value, which gives the output
     g_k.  The next iterate is type-II Anderson mixing (Walker & Ni 2011)
-    over a window of the last ``memory`` iterates, with mixing parameter
-    ``damping``: x_{k+1} = sum_i a_i ((1 - damping) x_{k-i} +
-    damping g_{k-i}), where the weights a_i sum to one and minimize the sum
-    of squares, over the space-time nodes, of the combined residual
-    sum_i a_i (g_{k-i} - x_{k-i}).  With
-    ``memory=0`` the window is empty and this is the damped fixed point
-    x_{k+1} = (1 - damping) x_k + damping g_k.  Convergence is declared when
+    over a window of one past iterate, with mixing parameter ``damping``:
+    x_{k+1} = (1 - gamma) y_k + gamma y_{k-1}, y_i = (1 - damping) x_i +
+    damping g_i, where gamma minimizes the sum of squares, over the
+    space-time nodes, of the combined residual (1 - gamma) (g_k - x_k) +
+    gamma (g_{k-1} - x_{k-1}).  With ``_MIXING_WINDOW`` set to 0 this is
+    the damped fixed point x_{k+1} = y_k.  Convergence is declared when
     the value and the output of consecutive iterations differ by less than
     ``tol`` in L2 over the cylinder; the reported iteration count is the
     index of the first iteration whose output the next one confirmed.  The
     solve is the group of one of ``solve_mfg_members``.
     """
-    outcome = next(
-        solve_mfg_members(
-            spec, [k], memory=memory, damping=damping, max_iter=max_iter, tol=tol
-        )
-    )
+    outcome = next(solve_mfg_members(spec, [k], damping=damping, max_iter=max_iter, tol=tol))
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -610,7 +610,6 @@ def holder_sweep(
     *,
     eps: float = 0.2,
     completeness: str = "full",
-    memory: int,
     damping: float,
     max_iter: int,
     tol: float,
@@ -634,7 +633,6 @@ def holder_sweep(
     outcomes = solve_mfg_members(
         spec,
         [k1] + [k1 + scale * delta_k for scale in scales],
-        memory=memory,
         damping=damping,
         max_iter=max_iter,
         tol=tol,

@@ -5,9 +5,12 @@ session and cached by (nx, nt, scale), so refinement studies and the
 acceptance checks share work.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from mfglab import mfg
 from mfglab.grid import Prism, make_grid
 from mfglab.kernels import Kernel
 from mfglab.mfg import (
@@ -32,6 +35,23 @@ def prism():
 @pytest.fixture(scope="session")
 def kernel():
     return KERNEL
+
+
+@contextlib.contextmanager
+def mixing_window(length: int):
+    """Solve with ``length`` (0 or 1) past iterates in the coupling
+    iteration's Anderson window; 0 is the damped Picard step on which the
+    frozen numbers of several tests were recorded."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mfg, "_MIXING_WINDOW", length)
+        yield
+
+
+@pytest.fixture
+def damped():
+    """The damped Picard step (an empty mixing window) for one test."""
+    with mixing_window(0):
+        yield
 
 
 def perturbation(grid) -> np.ndarray:
@@ -66,8 +86,9 @@ def make_pair():
             g, triple, f, spec = build_problem(nx, nt)
             k1 = np.ones(g.shape_space)
             k2 = k1 + scale * perturbation(g)
-            t1 = solve_mfg_picard(spec, k1, memory=0, damping=0.5, max_iter=80, tol=1e-10)
-            t2 = solve_mfg_picard(spec, k2, memory=0, damping=0.5, max_iter=80, tol=1e-10)
+            with mixing_window(0):
+                t1 = solve_mfg_picard(spec, k1, damping=0.5, max_iter=80, tol=1e-10)
+                t2 = solve_mfg_picard(spec, k2, damping=0.5, max_iter=80, tol=1e-10)
             cache[key] = {
                 "grid": g,
                 "f": f,

@@ -298,7 +298,6 @@ def test_criterion_8_noise_to_error_exponent(capsys):
         np.geomspace(1e-4, 1e-1, 6),
         eps=0.2,
         completeness="full",
-        memory=1,
         damping=1.0,
         max_iter=80,
         tol=1e-9,
@@ -337,7 +336,6 @@ def test_criterion_9_incomplete_data_regime(capsys, pairs):
         np.geomspace(1e-4, 1e-1, 6),
         eps=0.2,
         completeness="incomplete",
-        memory=1,
         damping=1.0,
         max_iter=80,
         tol=1e-9,

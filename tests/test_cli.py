@@ -446,14 +446,6 @@ class TestConfigErrors:
             assert err == "config error: solver.damping must lie in (0, 1]\n"
 
     @pytest.mark.parametrize("command", ["forward", "sweep"])
-    def test_bad_memory(self, tmp_path, capsys, command):
-        for memory in (-1, 1.5, True, "1"):
-            payload = {**FAST_CONFIG, "solver": {"memory": memory}}
-            rc, err, wrote = run_main(tmp_path, capsys, command, payload)
-            assert (rc, wrote) == (1, False), memory
-            assert err == "config error: solver.memory must be an integer >= 0\n"
-
-    @pytest.mark.parametrize("command", ["forward", "sweep"])
     def test_bad_max_iter_and_tol(self, tmp_path, capsys, command):
         cases = [
             ({"max_iter": "5"}, "solver.max_iter must be an integer >= 1"),
@@ -548,7 +540,6 @@ CONFIG_LEAVES = [
 
 # the exact line for each value the CLI's own rule table checks
 RULE_LINES = {
-    ("solver", "memory"): "solver.memory must be an integer >= 0",
     ("solver", "damping"): "solver.damping must lie in (0, 1]",
     ("solver", "max_iter"): "solver.max_iter must be an integer >= 1",
     ("solver", "tol"): "solver.tol must be a finite number > 0",

@@ -7,9 +7,9 @@ The runs are the default ``forward``, ``manufacture``, ``sweep``,
 ``carleman``, ``lemmas`` and ``params``, a restricted 2-D ``carleman``
 on a 17x17x33 grid, a 2-D causal-kernel ``forward`` on a 9x9x17 grid,
 which checks the n-D band-LU march and its CSV output byte for byte, and
-the default ``forward`` and ``sweep`` on the damped Picard step
-(``solver.memory`` 0, ``solver.damping`` 0.5), whose files keep the hashes
-that the default runs had before the Anderson window became the default.
+the default ``forward`` and ``sweep`` on the damped Picard step (no mixing
+window, ``solver.damping`` 0.5), whose files keep the hashes that the
+default runs had before the Anderson window became the default.
 Each writes to a relative ``--out`` inside a temporary
 working directory, so the printed paths, and with them the hashes, do not
 depend on where the tests run.  A change that means to change an output
@@ -28,7 +28,9 @@ import os
 import tempfile
 from pathlib import Path
 
-from mfglab import cli
+import pytest
+
+from mfglab import cli, mfg
 
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
 
@@ -44,27 +46,28 @@ CAUSAL_2D = {
     "kernel": {"type": "causal"},
 }
 
-DAMPED = {"solver": {"memory": 0, "damping": 0.5}}
+DAMPED = {"solver": {"damping": 0.5}}
 
-# run name -> (command, config payload or None for the defaults)
+# run name -> (command, config payload or None for the defaults, length of
+# the coupling iteration's mixing window)
 RUNS = {
-    "forward": ("forward", None),
-    "manufacture": ("manufacture", None),
-    "sweep": ("sweep", None),
-    "carleman": ("carleman", None),
-    "lemmas": ("lemmas", None),
-    "params": ("params", None),
-    "carleman-restricted-2d": ("carleman", RESTRICTED_2D),
-    "forward-causal-2d": ("forward", CAUSAL_2D),
-    "forward-damped": ("forward", DAMPED),
-    "sweep-damped": ("sweep", DAMPED),
+    "forward": ("forward", None, 1),
+    "manufacture": ("manufacture", None, 1),
+    "sweep": ("sweep", None, 1),
+    "carleman": ("carleman", None, 1),
+    "lemmas": ("lemmas", None, 1),
+    "params": ("params", None, 1),
+    "carleman-restricted-2d": ("carleman", RESTRICTED_2D, 1),
+    "forward-causal-2d": ("forward", CAUSAL_2D, 1),
+    "forward-damped": ("forward", DAMPED, 0),
+    "sweep-damped": ("sweep", DAMPED, 0),
 }
 
 
 def run_case(name: str) -> dict:
     """One run in the current working directory: its exit code, stdout,
     stderr and the sha256 of each file it wrote but provenance.json."""
-    command, payload = RUNS[name]
+    command, payload, window = RUNS[name]
     argv = [command, "--out", name]
     if payload is not None:
         config = f"{name}.json"
@@ -72,7 +75,9 @@ def run_case(name: str) -> dict:
         argv += ["--config", config]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(argv)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mfg, "_MIXING_WINDOW", window)
+            rc = cli.main(argv)
     files = {}
     if os.path.isdir(name):
         for path in sorted(Path(name).iterdir()):

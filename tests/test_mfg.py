@@ -35,7 +35,7 @@ from mfglab.mfg import (
 )
 from mfglab.mfg import _SpatialOperator, _divergence_flux, _face_drift_coefficients, _march_fp
 
-from conftest import build_problem, perturbation
+from conftest import build_problem, mixing_window, perturbation
 
 PRISM = Prism(1.0, 2.0, (), 1.0)
 
@@ -307,6 +307,7 @@ class TestHJB:
         assert np.max(np.abs(u - exact)) < 8e-3
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.usefixtures("damped")
     def test_blowup_guard_names_level(self):
         # the report names the first level out of range, and no level marched
         # past it may leak a RuntimeWarning
@@ -317,13 +318,14 @@ class TestHJB:
         )
         spec = ProblemSpec(g, kern, f, triple.u, triple.m)
         with pytest.raises(BlowupError, match="blew up at time level") as info:
-            solve_mfg_picard(spec, -80.0 * np.ones(33), memory=0, damping=1.0, max_iter=3, tol=1e-8)
+            solve_mfg_picard(spec, -80.0 * np.ones(33), damping=1.0, max_iter=3, tol=1e-8)
         assert info.value.equation == "hjb"
         assert info.value.t_index == 59
         assert info.value.worst == pytest.approx(1.0787727898274822e24, rel=1e-12)
 
 
 class TestPicard:
+    @pytest.mark.usefixtures("damped")
     def test_decoupled_problem_converges_immediately(self):
         # no kernel term and f = 0: u never sees m, one sweep settles both
         g = make_grid(PRISM, 33, 65)
@@ -335,7 +337,7 @@ class TestPicard:
             u_data=u_const,
             m_data=np.repeat(steady_density(g)[..., None], g.nt, axis=-1),
         )
-        triple = solve_mfg_picard(spec, np.ones(33), memory=0, damping=0.5, max_iter=50, tol=1e-9)
+        triple = solve_mfg_picard(spec, np.ones(33), damping=0.5, max_iter=50, tol=1e-9)
         assert triple.report["iterations"] == 1
 
     def test_benchmark_problem_converges(self, make_pair):
@@ -348,11 +350,10 @@ class TestPicard:
         ratios = [b / a for a, b in zip(hist, hist[1:]) if a > 1e-14]
         assert max(ratios[3:12]) < 0.6
 
+    @pytest.mark.usefixtures("damped")
     def test_deterministic(self, make_pair):
         pair = make_pair(33, 65)
-        again = solve_mfg_picard(
-            pair["spec"], pair["k1"], memory=0, damping=0.5, max_iter=80, tol=1e-10
-        )
+        again = solve_mfg_picard(pair["spec"], pair["k1"], damping=0.5, max_iter=80, tol=1e-10)
         np.testing.assert_array_equal(pair["t1"].u, again.u)
         np.testing.assert_array_equal(pair["t1"].m, again.m)
 
@@ -369,13 +370,14 @@ class TestPicard:
         )
         spec = ProblemSpec(g, kern, f, triple.u, triple.m)
         with pytest.raises(PicardNonConvergence, match="no convergence after"):
-            solve_mfg_picard(spec, np.ones(33), memory=1, damping=1.0, max_iter=6, tol=1e-12)
+            solve_mfg_picard(spec, np.ones(33), damping=1.0, max_iter=6, tol=1e-12)
 
     def test_damping_validated(self, make_pair):
         pair = make_pair(33, 65)
         with pytest.raises(ValueError, match="damping"):
-            solve_mfg_picard(pair["spec"], pair["k1"], memory=0, damping=0.0, max_iter=50, tol=1e-8)
+            solve_mfg_picard(pair["spec"], pair["k1"], damping=0.0, max_iter=50, tol=1e-8)
 
+    @pytest.mark.usefixtures("damped")
     def test_solvers_read_only_boundary_and_end_levels(self, make_pair):
         # the interior of u_data below the terminal level and of m_data above
         # the initial level are not data: filling them changes nothing
@@ -389,10 +391,11 @@ class TestPicard:
         filled = dataclasses.replace(
             spec, u_data=u_values, m_data=m_values
         )
-        got = solve_mfg_picard(filled, pair["k1"], memory=0, damping=0.5, max_iter=80, tol=1e-10)
+        got = solve_mfg_picard(filled, pair["k1"], damping=0.5, max_iter=80, tol=1e-10)
         assert np.array_equal(got.u, pair["t1"].u)
         assert np.array_equal(got.m, pair["t1"].m)
 
+    @pytest.mark.usefixtures("damped")
     def test_mirror_symmetry(self, make_pair):
         # reflecting every data array about the slab midpoint commutes with
         # the solver to roundoff
@@ -409,9 +412,7 @@ class TestPicard:
             u_data=flip(spec.u_data),
             m_data=flip(spec.m_data),
         )
-        got = solve_mfg_picard(
-            mirrored, flip(pair["k1"]), memory=0, damping=0.5, max_iter=80, tol=1e-10
-        )
+        got = solve_mfg_picard(mirrored, flip(pair["k1"]), damping=0.5, max_iter=80, tol=1e-10)
         assert np.max(np.abs(got.u[::-1] - pair["t1"].u)) < 1e-12
         assert np.max(np.abs(got.m[::-1] - pair["t1"].m)) < 1e-12
 
@@ -423,9 +424,10 @@ class TestAnderson:
     TOL = 1e-10
 
     def assert_close_to_damped(self, spec, ks, damped):
-        # the stated tolerance: both fields within 10 tol (L2) of memory 0
+        # the stated tolerance: both fields within 10 tol (L2) of the damped
+        # step
         g = spec.grid
-        fast = solve_mfg_members(spec, ks, memory=1, damping=1.0, max_iter=80, tol=self.TOL)
+        fast = solve_mfg_members(spec, ks, damping=1.0, max_iter=80, tol=self.TOL)
         for a, b in zip(fast, damped):
             assert a.report["evaluations"] < b.report["evaluations"]
             assert norm(g, a.u - b.u, "L2") <= 10 * self.TOL
@@ -439,39 +441,15 @@ class TestAnderson:
     def test_2d_causal_matches_damped(self):
         spec, bump = causal_2d_problem()
         k = np.ones((9, 9)) + 0.05 * bump
-        damped = solve_mfg_picard(spec, k, memory=0, damping=0.5, max_iter=80, tol=self.TOL)
+        with mixing_window(0):
+            damped = solve_mfg_picard(spec, k, damping=0.5, max_iter=80, tol=self.TOL)
         self.assert_close_to_damped(spec, [k], [damped])
 
     def test_default_problem_converges_in_12_evaluations(self):
-        # 21 evaluations with the damped step (memory 0, damping 0.5)
+        # 21 evaluations with the damped step (no window, damping 0.5)
         g, _, _, spec = build_problem(65, 257)
         triple = solve_mfg_picard(spec, np.ones(65), **DEFAULT_CONFIG["solver"])
         assert triple.report["evaluations"] <= 12
-
-    def test_normal_solve_matches_least_squares(self):
-        # against numpy's least squares, and a column that repeats another
-        # (a singular Gram matrix) gets coefficient 0 at the same residual
-        rng = np.random.default_rng(5)
-        for w in (1, 2, 4):
-            d, f = rng.standard_normal((50, w)), rng.standard_normal(50)
-            for cols in (d, np.column_stack([d, d[:, :1]])):
-                gram = (cols.T @ cols).tolist()
-                gamma = np.array(mfg._normal_solve(gram, (cols.T @ f).tolist()))
-                want = np.linalg.lstsq(cols, f, rcond=None)[0]
-                residual = np.linalg.norm(f - cols @ want)
-                assert np.linalg.norm(f - cols @ gamma) == pytest.approx(residual, rel=1e-12)
-                if cols is d:
-                    np.testing.assert_allclose(gamma, want, rtol=1e-10)
-                else:
-                    assert gamma[-1] == 0.0
-
-    @pytest.mark.parametrize("memory", [-1, 1.5, True, "1"])
-    def test_memory_validated(self, make_pair, memory):
-        pair = make_pair(33, 65)
-        with pytest.raises(ValueError, match="memory must be an integer >= 0"):
-            solve_mfg_picard(
-                pair["spec"], pair["k1"], memory=memory, damping=1.0, max_iter=50, tol=1e-8
-            )
 
 
 def causal_2d_problem():
@@ -514,13 +492,15 @@ def assert_same_outcome(got, want):
         assert (got.equation, got.t_index, got.worst) == (want.equation, want.t_index, want.worst)
 
 
+@pytest.mark.usefixtures("damped")
 class TestLockstep:
-    """Members marched in lockstep give each the bytes of its solo solve."""
+    """Members marched in lockstep give each the bytes of its solo solve,
+    on the damped step unless a test opens the mixing window."""
 
     # the base converges in 20 damped evaluations and scale 4.0 needs 22, so
     # a cap of 21 splits them; with a cap of 30, scale 4.0 marches on alone
     # after the others leave
-    SOLVER = {"memory": 0, "damping": 0.5, "max_iter": 21, "tol": 1e-9}
+    SOLVER = {"damping": 0.5, "max_iter": 21, "tol": 1e-9}
 
     @pytest.mark.parametrize("width", [None, 2])
     @pytest.mark.parametrize("max_iter", [21, 30])
@@ -538,24 +518,19 @@ class TestLockstep:
         for a, b in zip(got, want):
             assert_same_outcome(a, b)
 
-    # evaluations to converge at memory 1 and 2 (base, 0.02, 4.0): 12, 12, 14
-    # and 10, 10, 13; the first cap splits them, and with the second scale
-    # 4.0 marches on alone, its window moved into a row that another member
-    # left
+    # evaluations to converge with the window (base, 0.02, 4.0): 12, 12, 14;
+    # a cap of 13 splits them, and with a cap of 20 scale 4.0 marches on
+    # alone, its window moved into a row that another member left
     @pytest.mark.parametrize("width", [None, 2])
-    @pytest.mark.parametrize("memory, max_iter, last", [
-        (1, 13, PicardNonConvergence), (1, 20, MFGTriple),
-        (2, 12, PicardNonConvergence), (2, 20, MFGTriple),
-    ])
-    def test_1d_windowed_members_equal_solo_solves(
-        self, monkeypatch, width, memory, max_iter, last
-    ):
+    @pytest.mark.parametrize("max_iter, last", [(13, PicardNonConvergence), (20, MFGTriple)])
+    def test_1d_windowed_members_equal_solo_solves(self, monkeypatch, width, max_iter, last):
         g, _, _, spec = build_problem(33, 65)
         k1 = np.ones(33)
         ks = [k1] + [k1 + s * perturbation(g) for s in (0.02, 4.0)]
         if width is not None:
             monkeypatch.setattr(mfg, "_GROUP_NODES", width * g.nt * 33)
-        solver = dict(self.SOLVER, memory=memory, damping=1.0, max_iter=max_iter)
+        monkeypatch.setattr(mfg, "_MIXING_WINDOW", 1)
+        solver = dict(self.SOLVER, damping=1.0, max_iter=max_iter)
         got = list(solve_mfg_members(spec, ks, **solver))
         want = [solo_outcome(spec, k, **solver) for k in ks]
         assert [type(o) for o in want] == [MFGTriple, MFGTriple, last]
@@ -564,10 +539,11 @@ class TestLockstep:
 
     def test_2d_causal_members_equal_solo_solves(self):
         # side-by-side band storage: one dgbtrf per member, one dgbtrs per level
-        self.check_2d_causal_members({"memory": 0, "damping": 0.5})
+        self.check_2d_causal_members({"damping": 0.5})
 
     def test_2d_causal_windowed_members_equal_solo_solves(self):
-        self.check_2d_causal_members({"memory": 1, "damping": 1.0})
+        with mixing_window(1):
+            self.check_2d_causal_members({"damping": 1.0})
 
     @staticmethod
     def check_2d_causal_members(solver):
@@ -590,7 +566,7 @@ class TestLockstep:
             g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
         )
         spec = ProblemSpec(g, kern, f, triple.u, triple.m)
-        solver = {"memory": 0, "damping": 1.0, "max_iter": 3, "tol": 1e-8}
+        solver = {"damping": 1.0, "max_iter": 3, "tol": 1e-8}
         ks = [c * np.ones(33) for c in order]
         got = dict(zip(order, solve_mfg_members(spec, ks, **solver)))
         assert_same_outcome(got[1.0], solo_outcome(spec, np.ones(33), **solver))
@@ -646,8 +622,9 @@ class TestLockstep:
         self.check_converging_together(self.SOLVER)
 
     def test_windowed_members_converging_together_equal_solo_solves(self):
-        # the window's stacks are released with the iterate stacks
-        self.check_converging_together(dict(self.SOLVER, memory=2, damping=1.0))
+        # the window's stack is released with the iterate stacks
+        with mixing_window(1):
+            self.check_converging_together(dict(self.SOLVER, damping=1.0))
 
     @staticmethod
     def check_converging_together(solver):
@@ -714,6 +691,7 @@ class TestManufacture:
         spec = ProblemSpec(g, kern, f, triple.u, triple.m)
         assert residual(triple, spec)["hjb"][0] < 1e-12
 
+    @pytest.mark.usefixtures("damped")
     def test_2d_picard_smoke(self):
         g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), (9, 9), 17)
         x1, x2 = g.space_meshgrid()
@@ -723,7 +701,7 @@ class TestManufacture:
             np.exp(1.0 - x1**2 - 0.5 * x2**2),
         )
         spec = ProblemSpec(g, kern, f, triple.u, triple.m)
-        got = solve_mfg_picard(spec, np.ones((9, 9)), memory=0, damping=0.5, max_iter=40, tol=1e-8)
+        got = solve_mfg_picard(spec, np.ones((9, 9)), damping=0.5, max_iter=40, tol=1e-8)
         assert got.report["history"][-1] < 1e-8
         assert np.max(np.abs(got.u - triple.u)) < 0.05
 

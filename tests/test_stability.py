@@ -81,9 +81,7 @@ class TestDifferencePack:
 
     def test_grid_mismatch_rejected(self, pair):
         g, triple, f, spec = build_problem(33, 33)
-        other = solve_mfg_picard(
-            spec, np.ones(g.shape_space), memory=0, damping=0.5, max_iter=50, tol=1e-8
-        )
+        other = solve_mfg_picard(spec, np.ones(g.shape_space), damping=0.5, max_iter=50, tol=1e-8)
         with pytest.raises(ValueError, match="different grids"):
             form_difference(pair["t1"], other)
 
@@ -226,10 +224,12 @@ def params():
     return select_parameters(Fraction(1, 2), Fraction(1, 5), PRISM)
 
 
+@pytest.mark.usefixtures("damped")
 class TestSweep:
     SCALES = (0.0, 0.02, 0.05, 0.1)
-    # the solver settings the frozen slope was recorded with
-    SOLVER = {"memory": 0, "damping": 0.5, "max_iter": 60, "tol": 1e-9}
+    # the solver settings the frozen slope was recorded with, on the damped
+    # step
+    SOLVER = {"damping": 0.5, "max_iter": 60, "tol": 1e-9}
 
     def test_small_sweep_fit(self, sweep_setup):
         g, spec, k1, dk = sweep_setup
@@ -259,7 +259,7 @@ class TestSweep:
         # the base coefficient converges in 20 damped iterations, the large
         # scale needs 22, so a cap of 21 splits them
         g, spec, k1, dk = sweep_setup
-        rep = holder_sweep(spec, k1, dk, (0.02, 4.0), memory=0, damping=0.5, max_iter=21, tol=1e-9)
+        rep = holder_sweep(spec, k1, dk, (0.02, 4.0), damping=0.5, max_iter=21, tol=1e-9)
         assert [row["scale"] for row in rep.rows] == [0.02]
         assert len(rep.excluded) == 1
         assert rep.excluded[0]["scale"] == 4.0
@@ -270,7 +270,7 @@ class TestSweep:
         # first, then each scale in turn, a non-converging one excluded with
         # its solo message and a blow-up raised
         g, spec, k1, dk = sweep_setup
-        solver = {"memory": 0, "damping": 0.5, "max_iter": 21, "tol": 1e-9}
+        solver = {"damping": 0.5, "max_iter": 21, "tol": 1e-9}
 
         def solo(k, **settings):
             try:
@@ -285,9 +285,9 @@ class TestSweep:
         with pytest.raises(BlowupError) as info:
             holder_sweep(spec, k1, dk, (4.0, -200.0, 0.02), **solver)
         assert str(info.value) == str(blowup)
-        base = solo(k1, memory=0, damping=0.5, max_iter=5, tol=1e-9)
+        base = solo(k1, damping=0.5, max_iter=5, tol=1e-9)
         with pytest.raises(PicardNonConvergence) as info:
-            holder_sweep(spec, k1, dk, (-200.0,), memory=0, damping=0.5, max_iter=5, tol=1e-9)
+            holder_sweep(spec, k1, dk, (-200.0,), damping=0.5, max_iter=5, tol=1e-9)
         assert info.value.history == base.history
 
     def test_single_point_has_no_slope(self, sweep_setup):
