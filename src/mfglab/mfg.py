@@ -19,8 +19,10 @@ marching matrix is laid out once per grid: the value equation's matrix does
 not change in time and is factored once per Picard solve, and the density
 march fills the matrices of a block of levels in one pass from their face
 drift, with LAPACK: tridiagonal ``dgttrf``/``dgttrs`` in 1-D, one ``dgttrf``
-call per block of levels, band ``dgbtrf``/``dgbtrs`` in n-D, one level at a
-time, and in 1-D the two Dirichlet nodes written by slice around the solve.
+call per block of levels, with the two Dirichlet nodes written by slice
+around the solve; band ``dgbtrf``/``dgbtrs`` in n-D, one level at a time, on
+the interior nodes alone, with their couplings to the Dirichlet nodes moved
+to the right-hand side.
 Each march scans its levels for blow-up once, after the march.
 
 Several coefficients march in lockstep along a member axis
@@ -101,7 +103,9 @@ class BlowupError(RuntimeError):
 
 
 class PicardNonConvergence(RuntimeError):
-    """The alternating fixed point failed to settle within max_iter."""
+    """The alternating fixed point failed to settle within max_iter
+    evaluations; ``history`` holds the change of each evaluation after the
+    first, max_iter - 1 of them."""
 
     def __init__(self, history: list[float], max_iter: int, tol: float):
         self.history = list(history)
@@ -109,7 +113,7 @@ class PicardNonConvergence(RuntimeError):
         self.tol = tol
         tail = ", ".join(f"{r:.3e}" for r in history[-3:])
         super().__init__(
-            f"no convergence after {max_iter} iterations (tol {tol:.1e}); "
+            f"no convergence after {max_iter} evaluations (tol {tol:.1e}); "
             f"last changes: {tail}"
         )
 
@@ -295,16 +299,31 @@ def _member_columns(
     return lambda b: solve(b.reshape(-1, order="F")).reshape(b.shape, order="F")
 
 
+# Least half-bandwidth of the n-D band system.  Reference LAPACK's
+# ``dgbtrf`` runs its blocked code only when kl is at least its block size,
+# 32, and its unblocked code is the slower one: at 33x33, where the interior
+# stride is 31, one factorization took 0.52-0.59 ms unpadded and 0.30-0.32
+# ms padded to 32 (medians of three runs of 5 x 300 calls, 2-vCPU Xeon,
+# scipy-openblas 0.3.31, one thread).
+_MIN_HALF_BANDWIDTH = 32
+
+
 class _SpatialOperator:
     """The marching system I - tau (L + D) of one grid, laid out once.
 
     L is the interior Laplacian stencil and D the conservative drift
-    operator m -> div(a m) with face-centered fluxes; boundary rows are
-    identity rows that carry the Dirichlet data.  The matrix lives in one
-    flat array with a fixed layout: the three bands of a tridiagonal matrix
-    in 1-D; in n-D every node's diagonal, then the lower and upper neighbour
-    of each interior node axis by axis, which ``band_slots`` maps into the
-    LAPACK band storage that ``factor`` fills.  The slot arrays map each
+    operator m -> div(a m) with face-centered fluxes; the boundary nodes
+    carry the Dirichlet data.  The matrix lives in one flat array with a
+    fixed layout: the three bands of a tridiagonal matrix in 1-D, whose
+    boundary rows are identity rows; in n-D the interior rows alone, over
+    the interior nodes numbered in C order of the interior box: every
+    interior node's diagonal, then its lower and upper neighbour axis by
+    axis.  ``band_entries`` are the n-D entries that couple two interior
+    nodes, and ``band_slots`` maps them into the LAPACK band storage that
+    ``factor`` fills, half-bandwidth the interior stride of axis 0 but at
+    least ``_MIN_HALF_BANDWIDTH``; the other entries couple an interior node
+    next to a boundary face to its boundary neighbour (``faces``), and the
+    solve moves them to the right-hand side.  The slot arrays map each
     stencil entry of an interior row (diagonal, and per axis the lower and
     upper neighbour) to its position there, so a new drift rewrites values
     only.  ``system`` fills that storage for a whole block of levels in one
@@ -326,23 +345,38 @@ class _SpatialOperator:
             self.diag_slots = ns + i
             self.lower_slots = [2 * ns + i - 1]
             self.upper_slots = [i + 1]
-            self._identity = np.zeros(3 * ns)
-            self._identity[ns + self.boundary] = 1.0
+            # the entries no stencil writes: the boundary rows
+            self._template = np.zeros(3 * ns)
+            self._template[ns + self.boundary] = 1.0
             return
-        strides = _strides(grid.nx)
-        neighbours = [self.interior + sign * stride for stride in strides for sign in (-1, 1)]
-        rows = np.concatenate([np.arange(ns)] + [self.interior] * len(neighbours))
-        cols = np.concatenate([np.arange(ns)] + neighbours)
+        inner = self._inner = tuple(n - 2 for n in grid.nx)
+        ni = self.ni = math.prod(inner)
+        strides = _strides(inner)
+        nodes = np.arange(ni)
+        index = np.unravel_index(nodes, inner)
+        rows, cols, self.faces = [nodes], [nodes], []
+        for axis in range(self.dim):
+            for entry, end, sign in ((1 + 2 * axis, 0, -1), (2 + 2 * axis, -1, 1)):
+                row = nodes[index[axis] != end % inner[axis]]
+                rows.append(row)
+                cols.append(row + sign * strides[axis])
+                face = [slice(None)] * self.dim
+                outer = [slice(1, -1)] * self.dim
+                face[axis] = outer[axis] = end
+                self.faces.append((entry, tuple(face), tuple(outer)))
+        self.band_entries = np.concatenate(
+            [entry * ni + row for entry, row in enumerate(rows)]
+        )
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
         # A[row, col] is ab[kl + ku + row - col, col] of band storage with
-        # kl = ku = the stride of axis 0; its top kl rows take the LU fill-in
-        kl = self.kl = strides[0]
+        # kl = ku; its top kl rows take the LU fill-in
+        kl = self.kl = max(strides[0], _MIN_HALF_BANDWIDTH)
         self.band_slots = 2 * kl + rows - cols + (3 * kl + 1) * cols
-        self.diag_slots = self.interior
-        off = np.arange(ns, rows.size).reshape(grid.dim, 2, -1)
-        self.lower_slots = list(off[:, 0])
-        self.upper_slots = list(off[:, 1])
-        self._identity = np.zeros(rows.size)
-        self._identity[self.boundary] = 1.0
+        self.diag_slots = slice(0, ni)
+        self.lower_slots = [slice((1 + 2 * a) * ni, (2 + 2 * a) * ni) for a in range(self.dim)]
+        self.upper_slots = [slice((2 + 2 * a) * ni, (3 + 2 * a) * ni) for a in range(self.dim)]
+        # every n-D slot is a stencil entry
+        self._template = np.zeros((1 + 2 * self.dim) * ni)
 
     def couplings(
         self, tau: float, a_faces: Sequence[np.ndarray] | None
@@ -385,8 +419,8 @@ class _SpatialOperator:
         one column."""
         diag, lower, upper = self.couplings(tau, a_faces)
         trailing = () if a_faces is None else a_faces[0].shape[self.dim :]
-        out = np.empty(self._identity.shape + trailing, order="F")
-        out.T[...] = self._identity
+        out = np.empty(self._template.shape + trailing, order="F")
+        out.T[...] = self._template
         out[self.diag_slots] = diag
         for slots, vals in zip(self.lower_slots + self.upper_slots, lower + upper):
             out[slots] = vals
@@ -397,30 +431,51 @@ class _SpatialOperator:
         (slots,) or (slots, members).  The members' systems form one
         block-diagonal matrix, their blocks side by side with zero couplings
         between them, and each block gets the bits of its own factorization.
-        In n-D ``dgbtrf`` factors the entries scattered into zeroed band
-        storage, one call per member: past 64 bands it factors in panels, and
-        a panel straddling two members rounds differently.  In 1-D this is
-        ``factor_levels`` of one level.
+        In n-D ``dgbtrf`` factors the interior block, scattered into zeroed
+        band storage, one call per member: past 64 bands it factors in
+        panels, and a panel straddling two members rounds differently.  In
+        1-D this is ``factor_levels`` of one level.
 
-        The solve is a bare ``dgttrs``/``dgbtrs`` call that overwrites its
-        argument, of shape (ns,) or a Fortran-order (ns, columns) array: a
-        column per member, or, for a single member, any number of columns,
-        one right-hand side each.  A singular matrix raises
+        The solve takes every node, the boundary nodes holding their
+        Dirichlet values, as an array of shape (ns,) or a Fortran-order (ns,
+        columns) array: a column per member, or, for a single member, any
+        number of columns, one right-hand side each.  It overwrites its
+        argument and returns the solution.  In 1-D it is a bare
+        ``dgttrs`` call; in n-D it subtracts each interior row's couplings
+        to boundary nodes times their values from the right-hand side,
+        solves the interior block with ``dgbtrs``, and leaves the boundary
+        nodes as they are.  A singular matrix raises
         ``np.linalg.LinAlgError``."""
         if self.dim == 1:
             return next(self.factor_levels(storage.reshape(len(storage), -1, 1)))
-        members = storage.size // self._identity.size
-        kl, ns = self.kl, self.ns
-        lu = np.zeros((3 * kl + 1, members * ns), order="F")
-        lu.T.reshape(members, -1)[:, self.band_slots] = storage.T.reshape(members, -1)
-        ipiv = np.empty(members * ns, dtype=np.int32)
-        for i in range(0, members * ns, ns):
+        entries = storage.reshape(self._template.size, -1)
+        members = entries.shape[1]
+        kl, ni = self.kl, self.ni
+        lu = np.zeros((3 * kl + 1, members * ni), order="F")
+        lu.T.reshape(members, -1)[:, self.band_slots] = entries[self.band_entries].T
+        ipiv = np.empty(members * ni, dtype=np.int32)
+        for i in range(0, members * ni, ni):
             # in place: a column slice of Fortran-order storage is contiguous
-            _, ipiv[i : i + ns], info = dgbtrf(lu[:, i : i + ns], kl, kl, overwrite_ab=1)
+            _, ipiv[i : i + ni], info = dgbtrf(lu[:, i : i + ni], kl, kl, overwrite_ab=1)
             if info != 0:
                 raise np.linalg.LinAlgError("singular matrix")
-            ipiv[i : i + ns] += i
-        return _member_columns(lambda b: dgbtrs(lu, kl, kl, b, ipiv, overwrite_b=1)[0], members)
+            ipiv[i : i + ni] += i
+        band = _member_columns(lambda b: dgbtrs(lu, kl, kl, b, ipiv, overwrite_b=1)[0], members)
+        stencil = entries.reshape((-1,) + self._inner + (members,))
+        walls = [(stencil[entry][face], face, outer) for entry, face, outer in self.faces]
+        inside = (slice(1, -1),) * self.dim
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            nodes = b.reshape(self.shape + (-1,))
+            rhs = np.empty((ni, nodes.shape[-1]), order="F")
+            box = rhs.reshape(self._inner + (-1,))
+            box[...] = nodes[inside]
+            for coupling, face, outer in walls:
+                box[face] -= coupling * nodes[outer]
+            nodes[inside] = band(rhs).reshape(box.shape)
+            return b
+
+        return solve
 
     def factor_levels(self, block: np.ndarray) -> Iterator[Callable[[np.ndarray], np.ndarray]]:
         """Solvers for the systems of ``block``, of shape (slots, members,
@@ -456,16 +511,18 @@ class _SpatialOperator:
     def step(
         self, solve: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, bvals: np.ndarray
     ) -> np.ndarray:
-        """One marching step of every member: solve with the Dirichlet rows
-        set to ``bvals``, on a copy of ``rhs`` (shape ``(*grid.nx, members)``)
-        laid out one column per member; in 1-D those rows are written by
-        slice."""
+        """One marching step of every member, on a copy of ``rhs`` (shape
+        ``(*grid.nx, members)``) laid out one column per member: write the
+        boundary nodes from ``bvals`` and solve for the rest.  In 1-D those
+        nodes are written by slice, solved as identity rows, and written
+        again after the solve; the n-D solve leaves them as written."""
         b = rhs.reshape(self.ns, -1).copy(order="F")
         b[self._dirichlet_rows] = bvals
         x = solve(b)
-        # reimpose Dirichlet data bit-exactly; LU roundoff on the identity rows
-        # otherwise leaks into trace differences of solves sharing data
-        x[self._dirichlet_rows] = bvals
+        if self.dim == 1:
+            # reimpose Dirichlet data bit-exactly; LU roundoff on the identity
+            # rows otherwise leaks into trace differences of solves sharing data
+            x[self._dirichlet_rows] = bvals
         return x.reshape(rhs.shape)
 
 
@@ -508,9 +565,10 @@ def _divergence_flux(
 
 # Space-time nodes, over all members, in one block of levels whose face
 # drift and marching storage the density march fills in one pass: 32 KB per
-# face array, and storage of up to 2 dim + 1 entries per node; ``factor``
-# fills the n-D band storage, 3 kl + 1 entries per node, for its one level
-# (for a 3-level block at 33x33 that would be 2.6 MB, not 118 KB).  One
+# face array, and storage of up to 2 dim + 1 entries per node (per interior
+# node in n-D); ``factor`` fills the n-D band storage, 3 kl + 1 entries per
+# interior node, for its one level (for a 3-level block at 33x33 that would
+# be 2.2 MB, not 115 KB).  One
 # block of all levels keeps field-sized arrays alive through the march,
 # which fragmented the heap and raised the peak resident memory of a 2-D
 # 33x33x65 forward run by ~3 MB (4%); blocks above the allocator's 128 KB

@@ -181,14 +181,26 @@ class TestMarchingSystem:
         if op.grid.dim == 1:
             ab = storage.reshape(3, op.ns)
             return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
-        # band slot kl + ku + row - col + (2 kl + ku + 1) col, with ku = kl
+        # interior rows only: band slot kl + ku + row - col + (2 kl + ku + 1)
+        # col of the interior block, with ku = kl, then the couplings of the
+        # interior nodes on each face to their boundary neighbours
         cols, offsets = np.divmod(op.band_slots, 3 * op.kl + 1)
+        interior = op.interior
         out = np.zeros((op.ns, op.ns))
-        out[offsets - 2 * op.kl + cols, cols] = storage
+        out[interior[offsets - 2 * op.kl + cols], interior[cols]] = storage[op.band_entries]
+        out[op.boundary, op.boundary] = 1.0
+        stencil = storage.reshape((-1,) + op._inner)
+        box = interior.reshape(op._inner)
+        nodes = np.arange(op.ns).reshape(op.shape)
+        for entry, face, outer in op.faces:
+            out[box[face], nodes[outer]] = stencil[entry][face]
         return out
 
     @pytest.mark.parametrize(
-        "half_widths, nx", [((), (17,)), ((0.5,), (9, 7)), ((0.5, 0.5), (5, 6, 7))]
+        "half_widths, nx",
+        # the interior stride of (33, 33) is padded to the least half-bandwidth,
+        # that of (9, 35) is not
+        [((), (17,)), ((0.5,), (9, 7)), ((0.5, 0.5), (5, 6, 7)), ((0.5,), (33, 33)), ((0.5,), (9, 35))],
     )
     def test_fp_system_matches_residual_flux(self, half_widths, nx):
         g = make_grid(Prism(1.0, 2.0, half_widths, 1.0), nx, 9)
@@ -251,6 +263,57 @@ class TestMarchingSystem:
         m = solve_fokker_planck(spec, np.ones(33), u_const)
         np.testing.assert_array_equal(m[[0, -1]], walls[[0, -1]])
 
+    def test_2d_density_step_keeps_previous_level_and_walls(self, monkeypatch):
+        # the n-D solve leaves the boundary nodes as the step wrote them
+        g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), (9, 7), 17)
+        walls = np.repeat((2.0 + g.space_meshgrid()[0])[..., None], g.nt, axis=-1)
+        walls += 0.3 * np.sin(7.0 * g.times)
+        spec = ProblemSpec(g, Kernel("separable", amplitude=0.0), np.zeros(g.shape), np.zeros(g.shape), walls)
+        step = _SpatialOperator.step
+
+        def checked_step(op, solve, rhs, bvals):
+            before = rhs.copy()
+            x = step(op, solve, rhs, bvals)
+            assert np.array_equal(rhs, before)
+            return x
+
+        monkeypatch.setattr(_SpatialOperator, "step", checked_step)
+        m = solve_fokker_planck(spec, np.ones((9, 7)), spec.u_data)
+        on_boundary = boundary_mask(g)
+        np.testing.assert_array_equal(m[on_boundary], walls[on_boundary])
+
+    @pytest.mark.parametrize(
+        "half_widths, nx", [((0.5,), (9, 7)), ((0.5,), (33, 33)), ((0.5, 0.5), (5, 5, 5))]
+    )
+    def test_bounded_drift_factors_without_row_interchanges(self, monkeypatch, half_widths, nx):
+        # with max |a| h <= 2 the interior matrix is column diagonally
+        # dominant, so partial pivoting keeps every diagonal pivot; a drift
+        # well past the bound does interchange rows
+        g = make_grid(Prism(1.0, 2.0, half_widths, 1.0), nx, 9)
+        rng = np.random.default_rng(19)
+        k = rng.uniform(0.5, 1.5, nx)[..., None]
+        u = rng.normal(size=nx)[..., None]
+        op = _SpatialOperator(g)
+        pivots = []
+        dgbtrf = mfg.dgbtrf
+
+        def recording(*args, **kwargs):
+            out = dgbtrf(*args, **kwargs)
+            pivots.append(out[1].copy())
+            return out
+
+        monkeypatch.setattr(mfg, "dgbtrf", recording)
+        diagonal = np.arange(op.ni)  # scipy numbers the pivots from 0
+        for bound, swaps in ((2.0, False), (20.0, True)):
+            drift = _face_drift_coefficients(g, k, u)
+            worst = max(np.max(np.abs(a)) * h for a, h in zip(drift, g.h))
+            drift = _face_drift_coefficients(g, k, u * (bound / worst))
+            assert max(np.max(np.abs(a)) * h for a, h in zip(drift, g.h)) <= bound
+            op.factor(op.system(g.tau, drift)[:, 0])
+            (ipiv,) = pivots
+            pivots.clear()
+            assert np.array_equal(ipiv, diagonal) != swaps
+
     def test_1d_factor_solves_like_solve_banded(self):
         g = make_grid(PRISM, 33, 9)
         rng = np.random.default_rng(5)
@@ -275,7 +338,8 @@ class TestMarchingSystem:
             op.factor(np.zeros_like(op.system(g.tau)))
 
     @pytest.mark.parametrize(
-        "half_widths, nx", [((0.5,), (9, 7)), ((0.5, 0.5), (5, 5, 5))]
+        "half_widths, nx",
+        [((0.5,), (9, 7)), ((0.5, 0.5), (5, 5, 5)), ((0.5,), (33, 33)), ((0.5,), (9, 35))],
     )
     def test_nd_factor_solves_like_dense(self, half_widths, nx):
         g = make_grid(Prism(1.0, 2.0, half_widths, 1.0), nx, 9)
@@ -371,6 +435,19 @@ class TestPicard:
         spec = ProblemSpec(g, kern, f, triple.u, triple.m)
         with pytest.raises(PicardNonConvergence, match="no convergence after"):
             solve_mfg_picard(spec, np.ones(33), damping=1.0, max_iter=6, tol=1e-12)
+
+    def test_nonconvergence_counts_evaluations(self):
+        # max_iter bounds the evaluations; the first has no change to record
+        g = make_grid(PRISM, 33, 65)
+        kern = Kernel("separable", amplitude=12.0, n1=12)
+        triple, f = manufacture_triple(
+            g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
+        )
+        spec = ProblemSpec(g, kern, f, triple.u, triple.m)
+        with pytest.raises(PicardNonConvergence) as info:
+            solve_mfg_picard(spec, np.ones(33), damping=1.0, max_iter=6, tol=1e-12)
+        assert str(info.value).startswith("no convergence after 6 evaluations (tol 1.0e-12); ")
+        assert len(info.value.history) == 6 - 1
 
     def test_damping_validated(self, make_pair):
         pair = make_pair(33, 65)
