@@ -355,6 +355,10 @@ class _SpatialOperator:
         nodes = np.arange(ni)
         index = np.unravel_index(nodes, inner)
         rows, cols, self.faces = [nodes], [nodes], []
+        # per axis the lower, then the upper neighbour: rows off that face of
+        # the box couple inside it; rows on it couple to the boundary nodes
+        # across the face (``faces``: the entry, the face in the interior
+        # box, and the boundary nodes next to it)
         for axis in range(self.dim):
             for entry, end, sign in ((1 + 2 * axis, 0, -1), (2 + 2 * axis, -1, 1)):
                 row = nodes[index[axis] != end % inner[axis]]

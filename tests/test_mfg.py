@@ -200,7 +200,13 @@ class TestMarchingSystem:
         "half_widths, nx",
         # the interior stride of (33, 33) is padded to the least half-bandwidth,
         # that of (9, 35) is not
-        [((), (17,)), ((0.5,), (9, 7)), ((0.5, 0.5), (5, 6, 7)), ((0.5,), (33, 33)), ((0.5,), (9, 35))],
+        [
+            ((), (17,)),
+            ((0.5,), (9, 7)),
+            ((0.5, 0.5), (5, 6, 7)),
+            ((0.5,), (33, 33)),
+            ((0.5,), (9, 35)),
+        ],
     )
     def test_fp_system_matches_residual_flux(self, half_widths, nx):
         g = make_grid(Prism(1.0, 2.0, half_widths, 1.0), nx, 9)
@@ -268,7 +274,8 @@ class TestMarchingSystem:
         g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), (9, 7), 17)
         walls = np.repeat((2.0 + g.space_meshgrid()[0])[..., None], g.nt, axis=-1)
         walls += 0.3 * np.sin(7.0 * g.times)
-        spec = ProblemSpec(g, Kernel("separable", amplitude=0.0), np.zeros(g.shape), np.zeros(g.shape), walls)
+        zero = np.zeros(g.shape)
+        spec = ProblemSpec(g, Kernel("separable", amplitude=0.0), zero, zero, walls)
         step = _SpatialOperator.step
 
         def checked_step(op, solve, rhs, bvals):
@@ -427,16 +434,6 @@ class TestPicard:
         assert res["hjb"][0] < 0.1 and res["fp"][0] < 0.01
 
     def test_nonconvergence_carries_history(self):
-        g = make_grid(PRISM, 33, 65)
-        kern = Kernel("separable", amplitude=12.0, n1=12)
-        triple, f = manufacture_triple(
-            g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
-        )
-        spec = ProblemSpec(g, kern, f, triple.u, triple.m)
-        with pytest.raises(PicardNonConvergence, match="no convergence after"):
-            solve_mfg_picard(spec, np.ones(33), damping=1.0, max_iter=6, tol=1e-12)
-
-    def test_nonconvergence_counts_evaluations(self):
         # max_iter bounds the evaluations; the first has no change to record
         g = make_grid(PRISM, 33, 65)
         kern = Kernel("separable", amplitude=12.0, n1=12)
