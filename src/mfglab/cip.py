@@ -1,30 +1,27 @@
-"""Single-measurement data extraction, noise injection, and data distance.
+"""Single-measurement data extraction and the data distance.
 
 The inverse problem observes one solution pair through interior snapshots at
 the central time and lateral Cauchy data (Dirichlet and Neumann traces of u
 and m) together with their first and second time derivatives.  This module
-extracts that data from a solution triple, perturbs it at a prescribed
-level, and measures the distance between two datasets as the maximum over
-the per-component norm budget.  The two data regimes are one table,
-``BUDGET_NORMS``: the norm of each component a regime budgets (traces once
-per s = 0, 1, 2).  Full data budget every component and keep Neumann
-traces on every face; incomplete data keep Neumann traces on the outer face
-x1 = b alone, budget no Dirichlet traces, and require the components they do
-not budget to agree off the outer face.
+extracts that data from a solution triple and measures the distance between
+two datasets as the maximum over the per-component norm budget.  The two
+data regimes are one table, ``BUDGET_NORMS``: the norm of each component a
+regime budgets (traces once per s = 0, 1, 2).  Full data budget every
+component and keep Neumann traces on every face; incomplete data keep
+Neumann traces on the outer face x1 = b alone, budget no Dirichlet traces,
+and require the components they do not budget to agree off the outer face.
 
 Derivative traces are computed field-then-trace (differentiate the parent
 field in time, then restrict); since restriction and time differencing act
 on disjoint axes this equals trace-then-differentiate exactly for s = 1,
 while the s = 2 level differs from twice-applied first differences at the
-stencil-accuracy level, which is what the ladder check measures.
+stencil-accuracy level.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import numbers
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -35,8 +32,6 @@ from .grid import (
     data_faces,
     dt,
     dtt,
-    finite_real,
-    first_derivative,
     trace,
 )
 from .mfg import MFGTriple
@@ -44,15 +39,12 @@ from .norms import norm, trace_norm
 
 __all__ = [
     "CIPData",
-    "NoiseSpec",
     "DataCompatibilityError",
     "OUTER_FACE",
     "BUDGET_NORMS",
     "extract",
-    "inject_noise",
     "measure_delta",
     "budget_lines",
-    "ladder_residual",
 ]
 
 # the norm of each component a data regime budgets
@@ -61,28 +53,9 @@ BUDGET_NORMS = {
     "incomplete": {"u0": "H2", "m0": "H1", "g1": "H10", "p1": "H10"},
 }
 
-_PROFILES = ("smooth-low-mode", "white-per-node")
-_N_MODES = 5
-
 
 class DataCompatibilityError(ValueError):
     """Two datasets cannot be compared under the requested regime."""
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    delta: float
-    seed: int
-    profile: str = "smooth-low-mode"
-
-    def __post_init__(self) -> None:
-        if not finite_real(self.delta) or self.delta < 0.0:
-            raise ValueError(f"delta must be nonnegative and finite, got {self.delta!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-        if self.profile not in _PROFILES:
-            raise ValueError(f"profile must be one of {_PROFILES}")
 
 
 TraceSet = Mapping[Face, tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -167,42 +140,22 @@ def extract(triple: MFGTriple, completeness: str = "full") -> CIPData:
     )
 
 
-def ladder_residual(data: CIPData) -> float:
-    """Worst mismatch between the stored s=1 traces and discrete time
-    differences of the s=0 traces.
-
-    Extracted data passes exactly (restriction and time differencing act on
-    disjoint axes), smooth-noise data to O(tau^2) (discrete difference of
-    the noise versus its exact derivative).  The s=2 level is not checked
-    this way: twice-composed first differences disagree with the direct
-    second difference at O(tau) near the one-sided time-edge stencils, a
-    property of the stencils rather than of the data.
-    """
-    tau = data.grid.tau
-    worst = 0.0
-    for tset in data.trace_components().values():
-        for fam in tset.values():
-            d1 = first_derivative(fam[0], fam[0].ndim - 1, tau)
-            worst = max(worst, float(np.max(np.abs(d1 - fam[1]))))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # norm budget
 
 
 def _aggregate(
-    grid: Grid, tset_1: TraceSet, tset_2: TraceSet | None, s: int, kind: str
+    grid: Grid, tset_1: TraceSet, tset_2: TraceSet, s: int, kind: str
 ) -> float:
     total = 0.0
     for face, fam in tset_1.items():
-        values = fam[s] if tset_2 is None else fam[s] - tset_2[face][s]
+        values = fam[s] - tset_2[face][s]
         total += trace_norm(grid, face, values, kind) ** 2
     return float(np.sqrt(total))
 
 
-def budget_lines(d1: CIPData, d2: CIPData | None = None) -> dict[str, float]:
-    """Every norm line of the data budget, evaluated on d1 (or d1 - d2).
+def budget_lines(d1: CIPData, d2: CIPData) -> dict[str, float]:
+    """Every norm line of the data budget, evaluated on d1 - d2.
 
     The regime is ``d1.completeness``; ``BUDGET_NORMS`` names the norm of
     each component it budgets.  A snapshot gives one line, a trace family
@@ -212,12 +165,12 @@ def budget_lines(d1: CIPData, d2: CIPData | None = None) -> dict[str, float]:
     lines: dict[str, float] = {}
     for name, kind in BUDGET_NORMS[d1.completeness].items():
         part = getattr(d1, name)
-        other = None if d2 is None else getattr(d2, name)
+        other = getattr(d2, name)
         if isinstance(part, Mapping):
             for s in range(3):
                 lines[f"{name}_s{s}"] = _aggregate(g, part, other, s, kind)
         else:
-            lines[name] = norm(g, part if other is None else part - other, kind)
+            lines[name] = norm(g, part - other, kind)
     return lines
 
 
@@ -254,122 +207,3 @@ def measure_delta(d1: CIPData, d2: CIPData) -> float:
     lines = budget_lines(d1, d2)
     return max(lines.values())
 
-
-# ---------------------------------------------------------------------------
-# noise injection
-
-
-def _mode_shape(grid: Grid, axes: tuple[int, ...], j: int) -> np.ndarray:
-    """Product of sine modes over the given spatial axes (1.0 if none)."""
-    if not axes:
-        return np.array(1.0)
-    factors = []
-    for axis in axes:
-        lo, hi = grid.prism.axis_bounds(axis)
-        s = (grid.axis_coords(axis) - lo) / (hi - lo)
-        factors.append(np.sin(j * np.pi * s))
-    out = factors[0]
-    for f in factors[1:]:
-        out = np.multiply.outer(out, f)
-    return out
-
-
-def _smooth_trace_noise(
-    grid: Grid, face: Face, coeffs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Random low-mode trace noise with exact time derivatives.
-
-    eta(y, t) = sum_j c_j Theta_j(y) cos(j pi t / T); returning the exact
-    s = 0, 1, 2 families keeps the ladder consistency of noisy data.
-    """
-    T = grid.prism.T
-    t = grid.times
-    tangential = tuple(ax for ax in range(grid.dim) if ax != face.axis)
-    shape = (*grid.face_shape(face), grid.nt)
-    out = [np.zeros(shape) for _ in range(3)]
-    for j in range(1, _N_MODES + 1):
-        theta = _mode_shape(grid, tangential, j)
-        w = j * np.pi / T
-        phi = (np.cos(w * t), -w * np.sin(w * t), -w * w * np.cos(w * t))
-        for s in range(3):
-            out[s] += coeffs[j - 1] * np.multiply.outer(theta, phi[s]).reshape(shape)
-    return tuple(out)
-
-
-def _smooth_spatial_noise(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    out = np.zeros(grid.shape_space)
-    for j in range(1, _N_MODES + 1):
-        out += coeffs[j - 1] * _mode_shape(grid, tuple(range(grid.dim)), j).reshape(
-            grid.shape_space
-        )
-    return out
-
-
-def _scaled_trace_set(
-    tset: TraceSet, noise: dict[Face, tuple[np.ndarray, ...]], scale: float
-) -> TraceSet:
-    return {
-        face: tuple(fam[s] + scale * noise[face][s] for s in range(3))
-        for face, fam in tset.items()
-    }
-
-
-def inject_noise(data: CIPData, noise: NoiseSpec) -> CIPData:
-    """Perturb every measured component, rescaled so the largest budget line
-    of the perturbation is 0.95 delta (all lines <= delta, max >= 0.9 delta).
-
-    The smooth-low-mode profile (default) draws a 5-mode trigonometric
-    polynomial per component with exact time derivatives, so noisy data
-    still satisfies the derivative-ladder invariant; white-per-node draws
-    independent values everywhere, which breaks the ladder and makes the
-    stronger norms grid-dependent (kept for contrast experiments).
-    A component the regime does not budget has no line to scale against and
-    receives no noise, which keeps the incomplete regime's Dirichlet data
-    identical.
-    """
-    if noise.delta == 0.0:
-        return data
-    g = data.grid
-    rng = np.random.default_rng(noise.seed)
-    smooth = noise.profile == "smooth-low-mode"
-    target = 0.95 * noise.delta
-
-    def draw_trace_noise(tset: TraceSet) -> dict[Face, tuple[np.ndarray, ...]]:
-        out = {}
-        for face, fam in tset.items():
-            if smooth:
-                out[face] = _smooth_trace_noise(g, face, rng.uniform(-1.0, 1.0, _N_MODES))
-            else:
-                out[face] = tuple(rng.standard_normal(fam[s].shape) for s in range(3))
-        return out
-
-    if smooth:
-        nu_u0 = _smooth_spatial_noise(g, rng.uniform(-1.0, 1.0, _N_MODES))
-        nu_m0 = _smooth_spatial_noise(g, rng.uniform(-1.0, 1.0, _N_MODES))
-    else:
-        nu_u0 = rng.standard_normal(g.shape_space)
-        nu_m0 = rng.standard_normal(g.shape_space)
-    trace_noise = {name: draw_trace_noise(tset) for name, tset in data.trace_components().items()}
-
-    def perturbed(scale: Callable[[str], float]) -> CIPData:
-        return dataclasses.replace(
-            data,
-            u0=data.u0 + scale("u0") * nu_u0,
-            m0=data.m0 + scale("m0") * nu_m0,
-            **{
-                name: _scaled_trace_set(tset, trace_noise[name], scale(name))
-                for name, tset in data.trace_components().items()
-            },
-        )
-
-    # unit-noise dataset: measure each component's budget lines, then scale
-    lines = budget_lines(perturbed(lambda name: 1.0), data)
-
-    def component_scale(prefix: str) -> float:
-        worst = max(
-            (v for k, v in lines.items() if k == prefix or k.startswith(prefix + "_")),
-            default=0.0,
-        )
-        return target / worst if worst > 0.0 else 0.0
-
-    return perturbed(component_scale)

@@ -17,7 +17,7 @@ from mfglab.mfg import (
     ProblemSpec,
     bump_form,
     manufacture_triple,
-    solve_mfg_picard,
+    solve_mfg_members,
     steady_density,
 )
 from mfglab.stability import form_difference
@@ -74,9 +74,11 @@ def build_problem(nx: int, nt: int):
 def make_pair():
     """Factory for Picard-solved pairs sharing one data specification.
 
-    Both solves use the same boundary, terminal, and initial data, so the
-    lateral Dirichlet traces of the two solutions agree exactly and only
-    the coefficient difference drives the field differences.
+    The two coefficients are solved as one lockstep group, bitwise as if
+    each were solved alone.  Both solves use the same boundary, terminal,
+    and initial data, so the lateral Dirichlet traces of the two solutions
+    agree exactly and only the coefficient difference drives the field
+    differences.
     """
     cache: dict = {}
 
@@ -87,8 +89,12 @@ def make_pair():
             k1 = np.ones(g.shape_space)
             k2 = k1 + scale * perturbation(g)
             with mixing_window(0):
-                t1 = solve_mfg_picard(spec, k1, damping=0.5, max_iter=80, tol=1e-10)
-                t2 = solve_mfg_picard(spec, k2, damping=0.5, max_iter=80, tol=1e-10)
+                t1, t2 = solve_mfg_members(
+                    spec, [k1, k2], damping=0.5, max_iter=80, tol=1e-10
+                )
+            for outcome in (t1, t2):
+                if isinstance(outcome, Exception):
+                    raise outcome
             cache[key] = {
                 "grid": g,
                 "f": f,
