@@ -1,16 +1,18 @@
-"""The byte-identical output contract: ten CLI runs, in process through
+"""The byte-identical output contract: twelve CLI runs, in process through
 ``cli.main``, reproduce the sha256 of every output file (``provenance.json``
 excluded), the stdout, the stderr and the exit code recorded in
 ``tests/golden_outputs.json``.
 
 The runs are the default ``forward``, ``manufacture``, ``sweep``,
-``carleman``, ``lemmas`` and ``params``, a restricted 2-D ``carleman``
-on a 17x17x33 grid, a 2-D causal-kernel ``forward`` on a 9x9x17 grid,
-which checks the n-D band-LU march and its CSV output byte for byte, and
-the default ``forward`` and ``sweep`` on the damped Picard step (no mixing
-window, ``solver.damping`` 0.5), whose files keep the hashes that the
-default runs had before the Anderson window became the default.
-Each writes to a relative ``--out`` inside a temporary
+``carleman``, ``lemmas`` and ``params``; on a 17x17x33 grid, a
+restricted and an unrestricted 2-D ``carleman`` and a 2-D ``lemmas``,
+which pin the functional's mixed derivatives and the lemma ratios that
+only a cross-section axis has; a 2-D causal-kernel ``forward`` on a
+9x9x17 grid, which checks the n-D band-LU march and its CSV output byte
+for byte; and the default ``forward`` and ``sweep`` on the damped Picard
+step (no mixing window, ``solver.damping`` 0.5), whose files keep the
+hashes that the default runs had before the Anderson window became the
+default.  Each writes to a relative ``--out`` inside a temporary
 working directory, so the printed paths, and with them the hashes, do not
 depend on where the tests run.  A change that means to change an output
 re-records the file, from the repository root, with
@@ -40,6 +42,18 @@ RESTRICTED_2D = {
     "carleman": {"restricted": True},
 }
 
+CARLEMAN_2D = {
+    "prism": {"half_widths": [0.5]},
+    "grid": {"nx": 17, "nt": 33},
+    "carleman": {"count": 3},
+}
+
+LEMMAS_2D = {
+    "prism": {"half_widths": [0.5]},
+    "grid": {"nx": 17, "nt": 33},
+    "lemmas": {"samples": 3},
+}
+
 CAUSAL_2D = {
     "prism": {"half_widths": [0.5]},
     "grid": {"nx": [9, 9], "nt": 17},
@@ -58,6 +72,8 @@ RUNS = {
     "lemmas": ("lemmas", None, 1),
     "params": ("params", None, 1),
     "carleman-restricted-2d": ("carleman", RESTRICTED_2D, 1),
+    "carleman-2d": ("carleman", CARLEMAN_2D, 1),
+    "lemmas-2d": ("lemmas", LEMMAS_2D, 1),
     "forward-causal-2d": ("forward", CAUSAL_2D, 1),
     "forward-damped": ("forward", DAMPED, 0),
     "sweep-damped": ("sweep", DAMPED, 0),
