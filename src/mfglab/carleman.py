@@ -21,17 +21,22 @@ The two-sided functional check reads
     lhs >= C0 * (main - boundary - negligible)
 
 with the components defined in ``estimate_c0``.  Each term is computed
-once for the inputs it depends on.  Per test function: the derivatives, the
-boundary and end-time norms, and the volume integrands (the squared operator
-once per sign), each summed over the cross-section axes x2..xn at once, since
-the weight does not depend on them; the integrands are built and summed one
+once for the inputs it depends on.  Per test function: the boundary and
+end-time norms, and the volume integrands (the squared operator once per
+sign), each summed over the cross-section axes x2..xn at once, since the
+weight does not depend on them; the integrands are built and summed one
 block of x1 rows at a time, so no field-sized temporary is made.  Per
-lambda: the weight on the (x1, t) axes alone, built once for the whole
-family, and the (x1, t) sums of those reduced integrands against it.  The
-lemma checks reduce their two energies the same way.  C0 is existence
-only in the underlying theory; here it is estimated as the infimum of
-lhs / bracket over a documented seeded test family and published per grid,
-never asserted as a universal constant.
+block: u_t, each spatial first derivative and each pure second derivative
+once; the first derivatives feed |grad u|^2 and the inner derivative of
+every mixed one, and the pure ones feed the Laplacian and the sum of
+squared second derivatives.  Per lambda: the weight on the (x1, t) axes
+alone, built once for the whole family, and the (x1, t) sums of those
+reduced integrands against it.  The lemma checks run all three lemmas in
+one call per sample: h is checked and its energy summed over the
+cross-section axes once, and each lambda's weight and h-energy sum serve
+all three ratios.  C0 is existence only in the underlying theory; here it
+is estimated as the infimum of lhs / bracket over a documented seeded test
+family and published per grid, never asserted as a universal constant.
 """
 
 from __future__ import annotations
@@ -48,9 +53,9 @@ from .grid import (
     cross_section_sum,
     data_faces,
     dt,
-    grad_sq,
-    laplacian,
-    mixed_xixj,
+    first_derivative,
+    gradient,
+    second_derivative,
     snap_epsilon,
     time_integral_from_t0,
     trace,
@@ -199,15 +204,15 @@ def weight_extrema(params: CarlemanParams, grid: Grid, eps: float | None = None)
     return out
 
 
-def _ordered_second_sum(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """sum over all ordered pairs (i, j) of u_{x_i x_j}^2, each derivative
-    squared in place."""
-    total = np.zeros(u.shape)
-    for i in range(grid.dim):
-        for j in range(grid.dim):
-            d = mixed_xixj(grid, u, i, j)
-            d *= d
-            total += d
+def _sum_of_squares(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """Sum of the squares of fresh arrays, taken one at a time in the order
+    given: each is squared in place and added into the first."""
+    arrays = iter(arrays)
+    total = next(arrays)
+    total *= total
+    for d in arrays:
+        d *= d
+        total += d
     return total
 
 
@@ -273,17 +278,22 @@ def _functional_rows(
     ``weights`` holding ``scaled_weight_values`` of each lambda.
 
     Each term is computed once for the inputs it depends on.  Once per
-    member: the derivatives, the boundary and end-time norms, and the
-    ``cross_section_sum`` of each volume integrand (u^2, |grad u|^2,
-    u_t^2 + sum u_{x_i x_j}^2, and (u_t + sign Lap u)^2 once per sign),
-    each an ``(nx1, nt)`` array.  Those five arrays are filled one block of
-    x1 rows at a time (``_row_blocks``): the x1 derivatives read the block
-    and one halo row on each side, clipped at the x1 faces, so every row
-    sees the stencils and the cross-section ``matmul`` it would see in the
-    whole field, and the sums are bitwise the same.  Only a few arrays of a
-    block's size are alive at once, squared in place and dropped once their
-    rows are summed.  Once per lambda: the (x1, t) sums of the reduced
-    arrays against its weight.
+    member: the boundary and end-time norms, and the ``cross_section_sum``
+    of each volume integrand (u^2, |grad u|^2, u_t^2 + sum u_{x_i x_j}^2,
+    and (u_t + sign Lap u)^2 once per sign), each an ``(nx1, nt)`` array.
+    Those five arrays are filled one block of x1 rows at a time
+    (``_row_blocks``): the x1 derivatives read the block and one halo row
+    on each side, clipped at the x1 faces, so every row sees the stencils
+    and the cross-section ``matmul`` it would see in the whole field, and
+    the sums are bitwise the same.  Once per block: u_t, the n spatial
+    first derivatives, which give |grad u|^2 and, differentiated along
+    x_j, each mixed u_{x_i x_j}, and the n pure second derivatives, which
+    are summed in axis order into Lap u before they are squared into the
+    second-derivative sum; that sum runs over the ordered pairs (i, j)
+    with i outer.  A block thus takes 1 + n^2 first and n second
+    derivatives.  Only a few arrays of a block's size are alive at once,
+    squared in place and dropped once their rows are summed.  Once per
+    lambda: the (x1, t) sums of the reduced arrays against its weight.
     """
     prism = grid.prism
     faces = data_faces(grid, restricted)
@@ -298,7 +308,9 @@ def _functional_rows(
         keep = slice(start - lo, stop - lo)
         block = u[start:stop]
         ut = dt(grid, block)
-        lap = laplacian(grid, padded)[keep]
+        pure = [second_derivative(padded, i, h) for i, h in enumerate(grid.h)]
+        # summed in axis order before the pure derivatives are squared
+        lap = sum(pure[1:], pure[0])[keep]
         for sq, sign in zip(op_sq, _SIGNS):
             op = (np.add if sign > 0 else np.subtract)(ut, lap)
             op *= op
@@ -306,12 +318,21 @@ def _functional_rows(
             del op
         del lap
         ut *= ut
-        second = _ordered_second_sum(grid, padded)[keep]
+        grad = gradient(grid, padded)
+        # u_{x_i x_j} over the ordered pairs (i, j), i outer; a mixed one is
+        # the x_j derivative of the gradient's x_i component
+        second = _sum_of_squares(
+            pure[i] if i == j else first_derivative(grad[i], j, grid.h[j])
+            for i in range(grid.dim)
+            for j in range(grid.dim)
+        )[keep]
+        del pure
         second += ut
         del ut
         second_sq[start:stop] = cross_section_sum(grid, second)
         del second
-        u_grad_sq[start:stop] = cross_section_sum(grid, grad_sq(grid, padded)[keep])
+        u_grad_sq[start:stop] = cross_section_sum(grid, _sum_of_squares(grad)[keep])
+        del grad
         u_sq[start:stop] = cross_section_sum(grid, block * block)
 
     bnd_norms = _boundary_norms_sq(grid, u, faces)
@@ -466,20 +487,22 @@ class LemmaReport:
     degenerate: bool
 
 
-# The kernel each kernel lemma is stated for.
+# The three lemmas in report order, and the kernel each kernel lemma is
+# stated for.
+_LEMMAS = ("spatial", "causal", "time-integral")
 _KERNEL_LEMMAS = {"spatial": Kernel("separable"), "causal": Kernel("causal")}
 
 
 def verify_lemma(
-    which: str,
     grid: Grid,
     h: np.ndarray,
     *,
     alpha: float,
     lambdas: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
-) -> LemmaReport:
-    """Numerical check of one of the three weighted integral lemmas on the
-    space-time array ``h`` sampled on ``grid``.
+) -> tuple[LemmaReport, LemmaReport, LemmaReport]:
+    """Numerical check of the three weighted integral lemmas on the
+    space-time array ``h`` sampled on ``grid``: one report each for
+    "spatial", "causal" and "time-integral", in that order.
 
     "spatial" and "causal" bound the weighted energy of the kernel integral
     of h, with the unit separable and causal kernel respectively, by the
@@ -497,8 +520,11 @@ def verify_lemma(
     Every verdict reads a trend in lambda, so the grid needs at least two
     distinct values.  An identically-zero h is degenerate: ratios are zero
     and no assertion is made (passed is None).  h must be a finite array of
-    shape ``grid.shape``.  Both energies are summed over the cross-section
-    axes once, and only their (x1, t) sums are taken per lambda.
+    shape ``grid.shape``.  Each term is computed once.  Per call: the check
+    of h, the cross-section sum of h^2, and that of each lemma's squared
+    target, one target alive at a time.  Per lambda: the weight and the
+    (x1, t) sum of the h energy, the denominator of all three ratios; only
+    the numerator's (x1, t) sum is taken per lemma.
     """
     _check_member(grid, h, "h")
     lambdas = sorted(float(x) for x in lambdas)
@@ -507,29 +533,35 @@ def verify_lemma(
             raise ValueError(f"lambda grid must lie in [1, {LAMBDA_MAX}], got {lam}")
     if len(set(lambdas)) < 2:
         raise ValueError(f"lambda grid needs at least two distinct values, got {lambdas}")
-    if which in _KERNEL_LEMMAS:
-        target = apply_kernel(_KERNEL_LEMMAS[which], grid, h)
-    elif which == "time-integral":
-        target = time_integral_from_t0(grid, h)
-    else:
-        raise ValueError(f"unknown bound {which!r}")
 
-    target *= target  # a fresh array, squared in place
-    target_sq = cross_section_sum(grid, target)
-    del target
+    target_sqs = []
+    for which in _LEMMAS:
+        if which in _KERNEL_LEMMAS:
+            target = apply_kernel(_KERNEL_LEMMAS[which], grid, h)
+        else:
+            target = time_integral_from_t0(grid, h)
+        target *= target  # a fresh array, squared in place
+        target_sqs.append(cross_section_sum(grid, target))
+        del target
     h_sq = cross_section_sum(grid, h * h)
-    raw = []
+    raws: list[list[float]] = [[] for _ in _LEMMAS]
     degenerate = False
     for lam in lambdas:
         phi_s = scaled_weight_values(lam, alpha, grid)
-        num = _weighted_x1t(grid, target_sq, phi_s)
         den = _weighted_x1t(grid, h_sq, phi_s)
-        if den <= 0.0:
-            degenerate = True
-            raw.append(0.0)
-        else:
-            raw.append(float(num / den))
+        degenerate |= den <= 0.0
+        for raw, target_sq in zip(raws, target_sqs):
+            raw.append(0.0 if den <= 0.0 else float(_weighted_x1t(grid, target_sq, phi_s) / den))
+    return tuple(
+        _lemma_report(which, lambdas, raw, degenerate) for which, raw in zip(_LEMMAS, raws)
+    )
 
+
+def _lemma_report(
+    which: str, lambdas: list[float], raw: list[float], degenerate: bool
+) -> LemmaReport:
+    """The report of one lemma from its raw ratios, with the verdict that
+    ``verify_lemma`` states."""
     if which == "time-integral":
         ratios = tuple(r * lam for r, lam in zip(raw, lambdas))
         c_bound = max(ratios)

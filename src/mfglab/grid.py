@@ -51,7 +51,6 @@ __all__ = [
     "gradient",
     "grad_sq",
     "laplacian",
-    "mixed_xixj",
     "divergence",
     "dt",
     "dtt",
@@ -404,13 +403,6 @@ def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:
     for i in range(1, grid.dim):
         out += second_derivative(values, i, grid.h[i])
     return out
-
-
-def mixed_xixj(grid: Grid, values: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Second derivative ``d^2/dx_i dx_j`` (pure second derivative if i == j)."""
-    if i == j:
-        return second_derivative(values, i, grid.h[i])
-    return first_derivative(first_derivative(values, i, grid.h[i]), j, grid.h[j])
 
 
 def divergence(grid: Grid, components: Sequence[np.ndarray]) -> np.ndarray:

@@ -18,13 +18,15 @@ from mfglab.carleman import (
     verify_lemma,
     weight_extrema,
 )
+from mfglab import grid as grid_module
 from mfglab.grid import (
     Prism,
     dt,
+    first_derivative,
     gradient,
     laplacian,
     make_grid,
-    mixed_xixj,
+    second_derivative,
     time_integral_from_t0,
     trace,
     trapezoid_sum,
@@ -285,6 +287,62 @@ class TestStreaming:
         assert built == [2.0, 4.0]
 
 
+class TestComputedOnce:
+    """Each derivative of a block and each lambda's weight of a lemma sample
+    is computed once."""
+
+    @pytest.mark.parametrize(
+        "prism, nx, nt",
+        [
+            (Prism(1.0, 2.0, (), 1.0), 33, 17),
+            (Prism(1.0, 2.0, (0.5,), 1.0), [10, 5], 17),
+            (Prism(1.0, 2.0, (0.5, 0.5), 1.0), [9, 5, 5], 9),
+        ],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_block_takes_each_derivative_once(self, monkeypatch, prism, nx, nt):
+        g = make_grid(prism, nx, nt)
+        u = next(random_family(g, count=1, flatten_space=False))
+        # blocks of the minimum 3 rows, and no per-member norm in the count
+        monkeypatch.setattr(carleman, "_FUNCTIONAL_BLOCK_NODES", 1)
+        monkeypatch.setattr(carleman, "_boundary_norms_sq", lambda *args: 1.0)
+        monkeypatch.setattr(carleman, "_end_norms_sq", lambda *args: 1.0)
+        calls = {}
+        for name in ("first_derivative", "second_derivative"):
+            real = getattr(grid_module, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
+
+            for module in (grid_module, carleman):
+                monkeypatch.setattr(module, name, counted)
+        weights = [scaled_weight_values(2.0, ALPHA, g)]
+        carleman._functional_rows(g, u, (2.0,), weights, ALPHA, restricted=False)
+        blocks = len(carleman._row_blocks(g))
+        assert blocks >= 3
+        # u_t, the n first derivatives and the n(n-1) outer ones of the mixed
+        # derivatives; the n pure second derivatives
+        assert calls == {
+            "first_derivative": blocks * (1 + g.dim**2),
+            "second_derivative": blocks * g.dim,
+        }
+
+    def test_lemma_weight_built_once_per_lambda(self, grid, monkeypatch):
+        built = []
+        real = carleman.scaled_weight_values
+
+        def counted(lam, alpha, g):
+            built.append(lam)
+            return real(lam, alpha, g)
+
+        monkeypatch.setattr(carleman, "scaled_weight_values", counted)
+        member = next(random_family(grid, count=1))
+        reports = verify_lemma(grid, member, alpha=ALPHA, lambdas=(4.0, 1.0, 2.0))
+        assert len(reports) == 3
+        assert built == [1.0, 2.0, 4.0]
+
+
 class TestRowBlocks:
     """The functional's reduced arrays are filled one block of x1 rows at a
     time; the block size must not change a bit."""
@@ -363,7 +421,10 @@ def _reference_rows(g, u, sign, lambdas, alpha, restricted):
         second_sq = np.zeros(g.shape)
         for i in range(g.dim):
             for j in range(g.dim):
-                d = mixed_xixj(g, u, i, j)
+                if i == j:
+                    d = second_derivative(u, i, g.h[i])
+                else:
+                    d = first_derivative(first_derivative(u, i, g.h[i]), j, g.h[j])
                 second_sq += d * d
         main = (1.0 / lam) * trapezoid_sum(g, (ut * ut + second_sq) * phi_s, time_weights=wt)
         main += trapezoid_sum(g, (lam * grad_sq + lam**3 * u * u) * phi_s, time_weights=wt)
@@ -430,6 +491,13 @@ class TestRestricted:
             estimate_c0(grid, [u], ALPHA, (2.0,), restricted=True)
 
 
+def _lemma(which, grid, h, **kwargs):
+    """The report of one lemma out of ``verify_lemma``'s three."""
+    reports = verify_lemma(grid, h, **kwargs)
+    assert [rep.which for rep in reports] == ["spatial", "causal", "time-integral"]
+    return reports[["spatial", "causal", "time-integral"].index(which)]
+
+
 class TestIntegralBounds:
     @pytest.fixture
     def member(self, grid):
@@ -438,7 +506,7 @@ class TestIntegralBounds:
     def test_spatial_ratio_is_exactly_one_on_slab(self, grid, member):
         # no cross axes: the kernel is the identity, so the ratio is 1 at
         # every lambda and the bound holds with spread 1
-        rep = verify_lemma("spatial", grid, member, alpha=ALPHA)
+        rep = _lemma("spatial", grid, member, alpha=ALPHA)
         assert rep.ratios == (1.0,) * 6
         assert rep.spread == 1.0
         assert rep.slope == 0.0
@@ -447,7 +515,7 @@ class TestIntegralBounds:
     def test_causal_ratio_decays_instead_of_flattening(self, grid, member):
         # the causal ratio keeps falling with lambda, so it is not flat; the
         # verdict checks the stated bound: small and non-increasing
-        rep = verify_lemma("causal", grid, member, alpha=ALPHA)
+        rep = _lemma("causal", grid, member, alpha=ALPHA)
         assert rep.spread > 10.0
         assert rep.passed is True
         assert rep.c_bound == max(rep.ratios) == rep.ratios[0]
@@ -461,7 +529,7 @@ class TestIntegralBounds:
     def test_causal_verdict_rejects_a_growing_ratio(self, grid, member, monkeypatch):
         # reversing the sweep order of the weight makes the ratio grow with
         # lambda; the same numbers must then fail the monotonicity check
-        rep = verify_lemma("causal", grid, member, alpha=ALPHA)
+        rep = _lemma("causal", grid, member, alpha=ALPHA)
         lams = rep.lambdas
         real = carleman.scaled_weight_values
         flipped = dict(zip(lams, reversed(lams)))
@@ -469,33 +537,28 @@ class TestIntegralBounds:
             carleman, "scaled_weight_values",
             lambda lam, alpha, grid: real(flipped[lam], alpha, grid),
         )
-        grown = verify_lemma("causal", grid, member, alpha=ALPHA)
+        grown = _lemma("causal", grid, member, alpha=ALPHA)
         assert grown.ratios == tuple(reversed(rep.ratios))
         assert grown.c_bound == rep.c_bound <= 10.0
         assert grown.passed is False
 
     def test_time_integral_ratio_decays_like_one_over_lambda(self, grid, member):
-        rep = verify_lemma("time-integral", grid, member, alpha=ALPHA)
+        rep = _lemma("time-integral", grid, member, alpha=ALPHA)
         assert rep.passed is True
         assert -1.15 <= rep.slope <= -0.85
 
     def test_zero_function_is_degenerate(self, grid):
         zero = np.zeros(grid.shape)
-        rep = verify_lemma("time-integral", grid, zero, alpha=ALPHA)
+        rep = _lemma("time-integral", grid, zero, alpha=ALPHA)
         assert rep.degenerate and rep.passed is None
 
-    def test_kernel_requirements(self, grid, member):
-        with pytest.raises(ValueError, match="unknown bound"):
-            verify_lemma("everything", grid, member, alpha=ALPHA)
-
-    @pytest.mark.parametrize("which", ["spatial", "causal", "time-integral"])
-    def test_non_finite_or_misshapen_h_rejected(self, grid, member, which):
+    def test_non_finite_or_misshapen_h_rejected(self, grid, member):
         bad = member.copy()
         bad[3, 5] = math.inf
         with pytest.raises(ValueError, match="h must be finite"):
-            verify_lemma(which, grid, bad, alpha=ALPHA)
+            verify_lemma(grid, bad, alpha=ALPHA)
         with pytest.raises(ValueError, match="h has shape"):
-            verify_lemma(which, grid, member[:-1], alpha=ALPHA)
+            verify_lemma(grid, member[:-1], alpha=ALPHA)
 
     @pytest.mark.parametrize("which", ["spatial", "causal", "time-integral"])
     def test_ratios_match_full_mesh_formula_2d(self, which):
@@ -503,7 +566,7 @@ class TestIntegralBounds:
         # against the weight on every node agree to round-off
         g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), [17, 9], 33)
         h = next(random_family(g, count=1, flatten_space=False))
-        rep = verify_lemma(which, g, h, alpha=ALPHA)
+        rep = _lemma(which, g, h, alpha=ALPHA)
         if which == "time-integral":
             target = time_integral_from_t0(g, h)
         else:
@@ -522,9 +585,9 @@ class TestIntegralBounds:
 
     def test_lambda_grid_validated(self, grid, member):
         with pytest.raises(ValueError, match="lambda grid"):
-            verify_lemma("time-integral", grid, member, alpha=ALPHA, lambdas=(0.5, 2.0))
+            verify_lemma(grid, member, alpha=ALPHA, lambdas=(0.5, 2.0))
 
     @pytest.mark.parametrize("lambdas", [(2.0,), (2.0, 2.0)])
     def test_lambda_grid_needs_two_distinct_values(self, grid, member, lambdas):
         with pytest.raises(ValueError, match="at least two distinct values"):
-            verify_lemma("causal", grid, member, alpha=ALPHA, lambdas=lambdas)
+            verify_lemma(grid, member, alpha=ALPHA, lambdas=lambdas)
