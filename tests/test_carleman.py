@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mfglab import carleman
+from mfglab import grid as grid_module
 from mfglab.carleman import (
     FAMILY_SEED,
     LAMBDA_MAX,
@@ -18,7 +19,6 @@ from mfglab.carleman import (
     verify_lemma,
     weight_extrema,
 )
-from mfglab import grid as grid_module
 from mfglab.grid import (
     Prism,
     dt,
