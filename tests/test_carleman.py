@@ -552,13 +552,15 @@ class TestIntegralBounds:
         rep = _lemma("time-integral", grid, zero, alpha=ALPHA)
         assert rep.degenerate and rep.passed is None
 
-    def test_non_finite_or_misshapen_h_rejected(self, grid, member):
+    @pytest.mark.parametrize("which", ["spatial", "causal", "time-integral"])
+    def test_non_finite_or_misshapen_h_rejected(self, grid, member, which):
+        # h is checked once per call, before any of the three reports is built
         bad = member.copy()
         bad[3, 5] = math.inf
         with pytest.raises(ValueError, match="h must be finite"):
-            verify_lemma(grid, bad, alpha=ALPHA)
+            _lemma(which, grid, bad, alpha=ALPHA)
         with pytest.raises(ValueError, match="h has shape"):
-            verify_lemma(grid, member[:-1], alpha=ALPHA)
+            _lemma(which, grid, member[:-1], alpha=ALPHA)
 
     @pytest.mark.parametrize("which", ["spatial", "causal", "time-integral"])
     def test_ratios_match_full_mesh_formula_2d(self, which):
