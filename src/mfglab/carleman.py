@@ -31,10 +31,11 @@ once; the first derivatives feed |grad u|^2 and the inner derivative of
 every mixed one, and the pure ones feed the Laplacian and the sum of
 squared second derivatives.  Per lambda: the weight on the (x1, t) axes
 alone, built once for the whole family, and the (x1, t) sums of those
-reduced integrands against it.  The lemma checks run all three lemmas in
-one call per sample: h is checked and its energy summed over the
-cross-section axes once, and each lambda's weight and h-energy sum serve
-all three ratios.  C0 is existence only in the underlying theory; here it
+reduced integrands against it.  The lemma checks run all three lemmas on
+a family of samples in one call: each lambda's weight is built once for
+the family, each sample is checked and its energy summed over the
+cross-section axes once, and each lambda's h-energy sum serves all three
+ratios.  C0 is existence only in the underlying theory; here it
 is estimated as the infimum of lhs / bracket over a documented seeded test
 family and published per grid, never asserted as a universal constant.
 """
@@ -53,6 +54,7 @@ from .grid import (
     cross_section_sum,
     data_faces,
     dt,
+    finite_array,
     first_derivative,
     gradient,
     second_derivative,
@@ -167,14 +169,6 @@ def _weighted_x1t(grid: Grid, sums: np.ndarray, phi_s: np.ndarray) -> float:
     ``phi_s`` from ``scaled_weight_values``."""
     phi_s = phi_s.reshape(sums.shape)
     return trapezoid_sum(grid, sums * phi_s, axes=(0,), time_weights=grid.time_weights())
-
-
-def _check_member(grid: Grid, u: np.ndarray, name: str) -> None:
-    """A test function must be a finite array of shape ``grid.shape``."""
-    if np.shape(u) != grid.shape:
-        raise ValueError(f"{name} has shape {np.shape(u)}, not the grid shape {grid.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError(f"{name} must be finite")
 
 
 def weight_extrema(params: CarlemanParams, grid: Grid, eps: float | None = None):
@@ -407,7 +401,7 @@ def estimate_c0(
     weights = [scaled_weight_values(lam, alpha, grid) for lam in lambdas]
     member_rows = []
     for i, u in enumerate(members):
-        _check_member(grid, u, f"member {i}")
+        u = finite_array(f"member {i}", u, grid.shape)
         member_rows.append(
             _functional_rows(grid, u, lambdas, weights, alpha, restricted=restricted)
         )
@@ -495,14 +489,15 @@ _KERNEL_LEMMAS = {"spatial": Kernel("separable"), "causal": Kernel("causal")}
 
 def verify_lemma(
     grid: Grid,
-    h: np.ndarray,
+    samples: Iterable[np.ndarray],
     *,
     alpha: float,
     lambdas: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
-) -> tuple[LemmaReport, LemmaReport, LemmaReport]:
-    """Numerical check of the three weighted integral lemmas on the
-    space-time array ``h`` sampled on ``grid``: one report each for
-    "spatial", "causal" and "time-integral", in that order.
+) -> list[LemmaReport]:
+    """Numerical check of the three weighted integral lemmas on each
+    space-time array h of ``samples``, sampled on ``grid``: one report per
+    lemma and sample, lemma by lemma ("spatial", "causal", "time-integral"),
+    each lemma's in sample order.
 
     "spatial" and "causal" bound the weighted energy of the kernel integral
     of h, with the unit separable and causal kernel respectively, by the
@@ -519,42 +514,49 @@ def verify_lemma(
 
     Every verdict reads a trend in lambda, so the grid needs at least two
     distinct values.  An identically-zero h is degenerate: ratios are zero
-    and no assertion is made (passed is None).  h must be a finite array of
-    shape ``grid.shape``.  Each term is computed once.  Per call: the check
-    of h, the cross-section sum of h^2, and that of each lemma's squared
-    target, one target alive at a time.  Per lambda: the weight and the
-    (x1, t) sum of the h energy, the denominator of all three ratios; only
-    the numerator's (x1, t) sum is taken per lemma.
+    and no assertion is made (passed is None).  ``samples`` may be any
+    iterable, a generator such as ``random_family`` included: each sample
+    is checked and reduced to its reports as it arrives, so one sample is
+    in memory at a time.  Every sample must be a finite array of shape
+    ``grid.shape``; a ValueError names the first that is not.  Each term
+    is computed once.  Per call, before any sample is drawn: the check of
+    the lambda grid and each lambda's weight.  Per sample: the cross-section
+    sum of h^2, and that of each lemma's squared target, one target alive
+    at a time.  Per sample and lambda: the (x1, t) sum of the h energy, the
+    denominator of all three ratios; only the numerator's (x1, t) sum is
+    taken per lemma.
     """
-    _check_member(grid, h, "h")
     lambdas = sorted(float(x) for x in lambdas)
     for lam in lambdas:
         if not 1.0 <= lam <= LAMBDA_MAX:
             raise ValueError(f"lambda grid must lie in [1, {LAMBDA_MAX}], got {lam}")
     if len(set(lambdas)) < 2:
         raise ValueError(f"lambda grid needs at least two distinct values, got {lambdas}")
-
-    target_sqs = []
-    for which in _LEMMAS:
-        if which in _KERNEL_LEMMAS:
-            target = apply_kernel(_KERNEL_LEMMAS[which], grid, h)
-        else:
-            target = time_integral_from_t0(grid, h)
-        target *= target  # a fresh array, squared in place
-        target_sqs.append(cross_section_sum(grid, target))
-        del target
-    h_sq = cross_section_sum(grid, h * h)
-    raws: list[list[float]] = [[] for _ in _LEMMAS]
-    degenerate = False
-    for lam in lambdas:
-        phi_s = scaled_weight_values(lam, alpha, grid)
-        den = _weighted_x1t(grid, h_sq, phi_s)
-        degenerate |= den <= 0.0
-        for raw, target_sq in zip(raws, target_sqs):
-            raw.append(0.0 if den <= 0.0 else float(_weighted_x1t(grid, target_sq, phi_s) / den))
-    return tuple(
-        _lemma_report(which, lambdas, raw, degenerate) for which, raw in zip(_LEMMAS, raws)
-    )
+    weights = [scaled_weight_values(lam, alpha, grid) for lam in lambdas]
+    reports: list[list[LemmaReport]] = [[] for _ in _LEMMAS]
+    for i, h in enumerate(samples):
+        h = finite_array(f"sample {i}", h, grid.shape)
+        target_sqs = []
+        for which in _LEMMAS:
+            if which in _KERNEL_LEMMAS:
+                target = apply_kernel(_KERNEL_LEMMAS[which], grid, h)
+            else:
+                target = time_integral_from_t0(grid, h)
+            target *= target  # a fresh array, squared in place
+            target_sqs.append(cross_section_sum(grid, target))
+            del target
+        h_sq = cross_section_sum(grid, h * h)
+        raws: list[list[float]] = [[] for _ in _LEMMAS]
+        degenerate = False
+        for phi_s in weights:
+            den = _weighted_x1t(grid, h_sq, phi_s)
+            degenerate |= den <= 0.0
+            for raw, target_sq in zip(raws, target_sqs):
+                ratio = 0.0 if den <= 0.0 else _weighted_x1t(grid, target_sq, phi_s) / den
+                raw.append(float(ratio))
+        for lemma_reports, which, raw in zip(reports, _LEMMAS, raws):
+            lemma_reports.append(_lemma_report(which, lambdas, raw, degenerate))
+    return [rep for lemma_reports in reports for rep in lemma_reports]
 
 
 def _lemma_report(

@@ -32,6 +32,7 @@ from .grid import (
     data_faces,
     dt,
     dtt,
+    finite_array,
     trace,
 )
 from .mfg import MFGTriple
@@ -97,20 +98,15 @@ class CIPData:
                     f"{name} must cover exactly {sorted(f.label for f in want)} "
                     f"in {self.completeness} mode"
                 )
-        for arr, name in ((self.u0, "u0"), (self.m0, "m0")):
-            if np.asarray(arr).shape != g.shape_space:
-                raise ValueError(f"{name} must have spatial shape {g.shape_space}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
+        for name in ("u0", "m0"):
+            object.__setattr__(self, name, finite_array(name, getattr(self, name), g.shape_space))
         for name, tset in self.trace_components().items():
             for face, fam in tset.items():
+                if len(fam) != 3:
+                    raise ValueError(f"{name} on face {face.label} must be three traces")
                 shape = (*g.face_shape(face), g.nt)
-                if len(fam) != 3 or any(np.shape(a) != shape for a in fam):
-                    raise ValueError(
-                        f"{name} on face {face.label} must be three traces of shape {shape}"
-                    )
-                if not all(np.all(np.isfinite(a)) for a in fam):
-                    raise ValueError(f"{name} on face {face.label} must be finite")
+                for s, values in enumerate(fam):
+                    finite_array(f"{name} s={s} on face {face.label}", values, shape)
 
     def trace_components(self) -> dict[str, TraceSet]:
         return {"g0": self.g0, "g1": self.g1, "p0": self.p0, "p1": self.p1}

@@ -126,7 +126,8 @@ _RULES = (
 
 
 class RangeGuardError(ValueError):
-    """A setting would take the weight out of floating-point range."""
+    """A setting would take the weight or a coefficient out of floating-point
+    range."""
 
 
 def _merge(base: dict, extra: dict) -> dict:
@@ -323,13 +324,8 @@ def cmd_lemmas(args) -> int:
     _, grid = _build_geometry(cfg)
     lem = cfg["lemmas"]
     alpha = _carleman_alpha(cfg)
-    # the three lemmas run on a sample while it is in memory; the reports
-    # are written lemma by lemma, each in sample order
-    per_sample = [
-        verify_lemma(grid, h, alpha=alpha, lambdas=lem["lambdas"])
-        for h in random_family(grid, count=lem["samples"], seed=lem["seed"])
-    ]
-    reports = [rep for lemma_reports in zip(*per_sample) for rep in lemma_reports]
+    samples = random_family(grid, count=lem["samples"], seed=lem["seed"])
+    reports = verify_lemma(grid, samples, alpha=alpha, lambdas=lem["lambdas"])
     outdir = cfg["out"]
     mio.save_lemma_reports(reports, outdir)
     mio.save_provenance(outdir, _provenance(cfg, "lemmas"))
@@ -369,8 +365,17 @@ def cmd_sweep(args) -> int:
     stab = cfg["stability"]
     lo, hi, count = stab["scales"]
     scales = np.geomspace(lo, hi, count)
-    grid, kernel, k1, _, f, spec = _manufactured_problem(cfg)
+    _, grid = _build_geometry(cfg)
     delta_k = stab["perturbation_scale"] * _perturbation(grid)
+    # the largest coefficient k1 + scale * delta_k (k1 = 1) must be a double
+    # before any solve; a Python float overflows to inf without a warning
+    if not math.isfinite(1.0 + float(scales[-1]) * float(np.max(np.abs(delta_k)))):
+        raise RangeGuardError(
+            f"scale = {scales[-1]:g} with perturbation_scale = "
+            f"{stab['perturbation_scale']:g} takes the coefficient "
+            f"k1 + scale * delta_k out of floating-point range"
+        )
+    grid, kernel, k1, _, f, spec = _manufactured_problem(cfg)
     try:
         report = holder_sweep(
             spec,

@@ -20,8 +20,9 @@ Conventions used by every module downstream:
   quadratics;
 * integrals are tensor-product trapezoidal sums.
 
-Every sampled function is a plain float array, and every helper that needs
-the grid takes it first.  The calculus helpers (stencil combinations, time
+Every sampled function is a plain float array, checked by ``finite_array``
+where it enters a solver or an analysis, and every helper that needs the
+grid takes it first.  The calculus helpers (stencil combinations, time
 derivatives, trapezoid sums, the cumulative time integral, traces) take
 arrays with the spatial axes leading, so one call serves both a space-time
 array and a spatial snapshot, and ``trapezoid_sum`` also takes a face trace
@@ -63,6 +64,7 @@ __all__ = [
     "boundary_mask",
     "interior_mask",
     "finite_real",
+    "finite_array",
 ]
 
 
@@ -73,6 +75,19 @@ def finite_real(value) -> bool:
         and not isinstance(value, bool)
         and math.isfinite(value)
     )
+
+
+def finite_array(name: str, values, shape: tuple[int, ...]) -> np.ndarray:
+    """``values`` as a float array, not copied if it is one already: the one
+    check of a sampled array (a field, a coefficient, a snapshot or a trace).
+    A ValueError reads "<name> has shape <actual>, not <shape>" or "<name>
+    must be finite"."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValueError(f"{name} has shape {values.shape}, not {shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    return values
 
 
 @dataclass(frozen=True)

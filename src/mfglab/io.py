@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -26,8 +27,6 @@ __all__ = [
     "fmt",
     "save_field_csv",
     "load_field_csv",
-    "grid_to_dict",
-    "grid_from_dict",
     "save_grid_json",
     "load_grid_json",
     "save_triple_dir",
@@ -121,30 +120,16 @@ def load_field_csv(grid: Grid, path: str) -> np.ndarray:
     return values
 
 
-def grid_to_dict(grid: Grid) -> dict:
-    p = grid.prism
-    return {
-        "a": p.a,
-        "b": p.b,
-        "half_widths": list(p.half_widths),
-        "T": p.T,
-        "nx": grid.nx,
-        "nt": grid.nt,
-    }
-
-
-def grid_from_dict(d: Mapping) -> Grid:
-    prism = Prism(d["a"], d["b"], tuple(d["half_widths"]), d["T"])
-    return make_grid(prism, d["nx"], d["nt"])
-
-
 def save_grid_json(grid: Grid, path: str) -> None:
-    _write_json(path, grid_to_dict(grid))
+    p = grid.prism
+    _write_json(path, {"a": p.a, "b": p.b, "half_widths": list(p.half_widths), "T": p.T,
+                       "nx": grid.nx, "nt": grid.nt})
 
 
 def load_grid_json(path: str) -> Grid:
     with open(path) as fh:
-        return grid_from_dict(json.load(fh))
+        d = json.load(fh)
+    return make_grid(Prism(d["a"], d["b"], tuple(d["half_widths"]), d["T"]), d["nx"], d["nt"])
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +198,17 @@ def save_carleman_family(
 
 
 def save_lemma_reports(reports: Sequence[LemmaReport], outdir: str) -> None:
+    """lemmas.csv, one row per report and lambda, and lemmas.json, one entry
+    per report.  ``reports`` come lemma by lemma, as ``verify_lemma``
+    returns them; the ``sample`` column numbers them within each lemma."""
     os.makedirs(outdir, exist_ok=True)
     _write_csv(
         os.path.join(outdir, "lemmas.csv"),
         ["which", "sample", "lambda", "ratio"],
         (
-            [rep.which, str(idx), fmt(lam), fmt(ratio)]
-            for idx, rep in enumerate(reports)
+            [rep.which, str(sample), fmt(lam), fmt(ratio)]
+            for _, lemma_reports in itertools.groupby(reports, key=lambda rep: rep.which)
+            for sample, rep in enumerate(lemma_reports)
             for lam, ratio in zip(rep.lambdas, rep.ratios)
         ),
     )

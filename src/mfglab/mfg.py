@@ -58,6 +58,7 @@ from .grid import (
     Grid,
     boundary_mask,
     dt,
+    finite_array,
     grad_sq,
     laplacian,
     sample_field,
@@ -122,15 +123,6 @@ class PicardNonConvergence(RuntimeError):
 # problem data
 
 
-def _grid_array(grid: Grid, name: str, values: np.ndarray) -> np.ndarray:
-    """``values`` as a float array of shape ``grid.shape``, not copied if it
-    is one already."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape:
-        raise ValueError(f"{name} has shape {values.shape}, not the grid shape {grid.shape}")
-    return values
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Data of one forward problem: geometry, coupling, and Dirichlet data.
@@ -151,9 +143,7 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         for name in ("f", "u_data", "m_data"):
-            values = _grid_array(self.grid, name, getattr(self, name))
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} must be finite")
+            values = finite_array(name, getattr(self, name), self.grid.shape)
             values.setflags(write=False)
             object.__setattr__(self, name, values)
         m_min = np.min(self.m_data[..., 0])
@@ -164,8 +154,8 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class MFGTriple:
     """A solution pair (u, m) on ``grid`` together with the coefficient k
-    that made it; u and m are arrays of shape ``grid.shape``, marked
-    read-only here."""
+    that made it; u and m are finite arrays of shape ``grid.shape``, marked
+    read-only here, and k a finite array of shape ``grid.shape_space``."""
 
     grid: Grid
     u: np.ndarray
@@ -176,15 +166,10 @@ class MFGTriple:
     def __post_init__(self) -> None:
         g = self.grid
         for name in ("u", "m"):
-            values = _grid_array(g, name, getattr(self, name))
+            values = finite_array(name, getattr(self, name), g.shape)
             values.setflags(write=False)
             object.__setattr__(self, name, values)
-        k = np.asarray(self.k, dtype=float)
-        if k.shape != g.shape_space:
-            raise ValueError(f"k must have spatial shape {g.shape_space}")
-        if not np.all(np.isfinite(k)):
-            raise ValueError("k must be finite")
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", finite_array("k", self.k, g.shape_space))
 
     def nondegeneracy_constant(self) -> float:
         """min over the prism of |grad u(., T/2)|^2 / 2 (sampled)."""
@@ -633,13 +618,6 @@ def _scan_blowup(
     return lowest, worst, errors
 
 
-def _checked_coefficient(grid: Grid, k: np.ndarray) -> np.ndarray:
-    k = np.asarray(k, dtype=float)
-    if k.shape != grid.shape_space:
-        raise ValueError(f"k must have spatial shape {grid.shape_space}")
-    return k
-
-
 def _shared(grid: Grid, data: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``data`` (spatial axes leading) broadcast against the members of
     ``out``: a unit member axis after the spatial axes if ``out`` is a
@@ -737,12 +715,14 @@ def solve_fokker_planck(spec: ProblemSpec, k: np.ndarray, u: np.ndarray) -> np.n
     march of a group of one.  The off-diagonals of I - tau (L + D) stay
     non-positive only while every face drift a = k du/dx_i has
     |a| h <= 2.  Past that a drift-dominated cell can blow the density up,
-    which raises BlowupError.
+    which raises BlowupError.  k and u must be finite arrays of shape
+    ``grid.shape_space`` and ``grid.shape``.
     """
     g = spec.grid
-    k = _checked_coefficient(g, k)
+    k = finite_array("k", k, g.shape_space)
+    u = finite_array("u", u, g.shape)
     out = np.empty(g.shape)
-    (error,) = _march_fp(spec, _SpatialOperator(g), k, np.asarray(u, dtype=float), out)
+    (error,) = _march_fp(spec, _SpatialOperator(g), k, u, out)
     if error is not None:
         raise error
     return out
@@ -753,12 +733,13 @@ def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: np.ndarray) -> np.ndarray:
 
     The kernel and local-interaction terms use the frozen density, and the
     quadratic gradient term is lagged one level; the march of a group of
-    one.
+    one.  k and m must be finite arrays of shape ``grid.shape_space`` and
+    ``grid.shape``.
     """
     g = spec.grid
-    k = _checked_coefficient(g, k)
+    k = finite_array("k", k, g.shape_space)
+    m = finite_array("m", m, g.shape)
     op = _SpatialOperator(g)
-    m = np.asarray(m, dtype=float)
     values = apply_kernel(spec.kernel, g, m)
     (error,) = _march_hjb(spec, op, op.factor(op.system(g.tau)), k, m, values)
     if error is not None:
@@ -942,12 +923,14 @@ def solve_mfg_members(
     one member.  Each member keeps its own kernel term, convergence test,
     change history and mixing window, and leaves its group as soon as it
     converges or fails.
-    A group is solved when its first outcome is asked for.
+    A group is solved when its first outcome is asked for.  Every
+    coefficient must be a finite array of shape ``grid.shape_space``; a
+    ValueError names the first that is not, before any group is solved.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     g = spec.grid
-    ks = [_checked_coefficient(g, k) for k in ks]
+    ks = [finite_array(f"coefficient {i}", k, g.shape_space) for i, k in enumerate(ks)]
     width = max(1, _GROUP_NODES // math.prod(g.shape))
     for start in range(0, len(ks), width):
         outcomes = _picard_group(
@@ -1026,15 +1009,8 @@ def manufacture_triple(
     u_grad_sq = np.broadcast_to(np.asarray(u_form.grad_sq(*mesh), dtype=float), shape)
     km = apply_kernel(kernel, g, m)
     f = (-u_t - u_lap + 0.5 * k[..., None] * u_grad_sq - km) / m
-    if not np.all(np.isfinite(f)):
-        raise ValueError("manufactured f must be finite")
-    triple = MFGTriple(
-        g,
-        u,
-        m,
-        np.asarray(k, dtype=float),
-        report={"manufactured": True, "m_min": m_min},
-    )
+    f = finite_array("manufactured f", f, shape)
+    triple = MFGTriple(g, u, m, k, report={"manufactured": True, "m_min": m_min})
     return triple, f
 
 

@@ -136,10 +136,8 @@ def test_criterion_3_time_integral_rate(capsys):
     t0 = time.perf_counter()
     g = make_grid(PRISM, 65, 257)
     members = random_family(g, count=10, seed=123)
-    slopes = []
-    for h in members:
-        _, _, time_integral = verify_lemma(g, h, alpha=ALPHA, lambdas=LEMMA_LAMBDAS)
-        slopes.append(time_integral.slope)
+    reports = verify_lemma(g, members, alpha=ALPHA, lambdas=LEMMA_LAMBDAS)
+    slopes = [rep.slope for rep in reports if rep.which == "time-integral"]
     worst = max(abs(s + 1.0) for s in slopes)
     elapsed = time.perf_counter() - t0
     ok = worst <= 0.15 and elapsed < 10.0
@@ -154,14 +152,10 @@ def test_criterion_3_time_integral_rate(capsys):
 def test_criterion_4_kernel_form_flatness(capsys):
     t0 = time.perf_counter()
     g = make_grid(PRISM, 65, 257)
-    members = list(random_family(g, count=10, seed=123))
-    spatial, causal_reports = [], []
-    for h in members:
-        spatial_report, causal_report, _ = verify_lemma(
-            g, h, alpha=ALPHA, lambdas=LEMMA_LAMBDAS
-        )
-        spatial.append(spatial_report.spread)
-        causal_reports.append(causal_report)
+    members = random_family(g, count=10, seed=123)
+    reports = verify_lemma(g, members, alpha=ALPHA, lambdas=LEMMA_LAMBDAS)
+    spatial = [rep.spread for rep in reports if rep.which == "spatial"]
+    causal_reports = [rep for rep in reports if rep.which == "causal"]
     causal = [rep.spread for rep in causal_reports]
     bounds = [rep.c_bound for rep in causal_reports]
     # verify_lemma's causal verdict: c_bound <= 10 and non-increasing in lambda

@@ -273,6 +273,8 @@ class TestStreaming:
 
         with pytest.raises(ValueError, match="member 2 must be finite"):
             estimate_c0(grid, members(), ALPHA, (2.0, 4.0))
+        with pytest.raises(ValueError, match="sample 2 must be finite"):
+            verify_lemma(grid, members(), alpha=ALPHA, lambdas=(2.0, 4.0))
 
     def test_weight_built_once_per_lambda(self, grid, monkeypatch):
         built = []
@@ -337,9 +339,9 @@ class TestComputedOnce:
             return real(lam, alpha, g)
 
         monkeypatch.setattr(carleman, "scaled_weight_values", counted)
-        member = next(random_family(grid, count=1))
-        reports = verify_lemma(grid, member, alpha=ALPHA, lambdas=(4.0, 1.0, 2.0))
-        assert len(reports) == 3
+        family = random_family(grid, count=2)
+        reports = verify_lemma(grid, family, alpha=ALPHA, lambdas=(4.0, 1.0, 2.0))
+        assert len(reports) == 6
         assert built == [1.0, 2.0, 4.0]
 
 
@@ -492,8 +494,9 @@ class TestRestricted:
 
 
 def _lemma(which, grid, h, **kwargs):
-    """The report of one lemma out of ``verify_lemma``'s three."""
-    reports = verify_lemma(grid, h, **kwargs)
+    """The report of one lemma out of ``verify_lemma``'s three for the
+    sample ``h``."""
+    reports = verify_lemma(grid, [h], **kwargs)
     assert [rep.which for rep in reports] == ["spatial", "causal", "time-integral"]
     return reports[["spatial", "causal", "time-integral"].index(which)]
 
@@ -554,12 +557,12 @@ class TestIntegralBounds:
 
     @pytest.mark.parametrize("which", ["spatial", "causal", "time-integral"])
     def test_non_finite_or_misshapen_h_rejected(self, grid, member, which):
-        # h is checked once per call, before any of the three reports is built
+        # h is checked once, before any of its three reports is built
         bad = member.copy()
         bad[3, 5] = math.inf
-        with pytest.raises(ValueError, match="h must be finite"):
+        with pytest.raises(ValueError, match="sample 0 must be finite"):
             _lemma(which, grid, bad, alpha=ALPHA)
-        with pytest.raises(ValueError, match="h has shape"):
+        with pytest.raises(ValueError, match=r"sample 0 has shape \(32, 65\), not \(33, 65\)"):
             _lemma(which, grid, member[:-1], alpha=ALPHA)
 
     @pytest.mark.parametrize("which", ["spatial", "causal", "time-integral"])
@@ -585,11 +588,15 @@ class TestIntegralBounds:
                 ref *= lam
             assert ratio == pytest.approx(ref, rel=1e-14)
 
-    def test_lambda_grid_validated(self, grid, member):
+    def test_lambda_grid_validated(self, grid):
+        def samples():  # checked before any sample is drawn
+            raise AssertionError("a sample was drawn")
+            yield
+
         with pytest.raises(ValueError, match="lambda grid"):
-            verify_lemma(grid, member, alpha=ALPHA, lambdas=(0.5, 2.0))
+            verify_lemma(grid, samples(), alpha=ALPHA, lambdas=(0.5, 2.0))
 
     @pytest.mark.parametrize("lambdas", [(2.0,), (2.0, 2.0)])
     def test_lambda_grid_needs_two_distinct_values(self, grid, member, lambdas):
         with pytest.raises(ValueError, match="at least two distinct values"):
-            verify_lemma(grid, member, alpha=ALPHA, lambdas=lambdas)
+            verify_lemma(grid, [member], alpha=ALPHA, lambdas=lambdas)

@@ -159,7 +159,7 @@ class TestValidation:
             dataclasses.replace(data_inc, g1=data.g1)
 
     def test_snapshot_shape_checked(self, data):
-        with pytest.raises(ValueError, match="u0 must have spatial shape"):
+        with pytest.raises(ValueError, match=r"u0 has shape \(5,\), not \(33,\)"):
             dataclasses.replace(data, u0=np.zeros(5))
 
     def test_snapshots_are_finite(self, data):
@@ -173,12 +173,11 @@ class TestValidation:
 
     def test_traces_are_finite_and_shaped_like_their_face(self, data):
         s0, s1, s2 = data.p1[OUTER_FACE]
-        for family in ((s0, s1, s2[:-1]), (s0, s1)):
-            with pytest.raises(
-                ValueError, match=r"p1 on face x1\+ must be three traces of shape \(65,\)"
-            ):
-                dataclasses.replace(data, p1={**data.p1, OUTER_FACE: family})
+        with pytest.raises(ValueError, match=r"p1 s=2 on face x1\+ has shape \(64,\), not \(65,\)"):
+            dataclasses.replace(data, p1={**data.p1, OUTER_FACE: (s0, s1, s2[:-1])})
+        with pytest.raises(ValueError, match=r"p1 on face x1\+ must be three traces"):
+            dataclasses.replace(data, p1={**data.p1, OUTER_FACE: (s0, s1)})
         s0 = s0.copy()
         s0[3] = np.nan
-        with pytest.raises(ValueError, match=r"p1 on face x1\+ must be finite"):
+        with pytest.raises(ValueError, match=r"p1 s=0 on face x1\+ must be finite"):
             dataclasses.replace(data, p1={**data.p1, OUTER_FACE: (s0, s1, s2)})

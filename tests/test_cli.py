@@ -303,6 +303,14 @@ class TestLemmas:
         assert [e["which"] for e in summary] == (
             ["spatial"] * 3 + ["causal"] * 3 + ["time-integral"] * 3
         )
+        # the sample column numbers the samples within each lemma
+        rows = (tmp_path / "out" / "lemmas.csv").read_text().splitlines()[1:]
+        lambdas = len(DEFAULT_CONFIG["lemmas"]["lambdas"])
+        assert [tuple(row.split(",")[:2]) for row in rows[::lambdas]] == [
+            (which, str(sample))
+            for which in ("spatial", "causal", "time-integral")
+            for sample in range(3)
+        ]
 
     def test_memory_does_not_grow_with_samples(self, tmp_path):
         # every sample is checked against all three lemmas, then dropped
@@ -529,6 +537,19 @@ class TestSolverFailures:
         rc, err, wrote = run_main(tmp_path, capsys, "sweep", payload)
         assert (rc, wrote) == (3, False)
         assert err.startswith("hjb solve blew up at time level")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sweep_coefficient_overflow_exits_3(self, tmp_path, capsys):
+        # 1e300 * 1e300 is no double: caught before any solve, with no
+        # overflow warning
+        payload = {**self.SMALL,
+                   "stability": {"scales": [1e-4, 1e300, 3], "perturbation_scale": 1e300}}
+        rc, err, wrote = run_main(tmp_path, capsys, "sweep", payload)
+        assert (rc, wrote) == (3, False)
+        assert err == (
+            "scale = 1e+300 with perturbation_scale = 1e+300 takes the coefficient "
+            "k1 + scale * delta_k out of floating-point range\n"
+        )
 
 
 CONFIG_LEAVES = [

@@ -14,8 +14,6 @@ from mfglab.grid import Prism, make_grid
 from mfglab.io import (
     _write_array_csv,
     fmt,
-    grid_from_dict,
-    grid_to_dict,
     load_field_csv,
     load_grid_json,
     save_carleman_family,
@@ -166,15 +164,16 @@ class TestFieldCsv:
 
 
 class TestGridJson:
-    def test_round_trip(self, tmp_path):
-        g = make_grid(PRISM, 17, 33)
+    @pytest.mark.parametrize(
+        "prism, nx, nt",
+        [(PRISM, 17, 33), (Prism(1.0, 2.0, (0.75,), 2.0), (9, 5), 9)],
+        ids=["1d", "2d"],
+    )
+    def test_round_trip(self, tmp_path, prism, nx, nt):
+        g = make_grid(prism, nx, nt)
         path = str(tmp_path / "grid.json")
         save_grid_json(g, path)
         assert load_grid_json(path) == g
-
-    def test_dict_round_trip_two_dimensional(self):
-        g = make_grid(Prism(1.0, 2.0, (0.75,), 2.0), (9, 5), 9)
-        assert grid_from_dict(grid_to_dict(g)) == g
 
 
 class TestKernelDict:

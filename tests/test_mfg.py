@@ -138,7 +138,7 @@ class TestFokkerPlanck:
 
     def test_k_shape_guard(self):
         _, spec, u_const, _ = heat_problem(33, 65)
-        with pytest.raises(ValueError, match="spatial shape"):
+        with pytest.raises(ValueError, match=r"k has shape \(7,\), not \(33,\)"):
             solve_fokker_planck(spec, np.ones(7), u_const)
 
     def test_drift_block_size_leaves_march_unchanged(self, monkeypatch):
@@ -794,7 +794,7 @@ class TestSpecValidation:
         # the data are marked read-only in place, not copied
         assert spec.f is good["f"] and not good["f"].flags.writeable
         other = make_grid(PRISM, 17, 65)
-        with pytest.raises(ValueError, match=r"f has shape \(17, 65\), not the grid shape"):
+        with pytest.raises(ValueError, match=r"f has shape \(17, 65\), not \(33, 65\)"):
             ProblemSpec(**{**good, "f": np.zeros(other.shape)})
         u_values = np.zeros(g.shape)
         u_values[5, 7] = np.nan
@@ -812,11 +812,51 @@ class TestSpecValidation:
 
     def test_triple_guards(self, make_pair):
         pair = make_pair(33, 65)
-        with pytest.raises(ValueError, match="spatial shape"):
+        with pytest.raises(ValueError, match=r"k has shape \(7,\), not \(33,\)"):
             MFGTriple(pair["grid"], pair["t1"].u, pair["t1"].m, np.ones(7))
         other = make_grid(PRISM, 17, 65)
-        with pytest.raises(ValueError, match=r"u has shape \(33, 65\), not the grid shape"):
+        with pytest.raises(ValueError, match=r"u has shape \(33, 65\), not \(17, 65\)"):
             MFGTriple(other, pair["t1"].u, pair["t1"].m, np.ones(17))
+
+    @pytest.mark.parametrize("name", ["u", "m"])
+    def test_triple_fields_must_be_finite(self, name):
+        _, triple, _, _ = build_problem(17, 33)
+        fields = {"u": triple.u.copy(), "m": triple.m.copy()}
+        fields[name][4, 7] = np.nan
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            MFGTriple(triple.grid, fields["u"], fields["m"], triple.k)
+
+    @pytest.mark.parametrize(
+        "solve, name",
+        [("fokker-planck", "k"), ("hjb", "k"), ("picard", "coefficient 0"),
+         ("members", "coefficient 1")],
+        ids=["fokker-planck", "hjb", "picard", "members"],
+    )
+    def test_non_finite_coefficient_rejected(self, solve, name):
+        # rejected before any march, where NaN would end in a blow-up or a
+        # singular matrix
+        g, triple, _, spec = build_problem(17, 33)
+        k = np.ones(g.shape_space)
+        k[5] = np.nan
+        solver = dict(damping=1.0, max_iter=5, tol=1e-8)
+        calls = {
+            "fokker-planck": lambda: solve_fokker_planck(spec, k, triple.u),
+            "hjb": lambda: solve_hjb(spec, k, triple.m),
+            "picard": lambda: solve_mfg_picard(spec, k, **solver),
+            "members": lambda: next(solve_mfg_members(spec, [np.ones(17), k], **solver)),
+        }
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            calls[solve]()
+
+    @pytest.mark.parametrize(
+        "solve, name", [(solve_fokker_planck, "u"), (solve_hjb, "m")], ids=["fokker-planck", "hjb"]
+    )
+    def test_field_one_level_short_rejected(self, solve, name):
+        # the short field's last level would be left unmarched or read past
+        _, triple, _, spec = build_problem(17, 33)
+        field = getattr(triple, name)[..., :-1]
+        with pytest.raises(ValueError, match=rf"{name} has shape \(17, 32\), not \(17, 33\)"):
+            solve(spec, np.ones(17), field)
 
     def test_solved_fields_are_read_only(self, make_pair):
         triple = make_pair(33, 65)["t1"]
