@@ -469,7 +469,12 @@ def random_family(
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Outcome of one integral-lemma sweep for one test function."""
+    """Outcome of one integral-lemma sweep for one test function.
+
+    ``slope`` is the log-log slope against lambda of the causal ratio and of
+    the raw time-integral ratio; it is None for the spatial lemma, whose
+    ratio is flat to rounding, and for a degenerate test function.
+    """
 
     which: str
     lambdas: tuple[float, ...]
@@ -502,11 +507,12 @@ def verify_lemma(
     "spatial" and "causal" bound the weighted energy of the kernel integral
     of h, with the unit separable and causal kernel respectively, by the
     weighted energy of h; the check reports ratio(lam), its largest value
-    ``c_bound`` (the empirical constant), its max/min ``spread`` and its
-    log-log ``slope`` against lambda.  "spatial" passes when the ratio is
-    flat (spread <= _RATIO_CAP = 10).  "causal" passes when c_bound <=
-    _RATIO_CAP and the ratio does not increase with lambda; it decays like
-    1/lam^2, and its slope stays out of the verdict.
+    ``c_bound`` (the empirical constant) and its max/min ``spread``.
+    "spatial" passes when the ratio is flat (spread <= _RATIO_CAP = 10); it
+    is flat to rounding, so no ``slope`` is reported.  "causal" also reports
+    the log-log ``slope`` of the ratio against lambda, and passes when
+    c_bound <= _RATIO_CAP and the ratio does not increase with lambda; it
+    decays like 1/lam^2, and its slope stays out of the verdict.
     "time-integral" bounds the energy of the running time integral from T/2
     by (1/lam) times the energy of h; the check reports the lam-normalized
     ratio and asserts the log-log slope of the raw ratio against lambda
@@ -581,12 +587,11 @@ def _lemma_report(
     if which == "causal":
         monotone = all(b <= a for a, b in zip(ratios, ratios[1:]))
         passed = c_bound <= _RATIO_CAP and monotone
+        slope = _loglog_slope(lambdas, ratios)
     else:
         passed = spread <= _RATIO_CAP
-    return LemmaReport(
-        which, tuple(lambdas), ratios, c_bound, spread, _loglog_slope(lambdas, ratios),
-        passed, False,
-    )
+        slope = None
+    return LemmaReport(which, tuple(lambdas), ratios, c_bound, spread, slope, passed, False)
 
 
 def _loglog_slope(lambdas: Sequence[float], values: Sequence[float]) -> float:

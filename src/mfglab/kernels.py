@@ -16,20 +16,13 @@ Every kernel is a Kronecker product of per-axis quadrature factors, one
 time.  Nothing is cached: the factors cost O(sum nx_i^2) to build and hold,
 and one application costs O(N sum nx_i) for a field of N samples, against
 O(N prod nx_i) time and O((prod nx_i)^2) memory for the dense quadrature
-matrix over the flattened grid.  ``apply_kernel`` and ``apply_G`` take and
-return plain arrays with the spatial axes leading, a snapshot of shape
-``nx`` or a space-time array of shape ``(*nx, nt)``, as ``grid``'s calculus
-does.
-
-The majorant operator ``G`` is the unit kernel of the same type (constant
-profile, amplitude one) applied to the absolute value of its argument; it
-is the object appearing on the right-hand side of the pointwise
-differential inequalities for the difference system.
+matrix over the flattened grid.  ``apply_kernel`` takes and returns plain
+arrays with the spatial axes leading, a snapshot of shape ``nx`` or a
+space-time array of shape ``(*nx, nt)``, as ``grid``'s calculus does.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +34,6 @@ __all__ = [
     "causal_weights",
     "fubini_swap_residual",
     "apply_kernel",
-    "apply_G",
     "kernel_bound",
 ]
 
@@ -184,13 +176,6 @@ def apply_kernel(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.ndarray:
         out = np.moveaxis(np.dot(factor, flat).reshape(shape), 0, axis)
         del flat
     return scale * values if out is values else out
-
-
-def apply_G(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Majorant operator: the unit kernel of the same type applied to
-    ``|values|``."""
-    unit = dataclasses.replace(kernel, profile="constant", amplitude=1.0)
-    return apply_kernel(unit, grid, np.abs(values))
 
 
 def kernel_bound(kernel: Kernel, grid: Grid) -> float:

@@ -154,8 +154,9 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class MFGTriple:
     """A solution pair (u, m) on ``grid`` together with the coefficient k
-    that made it; u and m are finite arrays of shape ``grid.shape``, marked
-    read-only here, and k a finite array of shape ``grid.shape_space``."""
+    that made it; u and m are finite arrays of shape ``grid.shape`` and k a
+    finite array of shape ``grid.shape_space``, all three marked read-only
+    here."""
 
     grid: Grid
     u: np.ndarray
@@ -165,17 +166,10 @@ class MFGTriple:
 
     def __post_init__(self) -> None:
         g = self.grid
-        for name in ("u", "m"):
-            values = finite_array(name, getattr(self, name), g.shape)
+        for name, shape in (("u", g.shape), ("m", g.shape), ("k", g.shape_space)):
+            values = finite_array(name, getattr(self, name), shape)
             values.setflags(write=False)
             object.__setattr__(self, name, values)
-        object.__setattr__(self, "k", finite_array("k", self.k, g.shape_space))
-
-    def nondegeneracy_constant(self) -> float:
-        """min over the prism of |grad u(., T/2)|^2 / 2 (sampled)."""
-        g = self.grid
-        total = grad_sq(g, self.u[..., g.index_t0])
-        return float(np.min(total) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -823,11 +817,6 @@ def _picard_group(
                 rows[r] = rows[last]
             rows.pop()
 
-    def active() -> int | slice:
-        """Index of the active rows; a lone member marches its own arrays,
-        which makes the per-step stencils cheaper."""
-        return 0 if len(rows) == 1 else slice(0, len(rows))
-
     def mix(it: int) -> None:
         """Overwrite the density iterate x_k with x_{k+1} = (1 - gamma) y_k +
         gamma y_{k-1}, y_i = (1 - damping) x_i + damping g_i, where gamma is
@@ -859,17 +848,17 @@ def _picard_group(
     for it in range(1, max_iter + 1):
         for r in range(len(rows)):
             spare[..., r, :] = apply_kernel(spec.kernel, g, m_iter[..., r, :])
-        i = active()
-        leave(_march_hjb(spec, op, solve, k[..., i], m_iter[..., i, :], spare[..., i, :]))
+        n = len(rows)
+        leave(_march_hjb(spec, op, solve, k[..., :n], m_iter[..., :n, :], spare[..., :n, :]))
         if it > 1:
-            i = active()
-            np.subtract(spare[..., i, :], u[..., i, :], out=u[..., i, :])
+            n = len(rows)
+            np.subtract(spare[..., :n, :], u[..., :n, :], out=u[..., :n, :])
             for r, member in enumerate(rows):
                 u_change[member] = norm(g, u[..., r, :], "L2")
         u, spare = spare, u
         if rows:
-            i = active()
-            leave(_march_fp(spec, op, k[..., i], u[..., i, :], spare[..., i, :]))
+            n = len(rows)
+            leave(_march_fp(spec, op, k[..., :n], u[..., :n, :], spare[..., :n, :]))
         if it > 1:
             changes = []
             for r, member in enumerate(rows):

@@ -19,10 +19,9 @@ behind the final estimate can be asserted to machine precision.
 The derived equations are implemented in the algebraically closed form this
 module re-derives from the base system (substituting the reconstruction and
 the time-reconstruction of u~ into the differentiated equations), which is
-the form whose residual genuinely vanishes on solution pairs.  One call
-evaluates every equation of an analysis: ``derived_residuals`` the six
-derived equations and ``inequality_constants`` the four pointwise
-differential inequalities, each computing a term the equations share once.
+the form whose residual genuinely vanishes on solution pairs.  One call,
+``derived_residuals``, evaluates all six derived equations, computing each
+term the equations share once.
 """
 
 from __future__ import annotations
@@ -41,12 +40,10 @@ from .grid import (
     divergence,
     grad_sq,
     gradient,
-    interior_mask,
     laplacian,
     time_integral_from_t0,
-    trapezoid_sum,
 )
-from .kernels import Kernel, apply_kernel, apply_G
+from .kernels import Kernel, apply_kernel
 from .mfg import MFGTriple, PicardNonConvergence, ProblemSpec, solve_mfg_members
 from .cip import extract, measure_delta
 from .norms import masked_norms, norm
@@ -55,14 +52,12 @@ __all__ = [
     "NondegeneracyError",
     "DifferencePack",
     "StabilityParams",
-    "InequalityReport",
     "SweepReport",
     "form_difference",
     "compute_F",
     "reconstruct_k_tilde",
     "reconstruction_spread",
     "derived_residuals",
-    "inequality_constants",
     "select_parameters",
     "holder_sweep",
     "assemble_final_estimate",
@@ -106,11 +101,6 @@ class DifferencePack:
         for comp in (self.v, self.q, self.w, self.r):
             total += norm(self.grid, comp, kind, eps=eps) ** 2
         return total
-
-    def reconstruction_identity_residual(self) -> float:
-        """Max defect of u~ = u0~ + cumulative integral of v (quadrature check)."""
-        rebuilt = time_integral_from_t0(self.grid, self.v) + self.u0_tilde[..., None]
-        return float(np.max(np.abs(rebuilt - self.u_tilde)))
 
 
 def form_difference(t1: MFGTriple, t2: MFGTriple) -> DifferencePack:
@@ -369,126 +359,6 @@ def derived_residuals(
 
 
 # ---------------------------------------------------------------------------
-# pointwise differential inequalities
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    empirical_c: float
-    lhs_max: float
-    small_bracket_measure: float
-    node_fraction_used: float
-
-
-def _abs_time_integral(field_values: np.ndarray, grid: Grid) -> np.ndarray:
-    return np.abs(time_integral_from_t0(grid, np.abs(field_values)))
-
-
-def inequality_constants(
-    pack: DifferencePack,
-    kernel: Kernel,
-    c_candidate: float = 0.0,
-    delta_budget: float = 0.0,
-    *,
-    eps: float | None,
-) -> dict[str, InequalityReport]:
-    """Empirical constants of the pointwise differential inequalities for
-    v, q, w and r, by name.
-
-    Each LHS is |d_t +- Lap| of its derivative field; its bracket is the
-    sum of the lower-order majorant terms of that inequality (unit
-    coefficients).  The reported constant is the max over nodes with
-    bracket above threshold of (LHS - c_candidate * delta_bar) / bracket,
-    where delta_bar is the uniform function with L2 mass ``delta_budget``.
-    Each term is computed once for all the inequalities that read it.
-    """
-    g = pack.grid
-    v, q, w, r = pack.v, pack.q, pack.w, pack.r
-    gv, gq, gw, gr = (np.sqrt(grad_sq(g, x)) for x in (v, q, w, r))
-    av, aq, aw, ar = (np.abs(x) for x in (v, q, w, r))
-    lap_v, lap_q, lap_w, lap_r = (laplacian(g, x) for x in (v, q, w, r))
-    lapv = np.abs(lap_v)
-    int_gv = _abs_time_integral(gv, g)
-    int_w = _abs_time_integral(w, g)
-    int_q = _abs_time_integral(q, g)
-
-    mask = interior_mask(g, time_ring=2, eps=eps)
-    wt = g.time_weights()
-    measure_total = trapezoid_sum(g, np.ones(g.shape), time_weights=wt)
-    delta_bar = delta_budget / math.sqrt(measure_total) if delta_budget > 0.0 else 0.0
-
-    def report(lhs: np.ndarray, bracket: np.ndarray) -> InequalityReport:
-        scale = float(np.max(bracket)) if bracket.size else 0.0
-        threshold = 1e-10 * max(scale, 1.0)
-        small = mask & (bracket <= threshold)
-        usable = mask & (bracket > threshold)
-        if np.any(usable):
-            ratios = np.maximum(lhs - c_candidate * delta_bar, 0.0)[usable] / bracket[usable]
-            empirical_c = float(np.max(ratios))
-            frac = float(np.count_nonzero(usable) / np.count_nonzero(mask))
-        else:
-            empirical_c = 0.0
-            frac = 0.0
-        return InequalityReport(
-            empirical_c=empirical_c,
-            lhs_max=float(np.max(np.where(mask, lhs, 0.0))),
-            small_bracket_measure=trapezoid_sum(g, small.astype(float), time_weights=wt),
-            node_fraction_used=frac,
-        )
-
-    return {
-        "v": report(
-            np.abs(dt(g, v) + lap_v),
-            gv
-            + av
-            + int_gv
-            + int_w
-            + int_q
-            + apply_G(kernel, g, q)
-            + aq,
-        ),
-        "q": report(
-            np.abs(dt(g, q) - lap_q),
-            gq
-            + aq
-            + _abs_time_integral(gq + aq, g)
-            + lapv
-            + gv
-            + _abs_time_integral(lapv + gv, g)
-            + _abs_time_integral(gw + aw, g),
-        ),
-        "w": report(
-            np.abs(dt(g, w) + lap_w),
-            gw
-            + aw
-            + int_w
-            + gv
-            + av
-            + int_gv
-            + ar
-            + aq
-            + int_q
-            + apply_G(kernel, g, r),
-        ),
-        "r": report(
-            np.abs(dt(g, r) - lap_r),
-            gr
-            + ar
-            + gq
-            + aq
-            + lapv
-            + gv
-            + av
-            + np.abs(lap_w)
-            + gw
-            + aw
-            + _abs_time_integral(lapv + gv + av, g)
-            + _abs_time_integral(gw + aw, g),
-        ),
-    }
-
-
-# ---------------------------------------------------------------------------
 # parameter calculus
 
 
@@ -521,9 +391,6 @@ class StabilityParams:
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         return float(self.rho) / float(self.d) * math.log(1.0 / delta)
-
-    def feasibility_margin(self) -> Fraction:
-        return self.rho - (1 - self.rho) * self.s
 
 
 def epsilon_window(rho: Fraction | float, T: Fraction | float) -> tuple[float, float]:

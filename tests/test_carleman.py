@@ -512,7 +512,7 @@ class TestIntegralBounds:
         rep = _lemma("spatial", grid, member, alpha=ALPHA)
         assert rep.ratios == (1.0,) * 6
         assert rep.spread == 1.0
-        assert rep.slope == 0.0
+        assert rep.slope is None
         assert rep.passed is True
 
     def test_causal_ratio_decays_instead_of_flattening(self, grid, member):

@@ -1,5 +1,5 @@
 """Interaction kernels: per-axis factors against the dense quadrature matrix,
-closed forms, and the majorant."""
+and closed forms."""
 
 import tracemalloc
 
@@ -10,7 +10,6 @@ from mfglab.grid import Prism, make_grid, sample_field
 from mfglab.kernels import (
     Kernel,
     _axis_factors,
-    apply_G,
     apply_kernel,
     causal_weights,
     fubini_swap_residual,
@@ -102,21 +101,6 @@ class TestCausalWeights:
         assert fubini_swap_residual(grid, samples) <= 1e-10
 
 
-class TestMajorant:
-    def test_slab_majorant_is_absolute_value(self, grid):
-        q = sample_field(grid, lambda x, t: np.sin(3 * x) - 0.5 + 0 * t)
-        out = apply_G(Kernel("separable", amplitude=0.4), grid, q)
-        np.testing.assert_allclose(out, np.abs(q), atol=1e-14)
-
-    def test_causal_majorant_integrates_tail(self, grid):
-        q = sample_field(grid, lambda x, t: -1.0 + 0 * x + 0 * t)
-        out = apply_G(Kernel("causal"), grid, q)
-        x = grid.axis_coords(0)
-        want = (2.0 - x)[:, None] + 0 * out
-        want[-1] = 0.5 * grid.h[0]
-        np.testing.assert_allclose(out, want, atol=1e-13)
-
-
 class TestKernelBound:
     def test_declared_bound_returned(self, grid):
         assert kernel_bound(Kernel("separable", amplitude=0.4, n1=1), grid) == 1.0
@@ -143,9 +127,8 @@ class TestApplySpatial:
         # the leading axes must be the spatial shape, with one trailing axis at most
         bad = [(grid, np.zeros(7)), (grid, np.zeros((65, 3, 2))), (grid2d, np.zeros((17, 9)))]
         for g, values in bad:
-            for apply in (apply_kernel, apply_G):
-                with pytest.raises(ValueError, match="spatial shape"):
-                    apply(Kernel("separable"), g, values)
+            with pytest.raises(ValueError, match="spatial shape"):
+                apply_kernel(Kernel("separable"), g, values)
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +149,13 @@ def _flat_weights(grid, axes):
     return w
 
 
-def _dense_profile(kernel, grid, majorant=False):
+def _dense_profile(kernel, grid):
     """Ybar over every pair of flattened nodes: the cross-section's for
     the separable kernel, the full space's for the causal one."""
     skip = 1 if kernel.type == "causal" else 0
     coords = _flat_coords(grid, range(1 - skip, grid.dim))
     out = np.ones((coords.shape[0], coords.shape[0]))
-    if majorant or kernel.profile == "constant":
+    if kernel.profile == "constant":
         return out
     for k, w in enumerate(grid.prism.half_widths):
         c = np.cos(0.5 * np.pi * coords[:, skip + k] / w)
@@ -180,21 +163,20 @@ def _dense_profile(kernel, grid, majorant=False):
     return out
 
 
-def dense_matrix(kernel, grid, majorant=False):
+def dense_matrix(kernel, grid):
     """Kernel as one matrix over the flattened space (the cross-section for
     the separable kernel), built from the closed-form Kronecker formulas."""
-    amp = 1.0 if majorant else kernel.amplitude
     cross = list(range(1, grid.dim))
     wbar = _flat_weights(grid, cross)
-    Ybar = _dense_profile(kernel, grid, majorant)
+    Ybar = _dense_profile(kernel, grid)
     if kernel.type == "separable":
-        return amp * Ybar * wbar[None, :]
+        return kernel.amplitude * Ybar * wbar[None, :]
     Wc = causal_weights(grid.nx[0], grid.h[0])
-    return amp * Ybar * np.kron(Wc, np.tile(wbar, (wbar.size, 1)))
+    return kernel.amplitude * Ybar * np.kron(Wc, np.tile(wbar, (wbar.size, 1)))
 
 
-def dense_apply(kernel, grid, values, majorant=False):
-    M = dense_matrix(kernel, grid, majorant)
+def dense_apply(kernel, grid, values):
+    M = dense_matrix(kernel, grid)
     if kernel.type == "separable":
         flat = values.reshape(grid.nx[0], M.shape[0], -1)
         return np.einsum("pq,iqt->ipt", M, flat).reshape(values.shape)
@@ -226,15 +208,13 @@ class TestDenseReference:
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_GRIDS))
-    def test_kernel_and_majorant_match_dense(self, name):
+    def test_kernel_matches_dense(self, name):
         prism, nx = REFERENCE_GRIDS[name]
         g = make_grid(prism, nx, 5)
         vals = np.random.default_rng(7).standard_normal(g.shape)
         for kern in _reference_kernels(g.dim):
             got = apply_kernel(kern, g, vals)
             self._check(g.dim, got, dense_apply(kern, g, vals))
-            got = apply_G(kern, g, vals)
-            self._check(g.dim, got, dense_apply(kern, g, np.abs(vals), majorant=True))
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_GRIDS))
     def test_bound_is_the_dense_sup(self, name):

@@ -817,6 +817,12 @@ class TestSpecValidation:
         other = make_grid(PRISM, 17, 65)
         with pytest.raises(ValueError, match=r"u has shape \(33, 65\), not \(17, 65\)"):
             MFGTriple(other, pair["t1"].u, pair["t1"].m, np.ones(17))
+        # k is marked read-only like u and m, and not copied
+        k = np.ones(33)
+        tr = MFGTriple(pair["grid"], pair["t1"].u, pair["t1"].m, k)
+        with pytest.raises(ValueError, match="read-only"):
+            tr.k[3] = 5.0
+        assert np.shares_memory(tr.k, k)
 
     @pytest.mark.parametrize("name", ["u", "m"])
     def test_triple_fields_must_be_finite(self, name):
@@ -863,6 +869,3 @@ class TestSpecValidation:
         for values in (triple.u, triple.m):
             with pytest.raises(ValueError, match="read-only"):
                 values[0, 0] = 99.0
-
-    def test_nondegeneracy_constant_positive(self, make_pair):
-        assert make_pair(33, 65)["t1"].nondegeneracy_constant() > 0.0
