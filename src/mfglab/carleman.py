@@ -59,6 +59,7 @@ from .grid import (
     gradient,
     second_derivative,
     snap_epsilon,
+    sum_of_squares,
     time_integral_from_t0,
     trace,
     trapezoid_sum,
@@ -198,18 +199,6 @@ def weight_extrema(params: CarlemanParams, grid: Grid, eps: float | None = None)
     return out
 
 
-def _sum_of_squares(arrays: Iterable[np.ndarray]) -> np.ndarray:
-    """Sum of the squares of fresh arrays, taken one at a time in the order
-    given: each is squared in place and added into the first."""
-    arrays = iter(arrays)
-    total = next(arrays)
-    total *= total
-    for d in arrays:
-        d *= d
-        total += d
-    return total
-
-
 def _boundary_norms_sq(grid: Grid, u: np.ndarray, faces) -> float:
     """|du/dn|_{H10}^2 + |u|_{H21}^2 summed over the given faces."""
     total = 0.0
@@ -315,7 +304,7 @@ def _functional_rows(
         grad = gradient(grid, padded)
         # u_{x_i x_j} over the ordered pairs (i, j), i outer; a mixed one is
         # the x_j derivative of the gradient's x_i component
-        second = _sum_of_squares(
+        second = sum_of_squares(
             pure[i] if i == j else first_derivative(grad[i], j, grid.h[j])
             for i in range(grid.dim)
             for j in range(grid.dim)
@@ -325,7 +314,7 @@ def _functional_rows(
         del ut
         second_sq[start:stop] = cross_section_sum(grid, second)
         del second
-        u_grad_sq[start:stop] = cross_section_sum(grid, _sum_of_squares(grad)[keep])
+        u_grad_sq[start:stop] = cross_section_sum(grid, sum_of_squares(grad)[keep])
         del grad
         u_sq[start:stop] = cross_section_sum(grid, block * block)
 
@@ -429,11 +418,7 @@ def estimate_c0(
 
 
 def random_family(
-    grid: Grid,
-    count: int = 20,
-    seed: int = FAMILY_SEED,
-    *,
-    flatten_space: bool = True,
+    grid: Grid, count: int = 20, seed: int = FAMILY_SEED
 ) -> Iterator[np.ndarray]:
     """Seeded family of smooth products of low-order trig and polynomial
     factors, each an array of shape ``grid.shape``, yielded one member at a
@@ -442,13 +427,12 @@ def random_family(
 
     Each member is a product over axes (and time) of
     c0 + c1 s + c2 sin(pi s) + c3 cos(pi s) with coefficients uniform in
-    [-1, 1], where s is the normalized coordinate.  With ``flatten_space``
-    every spatial axis is multiplied by sin^2(pi s), which zeroes the
-    lateral Dirichlet and Neumann data so the functional's boundary
-    component cannot swamp the volume bracket.  Time is never flattened,
-    keeping the end-time term alive.  Each factor is evaluated on its own
-    axis, shaped to broadcast, and the factors are multiplied axis by axis
-    with time last.
+    [-1, 1], where s is the normalized coordinate, and each spatial factor
+    is multiplied by sin^2(pi s), which zeroes the lateral Dirichlet and
+    Neumann data so the functional's boundary component cannot swamp the
+    volume bracket.  Time is never flattened, keeping the end-time term
+    alive.  Each factor is evaluated on its own axis, shaped to broadcast,
+    and the factors are multiplied axis by axis with time last.
     """
     rng = np.random.default_rng(seed)
     bounds = [grid.prism.axis_bounds(axis) for axis in range(grid.dim)]
@@ -461,7 +445,7 @@ def random_family(
         for axis, s in enumerate(coords):
             c = rng.uniform(-1.0, 1.0, 4)
             factor = c[0] + c[1] * s + c[2] * np.sin(np.pi * s) + c[3] * np.cos(np.pi * s)
-            if flatten_space and axis < grid.dim:
+            if axis < grid.dim:
                 factor = factor * np.sin(np.pi * s) ** 2
             values = values * factor
         yield values

@@ -69,7 +69,9 @@ class CIPData:
     ``g0``/``g1`` are Dirichlet/Neumann traces of u, ``p0``/``p1`` of m;
     each maps a face to its (s=0, s=1, s=2) trace family, three finite
     arrays of shape ``(*grid.face_shape(face), nt)`` laid out as
-    :func:`mfglab.grid.trace` returns them.
+    :func:`mfglab.grid.trace` returns them.  Snapshots and traces are stored
+    as the float arrays ``finite_array`` returns, not copied if they are
+    ones already.
     """
 
     grid: Grid
@@ -101,12 +103,16 @@ class CIPData:
         for name in ("u0", "m0"):
             object.__setattr__(self, name, finite_array(name, getattr(self, name), g.shape_space))
         for name, tset in self.trace_components().items():
+            checked = {}
             for face, fam in tset.items():
                 if len(fam) != 3:
                     raise ValueError(f"{name} on face {face.label} must be three traces")
                 shape = (*g.face_shape(face), g.nt)
-                for s, values in enumerate(fam):
+                checked[face] = tuple(
                     finite_array(f"{name} s={s} on face {face.label}", values, shape)
+                    for s, values in enumerate(fam)
+                )
+            object.__setattr__(self, name, checked)
 
     def trace_components(self) -> dict[str, TraceSet]:
         return {"g0": self.g0, "g1": self.g1, "p0": self.p0, "p1": self.p1}

@@ -220,9 +220,8 @@ def _check_lambda_grid(lambdas) -> None:
             raise ConfigError(f"lambda grid values must be >= 1, got {lam:g}")
 
 
-def _manufactured_problem(cfg: dict):
+def _manufactured_problem(cfg: dict, prism, grid):
     """Default manufactured setup: unit coefficient, compatible density."""
-    prism, grid = _build_geometry(cfg)
     kernel = _build_kernel(cfg, grid)
     prob = cfg["problem"]
     u_form = bump_form(prism, amplitude=prob["u_amplitude"])
@@ -236,7 +235,7 @@ def _manufactured_problem(cfg: dict):
     if gain != 1.0:
         f = f * float(gain)
     spec = ProblemSpec(grid, kernel, f, triple.u, triple.m)
-    return grid, kernel, k1, triple, f, spec
+    return kernel, k1, triple, f, spec
 
 
 def _perturbation(grid) -> np.ndarray:
@@ -258,7 +257,7 @@ def _provenance(cfg: dict, command: str) -> dict:
 
 def cmd_forward(args) -> int:
     cfg = load_config(args)
-    grid, kernel, k1, _, f, spec = _manufactured_problem(cfg)
+    kernel, k1, _, f, spec = _manufactured_problem(cfg, *_build_geometry(cfg))
     outdir = cfg["out"]
     try:
         triple = solve_mfg_picard(spec, k1, **cfg["solver"])
@@ -278,7 +277,7 @@ def cmd_forward(args) -> int:
 
 def cmd_manufacture(args) -> int:
     cfg = load_config(args)
-    grid, kernel, k1, triple, f, _ = _manufactured_problem(cfg)
+    kernel, _, triple, f, _ = _manufactured_problem(cfg, *_build_geometry(cfg))
     outdir = cfg["out"]
     mio.save_triple_dir(triple, outdir, f=f, kernel=kernel)
     mio.save_provenance(outdir, _provenance(cfg, "manufacture"))
@@ -286,25 +285,25 @@ def cmd_manufacture(args) -> int:
     return EXIT_OK
 
 
-def _carleman_alpha(cfg: dict) -> float:
+def _carleman_alpha(cfg: dict, prism) -> float:
     alpha = cfg["carleman"]["alpha"]
     if alpha is None:
-        alpha = _stability_params(cfg).alpha
+        alpha = _stability_params(cfg, prism).alpha
     return float(alpha)
 
 
 def cmd_carleman(args) -> int:
     cfg = load_config(args)
-    _, grid = _build_geometry(cfg)
+    prism, grid = _build_geometry(cfg)
     car = cfg["carleman"]
     # the boundary factor exp(lam b^2) of the functional must stay a double
-    lam, b = max(car["lambdas"]), grid.prism.b
+    lam, b = max(car["lambdas"]), prism.b
     if lam * b**2 > math.log(sys.float_info.max):
         raise RangeGuardError(
             f"lambda = {lam:g} with b = {b:g} takes the boundary factor "
             f"exp(lambda b^2) = exp({lam * b**2:g}) out of floating-point range"
         )
-    alpha = _carleman_alpha(cfg)
+    alpha = _carleman_alpha(cfg, prism)
     members = random_family(grid, count=car["count"], seed=car["seed"])
     c0, lambda0, reports = estimate_c0(
         grid, members, alpha, car["lambdas"], restricted=car["restricted"]
@@ -321,9 +320,9 @@ def cmd_carleman(args) -> int:
 
 def cmd_lemmas(args) -> int:
     cfg = load_config(args)
-    _, grid = _build_geometry(cfg)
+    prism, grid = _build_geometry(cfg)
     lem = cfg["lemmas"]
-    alpha = _carleman_alpha(cfg)
+    alpha = _carleman_alpha(cfg, prism)
     samples = random_family(grid, count=lem["samples"], seed=lem["seed"])
     reports = verify_lemma(grid, samples, alpha=alpha, lambdas=lem["lambdas"])
     outdir = cfg["out"]
@@ -334,8 +333,7 @@ def cmd_lemmas(args) -> int:
     return EXIT_OK
 
 
-def _stability_params(cfg: dict):
-    prism, _ = _build_geometry(cfg)
+def _stability_params(cfg: dict, prism):
     stab = cfg["stability"]
     try:
         # a JSON number reads as the decimal it spells, as a flag's string does
@@ -353,7 +351,7 @@ def _stability_params(cfg: dict):
 
 def cmd_params(args) -> int:
     cfg = load_config(args)
-    params = _stability_params(cfg)
+    params = _stability_params(cfg, _build_geometry(cfg)[0])
     for key, val in mio.stability_params_to_dict(params).items():
         print(f"{key} = {val}")
     return EXIT_OK
@@ -361,11 +359,11 @@ def cmd_params(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args)
-    params = _stability_params(cfg)
+    prism, grid = _build_geometry(cfg)
+    params = _stability_params(cfg, prism)
     stab = cfg["stability"]
     lo, hi, count = stab["scales"]
     scales = np.geomspace(lo, hi, count)
-    _, grid = _build_geometry(cfg)
     delta_k = stab["perturbation_scale"] * _perturbation(grid)
     # the largest coefficient k1 + scale * delta_k (k1 = 1) must be a double
     # before any solve; a Python float overflows to inf without a warning
@@ -375,7 +373,7 @@ def cmd_sweep(args) -> int:
             f"{stab['perturbation_scale']:g} takes the coefficient "
             f"k1 + scale * delta_k out of floating-point range"
         )
-    grid, kernel, k1, _, f, spec = _manufactured_problem(cfg)
+    _, k1, _, _, spec = _manufactured_problem(cfg, prism, grid)
     try:
         report = holder_sweep(
             spec,

@@ -36,7 +36,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "second_derivative",
     "gradient",
     "grad_sq",
+    "sum_of_squares",
     "laplacian",
     "divergence",
     "dt",
@@ -401,15 +402,22 @@ def gradient(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(first_derivative(values, i, h) for i, h in enumerate(grid.h))
 
 
-def grad_sq(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """``|grad values|^2``, the squared components summed in axis order,
-    squared in place in the fresh gradient arrays."""
-    total, *rest = gradient(grid, values)
+def sum_of_squares(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """Sum of the squares of fresh arrays, taken one at a time in the order
+    given: each is squared in place and added into the first."""
+    arrays = iter(arrays)
+    total = next(arrays)
     total *= total
-    for d in rest:
+    for d in arrays:
         d *= d
         total += d
     return total
+
+
+def grad_sq(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """``|grad values|^2``: the ``sum_of_squares`` of the gradient
+    components, in axis order."""
+    return sum_of_squares(gradient(grid, values))
 
 
 def laplacian(grid: Grid, values: np.ndarray) -> np.ndarray:

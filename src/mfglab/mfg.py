@@ -29,8 +29,9 @@ Several coefficients march in lockstep along a member axis
 (``solve_mfg_members``): one multi-column solve per value step, one
 block-diagonal solve per density step, element-wise work along the member
 axis, and per member its kernel term, convergence test and outcome, so that
-each member gets the bits of its solve alone.  A single solve is a group of
-one.
+each member gets the bits of its solve alone.  The marches take member
+stacks only, of shape ``(*grid.nx, members, nt)``: a single solve is a
+stack of one.
 
 The Fokker-Planck divergence uses conservative face-centered fluxes
 (arithmetic means of k, m and the first difference of u on the face), and
@@ -74,11 +75,9 @@ __all__ = [
     "ProblemSpec",
     "MFGTriple",
     "ClosedForm",
-    "quadratic_form",
     "bump_form",
     "steady_density",
     "solve_fokker_planck",
-    "solve_hjb",
     "solve_mfg_members",
     "solve_mfg_picard",
     "manufacture_triple",
@@ -190,16 +189,6 @@ class ClosedForm:
     d_t: Callable
     grad_sq: Callable
     lap: Callable
-
-
-def quadratic_form() -> ClosedForm:
-    """u = x_1^2 + t; gradient bounded away from zero for a > 0."""
-    return ClosedForm(
-        fn=lambda *c: c[0] ** 2 + c[-1],
-        d_t=lambda *c: np.ones(np.broadcast(*c).shape),
-        grad_sq=lambda *c: (2.0 * c[0]) ** 2,
-        lap=lambda *c: 2.0 * np.ones(np.broadcast(*c).shape),
-    )
 
 
 def bump_form(prism, amplitude: float = 0.3) -> ClosedForm:
@@ -612,49 +601,41 @@ def _scan_blowup(
     return lowest, worst, errors
 
 
-def _shared(grid: Grid, data: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``data`` (spatial axes leading) broadcast against the members of
-    ``out``: a unit member axis after the spatial axes if ``out`` is a
-    stack."""
-    unit = (1,) * (out.ndim - grid.dim - 1)
-    return data.reshape(grid.shape_space + unit + data.shape[grid.dim :])
-
-
 def _march_fp(
     spec: ProblemSpec, op: _SpatialOperator, k: np.ndarray, u: np.ndarray, out: np.ndarray
 ) -> list[BlowupError | None]:
     """March the density equation forward for a group of members in
     lockstep, writing ``out``; returns each member's BlowupError or None.
 
-    ``u`` and ``out`` are one member's arrays (``grid.shape``, with ``k`` of
-    ``grid.shape_space``) or stacks of shape ``(*grid.nx, members, nt)``
-    (with ``k`` of shape ``(*grid.nx, members)``).  u is known at every
-    level, so the face drift and the block-diagonal marching storage of all
-    members are filled for a block of levels at a time and factored as
+    ``u`` and ``out`` are stacks of shape ``(*grid.nx, members, nt)`` and
+    ``k`` has shape ``(*grid.nx, members)``.  u is known at every level, so
+    the face drift and the block-diagonal marching storage of all members
+    are filled for a block of levels at a time and factored as
     ``factor_levels`` does; each step solves its level.  No step reads a
     level's magnitude, so one scan after the march finds each member's
     first level that blew up.
     """
     g = spec.grid
-    members = out.size // (op.ns * g.nt)
+    members = out.shape[-2]
     bvals = op.dirichlet_values(spec.m_data)
-    out[..., 0] = _shared(g, spec.m_data[..., 0], out)
+    out[..., 0] = spec.m_data[..., None, 0]
     levels = max(1, _DRIFT_BLOCK_NODES // (op.ns * members))
     for j0 in range(1, g.nt, levels):
         drift = _face_drift_coefficients(g, k[..., None], u[..., j0 : j0 + levels])
         block = op.system(g.tau, drift)
-        solvers = op.factor_levels(block.reshape(len(block), members, -1))
+        solvers = op.factor_levels(block)
         for j in range(j0, j0 + block.shape[-1]):
             out[..., j] = op.step(next(solvers), out[..., j - 1], bvals[j])
-    stack = out.reshape(g.shape_space + (members, g.nt))
-    lowest, worst, errors = _scan_blowup("fokker-planck", stack, np.arange(1, g.nt))
+    lowest, worst, errors = _scan_blowup("fokker-planck", out, np.arange(1, g.nt))
     if members > 1 and not np.all(np.isfinite(worst)):
         # 0 * inf is NaN: a non-finite value crosses the zero couplings
         # between the members' blocks, so each member marches alone
         return [
             error
             for i in range(members)
-            for error in _march_fp(spec, op, k[..., i], u[..., i, :], out[..., i, :])
+            for error in _march_fp(
+                spec, op, k[..., i : i + 1], u[..., i : i + 1, :], out[..., i : i + 1, :]
+            )
         ]
     for level_min, error in zip(lowest, errors):
         worst_min = float(np.min(level_min))
@@ -674,10 +655,9 @@ def _march_hjb(
     """March the value equation backward for a group of members in
     lockstep; returns each member's BlowupError or None.
 
-    ``m`` (the frozen density) and ``values`` are one member's arrays
-    (``grid.shape``, with ``k`` of ``grid.shape_space``) or stacks of shape
-    ``(*grid.nx, members, nt)`` (with ``k`` of shape ``(*grid.nx,
-    members)``); ``solve`` solves with I - tau L, which depends on neither k
+    ``m`` (the frozen density) and ``values`` are stacks of shape
+    ``(*grid.nx, members, nt)`` and ``k`` has shape ``(*grid.nx,
+    members)``; ``solve`` solves with I - tau L, which depends on neither k
     nor m.  ``values`` holds the kernel term of m on entry and the value on
     return: each level's kernel term is read once, by the step that then
     overwrites it.  The quadratic gradient term is evaluated at the
@@ -690,8 +670,8 @@ def _march_hjb(
     tau = g.tau
     bvals = op.dirichlet_values(spec.u_data)
     half_k = 0.5 * k
-    f = _shared(g, spec.f, values)
-    values[..., -1] = _shared(g, spec.u_data[..., -1], values)
+    f = spec.f[..., None, :]
+    values[..., -1] = spec.u_data[..., None, -1]
     marched = np.arange(g.nt - 2, -1, -1)
     # levels marched after a blow-up overflow; the scan below reports the first
     with np.errstate(over="ignore", invalid="ignore"):
@@ -699,14 +679,14 @@ def _march_hjb(
             prev = values[..., j + 1]
             rhs = prev - tau * (half_k * grad_sq(g, prev) - values[..., j] - f[..., j] * m[..., j])
             values[..., j] = op.step(solve, rhs, bvals[j])
-    return _scan_blowup("hjb", values.reshape(g.shape_space + (-1, g.nt)), marched)[2]
+    return _scan_blowup("hjb", values, marched)[2]
 
 
 def solve_fokker_planck(spec: ProblemSpec, k: np.ndarray, u: np.ndarray) -> np.ndarray:
     """March the density equation forward from the initial level.
 
     Backward Euler with the full spatial operator at the new level; the
-    march of a group of one.  The off-diagonals of I - tau (L + D) stay
+    march of a stack of one.  The off-diagonals of I - tau (L + D) stay
     non-positive only while every face drift a = k du/dx_i has
     |a| h <= 2.  Past that a drift-dominated cell can blow the density up,
     which raises BlowupError.  k and u must be finite arrays of shape
@@ -715,30 +695,11 @@ def solve_fokker_planck(spec: ProblemSpec, k: np.ndarray, u: np.ndarray) -> np.n
     g = spec.grid
     k = finite_array("k", k, g.shape_space)
     u = finite_array("u", u, g.shape)
-    out = np.empty(g.shape)
-    (error,) = _march_fp(spec, _SpatialOperator(g), k, u, out)
+    out = np.empty(g.shape_space + (1, g.nt))
+    (error,) = _march_fp(spec, _SpatialOperator(g), k[..., None], u[..., None, :], out)
     if error is not None:
         raise error
-    return out
-
-
-def solve_hjb(spec: ProblemSpec, k: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """March the value equation backward from the terminal level.
-
-    The kernel and local-interaction terms use the frozen density, and the
-    quadratic gradient term is lagged one level; the march of a group of
-    one.  k and m must be finite arrays of shape ``grid.shape_space`` and
-    ``grid.shape``.
-    """
-    g = spec.grid
-    k = finite_array("k", k, g.shape_space)
-    m = finite_array("m", m, g.shape)
-    op = _SpatialOperator(g)
-    values = apply_kernel(spec.kernel, g, m)
-    (error,) = _march_hjb(spec, op, op.factor(op.system(g.tau)), k, m, values)
-    if error is not None:
-        raise error
-    return values
+    return out[..., 0, :]
 
 
 def _mixing_weight(

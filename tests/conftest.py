@@ -14,6 +14,7 @@ from mfglab import mfg
 from mfglab.grid import Prism, make_grid
 from mfglab.kernels import Kernel
 from mfglab.mfg import (
+    ClosedForm,
     ProblemSpec,
     bump_form,
     manufacture_triple,
@@ -58,6 +59,16 @@ def perturbation(grid) -> np.ndarray:
     """Coefficient bump vanishing to second order at both walls."""
     x = grid.axis_coords(0)
     return np.sin(np.pi * (x - grid.prism.a)) ** 2
+
+
+def quadratic_form() -> ClosedForm:
+    """u = x_1^2 + t; gradient bounded away from zero for a > 0."""
+    return ClosedForm(
+        fn=lambda *c: c[0] ** 2 + c[-1],
+        d_t=lambda *c: np.ones(np.broadcast(*c).shape),
+        grad_sq=lambda *c: (2.0 * c[0]) ** 2,
+        lap=lambda *c: 2.0 * np.ones(np.broadcast(*c).shape),
+    )
 
 
 def build_problem(nx: int, nt: int):

@@ -42,6 +42,25 @@ def grid():
     return make_grid(Prism(1.0, 2.0, (), 1.0), 33, 65)
 
 
+def unflattened_family(grid, count):
+    """Members of ``random_family``'s form without its sin^2 factor on each
+    spatial axis, from the same random stream: evaluated on the full
+    space-time mesh, nonzero on the lateral faces, so that every boundary
+    term of the functional stays alive."""
+    rng = np.random.default_rng(FAMILY_SEED)
+    mesh = grid.spacetime_meshgrid()
+    bounds = [grid.prism.axis_bounds(axis) for axis in range(grid.dim)]
+    for _ in range(count):
+        values = np.ones(grid.shape)
+        for x, (lo, hi) in zip(mesh, bounds + [(0.0, grid.prism.T)]):
+            s = (x - lo) / (hi - lo)
+            c = rng.uniform(-1.0, 1.0, 4)
+            values = values * (
+                c[0] + c[1] * s + c[2] * np.sin(np.pi * s) + c[3] * np.cos(np.pi * s)
+            )
+        yield values
+
+
 class TestParams:
     def test_lambda_window(self):
         CarlemanParams(1.0, ALPHA)
@@ -115,22 +134,22 @@ class TestRandomFamily:
         ],
         ids=["1d", "2d", "3d"],
     )
-    @pytest.mark.parametrize("flatten_space", [True, False])
+    # one value: the family is always flattened, and the case ids keep it
+    @pytest.mark.parametrize("flatten_space", [True])
     def test_matches_full_mesh_formula(self, prism, nx, nt, flatten_space):
         # every factor evaluated on the full space-time mesh, multiplied in
         # axis order with time last, from the same random stream
         g = make_grid(prism, nx, nt)
         mesh = g.spacetime_meshgrid()
         rng = np.random.default_rng(FAMILY_SEED)
-        for member in random_family(g, count=3, flatten_space=flatten_space):
+        for member in random_family(g, count=3):
             values = np.ones(g.shape)
             for axis in range(g.dim):
                 lo, hi = prism.axis_bounds(axis)
                 s = (mesh[axis] - lo) / (hi - lo)
                 c = rng.uniform(-1.0, 1.0, 4)
                 factor = c[0] + c[1] * s + c[2] * np.sin(np.pi * s) + c[3] * np.cos(np.pi * s)
-                if flatten_space:
-                    factor = factor * np.sin(np.pi * s) ** 2
+                factor = factor * np.sin(np.pi * s) ** 2
                 values = values * factor
             s = mesh[-1] / prism.T
             c = rng.uniform(-1.0, 1.0, 4)
@@ -304,7 +323,7 @@ class TestComputedOnce:
     )
     def test_block_takes_each_derivative_once(self, monkeypatch, prism, nx, nt):
         g = make_grid(prism, nx, nt)
-        u = next(random_family(g, count=1, flatten_space=False))
+        u = next(unflattened_family(g, 1))
         # blocks of the minimum 3 rows, and no per-member norm in the count
         monkeypatch.setattr(carleman, "_FUNCTIONAL_BLOCK_NODES", 1)
         monkeypatch.setattr(carleman, "_boundary_norms_sq", lambda *args: 1.0)
@@ -364,7 +383,8 @@ class TestRowBlocks:
     def test_minimum_blocks_equal_one_block(self, monkeypatch, prism, nx, nt, restricted):
         g = make_grid(prism, nx, nt)
         # flattened members satisfy the restricted precondition
-        members = list(random_family(g, count=2, flatten_space=restricted))
+        family = random_family if restricted else unflattened_family
+        members = list(family(g, 2))
 
         def run(nodes):
             monkeypatch.setattr(carleman, "_FUNCTIONAL_BLOCK_NODES", nodes)
@@ -469,7 +489,7 @@ class TestReferenceRows:
         g = make_grid(prism, nx, nt)
         # flattened members satisfy the restricted precondition; unflattened
         # ones keep every boundary term alive
-        u = next(random_family(g, count=1, flatten_space=restricted))
+        u = next((random_family if restricted else unflattened_family)(g, 1))
         _, _, reports = estimate_c0(g, [u], ALPHA, self.LAMBDAS, restricted=restricted)
         for sign, rep in zip((1, -1), reports):
             ref = _reference_rows(g, u, sign, self.LAMBDAS, ALPHA, restricted)
@@ -488,7 +508,7 @@ class TestRestricted:
         assert all(rep.restricted for rep in reports)
 
     def test_nonvanishing_member_rejected_by_estimate(self, grid):
-        u = next(random_family(grid, 1, flatten_space=False))
+        u = next(unflattened_family(grid, 1))
         with pytest.raises(ValueError, match="off the outflow face"):
             estimate_c0(grid, [u], ALPHA, (2.0,), restricted=True)
 
@@ -570,7 +590,7 @@ class TestIntegralBounds:
         # the lemma sums the cross-section axis first; the full-mesh sums
         # against the weight on every node agree to round-off
         g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), [17, 9], 33)
-        h = next(random_family(g, count=1, flatten_space=False))
+        h = next(unflattened_family(g, 1))
         rep = _lemma(which, g, h, alpha=ALPHA)
         if which == "time-integral":
             target = time_integral_from_t0(g, h)

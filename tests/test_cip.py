@@ -103,6 +103,20 @@ class TestBudget:
         d2 = extract(pair["t2"], completeness)
         assert measure_delta(d1, d2) == pytest.approx(delta, rel=1e-12)
 
+    def test_list_data_measure_as_arrays(self, make_pair):
+        # every snapshot and trace is stored as the array its check returns,
+        # so data given as lists measure as the arrays they spell
+        def listed(d):
+            traces = {
+                name: {face: tuple(v.tolist() for v in fam) for face, fam in tset.items()}
+                for name, tset in d.trace_components().items()
+            }
+            return dataclasses.replace(d, u0=d.u0.tolist(), m0=d.m0.tolist(), **traces)
+
+        pair = make_pair(33, 65)
+        d1, d2 = extract(pair["t1"]), extract(pair["t2"])
+        assert measure_delta(listed(d1), listed(d2)) == measure_delta(d1, d2)
+
     def test_snapshot_norms_strengthen_in_incomplete_mode(self, data, data_inc):
         # u0 moves from H1 to H2, so the incomplete line is strictly larger;
         # against zero snapshots each line is the norm of the snapshot itself

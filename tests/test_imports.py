@@ -10,8 +10,10 @@ definition in ``src/mfglab`` fails when no ``Name`` or ``Attribute`` in the
 package or its tests mentions it; dunder methods are exempt.  A definition
 that only tests mention fails unless it is listed in ``ORACLES``.  A
 defaulted parameter fails when no call in the package or its tests passes
-it, by keyword or by position.  An ``__all__`` entry fails when its module
-binds no such name, which would break ``from mfglab.<module> import *``.
+it, by keyword or by position, and when only tests pass it, unless its
+function is an oracle or it is the console entry point's ``argv``.  An
+``__all__`` entry fails when its module binds no such name, which would
+break ``from mfglab.<module> import *``.
 Importing the CLI must not load ``scipy.sparse``, which nothing uses.
 """
 
@@ -37,9 +39,11 @@ ORACLES = {
     "derived_residuals", "assemble_final_estimate",
     # the readers that check the writers
     "load_field_csv", "load_grid_json",
-    # the solver and manufactured-solution entry points of the tests
-    "solve_hjb", "quadratic_form",
 }
+
+# Defaulted parameters that only callers outside the package set: the
+# console entry point reads ``sys.argv`` unless given its arguments.
+ENTRY_OPTIONS = {"cli.py: main(argv=)"}
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -283,6 +287,18 @@ def test_no_options_nothing_sets():
     trees = {p.name: ast.parse(p.read_text()) for p in SOURCES}
     package = {p.name: trees[p.name] for p in PACKAGE}
     assert unset_options(package, trees.values()) == []
+
+
+def test_no_options_only_tests_set():
+    package = {p.name: ast.parse(p.read_text()) for p in PACKAGE}
+    test_only = []
+    for entry in unset_options(package, package.values()):
+        label, option = entry.split(": ")
+        if option.split("(")[0] in ORACLES:
+            continue
+        if f"{label.split(':')[0]}: {option}" not in ENTRY_OPTIONS:
+            test_only.append(entry)
+    assert test_only == []
 
 
 def test_checker_flags_an_option_nothing_sets():

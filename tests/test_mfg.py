@@ -25,17 +25,15 @@ from mfglab.mfg import (
     ProblemSpec,
     bump_form,
     manufacture_triple,
-    quadratic_form,
     residual,
     solve_fokker_planck,
-    solve_hjb,
     solve_mfg_members,
     solve_mfg_picard,
     steady_density,
 )
 from mfglab.mfg import _SpatialOperator, _divergence_flux, _face_drift_coefficients, _march_fp
 
-from conftest import build_problem, mixing_window, perturbation
+from conftest import build_problem, mixing_window, perturbation, quadratic_form
 
 PRISM = Prism(1.0, 2.0, (), 1.0)
 
@@ -374,8 +372,11 @@ class TestHJB:
         spec = ProblemSpec(
             grid=g, kernel=kern, f=np.zeros(g.shape), u_data=exact, m_data=ones
         )
-        u = solve_hjb(spec, np.zeros(33), ones)
-        assert np.max(np.abs(u - exact)) < 8e-3
+        # no coupling (zero kernel, f and k): the first value march is the
+        # heat march, and the second evaluation confirms it unchanged
+        triple = solve_mfg_picard(spec, np.zeros(33), damping=1.0, max_iter=5, tol=1e-10)
+        assert triple.report["evaluations"] == 2
+        assert np.max(np.abs(triple.u - exact)) < 8e-3
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.usefixtures("damped")
@@ -834,9 +835,8 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize(
         "solve, name",
-        [("fokker-planck", "k"), ("hjb", "k"), ("picard", "coefficient 0"),
-         ("members", "coefficient 1")],
-        ids=["fokker-planck", "hjb", "picard", "members"],
+        [("fokker-planck", "k"), ("picard", "coefficient 0"), ("members", "coefficient 1")],
+        ids=["fokker-planck", "picard", "members"],
     )
     def test_non_finite_coefficient_rejected(self, solve, name):
         # rejected before any march, where NaN would end in a blow-up or a
@@ -847,7 +847,6 @@ class TestSpecValidation:
         solver = dict(damping=1.0, max_iter=5, tol=1e-8)
         calls = {
             "fokker-planck": lambda: solve_fokker_planck(spec, k, triple.u),
-            "hjb": lambda: solve_hjb(spec, k, triple.m),
             "picard": lambda: solve_mfg_picard(spec, k, **solver),
             "members": lambda: next(solve_mfg_members(spec, [np.ones(17), k], **solver)),
         }
@@ -855,7 +854,7 @@ class TestSpecValidation:
             calls[solve]()
 
     @pytest.mark.parametrize(
-        "solve, name", [(solve_fokker_planck, "u"), (solve_hjb, "m")], ids=["fokker-planck", "hjb"]
+        "solve, name", [(solve_fokker_planck, "u")], ids=["fokker-planck"]
     )
     def test_field_one_level_short_rejected(self, solve, name):
         # the short field's last level would be left unmarched or read past
