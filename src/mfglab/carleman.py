@@ -43,6 +43,8 @@ family and published per grid, never asserted as a universal constant.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -51,6 +53,7 @@ import numpy as np
 from .grid import (
     Grid,
     Prism,
+    RangeGuardError,
     cross_section_sum,
     data_faces,
     dt,
@@ -69,6 +72,7 @@ from .norms import norm, trace_norm
 
 __all__ = [
     "LAMBDA_MAX",
+    "lambda_grid",
     "CarlemanParams",
     "CarlemanReport",
     "LemmaReport",
@@ -80,7 +84,6 @@ __all__ = [
 ]
 
 LAMBDA_MAX = 64.0
-_OVERFLOW_EXPONENT = 700.0
 FAMILY_SEED = 0x5EED
 # both operators d_t + Lap and d_t - Lap
 _SIGNS = (1, -1)
@@ -101,6 +104,31 @@ _FUNCTIONAL_BLOCK_NODES = 65_536
 _MIN_BLOCK_ROWS = 3
 
 
+def lambda_grid(lambdas, *, distinct: int) -> list[float]:
+    """``lambdas`` sorted, as floats: the one check of a lambda grid.
+
+    The grid is a non-empty list or tuple of real numbers (bools rejected),
+    each in [1, LAMBDA_MAX], with at least ``distinct`` distinct values.  A
+    lambda above LAMBDA_MAX raises RangeGuardError, since its weight would
+    leave floating-point range; any other fault raises ValueError.
+    """
+    if not isinstance(lambdas, (list, tuple)) or not lambdas:
+        raise ValueError("lambda grid must be a non-empty list of numbers")
+    for lam in lambdas:
+        if not isinstance(lam, numbers.Real) or isinstance(lam, bool):
+            raise ValueError(f"lambda grid values must be numbers, got {lam!r}")
+        if lam > LAMBDA_MAX:
+            raise RangeGuardError(
+                f"lambda = {lam:g} exceeds the overflow guard LAMBDA_MAX = "
+                f"{LAMBDA_MAX:g}; the weight would leave floating-point range"
+            )
+        if not lam >= 1.0:
+            raise ValueError(f"lambda grid values must be >= 1, got {lam:g}")
+    if len(set(lambdas)) < distinct:
+        raise ValueError(f"lambda grid must hold at least {distinct} distinct values")
+    return sorted(float(lam) for lam in lambdas)
+
+
 @dataclass(frozen=True)
 class CarlemanParams:
     """Large parameter and time-focusing coefficient of the weight."""
@@ -109,10 +137,7 @@ class CarlemanParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not self.lam >= 1.0:
-            raise ValueError(f"lambda must be >= 1, got {self.lam}")
-        if not self.lam <= LAMBDA_MAX:
-            raise ValueError(f"lambda {self.lam} exceeds LAMBDA_MAX={LAMBDA_MAX}")
+        lambda_grid([self.lam], distinct=1)
         if not self.alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
@@ -329,7 +354,7 @@ def _functional_rows(
         main += _weighted_x1t(grid, lam * u_grad_sq + lam**3 * u_sq, phi_s)
         # exp(3 lam b^2) becomes exp(lam b^2) after the shared rescaling
         boundary = bnd_norms * math.exp(lam * prism.b**2)
-        negligible = end_norms * math.exp(min(-2.0 * lam * gap - log_scale, _OVERFLOW_EXPONENT))
+        negligible = end_norms * math.exp(-2.0 * lam * gap - log_scale)
         negligible_log = (
             math.log(end_norms) - 2.0 * lam * gap if end_norms > 0.0 else -math.inf
         )
@@ -381,12 +406,17 @@ def estimate_c0(
     included: each member is checked and evaluated as it arrives and only
     its rows are kept, so one member is in memory at a time.  Every member
     must be a finite array of shape ``grid.shape``; a ValueError names the
-    first that is not.  An empty lambda grid, or a lambda outside
-    [1, LAMBDA_MAX], is a ValueError too, raised before any member is drawn.
+    first that is not.  Before any member is drawn, the lambda grid is
+    checked by ``lambda_grid``, and a boundary factor exp(lam b^2) out of
+    double range raises RangeGuardError.
     """
-    lambdas = sorted(float(x) for x in lambdas)
-    if not lambdas:
-        raise ValueError("lambda grid needs at least one value")
+    lambdas = lambda_grid(lambdas, distinct=1)
+    lam, b = lambdas[-1], grid.prism.b
+    if lam * b**2 > math.log(sys.float_info.max):
+        raise RangeGuardError(
+            f"lambda = {lam:g} with b = {b:g} takes the boundary factor "
+            f"exp(lambda b^2) = exp({lam * b**2:g}) out of floating-point range"
+        )
     weights = [scaled_weight_values(lam, alpha, grid) for lam in lambdas]
     member_rows = []
     for i, u in enumerate(members):
@@ -516,12 +546,7 @@ def verify_lemma(
     denominator of all three ratios; only the numerator's (x1, t) sum is
     taken per lemma.
     """
-    lambdas = sorted(float(x) for x in lambdas)
-    for lam in lambdas:
-        if not 1.0 <= lam <= LAMBDA_MAX:
-            raise ValueError(f"lambda grid must lie in [1, {LAMBDA_MAX}], got {lam}")
-    if len(set(lambdas)) < 2:
-        raise ValueError(f"lambda grid needs at least two distinct values, got {lambdas}")
+    lambdas = lambda_grid(lambdas, distinct=2)
     weights = [scaled_weight_values(lam, alpha, grid) for lam in lambdas]
     reports: list[list[LemmaReport]] = [[] for _ in _LEMMAS]
     for i, h in enumerate(samples):

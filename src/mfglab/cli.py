@@ -3,7 +3,7 @@
 Subcommands cover the forward solver, manufactured-solution generation, the
 weight-functional sweep, the integral-lemma checks, the end-to-end exponent
 sweep, and the parameter calculus.  Configuration is a single JSON file;
-command-line flags override file keys.  Exit codes: 0 success, 1
+``--out`` alone overrides its ``out`` key.  Exit codes: 0 success, 1
 configuration error, 2 solver non-convergence, 3 numeric-range guard or
 solver blow-up.  Every config value is checked before any work.
 
@@ -24,14 +24,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .grid import Prism, finite_real, make_grid
+from .grid import Prism, RangeGuardError, finite_real, make_grid
 from .kernels import Kernel, kernel_bound
-from .carleman import (
-    LAMBDA_MAX,
-    estimate_c0,
-    random_family,
-    verify_lemma,
-)
+from .carleman import estimate_c0, lambda_grid, random_family, verify_lemma
 from .cip import BUDGET_NORMS
 from .mfg import (
     BlowupError,
@@ -125,12 +120,9 @@ _RULES = (
 )
 
 
-class RangeGuardError(ValueError):
-    """A setting would take the weight or a coefficient out of floating-point
-    range."""
-
-
-def _merge(base: dict, extra: dict) -> dict:
+def _merge(base: dict, extra) -> dict:
+    if not isinstance(extra, dict):
+        raise ConfigError("config must be a JSON object")
     out = copy.deepcopy(base)
     for key, val in extra.items():
         if key not in out:
@@ -157,30 +149,21 @@ def load_config(args) -> dict:
             raise ConfigError(f"cannot read config: {e}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}")
-    if getattr(args, "rho", None) is not None:
-        cfg["stability"]["rho"] = args.rho
-    if getattr(args, "epsilon", None) is not None:
-        cfg["stability"]["epsilon"] = args.epsilon
-    if getattr(args, "lambda_grid", None) is not None:
-        try:
-            cfg["carleman"]["lambdas"] = [float(s) for s in args.lambda_grid.split(",")]
-        except ValueError:
-            raise ConfigError(f"--lambda-grid must be comma-separated numbers")
-    if getattr(args, "seed", None) is not None:
-        cfg["carleman"]["seed"] = args.seed
-        cfg["lemmas"]["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg["out"] = args.out
     for section, key, ok, requirement in _RULES:
         if not ok(cfg[section][key]):
             raise ConfigError(f"{section}.{key} {requirement}")
     if not isinstance(cfg["out"], str) or not cfg["out"]:
         raise ConfigError(f"out must be a non-empty path string, got {cfg['out']!r}")
-    _check_lambda_grid(cfg["carleman"]["lambdas"])
-    _check_lambda_grid(cfg["lemmas"]["lambdas"])
-    # each lemma verdict reads a trend in lambda
-    if len(set(cfg["lemmas"]["lambdas"])) < 2:
-        raise ConfigError("lemmas.lambdas must hold at least two distinct values")
+    # each lemma verdict reads a trend in lambda, so it needs two values
+    for section, distinct in (("carleman", 1), ("lemmas", 2)):
+        try:
+            lambda_grid(cfg[section]["lambdas"], distinct=distinct)
+        except RangeGuardError:
+            raise
+        except ValueError as e:
+            raise ConfigError(str(e))
     return cfg
 
 
@@ -202,22 +185,6 @@ def _build_kernel(cfg: dict, grid):
     except (ValueError, TypeError, KeyError) as e:
         raise ConfigError(f"kernel: {e}")
     return kernel
-
-
-def _check_lambda_grid(lambdas) -> None:
-    """Every lambda in [1, LAMBDA_MAX]; above the cap is a range error."""
-    if not isinstance(lambdas, list) or not lambdas:
-        raise ConfigError("lambda grid must be a non-empty list of numbers")
-    for lam in lambdas:
-        if type(lam) not in (int, float):
-            raise ConfigError(f"lambda grid values must be numbers, got {lam!r}")
-        if lam > LAMBDA_MAX:
-            raise RangeGuardError(
-                f"lambda = {lam:g} exceeds the overflow guard LAMBDA_MAX = "
-                f"{LAMBDA_MAX:g}; the weight would leave floating-point range"
-            )
-        if not lam >= 1.0:
-            raise ConfigError(f"lambda grid values must be >= 1, got {lam:g}")
 
 
 def _manufactured_problem(cfg: dict, prism, grid):
@@ -296,13 +263,6 @@ def cmd_carleman(args) -> int:
     cfg = load_config(args)
     prism, grid = _build_geometry(cfg)
     car = cfg["carleman"]
-    # the boundary factor exp(lam b^2) of the functional must stay a double
-    lam, b = max(car["lambdas"]), prism.b
-    if lam * b**2 > math.log(sys.float_info.max):
-        raise RangeGuardError(
-            f"lambda = {lam:g} with b = {b:g} takes the boundary factor "
-            f"exp(lambda b^2) = exp({lam * b**2:g}) out of floating-point range"
-        )
     alpha = _carleman_alpha(cfg, prism)
     members = random_family(grid, count=car["count"], seed=car["seed"])
     c0, lambda0, reports = estimate_c0(
@@ -336,7 +296,7 @@ def cmd_lemmas(args) -> int:
 def _stability_params(cfg: dict, prism):
     stab = cfg["stability"]
     try:
-        # a JSON number reads as the decimal it spells, as a flag's string does
+        # a JSON number reads as the decimal it spells: 0.2 is 1/5, as "0.2" is
         rho, epsilon = (
             Fraction(repr(v)) if isinstance(v, float) else Fraction(v)
             for v in (stab["rho"], stab["epsilon"])
@@ -402,6 +362,15 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+_COMMANDS = {
+    "forward": (cmd_forward, "run the coupled forward solver"),
+    "manufacture": (cmd_manufacture, "write a manufactured solution triple"),
+    "carleman": (cmd_carleman, "weight-functional family sweep"),
+    "lemmas": (cmd_lemmas, "integral lemma checks"),
+    "sweep": (cmd_sweep, "end-to-end exponent sweep"),
+    "params": (cmd_params, "print the parameter calculus"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -411,46 +380,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="override family seeds")
-
-    p = sub.add_parser("forward", help="run the coupled forward solver")
-    common(p)
-    p = sub.add_parser("manufacture", help="write a manufactured solution triple")
-    common(p)
-    p = sub.add_parser("carleman", help="weight-functional family sweep")
-    common(p)
-    p.add_argument("--lambda-grid", help="comma-separated lambda values")
-    p = sub.add_parser("lemmas", help="integral lemma checks")
-    common(p)
-    p = sub.add_parser("sweep", help="end-to-end exponent sweep")
-    common(p)
-    p.add_argument("--rho", help="exponent parameter (fraction or decimal)")
-    p.add_argument("--epsilon", help="time margin (fraction or decimal)")
-    p = sub.add_parser("params", help="print the parameter calculus")
-    common(p)
-    p.add_argument("--rho", help="exponent parameter (fraction or decimal)")
-    p.add_argument("--epsilon", help="time margin (fraction or decimal)")
     return parser
-
-
-_COMMANDS = {
-    "forward": cmd_forward,
-    "manufacture": cmd_manufacture,
-    "carleman": cmd_carleman,
-    "lemmas": cmd_lemmas,
-    "sweep": cmd_sweep,
-    "params": cmd_params,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

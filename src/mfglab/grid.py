@@ -66,6 +66,7 @@ __all__ = [
     "interior_mask",
     "finite_real",
     "finite_array",
+    "RangeGuardError",
 ]
 
 
@@ -76,6 +77,11 @@ def finite_real(value) -> bool:
         and not isinstance(value, bool)
         and math.isfinite(value)
     )
+
+
+class RangeGuardError(ValueError):
+    """A setting would take the weight or a coefficient out of floating-point
+    range."""
 
 
 def finite_array(name: str, values, shape: tuple[int, ...]) -> np.ndarray:

@@ -21,6 +21,7 @@ from mfglab.carleman import (
 )
 from mfglab.grid import (
     Prism,
+    RangeGuardError,
     dt,
     first_derivative,
     gradient,
@@ -247,10 +248,25 @@ class TestFunctional:
             raise AssertionError("a member was evaluated")
 
         monkeypatch.setattr(carleman, "_functional_rows", evaluated)
-        with pytest.raises(ValueError, match=r"lambda grid needs at least one value"):
+        with pytest.raises(ValueError, match="lambda grid must be a non-empty list"):
             estimate_c0(grid, random_family(grid, 2), ALPHA, [])
-        with pytest.raises(ValueError, match="LAMBDA_MAX"):
+        with pytest.raises(RangeGuardError, match="LAMBDA_MAX"):
             estimate_c0(grid, random_family(grid, 2), ALPHA, [2.0, 100.0])
+
+    def test_bool_lambda_rejected(self, grid):
+        with pytest.raises(ValueError, match="lambda grid values must be numbers, got True"):
+            estimate_c0(grid, random_family(grid, 2), ALPHA, [True, 2.0])
+
+    def test_boundary_factor_overflow_rejected(self, monkeypatch):
+        # lambda b^2 = 64 * 16 = 1024 > ln(largest double), caught before
+        # any member is evaluated
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a member was evaluated")
+
+        monkeypatch.setattr(carleman, "_functional_rows", evaluated)
+        g = make_grid(Prism(1.0, 4.0, (), 1.0), 9, 17)
+        with pytest.raises(RangeGuardError, match=r"exp\(lambda b\^2\) = exp\(1024\)"):
+            estimate_c0(g, random_family(g, 2), ALPHA, [2.0, 64.0])
 
 
 def _traced_peak(fn) -> int:
@@ -616,7 +632,11 @@ class TestIntegralBounds:
         with pytest.raises(ValueError, match="lambda grid"):
             verify_lemma(grid, samples(), alpha=ALPHA, lambdas=(0.5, 2.0))
 
+    def test_bool_lambda_rejected(self, grid, member):
+        with pytest.raises(ValueError, match="lambda grid values must be numbers, got True"):
+            verify_lemma(grid, [member], alpha=ALPHA, lambdas=(True, 2.0))
+
     @pytest.mark.parametrize("lambdas", [(2.0,), (2.0, 2.0)])
     def test_lambda_grid_needs_two_distinct_values(self, grid, member, lambdas):
-        with pytest.raises(ValueError, match="at least two distinct values"):
+        with pytest.raises(ValueError, match="at least 2 distinct values"):
             verify_lemma(grid, [member], alpha=ALPHA, lambdas=lambdas)

@@ -9,9 +9,11 @@ only where the ``mfglab`` script is installed (``pip install -e .``).
 """
 
 import filecmp
+import importlib.util
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -29,6 +31,11 @@ from mfglab.cli import DEFAULT_CONFIG
 # another working directory still imports the code under test
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(mfglab.__file__)))
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+_WORKLOADS = os.path.join(os.path.dirname(README), "perfbench", "workloads.py")
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 FAST_CONFIG = {
     "grid": {"nx": 33, "nt": 65},
@@ -99,6 +106,24 @@ class TestEntryPoints:
     def test_missing_command_is_an_error(self):
         assert run_cli().returncode != 0
 
+    def test_every_option_has_a_benchmark_caller(self, capsys):
+        # the config file sets a run; an option no benchmark call passes is
+        # a second way to set it that only its own tests use
+        options = set()
+        for command in cli._COMMANDS:
+            with pytest.raises(SystemExit):
+                cli.main([command, "-h"])
+            usage = capsys.readouterr().out.split("\n\n")[0]
+            options |= set(re.findall(r"\[(-[\w-]+)", usage)) - {"-h"}
+        passed = {
+            arg
+            for workload in workloads.WORKLOADS
+            for argv in workloads.cli_calls(workload, "config.json", "out")
+            for arg in argv
+            if arg.startswith("-")
+        }
+        assert options - passed == set()
+
 
 class TestInProcess:
     @pytest.mark.parametrize("command", ["forward", "lemmas"])
@@ -144,20 +169,20 @@ class TestParams:
         assert float(lines["delta0"]) == pytest.approx(4.1772822957852647e-17)
 
     def test_json_number_reads_as_the_decimal_it_spells(self, tmp_path, capsys):
-        # the config number 0.2 is the flag's 1/5, not the nearest binary fraction
-        config = write_config(tmp_path, {"stability": {"epsilon": 0.2}})
+        # the config number 0.2 reads as the string "1/5", not as the nearest
+        # binary fraction
         outputs = []
-        for argv in (["--config", config], ["--epsilon", "0.2"]):
-            assert cli.main(["params", *argv]) == 0
+        for name, epsilon in (("number.json", 0.2), ("fraction.json", "1/5")):
+            config = write_config(tmp_path, {"stability": {"epsilon": epsilon}}, name)
+            assert cli.main(["params", "--config", config]) == 0
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1]
         assert "epsilon = 1/5\n" in outputs[0].out
         assert outputs[0].err == ""
 
     def test_rejects_epsilon_outside_window(self, tmp_path, capsys):
-        rc, err, wrote = run_main(
-            tmp_path, capsys, "params", None, "--rho", "1/2", "--epsilon", "1/10"
-        )
+        payload = {"stability": {"rho": "1/2", "epsilon": "1/10"}}
+        rc, err, wrote = run_main(tmp_path, capsys, "params", payload)
         assert (rc, wrote) == (1, False)
         assert "outside the admissible window" in err
 
@@ -251,9 +276,8 @@ class TestCarleman:
         assert summary["c0"] is None
 
     def test_lambda_beyond_overflow_guard_exits_3(self, tmp_path, capsys):
-        rc, err, wrote = run_main(
-            tmp_path, capsys, "carleman", None, "--lambda-grid", "1000000"
-        )
+        payload = {"carleman": {"lambdas": [1000000]}}
+        rc, err, wrote = run_main(tmp_path, capsys, "carleman", payload)
         assert (rc, wrote) == (3, False)
         assert "exceeds the overflow guard LAMBDA_MAX" in err
 
@@ -269,14 +293,10 @@ class TestCarleman:
         )
 
     def test_lambda_below_one_is_a_config_error(self, tmp_path, capsys):
-        rc, err, wrote = run_main(tmp_path, capsys, "carleman", None, "--lambda-grid", "0.5,2")
+        payload = {"carleman": {"lambdas": [0.5, 2]}}
+        rc, err, wrote = run_main(tmp_path, capsys, "carleman", payload)
         assert (rc, wrote) == (1, False)
         assert "lambda grid values must be >= 1" in err
-
-    def test_malformed_lambda_grid(self, tmp_path, capsys):
-        rc, err, wrote = run_main(tmp_path, capsys, "carleman", None, "--lambda-grid", "2,x")
-        assert (rc, wrote) == (1, False)
-        assert "comma-separated numbers" in err
 
 
 class TestLemmas:
@@ -345,8 +365,8 @@ class TestLemmas:
         ([0.5, 2.0], "lambda grid values must be >= 1, got 0.5"),
         ([], "lambda grid must be a non-empty list of numbers"),
         (["2"], "lambda grid values must be numbers, got '2'"),
-        ([2.0], "lemmas.lambdas must hold at least two distinct values"),
-        ([2.0, 2.0], "lemmas.lambdas must hold at least two distinct values"),
+        ([2.0], "lambda grid must hold at least 2 distinct values"),
+        ([2.0, 2.0], "lambda grid must hold at least 2 distinct values"),
     ], ids=["below-one", "empty", "not-a-number", "one-value", "one-distinct-value"])
     def test_bad_lambda_grid_is_a_config_error(self, tmp_path, capsys, lambdas, message):
         payload = {"grid": {"nx": 17, "nt": 33}, "lemmas": {"lambdas": lambdas}}
@@ -427,6 +447,12 @@ class TestConfigErrors:
         rc, err, wrote = run_main(tmp_path, capsys, "params", payload)
         assert (rc, wrote) == (1, False)
         assert "unknown config key 'oops'" in err
+
+    @pytest.mark.parametrize("payload", [[1], None, "x"], ids=["list", "null", "string"])
+    def test_top_level_must_be_an_object(self, tmp_path, capsys, payload):
+        rc, err, wrote = run_main(tmp_path, capsys, "params", write_config(tmp_path, payload))
+        assert (rc, wrote) == (1, False)
+        assert err == "config error: config must be a JSON object\n"
 
     def test_unknown_nested_key(self, tmp_path, capsys):
         rc, err, wrote = run_main(tmp_path, capsys, "params", {"solver": {"damp": 1.0}})
