@@ -1,4 +1,4 @@
-"""The byte-identical output contract: twelve CLI runs, in process through
+"""The byte-identical output contract: thirteen CLI runs, in process through
 ``cli.main``, reproduce the sha256 of every output file (``provenance.json``
 excluded), the stdout, the stderr and the exit code recorded in
 ``tests/golden_outputs.json``.
@@ -9,7 +9,8 @@ restricted and an unrestricted 2-D ``carleman`` and a 2-D ``lemmas``,
 which pin the functional's mixed derivatives and the lemma ratios that
 only a cross-section axis has; a 2-D causal-kernel ``forward`` on a
 9x9x17 grid, which checks the n-D band-LU march and its CSV output byte
-for byte; and the default ``forward`` and ``sweep`` on the damped Picard
+for byte, and a 3-D one on a 9x9x9x17 grid, the one run that marches in
+3-D; and the default ``forward`` and ``sweep`` on the damped Picard
 step (no mixing window, ``solver.damping`` 0.5), whose files keep the
 hashes that the default runs had before the Anderson window became the
 default.  Each writes to a relative ``--out`` inside a temporary
@@ -60,6 +61,12 @@ CAUSAL_2D = {
     "kernel": {"type": "causal"},
 }
 
+CAUSAL_3D = {
+    "prism": {"half_widths": [0.5, 0.5]},
+    "grid": {"nx": [9, 9, 9], "nt": 17},
+    "kernel": {"type": "causal", "amplitude": 0.4},
+}
+
 DAMPED = {"solver": {"damping": 0.5}}
 
 # run name -> (command, config payload or None for the defaults, length of
@@ -75,6 +82,7 @@ RUNS = {
     "carleman-2d": ("carleman", CARLEMAN_2D, 1),
     "lemmas-2d": ("lemmas", LEMMAS_2D, 1),
     "forward-causal-2d": ("forward", CAUSAL_2D, 1),
+    "forward-causal-3d": ("forward", CAUSAL_3D, 1),
     "forward-damped": ("forward", DAMPED, 0),
     "sweep-damped": ("sweep", DAMPED, 0),
 }
