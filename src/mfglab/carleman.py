@@ -58,6 +58,7 @@ from .grid import (
     data_faces,
     dt,
     finite_array,
+    finite_real,
     first_derivative,
     gradient,
     second_derivative,
@@ -107,16 +108,22 @@ _MIN_BLOCK_ROWS = 3
 def lambda_grid(lambdas, *, distinct: int) -> list[float]:
     """``lambdas`` sorted, as floats: the one check of a lambda grid.
 
-    The grid is a non-empty list or tuple of real numbers (bools rejected),
-    each in [1, LAMBDA_MAX], with at least ``distinct`` distinct values.  A
-    lambda above LAMBDA_MAX raises RangeGuardError, since its weight would
-    leave floating-point range; any other fault raises ValueError.
+    The grid is a non-empty list or tuple of real numbers (bools and ints
+    beyond the float range rejected), each in [1, LAMBDA_MAX], with at least
+    ``distinct`` distinct values.  A lambda above LAMBDA_MAX raises
+    RangeGuardError, since its weight would leave floating-point range; any
+    other fault raises ValueError.
     """
     if not isinstance(lambdas, (list, tuple)) or not lambdas:
         raise ValueError("lambda grid must be a non-empty list of numbers")
     for lam in lambdas:
         if not isinstance(lam, numbers.Real) or isinstance(lam, bool):
             raise ValueError(f"lambda grid values must be numbers, got {lam!r}")
+        if isinstance(lam, int) and not finite_real(lam):
+            raise ValueError(
+                "lambda grid values must be numbers in floating-point range, "
+                f"got a {len(str(abs(lam)))}-digit integer"
+            )
         if lam > LAMBDA_MAX:
             raise RangeGuardError(
                 f"lambda = {lam:g} exceeds the overflow guard LAMBDA_MAX = "

@@ -144,11 +144,13 @@ def load_config(args) -> dict:
     if args.config is not None:
         try:
             with open(args.config) as fh:
-                cfg = _merge(cfg, json.load(fh))
+                payload = json.load(fh)
         except OSError as e:
             raise ConfigError(f"cannot read config: {e}")
-        except json.JSONDecodeError as e:
+        except ValueError as e:
+            # a JSONDecodeError, or an integer past Python's digit limit
             raise ConfigError(f"config is not valid JSON: {e}")
+        cfg = _merge(cfg, payload)
     if args.out is not None:
         cfg["out"] = args.out
     for section, key, ok, requirement in _RULES:

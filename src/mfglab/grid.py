@@ -32,9 +32,9 @@ time level ``j``.
 
 from __future__ import annotations
 
-import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -71,11 +71,13 @@ __all__ = [
 
 
 def finite_real(value) -> bool:
-    """A finite real number; bools are rejected although they are ints."""
+    """A real number within the float range; bools are rejected although
+    they are ints.  The comparison is exact, so an int too large for a
+    float is rejected too."""
     return (
         isinstance(value, numbers.Real)
         and not isinstance(value, bool)
-        and math.isfinite(value)
+        and abs(value) <= sys.float_info.max
     )
 
 

@@ -59,15 +59,15 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) 
 
 def _write_array_csv(path: str, index_names: Sequence[str], values: np.ndarray) -> None:
     """One row per entry in C order: its indices, then its value.  Each
-    line of the last axis is one write: its index prefix is formatted once,
-    and each value through a tail that holds its last index."""
+    line of the last axis is one write, formatted by one ``%`` from a
+    template of the file: its index prefix, put in per line, and per value
+    the last index and ``%.17g``."""
     prefix = "%d," * (values.ndim - 1)
-    tails = [f"{j},%.17g\n" for j in range(values.shape[-1])]
+    template = "".join(f"{{head}}{j},%.17g\n" for j in range(values.shape[-1]))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join([*index_names, "value"]) + "\n")
         for idx in np.ndindex(values.shape[:-1]):
-            head = prefix % idx
-            fh.write("".join([head + tail % x for tail, x in zip(tails, values[idx].tolist())]))
+            fh.write(template.replace("{head}", prefix % idx) % tuple(values[idx].tolist()))
 
 
 # ---------------------------------------------------------------------------

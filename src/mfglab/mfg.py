@@ -22,8 +22,10 @@ drift, with LAPACK: tridiagonal ``dgttrf``/``dgttrs`` in 1-D, one ``dgttrf``
 call per block of levels, with the two Dirichlet nodes written by slice
 around the solve; band ``dgbtrf``/``dgbtrs`` in n-D, one level at a time, on
 the interior nodes alone, with their couplings to the Dirichlet nodes moved
-to the right-hand side.
-Each march scans its levels for blow-up once, after the march.
+to the right-hand side.  A march solves each level in place, by one LAPACK
+call, in one buffer that holds the previous level; the value march writes
+only the interior rows of the right-hand side, whose Dirichlet rows come
+from the data.  Each march scans its levels for blow-up once, at its end.
 
 Several coefficients march in lockstep along a member axis
 (``solve_mfg_members``): one multi-column solve per value step, one
@@ -50,6 +52,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -63,6 +66,7 @@ from .grid import (
     grad_sq,
     laplacian,
     sample_field,
+    sum_of_squares,
 )
 from .kernels import Kernel, apply_kernel
 from .norms import masked_norms, norm
@@ -238,33 +242,22 @@ def steady_density(grid: Grid) -> np.ndarray:
 # the marching system
 
 
-def _strides(nx: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    acc = 1
-    for m in reversed(nx):
-        out.append(acc)
-        acc *= m
-    return tuple(reversed(out))
-
-
-def _lo_hi(ndim: int, axis: int, rest: slice = slice(None)) -> tuple[tuple, tuple]:
-    """Index tuples taking entries 0..n-2 (lo) and 1..n-1 (hi) along ``axis``
-    and ``rest`` along every other axis."""
+def _lo_hi(ndim: int, axis: int, gap: int, rest: slice = slice(None)) -> tuple[tuple, tuple]:
+    """Index tuples taking entries 0..n-1-gap (lo) and gap..n-1 (hi) along
+    ``axis`` and ``rest`` along every other axis."""
     lo = [rest] * ndim
     hi = [rest] * ndim
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
+    lo[axis] = slice(0, -gap)
+    hi[axis] = slice(gap, None)
     return tuple(lo), tuple(hi)
 
 
-def _member_columns(
-    solve: Callable[[np.ndarray], np.ndarray], members: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """``solve`` of a block-diagonal system of several members, taking the
-    members' columns end to end as its one right-hand side."""
-    if members == 1:
-        return solve
-    return lambda b: solve(b.reshape(-1, order="F")).reshape(b.shape, order="F")
+def _tridiagonal_solve(n: int, factors: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve ``b`` in place with the ``dgttrs`` factors of an order-n matrix
+    and return it: a single member's columns are one right-hand side each,
+    the members' columns end to end the block-diagonal system's one."""
+    dgttrs(*factors, b.reshape(n, -1, order="F"), overwrite_b=1)
+    return b
 
 
 # Least half-bandwidth of the n-D band system.  Reference LAPACK's
@@ -294,8 +287,10 @@ class _SpatialOperator:
     solve moves them to the right-hand side.  The slot arrays map each
     stencil entry of an interior row (diagonal, and per axis the lower and
     upper neighbour) to its position there, so a new drift rewrites values
-    only.  ``system`` fills that storage for a whole block of levels in one
-    pass, one contiguous block per level with the members side by side.
+    only; in 1-D they are slices.  ``system`` fills that storage for a whole
+    block of levels in one pass, one contiguous block per level with the
+    members side by side.  ``dirichlet_rows`` index the boundary nodes of a
+    flat level, which a march writes around each in-place solve.
     """
 
     def __init__(self, grid: Grid):
@@ -306,20 +301,20 @@ class _SpatialOperator:
         self.interior = np.flatnonzero(~on_boundary)
         self.dim = grid.dim
         self.shape = grid.shape_space
-        self._dirichlet_rows = slice(0, None, ns - 1) if self.dim == 1 else self.boundary
+        self.dirichlet_rows = slice(0, None, ns - 1) if self.dim == 1 else self.boundary
         if self.dim == 1:
-            # band rows: [0, j] = A[j-1, j], [1, j] = A[j, j], [2, j] = A[j+1, j]
-            i = self.interior
-            self.diag_slots = ns + i
-            self.lower_slots = [2 * ns + i - 1]
-            self.upper_slots = [i + 1]
+            # band rows: [0, j] = A[j-1, j], [1, j] = A[j, j], [2, j] = A[j+1, j],
+            # for the interior columns j = 1 .. ns - 2
+            self.diag_slots = slice(ns + 1, 2 * ns - 1)
+            self.lower_slots = [slice(2 * ns, 3 * ns - 2)]
+            self.upper_slots = [slice(2, ns)]
             # the entries no stencil writes: the boundary rows
             self._template = np.zeros(3 * ns)
             self._template[ns + self.boundary] = 1.0
             return
         inner = self._inner = tuple(n - 2 for n in grid.nx)
         ni = self.ni = math.prod(inner)
-        strides = _strides(inner)
+        strides = [math.prod(inner[axis + 1 :]) for axis in range(self.dim)]
         nodes = np.arange(ni)
         index = np.unravel_index(nodes, inner)
         rows, cols, self.faces = [nodes], [nodes], []
@@ -373,7 +368,7 @@ class _SpatialOperator:
             return diag, lower, upper
         for axis, (h, a) in enumerate(zip(g.h, a_faces)):
             # a on the faces i - 1/2 (minus) and i + 1/2 (plus) of interior nodes
-            lo, hi = _lo_hi(self.dim, axis, slice(1, -1))
+            lo, hi = _lo_hi(self.dim, axis, 1, slice(1, -1))
             trailing = a.shape[self.dim :]
             minus = a[lo].reshape((-1,) + trailing)
             plus = a[hi].reshape((-1,) + trailing)
@@ -411,28 +406,28 @@ class _SpatialOperator:
         The solve takes every node, the boundary nodes holding their
         Dirichlet values, as an array of shape (ns,) or a Fortran-order (ns,
         columns) array: a column per member, or, for a single member, any
-        number of columns, one right-hand side each.  It overwrites its
-        argument and returns the solution.  In 1-D it is a bare
-        ``dgttrs`` call; in n-D it subtracts each interior row's couplings
-        to boundary nodes times their values from the right-hand side,
-        solves the interior block with ``dgbtrs``, and leaves the boundary
-        nodes as they are.  A singular matrix raises
-        ``np.linalg.LinAlgError``."""
+        number of columns, one right-hand side each.  It solves in place
+        and returns its argument.  In 1-D it is one ``dgttrs`` call on the
+        whole argument, whose boundary rows are identity rows; in n-D it
+        subtracts each interior row's couplings to boundary nodes times
+        their values from the right-hand side, solves the interior block
+        with ``dgbtrs``, and leaves the boundary nodes as they are.  A
+        singular matrix raises ``np.linalg.LinAlgError``."""
         if self.dim == 1:
             return next(self.factor_levels(storage.reshape(len(storage), -1, 1)))
         entries = storage.reshape(self._template.size, -1)
         members = entries.shape[1]
         kl, ni = self.kl, self.ni
-        lu = np.zeros((3 * kl + 1, members * ni), order="F")
+        n = members * ni
+        lu = np.zeros((3 * kl + 1, n), order="F")
         lu.T.reshape(members, -1)[:, self.band_slots] = entries[self.band_entries].T
-        ipiv = np.empty(members * ni, dtype=np.int32)
-        for i in range(0, members * ni, ni):
+        ipiv = np.empty(n, dtype=np.int32)
+        for i in range(0, n, ni):
             # in place: a column slice of Fortran-order storage is contiguous
             _, ipiv[i : i + ni], info = dgbtrf(lu[:, i : i + ni], kl, kl, overwrite_ab=1)
             if info != 0:
                 raise np.linalg.LinAlgError("singular matrix")
             ipiv[i : i + ni] += i
-        band = _member_columns(lambda b: dgbtrs(lu, kl, kl, b, ipiv, overwrite_b=1)[0], members)
         stencil = entries.reshape((-1,) + self._inner + (members,))
         walls = [(stencil[entry][face], face, outer) for entry, face, outer in self.faces]
         inside = (slice(1, -1),) * self.dim
@@ -444,7 +439,10 @@ class _SpatialOperator:
             box[...] = nodes[inside]
             for coupling, face, outer in walls:
                 box[face] -= coupling * nodes[outer]
-            nodes[inside] = band(rhs).reshape(box.shape)
+            # the members' columns end to end are the block-diagonal system's
+            # one right-hand side
+            dgbtrs(lu, kl, kl, rhs.reshape(n, -1, order="F"), ipiv, overwrite_b=1)
+            nodes[inside] = box
             return b
 
         return solve
@@ -453,9 +451,10 @@ class _SpatialOperator:
         """Solvers for the systems of ``block``, of shape (slots, members,
         levels), one per level in order, as ``factor`` makes them.  In 1-D
         one ``dgttrf`` call factors the three bands of every level and
-        member as one block-diagonal matrix, and each level's solver reads
-        its slice of the factors; in n-D each level is factored when its
-        solver is asked for."""
+        member as one block-diagonal matrix, one subtraction makes each
+        level's pivots relative to its own slice, and each level's solver
+        is one ``dgttrs`` call on that slice of the factors; in n-D each
+        level is factored when its solver is asked for."""
         if self.dim > 1:
             for j in range(block.shape[-1]):
                 yield self.factor(block[..., j])
@@ -468,34 +467,15 @@ class _SpatialOperator:
         if info != 0:
             raise np.linalg.LinAlgError("singular matrix")
         n = members * self.ns
+        ipiv.reshape(levels, n)[...] -= np.arange(0, levels * n, n, dtype=ipiv.dtype)[:, None]
         for a in range(0, levels * n, n):
             factors = (dl[a : a + n - 1], d[a : a + n], du[a : a + n - 1], du2[a : a + n - 2])
-            pivots = ipiv[a : a + n] - a
-            yield _member_columns(
-                lambda b, f=factors, p=pivots: dgttrs(*f, p, b, overwrite_b=1)[0], members
-            )
+            yield partial(_tridiagonal_solve, n, factors + (ipiv[a : a + n],))
 
     def dirichlet_values(self, data: np.ndarray) -> np.ndarray:
         """Dirichlet values of every time level, shape (nt, boundary nodes,
         1): a column that every member shares."""
         return data.reshape(self.ns, self.grid.nt)[self.boundary].T[..., None]
-
-    def step(
-        self, solve: Callable[[np.ndarray], np.ndarray], rhs: np.ndarray, bvals: np.ndarray
-    ) -> np.ndarray:
-        """One marching step of every member, on a copy of ``rhs`` (shape
-        ``(*grid.nx, members)``) laid out one column per member: write the
-        boundary nodes from ``bvals`` and solve for the rest.  In 1-D those
-        nodes are written by slice, solved as identity rows, and written
-        again after the solve; the n-D solve leaves them as written."""
-        b = rhs.reshape(self.ns, -1).copy(order="F")
-        b[self._dirichlet_rows] = bvals
-        x = solve(b)
-        if self.dim == 1:
-            # reimpose Dirichlet data bit-exactly; LU roundoff on the identity
-            # rows otherwise leaks into trace differences of solves sharing data
-            x[self._dirichlet_rows] = bvals
-        return x.reshape(rhs.shape)
 
 
 def _face_drift_coefficients(
@@ -507,7 +487,7 @@ def _face_drift_coefficients(
     if ``k`` broadcasts against it."""
     out = []
     for axis in range(grid.dim):
-        lo, hi = _lo_hi(u_level.ndim, axis)
+        lo, hi = _lo_hi(u_level.ndim, axis, 1)
         k_face = 0.5 * (k[lo] + k[hi])
         du = (u_level[hi] - u_level[lo]) / grid.h[axis]
         out.append(k_face * du)
@@ -524,7 +504,7 @@ def _divergence_flux(
     a_faces = _face_drift_coefficients(grid, k, u_level)
     out = np.zeros(m_level.shape)
     for axis in range(grid.dim):
-        lo, hi = _lo_hi(grid.dim, axis)
+        lo, hi = _lo_hi(grid.dim, axis, 1)
         m_face = 0.5 * (m_level[lo] + m_level[hi])
         flux = a_faces[axis] * m_face
         div = (flux[hi] - flux[lo]) / grid.h[axis]
@@ -611,21 +591,31 @@ def _march_fp(
     ``k`` has shape ``(*grid.nx, members)``.  u is known at every level, so
     the face drift and the block-diagonal marching storage of all members
     are filled for a block of levels at a time and factored as
-    ``factor_levels`` does; each step solves its level.  No step reads a
+    ``factor_levels`` does.  The march's one solve buffer holds the
+    previous level; each step writes its Dirichlet rows, solves in place,
+    writes them again and copies the buffer into ``out``.  No step reads a
     level's magnitude, so one scan after the march finds each member's
     first level that blew up.
     """
     g = spec.grid
     members = out.shape[-2]
     bvals = op.dirichlet_values(spec.m_data)
-    out[..., 0] = spec.m_data[..., None, 0]
+    rows = op.dirichlet_rows
+    buffer = np.empty((op.ns, members), order="F")
+    nodes = buffer.reshape(g.shape_space + (members,))
+    nodes[...] = out[..., 0] = spec.m_data[..., None, 0]
     levels = max(1, _DRIFT_BLOCK_NODES // (op.ns * members))
     for j0 in range(1, g.nt, levels):
         drift = _face_drift_coefficients(g, k[..., None], u[..., j0 : j0 + levels])
         block = op.system(g.tau, drift)
         solvers = op.factor_levels(block)
         for j in range(j0, j0 + block.shape[-1]):
-            out[..., j] = op.step(next(solvers), out[..., j - 1], bvals[j])
+            buffer[rows] = bvals[j]
+            next(solvers)(buffer)
+            # reimpose the Dirichlet data bit-exactly: 1-D LU roundoff on the
+            # identity rows would leak into trace differences of solves
+            buffer[rows] = bvals[j]
+            out[..., j] = nodes
     lowest, worst, errors = _scan_blowup("fokker-planck", out, np.arange(1, g.nt))
     if members > 1 and not np.all(np.isfinite(worst)):
         # 0 * inf is NaN: a non-finite value crosses the zero couplings
@@ -662,23 +652,39 @@ def _march_hjb(
     return: each level's kernel term is read once, by the step that then
     overwrites it.  The quadratic gradient term is evaluated at the
     already-computed level (lagged), so every step is linear with that one
-    matrix, and one call solves every member's level as a column.  As in the
-    density march, one scan after the march finds each member's first level
-    that blew up.
+    matrix, and one call solves every member's level as a column.  The
+    march's one solve buffer holds the previous level.  Each step
+    overwrites its interior nodes alone with the right-hand side, taking
+    ``grad_sq``'s central differences and sum of squares in its order, and
+    solves as the density march does.  As there, one scan after the march
+    finds each member's first level that blew up.
     """
     g = spec.grid
     tau = g.tau
+    members = values.shape[-2]
     bvals = op.dirichlet_values(spec.u_data)
-    half_k = 0.5 * k
-    f = spec.f[..., None, :]
-    values[..., -1] = spec.u_data[..., None, -1]
+    rows = op.dirichlet_rows
+    buffer = np.empty((op.ns, members), order="F")
+    nodes = buffer.reshape(g.shape_space + (members,))
+    inside = (slice(1, -1),) * g.dim
+    rhs = nodes[inside]
+    # per axis the interior nodes' lower and upper neighbours, and 2 h
+    stencils = [(*_lo_hi(g.dim, axis, 2, slice(1, -1)), 2.0 * h) for axis, h in enumerate(g.h)]
+    half_k = 0.5 * k[inside]
+    f = spec.f[inside][..., None, :]
+    m = m[inside]
+    kernel_term = values[inside]
+    nodes[...] = values[..., -1] = spec.u_data[..., None, -1]
     marched = np.arange(g.nt - 2, -1, -1)
     # levels marched after a blow-up overflow; the scan below reports the first
     with np.errstate(over="ignore", invalid="ignore"):
         for j in marched:
-            prev = values[..., j + 1]
-            rhs = prev - tau * (half_k * grad_sq(g, prev) - values[..., j] - f[..., j] * m[..., j])
-            values[..., j] = op.step(solve, rhs, bvals[j])
+            gs = sum_of_squares((nodes[hi] - nodes[lo]) / h2 for lo, hi, h2 in stencils)
+            rhs -= tau * ((half_k * gs - kernel_term[..., j]) - f[..., j] * m[..., j])
+            buffer[rows] = bvals[j]
+            solve(buffer)
+            buffer[rows] = bvals[j]
+            values[..., j] = nodes
     return _scan_blowup("hjb", values, marched)[2]
 
 

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import mfglab
-from mfglab import __version__, cli
+from mfglab import __version__, cli, mfg
 from mfglab.cli import DEFAULT_CONFIG
 
 # directory holding the imported mfglab package, so that a child started in
@@ -149,6 +149,30 @@ class TestInProcess:
             assert state() == before
         assert runs[0][0] == 0
         assert runs[1] == runs[0]
+
+    @pytest.mark.parametrize("command, payload, expected", [
+        # 1-D: the value matrix is factored once for the lockstep group, and
+        # each density block of levels by one dgttrf call; each of the 12
+        # value and 13 density marches solves its 256 levels one call each
+        ("sweep", {}, {"dgttrf": 354, "dgttrs": 6400}),
+        # n-D: one dgbtrf call for the value matrix and one per density
+        # level, one dgbtrs call per level of every march
+        ("forward", workloads.make_config("forward-2d", 7), {"dgbtrf": 705, "dgbtrs": 1344}),
+    ], ids=["sweep-1d", "forward-2d"])
+    def test_one_lapack_solve_per_marched_level(
+        self, tmp_path, monkeypatch, command, payload, expected
+    ):
+        calls = dict.fromkeys(("dgttrf", "dgttrs", "dgbtrf", "dgbtrs"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _routine=getattr(mfg, name), **kwargs):
+                calls[_name] += 1
+                return _routine(*args, **kwargs)
+
+            monkeypatch.setattr(mfg, name, counted)
+        argv = [command, "--config", write_config(tmp_path, payload),
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        assert {name: n for name, n in calls.items() if n} == expected
 
 
 class TestParams:
@@ -297,6 +321,16 @@ class TestCarleman:
         rc, err, wrote = run_main(tmp_path, capsys, "carleman", payload)
         assert (rc, wrote) == (1, False)
         assert "lambda grid values must be >= 1" in err
+
+    def test_lambda_beyond_float_range_is_a_config_error(self, tmp_path, capsys):
+        # JSON reads 1 followed by 400 zeros as an int that no float holds
+        payload = {"carleman": {"lambdas": [2, 10**400]}}
+        rc, err, wrote = run_main(tmp_path, capsys, "carleman", payload)
+        assert (rc, wrote) == (1, False)
+        assert err == (
+            "config error: lambda grid values must be numbers in floating-point "
+            "range, got a 401-digit integer\n"
+        )
 
 
 class TestLemmas:
@@ -465,6 +499,27 @@ class TestConfigErrors:
         rc, err, wrote = run_main(tmp_path, capsys, "params", str(path))
         assert (rc, wrote) == (1, False)
         assert "not valid JSON" in err
+
+    def test_integer_beyond_float_range_is_a_config_error(self, tmp_path, capsys):
+        # JSON reads 1 followed by 400 zeros as an int that no float holds
+        rc, err, wrote = run_main(tmp_path, capsys, "params", {"solver": {"tol": 10**400}})
+        assert (rc, wrote) == (1, False)
+        assert err == "config error: solver.tol must be a finite number > 0\n"
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"solver": {"tol": 1' + "0" * 5000 + "}}", "Exceeds the limit (4300 digits)"),
+        (b"\xff\xfe{", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["digit-limit", "not-utf-8"])
+    def test_unreadable_json_is_a_config_error(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "config.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        rc, err, wrote = run_main(tmp_path, capsys, "params", str(path))
+        assert (rc, wrote) == (1, False)
+        assert err.startswith(f"config error: config is not valid JSON: {reason}")
+        assert err.count("\n") == 1
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc, err, wrote = run_main(tmp_path, capsys, "params", str(tmp_path / "absent.json"))
