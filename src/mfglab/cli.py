@@ -148,7 +148,8 @@ def load_config(args) -> dict:
         except OSError as e:
             raise ConfigError(f"cannot read config: {e}")
         except ValueError as e:
-            # a JSONDecodeError, or an integer past Python's digit limit
+            # malformed JSON, bytes that are not UTF-8, or an integer past
+            # Python's digit limit
             raise ConfigError(f"config is not valid JSON: {e}")
         cfg = _merge(cfg, payload)
     if args.out is not None:
