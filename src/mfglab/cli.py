@@ -139,7 +139,11 @@ def _merge(base: dict, extra) -> dict:
     return out
 
 
-def load_config(args) -> dict:
+def load_run(args):
+    """The config and the run it describes, ``(cfg, grid, kernel, params)``:
+    every value is checked, and the grid, the kernel (against its declared
+    bound ``n1``) and the parameter calculus are built, before any work,
+    whatever the command."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if args.config is not None:
         try:
@@ -167,136 +171,17 @@ def load_config(args) -> dict:
             raise
         except ValueError as e:
             raise ConfigError(str(e))
-    return cfg
-
-
-def _build_geometry(cfg: dict):
     p = cfg["prism"]
     try:
         prism = Prism(p["a"], p["b"], tuple(p["half_widths"]), p["T"])
         grid = make_grid(prism, cfg["grid"]["nx"], cfg["grid"]["nt"])
     except (ValueError, TypeError, KeyError) as e:
         raise ConfigError(f"prism/grid: {e}")
-    return prism, grid
-
-
-def _build_kernel(cfg: dict, grid):
-    """The configured kernel, checked against its declared bound ``n1``."""
     try:
         kernel = Kernel(**cfg["kernel"])
         kernel_bound(kernel, grid)
     except (ValueError, TypeError, KeyError) as e:
         raise ConfigError(f"kernel: {e}")
-    return kernel
-
-
-def _manufactured_problem(cfg: dict, prism, grid):
-    """Default manufactured setup: unit coefficient, compatible density."""
-    kernel = _build_kernel(cfg, grid)
-    prob = cfg["problem"]
-    u_form = bump_form(prism, amplitude=prob["u_amplitude"])
-    m0 = steady_density(grid)
-    k1 = np.ones(grid.shape_space)
-    try:
-        triple, f = manufacture_triple(grid, kernel, k1, u_form, m0)
-    except ValueError as e:
-        raise ConfigError(f"problem: {e}")
-    gain = prob["coupling_gain"]
-    if gain != 1.0:
-        f = f * float(gain)
-    spec = ProblemSpec(grid, kernel, f, triple.u, triple.m)
-    return kernel, k1, triple, f, spec
-
-
-def _perturbation(grid) -> np.ndarray:
-    x = grid.axis_coords(0)
-    shape = np.sin(np.pi * (x - grid.prism.a) / (grid.prism.b - grid.prism.a)) ** 2
-    cross = shape
-    for axis in range(1, grid.dim):
-        cross = np.multiply.outer(cross, np.ones(grid.shape_space[axis]))
-    return cross
-
-
-def _provenance(cfg: dict, command: str) -> dict:
-    return {"command": command, "config": cfg, "package": "mfglab", "version": __version__}
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def cmd_forward(args) -> int:
-    cfg = load_config(args)
-    kernel, k1, _, f, spec = _manufactured_problem(cfg, *_build_geometry(cfg))
-    outdir = cfg["out"]
-    try:
-        triple = solve_mfg_picard(spec, k1, **cfg["solver"])
-    except PicardNonConvergence as e:
-        os.makedirs(outdir, exist_ok=True)
-        mio.save_history_csv(e.history, os.path.join(outdir, "history.csv"))
-        mio.save_provenance(outdir, _provenance(cfg, "forward"))
-        print(f"forward solve did not converge: {e}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    mio.save_triple_dir(triple, outdir, f=f, kernel=kernel)
-    mio.save_provenance(outdir, _provenance(cfg, "forward"))
-    print(
-        f"converged in {triple.report['iterations']} iterations; wrote {outdir}"
-    )
-    return EXIT_OK
-
-
-def cmd_manufacture(args) -> int:
-    cfg = load_config(args)
-    kernel, _, triple, f, _ = _manufactured_problem(cfg, *_build_geometry(cfg))
-    outdir = cfg["out"]
-    mio.save_triple_dir(triple, outdir, f=f, kernel=kernel)
-    mio.save_provenance(outdir, _provenance(cfg, "manufacture"))
-    print(f"wrote manufactured triple to {outdir} (m_min={triple.report['m_min']:.6g})")
-    return EXIT_OK
-
-
-def _carleman_alpha(cfg: dict, prism) -> float:
-    alpha = cfg["carleman"]["alpha"]
-    if alpha is None:
-        alpha = _stability_params(cfg, prism).alpha
-    return float(alpha)
-
-
-def cmd_carleman(args) -> int:
-    cfg = load_config(args)
-    prism, grid = _build_geometry(cfg)
-    car = cfg["carleman"]
-    alpha = _carleman_alpha(cfg, prism)
-    members = random_family(grid, count=car["count"], seed=car["seed"])
-    c0, lambda0, reports = estimate_c0(
-        grid, members, alpha, car["lambdas"], restricted=car["restricted"]
-    )
-    outdir = cfg["out"]
-    mio.save_carleman_family(reports, outdir, c0, lambda0)
-    mio.save_provenance(outdir, _provenance(cfg, "carleman"))
-    if c0 is None:
-        print("no lambda constrained the constant; wrote family sweep")
-    else:
-        print(f"empirical C0 = {c0:.6g} at lambda0 = {lambda0:g}; wrote {outdir}")
-    return EXIT_OK
-
-
-def cmd_lemmas(args) -> int:
-    cfg = load_config(args)
-    prism, grid = _build_geometry(cfg)
-    lem = cfg["lemmas"]
-    alpha = _carleman_alpha(cfg, prism)
-    samples = random_family(grid, count=lem["samples"], seed=lem["seed"])
-    reports = verify_lemma(grid, samples, alpha=alpha, lambdas=lem["lambdas"])
-    outdir = cfg["out"]
-    mio.save_lemma_reports(reports, outdir)
-    mio.save_provenance(outdir, _provenance(cfg, "lemmas"))
-    ok = sum(1 for r in reports if r.passed is not False)
-    print(f"{ok}/{len(reports)} lemma checks passed or bounded; wrote {outdir}")
-    return EXIT_OK
-
-
-def _stability_params(cfg: dict, prism):
     stab = cfg["stability"]
     try:
         # a JSON number reads as the decimal it spells: 0.2 is 1/5, as "0.2" is
@@ -307,23 +192,111 @@ def _stability_params(cfg: dict, prism):
     except (ValueError, TypeError, OverflowError, ZeroDivisionError) as e:
         raise ConfigError(f"stability.rho/epsilon: {e}")
     try:
-        return select_parameters(rho, epsilon, prism, stab["lam1"])
+        params = select_parameters(rho, epsilon, prism, stab["lam1"])
     except (ValueError, OverflowError) as e:
         raise ConfigError(str(e))
+    return cfg, grid, kernel, params
 
 
-def cmd_params(args) -> int:
-    cfg = load_config(args)
-    params = _stability_params(cfg, _build_geometry(cfg)[0])
+def _manufactured_problem(cfg: dict, grid, kernel):
+    """Default manufactured setup, ``(triple, spec)``: unit coefficient
+    ``triple.k``, compatible density, and ``spec.f`` scaled by the
+    coupling gain."""
+    prob = cfg["problem"]
+    u_form = bump_form(grid.prism, amplitude=prob["u_amplitude"])
+    try:
+        triple, f = manufacture_triple(
+            grid, kernel, np.ones(grid.shape_space), u_form, steady_density(grid)
+        )
+    except ValueError as e:
+        raise ConfigError(f"problem: {e}")
+    gain = prob["coupling_gain"]
+    if gain != 1.0:
+        f = f * float(gain)
+    return triple, ProblemSpec(grid, kernel, f, triple.u, triple.m)
+
+
+def _perturbation(grid) -> np.ndarray:
+    """The sin^2 profile of x1, constant over the cross-section."""
+    x = grid.axis_coords(0)
+    profile = np.sin(np.pi * (x - grid.prism.a) / (grid.prism.b - grid.prism.a)) ** 2
+    return np.broadcast_to(profile.reshape((-1,) + (1,) * (grid.dim - 1)), grid.shape_space)
+
+
+def _save_provenance(cfg: dict, command: str) -> None:
+    mio.save_provenance(
+        cfg["out"],
+        {"command": command, "config": cfg, "package": "mfglab", "version": __version__},
+    )
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def cmd_forward(cfg, grid, kernel, params) -> int:
+    triple, spec = _manufactured_problem(cfg, grid, kernel)
+    outdir = cfg["out"]
+    try:
+        solved = solve_mfg_picard(spec, triple.k, **cfg["solver"])
+    except PicardNonConvergence as e:
+        os.makedirs(outdir, exist_ok=True)
+        mio.save_history_csv(e.history, os.path.join(outdir, "history.csv"))
+        _save_provenance(cfg, "forward")
+        print(f"forward solve did not converge: {e}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
+    mio.save_triple_dir(solved, outdir, f=spec.f, kernel=kernel)
+    _save_provenance(cfg, "forward")
+    print(f"converged in {solved.report['iterations']} iterations; wrote {outdir}")
+    return EXIT_OK
+
+
+def cmd_manufacture(cfg, grid, kernel, params) -> int:
+    triple, spec = _manufactured_problem(cfg, grid, kernel)
+    outdir = cfg["out"]
+    mio.save_triple_dir(triple, outdir, f=spec.f, kernel=kernel)
+    _save_provenance(cfg, "manufacture")
+    print(f"wrote manufactured triple to {outdir} (m_min={triple.report['m_min']:.6g})")
+    return EXIT_OK
+
+
+def cmd_carleman(cfg, grid, kernel, params) -> int:
+    car = cfg["carleman"]
+    alpha = float(params.alpha if car["alpha"] is None else car["alpha"])
+    members = random_family(grid, count=car["count"], seed=car["seed"])
+    c0, lambda0, reports = estimate_c0(
+        grid, members, alpha, car["lambdas"], restricted=car["restricted"]
+    )
+    outdir = cfg["out"]
+    mio.save_carleman_family(reports, outdir, c0, lambda0)
+    _save_provenance(cfg, "carleman")
+    if c0 is None:
+        print("no lambda constrained the constant; wrote family sweep")
+    else:
+        print(f"empirical C0 = {c0:.6g} at lambda0 = {lambda0:g}; wrote {outdir}")
+    return EXIT_OK
+
+
+def cmd_lemmas(cfg, grid, kernel, params) -> int:
+    lem, alpha = cfg["lemmas"], cfg["carleman"]["alpha"]
+    alpha = float(params.alpha if alpha is None else alpha)
+    samples = random_family(grid, count=lem["samples"], seed=lem["seed"])
+    reports = verify_lemma(grid, samples, alpha=alpha, lambdas=lem["lambdas"])
+    outdir = cfg["out"]
+    mio.save_lemma_reports(reports, outdir)
+    _save_provenance(cfg, "lemmas")
+    ok = sum(1 for r in reports if r.passed is not False)
+    print(f"{ok}/{len(reports)} lemma checks passed or bounded; wrote {outdir}")
+    return EXIT_OK
+
+
+def cmd_params(cfg, grid, kernel, params) -> int:
     for key, val in mio.stability_params_to_dict(params).items():
         print(f"{key} = {val}")
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args)
-    prism, grid = _build_geometry(cfg)
-    params = _stability_params(cfg, prism)
+def cmd_sweep(cfg, grid, kernel, params) -> int:
     stab = cfg["stability"]
     lo, hi, count = stab["scales"]
     scales = np.geomspace(lo, hi, count)
@@ -336,11 +309,11 @@ def cmd_sweep(args) -> int:
             f"{stab['perturbation_scale']:g} takes the coefficient "
             f"k1 + scale * delta_k out of floating-point range"
         )
-    _, k1, _, _, spec = _manufactured_problem(cfg, prism, grid)
+    triple, spec = _manufactured_problem(cfg, grid, kernel)
     try:
         report = holder_sweep(
             spec,
-            k1,
+            triple.k,
             delta_k,
             scales,
             eps=float(params.epsilon),
@@ -352,7 +325,7 @@ def cmd_sweep(args) -> int:
         return EXIT_NONCONVERGENCE
     outdir = cfg["out"]
     mio.save_sweep_report(report, outdir, params)
-    mio.save_provenance(outdir, _provenance(cfg, "sweep"))
+    _save_provenance(cfg, "sweep")
     print(
         f"fitted slope {report.slope:.4f} over {report.delta_decades():.2f} "
         f"decades of delta (r^2 = {report.r_squared:.5f}); wrote {outdir}"
@@ -393,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](args)
+        return _COMMANDS[args.command][0](*load_run(args))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -213,11 +213,17 @@ class Grid:
             raise ValueError(
                 f"grid needs {self.prism.dim} spatial counts, got {len(self.nx)}"
             )
-        for i, m in enumerate(self.nx):
+        counts = {f"nx[{i}]": m for i, m in enumerate(self.nx)}
+        counts["nt"] = self.nt
+        for name, m in counts.items():
+            # the spacings divide by the count as a float
+            if not finite_real(m):
+                digits = len(str(abs(m)))
+                raise ValueError(
+                    f"{name} must be in floating-point range, got a {digits}-digit integer"
+                )
             if m < self._MIN_POINTS:
-                raise ValueError(f"nx[{i}] must be >= {self._MIN_POINTS}, got {m}")
-        if self.nt < self._MIN_POINTS:
-            raise ValueError(f"nt must be >= {self._MIN_POINTS}, got {self.nt}")
+                raise ValueError(f"{name} must be >= {self._MIN_POINTS}, got {m}")
         if self.nt % 2 == 0:
             raise ValueError(
                 f"nt must be odd so that t0 = T/2 is on-grid, got nt={self.nt}"

@@ -21,7 +21,7 @@ from .grid import Grid, Prism, make_grid
 from .kernels import Kernel
 from .carleman import CarlemanReport, LemmaReport
 from .mfg import MFGTriple
-from .stability import StabilityParams, SweepReport
+from .stability import SWEEP_ERRORS, StabilityParams, SweepReport
 
 __all__ = [
     "fmt",
@@ -252,8 +252,7 @@ def stability_params_to_dict(params: StabilityParams) -> dict:
 def save_sweep_report(report: SweepReport, outdir: str, params: StabilityParams) -> None:
     """sweep.csv with one row per scale, fit.json and params.json."""
     os.makedirs(outdir, exist_ok=True)
-    cols = ["scale", "delta", "err_k", "err_u_s0", "err_u_s1", "err_u_s2",
-            "err_m_s0", "err_m_s1", "err_m_s2"]
+    cols = ("scale", "delta", *SWEEP_ERRORS)
     _write_csv(
         os.path.join(outdir, "sweep.csv"),
         cols,

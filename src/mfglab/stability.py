@@ -61,7 +61,13 @@ __all__ = [
     "select_parameters",
     "holder_sweep",
     "assemble_final_estimate",
+    "SWEEP_ERRORS",
 ]
+
+# the error columns of a sweep row, in sweep.csv's order
+SWEEP_ERRORS = (
+    "err_k", "err_u_s0", "err_u_s1", "err_u_s2", "err_m_s0", "err_m_s1", "err_m_s2",
+)
 
 # flatness guard of the reconstruction: |grad u_1(., T/2)|^2 must stay above 2c
 _FLATNESS_C = 1e-8
@@ -458,15 +464,11 @@ class SweepReport:
 
 
 def _sweep_errors(pack: DifferencePack, grid: Grid, eps: float) -> dict[str, float]:
-    return {
-        "err_k": norm(grid, pack.k_tilde, "L2"),
-        "err_u_s0": norm(grid, pack.u_tilde, "H21", eps=eps),
-        "err_u_s1": norm(grid, pack.v, "H21", eps=eps),
-        "err_u_s2": norm(grid, pack.w, "H21", eps=eps),
-        "err_m_s0": norm(grid, pack.m_tilde, "H21", eps=eps),
-        "err_m_s1": norm(grid, pack.q, "H21", eps=eps),
-        "err_m_s2": norm(grid, pack.r, "H21", eps=eps),
-    }
+    """``SWEEP_ERRORS`` of one scale: k~ in L2, then u~, v, w, m~, q, r in H21."""
+    fields = (pack.u_tilde, pack.v, pack.w, pack.m_tilde, pack.q, pack.r)
+    values = [norm(grid, pack.k_tilde, "L2")]
+    values += [norm(grid, field, "H21", eps=eps) for field in fields]
+    return dict(zip(SWEEP_ERRORS, values, strict=True))
 
 
 def holder_sweep(
@@ -527,11 +529,10 @@ def holder_sweep(
         else:
             rows.append(scale_row(scale, outcome))
 
-    err_keys = [k for k in rows[0] if k.startswith("err_")] if rows else []
     pts = [
-        (math.log(row["delta"]), math.log(max(row[k] for k in err_keys)))
+        (math.log(row["delta"]), math.log(max(row[k] for k in SWEEP_ERRORS)))
         for row in rows
-        if row["delta"] > 0.0 and max(row[k] for k in err_keys) > 0.0
+        if row["delta"] > 0.0 and max(row[k] for k in SWEEP_ERRORS) > 0.0
     ]
     if len(pts) >= 2:
         xs = np.array([p[0] for p in pts])

@@ -666,13 +666,16 @@ class TestConfigGuard:
     """Every config key is checked before any work, whatever the command:
     a string where a value belongs exits 1 with one line and writes nothing."""
 
-    @pytest.mark.parametrize(
-        "section, key", CONFIG_LEAVES, ids=[f"{s}.{k}" for s, k in CONFIG_LEAVES]
-    )
-    def test_every_key_is_checked(self, tmp_path, capsys, section, key):
+    @pytest.mark.parametrize("section, key, command", [
+        # a sweep case goes by the bare key, any other by key and command
+        pytest.param(s, k, c, id=f"{s}.{k}" if c == "sweep" else f"{s}.{k}-{c}")
+        for c in cli._COMMANDS
+        for s, k in CONFIG_LEAVES
+    ])
+    def test_every_key_is_checked(self, tmp_path, capsys, section, key, command):
         payload = {"grid": {"nx": 17, "nt": 33}}
         payload.setdefault(section, {})[key] = "x"
-        rc, err, wrote = run_main(tmp_path, capsys, "sweep", payload)
+        rc, err, wrote = run_main(tmp_path, capsys, command, payload)
         assert (rc, wrote) == (1, False)
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert err.endswith("\n")
@@ -708,6 +711,28 @@ class TestConfigGuard:
         rc, err, wrote = run_main(tmp_path, capsys, "manufacture", payload)
         assert (rc, wrote) == (1, False)
         assert err == f"config error: {line}\n"
+
+    @pytest.mark.parametrize("command", ["carleman", "lemmas"])
+    def test_set_alpha_does_not_skip_the_parameter_calculus(self, tmp_path, capsys, command):
+        payload = {"grid": {"nx": 17, "nt": 33}, "carleman": {"alpha": 2.0},
+                   "stability": {"rho": "garbage"}}
+        rc, err, wrote = run_main(tmp_path, capsys, command, payload)
+        assert (rc, wrote) == (1, False)
+        assert err == (
+            "config error: stability.rho/epsilon: Invalid literal for Fraction: 'garbage'\n"
+        )
+
+    @pytest.mark.parametrize("key, name", [("nx", "nx[0]"), ("nt", "nt")], ids=["nx", "nt"])
+    def test_grid_count_beyond_float_range_is_a_config_error(self, tmp_path, capsys, key, name):
+        # JSON reads 1 followed by 400 zeros as an int that no float holds
+        payload = {"grid": {"nx": 17, "nt": 33}}
+        payload["grid"][key] = 10**400
+        rc, err, wrote = run_main(tmp_path, capsys, "params", payload)
+        assert (rc, wrote) == (1, False)
+        assert err == (
+            f"config error: prism/grid: {name} must be in floating-point range, "
+            "got a 401-digit integer\n"
+        )
 
     def test_params_guards_the_lemma_lambdas(self, tmp_path, capsys):
         payload = {"lemmas": {"lambdas": [1.0, 100.0]}}

@@ -180,6 +180,17 @@ class TestGrid:
         with pytest.raises(ValueError, match="nx"):
             make_grid(Prism(1.0, 2.0, (), 1.0), 2, 65)
 
+    @pytest.mark.parametrize("nx, nt, name", [
+        (10**400, 33, "nx[0]"), (17, 10**400, "nt"), (-(10**400), 33, "nx[0]"),
+    ], ids=["nx", "nt", "negative-nx"])
+    def test_point_counts_beyond_float_range_are_rejected(self, nx, nt, name):
+        # the message counts the digits instead of printing the number
+        with pytest.raises(ValueError) as info:
+            make_grid(Prism(1.0, 2.0, (), 1.0), nx, nt)
+        assert str(info.value) == (
+            f"{name} must be in floating-point range, got a 401-digit integer"
+        )
+
     @pytest.mark.parametrize(
         "nx, nt",
         [((17.9,), 33), (17, 33.0), (("17",), 33), ((True,), 33), (17, True)],
