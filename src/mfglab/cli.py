@@ -141,9 +141,10 @@ def _merge(base: dict, extra) -> dict:
 
 def load_run(args):
     """The config and the run it describes, ``(cfg, grid, kernel, params)``:
-    every value is checked, and the grid, the kernel (against its declared
-    bound ``n1``) and the parameter calculus are built, before any work,
-    whatever the command."""
+    every value is checked, and the grid and the kernel (against its declared
+    bound ``n1``) are built, before any work, whatever the command.  The
+    parameter calculus ``params`` is built for the commands that read it and
+    is None for the others."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if args.config is not None:
         try:
@@ -191,10 +192,18 @@ def load_run(args):
         )
     except (ValueError, TypeError, OverflowError, ZeroDivisionError) as e:
         raise ConfigError(f"stability.rho/epsilon: {e}")
-    try:
-        params = select_parameters(rho, epsilon, prism, stab["lam1"])
-    except (ValueError, OverflowError) as e:
-        raise ConfigError(str(e))
+    if not 0 < rho < 1:
+        raise ConfigError("rho must lie in (0, 1)")
+    # epsilon's window depends on T, so it binds only where the calculus is
+    # read: by sweep and params, and by carleman and lemmas for a null alpha
+    params = None
+    if args.command in ("sweep", "params") or (
+        args.command in ("carleman", "lemmas") and cfg["carleman"]["alpha"] is None
+    ):
+        try:
+            params = select_parameters(rho, epsilon, prism, stab["lam1"])
+        except (ValueError, OverflowError) as e:
+            raise ConfigError(str(e))
     return cfg, grid, kernel, params
 
 
@@ -221,6 +230,13 @@ def _perturbation(grid) -> np.ndarray:
     x = grid.axis_coords(0)
     profile = np.sin(np.pi * (x - grid.prism.a) / (grid.prism.b - grid.prism.a)) ** 2
     return np.broadcast_to(profile.reshape((-1,) + (1,) * (grid.dim - 1)), grid.shape_space)
+
+
+def _alpha(cfg: dict, params) -> float:
+    """The weight exponent: ``carleman.alpha``, or the calculus's where that
+    is null."""
+    alpha = cfg["carleman"]["alpha"]
+    return float(params.alpha if alpha is None else alpha)
 
 
 def _save_provenance(cfg: dict, command: str) -> None:
@@ -262,10 +278,9 @@ def cmd_manufacture(cfg, grid, kernel, params) -> int:
 
 def cmd_carleman(cfg, grid, kernel, params) -> int:
     car = cfg["carleman"]
-    alpha = float(params.alpha if car["alpha"] is None else car["alpha"])
     members = random_family(grid, count=car["count"], seed=car["seed"])
     c0, lambda0, reports = estimate_c0(
-        grid, members, alpha, car["lambdas"], restricted=car["restricted"]
+        grid, members, _alpha(cfg, params), car["lambdas"], restricted=car["restricted"]
     )
     outdir = cfg["out"]
     mio.save_carleman_family(reports, outdir, c0, lambda0)
@@ -278,10 +293,11 @@ def cmd_carleman(cfg, grid, kernel, params) -> int:
 
 
 def cmd_lemmas(cfg, grid, kernel, params) -> int:
-    lem, alpha = cfg["lemmas"], cfg["carleman"]["alpha"]
-    alpha = float(params.alpha if alpha is None else alpha)
+    lem = cfg["lemmas"]
     samples = random_family(grid, count=lem["samples"], seed=lem["seed"])
-    reports = verify_lemma(grid, samples, alpha=alpha, lambdas=lem["lambdas"])
+    reports = verify_lemma(
+        grid, samples, alpha=_alpha(cfg, params), lambdas=lem["lambdas"]
+    )
     outdir = cfg["out"]
     mio.save_lemma_reports(reports, outdir)
     _save_provenance(cfg, "lemmas")

@@ -713,14 +713,40 @@ class TestConfigGuard:
         assert err == f"config error: {line}\n"
 
     @pytest.mark.parametrize("command", ["carleman", "lemmas"])
-    def test_set_alpha_does_not_skip_the_parameter_calculus(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("rho, line", [
+        ("garbage", "stability.rho/epsilon: Invalid literal for Fraction: 'garbage'"),
+        ("3/2", "rho must lie in (0, 1)"),
+    ], ids=["garbage-rho", "rho-above-1"])
+    def test_set_alpha_still_checks_rho(self, tmp_path, capsys, command, rho, line):
         payload = {"grid": {"nx": 17, "nt": 33}, "carleman": {"alpha": 2.0},
-                   "stability": {"rho": "garbage"}}
+                   "stability": {"rho": rho}}
         rc, err, wrote = run_main(tmp_path, capsys, command, payload)
         assert (rc, wrote) == (1, False)
-        assert err == (
-            "config error: stability.rho/epsilon: Invalid literal for Fraction: 'garbage'\n"
-        )
+        assert err == f"config error: {line}\n"
+
+    # T = 2 moves epsilon's window to (0.292893, 1), past the default 1/5
+    @pytest.mark.parametrize("command, alpha, rc", [
+        ("forward", None, 0),
+        ("manufacture", None, 0),
+        ("carleman", 2.0, 0),
+        ("lemmas", 2.0, 0),
+        ("carleman", None, 1),
+        ("lemmas", None, 1),
+        ("params", None, 1),
+        ("sweep", None, 1),
+    ], ids=["forward", "manufacture", "carleman-alpha", "lemmas-alpha", "carleman",
+            "lemmas", "params", "sweep"])
+    def test_epsilon_window_binds_where_the_calculus_is_read(
+        self, tmp_path, capsys, command, alpha, rc
+    ):
+        payload = {"grid": {"nx": 17, "nt": 33}, "prism": {"T": 2.0},
+                   "carleman": {"alpha": alpha, "count": 2, "lambdas": [2.0, 4.0]},
+                   "lemmas": {"samples": 2, "lambdas": [1.0, 2.0]}}
+        got, err, wrote = run_main(tmp_path, capsys, command, payload)
+        assert (got, wrote) == (rc, rc == 0)
+        if rc:
+            assert err == ("config error: epsilon = 0.2 outside the admissible window "
+                           "(0.292893, 1) for rho = 0.5\n")
 
     @pytest.mark.parametrize("key, name", [("nx", "nx[0]"), ("nt", "nt")], ids=["nx", "nt"])
     def test_grid_count_beyond_float_range_is_a_config_error(self, tmp_path, capsys, key, name):
