@@ -1,4 +1,4 @@
-"""The byte-identical output contract: thirteen CLI runs, in process through
+"""The byte-identical output contract: fourteen CLI runs, in process through
 ``cli.main``, reproduce the sha256 of every output file (``provenance.json``
 excluded), the stdout, the stderr and the exit code recorded in
 ``tests/golden_outputs.json``.
@@ -13,7 +13,8 @@ for byte, and a 3-D one on a 9x9x9x17 grid, the one run that marches in
 3-D; and the default ``forward`` and ``sweep`` on the damped Picard
 step (no mixing window, ``solver.damping`` 0.5), whose files keep the
 hashes that the default runs had before the Anderson window became the
-default.  Each writes to a relative ``--out`` inside a temporary
+default; and the default ``sweep`` on incomplete data, the paper's second
+data regime.  Each writes to a relative ``--out`` inside a temporary
 working directory, so the printed paths, and with them the hashes, do not
 depend on where the tests run.  A change that means to change an output
 re-records the file, from the repository root, with
@@ -69,6 +70,8 @@ CAUSAL_3D = {
 
 DAMPED = {"solver": {"damping": 0.5}}
 
+INCOMPLETE = {"stability": {"completeness": "incomplete"}}
+
 # run name -> (command, config payload or None for the defaults, length of
 # the coupling iteration's mixing window)
 RUNS = {
@@ -85,6 +88,7 @@ RUNS = {
     "forward-causal-3d": ("forward", CAUSAL_3D, 1),
     "forward-damped": ("forward", DAMPED, 0),
     "sweep-damped": ("sweep", DAMPED, 0),
+    "sweep-incomplete": ("sweep", INCOMPLETE, 1),
 }
 
 
