@@ -85,7 +85,6 @@ __all__ = [
 ]
 
 LAMBDA_MAX = 64.0
-FAMILY_SEED = 0x5EED
 # both operators d_t + Lap and d_t - Lap
 _SIGNS = (1, -1)
 # u must vanish to this tolerance off the outflow face in the restricted check
@@ -385,7 +384,7 @@ def estimate_c0(
     alpha: float,
     lambdas: Sequence[float],
     *,
-    restricted: bool = False,
+    restricted: bool,
 ) -> tuple[float | None, float, list[CarlemanReport]]:
     """Infimum of lhs/bracket over the family of space-time arrays on
     ``grid``, both operators, all lambdas.
@@ -454,9 +453,7 @@ def estimate_c0(
     return c0, lambdas[0], reports
 
 
-def random_family(
-    grid: Grid, count: int = 20, seed: int = FAMILY_SEED
-) -> Iterator[np.ndarray]:
+def random_family(grid: Grid, count: int, seed: int) -> Iterator[np.ndarray]:
     """Seeded family of smooth products of low-order trig and polynomial
     factors, each an array of shape ``grid.shape``, yielded one member at a
     time: nothing of an earlier member is kept, so memory does not grow
@@ -518,7 +515,7 @@ def verify_lemma(
     samples: Iterable[np.ndarray],
     *,
     alpha: float,
-    lambdas: Sequence[float] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
+    lambdas: Sequence[float],
 ) -> list[LemmaReport]:
     """Numerical check of the three weighted integral lemmas on each
     space-time array h of ``samples``, sampled on ``grid``: one report per

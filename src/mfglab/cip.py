@@ -123,7 +123,7 @@ def _neumann_faces(grid: Grid, completeness: str) -> list[Face]:
     return data_faces(grid, completeness == "incomplete")
 
 
-def extract(triple: MFGTriple, completeness: str = "full") -> CIPData:
+def extract(triple: MFGTriple, completeness: str) -> CIPData:
     """Measurement data of a solution triple (field-then-trace derivatives)."""
     g = triple.grid
     neumann_faces = _neumann_faces(g, completeness)

@@ -117,8 +117,8 @@ class Prism:
 
     a: float
     b: float
-    half_widths: tuple[float, ...] = ()
-    T: float = 1.0
+    half_widths: tuple[float, ...]
+    T: float
 
     def __post_init__(self) -> None:
         widths = [(f"half_widths[{i}]", w) for i, w in enumerate(self.half_widths)]
@@ -353,7 +353,7 @@ def boundary_mask(grid: Grid) -> np.ndarray:
     return mask
 
 
-def interior_mask(grid: Grid, time_ring: int, eps: float | None = None) -> np.ndarray:
+def interior_mask(grid: Grid, time_ring: int, eps: float | None) -> np.ndarray:
     """Space-time mask without the lateral boundary and without ``time_ring``
     levels at each end of the time axis; ``eps`` widens the ring to cover
     the levels outside the window ``snap_epsilon`` gives, the one the norms

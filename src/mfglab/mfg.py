@@ -165,7 +165,7 @@ class MFGTriple:
     u: np.ndarray
     m: np.ndarray
     k: np.ndarray
-    report: dict = dataclass_field(default_factory=dict, compare=False)
+    report: dict = dataclass_field(compare=False)
 
     def __post_init__(self) -> None:
         g = self.grid
@@ -195,7 +195,7 @@ class ClosedForm:
     lap: Callable
 
 
-def bump_form(prism, amplitude: float = 0.3) -> ClosedForm:
+def bump_form(prism, amplitude: float) -> ClosedForm:
     """u = x_1^2 + amplitude sin(pi s) p(t), s the normalized first coordinate
     and p(t) = (4 t (T - t) / T^2)^2.
 

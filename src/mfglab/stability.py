@@ -408,7 +408,7 @@ def select_parameters(
     rho: Fraction | float | str,
     epsilon: Fraction | float | str,
     prism,
-    lam1: float = 1.0,
+    lam1: float,
 ) -> StabilityParams:
     """Map (rho, epsilon) to the weight and exponent constants, exactly.
 
@@ -477,8 +477,8 @@ def holder_sweep(
     delta_k: np.ndarray,
     scales: Sequence[float],
     *,
-    eps: float = 0.2,
-    completeness: str = "full",
+    eps: float,
+    completeness: str,
     damping: float,
     max_iter: int,
     tol: float,

@@ -75,7 +75,7 @@ def build_problem(nx: int, nt: int):
     """Manufactured value/density/coefficient triple and its closing source."""
     g = make_grid(PRISM, nx, nt)
     triple, f = manufacture_triple(
-        g, KERNEL, np.ones(g.shape_space), bump_form(PRISM), steady_density(g)
+        g, KERNEL, np.ones(g.shape_space), bump_form(PRISM, amplitude=0.3), steady_density(g)
     )
     spec = ProblemSpec(g, KERNEL, f, triple.u, triple.m)
     return g, triple, f, spec

@@ -102,7 +102,7 @@ def test_criterion_2_weighted_coercivity(capsys):
     params = CarlemanParams(2.0, ALPHA)
     assert params.negligible_decays(PRISM)
     members = random_family(g, count=20, seed=24301)
-    c0, lambda0, reports = estimate_c0(g, members, ALPHA, (2.0, 4.0, 8.0, 16.0))
+    c0, lambda0, reports = estimate_c0(g, members, ALPHA, (2.0, 4.0, 8.0, 16.0), restricted=False)
     predicted = 2.0 * (4.0 - ALPHA / 4.0)
     max_dev = max(
         abs(
@@ -248,7 +248,7 @@ def test_criterion_7_parameter_calculus(capsys):
         rho = Fraction(int(rng.integers(1, 999)), 1000)
         eps = Fraction(int(rng.integers(1, 999)), 2000)
         try:
-            select_parameters(rho, eps, PRISM)
+            select_parameters(rho, eps, PRISM, lam1=1.0)
             feasible = True
         except ValueError:
             feasible = False
@@ -264,7 +264,7 @@ def test_criterion_7_parameter_calculus(capsys):
     # is open), matching the float window up to the stated 1e-12
     boundary_feasible = True
     try:
-        select_parameters(Fraction(9, 25), Fraction(1, 5), PRISM)
+        select_parameters(Fraction(9, 25), Fraction(1, 5), PRISM, lam1=1.0)
     except ValueError:
         boundary_feasible = False
 

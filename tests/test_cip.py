@@ -25,7 +25,7 @@ def triple():
 
 @pytest.fixture(scope="module")
 def data(triple):
-    return extract(triple)
+    return extract(triple, "full")
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,7 @@ class TestBudget:
             return dataclasses.replace(d, u0=d.u0.tolist(), m0=d.m0.tolist(), **traces)
 
         pair = make_pair(33, 65)
-        d1, d2 = extract(pair["t1"]), extract(pair["t2"])
+        d1, d2 = extract(pair["t1"], "full"), extract(pair["t2"], "full")
         assert measure_delta(listed(d1), listed(d2)) == measure_delta(d1, d2)
 
     def test_snapshot_norms_strengthen_in_incomplete_mode(self, data, data_inc):
@@ -134,7 +134,7 @@ class TestBudget:
 
 class TestCompatibility:
     def test_grid_mismatch_rejected(self, data):
-        other = extract(build_problem(33, 257)[1])
+        other = extract(build_problem(33, 257)[1], "full")
         with pytest.raises(DataCompatibilityError, match="different grids"):
             measure_delta(other, data)
 

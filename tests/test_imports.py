@@ -11,7 +11,12 @@ package or its tests mentions it; dunder methods are exempt.  A definition
 that only tests mention fails unless it is listed in ``ORACLES``.  A
 defaulted parameter fails when no call in the package or its tests passes
 it, by keyword or by position, and when only tests pass it, unless its
-function is an oracle or it is the console entry point's ``argv``.  An
+function is an oracle or it is the console entry point's ``argv``.  It
+also fails when every call in the package passes it, for a function or
+class that the package calls and names nowhere but in calls and
+annotations: no call reads such a default, which would be a second copy of
+a value ``cli.DEFAULT_CONFIG`` sets (a name handed on, as to
+``functools.partial``, may be called another way, so it is exempt).  An
 ``__all__`` entry fails when its module binds no such name, which would
 break ``from mfglab.<module> import *``.
 Importing the CLI must not load ``scipy.sparse``, which nothing uses.
@@ -351,6 +356,67 @@ def test_checker_flags_a_dataclass_field_nothing_sets():
     assert unset_options({"m.py": lib}, [lib, user]) == ["m.py:7: P(e=)"]
     user = ast.parse("P(0, 1, [], 7)")
     assert unset_options({"m.py": lib}, [lib, user]) == ["m.py:10: Q(r=)"]
+
+
+def overridden_defaults(defining) -> list[str]:
+    """Defaulted parameters of ``defining`` (name -> tree) that every call in
+    it passes, for a function or class it calls at least once and names
+    nowhere but as a callee or in an annotation."""
+    calls: dict[str, list[ast.Call]] = {}
+    quiet = set()  # ids of the nodes that name a callee or sit in an annotation
+    for tree in defining.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+                quiet.add(id(node.func))
+            note = getattr(node, "annotation", None) or getattr(node, "returns", None)
+            if note is not None:
+                quiet.update(id(n) for n in ast.walk(note))
+    named = {
+        _callee(node)
+        for tree in defining.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in quiet
+    }
+    return sorted(
+        f"{label}:{line}: {fn}({param}=)"
+        for label, tree in defining.items()
+        for called, fn, line, param, pos in _defaulted_parameters(tree)
+        if called in calls
+        and called not in named
+        and all(_passes(c, param, pos) for c in calls[called])
+    )
+
+
+def test_no_defaults_every_call_overrides():
+    package = {p.name: ast.parse(p.read_text()) for p in PACKAGE}
+    assert overridden_defaults(package) == []
+
+
+def test_checker_flags_a_default_every_call_overrides():
+    tree = ast.parse("\n".join([
+        "@dataclass",
+        "class K:",
+        "    x: int = 0",
+        "def f(a, b=1, *, c=2): pass",
+        "def g(d=3): pass",
+        "def h(e=4): pass",
+        "def p(s=5): pass",
+        "def q(k: K) -> K:",
+        "    f(0, 1, c=2)",
+        "    f(0, b=1, c=2)",
+        "    g(1)",
+        "    g()",
+        "    p(1)",
+        "    return m.K(1)",
+        "total = functools.partial(p, 1)",
+    ]))
+    # g's default is read, h is never called and p is handed on
+    assert overridden_defaults({"m.py": tree}) == [
+        "m.py:3: K(x=)",
+        "m.py:4: f(b=)",
+        "m.py:4: f(c=)",
+    ]
 
 
 def test_cli_import_loads_no_scipy_sparse():

@@ -31,7 +31,7 @@ from mfglab.stability import SweepReport, select_parameters
 
 from conftest import PRISM, KERNEL
 
-PARAMS = select_parameters(Fraction(1, 2), Fraction(1, 5), PRISM)
+PARAMS = select_parameters(Fraction(1, 2), Fraction(1, 5), PRISM, lam1=1.0)
 
 
 class TestFmt:

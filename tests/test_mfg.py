@@ -63,7 +63,7 @@ class TestClosedForms:
         # the time profile has a double zero at both ends: both end levels
         # reduce to the steady x^2 background and d_t vanishes there
         g = make_grid(PRISM, 33, 65)
-        form = bump_form(PRISM)
+        form = bump_form(PRISM, amplitude=0.3)
         u = sample_field(g, form.fn)
         x = g.axis_coords(0)
         np.testing.assert_allclose(u[..., 0], x * x, atol=1e-14)
@@ -144,7 +144,7 @@ class TestFokkerPlanck:
         g = make_grid(PRISM, 33, 65)
         kern = Kernel("separable", amplitude=0.4, n1=1)
         triple, f = manufacture_triple(
-            g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
+            g, kern, np.ones(33), bump_form(PRISM, amplitude=0.3), steady_density(g)
         )
         spec = ProblemSpec(g, kern, f, triple.u, triple.m)
         runs = []
@@ -158,7 +158,7 @@ class TestFokkerPlanck:
         g = make_grid(PRISM, 33, 65)
         kern = Kernel("separable", amplitude=0.4, n1=1)
         triple, f = manufacture_triple(
-            g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
+            g, kern, np.ones(33), bump_form(PRISM, amplitude=0.3), steady_density(g)
         )
         spec = ProblemSpec(g, kern, f, triple.u, triple.m)
         values = np.array(spec.m_data)
@@ -390,7 +390,7 @@ class TestHJB:
         g = make_grid(PRISM, 33, 65)
         kern = Kernel("separable", amplitude=0.4, n1=1)
         triple, f = manufacture_triple(
-            g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
+            g, kern, np.ones(33), bump_form(PRISM, amplitude=0.3), steady_density(g)
         )
         spec = ProblemSpec(g, kern, f, triple.u, triple.m)
         with pytest.raises(BlowupError, match="blew up at time level") as info:
@@ -443,7 +443,7 @@ class TestPicard:
         g = make_grid(PRISM, 33, 65)
         kern = Kernel("separable", amplitude=12.0, n1=12)
         triple, f = manufacture_triple(
-            g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
+            g, kern, np.ones(33), bump_form(PRISM, amplitude=0.3), steady_density(g)
         )
         spec = ProblemSpec(g, kern, f, triple.u, triple.m)
         with pytest.raises(PicardNonConvergence) as info:
@@ -538,7 +538,11 @@ def causal_2d_problem():
     kern = Kernel("causal", amplitude=0.4)
     x1, x2 = g.space_meshgrid()
     triple, f = manufacture_triple(
-        g, kern, np.ones((9, 9)), bump_form(g.prism), np.exp(1.0 - x1**2 - 0.5 * x2**2)
+        g,
+        kern,
+        np.ones((9, 9)),
+        bump_form(g.prism, amplitude=0.3),
+        np.exp(1.0 - x1**2 - 0.5 * x2**2),
     )
     bump = np.sin(np.pi * (x1 - 1.0)) ** 2 * np.cos(np.pi * x2) ** 2
     return ProblemSpec(g, kern, f, triple.u, triple.m), bump
@@ -642,7 +646,7 @@ class TestLockstep:
         g = make_grid(PRISM, 33, 65)
         kern = Kernel("separable", amplitude=0.4, n1=1)
         triple, f = manufacture_triple(
-            g, kern, np.ones(33), bump_form(PRISM), steady_density(g)
+            g, kern, np.ones(33), bump_form(PRISM, amplitude=0.3), steady_density(g)
         )
         spec = ProblemSpec(g, kern, f, triple.u, triple.m)
         solver = {"damping": 1.0, "max_iter": 3, "tol": 1e-8}
@@ -741,7 +745,7 @@ class TestManufacture:
         pair = make_pair(33, 65)
         g = pair["grid"]
         triple, f = manufacture_triple(
-            g, pair["spec"].kernel, pair["k1"], bump_form(PRISM), steady_density(g)
+            g, pair["spec"].kernel, pair["k1"], bump_form(PRISM, amplitude=0.3), steady_density(g)
         )
         spec = ProblemSpec(g, pair["spec"].kernel, f, triple.u, triple.m)
         res = residual(triple, spec)
@@ -751,7 +755,7 @@ class TestManufacture:
         g = make_grid(PRISM, 33, 65)
         with pytest.raises(ValueError, match="positive"):
             manufacture_triple(
-                g, Kernel("separable"), np.ones(33), bump_form(PRISM), np.zeros(33)
+                g, Kernel("separable"), np.ones(33), bump_form(PRISM, amplitude=0.3), np.zeros(33)
             )
 
     def test_density_stays_above_floor(self, make_pair):
@@ -813,18 +817,20 @@ class TestSpecValidation:
         m0 = steady_density(g)
         m0[3] = 0.0
         with pytest.raises(ValueError, match="initial density must be positive, min = "):
-            manufacture_triple(g, Kernel("separable"), np.ones(33), bump_form(PRISM), m0)
+            manufacture_triple(
+                g, Kernel("separable"), np.ones(33), bump_form(PRISM, amplitude=0.3), m0
+            )
 
     def test_triple_guards(self, make_pair):
         pair = make_pair(33, 65)
         with pytest.raises(ValueError, match=r"k has shape \(7,\), not \(33,\)"):
-            MFGTriple(pair["grid"], pair["t1"].u, pair["t1"].m, np.ones(7))
+            MFGTriple(pair["grid"], pair["t1"].u, pair["t1"].m, np.ones(7), report={})
         other = make_grid(PRISM, 17, 65)
         with pytest.raises(ValueError, match=r"u has shape \(33, 65\), not \(17, 65\)"):
-            MFGTriple(other, pair["t1"].u, pair["t1"].m, np.ones(17))
+            MFGTriple(other, pair["t1"].u, pair["t1"].m, np.ones(17), report={})
         # k is marked read-only like u and m, and not copied
         k = np.ones(33)
-        tr = MFGTriple(pair["grid"], pair["t1"].u, pair["t1"].m, k)
+        tr = MFGTriple(pair["grid"], pair["t1"].u, pair["t1"].m, k, report={})
         with pytest.raises(ValueError, match="read-only"):
             tr.k[3] = 5.0
         assert np.shares_memory(tr.k, k)
@@ -835,7 +841,7 @@ class TestSpecValidation:
         fields = {"u": triple.u.copy(), "m": triple.m.copy()}
         fields[name][4, 7] = np.nan
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            MFGTriple(triple.grid, fields["u"], fields["m"], triple.k)
+            MFGTriple(triple.grid, fields["u"], fields["m"], triple.k, report={})
 
     @pytest.mark.parametrize(
         "solve, name",

@@ -127,7 +127,7 @@ class TestDerivedResiduals:
 
 class TestParameterCalculus:
     def test_reference_point_is_exact(self):
-        p = select_parameters(Fraction(1, 2), Fraction(1, 5), PRISM)
+        p = select_parameters(Fraction(1, 2), Fraction(1, 5), PRISM, lam1=1.0)
         assert p.s == Fraction(9, 16)
         assert p.beta == Fraction(33, 7)
         assert p.alpha == Fraction(1000, 7)
@@ -136,12 +136,12 @@ class TestParameterCalculus:
 
     def test_exponent_identity_holds_exactly(self):
         # alpha eps (T - eps) - b^2 = beta b^2 with no rounding
-        p = select_parameters(Fraction(1, 2), Fraction(1, 5), PRISM)
+        p = select_parameters(Fraction(1, 2), Fraction(1, 5), PRISM, lam1=1.0)
         lhs = p.alpha * p.epsilon * (p.T - p.epsilon) - p.b * p.b
         assert lhs == p.beta * p.b * p.b
 
     def test_noise_matched_steepness(self):
-        p = select_parameters(Fraction(1, 2), Fraction(1, 5), PRISM)
+        p = select_parameters(Fraction(1, 2), Fraction(1, 5), PRISM, lam1=1.0)
         assert p.lam(p.delta0) == pytest.approx(1.0, rel=1e-14)
         assert p.lam(1e-6) > p.lam(1e-3) > p.lam(1e-1) > 0.0
         for bad in (0.0, 1.0, 2.0, -0.5):
@@ -155,21 +155,21 @@ class TestParameterCalculus:
 
     def test_epsilon_outside_window_rejected(self):
         with pytest.raises(ValueError, match="outside the admissible window"):
-            select_parameters(Fraction(1, 2), Fraction(1, 10), PRISM)
+            select_parameters(Fraction(1, 2), Fraction(1, 10), PRISM, lam1=1.0)
         with pytest.raises(ValueError, match="outside the admissible window"):
-            select_parameters(Fraction(1, 2), Fraction(1, 2), PRISM)
+            select_parameters(Fraction(1, 2), Fraction(1, 2), PRISM, lam1=1.0)
 
     def test_window_boundary_is_strict(self):
         # rho = (1 - 2 eps / T)^2 exactly: the rational comparison has no
         # rounding slack, so the boundary point itself is infeasible
         with pytest.raises(ValueError, match="outside the admissible window"):
-            select_parameters(Fraction(9, 25), Fraction(1, 5), PRISM)
-        select_parameters(Fraction(9, 25) + Fraction(1, 10**9), Fraction(1, 5), PRISM)
+            select_parameters(Fraction(9, 25), Fraction(1, 5), PRISM, lam1=1.0)
+        select_parameters(Fraction(9, 25) + Fraction(1, 10**9), Fraction(1, 5), PRISM, lam1=1.0)
 
     def test_rho_range_checked(self):
         for rho in (Fraction(0), Fraction(1), Fraction(3, 2)):
             with pytest.raises(ValueError, match="rho must lie in"):
-                select_parameters(rho, Fraction(1, 5), PRISM)
+                select_parameters(rho, Fraction(1, 5), PRISM, lam1=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +180,7 @@ def sweep_setup():
 
 @pytest.fixture(scope="module")
 def params():
-    return select_parameters(Fraction(1, 2), Fraction(1, 5), PRISM)
+    return select_parameters(Fraction(1, 2), Fraction(1, 5), PRISM, lam1=1.0)
 
 
 @pytest.mark.usefixtures("damped")
@@ -189,10 +189,12 @@ class TestSweep:
     # the solver settings the frozen slope was recorded with, on the damped
     # step
     SOLVER = {"damping": 0.5, "max_iter": 60, "tol": 1e-9}
+    # the norm window and the data regime it was recorded on
+    DATA = {"eps": 0.2, "completeness": "full"}
 
     def test_small_sweep_fit(self, sweep_setup):
         g, spec, k1, dk = sweep_setup
-        rep = holder_sweep(spec, k1, dk, self.SCALES, **self.SOLVER)
+        rep = holder_sweep(spec, k1, dk, self.SCALES, **self.DATA, **self.SOLVER)
         assert rep.slope == pytest.approx(1.0137131966416255, rel=1e-9)
         assert rep.r_squared == pytest.approx(0.9999906332771438, rel=1e-9)
         assert rep.delta_decades() == pytest.approx(0.689242497379236, rel=1e-9)
@@ -201,7 +203,7 @@ class TestSweep:
 
     def test_zero_scale_row_kept_but_not_fitted(self, sweep_setup):
         g, spec, k1, dk = sweep_setup
-        rep = holder_sweep(spec, k1, dk, self.SCALES, **self.SOLVER)
+        rep = holder_sweep(spec, k1, dk, self.SCALES, **self.DATA, **self.SOLVER)
         zero = rep.rows[0]
         assert zero["scale"] == 0.0
         assert zero["delta"] == 0.0
@@ -210,15 +212,16 @@ class TestSweep:
 
     def test_sweep_is_deterministic(self, sweep_setup):
         g, spec, k1, dk = sweep_setup
-        a = holder_sweep(spec, k1, dk, self.SCALES, **self.SOLVER)
-        b = holder_sweep(spec, k1, dk, self.SCALES, **self.SOLVER)
+        a = holder_sweep(spec, k1, dk, self.SCALES, **self.DATA, **self.SOLVER)
+        b = holder_sweep(spec, k1, dk, self.SCALES, **self.DATA, **self.SOLVER)
         assert a == b
 
     def test_nonconvergent_scale_is_excluded_with_reason(self, sweep_setup):
         # the base coefficient converges in 20 damped iterations, the large
         # scale needs 22, so a cap of 21 splits them
         g, spec, k1, dk = sweep_setup
-        rep = holder_sweep(spec, k1, dk, (0.02, 4.0), damping=0.5, max_iter=21, tol=1e-9)
+        solver = {"damping": 0.5, "max_iter": 21, "tol": 1e-9}
+        rep = holder_sweep(spec, k1, dk, (0.02, 4.0), **self.DATA, **solver)
         assert [row["scale"] for row in rep.rows] == [0.02]
         assert len(rep.excluded) == 1
         assert rep.excluded[0]["scale"] == 4.0
@@ -239,19 +242,19 @@ class TestSweep:
 
         stalled, blowup = solo(k1 + 4.0 * dk, **solver), solo(k1 - 200.0 * dk, **solver)
         assert isinstance(stalled, PicardNonConvergence) and isinstance(blowup, BlowupError)
-        rep = holder_sweep(spec, k1, dk, (4.0, 0.02), **solver)
+        rep = holder_sweep(spec, k1, dk, (4.0, 0.02), **self.DATA, **solver)
         assert rep.excluded == ({"scale": 4.0, "reason": str(stalled)},)
         with pytest.raises(BlowupError) as info:
-            holder_sweep(spec, k1, dk, (4.0, -200.0, 0.02), **solver)
+            holder_sweep(spec, k1, dk, (4.0, -200.0, 0.02), **self.DATA, **solver)
         assert str(info.value) == str(blowup)
         base = solo(k1, damping=0.5, max_iter=5, tol=1e-9)
         with pytest.raises(PicardNonConvergence) as info:
-            holder_sweep(spec, k1, dk, (-200.0,), damping=0.5, max_iter=5, tol=1e-9)
+            holder_sweep(spec, k1, dk, (-200.0,), **self.DATA, damping=0.5, max_iter=5, tol=1e-9)
         assert info.value.history == base.history
 
     def test_single_point_has_no_slope(self, sweep_setup):
         g, spec, k1, dk = sweep_setup
-        rep = holder_sweep(spec, k1, dk, (0.02,), **self.SOLVER)
+        rep = holder_sweep(spec, k1, dk, (0.02,), **self.DATA, **self.SOLVER)
         assert math.isnan(rep.slope)
         assert rep.delta_decades() == 0.0
 
