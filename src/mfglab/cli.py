@@ -212,8 +212,8 @@ def _manufactured_problem(cfg: dict, grid, kernel):
     ``triple.k``, compatible density, and ``spec.f`` scaled by the
     coupling gain."""
     prob = cfg["problem"]
-    u_form = bump_form(grid.prism, amplitude=prob["u_amplitude"])
     try:
+        u_form = bump_form(grid.prism, amplitude=prob["u_amplitude"])
         triple, f = manufacture_triple(
             grid, kernel, np.ones(grid.shape_space), u_form, steady_density(grid)
         )

@@ -32,6 +32,7 @@ time level ``j``.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 import sys
@@ -130,6 +131,9 @@ class Prism:
             raise ValueError(f"prism requires a > 0, got a={self.a}")
         if not self.b > self.a:
             raise ValueError(f"prism requires b > a, got a={self.a}, b={self.b}")
+        # the weights read x1^2 <= b^2 as a float
+        if not finite_real(float(self.b) * float(self.b)):
+            raise ValueError(f"prism requires b^2 in floating-point range, got b={self.b}")
         for i, w in enumerate(self.half_widths):
             if not w > 0.0:
                 raise ValueError(f"half_widths[{i}] must be positive, got {w}")
@@ -228,12 +232,24 @@ class Grid:
             raise ValueError(
                 f"nt must be odd so that t0 = T/2 is on-grid, got nt={self.nt}"
             )
+        nodes = math.prod(self.shape)
+        if nodes * 8 > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"grid has a {len(str(nodes))}-digit node count, "
+                f"beyond any float64 array"
+            )
         spacings = []
         for i, m in enumerate(self.nx):
             lo, hi = self.prism.axis_bounds(i)
             spacings.append((hi - lo) / (m - 1))
+        steps = {f"x{i + 1} spacing h[{i}]": h for i, h in enumerate(spacings)}
+        steps["time step tau"] = self.prism.T / (self.nt - 1)
+        for name, step in steps.items():
+            # the stencils and the marches divide by the squared spacing
+            if not 0.0 < step * step < math.inf:
+                raise ValueError(f"{name} = {step:g} squares to {step * step:g} in floating point")
         object.__setattr__(self, "h", tuple(spacings))
-        object.__setattr__(self, "tau", self.prism.T / (self.nt - 1))
+        object.__setattr__(self, "tau", steps["time step tau"])
 
     @property
     def dim(self) -> int:

@@ -208,7 +208,10 @@ def bump_form(prism, amplitude: float) -> ClosedForm:
     """
     a, b, T = prism.a, prism.b, prism.T
     w = math.pi / (b - a)
-    c4 = 16.0 / T**4
+    try:
+        c4 = 16.0 / T**4
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"T = {T:g} takes T^4 out of floating-point range") from None
 
     def s(c):
         return w * (c[0] - a)

@@ -27,6 +27,7 @@ term the equations share once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -437,6 +438,13 @@ def select_parameters(
     beta = (1 - rho) * (Fraction(3, 2) + s) / margin
     alpha = (1 + beta) * b * b / (epsilon * (T - epsilon))
     d = (Fraction(3, 2) + (1 + beta) * s) * b * b
+    # the weights and lam(delta) read both as floats
+    for name, value in (("alpha", alpha), ("d", d)):
+        if not (value <= sys.float_info.max and float(value) > 0.0):
+            raise ValueError(
+                f"{name} is out of floating-point range for b = {float(b):g}, "
+                f"T = {float(T):g}, epsilon = {float(epsilon):g}"
+            )
     return StabilityParams(
         rho=rho, epsilon=epsilon, T=T, a=a, b=b, lam1=float(lam1),
         s=s, beta=beta, alpha=alpha, d=d,

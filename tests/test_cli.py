@@ -760,6 +760,48 @@ class TestConfigGuard:
             "got a 401-digit integer\n"
         )
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_grid_beyond_any_array_is_a_config_error(self, tmp_path, capsys, command):
+        # 10^300 x 257 nodes: each count is a float, no float64 array is that long
+        rc, err, wrote = run_main(tmp_path, capsys, command, {"grid": {"nx": 10**300}})
+        assert (rc, wrote) == (1, False)
+        assert err == (
+            "config error: prism/grid: grid has a 303-digit node count, "
+            "beyond any float64 array\n"
+        )
+
+    @pytest.mark.parametrize("command, payload, line", [
+        (command, {"prism": {"b": 1e160}, "carleman": {"alpha": alpha}},
+         "prism/grid: prism requires b^2 in floating-point range, got b=1e+160")
+        for command, alpha in [("params", None), ("carleman", None), ("lemmas", None),
+                               ("carleman", 1.0), ("lemmas", 1.0)]
+    ] + [
+        # b^2 = 1e308 is a double, the calculus's alpha = (1 + beta) b^2 / (eps (T - eps))
+        # is not
+        (command, {"prism": {"b": 1e154}},
+         "alpha is out of floating-point range for b = 1e+154, T = 1, epsilon = 0.2")
+        for command in ("params", "carleman", "lemmas", "sweep")
+    ], ids=["params", "carleman", "lemmas", "carleman-alpha", "lemmas-alpha",
+            "calculus-params", "calculus-carleman", "calculus-lemmas", "calculus-sweep"])
+    def test_huge_prism_is_a_config_error(self, tmp_path, capsys, command, payload, line):
+        rc, err, wrote = run_main(tmp_path, capsys, command, payload)
+        assert (rc, wrote) == (1, False)
+        assert err == f"config error: {line}\n"
+
+    @pytest.mark.parametrize("command, payload, line", [
+        (command, {"prism": {"a": 1e-300, "b": 1e-299}},
+         "prism/grid: x1 spacing h[0] = 1.40625e-301 squares to 0 in floating point")
+        for command in ("sweep", "carleman", "lemmas", "params")
+    ] + [
+        (command, {"prism": {"T": 1e-100}},
+         "problem: T = 1e-100 takes T^4 out of floating-point range")
+        for command in ("forward", "manufacture")
+    ], ids=["sweep", "carleman", "lemmas", "params", "forward-T", "manufacture-T"])
+    def test_tiny_prism_is_a_config_error(self, tmp_path, capsys, command, payload, line):
+        rc, err, wrote = run_main(tmp_path, capsys, command, payload)
+        assert (rc, wrote) == (1, False)
+        assert err == f"config error: {line}\n"
+
     def test_params_guards_the_lemma_lambdas(self, tmp_path, capsys):
         payload = {"lemmas": {"lambdas": [1.0, 100.0]}}
         rc, err, _ = run_main(tmp_path, capsys, "params", payload)

@@ -30,7 +30,7 @@ def grid():
 
 
 class TestPrism:
-    def test_defaults_define_unit_slab(self):
+    def test_unit_slab_is_one_dimensional(self):
         p = Prism(1.0, 2.0, (), 1.0)
         assert p.dim == 1
         assert p.axis_bounds(0) == (1.0, 2.0)
@@ -53,6 +53,7 @@ class TestPrism:
             ((1.0, 2.0, (), float("inf")), "T must be a finite number"),
             ((1.0, 2.0, ("0.5",), 1.0), r"half_widths\[0\] must be a finite number"),
             ((True, 2.0, (), 1.0), "a must be a finite number"),
+            ((1.0, 1e160, (), 1.0), r"b\^2 in floating-point range, got b=1e\+160"),
         ],
     )
     def test_rejects_bad_geometry(self, args, match):
@@ -190,6 +191,30 @@ class TestGrid:
         assert str(info.value) == (
             f"{name} must be in floating-point range, got a 401-digit integer"
         )
+
+    @pytest.mark.parametrize("nt, digits", [(17, 19), (10**300 + 1, 317)], ids=["19", "317"])
+    def test_grid_beyond_any_array_is_rejected(self, nt, digits):
+        # 2^56 x 5 nodes of 8 bytes fit an intp, 2^56 x 17 do not
+        make_grid(Prism(1.0, 2.0, (), 1.0), 2**56, 5)
+        with pytest.raises(ValueError) as info:
+            make_grid(Prism(1.0, 2.0, (), 1.0), 2**56, nt)
+        assert str(info.value) == (
+            f"grid has a {digits}-digit node count, beyond any float64 array"
+        )
+
+    @pytest.mark.parametrize("prism, nx, nt, message", [
+        (Prism(1e-300, 1e-299, (), 1.0), 65, 257,
+         "x1 spacing h[0] = 1.40625e-301 squares to 0 in floating point"),
+        (Prism(1.0, 2.0, (1e200,), 1.0), (9, 9), 9,
+         "x2 spacing h[1] = 2.5e+199 squares to inf in floating point"),
+        (Prism(1.0, 2.0, (), 1e-200), 17, 5,
+         "time step tau = 2.5e-201 squares to 0 in floating point"),
+    ], ids=["tiny-h", "huge-h", "tiny-tau"])
+    def test_spacing_whose_square_leaves_float_range_is_rejected(self, prism, nx, nt, message):
+        # the stencils and the marches divide by h^2 and tau^2
+        with pytest.raises(ValueError) as info:
+            make_grid(prism, nx, nt)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "nx, nt",

@@ -73,6 +73,12 @@ class TestClosedForms:
         assert np.max(np.abs(dt_vals[..., 0])) < 1e-14
         assert np.max(np.abs(dt_vals[..., -1])) < 1e-14
 
+    @pytest.mark.parametrize("T", [1e-100, 1e100], ids=["tiny-T", "huge-T"])
+    def test_bump_form_needs_t_to_the_fourth_in_float_range(self, T):
+        with pytest.raises(ValueError) as info:
+            bump_form(Prism(1.0, 2.0, (), T), amplitude=0.3)
+        assert str(info.value) == f"T = {T:g} takes T^4 out of floating-point range"
+
     def test_bump_peaks_at_central_time(self):
         g = make_grid(PRISM, 33, 65)
         u = sample_field(g, bump_form(PRISM, amplitude=0.3).fn)

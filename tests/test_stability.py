@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mfglab.grid import Prism
 from mfglab.mfg import BlowupError, PicardNonConvergence, solve_mfg_picard
 from mfglab.norms import norm
 from mfglab.stability import (
@@ -165,6 +166,18 @@ class TestParameterCalculus:
         with pytest.raises(ValueError, match="outside the admissible window"):
             select_parameters(Fraction(9, 25), Fraction(1, 5), PRISM, lam1=1.0)
         select_parameters(Fraction(9, 25) + Fraction(1, 10**9), Fraction(1, 5), PRISM, lam1=1.0)
+
+    @pytest.mark.parametrize("epsilon, prism, name", [
+        # b^2 = 1e308 is a double, alpha = (1000/7) b^2 is not
+        (Fraction(1, 5), Prism(1.0, 1e154, (), 1.0), "alpha"),
+        # alpha = (1000/7) b^2 underflows to 0
+        (Fraction(1, 5), Prism(1e-171, 1e-170, (), 1.0), "alpha"),
+        # with eps (T - eps) = 2400, d = 1.6 b^2 leaves the float range first
+        (Fraction(40), Prism(1.0, 1.2e154, (), 100.0), "d"),
+    ], ids=["huge-alpha", "vanishing-alpha", "huge-d"])
+    def test_float_alpha_and_d_must_be_positive_doubles(self, epsilon, prism, name):
+        with pytest.raises(ValueError, match=f"^{name} is out of floating-point range for b = "):
+            select_parameters(Fraction(1, 2), epsilon, prism, lam1=1.0)
 
     def test_rho_range_checked(self):
         for rho in (Fraction(0), Fraction(1), Fraction(3, 2)):
