@@ -113,7 +113,8 @@ class Prism:
 
     Raises:
         ValueError: if a bound is not a finite real number, ``a <= 0``,
-            ``b <= a``, any half-width is non-positive, or ``T <= 0``.
+            ``b <= a``, ``b^2`` overflows, any half-width is non-positive,
+            or ``T <= 0``.
     """
 
     a: float
@@ -186,7 +187,8 @@ class Grid:
     ``h_i = (hi - lo) / (nx_i - 1)`` and ``tau = T / (nt - 1)``, so the
     boundary nodes land exactly on the prism faces and ``t = T`` is the last
     time level.  ``nt`` must be odd so the central level ``t0 = T/2`` is a
-    node.
+    node, the node count must fit a float64 array, and every spacing's
+    square must be a nonzero double.
 
     Attributes:
         prism: the underlying geometry.
@@ -232,6 +234,7 @@ class Grid:
             raise ValueError(
                 f"nt must be odd so that t0 = T/2 is on-grid, got nt={self.nt}"
             )
+        # numpy counts an array's bytes in an intp
         nodes = math.prod(self.shape)
         if nodes * 8 > np.iinfo(np.intp).max:
             raise ValueError(
@@ -242,14 +245,14 @@ class Grid:
         for i, m in enumerate(self.nx):
             lo, hi = self.prism.axis_bounds(i)
             spacings.append((hi - lo) / (m - 1))
-        steps = {f"x{i + 1} spacing h[{i}]": h for i, h in enumerate(spacings)}
-        steps["time step tau"] = self.prism.T / (self.nt - 1)
-        for name, step in steps.items():
+        tau = self.prism.T / (self.nt - 1)
+        steps = [(f"x{i + 1} spacing h[{i}]", h) for i, h in enumerate(spacings)]
+        for name, step in steps + [("time step tau", tau)]:
             # the stencils and the marches divide by the squared spacing
             if not 0.0 < step * step < math.inf:
                 raise ValueError(f"{name} = {step:g} squares to {step * step:g} in floating point")
         object.__setattr__(self, "h", tuple(spacings))
-        object.__setattr__(self, "tau", steps["time step tau"])
+        object.__setattr__(self, "tau", tau)
 
     @property
     def dim(self) -> int:

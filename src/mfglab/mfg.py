@@ -204,7 +204,8 @@ def bump_form(prism, amplitude: float) -> ClosedForm:
     and its first derivative vanish at both ends, so a density started in
     the steady state of the t = 0 drift keeps two orders of corner
     compatibility with frozen boundary data; without that the corner layer
-    ruins the observable convergence order of the density residual.
+    ruins the observable convergence order of the density residual.  A T
+    whose fourth power is 0 or out of range raises ValueError.
     """
     a, b, T = prism.a, prism.b, prism.T
     w = math.pi / (b - a)

@@ -776,8 +776,7 @@ class TestConfigGuard:
         for command, alpha in [("params", None), ("carleman", None), ("lemmas", None),
                                ("carleman", 1.0), ("lemmas", 1.0)]
     ] + [
-        # b^2 = 1e308 is a double, the calculus's alpha = (1 + beta) b^2 / (eps (T - eps))
-        # is not
+        # b^2 = 1e308 is a double, the calculus's alpha = (1000/7) b^2 is not
         (command, {"prism": {"b": 1e154}},
          "alpha is out of floating-point range for b = 1e+154, T = 1, epsilon = 0.2")
         for command in ("params", "carleman", "lemmas", "sweep")
