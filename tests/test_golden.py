@@ -1,4 +1,4 @@
-"""The byte-identical output contract: fourteen CLI runs, in process through
+"""The byte-identical output contract: sixteen CLI runs, in process through
 ``cli.main``, reproduce the sha256 of every output file (``provenance.json``
 excluded), the stdout, the stderr and the exit code recorded in
 ``tests/golden_outputs.json``.
@@ -13,10 +13,13 @@ for byte, and a 3-D one on a 9x9x9x17 grid, the one run that marches in
 3-D; and the default ``forward`` and ``sweep`` on the damped Picard
 step (no mixing window, ``solver.damping`` 0.5), whose files keep the
 hashes that the default runs had before the Anderson window became the
-default; and the default ``sweep`` on incomplete data, the paper's second
-data regime.  Each writes to a relative ``--out`` inside a temporary
-working directory, so the printed paths, and with them the hashes, do not
-depend on where the tests run.  A change that means to change an output
+default; the default ``sweep`` on incomplete data, the paper's second
+data regime; and a 2-D ``sweep`` on a 9x9x17 grid on full and on
+incomplete data, which pins the perturbation's broadcast over the
+cross-section, the n-D data extraction and the check that the side-face
+Dirichlet traces agree.  Each writes to a relative ``--out`` inside a
+temporary working directory, so the printed paths, and with them the
+hashes, do not depend on where the tests run.  A change that means to change an output
 re-records the file, from the repository root, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -72,6 +75,17 @@ DAMPED = {"solver": {"damping": 0.5}}
 
 INCOMPLETE = {"stability": {"completeness": "incomplete"}}
 
+SWEEP_2D = {
+    "prism": {"half_widths": [0.5]},
+    "grid": {"nx": 9, "nt": 17},
+    "stability": {"scales": [1e-3, 1e-1, 3]},
+}
+
+SWEEP_2D_INCOMPLETE = {
+    **SWEEP_2D,
+    "stability": {**SWEEP_2D["stability"], "completeness": "incomplete"},
+}
+
 # run name -> (command, config payload or None for the defaults, length of
 # the coupling iteration's mixing window)
 RUNS = {
@@ -89,6 +103,8 @@ RUNS = {
     "forward-damped": ("forward", DAMPED, 0),
     "sweep-damped": ("sweep", DAMPED, 0),
     "sweep-incomplete": ("sweep", INCOMPLETE, 1),
+    "sweep-2d": ("sweep", SWEEP_2D, 1),
+    "sweep-2d-incomplete": ("sweep", SWEEP_2D_INCOMPLETE, 1),
 }
 
 
