@@ -330,8 +330,7 @@ def cmd_sweep(cfg, grid, kernel, params) -> int:
         report = holder_sweep(
             spec,
             triple.k,
-            delta_k,
-            scales,
+            [(scale, scale * delta_k) for scale in scales],
             eps=float(params.epsilon),
             completeness=stab["completeness"],
             **cfg["solver"],

@@ -65,10 +65,13 @@ __all__ = [
     "SWEEP_ERRORS",
 ]
 
-# the error columns of a sweep row, in sweep.csv's order
-SWEEP_ERRORS = (
-    "err_k", "err_u_s0", "err_u_s1", "err_u_s2", "err_m_s0", "err_m_s1", "err_m_s2",
-)
+# the per-pair measures of a sweep row, in sweep.csv's order: column ->
+# (DifferencePack field, norm kind), a space-time field on the eps window
+SWEEP_ERRORS = {
+    "err_k": ("k_tilde", "L2"),
+    "err_u_s0": ("u_tilde", "H21"), "err_u_s1": ("v", "H21"), "err_u_s2": ("w", "H21"),
+    "err_m_s0": ("m_tilde", "H21"), "err_m_s1": ("q", "H21"), "err_m_s2": ("r", "H21"),
+}
 
 # flatness guard of the reconstruction: |grad u_1(., T/2)|^2 must stay above 2c
 _FLATNESS_C = 1e-8
@@ -471,19 +474,20 @@ class SweepReport:
         return math.log10(max(deltas) / min(deltas))
 
 
-def _sweep_errors(pack: DifferencePack, grid: Grid, eps: float) -> dict[str, float]:
-    """``SWEEP_ERRORS`` of one scale: k~ in L2, then u~, v, w, m~, q, r in H21."""
-    fields = (pack.u_tilde, pack.v, pack.w, pack.m_tilde, pack.q, pack.r)
-    values = [norm(grid, pack.k_tilde, "L2")]
-    values += [norm(grid, field, "H21", eps=eps) for field in fields]
-    return dict(zip(SWEEP_ERRORS, values, strict=True))
+def _sweep_errors(pack: DifferencePack, eps: float) -> dict[str, float]:
+    """``SWEEP_ERRORS`` of one pair."""
+    g = pack.grid
+    out = {}
+    for column, (field, kind) in SWEEP_ERRORS.items():
+        values = getattr(pack, field)
+        out[column] = norm(g, values, kind, eps=eps if values.shape == g.shape else None)
+    return out
 
 
 def holder_sweep(
     spec: ProblemSpec,
     k1: np.ndarray,
-    delta_k: np.ndarray,
-    scales: Sequence[float],
+    perturbations: Sequence[tuple[float, np.ndarray]],
     *,
     eps: float,
     completeness: str,
@@ -493,23 +497,23 @@ def holder_sweep(
 ) -> SweepReport:
     """Measured data-to-solution exponent over a coefficient family.
 
-    For each scale both coefficients are solved with the same forward
-    machinery and shared data, so data differences and solution differences
-    carry the perturbation signal rather than solver bias.  The base and the
-    scaled coefficients are solved as the members of ``solve_mfg_members``:
-    in lockstep groups whose width a space-time node budget sets, each member
+    The family is ``perturbations``, ``(scale, delta_k)`` pairs: each
+    ``k1 + delta_k`` is compared with ``k1``, and its row carries ``scale``.
+    All coefficients share the forward machinery and the data, so data and
+    solution differences carry the perturbation signal, not solver bias.
+    They are solved as the members of ``solve_mfg_members``: in lockstep
+    groups whose width a space-time node budget sets, each member
     converging on its own and bitwise as if solved alone.  Outcomes resolve
-    in member order: the base's failure is raised, then for each scale in
+    in member order: the base's failure is raised, then for each pair in
     turn a non-converging solve becomes an ``excluded`` row and a blow-up is
     raised.  The fitted slope of log(max error) against log(delta) is the
     empirical exponent; the theory asserts it is at least 1 - rho for the
     rho that fixed ``eps``, with steeper (near-Lipschitz) behavior
     compliant.  The error norms live on the ``eps``-trimmed cylinder.
     """
-    g = spec.grid
     outcomes = solve_mfg_members(
         spec,
-        [k1] + [k1 + scale * delta_k for scale in scales],
+        [k1] + [k1 + delta_k for _, delta_k in perturbations],
         damping=damping,
         max_iter=max_iter,
         tol=tol,
@@ -519,23 +523,17 @@ def holder_sweep(
         raise base
     d1 = extract(base, completeness)
 
-    def scale_row(scale: float, t2: MFGTriple) -> dict:
-        d2 = extract(t2, completeness)
-        delta = measure_delta(d1, d2)
-        pack = form_difference(base, t2)
-        row = {"scale": scale, "delta": delta}
-        row.update(_sweep_errors(pack, g, eps))
-        return row
-
     rows: list[dict] = []
     excluded: list[dict] = []
-    for scale, outcome in zip(scales, outcomes):
+    for (scale, _), outcome in zip(perturbations, outcomes):
         if isinstance(outcome, PicardNonConvergence):
             excluded.append({"scale": scale, "reason": str(outcome)})
         elif isinstance(outcome, Exception):
             raise outcome
         else:
-            rows.append(scale_row(scale, outcome))
+            row = {"scale": scale, "delta": measure_delta(d1, extract(outcome, completeness))}
+            row.update(_sweep_errors(form_difference(base, outcome), eps))
+            rows.append(row)
 
     pts = [
         (math.log(row["delta"]), math.log(max(row[k] for k in SWEEP_ERRORS)))

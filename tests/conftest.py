@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mfglab import mfg
+from mfglab.cli import _perturbation
 from mfglab.grid import Prism, make_grid
 from mfglab.kernels import Kernel
 from mfglab.mfg import (
@@ -55,12 +56,6 @@ def damped():
         yield
 
 
-def perturbation(grid) -> np.ndarray:
-    """Coefficient bump vanishing to second order at both walls."""
-    x = grid.axis_coords(0)
-    return np.sin(np.pi * (x - grid.prism.a)) ** 2
-
-
 def quadratic_form() -> ClosedForm:
     """u = x_1^2 + t; gradient bounded away from zero for a > 0."""
     return ClosedForm(
@@ -98,7 +93,7 @@ def make_pair():
         if key not in cache:
             g, triple, f, spec = build_problem(nx, nt)
             k1 = np.ones(g.shape_space)
-            k2 = k1 + scale * perturbation(g)
+            k2 = k1 + scale * _perturbation(g)
             with mixing_window(0):
                 t1, t2 = solve_mfg_members(
                     spec, [k1, k2], damping=0.5, max_iter=80, tol=1e-10

@@ -26,6 +26,7 @@ from mfglab.carleman import (
     weight_extrema,
 )
 from mfglab.cip import extract, measure_delta
+from mfglab.cli import _perturbation
 from mfglab.grid import make_grid
 from mfglab.kernels import fubini_swap_residual
 from mfglab.mfg import residual
@@ -40,7 +41,7 @@ from mfglab.stability import (
     select_parameters,
 )
 
-from conftest import KERNEL, PRISM, build_problem, perturbation
+from conftest import KERNEL, PRISM, build_problem
 
 ALPHA = 1000.0 / 7.0
 LEVELS = ((33, 65), (65, 257), (129, 1025))
@@ -288,8 +289,7 @@ def test_criterion_8_noise_to_error_exponent(capsys):
     rep = holder_sweep(
         spec,
         np.ones(g.shape_space),
-        perturbation(g),
-        np.geomspace(1e-4, 1e-1, 6),
+        [(s, s * _perturbation(g)) for s in np.geomspace(1e-4, 1e-1, 6)],
         eps=0.2,
         completeness="full",
         damping=1.0,
@@ -326,8 +326,7 @@ def test_criterion_9_incomplete_data_regime(capsys, pairs):
     rep = holder_sweep(
         spec,
         np.ones(g.shape_space),
-        perturbation(g),
-        np.geomspace(1e-4, 1e-1, 6),
+        [(s, s * _perturbation(g)) for s in np.geomspace(1e-4, 1e-1, 6)],
         eps=0.2,
         completeness="incomplete",
         damping=1.0,

@@ -14,7 +14,7 @@ from mfglab.grid import (
     second_derivative,
 )
 from mfglab import mfg
-from mfglab.cli import DEFAULT_CONFIG
+from mfglab.cli import DEFAULT_CONFIG, _perturbation
 from mfglab.kernels import Kernel
 from mfglab.norms import norm
 from mfglab.mfg import (
@@ -33,7 +33,7 @@ from mfglab.mfg import (
 )
 from mfglab.mfg import _SpatialOperator, _divergence_flux, _face_drift_coefficients, _march_fp
 
-from conftest import build_problem, mixing_window, perturbation, quadratic_form
+from conftest import build_problem, mixing_window, quadratic_form
 
 PRISM = Prism(1.0, 2.0, (), 1.0)
 
@@ -596,7 +596,7 @@ class TestLockstep:
     def test_1d_members_equal_solo_solves(self, monkeypatch, width, max_iter):
         g, _, _, spec = build_problem(33, 65)
         k1 = np.ones(33)
-        ks = [k1] + [k1 + s * perturbation(g) for s in (0.02, 4.0)]
+        ks = [k1] + [k1 + s * _perturbation(g) for s in (0.02, 4.0)]
         if width is not None:
             monkeypatch.setattr(mfg, "_GROUP_NODES", width * g.nt * 33)
         solver = dict(self.SOLVER, max_iter=max_iter)
@@ -615,7 +615,7 @@ class TestLockstep:
     def test_1d_windowed_members_equal_solo_solves(self, monkeypatch, width, max_iter, last):
         g, _, _, spec = build_problem(33, 65)
         k1 = np.ones(33)
-        ks = [k1] + [k1 + s * perturbation(g) for s in (0.02, 4.0)]
+        ks = [k1] + [k1 + s * _perturbation(g) for s in (0.02, 4.0)]
         if width is not None:
             monkeypatch.setattr(mfg, "_GROUP_NODES", width * g.nt * 33)
         monkeypatch.setattr(mfg, "_MIXING_WINDOW", 1)

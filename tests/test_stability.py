@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mfglab.cli import _perturbation
 from mfglab.grid import Prism
 from mfglab.mfg import BlowupError, PicardNonConvergence, solve_mfg_picard
 from mfglab.norms import norm
@@ -23,7 +24,7 @@ from mfglab.stability import (
     select_parameters,
 )
 
-from conftest import KERNEL, PRISM, build_problem, perturbation
+from conftest import KERNEL, PRISM, build_problem
 
 
 @pytest.fixture(scope="module")
@@ -188,7 +189,12 @@ class TestParameterCalculus:
 @pytest.fixture(scope="module")
 def sweep_setup():
     g, triple, f, spec = build_problem(33, 65)
-    return g, spec, np.ones(g.shape_space), perturbation(g)
+    return g, spec, np.ones(g.shape_space), _perturbation(g)
+
+
+def ladder(dk, scales):
+    """The sweep's family: each scale with its multiple of ``dk``."""
+    return [(s, s * dk) for s in scales]
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +213,7 @@ class TestSweep:
 
     def test_small_sweep_fit(self, sweep_setup):
         g, spec, k1, dk = sweep_setup
-        rep = holder_sweep(spec, k1, dk, self.SCALES, **self.DATA, **self.SOLVER)
+        rep = holder_sweep(spec, k1, ladder(dk, self.SCALES), **self.DATA, **self.SOLVER)
         assert rep.slope == pytest.approx(1.0137131966416255, rel=1e-9)
         assert rep.r_squared == pytest.approx(0.9999906332771438, rel=1e-9)
         assert rep.delta_decades() == pytest.approx(0.689242497379236, rel=1e-9)
@@ -216,7 +222,7 @@ class TestSweep:
 
     def test_zero_scale_row_kept_but_not_fitted(self, sweep_setup):
         g, spec, k1, dk = sweep_setup
-        rep = holder_sweep(spec, k1, dk, self.SCALES, **self.DATA, **self.SOLVER)
+        rep = holder_sweep(spec, k1, ladder(dk, self.SCALES), **self.DATA, **self.SOLVER)
         zero = rep.rows[0]
         assert zero["scale"] == 0.0
         assert zero["delta"] == 0.0
@@ -225,8 +231,8 @@ class TestSweep:
 
     def test_sweep_is_deterministic(self, sweep_setup):
         g, spec, k1, dk = sweep_setup
-        a = holder_sweep(spec, k1, dk, self.SCALES, **self.DATA, **self.SOLVER)
-        b = holder_sweep(spec, k1, dk, self.SCALES, **self.DATA, **self.SOLVER)
+        a = holder_sweep(spec, k1, ladder(dk, self.SCALES), **self.DATA, **self.SOLVER)
+        b = holder_sweep(spec, k1, ladder(dk, self.SCALES), **self.DATA, **self.SOLVER)
         assert a == b
 
     def test_nonconvergent_scale_is_excluded_with_reason(self, sweep_setup):
@@ -234,7 +240,7 @@ class TestSweep:
         # scale needs 22, so a cap of 21 splits them
         g, spec, k1, dk = sweep_setup
         solver = {"damping": 0.5, "max_iter": 21, "tol": 1e-9}
-        rep = holder_sweep(spec, k1, dk, (0.02, 4.0), **self.DATA, **solver)
+        rep = holder_sweep(spec, k1, ladder(dk, (0.02, 4.0)), **self.DATA, **solver)
         assert [row["scale"] for row in rep.rows] == [0.02]
         assert len(rep.excluded) == 1
         assert rep.excluded[0]["scale"] == 4.0
@@ -255,21 +261,34 @@ class TestSweep:
 
         stalled, blowup = solo(k1 + 4.0 * dk, **solver), solo(k1 - 200.0 * dk, **solver)
         assert isinstance(stalled, PicardNonConvergence) and isinstance(blowup, BlowupError)
-        rep = holder_sweep(spec, k1, dk, (4.0, 0.02), **self.DATA, **solver)
+        rep = holder_sweep(spec, k1, ladder(dk, (4.0, 0.02)), **self.DATA, **solver)
         assert rep.excluded == ({"scale": 4.0, "reason": str(stalled)},)
         with pytest.raises(BlowupError) as info:
-            holder_sweep(spec, k1, dk, (4.0, -200.0, 0.02), **self.DATA, **solver)
+            holder_sweep(spec, k1, ladder(dk, (4.0, -200.0, 0.02)), **self.DATA, **solver)
         assert str(info.value) == str(blowup)
         base = solo(k1, damping=0.5, max_iter=5, tol=1e-9)
         with pytest.raises(PicardNonConvergence) as info:
-            holder_sweep(spec, k1, dk, (-200.0,), **self.DATA, damping=0.5, max_iter=5, tol=1e-9)
+            holder_sweep(
+                spec, k1, ladder(dk, (-200.0,)), **self.DATA, damping=0.5, max_iter=5, tol=1e-9
+            )
         assert info.value.history == base.history
 
     def test_single_point_has_no_slope(self, sweep_setup):
         g, spec, k1, dk = sweep_setup
-        rep = holder_sweep(spec, k1, dk, (0.02,), **self.DATA, **self.SOLVER)
+        rep = holder_sweep(spec, k1, ladder(dk, (0.02,)), **self.DATA, **self.SOLVER)
         assert math.isnan(rep.slope)
         assert rep.delta_decades() == 0.0
+
+    def test_each_row_is_its_pair_measured_alone(self, sweep_setup):
+        # a two-shape family, sin^2 and sin^6 in x1: each row is, bitwise,
+        # the row of a family that holds its pair alone
+        g, spec, k1, dk = sweep_setup
+        family = [(0.05, 0.05 * dk), (0.1, 0.1 * dk**3)]
+        rep = holder_sweep(spec, k1, family, **self.DATA, **self.SOLVER)
+        assert [row["scale"] for row in rep.rows] == [0.05, 0.1]
+        for pair, row in zip(family, rep.rows):
+            alone = holder_sweep(spec, k1, [pair], **self.DATA, **self.SOLVER)
+            assert alone.rows == (row,)
 
 
 class TestFinalEstimate:
