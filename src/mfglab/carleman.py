@@ -186,14 +186,21 @@ def scaled_weight_values(lam: float, alpha: float, grid: Grid) -> np.ndarray:
 
     phi depends on x1 and t only, so the array is built on those axes, of
     shape (nx1, 1, ..., 1, nt), and broadcasts against fields.  With the peak
-    divided out no exponent overflows for any lambda <= LAMBDA_MAX.
+    divided out no exponent overflows for any lambda <= LAMBDA_MAX; a peak
+    exponent 2 lam b^2 that is not a double raises RangeGuardError.
     """
     CarlemanParams(lam, alpha)
+    peak = 2.0 * lam * grid.prism.b**2
+    if not math.isfinite(peak):
+        raise RangeGuardError(
+            f"lambda = {lam:g} with b = {grid.prism.b:g} takes the weight exponent "
+            f"2 lambda b^2 out of floating-point range"
+        )
     ones = (1,) * (grid.dim - 1)
     x1 = grid.axis_coords(0).reshape(-1, *ones, 1)
     t = grid.times.reshape(1, *ones, -1)
     logw = 2.0 * lam * (x1**2 - alpha * (t - grid.prism.T / 2.0) ** 2)
-    return np.exp(logw - 2.0 * lam * grid.prism.b**2)
+    return np.exp(logw - peak)
 
 
 def _weighted_x1t(grid: Grid, sums: np.ndarray, phi_s: np.ndarray) -> float:

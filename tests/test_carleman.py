@@ -115,6 +115,17 @@ class TestWeight:
         with pytest.raises(OverflowError):
             weight_extrema(CarlemanParams(40.0, ALPHA), g)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weight_exponent_past_double_range_rejected(self):
+        # b^2 = 1e308 is a double, 2 lam b^2 is not: the one weight builder
+        # refuses it, with no overflow warning, so verify_lemma meets it too
+        g = make_grid(Prism(1.0, 1e154, (), 1.0), 17, 17)
+        line = r"lambda = 1 with b = 1e\+154 takes the weight exponent 2 lambda b\^2"
+        with pytest.raises(RangeGuardError, match=line):
+            scaled_weight_values(1.0, ALPHA, g)
+        with pytest.raises(RangeGuardError, match=line):
+            verify_lemma(g, random_family(g, 1, FAMILY_SEED), alpha=1.0, lambdas=[1.0, 2.0])
+
 
 class TestRandomFamily:
     def test_deterministic(self, grid):

@@ -787,6 +787,18 @@ class TestConfigGuard:
         assert (rc, wrote) == (1, False)
         assert err == f"config error: {line}\n"
 
+    # b^2 = 1e308 is a double, 2 lambda b^2 is not; with b = 5, lambda b^2
+    # = 800 is past estimate_c0's guard, but the lemma weights are doubles
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("b, rc, err", [
+        (1e154, 3, "lambda = 1 with b = 1e+154 takes the weight exponent 2 lambda b^2 "
+                   "out of floating-point range\n"),
+        (5.0, 0, ""),
+    ], ids=["past-double-range", "past-the-boundary-guard"])
+    def test_lemma_weight_exponent_is_guarded(self, tmp_path, capsys, b, rc, err):
+        payload = {"prism": {"b": b}, "carleman": {"alpha": 1.0}, "grid": {"nx": 17, "nt": 33}}
+        assert run_main(tmp_path, capsys, "lemmas", payload) == (rc, err, rc == 0)
+
     @pytest.mark.parametrize("command, payload, line", [
         (command, {"prism": {"a": 1e-300, "b": 1e-299}},
          "prism/grid: x1 spacing h[0] = 1.40625e-301 squares to 0 in floating point")
