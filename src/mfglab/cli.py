@@ -83,6 +83,10 @@ def _integer(lo: int):
     return lambda value: type(value) is int and value >= lo
 
 
+# the longest scale ladder: numpy counts an array's bytes in an intp
+_MAX_SCALES = np.iinfo(np.intp).max // 8
+
+
 def _scales(value) -> bool:
     return (
         isinstance(value, list)
@@ -91,7 +95,7 @@ def _scales(value) -> bool:
         and finite_real(value[1])
         and 0 < value[0] < value[1]
         and type(value[2]) is int
-        and value[2] >= 2
+        and 2 <= value[2] <= _MAX_SCALES
     )
 
 
@@ -105,7 +109,7 @@ _RULES = (
     ("problem", "coupling_gain", finite_real, "must be a finite number"),
     ("stability", "lam1", _positive, "must be a finite number > 0"),
     ("stability", "scales", _scales,
-     "must be [lo, hi, count] with 0 < lo < hi and count >= 2"),
+     f"must be [lo, hi, count] with 0 < lo < hi and 2 <= count <= {_MAX_SCALES}"),
     ("stability", "perturbation_scale", lambda v: finite_real(v) and v != 0,
      "must be a finite nonzero number"),
     ("stability", "completeness", lambda v: v in tuple(BUDGET_NORMS),

@@ -440,10 +440,7 @@ class TestSweep:
             payload = {"grid": {"nx": 33, "nt": 65}, "stability": {"scales": scales}}
             rc, err, wrote = run_main(tmp_path, capsys, "sweep", payload)
             assert (rc, wrote) == (1, False), scales
-            assert err == (
-                "config error: stability.scales must be [lo, hi, count] "
-                "with 0 < lo < hi and count >= 2\n"
-            )
+            assert err == f"config error: {RULE_LINES['stability', 'scales']}\n"
 
     def test_unknown_completeness_is_a_config_error(self, tmp_path, capsys):
         payload = {"grid": {"nx": 17, "nt": 33}, "stability": {"completeness": "partial"}}
@@ -649,7 +646,8 @@ RULE_LINES = {
     ("problem", "coupling_gain"): "problem.coupling_gain must be a finite number",
     ("stability", "lam1"): "stability.lam1 must be a finite number > 0",
     ("stability", "scales"):
-        "stability.scales must be [lo, hi, count] with 0 < lo < hi and count >= 2",
+        "stability.scales must be [lo, hi, count] with 0 < lo < hi and "
+        f"2 <= count <= {np.iinfo(np.intp).max // 8}",
     ("stability", "perturbation_scale"):
         "stability.perturbation_scale must be a finite nonzero number",
     ("stability", "completeness"): "stability.completeness must be 'full' or 'incomplete'",
@@ -759,6 +757,14 @@ class TestConfigGuard:
             f"config error: prism/grid: {name} must be in floating-point range, "
             "got a 401-digit integer\n"
         )
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_scale_count_beyond_any_array_is_a_config_error(self, tmp_path, capsys, command):
+        # 10^20 scales: no float64 array is that long
+        payload = {"stability": {"scales": [1e-4, 1e-1, 10**20]}}
+        rc, err, wrote = run_main(tmp_path, capsys, command, payload)
+        assert (rc, wrote) == (1, False)
+        assert err == f"config error: {RULE_LINES['stability', 'scales']}\n"
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_grid_beyond_any_array_is_a_config_error(self, tmp_path, capsys, command):
