@@ -108,9 +108,15 @@ RUNS = {
 }
 
 
+def strict_constant(name: str):
+    """``parse_constant`` that refuses NaN and Infinity, which are not JSON."""
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def run_case(name: str) -> dict:
     """One run in the current working directory: its exit code, stdout,
-    stderr and the sha256 of each file it wrote but provenance.json."""
+    stderr and the sha256 of each file it wrote but provenance.json.  Every
+    .json file it wrote must be strict JSON."""
     command, payload, window = RUNS[name]
     argv = [command, "--out", name]
     if payload is not None:
@@ -125,6 +131,8 @@ def run_case(name: str) -> dict:
     files = {}
     if os.path.isdir(name):
         for path in sorted(Path(name).iterdir()):
+            if path.suffix == ".json":
+                json.loads(path.read_text(), parse_constant=strict_constant)
             if path.name != "provenance.json":
                 files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     return {"exit": rc, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files}
