@@ -186,8 +186,10 @@ def scaled_weight_values(lam: float, alpha: float, grid: Grid) -> np.ndarray:
 
     phi depends on x1 and t only, so the array is built on those axes, of
     shape (nx1, 1, ..., 1, nt), and broadcasts against fields.  With the peak
-    divided out no exponent overflows for any lambda <= LAMBDA_MAX; a peak
-    exponent 2 lam b^2 that is not a double raises RangeGuardError.
+    divided out no exponent overflows for any lambda <= LAMBDA_MAX.  A peak
+    exponent 2 lam b^2 that is not a double raises RangeGuardError, and so
+    does a span 2 lam (b^2 + alpha (T/2)^2) of the exponent that is not: the
+    span bounds every term of ``logw - peak``, so none of them overflows.
     """
     CarlemanParams(lam, alpha)
     peak = 2.0 * lam * grid.prism.b**2
@@ -196,10 +198,16 @@ def scaled_weight_values(lam: float, alpha: float, grid: Grid) -> np.ndarray:
             f"lambda = {lam:g} with b = {grid.prism.b:g} takes the weight exponent "
             f"2 lambda b^2 out of floating-point range"
         )
+    half = grid.prism.T / 2.0
+    if not math.isfinite(peak + 2.0 * lam * (alpha * (half * half))):
+        raise RangeGuardError(
+            f"lambda = {lam:g} with alpha = {alpha:g} and T = {grid.prism.T:g} takes the "
+            f"weight exponent's span 2 lambda (b^2 + alpha (T/2)^2) out of floating-point range"
+        )
     ones = (1,) * (grid.dim - 1)
     x1 = grid.axis_coords(0).reshape(-1, *ones, 1)
     t = grid.times.reshape(1, *ones, -1)
-    logw = 2.0 * lam * (x1**2 - alpha * (t - grid.prism.T / 2.0) ** 2)
+    logw = 2.0 * lam * (x1**2 - alpha * (t - half) ** 2)
     return np.exp(logw - peak)
 
 

@@ -11,10 +11,13 @@ integrates causally along the first axis,
 
     (K m)(x, t) = integral_{cross} integral_{x_1}^{b} Ybar(x, y) m(y, t) dy_1 dybar.
 
-Every kernel is a Kronecker product of per-axis quadrature factors, one
-``nx_i x nx_i`` matrix per integrated axis, and is applied one axis at a
-time.  Nothing is cached: the factors cost O(sum nx_i^2) to build and hold,
-and one application costs O(N sum nx_i) for a field of N samples, against
+Every kernel is a Kronecker product of per-axis quadrature factors.  A
+cross-axis factor ``Ybar_k(x_k) Ybar_k(y_k) w_k(y_k)`` has rank one, so
+``apply_kernel`` contracts each cross axis once, against the vector
+``Ybar_k w_k``, applies the dense ``nx_1 x nx_1`` causal factor to the
+reduced ``(nx_1, nt)`` array, and multiplies the result back out by the
+cross profiles.  Nothing is cached.  One application costs O(N) for a
+field of N samples, plus O(nx_1^2 nt) for the causal kernel, against
 O(N prod nx_i) time and O((prod nx_i)^2) memory for the dense quadrature
 matrix over the flattened grid.  ``apply_kernel`` takes and returns plain
 arrays with the spatial axes leading, a snapshot of shape ``nx`` or a
@@ -114,68 +117,37 @@ def _cosine(grid: Grid, axis: int) -> np.ndarray:
     return np.cos(0.5 * np.pi * grid.axis_coords(axis) / grid.prism.half_widths[axis - 1])
 
 
-def _axis_factors(kernel: Kernel, grid: Grid):
-    """Per-axis quadrature factors whose Kronecker product is the kernel.
-
-    Returns ``(scale, factors)``.  ``factors[i]`` is an ``(nx_i, nx_i)``
-    matrix with the trapezoid weights of the integration variable folded
-    into its columns, or ``None`` where the kernel does not integrate along
-    axis ``i``.  The amplitude is folded into the first integrating factor;
-    ``scale`` is what is left of it, which differs from one only for the
-    one-dimensional separable kernel (nothing integrates and the empty
-    cross-section carries measure one).
-    """
-    scale = kernel.amplitude
-    factors = []
-    for axis in range(grid.dim):
-        n = grid.nx[axis]
-        if axis == 0:
-            if kernel.type == "separable":
-                factors.append(None)
-            else:
-                factors.append(scale * causal_weights(n, grid.h[0]))
-                scale = 1.0
-            continue
-        if kernel.profile == "constant":
-            profile = np.ones((n, n))
-        else:
-            c = _cosine(grid, axis)
-            profile = c[:, None] * c[None, :]
-        factors.append(scale * profile * grid.trapezoid_weights(axis)[None, :])
-        scale = 1.0
-    return scale, factors
-
-
 def apply_kernel(kernel: Kernel, grid: Grid, values: np.ndarray) -> np.ndarray:
     """Kernel applied to a density with the spatial axes leading and at most
-    one trailing (time) axis: a snapshot or a space-time array, contracted
-    one axis at a time.
+    one trailing (time) axis: a snapshot or a space-time array.
 
-    Each contraction is the one ``np.tensordot(factor, out, axes=(1, axis))``
-    makes: the axis is moved to the front, the rest flattened (a transposed
-    copy unless the axis already leads), and the same ``np.dot`` is taken,
-    so the bits are tensordot's.  The previous stage is dropped before the
-    product, so a 2-D causal application of a space-time array holds three
-    field-sized arrays at its peak (``values``, the copy and the product),
-    not four.
+    The cross axes are contracted from x_n inward, as ``cross_section_sum``
+    does, each against the vector ``Ybar_k w_k`` by ``np.matmul``, with no
+    transposed copy of the field.  The amplitude is folded into the causal
+    factor, or else into the vector of x_2.  The causal factor takes one
+    ``np.dot`` of the reduced ``(nx_1, nt)`` array, and one broadcast
+    product with the cross profiles writes the result, the only field-sized
+    array made.  In 1-D the separable kernel is ``amplitude * values``.
     """
     if values.shape[: grid.dim] != grid.shape_space or values.ndim > grid.dim + 1:
         raise ValueError(
             f"array shape {values.shape} is not the spatial shape {grid.shape_space} "
             f"with at most one trailing axis"
         )
-    scale, factors = _axis_factors(kernel, grid)
-    out = values
-    for axis, factor in enumerate(factors):
-        if factor is None:
-            continue
-        moved = np.moveaxis(out, axis, 0)
-        shape = moved.shape
-        flat = moved.reshape(shape[0], -1)
-        del moved, out  # the previous stage goes before the product
-        out = np.moveaxis(np.dot(factor, flat).reshape(shape), 0, axis)
-        del flat
-    return scale * values if out is values else out
+    if grid.dim == 1 and kernel.type == "separable":
+        return kernel.amplitude * values
+    out = values.reshape(*grid.shape_space, -1)  # a snapshot gains a unit time axis
+    cross = np.ones(())
+    for axis in reversed(range(1, grid.dim)):
+        c = np.ones(grid.nx[axis]) if kernel.profile == "constant" else _cosine(grid, axis)
+        fold = kernel.amplitude if axis == 1 and kernel.type == "separable" else 1.0
+        out = np.matmul(fold * c * grid.trapezoid_weights(axis), out)
+        cross = np.multiply.outer(c, cross)
+    if kernel.type == "causal":
+        out = np.dot(kernel.amplitude * causal_weights(grid.nx[0], grid.h[0]), out)
+    if grid.dim > 1:
+        out = np.expand_dims(out, tuple(range(1, grid.dim))) * cross[..., None]
+    return out.reshape(values.shape)
 
 
 def kernel_bound(kernel: Kernel, grid: Grid) -> float:

@@ -805,6 +805,16 @@ class TestConfigGuard:
         payload = {"prism": {"b": b}, "carleman": {"alpha": 1.0}, "grid": {"nx": 17, "nt": 33}}
         assert run_main(tmp_path, capsys, "lemmas", payload) == (rc, err, rc == 0)
 
+    # alpha (T/2)^2 = 4e308 is not a double: unguarded, numpy warned of the
+    # overflow and both commands exited 0 with a weight of exp(-inf) = 0
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, lam", [("carleman", 2), ("lemmas", 1)])
+    def test_weight_exponent_span_is_guarded(self, tmp_path, capsys, command, lam):
+        payload = {"prism": {"T": 4.0}, "carleman": {"alpha": 1e308}, "grid": {"nx": 17, "nt": 33}}
+        err = (f"lambda = {lam} with alpha = 1e+308 and T = 4 takes the weight exponent's "
+               "span 2 lambda (b^2 + alpha (T/2)^2) out of floating-point range\n")
+        assert run_main(tmp_path, capsys, command, payload) == (3, err, False)
+
     @pytest.mark.parametrize("command, payload, line", [
         (command, {"prism": {"a": 1e-300, "b": 1e-299}},
          "prism/grid: x1 spacing h[0] = 1.40625e-301 squares to 0 in floating point")

@@ -24,7 +24,9 @@ re-records the file, from the repository root, with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in its description which outputs moved and why.
+which prints each run and file whose hash, stdout, stderr or exit code
+differs from the record it replaces; the change says in its description
+which outputs moved and why.
 """
 
 import contextlib
@@ -146,8 +148,39 @@ def test_outputs_match_the_golden_record(tmp_path, monkeypatch):
         assert run_case(name) == golden[name], name
 
 
+def test_record_changes_names_each_moved_field():
+    old = {"a": {"exit": 0, "stdout": "x", "stderr": "", "files": {"f.csv": "1", "g.csv": "2"}},
+           "b": {"exit": 0, "stdout": "", "stderr": "", "files": {}}}
+    new = {"a": {"exit": 0, "stdout": "y", "stderr": "", "files": {"f.csv": "1", "h.csv": "3"}},
+           "c": {"exit": 3, "stdout": "", "stderr": "e", "files": {}}}
+    assert record_changes(old, new) == [
+        "a: stdout", "a: g.csv", "a: h.csv",
+        "b: exit", "b: stdout", "b: stderr",
+        "c: exit", "c: stdout", "c: stderr",
+    ]
+
+
+def record_changes(old: dict, new: dict) -> list[str]:
+    """One line per run and field of ``new`` (a file by name) whose value
+    differs from ``old``, the record it replaces."""
+    lines = []
+    for name in sorted(set(old) | set(new)):
+        before, after = old.get(name, {}), new.get(name, {})
+        for key in ("exit", "stdout", "stderr"):
+            if before.get(key) != after.get(key):
+                lines.append(f"{name}: {key}")
+        files_before, files_after = before.get("files", {}), after.get("files", {})
+        for file in sorted(set(files_before) | set(files_after)):
+            if files_before.get(file) != files_after.get(file):
+                lines.append(f"{name}: {file}")
+    return lines
+
+
 if __name__ == "__main__":
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
         record = {name: run_case(name) for name in RUNS}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    for line in record_changes(previous, record):
+        print(line)
