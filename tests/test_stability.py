@@ -8,8 +8,17 @@ import numpy as np
 import pytest
 
 from mfglab.cli import _perturbation
-from mfglab.grid import Prism
-from mfglab.mfg import BlowupError, PicardNonConvergence, solve_mfg_picard
+from mfglab.grid import Prism, make_grid
+from mfglab.kernels import Kernel
+from mfglab.mfg import (
+    BlowupError,
+    PicardNonConvergence,
+    ProblemSpec,
+    bump_form,
+    manufacture_triple,
+    solve_mfg_members,
+    solve_mfg_picard,
+)
 from mfglab.norms import norm
 from mfglab.stability import (
     NondegeneracyError,
@@ -24,7 +33,7 @@ from mfglab.stability import (
     select_parameters,
 )
 
-from conftest import KERNEL, PRISM, build_problem
+from conftest import KERNEL, PRISM, build_problem, mixing_window
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +134,55 @@ class TestDerivedResiduals:
         l2, worst = residuals[which]
         assert l2 == pytest.approx(self.FROZEN[which], rel=1e-6)
         assert worst > l2
+
+    # the same on a 13x13x25 pair with half-width 0.5, per kernel type: the
+    # density and the coefficient bump vary across the section, so every
+    # gradient, dot and divergence sums two components
+    FROZEN_2D = {
+        "separable": {
+            "value-diff": 0.0031245394221462598,
+            "density-diff": 0.003018997353970097,
+            "value-dt": 0.025019931374620538,
+            "density-dt": 0.015764026273117755,
+            "value-dtt": 0.3727534333789687,
+            "density-dtt": 0.0865125958454399,
+        },
+        "causal": {
+            "value-diff": 0.003125454334652716,
+            "density-diff": 0.003016208232829786,
+            "value-dt": 0.02503164547568485,
+            "density-dt": 0.015745413031942875,
+            "value-dtt": 0.37304895974314195,
+            "density-dtt": 0.08643842485417008,
+        },
+    }
+
+    @pytest.fixture(scope="class", params=list(FROZEN_2D))
+    def residuals_2d(self, request):
+        g = make_grid(Prism(1.0, 2.0, (0.5,), 1.0), (13, 13), 25)
+        kernel = Kernel(request.param, amplitude=0.4)
+        x1, x2 = g.space_meshgrid()
+        triple, f = manufacture_triple(
+            g, kernel, np.ones(g.shape_space), bump_form(g.prism, amplitude=0.3),
+            np.exp(1.0 - x1**2 - 0.5 * x2**2),
+        )
+        spec = ProblemSpec(g, kernel, f, triple.u, triple.m)
+        bump = np.sin(np.pi * (x1 - 1.0)) ** 2 * np.cos(np.pi * x2) ** 2
+        k1 = np.ones(g.shape_space)
+        with mixing_window(0):
+            t1, t2 = solve_mfg_members(
+                spec, [k1, k1 + 0.1 * bump], damping=0.5, max_iter=80, tol=1e-10
+            )
+        pack = form_difference(t1, t2)
+        return request.param, derived_residuals(pack, t1, t2, kernel, f, eps=0.2)
+
+    def test_trimmed_residuals_2d(self, residuals_2d):
+        kernel_type, residuals = residuals_2d
+        want = self.FROZEN_2D[kernel_type]
+        assert list(residuals) == list(want)
+        for which, (l2, worst) in residuals.items():
+            assert l2 == pytest.approx(want[which], rel=1e-6), which
+            assert worst > l2
 
 
 class TestParameterCalculus:
