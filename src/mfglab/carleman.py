@@ -557,7 +557,9 @@ def verify_lemma(
     iterable, a generator such as ``random_family`` included: each sample
     is checked and reduced to its reports as it arrives, so one sample is
     in memory at a time.  Every sample must be a finite array of shape
-    ``grid.shape``; a ValueError names the first that is not.  Each term
+    ``grid.shape``; a ValueError names the first that is not.  A weighted
+    energy or ratio that is not a finite double raises RangeGuardError
+    naming the sample, the lemma and lambda.  Each term
     is computed once.  Per call, before any sample is drawn: the check of
     the lambda grid and each lambda's weight.  Per sample: the cross-section
     sum of h^2, and that of each lemma's squared target, one target alive
@@ -568,28 +570,35 @@ def verify_lemma(
     lambdas = lambda_grid(lambdas, distinct=2)
     weights = [scaled_weight_values(lam, alpha, grid) for lam in lambdas]
     reports: list[list[LemmaReport]] = [[] for _ in _LEMMAS]
-    for i, h in enumerate(samples):
-        h = finite_array(f"sample {i}", h, grid.shape)
-        target_sqs = []
-        for which in _LEMMAS:
-            if which in _KERNEL_LEMMAS:
-                target = apply_kernel(_KERNEL_LEMMAS[which], grid, h)
-            else:
-                target = time_integral_from_t0(grid, h)
-            target *= target  # a fresh array, squared in place
-            target_sqs.append(cross_section_sum(grid, target))
-            del target
-        h_sq = cross_section_sum(grid, h * h)
-        raws: list[list[float]] = [[] for _ in _LEMMAS]
-        degenerate = False
-        for phi_s in weights:
-            den = _weighted_x1t(grid, h_sq, phi_s)
-            degenerate |= den <= 0.0
-            for raw, target_sq in zip(raws, target_sqs):
-                ratio = 0.0 if den <= 0.0 else _weighted_x1t(grid, target_sq, phi_s) / den
-                raw.append(float(ratio))
-        for lemma_reports, which, raw in zip(reports, _LEMMAS, raws):
-            lemma_reports.append(_lemma_report(which, lambdas, raw, degenerate))
+    # an energy out of double range is raised below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, h in enumerate(samples):
+            h = finite_array(f"sample {i}", h, grid.shape)
+            target_sqs = []
+            for which in _LEMMAS:
+                if which in _KERNEL_LEMMAS:
+                    target = apply_kernel(_KERNEL_LEMMAS[which], grid, h)
+                else:
+                    target = time_integral_from_t0(grid, h)
+                target *= target  # a fresh array, squared in place
+                target_sqs.append(cross_section_sum(grid, target))
+                del target
+            h_sq = cross_section_sum(grid, h * h)
+            raws: list[list[float]] = [[] for _ in _LEMMAS]
+            degenerate = False
+            for lam, phi_s in zip(lambdas, weights):
+                den = _weighted_x1t(grid, h_sq, phi_s)
+                degenerate |= den <= 0.0
+                for which, raw, target_sq in zip(_LEMMAS, raws, target_sqs):
+                    ratio = 0.0 if den <= 0.0 else _weighted_x1t(grid, target_sq, phi_s) / den
+                    if not (math.isfinite(den) and math.isfinite(ratio)):
+                        raise RangeGuardError(
+                            f"sample {i}: the {which} lemma's weighted energies at "
+                            f"lambda = {lam:g} leave floating-point range"
+                        )
+                    raw.append(float(ratio))
+            for lemma_reports, which, raw in zip(reports, _LEMMAS, raws):
+                lemma_reports.append(_lemma_report(which, lambdas, raw, degenerate))
     return [rep for lemma_reports in reports for rep in lemma_reports]
 
 

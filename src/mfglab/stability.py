@@ -16,12 +16,14 @@ the exponent bookkeeping constants beta and d, and the noise threshold
 delta_0, all in exact rational arithmetic so the algebraic identities
 behind the final estimate can be asserted to machine precision.
 
-The derived equations are implemented in the algebraically closed form this
-module re-derives from the base system (substituting the reconstruction and
-the time-reconstruction of u~ into the differentiated equations), which is
-the form whose residual genuinely vanishes on solution pairs.  One call,
-``derived_residuals``, evaluates all six derived equations, computing each
-term the equations share once.
+The six derived equations are one system written once: the differenced
+value and density equations and their first and second time derivatives,
+each expanded by Leibniz' rule over lists of time-derivative levels
+(sum_j C(s, j) a^(s-j) b^(j) for a product a b).  For s >= 1 the zeroth
+level is not the difference itself but its central-time reconstruction,
+m~ = m0~ + int q, grad u~ = grad u0~ + int grad v and k~ from v, w and
+snapshot data, which is the closed form whose residual genuinely vanishes
+on solution pairs.  One call, ``derived_residuals``, evaluates all six.
 """
 
 from __future__ import annotations
@@ -228,143 +230,74 @@ def derived_residuals(
 ) -> dict[str, tuple[float, float]]:
     """Discrete residual norms (L2, max) of the six derived equations, by name.
 
-    All spatial operators are central nodal stencils; integral terms use
-    the kernel quadrature and the cumulative central-time integral.  Norms
-    exclude the spatial boundary ring and two time levels at each end
-    (three for "density-dtt"), where one-sided stencils of second
-    derivatives live.  With ``eps`` given, the norms are restricted to the
-    eps-trimmed time window: the forward solvers carry small layers near
-    t = 0 and t = T (initial and terminal compatibility is only approximate
-    for a perturbed coefficient), and twice t-differentiating amplifies
-    them; the trimmed window is also where all downstream norms of the
-    estimate live.  Each term is computed once for all the equations that
-    read it.
+    With U = (u~, v, w), M = (m~, q, r), S = grad u_1 + grad u_2 and ^(j)
+    the j-th time derivative, Leibniz' rule, with binomials C(s, j), gives
+    the s-th time derivative (s = 0, 1, 2) of the differenced system as
+
+        value:   dt U_s + Lap U_s + K M_s + sum_j C(s,j) [f^(s-j) M_j
+                 - k_2/2 grad U_j . S^(s-j) - k~/2 grad u_1^(j) . grad u_1^(s-j)]
+        density: dt M_s - Lap M_s - div(k_2 sum_j C(s,j) [M_j grad u_1^(s-j)
+                 + m_2^(s-j) grad U_j] + k~ (m_1 grad u_1)^(s))
+
+    named "value-diff", "density-diff", "value-dt", ... in that order.  The
+    j = 0 level is the true difference for s = 0 and, for s >= 1, the
+    central-time reconstruction M_0 = m0~ + int q, grad U_0 = grad u0~ +
+    int grad v and k~ = 2 P (v - int w) + F (``compute_F``), so those four
+    equations close in (v, q, w, r) and snapshot data.  f'' and m_2'' are
+    second differences; S'', grad u_1'' and (m_1 grad u_1)'' apply the
+    first difference twice.  Norms skip the spatial boundary ring and two
+    time levels at each end (three for "density-dtt"), where one-sided
+    second-derivative stencils live; with ``eps`` given they keep to the
+    eps-trimmed window, which drops the solvers' layers near t = 0 and
+    t = T that t-differentiating amplifies.
     """
     g = pack.grid
     kb = t2.k[..., None]
-    u_tilde, m_tilde = pack.u_tilde, pack.m_tilde
-    v, q, w, r = pack.v, pack.q, pack.w, pack.r
-    m1, m2 = t1.m, t2.m
-    grads_ut = gradient(g, u_tilde)
-    grads_u1 = gradient(g, t1.u)
-    grads_u2 = gradient(g, t2.u)
-    grads_v = gradient(g, v)
-    grads_w = gradient(g, w)
+
+    def levels(comps):
+        first = [dt(g, c) for c in comps]
+        return [comps, first, [dt(g, c) for c in first]]
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    du1 = levels(gradient(g, t1.u))
+    dsum = levels([d1 + d2 for d1, d2 in zip(du1[0], gradient(g, t2.u))])
+    flux1 = levels([t1.m * d1 for d1 in du1[0]])
+    fs = [f, dt(g, f), dtt(g, f)]
+    m2s = [t2.m, dt(g, t2.m), dtt(g, t2.m)]
+    us = [pack.u_tilde, pack.v, pack.w]
+    ms = [pack.m_tilde, pack.q, pack.r]
+    dus = [gradient(g, u) for u in us]
+    p, F = compute_F(pack, t1.u[..., g.index_t0], t2.u[..., g.index_t0], t2.k, kernel, f)
+    du0 = [d0[..., None] + time_integral_from_t0(g, dv)
+           for d0, dv in zip(gradient(g, pack.u0_tilde), dus[1])]
+    rebuilt = (
+        [pack.m0_tilde[..., None] + time_integral_from_t0(g, pack.q), *ms[1:]],
+        [du0, *dus[1:]],
+        2.0 * p[..., None] * (pack.v - time_integral_from_t0(g, pack.w)) + F[..., None],
+    )
     out = {}
-
-    cross = np.zeros(g.shape)
-    grad1_sq = np.zeros(g.shape)
-    for du, d1, d2 in zip(grads_ut, grads_u1, grads_u2):
-        cross += du * (d1 + d2)
-        grad1_sq += d1 * d1
-    res = (
-        v
-        + laplacian(g, u_tilde)
-        + apply_kernel(kernel, g, m_tilde)
-        + f * m_tilde
-        - 0.5 * kb * cross
-        - 0.5 * pack.k_tilde[..., None] * grad1_sq
-    )
-    out["value-diff"] = masked_norms(g, res, 2, eps)
-
-    div1 = divergence(g, [kb * m_tilde * d1 for d1 in grads_u1])
-    div2 = divergence(g, [kb * m2 * du for du in grads_ut])
-    div3 = divergence(g, [pack.k_tilde[..., None] * m1 * d1 for d1 in grads_u1])
-    res = q - laplacian(g, m_tilde) - div1 - div2 - div3
-    out["density-diff"] = masked_norms(g, res, 2, eps)
-
-    # the four substituted equations share this preparation
-    u01 = t1.u[..., g.index_t0]
-    u02 = t2.u[..., g.index_t0]
-    p, F = compute_F(pack, u01, u02, t2.k, kernel, f)
-    pb, fb = p[..., None], F[..., None]
-    ft = dt(g, f)
-    ftt = dtt(g, f)
-    s_comps = [d1 + d2 for d1, d2 in zip(grads_u1, grads_u2)]
-    s_t = [dt(g, s) for s in s_comps]
-    s_tt = [dt(g, st) for st in s_t]
-    grads_u1t = [dt(g, d1) for d1 in grads_u1]
-    grads_u1tt = [dt(g, d) for d in grads_u1t]
-    iq = time_integral_from_t0(g, q)
-    iv_grad = [time_integral_from_t0(g, comp) for comp in grads_v]
-    v_shift = v - time_integral_from_t0(g, w)
-    grads_u0t = gradient(g, pack.u0_tilde)
-    m0b = pack.m0_tilde[..., None]
-    m2t = dt(g, m2)
-    m2tt = dtt(g, m2)
-    flux1_t = [dt(g, m1 * d1) for d1 in grads_u1]
-    flux1_tt = [dt(g, fx) for fx in flux1_t]
-
-    d1_mix = np.zeros(g.shape)
-    for a, b in zip(grads_u1, grads_u1t):
-        d1_mix += a * b
-    dot_v_s = sum(gv * s for gv, s in zip(grads_v, s_comps))
-    dot_iv_st = sum(ivc * st for ivc, st in zip(iv_grad, s_t))
-    dot_u0_st = sum(d0[..., None] * st for d0, st in zip(grads_u0t, s_t))
-    res = (
-        dt(g, v)
-        + laplacian(g, v)
-        + apply_kernel(kernel, g, q)
-        + f * q
-        + ft * iq
-        - 0.5 * kb * dot_v_s
-        - 0.5 * kb * dot_iv_st
-        - 2.0 * pb * d1_mix * v_shift
-        - (fb * d1_mix - ft * m0b + 0.5 * kb * dot_u0_st)
-    )
-    out["value-dt"] = masked_norms(g, res, 2, eps)
-
-    res = (
-        dt(g, q)
-        - laplacian(g, q)
-        - divergence(g, [kb * q * d1 for d1 in grads_u1])
-        - divergence(g, [kb * iq * d1t for d1t in grads_u1t])
-        - divergence(g, [kb * m2 * gv for gv in grads_v])
-        - divergence(g, [kb * m2t * ivc for ivc in iv_grad])
-        - divergence(g, [2.0 * pb * v_shift * fx for fx in flux1_t])
-        - divergence(g, [fb * fx for fx in flux1_t])
-        - divergence(g, [kb * m0b * d1t for d1t in grads_u1t])
-        - divergence(g, [kb * m2t * d0[..., None] for d0 in grads_u0t])
-    )
-    out["density-dt"] = masked_norms(g, res, 2, eps)
-
-    d2_mix = np.zeros(g.shape)
-    for a, b, bt in zip(grads_u1, grads_u1tt, grads_u1t):
-        d2_mix += bt * bt + a * b
-    dot_w_s = sum(gw * s for gw, s in zip(grads_w, s_comps))
-    dot_v_st = sum(gv * st for gv, st in zip(grads_v, s_t))
-    dot_iv_stt = sum(ivc * stt for ivc, stt in zip(iv_grad, s_tt))
-    dot_u0_stt = sum(d0[..., None] * stt for d0, stt in zip(grads_u0t, s_tt))
-    res = (
-        dt(g, w)
-        + laplacian(g, w)
-        + apply_kernel(kernel, g, r)
-        + 2.0 * ft * q
-        + f * r
-        + ftt * iq
-        - 0.5 * kb * dot_w_s
-        - kb * dot_v_st
-        - 0.5 * kb * dot_iv_stt
-        - 2.0 * pb * d2_mix * v_shift
-        - (fb * d2_mix - ftt * m0b + 0.5 * kb * dot_u0_stt)
-    )
-    out["value-dtt"] = masked_norms(g, res, 2, eps)
-
-    res = (
-        dt(g, r)
-        - laplacian(g, r)
-        - divergence(g, [kb * r * d1 for d1 in grads_u1])
-        - 2.0 * divergence(g, [kb * q * d1t for d1t in grads_u1t])
-        - divergence(g, [kb * iq * d1tt for d1tt in grads_u1tt])
-        - divergence(g, [kb * m2 * gw for gw in grads_w])
-        - 2.0 * divergence(g, [kb * m2t * gv for gv in grads_v])
-        - divergence(g, [kb * m2tt * ivc for ivc in iv_grad])
-        - divergence(g, [2.0 * pb * v_shift * fx for fx in flux1_tt])
-        - divergence(g, [fb * fx for fx in flux1_tt])
-        - divergence(g, [kb * m0b * d1tt for d1tt in grads_u1tt])
-        - divergence(g, [kb * m2tt * d0[..., None] for d0 in grads_u0t])
-    )
-    out["density-dtt"] = masked_norms(g, res, 3, eps)
+    for s, name in enumerate(("diff", "dt", "dtt")):
+        m_j, du_j, k_tilde = rebuilt if s else (ms, dus, pack.k_tilde[..., None])
+        # (C(s, j), j, s - j) for each term of the Leibniz sums
+        terms = [(math.comb(s, j), j, s - j) for j in range(s + 1)]
+        res = (
+            dt(g, us[s])
+            + laplacian(g, us[s])
+            + apply_kernel(kernel, g, ms[s])
+            + sum(c * fs[i] * m_j[j] for c, j, i in terms)
+            - 0.5 * kb * sum(c * dot(du_j[j], dsum[i]) for c, j, i in terms)
+            - 0.5 * k_tilde * sum(c * dot(du1[j], du1[i]) for c, j, i in terms)
+        )
+        out[f"value-{name}"] = masked_norms(g, res, 2, eps)
+        flux = [
+            kb * sum(c * (m_j[j] * du1[i][k] + m2s[i] * du_j[j][k]) for c, j, i in terms)
+            + k_tilde * flux1[s][k]
+            for k in range(g.dim)
+        ]
+        res = dt(g, ms[s]) - laplacian(g, ms[s]) - divergence(g, flux)
+        out[f"density-{name}"] = masked_norms(g, res, 3 if s == 2 else 2, eps)
     return out
 
 

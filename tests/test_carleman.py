@@ -660,3 +660,12 @@ class TestIntegralBounds:
     def test_lambda_grid_needs_two_distinct_values(self, grid, member, lambdas):
         with pytest.raises(ValueError, match="at least 2 distinct values"):
             verify_lemma(grid, [member], alpha=ALPHA, lambdas=lambdas)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_energy_past_double_range_rejected(self):
+        # the weights are doubles, but the causal target scales like b times
+        # the sample, so its weighted energy is not; no overflow warning
+        g = make_grid(Prism(1.0, 1e153, (), 4.0), 17, 33)
+        line = r"sample 0: the causal lemma's weighted energies at lambda = 1 leave"
+        with pytest.raises(RangeGuardError, match=line):
+            verify_lemma(g, random_family(g, 1, FAMILY_SEED), alpha=1e300, lambdas=[1.0, 2.0])

@@ -815,6 +815,17 @@ class TestConfigGuard:
                "span 2 lambda (b^2 + alpha (T/2)^2) out of floating-point range\n")
         assert run_main(tmp_path, capsys, command, payload) == (3, err, False)
 
+    # the weights are doubles, but the causal lemma's target scales like b
+    # times the sample: unguarded, numpy warned of an overflow in dot and
+    # lemmas exited 0 with NaN and Infinity in lemmas.json
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lemma_energy_is_guarded(self, tmp_path, capsys):
+        payload = {"prism": {"b": 1e153, "T": 4.0}, "carleman": {"alpha": 1e300},
+                   "grid": {"nx": 17, "nt": 33}}
+        err = ("sample 0: the causal lemma's weighted energies at lambda = 1 "
+               "leave floating-point range\n")
+        assert run_main(tmp_path, capsys, "lemmas", payload) == (3, err, False)
+
     @pytest.mark.parametrize("command, payload, line", [
         (command, {"prism": {"a": 1e-300, "b": 1e-299}},
          "prism/grid: x1 spacing h[0] = 1.40625e-301 squares to 0 in floating point")
