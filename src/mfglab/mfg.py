@@ -11,8 +11,8 @@ material; the lab adopts the simplest scheme whose failure modes are
 observable: backward-Euler marching in the stable direction for each
 equation, the quadratic gradient term lagged one level to linearize the
 value equation, and an alternating fixed point for the coupling whose
-density iterate is updated by type-II Anderson mixing over a window of
-one past iterate (plain damped relaxation when the window is empty).
+density iterate is updated by type-II Anderson mixing over one past
+iterate (the damped step is its mixing weight 0).
 Stepping is implicit because the downstream analysis differentiates
 solutions twice in time, which amplifies any conditional instability.  The
 marching matrix is laid out once per grid: the value equation's matrix does
@@ -534,20 +534,11 @@ def _divergence_flux(
 _DRIFT_BLOCK_NODES = 4096
 
 
-# Past density iterates in the Anderson mixing window of the coupling
-# iteration (``_picard_group``): 1 or 0.  One costs one space-time array
-# per member and halves the evaluations of the default problems (20 -> 10
-# on the 2-D 33x33x65 causal forward solve, 21 -> 12 on the default 1-D
-# sweep); 0 is the plain damped step x_{k+1} = (1 - damping) x_k +
-# damping g_k.
-_MIXING_WINDOW = 1
-
-
 # Space-time nodes of the members that one lockstep group marches at once
 # (``solve_mfg_members``): the group width is this budget over the nodes of
 # one member, 7 at 65x257 (the whole default sweep) and 1 at 33x33x65.  Each
-# member holds five space-time arrays through its solve (four, plus the
-# mixing window's past iterate), so memory sets the budget, not speed; a
+# member holds five space-time arrays through its solve (see
+# ``_picard_group``), so memory sets the budget, not speed; a
 # group whose last members converge together frees all but two of them
 # before copying the results out.  The table below was measured with four
 # arrays per member.  The 65x257 sweep by width (medians of three
@@ -715,8 +706,8 @@ def solve_fokker_planck(spec: ProblemSpec, k: np.ndarray, u: np.ndarray) -> np.n
 def _mixing_weight(
     x: np.ndarray, g: np.ndarray, x_past: np.ndarray, g_past: np.ndarray, levels: int
 ) -> float:
-    """Type-II Anderson weight gamma of one member over a window of one
-    past iterate: with the residuals f = g - x and f_past = g_past -
+    """Type-II Anderson weight gamma of one member over one past
+    iterate: with the residuals f = g - x and f_past = g_past -
     x_past, gamma minimizes the sum of squares over the nodes of f - gamma
     d, d = f - f_past, so gamma = <d, f> / <d, d>, or 0 when d vanishes.
     The inner products are summed one block of ``levels`` levels at a time,
@@ -745,17 +736,17 @@ def _picard_group(
     The marching operator and the factored value-equation matrix are built
     once for the group.  Every per-member array is a stack of shape
     ``(*grid.nx, members, nt)``; active members occupy its leading member
-    rows.  Four stacks serve a whole solve: the density iterate, the value,
-    the density, and a spare.  Each evaluation marches the value into the
-    spare (over the kernel term), leaves the change in the old value's
-    stack, and marches the density into that stack.  A mixing window
-    (``_MIXING_WINDOW``) adds one stack, the past iterate x_{k-1}; the past
-    output g_{k-1} is still in the spare when the iterate is updated.  A
-    member that converges or fails leaves: the last active row moves into
-    its place.  Every member's change is computed before any result is
-    copied out; when all the remaining members converge in one evaluation,
-    the density iterate, the previous density and the window are released
-    first, so their memory holds the copies of u and m.
+    rows.  Five stacks serve a whole solve: the density iterate, the value,
+    the density, a spare, and the past iterate x_{k-1}.  Each evaluation
+    marches the value into the spare (over the kernel term), leaves the
+    change in the old value's stack, and marches the density into that
+    stack; the past output g_{k-1} is still in the spare when the iterate
+    is updated.  A member that converges or fails leaves: the last active
+    row moves into its place.  Every member's change is computed before any
+    result is copied out; when all the remaining members converge in one
+    evaluation, the density iterate, the previous density and the past
+    iterate are released first, so their memory holds the copies of u and
+    m.
     """
     g = spec.grid
     op = _SpatialOperator(g)
@@ -768,9 +759,7 @@ def _picard_group(
     shape = g.shape_space + (len(ks), g.nt)
     m_iter = np.empty(shape)
     m_iter[...] = spec.m_data[..., None, :1]
-    u, spare, m_prev = (np.empty(shape) for _ in range(3))
-    # the mixing window's past iterate, if there is a window
-    window = [np.empty(shape) for _ in range(_MIXING_WINDOW)]
+    u, spare, m_prev, past = (np.empty(shape) for _ in range(4))
 
     def leave(results: list) -> None:
         """Record each finished row's outcome and close the gap.  Rows
@@ -782,7 +771,7 @@ def _picard_group(
             outcomes[rows[r]] = results[r]
             last = len(rows) - 1
             if r != last:
-                for a in (m_iter, u, spare, m_prev, *window):
+                for a in (m_iter, u, spare, m_prev, past):
                     a[..., r, :] = a[..., last, :]
                 k[..., r] = k[..., last]
                 rows[r] = rows[last]
@@ -791,14 +780,12 @@ def _picard_group(
     def mix(it: int) -> None:
         """Overwrite the density iterate x_k with x_{k+1} = (1 - gamma) y_k +
         gamma y_{k-1}, y_i = (1 - damping) x_i + damping g_i, where gamma is
-        the member's ``_mixing_weight``, and keep x_k in the window.  Without
-        a window, or before it holds an iterate, this is the damped step
-        y_k.  Block by block of levels, so that no temporary is
-        member-sized."""
+        the member's ``_mixing_weight``, and keep x_k in ``past``.  Before
+        ``past`` holds an iterate this is the damped step y_k, the step of
+        every iteration when gamma is 0.  Block by block of levels, so that
+        no temporary is member-sized."""
         n = len(rows)
-        mixed = bool(window) and it > 1
-        if mixed:
-            past = window[0]
+        if it > 1:
             gamma = np.empty((n, 1))
             levels = max(1, _DRIFT_BLOCK_NODES // op.ns)
             for r in range(n):
@@ -809,11 +796,10 @@ def _picard_group(
         for j0 in range(0, g.nt, block):
             j = slice(j0, j0 + block)
             new = (1.0 - damping) * m_iter[..., :n, j] + damping * m_prev[..., :n, j]
-            if mixed:
+            if it > 1:
                 new *= 1.0 - gamma
                 new += gamma * ((1.0 - damping) * past[..., :n, j] + damping * spare[..., :n, j])
-            if window:
-                window[0][..., :n, j] = m_iter[..., :n, j]
+            past[..., :n, j] = m_iter[..., :n, j]
             m_iter[..., :n, j] = new
 
     for it in range(1, max_iter + 1):
@@ -838,8 +824,7 @@ def _picard_group(
                 histories[member].append(changes[-1])
             if all(change < tol for change in changes):
                 # every member leaves now: the copies reuse the iterate stacks
-                m_iter = m_prev = None
-                window.clear()
+                m_iter = m_prev = past = None
             converged: list = []
             for r, (member, change) in enumerate(zip(rows, changes)):
                 report = {
@@ -881,7 +866,7 @@ def solve_mfg_members(
     of a march makes one set of calls for the whole group, along a member
     axis.  The group width is ``_GROUP_NODES`` over the space-time nodes of
     one member.  Each member keeps its own kernel term, convergence test,
-    change history and mixing window, and leaves its group as soon as it
+    change history and past iterate, and leaves its group as soon as it
     converges or fails.
     A group is solved when its first outcome is asked for.  Every
     coefficient must be a finite array of shape ``grid.shape_space``; a
@@ -917,8 +902,8 @@ def solve_mfg_picard(
     x_{k+1} = (1 - gamma) y_k + gamma y_{k-1}, y_i = (1 - damping) x_i +
     damping g_i, where gamma minimizes the sum of squares, over the
     space-time nodes, of the combined residual (1 - gamma) (g_k - x_k) +
-    gamma (g_{k-1} - x_{k-1}).  With ``_MIXING_WINDOW`` set to 0 this is
-    the damped fixed point x_{k+1} = y_k.  Convergence is declared when
+    gamma (g_{k-1} - x_{k-1}).  With gamma = 0 this is the damped fixed
+    point x_{k+1} = y_k.  Convergence is declared when
     the value and the output of consecutive iterations differ by less than
     ``tol`` in L2 over the cylinder; the reported iteration count is the
     index of the first iteration whose output the next one confirmed.  The

@@ -180,17 +180,23 @@ def compute_F(
     return p, 2.0 * p * (lap0 + km0 + f_slice * pack.m0_tilde) - p * k2 * cross
 
 
+def _shifted_k_tilde(pack: DifferencePack, p: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Space-time array of the shifted reconstructions
+    2 P (v(., t) - int_{T/2}^t w dtau) + F, with P and F from
+    ``compute_F``."""
+    return 2.0 * p[..., None] * (pack.v - time_integral_from_t0(pack.grid, pack.w)) + F[..., None]
+
+
 def reconstruct_k_tilde(pack: DifferencePack, p: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Coefficient difference from the central-time identity,
     k~ = 2 P v(., T/2) + F, with P and F from ``compute_F``.
 
     Replacing v(., T/2) by v(., t) - int_{T/2}^t w dtau gives the shifted
-    form at time t; at t = T/2 the integral vanishes and the two agree, and
-    ``reconstruction_spread`` measures how far the shifted forms at other
-    times move.
+    form at time t; at t = T/2 the integral is exactly 0, so k~ is the t0
+    level of the shifted forms, and ``reconstruction_spread`` measures how
+    far they move at other times.
     """
-    g = pack.grid
-    return 2.0 * p * pack.v[..., g.index_t0] + F
+    return _shifted_k_tilde(pack, p, F)[..., pack.grid.index_t0]
 
 
 def reconstruction_spread(
@@ -203,11 +209,8 @@ def reconstruction_spread(
     2 P (v(., t) - int_{T/2}^t w dtau) + F at each of ``times``, with P and
     F from ``compute_F``."""
     g = pack.grid
-    iw = time_integral_from_t0(g, pack.w)
-    fields = []
-    for t in times:
-        j = g.index_of_time(t)
-        fields.append(2.0 * p * (pack.v[..., j] - iw[..., j]) + F)
+    shifted = _shifted_k_tilde(pack, p, F)
+    fields = [shifted[..., g.index_of_time(t)] for t in times]
     worst = 0.0
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
@@ -275,7 +278,7 @@ def derived_residuals(
     rebuilt = (
         [pack.m0_tilde[..., None] + time_integral_from_t0(g, pack.q), *ms[1:]],
         [du0, *dus[1:]],
-        2.0 * p[..., None] * (pack.v - time_integral_from_t0(g, pack.w)) + F[..., None],
+        _shifted_k_tilde(pack, p, F),
     )
     out = {}
     for s, name in enumerate(("diff", "dt", "dtt")):

@@ -39,19 +39,25 @@ def kernel():
     return KERNEL
 
 
+# the coupling iteration's Anderson weight, which ``mixing_window(1)``
+# restores inside a test that zeroes it
+ANDERSON_WEIGHT = mfg._mixing_weight
+
+
 @contextlib.contextmanager
 def mixing_window(length: int):
     """Solve with ``length`` (0 or 1) past iterates in the coupling
-    iteration's Anderson window; 0 is the damped Picard step on which the
-    frozen numbers of several tests were recorded."""
+    iteration's Anderson mixing.  0 zeroes the mixing weight, which is the
+    damped Picard step on which the frozen numbers of several tests were
+    recorded; 1 restores the Anderson weight."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mfg, "_MIXING_WINDOW", length)
+        patch.setattr(mfg, "_mixing_weight", ANDERSON_WEIGHT if length else lambda *_: 0.0)
         yield
 
 
 @pytest.fixture
 def damped():
-    """The damped Picard step (an empty mixing window) for one test."""
+    """The damped Picard step (a zero mixing weight) for one test."""
     with mixing_window(0):
         yield
 
@@ -113,6 +119,33 @@ def make_pair():
         return cache[key]
 
     return build
+
+
+# the two coupling steps, by name, as ``mixing_window`` lengths
+STEPS = {"damped": 0, "anderson": 1}
+
+# the relative distance, fixed before measuring, within which both steps
+# solved to tol 1e-13 reach a pinned number of the converged limit: the two
+# were measured 2e-11 to 9e-11 apart there on the 33x65 ``make_pair`` setup
+# (1.2e-10 on the slope of the small sweep in ``test_stability.py``)
+LIMIT_RTOL = 2e-10
+
+
+@pytest.fixture(scope="session")
+def limit_pairs():
+    """The 33x65 pair of ``make_pair`` (scale 0.1, damping 0.5) solved to
+    tol 1e-13 on each of ``STEPS``, as (t1, t2) by step name."""
+    g, triple, f, spec = build_problem(33, 65)
+    k1 = np.ones(g.shape_space)
+    ks = [k1, k1 + 0.1 * _perturbation(g)]
+    pairs = {}
+    for step, length in STEPS.items():
+        with mixing_window(length):
+            pairs[step] = list(solve_mfg_members(spec, ks, damping=0.5, max_iter=200, tol=1e-13))
+        for outcome in pairs[step]:
+            if isinstance(outcome, Exception):
+                raise outcome
+    return pairs
 
 
 @pytest.fixture(scope="session")

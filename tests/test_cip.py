@@ -15,7 +15,7 @@ from mfglab.cip import (
 )
 from mfglab.grid import Face, first_derivative
 
-from conftest import build_problem
+from conftest import LIMIT_RTOL, STEPS, build_problem
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +102,18 @@ class TestBudget:
         d1 = extract(pair["t1"], completeness)
         d2 = extract(pair["t2"], completeness)
         assert measure_delta(d1, d2) == pytest.approx(delta, rel=1e-12)
+
+    @pytest.mark.parametrize("step", STEPS)
+    @pytest.mark.parametrize(
+        "completeness, delta",
+        [("full", 11.83615940223154), ("incomplete", 7.6816721852539285)],
+    )
+    def test_solution_pair_delta_limit_is_pinned(self, limit_pairs, step, completeness, delta):
+        # the pin above lies 3.1e-10 (full) and 3.4e-8 (incomplete) from the
+        # converged limit, where the damped and the Anderson step meet
+        t1, t2 = limit_pairs[step]
+        got = measure_delta(extract(t1, completeness), extract(t2, completeness))
+        assert got == pytest.approx(delta, rel=LIMIT_RTOL)
 
     def test_list_data_measure_as_arrays(self, make_pair):
         # every snapshot and trace is stored as the array its check returns,

@@ -43,8 +43,8 @@ FAST_CONFIG = {
     "problem": {"coupling_gain": 0.0},
 }
 
-# exits 2 on its own budget (6 evaluations to reach 1e-12) at the default
-# mixing window, as it did with plain Picard steps
+# exits 2 on its own budget (6 evaluations to reach 1e-12) on the default
+# Anderson step, as it did with plain Picard steps
 OSCILLATING_CONFIG = {
     "grid": {"nx": 33, "nt": 65},
     "kernel": {"amplitude": 12.0},

@@ -11,15 +11,16 @@ only a cross-section axis has; a 2-D causal-kernel ``forward`` on a
 9x9x17 grid, which checks the n-D band-LU march and its CSV output byte
 for byte, and a 3-D one on a 9x9x9x17 grid, the one run that marches in
 3-D; and the default ``forward`` and ``sweep`` on the damped Picard
-step (no mixing window, ``solver.damping`` 0.5), whose files keep the
-hashes that the default runs had before the Anderson window became the
-default; the default ``sweep`` on incomplete data, the paper's second
-data regime; and a 2-D ``sweep`` on a 9x9x17 grid on full and on
-incomplete data, which pins the perturbation's broadcast over the
-cross-section, the n-D data extraction and the check that the side-face
-Dirichlet traces agree.  Each writes to a relative ``--out`` inside a
-temporary working directory, so the printed paths, and with them the
-hashes, do not depend on where the tests run.  A change that means to change an output
+step (``mfg._mixing_weight`` zeroed through ``conftest.mixing_window(0)``,
+``solver.damping`` 0.5), whose files keep the hashes that the default
+runs had before the Anderson step became the default; the default
+``sweep`` on incomplete data, the paper's second data regime; and a 2-D
+``sweep`` on a 9x9x17 grid on full and on incomplete data, which pins
+the perturbation's broadcast over the cross-section, the n-D data
+extraction and the check that the side-face Dirichlet traces agree.
+Each writes to a relative ``--out`` inside a temporary working
+directory, so the printed paths, and with them the hashes, do not depend
+on where the tests run.  A change that means to change an output
 re-records the file, from the repository root, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -37,9 +38,9 @@ import os
 import tempfile
 from pathlib import Path
 
-import pytest
+from mfglab import cli
 
-from mfglab import cli, mfg
+from conftest import mixing_window
 
 GOLDEN = Path(__file__).resolve().parent / "golden_outputs.json"
 
@@ -88,8 +89,8 @@ SWEEP_2D_INCOMPLETE = {
     "stability": {**SWEEP_2D["stability"], "completeness": "incomplete"},
 }
 
-# run name -> (command, config payload or None for the defaults, length of
-# the coupling iteration's mixing window)
+# run name -> (command, config payload or None for the defaults, past
+# iterates in the coupling iteration's mixing: 0 is the damped step)
 RUNS = {
     "forward": ("forward", None, 1),
     "manufacture": ("manufacture", None, 1),
@@ -127,8 +128,7 @@ def run_case(name: str) -> dict:
         argv += ["--config", config]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mfg, "_MIXING_WINDOW", window)
+        with mixing_window(window):
             rc = cli.main(argv)
     files = {}
     if os.path.isdir(name):

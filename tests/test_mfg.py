@@ -33,7 +33,7 @@ from mfglab.mfg import (
 )
 from mfglab.mfg import _SpatialOperator, _divergence_flux, _face_drift_coefficients, _march_fp
 
-from conftest import build_problem, mixing_window, quadratic_form
+from conftest import ANDERSON_WEIGHT, build_problem, mixing_window, quadratic_form
 
 PRISM = Prism(1.0, 2.0, (), 1.0)
 
@@ -503,7 +503,7 @@ class TestPicard:
 
 
 class TestAnderson:
-    """The windowed update of the density iterate: the fixed point of the
+    """The Anderson update of the density iterate: the fixed point of the
     damped iteration, in fewer evaluations."""
 
     TOL = 1e-10
@@ -531,7 +531,7 @@ class TestAnderson:
         self.assert_close_to_damped(spec, [k], [damped])
 
     def test_default_problem_converges_in_12_evaluations(self):
-        # 21 evaluations with the damped step (no window, damping 0.5)
+        # 21 evaluations with the damped step (zero mixing weight, damping 0.5)
         g, _, _, spec = build_problem(65, 257)
         triple = solve_mfg_picard(spec, np.ones(65), **DEFAULT_CONFIG["solver"])
         assert triple.report["evaluations"] <= 12
@@ -584,7 +584,7 @@ def assert_same_outcome(got, want):
 @pytest.mark.usefixtures("damped")
 class TestLockstep:
     """Members marched in lockstep give each the bytes of its solo solve,
-    on the damped step unless a test opens the mixing window."""
+    on the damped step unless a test restores the mixing weight."""
 
     # the base converges in 20 damped evaluations and scale 4.0 needs 22, so
     # a cap of 21 splits them; with a cap of 30, scale 4.0 marches on alone
@@ -609,7 +609,7 @@ class TestLockstep:
 
     # evaluations to converge with the window (base, 0.02, 4.0): 12, 12, 14;
     # a cap of 13 splits them, and with a cap of 20 scale 4.0 marches on
-    # alone, its window moved into a row that another member left
+    # alone, its past iterate moved into a row that another member left
     @pytest.mark.parametrize("width", [None, 2])
     @pytest.mark.parametrize("max_iter, last", [(13, PicardNonConvergence), (20, MFGTriple)])
     def test_1d_windowed_members_equal_solo_solves(self, monkeypatch, width, max_iter, last):
@@ -618,7 +618,7 @@ class TestLockstep:
         ks = [k1] + [k1 + s * _perturbation(g) for s in (0.02, 4.0)]
         if width is not None:
             monkeypatch.setattr(mfg, "_GROUP_NODES", width * g.nt * 33)
-        monkeypatch.setattr(mfg, "_MIXING_WINDOW", 1)
+        monkeypatch.setattr(mfg, "_mixing_weight", ANDERSON_WEIGHT)
         solver = dict(self.SOLVER, damping=1.0, max_iter=max_iter)
         got = list(solve_mfg_members(spec, ks, **solver))
         want = [solo_outcome(spec, k, **solver) for k in ks]
@@ -711,7 +711,7 @@ class TestLockstep:
         self.check_converging_together(self.SOLVER)
 
     def test_windowed_members_converging_together_equal_solo_solves(self):
-        # the window's stack is released with the iterate stacks
+        # the past iterate's stack is released with the iterate stacks
         with mixing_window(1):
             self.check_converging_together(dict(self.SOLVER, damping=1.0))
 

@@ -18,8 +18,8 @@ wl = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(wl)
 
 
-# the damped Picard step the references were recorded with (no mixing
-# window, damping 0.5); the default solver (an Anderson window of one)
+# the damped Picard step the references were recorded with (zero mixing
+# weight, damping 0.5); the default solver (Anderson over one past iterate)
 # reaches the same tolerance by another path, so its outputs match them
 # within the benchmark's tolerance only
 DAMPED = {"damping": 0.5}

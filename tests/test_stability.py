@@ -33,7 +33,7 @@ from mfglab.stability import (
     select_parameters,
 )
 
-from conftest import KERNEL, PRISM, build_problem, mixing_window
+from conftest import KERNEL, LIMIT_RTOL, PRISM, STEPS, build_problem, mixing_window
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +76,13 @@ class TestDifferencePack:
         assert pack.v_norm_sq("H21", eps=0.2) == pytest.approx(
             4.780119405920742, rel=1e-8
         )
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_recorded_norm_limit(self, limit_pairs, step):
+        # the H2 pin above lies 3.3e-8 from the converged limit, where the
+        # damped and the Anderson step meet
+        pack = form_difference(*limit_pairs[step])
+        assert pack.v_norm_sq("H2") == pytest.approx(331429.55340498657, rel=LIMIT_RTOL)
 
     def test_v_norm_sq_stacks_components(self, pack):
         want = sum(
@@ -277,6 +284,16 @@ class TestSweep:
         assert rep.delta_decades() == pytest.approx(0.689242497379236, rel=1e-9)
         assert rep.excluded == ()
         assert rep.completeness == "full"
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_small_sweep_fit_limit(self, sweep_setup, step):
+        # the slope pin above lies 1.2e-8 from the converged limit, where the
+        # damped and the Anderson step meet with every member solved to 1e-13
+        g, spec, k1, dk = sweep_setup
+        solver = {"damping": 0.5, "max_iter": 200, "tol": 1e-13}
+        with mixing_window(STEPS[step]):
+            rep = holder_sweep(spec, k1, ladder(dk, self.SCALES), **self.DATA, **solver)
+        assert rep.slope == pytest.approx(1.0137132084535911, rel=LIMIT_RTOL)
 
     def test_zero_scale_row_kept_but_not_fitted(self, sweep_setup):
         g, spec, k1, dk = sweep_setup
